@@ -62,13 +62,10 @@ def clone_database(source: Database) -> Database:
     strategies are re-enabled from the recorded enable-time configuration,
     so the clone starts from the paper's initial one-segment state and is
     free to diverge from the source as it serves its own workload slice.
+    Pending deltas are carried, not flushed: level 0 is bulk-loaded and the
+    source's insert tail, update pairs and deleted oids are replayed onto
+    the clone, so a fleet that has taken writes can still rebuild a replica.
     """
-    for table in source.table_names():
-        if source.catalog.table(table).has_deltas:
-            raise ValueError(
-                f"cannot clone a database with pending deltas (table {table!r}); "
-                "flush or bulk-load first"
-            )
     configs = source.adaptive_configs()
     for handle in source.bpm.handles():
         if (handle.table, handle.column) not in configs:
@@ -89,6 +86,18 @@ def clone_database(source: Database) -> Database:
         clone.bulk_load(table, data)
     for (table, column), config in configs.items():
         clone.enable_adaptive(table, column, **config)
+    for table in source.table_names():
+        store = source.catalog.table(table)
+        if not store.has_deltas:
+            continue
+        target = clone.catalog.table(table)
+        target.insert(
+            {name: column.bind(1).tail.copy() for name, column in store.columns.items()}
+        )
+        for name, column in store.columns.items():
+            updates = column.bind(2)
+            target.update(name, updates.head.copy(), updates.tail.copy())
+        target.delete(store.deletion_bat.tail)
     return clone
 
 

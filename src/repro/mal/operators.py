@@ -112,22 +112,47 @@ def thetaselect(bat: BAT, value: float, operator: str) -> BAT:
 # ---------------------------------------------------------------------------
 
 
+def _heads_in(heads: np.ndarray, members: np.ndarray, members_sorted: bool) -> np.ndarray:
+    """Mask of the oids in ``heads`` that appear in the head oids ``members``.
+
+    A sorted head (the deletion list, any void head) is probed by binary
+    search, O(len(heads) · log).  Anything else — in the Figure-1 cascade only
+    the update delta, which no public write API fills — is hashed with
+    ``np.isin``: correct, not fast.
+    """
+    if not members_sorted:
+        return np.isin(heads, members)
+    slots = np.searchsorted(members, heads)
+    np.minimum(slots, members.size - 1, out=slots)
+    return members[slots] == heads
+
+
 def kunion(left: BAT, right: BAT) -> BAT:
     """Union by head oid; pairs from ``left`` win on duplicates.
 
     When one operand is empty the other is passed through unchanged instead of
     being copied — the same shortcut MonetDB's operational optimizer takes for
     empty delta BATs, and essential to keep the per-query cost dominated by
-    the actual scan.
+    the actual scan.  With pending inserts the cost stays O(result + delta):
+    an insert delta that densely continues ``left`` yields the storage
+    layer's pre-built view over both, and operands with disjoint oid ranges
+    (persistent hits below insert hits) are concatenated.  Only operands that
+    are neither — update deltas, which no public write API fills — take the
+    hashing fall-through: correct, not fast.
     """
     if right.count == 0:
         return left
     if left.count == 0:
         return right
-    right_only = ~np.isin(right.head, left.head)
+    if right.dense_union is not None and right.dense_union[0] is left:
+        return right.dense_union[1]
+    left_heads, right_heads, right_tail = left.head, right.head, right.tail
+    if left_heads.max() >= right_heads.min():
+        right_only = ~_heads_in(right_heads, left_heads, left.head_sorted)
+        right_heads, right_tail = right_heads[right_only], right_tail[right_only]
     return BAT.from_pairs(
-        np.concatenate([left.head, right.head[right_only]]),
-        np.concatenate([left.tail, right.tail[right_only]]),
+        np.concatenate([left_heads, right_heads]),
+        np.concatenate([left.tail, right_tail]),
         name=left.name,
     )
 
@@ -136,20 +161,23 @@ def kdifference(left: BAT, right: BAT) -> BAT:
     """Pairs of ``left`` whose head oid does not appear in ``right``.
 
     An empty ``right`` operand passes ``left`` through unchanged (see
-    :func:`kunion` for the rationale).
+    :func:`kunion` for the rationale); the sorted deletion list is probed by
+    binary search.
     """
     if left.count == 0 or right.count == 0:
         return left
-    keep = ~np.isin(left.head, right.head)
-    return BAT.from_pairs(left.head[keep], left.tail[keep], name=left.name)
+    heads = left.head
+    keep = ~_heads_in(heads, right.head, right.head_sorted)
+    return BAT.from_pairs(heads[keep], left.tail[keep], name=left.name)
 
 
 def kintersect(left: BAT, right: BAT) -> BAT:
     """Pairs of ``left`` whose head oid appears in ``right`` (semijoin)."""
     if left.count == 0 or right.count == 0:
         return BAT.from_pairs(np.empty(0, dtype=np.int64), left.tail[:0], name=left.name)
-    keep = np.isin(left.head, right.head)
-    return BAT.from_pairs(left.head[keep], left.tail[keep], name=left.name)
+    heads = left.head
+    keep = _heads_in(heads, right.head, right.head_sorted)
+    return BAT.from_pairs(heads[keep], left.tail[keep], name=left.name)
 
 
 # ---------------------------------------------------------------------------

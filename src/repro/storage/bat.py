@@ -42,9 +42,19 @@ class BAT:
         The caller guarantees the tail is non-decreasing.  Selection
         operators then use binary-search slicing (zero-copy) instead of
         boolean masks.  The flag is a promise, not verified here.
+
+    ``head_sorted`` is derived, never passed: a void head is sorted, and
+    :meth:`reverse` hands a sorted tail over as a sorted head — which is how
+    the deletion list reaches ``kdifference`` as a binary-search operand.
+    ``dense_union`` is set by the storage layer on an insert-delta BAT only:
+    the pair ``(base, union)`` names the BAT this one densely continues in
+    the same tail buffer and the pre-built void-headed view over both, which
+    is what ``kunion(base, self)`` returns.
     """
 
-    __slots__ = ("_head", "tail", "hseqbase", "name", "tail_sorted")
+    __slots__ = (
+        "_head", "tail", "hseqbase", "name", "tail_sorted", "head_sorted", "dense_union"
+    )
 
     def __init__(
         self,
@@ -71,6 +81,8 @@ class BAT:
         self.hseqbase = int(hseqbase)
         self.name = name
         self.tail_sorted = bool(tail_sorted)
+        self.head_sorted = head is None
+        self.dense_union: tuple[BAT, BAT] | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -130,11 +142,14 @@ class BAT:
         tail becomes the (explicit) head.  The operation is used by the Fig-1
         plan to turn a deletion BAT into an oid lookup structure.
         """
-        tail_sorted = self._head is None  # a void head reversed is a dense ascending tail
-        return BAT(
+        # Order travels with the column it describes: a void (or sorted) head
+        # becomes a sorted tail, a sorted tail a sorted head.
+        flipped = BAT(
             self.head, np.asarray(self.tail, dtype=np.int64), name=self.name,
-            tail_sorted=tail_sorted,
+            tail_sorted=self.head_sorted,
         )
+        flipped.head_sorted = self.tail_sorted
+        return flipped
 
     def slice(self, start: int, stop: int) -> "BAT":
         """Positional slice ``[start, stop)`` preserving head oids (a view).
@@ -190,10 +205,15 @@ class BAT:
         return BAT(self.tail[chosen], oids[valid], name=self.name)
 
     def append(self, other: "BAT") -> "BAT":
-        """Concatenate two BATs (explicit heads in the result)."""
+        """Concatenate two BATs (explicit heads in the result).
+
+        O(both operands): only the update delta, which no read-mostly
+        workload fills, still grows this way.  An empty ``other`` passes
+        ``self`` through — BATs are never mutated, so there is nothing to
+        protect with a copy.
+        """
         if other.count == 0:
-            return BAT(self.tail.copy(), None if self._head is None else self._head.copy(),
-                       hseqbase=self.hseqbase, name=self.name, tail_sorted=self.tail_sorted)
+            return self
         return BAT.from_pairs(
             np.concatenate([self.head, other.head]),
             np.concatenate([self.tail, other.tail]),

@@ -6,6 +6,12 @@ family of BATs: the persistent payload (bind level 0), the pending inserts
 in a separate deletion BAT (``bind_dbat``).  The Fig-1 query plan unions and
 differences these pieces before evaluating predicates — the reproduction
 follows the same structure so that the generated plans look like the paper's.
+
+Inserted rows always receive the next free oids, so the insert delta is the
+dense continuation of the persistent BAT.  Both therefore live in one tail
+buffer: ``bind(0)``, ``bind(1)`` and the merged logical column are three
+void-headed views of it, and a read beside pending inserts never touches more
+than its result plus the delta.
 """
 
 from __future__ import annotations
@@ -23,19 +29,18 @@ BIND_UPDATES = 2
 
 
 class StoredColumn:
-    """One relational column stored as persistent + delta BATs."""
+    """One relational column stored as persistent + delta BATs.
+
+    The write methods (:meth:`bulk_load`, :meth:`append`, :meth:`update`) are
+    driven by the owning :class:`ColumnStore`, which keeps the table's oid
+    allocation and ``has_deltas`` in step; call them through it.
+    """
 
     def __init__(self, table: str, name: str, dtype: Any) -> None:
         self.table = table
         self.name = name
         self.dtype = np.dtype(dtype)
-        self._persistent = BAT.empty(self.dtype, name=self.qualified_name(BIND_PERSISTENT))
-        self._inserts = BAT.empty(self.dtype, name=self.qualified_name(BIND_INSERTS))
-        self._updates = BAT.from_pairs(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=self.dtype),
-            name=self.qualified_name(BIND_UPDATES),
-        )
+        self.bulk_load(np.empty(0, dtype=self.dtype))
 
     def qualified_name(self, level: int) -> str:
         """The diagnostic BAT name, e.g. ``"sys_P_ra_0"``."""
@@ -76,15 +81,57 @@ class StoredColumn:
     # -- modification -----------------------------------------------------------
 
     def bulk_load(self, values: np.ndarray, *, start_oid: int = 0) -> None:
-        """Replace the persistent BAT with freshly loaded values."""
-        values = np.asarray(values, dtype=self.dtype)
-        self._persistent = BAT(values, hseqbase=start_oid, name=self.qualified_name(0))
+        """Replace the column with freshly loaded values (no pending deltas)."""
+        self._buffer = np.asarray(values, dtype=self.dtype)
+        self._start_oid = int(start_oid)
+        self._loaded = self._total = self._buffer.size
+        self._updates = BAT.from_pairs(
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=self.dtype),
+            name=self.qualified_name(BIND_UPDATES),
+        )
+        self._reslice()
 
     def append(self, values: np.ndarray, *, start_oid: int) -> None:
-        """Record newly inserted values in the insert-delta BAT."""
+        """Record newly inserted values: O(rows appended) while headroom lasts.
+
+        The rows land behind the pending inserts in the shared tail buffer.
+        When it is full the buffer is re-allocated with headroom for the
+        pending delta to double (at least 1024 rows) — sized by the delta, not
+        the column, so the resident column never doubles — and the column is
+        copied once, the only O(column) step a write can take; views handed
+        out earlier keep the array they were cut from.
+        """
         values = np.asarray(values, dtype=self.dtype)
-        fresh = BAT(values, hseqbase=start_oid, name=self.qualified_name(1))
-        self._inserts = self._inserts.append(fresh)
+        if start_oid != self._start_oid + self._total:
+            raise ValueError(
+                f"inserted rows must continue the column densely at oid "
+                f"{self._start_oid + self._total}, got {start_oid}"
+            )
+        total = self._total + values.size
+        if total > self._buffer.size:
+            headroom = max(1024, total - self._loaded)
+            grown = np.empty(total + headroom, dtype=self.dtype)
+            grown[: self._total] = self._buffer[: self._total]
+            self._buffer = grown
+        self._buffer[self._total : total] = values
+        self._total = total
+        self._reslice()
+
+    def _reslice(self) -> None:
+        """Re-cut the three void-headed views of the tail buffer (O(1), no copy)."""
+        loaded, total, first = self._loaded, self._total, self._start_oid
+        self._persistent = BAT(
+            self._buffer[:loaded], hseqbase=first, name=self.qualified_name(BIND_PERSISTENT)
+        )
+        self._inserts = BAT(
+            self._buffer[loaded:total], hseqbase=first + loaded,
+            name=self.qualified_name(BIND_INSERTS),
+        )
+        merged = BAT(
+            self._buffer[:total], hseqbase=first, name=self.qualified_name(BIND_PERSISTENT)
+        )
+        self._inserts.dense_union = (self._persistent, merged)
 
     def update(self, oids: np.ndarray, values: np.ndarray) -> None:
         """Record updated values in the update-delta BAT."""
@@ -101,13 +148,9 @@ class StoredColumn:
         Equivalent to the kunion/kdifference cascade the SQL compiler emits,
         evaluated eagerly; used for loading adaptive columns and by tests.
         """
-        base = self._persistent.tail
-        if self._inserts.count:
-            base = np.concatenate([base, self._inserts.tail])
-        if not self._updates.count:
-            return base.copy()
-        merged = base.copy()
-        merged[self._updates.head] = self._updates.tail
+        merged = self._buffer[: self._total].copy()
+        if self._updates.count:
+            merged[self._updates.head] = self._updates.tail
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -123,9 +166,10 @@ class ColumnStore:
     def __init__(self, table: str) -> None:
         self.table = table
         self.columns: dict[str, StoredColumn] = {}
-        self._deleted_oids = BAT.from_pairs(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), name=f"sys_{table}_dbat"
-        )
+        #: True once any column has a pending insert or update, or a row was
+        #: deleted — maintained by the three write paths, read per statement.
+        self.has_deltas = False
+        self._set_deleted(np.empty(0, dtype=np.int64))
         self._next_oid = 0
 
     # -- schema -------------------------------------------------------------
@@ -153,13 +197,6 @@ class ColumnStore:
         return self._next_oid - self._deleted_oids.count
 
     @property
-    def has_deltas(self) -> bool:
-        """True when any column has pending deltas or rows were deleted."""
-        if self._deleted_oids.count:
-            return True
-        return any(column.has_deltas for column in self.columns.values())
-
-    @property
     def deletion_bat(self) -> BAT:
         """The table's deletion BAT (``sql.bind_dbat``)."""
         return self._deleted_oids
@@ -178,6 +215,8 @@ class ColumnStore:
         for name, values in data.items():
             self.columns[name].bulk_load(values, start_oid=0)
         self._next_oid = next(iter(lengths.values()), 0)
+        self._set_deleted(np.empty(0, dtype=np.int64))
+        self.has_deltas = False
 
     def insert(self, data: dict[str, np.ndarray]) -> None:
         """Append rows to the insert deltas of all columns."""
@@ -190,12 +229,42 @@ class ColumnStore:
         for name, values in data.items():
             self.columns[name].append(values, start_oid=self._next_oid)
         self._next_oid += count
+        if count:
+            self.has_deltas = True
+
+    def update(self, name: str, oids: np.ndarray, values: np.ndarray) -> None:
+        """Record updated values of one column in its update delta."""
+        self.column(name).update(oids, values)
+        if np.size(oids):
+            self.has_deltas = True
 
     def delete(self, oids: np.ndarray) -> None:
-        """Mark the given oids as deleted."""
-        oids = np.asarray(oids, dtype=np.int64)
-        fresh = BAT.from_pairs(oids, oids, name=self._deleted_oids.name)
-        self._deleted_oids = self._deleted_oids.append(fresh)
+        """Mark the given oids as deleted; re-deleting a row is a no-op.
+
+        The deletion list stays sorted and duplicate-free, so ``row_count``
+        is exact and ``kdifference`` probes it by binary search.  Oids that
+        were never allocated raise :class:`ValueError`.
+        """
+        deleted = self._deleted_oids.tail
+        merged = np.concatenate((deleted, np.asarray(oids, dtype=np.int64)))
+        # Timsort: the list so far is one sorted run, so this is near-linear.
+        merged.sort(kind="stable")
+        if merged.size and (merged[0] < 0 or merged[-1] >= self._next_oid):
+            raise ValueError(
+                f"cannot delete oids outside [0, {self._next_oid}) of table {self.table!r}"
+            )
+        distinct = np.ones(merged.size, dtype=bool)
+        np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+        merged = merged[distinct]
+        if merged.size != deleted.size:
+            self._set_deleted(merged)
+            self.has_deltas = True
+
+    def _set_deleted(self, oids: np.ndarray) -> None:
+        """Install a sorted, duplicate-free deletion list as the deletion BAT."""
+        self._deleted_oids = BAT.from_pairs(
+            oids, oids, name=f"sys_{self.table}_dbat", tail_sorted=True
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnStore(table={self.table!r}, columns={sorted(self.columns)}, rows={self.row_count})"

@@ -18,6 +18,7 @@ import repro.aio
 from repro.api.exceptions import (
     InterfaceError,
     OperationalError,
+    ProgrammingError,
     TransientError,
 )
 from repro.engine.database import Database
@@ -39,6 +40,22 @@ def build_database(n_rows: int = 500, seed: int = 3) -> Database:
     database.bulk_load("t", {"v": rng.uniform(0.0, 100.0, size=n_rows)})
     database.enable_adaptive("t", "v", strategy="segmentation")
     return database
+
+
+class TestAdminErrors:
+    def test_deleting_an_unallocated_oid_is_a_programming_error(self):
+        async def go():
+            async with ReproServer(build_database(50), port=0) as server:
+                connection = await repro.aio.connect(*server.address)
+                await connection.admin.delete("t", [3, 3])
+                with pytest.raises(ProgrammingError, match="outside"):
+                    await connection.admin.delete("t", [50])
+                await connection.admin.delete("t", [3])  # the connection survives
+                cursor = await connection.execute(SQL, (0.0, 100.0))
+                await connection.close()
+                return cursor.rowcount
+
+        assert run(go) == 49
 
 
 class _StalledServer:

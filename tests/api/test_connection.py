@@ -114,6 +114,16 @@ class TestAdmin:
             conn.admin.drop_table("t")
             assert conn.admin.table_names() == []
 
+    def test_delete_is_idempotent_and_rejects_unallocated_oids(self, connection, ra_values):
+        admin = connection.admin
+        admin.delete("p", np.array([1, 1]))
+        admin.delete("p", np.array([1]))
+        for bad in ([ra_values.size], [-1], [0, 10**9]):
+            with pytest.raises(api.ProgrammingError, match="outside"):
+                admin.delete("p", np.array(bad))
+        cursor = connection.execute("SELECT objid FROM p WHERE ra >= ?", (0.0,))
+        assert cursor.rowcount == ra_values.size - 1
+
     def test_errors_are_programming_errors(self, connection):
         with pytest.raises(api.ProgrammingError):
             connection.admin.create_table("p", {"x": "int64"})  # already exists

@@ -177,6 +177,38 @@ class TestRebuild:
         finally:
             router.close()
 
+    def test_rebuild_carries_the_writes_the_fleet_has_taken(self):
+        """insert → delete → quarantine → rebuild: the clone answers like its donor."""
+        router = Router(build_database(500), 2, quarantine_after=1)
+        try:
+            prepared = router.prepare_statement(SQL)
+            router.insert("t", {"v": np.array([150.0, 150.5, 900.0])})
+            router.delete("t", np.array([0, 1, 2, 501]))
+            donor_db = router.replicas[0].database
+            donor_db.catalog.table("t").update("v", np.array([5]), np.array([151.0]))
+            router.quarantine_replica(1)
+            assert router.rebuild_replica(1)["rebuilt"] is True
+            rebuilt_db = router.replicas[1].database
+            assert rebuilt_db.catalog.table("t").row_count == donor_db.catalog.table("t").row_count
+            for bounds in [(899.0, 901.0), (0.0, 1000.0), (100.0, 200.0)]:
+                donor, rebuilt = (
+                    router.replicas[index].run(
+                        router.execute_wave_on, index, [(prepared, bounds)]
+                    )[0]
+                    for index in (0, 1)
+                )
+                assert sorted(rebuilt.columns["v"].tolist()) == sorted(
+                    donor.columns["v"].tolist()
+                )
+            answer = rebuilt.columns["v"].tolist()
+            # The live insert and the update are there; the deleted insert is not.
+            assert 150.0 in answer and 151.0 in answer and 150.5 not in answer
+            # The clone owns its arrays: a later write to one side stays there.
+            router.replicas[0].run(donor_db.insert, "t", {"v": np.array([1.0])})
+            assert rebuilt_db.catalog.table("t").row_count == 499
+        finally:
+            router.close()
+
     def test_rebuild_refuses_a_replica_that_is_not_quarantined(self):
         router = Router(build_database(200), 2)
         try:

@@ -76,11 +76,18 @@ class TestCloneDatabase:
         with pytest.raises(ValueError, match="model instance"):
             clone_database(source)
 
-    def test_pending_deltas_are_rejected(self):
+    def test_pending_deltas_are_carried_not_shared(self):
         source = build_database()
         source.insert("p", {"objid": [N_ROWS], "ra": [1.0]})
-        with pytest.raises(ValueError, match="deltas"):
-            clone_database(source)
+        source.delete("p", [0, N_ROWS])
+        clone = clone_database(source)
+        for name in ("objid", "ra"):
+            ours, theirs = (db.catalog.column("p", name).bind(1) for db in (source, clone))
+            assert theirs.tail.tolist() == ours.tail.tolist()
+            assert theirs.hseqbase == ours.hseqbase == N_ROWS
+            assert not np.shares_memory(theirs.tail, ours.tail)
+        assert clone.catalog.table("p").deletion_bat.tail.tolist() == [0, N_ROWS]
+        assert clone.catalog.table("p").row_count == N_ROWS - 1
 
 
 class TestRouterSurface:

@@ -6,6 +6,7 @@ import pytest
 from repro.engine.database import Database
 from repro.engine.result import QueryResult
 from repro.engine.session import Session
+from repro.storage.bat import BAT
 from repro.util.units import KB
 
 
@@ -59,6 +60,34 @@ class TestSchemaAndLoading:
         database.delete("p", existing[:1])
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 11")
         assert existing[0] not in result.column("objid").tolist()
+
+
+class TestDeltaFreePathIsUntouched:
+    """The Figure-1 cascade with empty deltas does the work it did before dense deltas."""
+
+    @pytest.mark.parametrize("strategy, allocations", [(None, 6), ("segmentation", 5)])
+    def test_a_warm_delta_free_read_allocates_the_same_bats(
+        self, database, monkeypatch, strategy, allocations
+    ):
+        if strategy is not None:
+            database.enable_adaptive("p", "ra", strategy=strategy)
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        for _ in range(3):
+            database.execute_prepared(prepared, (10.0, 11.0))
+        built = []
+        init = BAT.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BAT, "__init__", counting)
+        result = database.execute_prepared(prepared, (10.0, 11.0))
+        monkeypatch.undo()
+        assert result.cache_level == "prepared"  # the full compiled plan ran, not a batch
+        # Counted at the parent commit; every delta operator must still take its
+        # empty-operand early return before anything else.
+        assert len(built) == allocations
 
 
 class TestQueryExecution:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.mal import operators
 from repro.storage.bat import BAT
+from repro.storage.column import StoredColumn
 
 
 @pytest.fixture
@@ -112,6 +113,82 @@ class TestTupleReconstruction:
         positions = marked.reverse()
         result = operators.join(positions, objid)
         assert result.tail.tolist() == [1000, 1002]
+
+
+class TestDenseDeltas:
+    """The Figure-1 cascade beside pending inserts / deletes: O(result + delta)."""
+
+    @staticmethod
+    def column(loaded: int = 1_000, inserted: int = 24) -> StoredColumn:
+        column = StoredColumn("p", "v", np.int64)
+        column.bulk_load(np.arange(loaded) * 10)
+        column.append(np.arange(inserted) * 7, start_oid=loaded)
+        return column
+
+    @staticmethod
+    def forbid(monkeypatch, *names: str) -> None:
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-read work proportional to the column")
+
+        for name in names:
+            monkeypatch.setattr(np, name, forbidden)
+
+    def test_kunion_of_the_bind_levels_is_the_prebuilt_dense_view(self, monkeypatch):
+        column = self.column()
+        self.forbid(monkeypatch, "isin", "concatenate", "arange")
+        merged = operators.kunion(column.bind(0), column.bind(1))
+        assert merged.is_void_head and merged.hseqbase == 0 and merged.count == 1_024
+        assert np.shares_memory(merged.tail, column._buffer)
+        assert operators.kunion(column.bind(0), column.bind(1)) is merged
+
+    def test_join_against_the_dense_view_never_sorts(self, monkeypatch):
+        column = self.column()
+        positions = BAT.from_pairs(np.arange(3), np.array([1_001, 2, 1_023]))
+        self.forbid(monkeypatch, "argsort", "isin", "arange")
+        merged = operators.kunion(column.bind(0), column.bind(1))
+        result = operators.join(positions, merged)
+        assert result.tail.tolist() == [7, 20, 161]
+
+    def test_a_stale_or_foreign_insert_bat_takes_the_generic_union(self):
+        column = self.column(4, 2)
+        stale = column.bind(1)
+        column.append(np.array([99]), start_oid=6)
+        merged = operators.kunion(column.bind(0), stale)  # not the BAT it continues
+        assert not merged.is_void_head
+        assert merged.head.tolist() == [0, 1, 2, 3, 4, 5]
+
+    def test_kunion_of_disjoint_oid_ranges_concatenates(self, monkeypatch):
+        persistent_hits = BAT.from_pairs(np.array([7, 3, 5]), np.array([7, 3, 5]))
+        insert_hits = BAT.from_pairs(np.array([10, 11]), np.array([10, 11]))
+        self.forbid(monkeypatch, "isin")
+        union = operators.kunion(persistent_hits, insert_hits)
+        assert union.head.tolist() == [7, 3, 5, 10, 11]
+
+    def test_kunion_of_overlapping_ranges_still_deduplicates(self):
+        left = BAT.from_pairs(np.array([7, 3, 12]), np.array([70, 30, 120]))
+        right = BAT.from_pairs(np.array([12, 10]), np.array([0, 100]))
+        union = operators.kunion(left, right)
+        assert dict(zip(union.head.tolist(), union.tail.tolist())) == {
+            7: 70, 3: 30, 12: 120, 10: 100,
+        }
+
+    @pytest.mark.parametrize("operator", ["kdifference", "kintersect"])
+    def test_sorted_heads_are_probed_not_hashed(self, operator, monkeypatch):
+        rng = np.random.default_rng(5)
+        heads = rng.permutation(500)[:200]
+        left = BAT.from_pairs(heads, heads * 2)
+        members = np.unique(rng.integers(0, 600, size=80))
+        unsorted = BAT.from_pairs(members[::-1].copy(), members[::-1].copy())
+        expected = getattr(operators, operator)(left, unsorted)
+        deleted = BAT.from_pairs(members, members, tail_sorted=True).reverse()
+        self.forbid(monkeypatch, "isin")
+        probed = getattr(operators, operator)(left, deleted)
+        assert probed.head.tolist() == expected.head.tolist()
+        assert probed.tail.tolist() == expected.tail.tolist()
+        # A key past the last member must not probe out of bounds.
+        beyond = BAT.from_pairs(np.array([700, int(members[0])]), np.array([1, 2]))
+        kept = [int(members[0])] if operator == "kintersect" else [700]
+        assert getattr(operators, operator)(beyond, deleted).head.tolist() == kept
 
 
 class TestAggregates:

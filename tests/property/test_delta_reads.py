@@ -1,0 +1,146 @@
+"""Property: one oracle for reads beside pending writes.
+
+Random interleavings of ``insert`` / ``delete`` / ``ColumnStore.update`` and
+range selects, over a plain column and every registered adaptive strategy,
+through the four read doors (text ``execute``, ``execute_prepared``,
+``execute_many``, ``execute_wave(readers=2)``).  Every answer must be
+permutation-equal to a numpy mask scan of a shadow table replayed in op
+order, and the adaptive structure must pass ``check_invariants()`` after every
+step.  Deletes deliberately repeat oids and hit rows still in the insert
+delta; an oid is updated at most once (the update BAT keeps every pair it is
+given, so a second update of one row is not a supported write).  Half the
+tables take an insert *before* the column is made adaptive, so the adaptive
+column and the insert delta both hold those rows and the union has to
+deduplicate rather than concatenate.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from repro.core.strategy import available_strategies
+from repro.engine.database import Database
+from repro.util.units import KB
+
+ROWS = 400
+DOMAIN = 1_000.0
+SQL = "select objid, v from p where v between ? and ?"
+LITERAL = "select objid, v from p where v between {low!r} and {high!r}"
+
+op_kinds = st.sampled_from(
+    ["insert", "delete", "update", "text", "prepared", "many", "wave"]
+)
+ops = st.lists(st.tuples(op_kinds, st.integers(0, 2**16)), min_size=6, max_size=40)
+organisations = st.sampled_from([None, *available_strategies()])
+
+
+class Shadow:
+    """The rows as they logically stand: value and liveness per oid."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values.copy()
+        self.live = np.ones(values.size, dtype=bool)
+        self.updated = np.zeros(values.size, dtype=bool)
+
+    def insert(self, values: np.ndarray) -> np.ndarray:
+        oids = np.arange(self.values.size, self.values.size + values.size)
+        self.values = np.concatenate((self.values, values))
+        self.live = np.concatenate((self.live, np.ones(values.size, dtype=bool)))
+        self.updated = np.concatenate((self.updated, np.zeros(values.size, dtype=bool)))
+        return oids
+
+    def answer(self, low: float, high: float) -> list[tuple[int, float]]:
+        hits = np.flatnonzero(self.live & (self.values >= low) & (self.values <= high))
+        return sorted(zip(hits.tolist(), self.values[hits].tolist()))
+
+
+def _build(organisation: str | None, early_insert: bool) -> tuple[Database, Shadow]:
+    values = np.random.default_rng(3).uniform(0.0, DOMAIN, ROWS)
+    database = Database()
+    database.create_table("p", {"objid": "int64", "v": "float64"})
+    database.bulk_load("p", {"objid": np.arange(ROWS, dtype=np.int64), "v": values})
+    shadow = Shadow(values)
+    if early_insert:
+        early = np.linspace(1.0, DOMAIN - 1.0, 7)
+        database.insert("p", {"objid": shadow.insert(early), "v": early})
+    if organisation is not None:
+        database.enable_adaptive(
+            "p", "v", strategy=organisation, model="apm", m_min=1 * KB, m_max=4 * KB, seed=1
+        )
+    return database, shadow
+
+
+def _pairs(result) -> list[tuple[int, float]]:
+    assert not isinstance(result, BaseException), result
+    return sorted(zip(result.columns["objid"].tolist(), result.columns["v"].tolist()))
+
+
+def _ranges(rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
+    lows = rng.uniform(0.0, DOMAIN * 0.9, count)
+    return [(float(low), float(low + rng.uniform(0.0, DOMAIN * 0.2))) for low in lows]
+
+
+def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) -> None:
+    rng = np.random.default_rng(draw)
+    store = database.catalog.table("p")
+    if kind == "insert":
+        values = rng.uniform(0.0, DOMAIN, int(rng.integers(1, 9)))
+        oids = shadow.insert(values)
+        database.insert("p", {"objid": oids, "v": values})
+    elif kind == "delete":
+        # Any allocated oid, twice over: re-deletes and inserted rows included.
+        oids = rng.integers(0, shadow.values.size, int(rng.integers(1, 7)))
+        shadow.live[oids] = False
+        database.delete("p", np.concatenate((oids, oids[:1])))
+    elif kind == "update":
+        oids = np.flatnonzero(~shadow.updated)
+        oids = rng.choice(oids, size=min(oids.size, int(rng.integers(1, 5))), replace=False)
+        values = rng.uniform(0.0, DOMAIN, oids.size)
+        shadow.values[oids] = values
+        shadow.updated[oids] = True
+        store.update("v", oids, values)
+    elif kind == "text":
+        ((low, high),) = _ranges(rng, 1)
+        result = database.execute(LITERAL.format(low=low, high=high))
+        assert _pairs(result) == shadow.answer(low, high)
+    elif kind == "prepared":
+        ((low, high),) = _ranges(rng, 1)
+        result = database.execute_prepared(prepared, (low, high))
+        assert _pairs(result) == shadow.answer(low, high)
+    else:
+        bounds = _ranges(rng, int(rng.integers(2, 6)))
+        if kind == "many":
+            results = database.execute_many(
+                [LITERAL.format(low=low, high=high) for low, high in bounds]
+            )
+        else:
+            results = database.execute_wave(
+                [(prepared, prepared.binding.bind(pair)) for pair in bounds], readers=2
+            )
+        assert len(results) == len(bounds)
+        for (low, high), result in zip(bounds, results):
+            assert _pairs(result) == shadow.answer(low, high)
+    assert store.row_count == int(shadow.live.sum())
+    assert store.has_deltas == bool(
+        shadow.values.size > ROWS or not shadow.live.all() or shadow.updated.any()
+    )
+
+
+@seed(20260925)
+@given(organisation=organisations, early_insert=st.booleans(), stream=ops)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, stream):
+    database, shadow = _build(organisation, early_insert)
+    prepared = database.prepare_statement(SQL)
+    adaptive = (
+        database.adaptive_handle("p", "v").adaptive if organisation is not None else None
+    )
+    for kind, draw in stream:
+        _step(database, shadow, prepared, kind, draw)
+        if adaptive is not None:
+            adaptive.check_invariants()
+    # Whatever the stream left pending, a full scan sees exactly the live rows.
+    result = database.execute_prepared(prepared, (0.0, DOMAIN))
+    assert _pairs(result) == shadow.answer(0.0, DOMAIN)

@@ -77,6 +77,16 @@ class TestOperations:
         bat = BAT(np.array([1, 2]))
         merged = bat.append(BAT.empty(bat.tail.dtype))
         assert merged.count == 2
+        assert merged is bat  # nothing to protect with a copy: BATs are immutable
+
+    def test_reverse_carries_order_with_the_column(self):
+        void = BAT(np.array([5, 3, 4]))
+        assert void.head_sorted and not void.tail_sorted
+        flipped = void.reverse()
+        assert flipped.tail_sorted and not flipped.head_sorted
+        deleted = BAT.from_pairs(np.array([2, 7]), np.array([2, 7]), tail_sorted=True)
+        assert not deleted.head_sorted  # an explicit head's order is never promised...
+        assert deleted.reverse().head_sorted  # ...it arrives from a sorted tail
 
     def test_copy_is_independent(self):
         bat = BAT(np.array([1, 2, 3]))

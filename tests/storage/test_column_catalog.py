@@ -42,6 +42,63 @@ class TestStoredColumn:
         column.bulk_load(np.zeros(10, dtype=np.float32))
         assert column.size_bytes >= 40
 
+    def test_three_bind_views_share_one_dense_buffer(self):
+        column = StoredColumn("p", "ra", np.float64)
+        column.bulk_load(np.array([1.0, 2.0, 3.0]))
+        column.append(np.array([4.0, 5.0]), start_oid=3)
+        column.append(np.array([6.0]), start_oid=5)
+        persistent, inserts = column.bind(0), column.bind(1)
+        base, merged = inserts.dense_union
+        assert base is persistent
+        for view in (persistent, inserts, merged):
+            assert view.is_void_head
+            assert np.shares_memory(view.tail, column._buffer)
+        assert (persistent.hseqbase, inserts.hseqbase, merged.hseqbase) == (0, 3, 0)
+        assert persistent.tail.tolist() == [1.0, 2.0, 3.0]
+        assert inserts.tail.tolist() == [4.0, 5.0, 6.0]
+        assert merged.tail.tolist() == column.merge_deltas().tolist()
+
+    def test_append_must_continue_the_column_densely(self):
+        column = StoredColumn("p", "ra", np.float64)
+        column.bulk_load(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="densely"):
+            column.append(np.array([3.0]), start_oid=7)
+
+    def test_buffer_regrowth_keeps_earlier_views_valid(self):
+        column = StoredColumn("p", "v", np.int64)
+        loaded = np.arange(8)
+        column.bulk_load(loaded)
+        column.append(np.array([8]), start_oid=8)
+        before = column.bind(1).dense_union[1]
+        snapshot = before.tail.copy()
+        buffers = {id(column._buffer)}
+        for start in range(9, 10_009, 500):
+            column.append(np.arange(start, start + 500), start_oid=start)
+            buffers.add(id(column._buffer))
+        assert 2 < len(buffers) < 8  # the delta's room doubles: a handful of regrowths
+        assert before.tail.tolist() == snapshot.tolist()
+        assert loaded.tolist() == list(range(8))  # the caller's array is never written
+        assert column.bind(1).dense_union[1].tail.tolist() == list(range(10_009))
+
+    def test_headroom_follows_the_delta_not_the_column(self):
+        column = StoredColumn("p", "v", np.int64)
+        column.bulk_load(np.arange(100_000))
+        column.append(np.array([7]), start_oid=100_000)
+        assert column._buffer.size < 102_000  # one pending row must not double the column
+        for start in range(100_001, 140_001, 4_000):
+            column.append(np.arange(start, start + 4_000), start_oid=start)
+            pending = column.bind(1).count
+            assert column._buffer.size <= 100_000 + 2 * pending + 1024
+
+    def test_bulk_load_resets_pending_deltas(self):
+        column = StoredColumn("p", "v", np.int64)
+        column.bulk_load(np.arange(3))
+        column.append(np.array([3]), start_oid=3)
+        column.update(np.array([0]), np.array([9]))
+        column.bulk_load(np.arange(5))
+        assert not column.has_deltas
+        assert column.merge_deltas().tolist() == [0, 1, 2, 3, 4]
+
 
 class TestColumnStore:
     def _store(self) -> ColumnStore:
@@ -87,6 +144,38 @@ class TestColumnStore:
         store.delete(np.array([0, 2]))
         assert store.row_count == 2
         assert store.deletion_bat.count == 2
+
+    def test_delete_is_idempotent_sorted_and_range_checked(self):
+        store = self._store()
+        store.insert({"objid": np.array([100]), "ra": np.array([9.0])})
+        store.delete(np.array([3, 1, 1]))
+        store.delete(np.array([1, 4]))  # 1 again, plus the inserted row
+        assert store.deletion_bat.tail.tolist() == [1, 3, 4]
+        assert store.deletion_bat.tail_sorted and store.deletion_bat.reverse().head_sorted
+        assert store.row_count == 2
+        for bad in ([99], [-1], [5], [0, 99]):
+            with pytest.raises(ValueError, match="outside"):
+                store.delete(np.array(bad))
+        assert store.row_count == 2  # a rejected delete leaves no trace
+        store.delete(np.empty(0, dtype=np.int64))
+        assert store.deletion_bat.count == 3
+
+    def test_has_deltas_is_a_field_kept_by_every_write_path(self):
+        store = self._store()
+        assert store.has_deltas is False
+        store.delete(np.empty(0, dtype=np.int64))
+        store.update("ra", np.empty(0, dtype=np.int64), np.empty(0))
+        assert store.has_deltas is False
+        for write in (
+            lambda s: s.insert({"objid": np.array([7]), "ra": np.array([7.0])}),
+            lambda s: s.delete(np.array([2])),
+            lambda s: s.update("ra", np.array([0]), np.array([5.0])),
+        ):
+            fresh = self._store()
+            write(fresh)
+            assert fresh.has_deltas is True
+            fresh.bulk_load({"objid": np.arange(2), "ra": np.array([1.0, 2.0])})
+            assert fresh.has_deltas is False and fresh.row_count == 2
 
 
 class TestCatalog:
