@@ -2,8 +2,8 @@
 
 Measures two things on the same statement:
 
-* **plan acquisition** — parse + compile + optimize on a cold cache vs. an
-  LRU hit on a warm cache (the work the cache exists to skip), and
+* **plan acquisition** — parse + compile + optimize on a cold cache vs. a
+  literal-masked LRU hit on a warm cache (the work the cache exists to skip), and
 * **end-to-end execute** — the full ``Database.execute`` with the cache
   cleared before every call (cold) vs. primed (warm).
 
@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.engine.database import Database
-from repro.engine.profile import QueryProfile
 
 N_ROWS = 2_000
 N_ITERATIONS = 300
@@ -61,10 +60,10 @@ def measure_plan_cache(database: Database | None = None) -> dict[str, float]:
 
     def plan_cold():
         database.plan_cache.clear()
-        database._prepare(SQL, QueryProfile())
+        database._resolve(SQL)
 
     def plan_warm():
-        database._prepare(SQL, QueryProfile())
+        database._resolve(SQL)
 
     def execute_cold():
         database.plan_cache.clear()
@@ -75,10 +74,10 @@ def measure_plan_cache(database: Database | None = None) -> dict[str, float]:
 
     database.execute(SQL)  # prime interpreter/module state
     plan_cold_s = _best_of(3, plan_cold)
-    database._prepare(SQL, QueryProfile())  # prime the cache
+    database._resolve(SQL)  # prime the cache
     plan_warm_s = _best_of(3, plan_warm)
     execute_cold_s = _best_of(3, execute_cold)
-    database._prepare(SQL, QueryProfile())
+    database._resolve(SQL)
     execute_warm_s = _best_of(3, execute_warm)
     return {
         "plan_cold_s": plan_cold_s,

@@ -295,9 +295,11 @@ def run_suite() -> PerfSuite:
     def legacy_engine_run() -> list[float]:
         from repro.engine.execution import ExecutionContext
         from repro.engine.result import QueryResult
+        from repro.mal.interpreter import Interpreter
         from repro.sql.parser import parse
 
         database = build_database()
+        interpreter = Interpreter(database.registry)  # the reference oracle
         times: list[float] = []
         for sql in workload():
             started = time.perf_counter()
@@ -306,16 +308,15 @@ def run_suite() -> PerfSuite:
             # per-query plan render into the result.
             optimized = database.optimizer.optimize(database.compiler.compile(parse(sql)))
             context = ExecutionContext(catalog=database.catalog)
-            before = database._adaptive_counters()
-            database.interpreter.run(optimized, context)
-            selection_seconds, adaptation_seconds = database._adaptive_delta(before)
+            interpreter.run(optimized, context)
+            stats = database.last_adaptive_stats("p", "ra")
             QueryResult(
                 sql=sql,
                 columns=context.exported_columns(),
                 scalars=dict(context.scalars),
                 plan_text=optimized.render(),
-                selection_seconds=selection_seconds,
-                adaptation_seconds=adaptation_seconds,
+                selection_seconds=stats.selection_seconds,
+                adaptation_seconds=stats.adaptation_seconds,
             )
             times.append(time.perf_counter() - started)
         return times

@@ -10,7 +10,6 @@ loading, and the paper's adaptive-strategy controls — on one explicit
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from typing import Any, Sequence
 
@@ -100,27 +99,12 @@ class Admin:
         with translating():
             return self._database().explain(sql)
 
-    def plan_cache_stats(self) -> dict[str, Any]:
-        """Deprecated alias of :meth:`cache_stats` (one stats surface).
-
-        Historically this was a separate property exposing the raw engine
-        counter object; everything it reported now lives in the ``total``
-        section of :meth:`cache_stats`, which is the one maintained surface.
-        """
-        warnings.warn(
-            "Admin.plan_cache_stats() is deprecated; use Admin.cache_stats() "
-            "(the same counters live in its 'total' section)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.cache_stats()
-
     def cache_stats(self) -> dict[str, Any]:
         """Per-level plan-cache and batch counters (see :meth:`Database.cache_stats`).
 
         ``levels`` splits hits/misses/evictions/entries by cache level —
-        ``exact`` (normalized text), ``masked`` (literal-masked text),
-        ``shape`` (parsed shape) and ``prepared`` (placeholder binding) —
+        ``masked`` (literal-masked text), ``shape`` (parsed shape) and
+        ``prepared`` (placeholder binding) —
         ``total`` carries the cache-wide counters, and ``batch`` reports the
         vectorized batch executor (waves run, queries batched vs fallen back,
         wave-size histogram).

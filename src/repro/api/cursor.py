@@ -2,7 +2,7 @@
 
 A cursor is a thin client-side view over :class:`~repro.engine.result
 .QueryResult` rows.  ``execute(sql)`` without parameters takes the literal
-path (text/masked/shape plan-cache levels); ``execute(sql, params)`` takes the
+path (masked/shape plan-cache levels); ``execute(sql, params)`` takes the
 prepared path — the statement's placeholder shape is looked up (or lowered
 once) in the plan cache and the bindings are validated and written straight
 into the compiled plan's slot environment, skipping both the parse and the
@@ -29,7 +29,7 @@ class Cursor:
     Attributes beyond the PEP: ``result`` (the :class:`QueryResult` of the
     last statement), ``results`` (all results of the last ``executemany``),
     ``cache_level`` (which plan-cache level answered the last statement:
-    ``exact``/``masked``/``shape``/``prepared``/``batched``/``cold``) and
+    ``masked``/``shape``/``prepared``/``batched``/``snapshot``/``cold``) and
     ``profile`` (its per-stage :class:`QueryProfile`).
     """
 

@@ -58,11 +58,9 @@ from repro.cluster.workload_clustering import WorkloadClustering, cluster_worklo
 from repro.core.ranges import ValueRange
 from repro.engine.database import Database
 from repro.engine.plan_cache import PreparedPlan
+from repro.util.half_open import half_open
 
 __all__ = ["Router", "what_if_bytes"]
-
-#: Sentinel in the per-prepared spec cache: statement shape is not a range select.
-_NOT_A_RANGE = object()
 
 
 def what_if_bytes(adaptive: Any, low: float, high: float) -> float:
@@ -183,7 +181,6 @@ class Router:
         self._share_beta = 1.0 / max(int(share_window), 1)
         self._history: list[tuple[float, float]] = []
         self._history_cap = int(history)
-        self._spec_cache: dict[int, Any] = {}  # id(prepared) -> _BatchSpec | sentinel
         self._rr = itertools.count()
         self._routed = 0
         self._hot_routes = 0
@@ -276,33 +273,24 @@ class Router:
 
     # -- bounds extraction ----------------------------------------------------
 
+    @staticmethod
     def _bounds_of(
-        self, prepared: PreparedPlan, values: tuple[float, ...]
+        prepared: PreparedPlan, values: tuple[float, ...]
     ) -> tuple[float, float] | None:
         """Half-open ``[low, high)`` of a bound range select, else ``None``.
 
-        The statement-shape decision is cached per prepared plan, so the
-        per-query work is one template substitution — no parsing.
+        The statement was classified when it was prepared, so the per-query
+        work is one template substitution — no parsing, no cache.  Pending
+        deltas do not matter here: a range select is the same workload point
+        whichever path the engine then answers it on.
         """
-        database = self.replicas[0].database
-        key = id(prepared)
-        template = self._spec_cache.get(key)
+        template = prepared.template
         if template is None:
-            template = (
-                database._batch_spec(prepared.statement)
-                if database._batchable(prepared.statement)
-                else _NOT_A_RANGE
-            )
-            if len(self._spec_cache) > 4096:  # stale prepared ids; cheap reset
-                self._spec_cache.clear()
-            self._spec_cache[key] = template
-        if template is _NOT_A_RANGE:
             return None
         try:
-            bounds = template.with_bound_values(values).bounds
+            return half_open(*template.bind(values))
         except (TypeError, ValueError, IndexError):
             return None
-        return Database._half_open_floats(*bounds)
 
     # -- routing (event-loop thread, hot path) --------------------------------
 
@@ -919,8 +907,6 @@ class Router:
 
     def drop_table(self, name: str) -> None:
         self._fan_out("drop_table", name)
-        with self._lock:
-            self._spec_cache.clear()
 
     def bulk_load(self, table: str, data: dict[str, Any]) -> None:
         self._fan_out("bulk_load", table, data, copy_arrays=True)

@@ -11,19 +11,17 @@ SQL front-end".
 from repro.engine.database import Database
 from repro.engine.execution import ExecutionContext
 from repro.engine.plan_cache import (
-    BoundPlan,
     CachedPlan,
     PlanCache,
     PlanCacheStats,
     PreparedPlan,
+    RangeTemplate,
     normalize_sql,
 )
 from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
-from repro.engine.session import Session
 
 __all__ = [
-    "BoundPlan",
     "CachedPlan",
     "Database",
     "ExecutionContext",
@@ -32,6 +30,6 @@ __all__ = [
     "PreparedPlan",
     "QueryProfile",
     "QueryResult",
-    "Session",
+    "RangeTemplate",
     "normalize_sql",
 ]

@@ -1,140 +1,48 @@
-"""The database façade: schema, loading, SQL execution, adaptive indexing."""
+"""The database façade: schema, loading, adaptive indexing, plan acquisition.
+
+Execution itself lives in :mod:`repro.engine.executor`; the ``execute*``
+methods here are thin doors that turn their input into *(prepared plan, bound
+values)* members and hand them to the one wave executor.
+"""
 
 from __future__ import annotations
 
-import math
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.accounting import QueryStats
 from repro.core.models import SegmentationModel, model_from_name
-from repro.engine.execution import ExecutionContext
+from repro.engine.executor import Executor, Member, Origin
 from repro.engine.plan_cache import (
-    BoundPlan,
     CachedPlan,
     PlanCache,
     PreparedPlan,
-    TextShapePlan,
     normalize_sql,
+    range_template,
 )
 from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
 from repro.mal.compiled import compile_program
-from repro.mal.interpreter import Interpreter
 from repro.mal.modules import default_registry
 from repro.mal.program import MALProgram
 from repro.optimizer.bpm import AdaptiveColumnHandle, BatPartitionManager
 from repro.optimizer.pipeline import OptimizerPipeline
 from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.optimizer.segment_optimizer import SegmentOptimizer
-from repro.sql.ast import ComparisonPredicate, Placeholder, SelectStatement
+from repro.sql.ast import SelectStatement
 from repro.sql.compiler import SQLCompiler
 from repro.sql.parameters import (
+    BindError,
     mask_literals,
     parameterize,
     prepared_binding,
-    range_parameter_checks,
     statement_shape,
 )
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
-from repro.util.sorted_search import sorted_probe_many
 from repro.util.units import KB
-
-
-@dataclass(slots=True)
-class _BatchSpec:
-    """What the batch executor needs to know about one eligible statement.
-
-    ``bounds`` is the predicate's ``(low, high, include_low, include_high)``
-    as :meth:`SQLCompiler._bounds` reports it; on a prepared template the low
-    and high may still be :class:`Placeholder` instances until
-    :meth:`with_bound_values` resolves them against one binding.
-    """
-
-    table: str
-    column: str
-    projected: tuple[str, ...]
-    bounds: tuple[float, float, bool, bool]
-
-    def with_bound_values(self, values: Sequence[float]) -> "_BatchSpec":
-        """A concrete spec with every placeholder bound replaced by its value."""
-        low, high, include_low, include_high = self.bounds
-        if isinstance(low, Placeholder):
-            low = values[low.index]
-        if isinstance(high, Placeholder):
-            high = values[high.index]
-        return _BatchSpec(
-            table=self.table,
-            column=self.column,
-            projected=self.projected,
-            bounds=(low, high, include_low, include_high),
-        )
-
-
-#: Wave-size histogram buckets: label -> inclusive (low, high) member count.
-_WAVE_BUCKETS: tuple[tuple[str, int, float], ...] = (
-    ("2-4", 2, 4),
-    ("5-16", 5, 16),
-    ("17-64", 17, 64),
-    ("65-256", 65, 256),
-    ("257+", 257, math.inf),
-)
-
-
-@dataclass(slots=True)
-class _BatchStats:
-    """Admission-efficiency counters of the vectorized batch executor.
-
-    One *wave* is one :meth:`Database._execute_batch` call — a single
-    vectorized pass answering every member of a same-column group.  A
-    *fallback* is a statement that reached a batching entry point
-    (``execute_many`` / ``execute_prepared_many`` / ``execute_wave``) but ran
-    sequentially: not a range select, a group of one, deltas pending, or
-    batching disabled.  Surfaced through :meth:`Database.cache_stats` so the
-    server front-end's admission efficiency is observable without a profiler.
-    """
-
-    waves: int = 0
-    batched_queries: int = 0
-    fallback_queries: int = 0
-    min_wave: int = 0
-    max_wave: int = 0
-    histogram: dict[str, int] = field(
-        default_factory=lambda: {label: 0 for label, _, _ in _WAVE_BUCKETS}
-    )
-
-    def observe_wave(self, size: int) -> None:
-        self.waves += 1
-        self.batched_queries += size
-        self.min_wave = size if self.min_wave == 0 else min(self.min_wave, size)
-        self.max_wave = max(self.max_wave, size)
-        for label, low, high in _WAVE_BUCKETS:
-            if low <= size <= high:
-                self.histogram[label] += 1
-                break
-
-    def observe_fallback(self) -> None:
-        self.fallback_queries += 1
-
-    def summary(self) -> dict[str, Any]:
-        """The ``batch`` section of :meth:`Database.cache_stats`."""
-        return {
-            "waves": self.waves,
-            "batched_queries": self.batched_queries,
-            "fallback_queries": self.fallback_queries,
-            "wave_size": {
-                "min": self.min_wave,
-                "max": self.max_wave,
-                "mean": self.batched_queries / self.waves if self.waves else 0.0,
-            },
-            "wave_size_histogram": dict(self.histogram),
-        }
 
 
 class Database:
@@ -149,15 +57,16 @@ class Database:
                            m_min=1 * MB, m_max=5 * MB)
         result = db.execute("SELECT objid FROM p WHERE ra BETWEEN 205.1 AND 205.12")
 
-    Queries run through a compiled fast path: range literals are lifted into
-    parameters so the LRU plan cache keys on query *shape* (plus an exact-text
-    first level), and each shape is lowered once into a slot-based
-    :class:`~repro.mal.compiled.CompiledPlan` — on a warm query only the parse
-    and the plan execution itself remain.  Execution contexts are pooled, and
-    every :class:`QueryResult` carries a per-stage :class:`QueryProfile`.
-    ``execute_many`` / ``execute_prepared_many`` route same-column range
-    selections — overlapping and disjoint alike — through the vectorized
-    batch executor (the strategy layer's ``select_many`` kernels).
+    Every statement — literal text, a bound prepared handle, a batch, an
+    admission wave — becomes a :class:`PreparedPlan` plus bound values and runs
+    through one executor.  Range literals are lifted into parameters so the LRU
+    plan cache keys on query *shape*, and each shape is lowered once into a
+    slot-based :class:`~repro.mal.compiled.CompiledPlan` — on a warm query
+    only the literal masking (text) or the bind validation (prepared) and the
+    plan execution itself remain.  Waves route same-column range selections —
+    overlapping and disjoint alike — through the vectorized batch executor
+    (the strategy layer's ``select_many`` kernels), and every
+    :class:`QueryResult` carries a per-stage :class:`QueryProfile`.
     """
 
     def __init__(self, *, plan_cache_size: int = 128) -> None:
@@ -170,19 +79,15 @@ class Database:
         self.optimizer = OptimizerPipeline(
             [merge_duplicate_binds, self.segment_optimizer, remove_dead_code]
         )
-        self.interpreter = Interpreter(self.registry)
         self.plan_cache = PlanCache(plan_cache_size)
         self.query_history: list[QueryResult] = []
-        self._context_pool: list[ExecutionContext] = []
-        self._batch_stats = _BatchStats()
+        self._executor = Executor(self)
         self._adaptive_configs: dict[tuple[str, str], dict[str, Any]] = {}
-        #: How many reader threads :meth:`execute_wave` may fan read-only
-        #: members across (1 = fully serialized, today's behaviour).  The
-        #: self-tuner prices this through the ``read_workers`` knob.
+        #: How many reader threads a wave may fan its snapshot-readable
+        #: members across (1 = fully serialized).  The one switch for the
+        #: reader fan-out: the server, the replicas and the self-tuner's
+        #: ``read_workers`` knob all write this attribute.
         self.read_workers = 1
-        self._reader_pool: ThreadPoolExecutor | None = None
-        self._reader_pool_size = 0
-        self._readonly_templates: dict[str, tuple[int, _BatchSpec | None]] = {}
 
     # -- schema and data -----------------------------------------------------
 
@@ -279,52 +184,6 @@ class Database:
         self.plan_cache.clear()
         return handle
 
-    def enable_adaptive_segmentation(
-        self,
-        table: str,
-        column: str,
-        *,
-        model: str | SegmentationModel = "apm",
-        m_min: float = 3 * KB,
-        m_max: float = 12 * KB,
-        seed: int | None = None,
-    ) -> AdaptiveColumnHandle:
-        """Deprecated: use ``enable_adaptive(..., strategy="segmentation")``."""
-        warnings.warn(
-            "enable_adaptive_segmentation is deprecated; "
-            "use enable_adaptive(table, column, strategy='segmentation')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.enable_adaptive(
-            table, column, strategy="segmentation",
-            model=model, m_min=m_min, m_max=m_max, seed=seed,
-        )
-
-    def enable_adaptive_replication(
-        self,
-        table: str,
-        column: str,
-        *,
-        model: str | SegmentationModel = "apm",
-        m_min: float = 3 * KB,
-        m_max: float = 12 * KB,
-        seed: int | None = None,
-        storage_budget: float | None = None,
-    ) -> AdaptiveColumnHandle:
-        """Deprecated: use ``enable_adaptive(..., strategy="replication")``."""
-        warnings.warn(
-            "enable_adaptive_replication is deprecated; "
-            "use enable_adaptive(table, column, strategy='replication')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.enable_adaptive(
-            table, column, strategy="replication",
-            model=model, m_min=m_min, m_max=m_max, seed=seed,
-            storage_budget=storage_budget,
-        )
-
     def disable_adaptive(self, table: str, column: str) -> None:
         """Return a column to plain positional organisation."""
         self.bpm.disable(table.lower(), column.lower())
@@ -377,9 +236,8 @@ class Database:
     def cache_stats(self) -> dict[str, Any]:
         """Plan-cache observability: per-level and total counters.
 
-        ``levels`` maps each cache level (``exact``/``masked``/``shape``/
-        ``prepared``) to its hit/miss/eviction counters and resident entry
-        count; ``total`` carries the cache-wide counters plus capacity,
+        ``levels`` maps each cache level (``masked``/``shape``/``prepared``)
+        to its hit/miss/eviction counters and resident entry count; ``total`` carries the cache-wide counters plus capacity,
         generation and the overall hit ratio; ``batch`` carries the
         vectorized batch executor's admission-efficiency counters (waves
         executed, a queries-per-wave histogram summary, and the
@@ -389,7 +247,7 @@ class Database:
         cache = self.plan_cache
         totals = cache.stats
         return {
-            "batch": self._batch_stats.summary(),
+            "batch": self._executor.batch_stats.summary(),
             "levels": {
                 name: {
                     "hits": level.hits,
@@ -412,7 +270,7 @@ class Database:
             },
         }
 
-    # -- query execution ----------------------------------------------------------------
+    # -- plan acquisition -----------------------------------------------------------
 
     def compile(self, sql: str) -> MALProgram:
         """Parse and compile a query without optimizing or running it."""
@@ -435,111 +293,77 @@ class Database:
         profile.compile_seconds = codegen_seconds + time.perf_counter() - started
         return CachedPlan(compiled=compiled, text=optimized.render())
 
-    def _prepare(self, sql: str, profile: QueryProfile) -> tuple[BoundPlan, str]:
-        """The executable plan and parameter values for ``sql``.
+    def _plan(
+        self, sql: str, statement: SelectStatement, profile: QueryProfile
+    ) -> tuple[PreparedPlan, str]:
+        """``statement`` as a :class:`PreparedPlan`, and the level that had its plan.
 
-        Three cache levels share one LRU store, fastest first: the exact
-        normalized text (skips everything), the literal-masked text (skips
-        the parse — the common warm case for workloads that vary only their
-        range constants), and the parsed query *shape* (skips
-        compile/optimize/lowering).  Returns ``(bound_plan, cache_level)``
-        with the level that answered (``"exact"``/``"masked"``/``"shape"``,
-        or ``"cold"`` when the plan had to be compiled); ``profile`` receives
-        the per-stage timings of whatever work actually ran.  Plans are safe
-        to re-run: per-query state lives in the :class:`ExecutionContext`,
-        and the cache is cleared whenever the schema or an adaptive
-        registration changes.
+        The compiled plan comes from the *shape* level (``"shape"``) or is
+        lowered now (``"cold"``); binding template, environment slots and the
+        range-select classification are derived here, once, so no later stage
+        looks at the statement again.  ``sql`` is the text the plan is known
+        by — and re-prepared from, should the handle go stale.
         """
-        normalized = normalize_sql(sql)
-        text_key = ("sql", normalized)
-        bound = self.plan_cache.get(text_key)
-        if bound is not None:
-            return bound, "exact"
+        shape_key = ("shape", statement_shape(statement))
+        plan = self.plan_cache.get(shape_key)
+        level = "shape"
+        if plan is None:
+            level = "cold"
+            plan = self._lower(statement, profile)
+            self.plan_cache.put(shape_key, plan)
+        binding = prepared_binding(statement)
+        prepared = PreparedPlan(
+            sql=sql,
+            plan=plan,
+            binding=binding,
+            slots=plan.compiled.parameter_slots(
+                tuple(f"__p{index}" for index in range(binding.count))
+            ),
+            generation=self.plan_cache.generation,
+            template=range_template(statement, self.catalog),
+        )
+        return prepared, level
 
+    def _resolve(self, sql: str) -> tuple[PreparedPlan, tuple[float, ...], Origin]:
+        """Literal SQL text as *(prepared plan, bound values, origin)*.
+
+        Two levels, fastest first: the literal-masked text (skips the parse —
+        the warm case for workloads that vary only their range constants; the
+        masked literals are the binding, validated by the plan's own
+        :class:`BindingSpec`) and the parsed query *shape* (skips
+        compile/optimize/lowering).  Statements the masked text cannot key —
+        a ``LIMIT``, whose literal is not a lifted bound — reach their shape
+        entry through the parse every time.  ``origin`` names the level that
+        answered (``"masked"``/``"shape"``, or ``"cold"`` when the plan had
+        to be compiled) and carries the profile of whatever work actually ran.
+        """
         started = time.perf_counter()
+        profile = QueryProfile(cold=False)
+        normalized = normalize_sql(sql)
         masked, literals = mask_literals(normalized)
-        fast = self.plan_cache.get(("text-shape", masked))
-        if (
-            fast is not None
-            and len(literals) == fast.parameter_count
-            and all(literals[low] <= literals[high] for low, high in fast.range_checks)
-        ):
-            arguments = {f"__p{index}": value for index, value in enumerate(literals)}
-            profile.parse_seconds = time.perf_counter() - started
-            # No text-level install here: re-reaching this entry costs one
-            # masked lookup, and not churning the LRU with every literal
-            # variant keeps the durable shape entries resident.
-            return BoundPlan(plan=fast.plan, arguments=arguments), "masked"
+        prepared = self.plan_cache.get(("text-shape", masked))
+        if prepared is not None:
+            try:
+                values = prepared.binding.bind(literals)
+            except BindError:
+                pass  # wrong arity or high < low: the parse below raises the usual error
+            else:
+                profile.parse_seconds = time.perf_counter() - started
+                return prepared, values, (sql, "masked", profile)
 
         shaped = parameterize(parse(sql))
         profile.parse_seconds = time.perf_counter() - started
-
-        shape_key = ("shape", shaped.shape)
-        plan = self.plan_cache.get(shape_key)
-        level = "shape" if plan is not None else "cold"
-        if plan is None:
-            plan = self._lower(shaped.statement, profile)
-            self.plan_cache.put(shape_key, plan)
-        if shaped.statement.limit is None and len(literals) == len(shaped.arguments):
-            # Every textual literal is a parameter: the masked text alone
-            # identifies this shape, so future literal variants skip the parse.
-            self.plan_cache.put(
-                ("text-shape", masked),
-                TextShapePlan(
-                    plan=plan,
-                    parameter_count=len(literals),
-                    range_checks=range_parameter_checks(shaped.statement),
-                ),
-            )
-        bound = BoundPlan(plan=plan, arguments=shaped.arguments)
-        self.plan_cache.put(text_key, bound)
-        return bound, level
-
-    def execute(self, sql: str) -> QueryResult:
-        """Run a query through the compiled fast path.
-
-        Cold: parse → compile → optimize → lower to a :class:`CompiledPlan`,
-        cache by shape and text.  Warm: fetch the compiled plan, bind this
-        query's range parameters into its slot environment and execute — no
-        recompilation, no name resolution, pooled execution context.
-        """
-        total_started = time.perf_counter()
-        profile = QueryProfile()
-        bound, level = self._prepare(sql, profile)
-        optimizer_seconds = time.perf_counter() - total_started
-        cache_hit = level != "cold"
-        profile.cold = not cache_hit
-
-        compiled = bound.plan.compiled
-        context = self._acquire_context()
-        adaptive_before = self._adaptive_counters()
-        counters = compiled.new_counters()
-        execute_started = time.perf_counter()
-        compiled.execute(context, bound.arguments, counters)
-        profile.execute_seconds = time.perf_counter() - execute_started
-        selection_seconds, adaptation_seconds = self._adaptive_delta(adaptive_before)
-        profile.attach_counters(compiled, counters)
-
-        result = QueryResult(
-            sql=sql,
-            columns=context.exported_columns(),
-            scalars=dict(context.scalars),
-            plan_text=bound.plan.text,
-            total_seconds=time.perf_counter() - total_started,
-            selection_seconds=selection_seconds,
-            adaptation_seconds=adaptation_seconds,
-            optimizer_seconds=optimizer_seconds,
-            plan_cache_hit=cache_hit,
-            cache_level=level,
-            plan_cache_hits=self.plan_cache.hits,
-            plan_cache_misses=self.plan_cache.misses,
-            profile=profile,
+        values = tuple(shaped.arguments.values())
+        # Every textual literal is a lifted bound: the masked text alone
+        # identifies this shape, so future literal variants skip the parse.
+        keyable = shaped.statement.limit is None and len(literals) == len(values)
+        prepared, level = self._plan(
+            masked if keyable else normalized, shaped.statement, profile
         )
-        self._release_context(context)
-        self.query_history.append(result)
-        return result
-
-    # -- prepared statements (the client API's binding path) -----------------
+        if keyable:
+            self.plan_cache.put(("text-shape", masked), prepared)
+        profile.cold = level == "cold"
+        return prepared, values, (sql, level, profile)
 
     def prepare_statement(self, sql: str) -> PreparedPlan:
         """Lower ``sql`` (with ``?``/``:name`` placeholders) into a bound-ready plan.
@@ -554,30 +378,27 @@ class Database:
         normalized = normalize_sql(sql)
         key = ("prepared", normalized)
         prepared = self.plan_cache.get(key)
-        if prepared is not None:
-            return prepared
-
-        profile = QueryProfile()  # prepare-time work is not attributed to a query
-        statement = parse(sql, placeholders=True)
-        binding = prepared_binding(statement)
-        shape_key = ("shape", statement_shape(statement))
-        plan = self.plan_cache.get(shape_key)
-        if plan is None:
-            plan = self._lower(statement, profile)
-            self.plan_cache.put(shape_key, plan)
-        slots = plan.compiled.parameter_slots(
-            tuple(f"__p{index}" for index in range(binding.count))
-        )
-        prepared = PreparedPlan(
-            sql=normalized,
-            plan=plan,
-            statement=statement,
-            binding=binding,
-            slots=slots,
-            generation=self.plan_cache.generation,
-        )
-        self.plan_cache.put(key, prepared)
+        if prepared is None:
+            # Prepare-time work is not attributed to a query's profile.
+            prepared, _ = self._plan(
+                normalized, parse(sql, placeholders=True), QueryProfile()
+            )
+            self.plan_cache.put(key, prepared)
         return prepared
+
+    # -- the doors: binding/resolution over the one executor ---------------------------
+
+    def execute(self, sql: str) -> QueryResult:
+        """Run literal SQL: resolve the text to a plan and values, a wave of one.
+
+        Cold: parse → compile → optimize → lower to a :class:`CompiledPlan`,
+        cache by shape and masked text.  Warm: mask the literals, fetch the
+        plan, bind — no parse, no recompilation, pooled execution context.
+        """
+        prepared, values, origin = self._resolve(sql)
+        result = self._executor.run(prepared, values, origin)
+        self.query_history.append(result)
+        return result
 
     def execute_prepared(self, prepared: PreparedPlan, parameters: Any = ()) -> QueryResult:
         """Bind ``parameters`` into a prepared plan and execute it.
@@ -591,768 +412,68 @@ class Database:
         """
         if prepared.generation != self.plan_cache.generation:
             prepared = self.prepare_statement(prepared.sql)
-        values = prepared.binding.bind(parameters)
-        return self._run_prepared(prepared, values)
+        result = self._executor.run(prepared, prepared.binding.bind(parameters))
+        self.query_history.append(result)
+        return result
 
     def execute_prepared_many(
-        self,
-        prepared: PreparedPlan,
-        seq_of_parameters: Sequence[Any],
-        *,
-        batch: bool = True,
+        self, prepared: PreparedPlan, seq_of_parameters: Sequence[Any]
     ) -> list[QueryResult]:
-        """Run one prepared statement once per parameter binding.
+        """Run one prepared statement once per parameter binding, as one wave.
 
         All bindings are validated up front against the one prepared shape;
-        eligible range selections — overlapping *and* disjoint alike — are
-        then answered through the same vectorized batch executor as
-        :meth:`execute_many`, with the per-member bounds resolved straight
-        from the bound values (no per-member statement substitution).
+        a range select on a delta-free table is then answered for every
+        binding by one vectorized pass — overlapping *and* disjoint ranges
+        alike (this is ``Cursor.executemany``).
         """
         if prepared.generation != self.plan_cache.generation:
             prepared = self.prepare_statement(prepared.sql)
         bound = prepared.binding.bind_many(seq_of_parameters)
-        template = (
-            self._batch_spec(prepared.statement)
-            if batch and self._batchable(prepared.statement)
-            else None
+        return self._record(
+            self._executor.run_wave([(prepared, values) for values in bound])
         )
-        items: list[tuple[str, _BatchSpec | None]] = [
-            (
-                prepared.sql,
-                template.with_bound_values(values) if template is not None else None,
+
+    def execute_many(self, statements: Sequence[str]) -> list[QueryResult]:
+        """Run several literal statements as one wave.
+
+        Each text is resolved once (an invalid one raises the error
+        :meth:`execute` would); range selections over the same
+        ``table.column`` of a delta-free table are answered together by the
+        **vectorized batch executor**, everything else runs singly.  Results
+        are returned (and recorded in ``query_history``) in input order;
+        batched results carry ``batched=True`` and a :class:`QueryProfile`
+        with the batch cost apportioned across members.
+        """
+        resolved = [self._resolve(sql) for sql in statements]
+        return self._record(
+            self._executor.run_wave(
+                [(prepared, values) for prepared, values, _ in resolved],
+                origins=[origin for _, _, origin in resolved],
             )
-            for values in bound
-        ]
-        results = self._run_with_batching(
-            items, lambda index: self._run_prepared(prepared, bound[index])
         )
-        for result, values in zip(results, bound):
-            if result.batched:  # the shared scan records the placeholder text only
-                result.parameters = values
-        return results
 
     def execute_wave(
-        self,
-        requests: Sequence[tuple[PreparedPlan, tuple[float, ...]]],
-        *,
-        isolate: bool = False,
-        readers: int | None = None,
+        self, requests: Sequence[Member], *, isolate: bool = False
     ) -> list[QueryResult | BaseException]:
-        """One admission wave: bound statements from many clients, one batch pass.
+        """One admission wave: bound statements from many clients, one pass.
 
         The server front-end's engine hook.  ``requests`` pairs each member's
         prepared plan with its already-validated bound values — the members
         may come from *different* prepared statements (and different client
-        connections).  Eligible range selects are grouped by (table, column)
-        and answered through the vectorized batch executor exactly as in
-        :meth:`execute_prepared_many`; everything else falls back to
-        :meth:`_run_prepared`.  Everything runs on the calling thread, so a
-        server that funnels all waves through one worker thread preserves the
-        engine's single-threaded adaptation invariant (piggy-backed
-        reorganization stays once-per-batch).  Plans lowered under an older
-        cache generation are re-prepared transparently, once per distinct
-        statement.
-
-        With ``isolate=True`` a poison member no longer fails the wave as one
-        unit: if the batched pass raises, the wave re-runs member by member
-        and each failing member's exception is returned **in its slot** while
-        the rest complete normally.  Re-execution is safe — waves carry bound
-        range selects, which are idempotent above adaptation (a double
-        adaptation pass is at worst wasted reorganization work).  An
-        exception escaping ``isolate=True`` is therefore infrastructure-level
-        (the engine itself is broken), which is exactly the signal the
-        router's failure detector wants.
-
-        ``readers`` (default: :attr:`read_workers`) sizes the snapshot-read
-        fan-out: with more than one reader, wave members that are bound range
-        selects over snapshot-capable adaptive columns are answered
-        concurrently against pinned index snapshots on a thread pool (numpy
-        probe/gather kernels release the GIL) while everything else — DDL,
-        non-batchable statements, adaptation — stays serialized on the
-        calling worker thread; the drained read observations are absorbed
-        into the adaptation path once per wave, after the readers finish.
+        connections).  See :class:`~repro.engine.executor.Executor` for how a
+        wave is bucketed (snapshot readers when :attr:`read_workers` > 1,
+        vectorized batches, single runs) and for the ``isolate=True``
+        contract: a poison member's exception comes back **in its slot**
+        while the rest of the wave completes.
         """
-        requests = list(requests)
-        workers = self.read_workers if readers is None else int(readers)
-        if workers > 1 and len(requests) > 1:
-            return self._execute_wave_readers(requests, workers, isolate=isolate)
-        if isolate:
-            try:
-                return self.execute_wave(requests, readers=1)
-            except Exception:  # noqa: BLE001 - replayed per member below
-                out: list[QueryResult | BaseException] = []
-                for request in requests:
-                    try:
-                        out.extend(self.execute_wave([request], readers=1))
-                    except Exception as exc:  # noqa: BLE001 - isolated to its slot
-                        out.append(exc)
-                return out
-        fresh: dict[int, PreparedPlan] = {}
-        templates: dict[int, _BatchSpec | None] = {}
-        resolved: list[tuple[PreparedPlan, tuple[float, ...]]] = []
-        items: list[tuple[str, _BatchSpec | None]] = []
-        for prepared, values in requests:
-            key = id(prepared)
-            current = fresh.get(key)
-            if current is None:
-                current = prepared
-                if current.generation != self.plan_cache.generation:
-                    current = self.prepare_statement(current.sql)
-                fresh[key] = current
-                templates[key] = (
-                    self._batch_spec(current.statement)
-                    if self._batchable(current.statement)
-                    else None
-                )
-            template = templates[key]
-            resolved.append((current, values))
-            items.append(
-                (
-                    current.sql,
-                    template.with_bound_values(values) if template is not None else None,
-                )
-            )
-        results = self._run_with_batching(
-            items, lambda index: self._run_prepared(*resolved[index])
+        return self._record(self._executor.run_wave(list(requests), isolate=isolate))
+
+    def _record(self, results: list) -> list:
+        """Append a wave's delivered results to ``query_history``, in input order."""
+        self.query_history.extend(
+            result for result in results if not isinstance(result, BaseException)
         )
-        for result, (_, values) in zip(results, resolved):
-            if result.batched:  # the shared scan records the placeholder text only
-                result.parameters = tuple(values)
         return results
-
-    # -- snapshot reads -------------------------------------------------------
-
-    def execute_readonly(
-        self, query: PreparedPlan | str, parameters: Sequence[float] = ()
-    ) -> QueryResult:
-        """Run one bound range select against a pinned index snapshot.
-
-        The single-query face of the snapshot-read path: pin the column's
-        immutable snapshot, answer the predicate against it (no piggy-backed
-        adaptation during the read), then absorb the read observation into
-        the adaptation path — so a stream of ``execute_readonly`` calls
-        adapts the layout just like :meth:`execute_prepared`, but the read
-        itself can never race a reorganization.  Must be called on the
-        thread that owns the engine (concurrent fan-out belongs to
-        :meth:`execute_wave`); queries the snapshot path cannot answer
-        (aggregates, unmanaged or snapshot-less columns, pending deltas)
-        fall back to the conventional path transparently.
-        """
-        if isinstance(query, PreparedPlan):
-            prepared = query
-            if prepared.generation != self.plan_cache.generation:
-                prepared = self.prepare_statement(prepared.sql)
-        else:
-            prepared = self.prepare_statement(str(query))
-        values = prepared.binding.bind(parameters)
-        template = self._readonly_template(prepared)
-        spec = template.with_bound_values(values) if template is not None else None
-        adaptive = self._snapshot_adaptive(spec)
-        if spec is None or adaptive is None:
-            return self._run_prepared(prepared, values)
-        arrays = {
-            (spec.table, name): self.catalog.column(spec.table, name).bind(0).tail
-            for name in spec.projected
-        }
-        result = self._snapshot_read(
-            prepared.sql, values, spec, adaptive, adaptive.pin_snapshot(), arrays
-        )
-        adaptive.absorb_reads()
-        self.query_history.append(result)
-        return result
-
-    def _readonly_template(self, prepared: PreparedPlan) -> _BatchSpec | None:
-        """The statement's batch-spec template when snapshot-read eligible.
-
-        Cached per normalized SQL text and invalidated by plan-cache
-        generation, so schema/adaptive changes re-derive it.
-        """
-        cached = self._readonly_templates.get(prepared.sql)
-        generation = self.plan_cache.generation
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        template = (
-            self._batch_spec(prepared.statement)
-            if self._batchable(prepared.statement)
-            else None
-        )
-        # A verdict taken while deltas are pending is transient (``_batchable``
-        # folds the delta state in) but this cache is only invalidated by
-        # plan-cache generation, which data changes deliberately never bump —
-        # so don't let a delta-time ``None`` (or a pre-delta template) stick.
-        try:
-            pending = self.catalog.table(prepared.statement.table).has_deltas
-        except KeyError:
-            pending = False
-        if not pending:
-            self._readonly_templates[prepared.sql] = (generation, template)
-        return template
-
-    def _snapshot_adaptive(self, spec: _BatchSpec | None) -> Any | None:
-        """The snapshot-capable strategy behind ``spec``'s column, or ``None``."""
-        if spec is None or not self.bpm.is_managed(spec.table, spec.column):
-            return None
-        if self.catalog.table(spec.table).has_deltas:
-            # Pending delta BATs take the full Figure-1 cascade; the pinned
-            # snapshot only knows the flushed payload.
-            return None
-        adaptive = self.bpm.handle(spec.table, spec.column).adaptive
-        if not getattr(adaptive, "supports_snapshot_reads", False):
-            return None
-        return adaptive
-
-    def _snapshot_read(
-        self,
-        sql: str,
-        values: tuple[float, ...],
-        spec: _BatchSpec,
-        adaptive: Any,
-        snapshot: Any | None,
-        arrays: dict[tuple[str, str], np.ndarray],
-    ) -> QueryResult:
-        """Answer one member against a pinned snapshot (reader-thread safe).
-
-        Touches only immutable state: the pinned snapshot, the pre-resolved
-        projection ``arrays`` and the strategy's thread-safe observation
-        accumulator.  No plan-cache, catalog, accountant or history access.
-        """
-        total_started = time.perf_counter()
-        low, high, include_low, include_high = spec.bounds
-        lo, hi = BatPartitionManager._half_open_bounds(
-            adaptive, low, high, include_low, include_high
-        )
-        selection = adaptive.select_readonly(lo, hi, snapshot)
-        selection_seconds = time.perf_counter() - total_started
-        oids = selection.oids
-        columns = {
-            name: arrays[(spec.table, name)][oids] for name in spec.projected
-        }
-        return QueryResult(
-            sql=sql,
-            parameters=tuple(values),
-            columns=columns,
-            plan_text=f"# snapshot read on {spec.table}.{spec.column}",
-            total_seconds=time.perf_counter() - total_started,
-            selection_seconds=selection_seconds,
-            plan_cache_hit=True,
-            cache_level="snapshot",
-            plan_cache_hits=self.plan_cache.hits,
-            plan_cache_misses=self.plan_cache.misses,
-            profile=QueryProfile(cold=False),
-        )
-
-    def _reader_executor(self, workers: int) -> ThreadPoolExecutor:
-        """The lazily built (and grown on demand) snapshot-reader pool."""
-        if self._reader_pool is None or self._reader_pool_size < workers:
-            if self._reader_pool is not None:
-                self._reader_pool.shutdown(wait=False)
-            self._reader_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-reader"
-            )
-            self._reader_pool_size = workers
-        return self._reader_pool
-
-    def _execute_wave_readers(
-        self,
-        requests: list[tuple[PreparedPlan, tuple[float, ...]]],
-        workers: int,
-        *,
-        isolate: bool,
-    ) -> list[QueryResult | BaseException]:
-        """Fan a wave's read-only members across the snapshot-reader pool.
-
-        Classification happens on the calling worker: a member is *read-only*
-        when it is a batchable bound range select over a snapshot-capable
-        adaptive column.  Read-only members run concurrently against one
-        pinned snapshot per column; everything else takes the standard
-        serialized wave path first (preserving its batching among itself).
-        After the readers join, each touched column absorbs its drained read
-        observations — adaptation stays on this thread, once per wave.
-        """
-        fresh: dict[int, PreparedPlan] = {}
-        readonly: list[tuple[int, PreparedPlan, tuple[float, ...], _BatchSpec, Any]] = []
-        serial: list[tuple[int, PreparedPlan, tuple[float, ...]]] = []
-        for index, (prepared, values) in enumerate(requests):
-            key = id(prepared)
-            current = fresh.get(key)
-            if current is None:
-                current = prepared
-                if current.generation != self.plan_cache.generation:
-                    current = self.prepare_statement(current.sql)
-                fresh[key] = current
-            template = self._readonly_template(current)
-            spec = template.with_bound_values(values) if template is not None else None
-            adaptive = self._snapshot_adaptive(spec)
-            if spec is not None and adaptive is not None:
-                readonly.append((index, current, values, spec, adaptive))
-            else:
-                serial.append((index, current, values))
-
-        slots: list[QueryResult | BaseException | None] = [None] * len(requests)
-
-        if serial:
-            serial_results = self.execute_wave(
-                [(prepared, values) for _, prepared, values in serial],
-                isolate=isolate,
-                readers=1,
-            )
-            for (index, _, _), result in zip(serial, serial_results):
-                slots[index] = result
-
-        if readonly:
-            # Pin one snapshot per column and pre-resolve every projection
-            # array on this thread — readers touch no shared mutable state.
-            snapshots: dict[tuple[str, str], Any] = {}
-            arrays: dict[tuple[str, str], np.ndarray] = {}
-            for _, _, _, spec, adaptive in readonly:
-                column_key = (spec.table, spec.column)
-                if column_key not in snapshots:
-                    snapshots[column_key] = adaptive.pin_snapshot()
-                for name in spec.projected:
-                    array_key = (spec.table, name)
-                    if array_key not in arrays:
-                        arrays[array_key] = (
-                            self.catalog.column(spec.table, name).bind(0).tail
-                        )
-
-            def run_chunk(
-                chunk: list[tuple[int, PreparedPlan, tuple[float, ...], _BatchSpec, Any]]
-            ) -> list[tuple[int, QueryResult | BaseException]]:
-                out: list[tuple[int, QueryResult | BaseException]] = []
-                for index, prepared, values, spec, adaptive in chunk:
-                    try:
-                        out.append(
-                            (
-                                index,
-                                self._snapshot_read(
-                                    prepared.sql,
-                                    values,
-                                    spec,
-                                    adaptive,
-                                    snapshots[(spec.table, spec.column)],
-                                    arrays,
-                                ),
-                            )
-                        )
-                    except Exception as exc:  # noqa: BLE001 - isolated to its slot
-                        out.append((index, exc))
-                return out
-
-            chunk_count = min(workers, len(readonly))
-            chunks = [readonly[offset::chunk_count] for offset in range(chunk_count)]
-            pool = self._reader_executor(workers)
-            futures = [pool.submit(run_chunk, chunk) for chunk in chunks]
-            for future in futures:
-                for index, outcome in future.result():
-                    slots[index] = outcome
-            for (table, column) in snapshots:
-                self.bpm.handle(table, column).adaptive.absorb_reads()
-            for index, _, _, _, _ in readonly:
-                outcome = slots[index]
-                if isinstance(outcome, QueryResult):
-                    self.query_history.append(outcome)
-
-        if not isolate:
-            for outcome in slots:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        return slots  # type: ignore[return-value]
-
-    def _run_prepared(self, prepared: PreparedPlan, values: tuple[float, ...]) -> QueryResult:
-        """Execute a prepared plan with already-validated bound values."""
-        total_started = time.perf_counter()
-        profile = QueryProfile(cold=False)
-        compiled = prepared.plan.compiled
-        context = self._acquire_context()
-        adaptive_before = self._adaptive_counters()
-        counters = compiled.new_counters()
-        execute_started = time.perf_counter()
-        compiled.execute_bound(context, prepared.slots, values, counters)
-        profile.execute_seconds = time.perf_counter() - execute_started
-        selection_seconds, adaptation_seconds = self._adaptive_delta(adaptive_before)
-        profile.attach_counters(compiled, counters)
-
-        result = QueryResult(
-            sql=prepared.sql,
-            parameters=values,
-            columns=context.exported_columns(),
-            scalars=dict(context.scalars),
-            plan_text=prepared.plan.text,
-            total_seconds=time.perf_counter() - total_started,
-            selection_seconds=selection_seconds,
-            adaptation_seconds=adaptation_seconds,
-            optimizer_seconds=execute_started - total_started,
-            plan_cache_hit=True,
-            cache_level="prepared",
-            plan_cache_hits=self.plan_cache.hits,
-            plan_cache_misses=self.plan_cache.misses,
-            profile=profile,
-        )
-        self._release_context(context)
-        self.query_history.append(result)
-        return result
-
-    # -- execution-context pooling ---------------------------------------------
-
-    def _acquire_context(self) -> ExecutionContext:
-        """A reset execution context from the pool (or a fresh one)."""
-        if self._context_pool:
-            return self._context_pool.pop()
-        return ExecutionContext(catalog=self.catalog)
-
-    def _release_context(self, context: ExecutionContext) -> None:
-        """Return a context to the pool once its outputs have been copied out."""
-        if len(self._context_pool) < 4:
-            context.reset()
-            self._context_pool.append(context)
-
-    # -- batched execution ---------------------------------------------------------------
-
-    def execute_many(self, statements: Sequence[str], *, batch: bool = True) -> list[QueryResult]:
-        """Run several statements, batching same-column range selects.
-
-        Statements that are simple range selections over the same
-        ``table.column`` (single predicate, plain projection, no pending
-        deltas on the table) are grouped by shape and answered by the
-        **vectorized batch executor**: an adaptive column answers the whole
-        group through the strategy layer's ``select_many`` (array-probe
-        kernels, one piggy-backed adaptation pass per batch); a plain column
-        is either envelope-scanned once (when every range genuinely
-        overlaps) or value-sorted once and probed per member — disjoint
-        ranges batch too, and no member ever pays an envelope over-scan.
-        Everything else falls back to :meth:`execute`.
-
-        Results are returned (and recorded in ``query_history``) in input
-        order; batched results carry ``batched=True`` and a real
-        :class:`QueryProfile` with the batch cost apportioned across members.
-        """
-        statements = list(statements)
-        items = [
-            (sql, self._batch_spec_from_sql(sql) if batch else None) for sql in statements
-        ]
-        return self._run_with_batching(items, lambda index: self.execute(statements[index]))
-
-    def _run_with_batching(
-        self,
-        items: list[tuple[str, _BatchSpec | None]],
-        fallback: Any,
-    ) -> list[QueryResult]:
-        """Group batchable statements by (table, column); run the rest via ``fallback``.
-
-        ``items`` pairs each statement's SQL text with its batch spec
-        (``None`` routes it through ``fallback(index)``, which must record
-        its own query history — both :meth:`execute` and
-        :meth:`_run_prepared` do).  Every same-column group of two or more
-        members goes to :meth:`_execute_batch` regardless of whether its
-        ranges overlap — the vectorized executor answers disjoint members
-        exactly.  This is the one grouping implementation behind
-        :meth:`execute_many` and :meth:`execute_prepared_many` (and through
-        the latter, ``Cursor.executemany``).
-        """
-        groups: dict[tuple[str, str], list[int]] = {}
-        for index, (_, spec) in enumerate(items):
-            if spec is not None:
-                groups.setdefault((spec.table, spec.column), []).append(index)
-        if len(groups) == 1 and len(items) >= 2:
-            # The common executemany shape: every member batches into one
-            # group, in input order — no pending bookkeeping needed.
-            (table, column), indices = next(iter(groups.items()))
-            if len(indices) == len(items):
-                results = self._execute_batch(table, column, items)
-                self.query_history.extend(results)
-                return results
-        group_of: dict[int, tuple[str, str]] = {}
-        for key, indices in groups.items():
-            if len(indices) >= 2:
-                for index in indices:
-                    group_of[index] = key
-
-        results: list[QueryResult] = []
-        pending: dict[int, QueryResult] = {}
-        for index, (sql, _) in enumerate(items):
-            if index in pending:
-                result = pending.pop(index)
-            elif index in group_of:
-                table, column = group_of[index]
-                members = groups[(table, column)]
-                batch_results = self._execute_batch(
-                    table, column, [(items[j][0], items[j][1]) for j in members]
-                )
-                for j, batched_result in zip(members, batch_results):
-                    if j == index:
-                        result = batched_result
-                    else:
-                        pending[j] = batched_result
-            else:
-                self._batch_stats.observe_fallback()
-                results.append(fallback(index))  # records its own history
-                continue
-            self.query_history.append(result)
-            results.append(result)
-        return results
-
-    @staticmethod
-    def _overlap_clusters(ranges: list[tuple[float, float]]) -> list[list[int]]:
-        """Split half-open ``[low, high)`` ranges into strictly-overlapping clusters.
-
-        Used by the plain-column batch path to decide between one envelope
-        scan (a single cluster: the envelope equals the union, so the scan
-        reads nothing no member asked for) and the sort-and-probe kernel.
-        Only ranges that genuinely *share values* are merged: ranges that
-        merely touch — ``low == envelope_high``, including bounds one
-        ``math.nextafter`` apart, as an inclusive bound and the adjacent
-        exclusive bound produce — stay in separate clusters, since their
-        shared envelope would not be cheaper than exact per-member probes.
-        Returns clusters of positions into ``ranges``.
-        """
-        order = sorted(range(len(ranges)), key=lambda i: ranges[i])
-        clusters: list[list[int]] = []
-        envelope_high = -np.inf
-        for index in order:
-            low, high = ranges[index]
-            if clusters and low < envelope_high:
-                clusters[-1].append(index)
-                envelope_high = max(envelope_high, high)
-            else:
-                clusters.append([index])
-                envelope_high = high
-        return clusters
-
-    def _batch_spec_from_sql(self, sql: str) -> _BatchSpec | None:
-        """The statement's batch spec when eligible for the batched path.
-
-        ``None`` routes the statement through the conventional path — also
-        for unparsable or invalid statements, so they raise the same errors
-        they would raise under :meth:`execute`.
-        """
-        try:
-            statement = parse(sql)
-        except ValueError:
-            return None
-        if not self._batchable(statement):
-            return None
-        return self._batch_spec(statement)
-
-    def _batch_spec(self, statement: SelectStatement) -> _BatchSpec:
-        """The batch executor's view of a statement :meth:`_batchable` accepted."""
-        schema = self.catalog.schema(statement.table)
-        projected = (
-            schema.column_names if statement.columns == ("*",) else statement.columns
-        )
-        return _BatchSpec(
-            table=statement.table,
-            column=statement.predicates[0].column,
-            projected=tuple(projected),
-            bounds=SQLCompiler._bounds(statement.predicates[0]),
-        )
-
-    def _batchable(self, statement: SelectStatement) -> bool:
-        """Whether a statement's shape and table qualify for the shared scan.
-
-        Shape-level only — the bounds themselves do not matter (overlap
-        clustering decides later), so the check applies equally to a
-        placeholder statement before its bindings are substituted.
-        """
-        if statement.is_aggregate or statement.limit is not None:
-            return False
-        if len(statement.predicates) != 1:
-            return False
-        predicate = statement.predicates[0]
-        if isinstance(predicate, ComparisonPredicate) and predicate.operator == "<>":
-            return False
-        try:
-            store = self.catalog.table(statement.table)
-            schema = self.catalog.schema(statement.table)
-            projected = (
-                schema.column_names if statement.columns == ("*",) else statement.columns
-            )
-            for name in (*projected, predicate.column):
-                schema.dtype_of(name)
-        except KeyError:
-            return False
-        if store.has_deltas:
-            # Delta BATs take the full Figure-1 cascade; keep them on it.
-            return False
-        return True
-
-    @staticmethod
-    def _half_open_bounds_many(
-        adaptive: Any, bounds: list[tuple[float, float, bool, bool]]
-    ) -> np.ndarray:
-        """Vectorized :meth:`BatPartitionManager._half_open_bounds` for a batch.
-
-        Returns an ``(n, 2)`` float64 array of half-open ``[low, high)``
-        pairs, bit-identical per member to the scalar translation
-        (``np.nextafter`` and ``math.nextafter`` agree on float64).
-        """
-        domain = adaptive.domain
-        lows = np.asarray([low for low, _, _, _ in bounds], dtype=np.float64)
-        highs = np.asarray([high for _, high, _, _ in bounds], dtype=np.float64)
-        include_low = np.asarray([incl for _, _, incl, _ in bounds], dtype=bool)
-        include_high = np.asarray([inch for _, _, _, inch in bounds], dtype=bool)
-        low_finite = np.isfinite(lows)
-        high_finite = np.isfinite(highs)
-        effective_low = np.where(low_finite, np.maximum(lows, domain.low), domain.low)
-        effective_high = np.where(high_finite, np.minimum(highs, domain.high), domain.high)
-        bump_low = ~include_low & low_finite
-        if bump_low.any():
-            effective_low = np.where(
-                bump_low, np.nextafter(effective_low, np.inf), effective_low
-            )
-        bump_high = include_high & high_finite
-        if bump_high.any():
-            effective_high = np.where(
-                bump_high, np.nextafter(effective_high, np.inf), effective_high
-            )
-        effective_high = np.minimum(effective_high, domain.high)
-        effective_low = np.maximum(np.minimum(effective_low, effective_high), domain.low)
-        return np.column_stack([effective_low, effective_high])
-
-    @staticmethod
-    def _half_open_floats(
-        low: float, high: float, include_low: bool, include_high: bool
-    ) -> tuple[float, float]:
-        """SQL bound semantics as a half-open ``[low, high)`` float pair.
-
-        The domain-free counterpart of
-        :meth:`BatPartitionManager._half_open_bounds`, used by the
-        plain-column sort-and-probe kernel (``±inf`` bounds are legal there:
-        the probes saturate at the array ends).
-        """
-        low = float(low)
-        high = float(high)
-        if not include_low and math.isfinite(low):
-            low = math.nextafter(low, math.inf)
-        if include_high and math.isfinite(high):
-            high = math.nextafter(high, math.inf)
-        return low, high
-
-    def _execute_batch(
-        self, table: str, column: str, members: list[tuple[str, _BatchSpec]]
-    ) -> list[QueryResult]:
-        """One vectorized pass over ``table.column`` answering every member query.
-
-        An adaptive (BPM-managed) column answers the batch through the
-        strategy layer's ``select_many`` — vectorized segment routing and
-        probe kernels for the strategies that support batching, the
-        sequential fallback otherwise — with adaptation piggy-backed on the
-        batch.  A plain column is answered either by one envelope scan (all
-        ranges strictly overlapping: the envelope is the union) or by
-        value-sorting the column once and probing every member's slice —
-        disjoint members cost two binary searches each, not a scan.
-        """
-        total_started = time.perf_counter()
-        self._batch_stats.observe_wave(len(members))
-        bounds = [spec.bounds for _, spec in members]
-
-        if self.bpm.is_managed(table, column):
-            adaptive = self.bpm.handle(table, column).adaptive
-            half_open = self._half_open_bounds_many(adaptive, bounds)
-            adaptive_before = self._adaptive_counters()
-            selections = adaptive.select_many(half_open)
-            selection_seconds, adaptation_seconds = self._adaptive_delta(adaptive_before)
-            extracted = [selection.oids for selection in selections]
-            plan_text = (
-                f"# batched select_many on {table}.{column} ({len(members)} queries)"
-            )
-        else:
-            started = time.perf_counter()
-            persistent = self.catalog.column(table, column).bind(0)
-            values, heads = persistent.tail, persistent.head
-            half_open = [
-                self._half_open_floats(low, high, incl, inch)
-                for low, high, incl, inch in bounds
-            ]
-            clusters = self._overlap_clusters(half_open)
-            if len(clusters) == 1:
-                # Every range shares values with the next: one mask scan over
-                # the envelope (== the union) answers the whole batch.
-                envelope_low = min(low for low, _, _, _ in bounds)
-                envelope_high = max(high for _, high, _, _ in bounds)
-                envelope = (values >= envelope_low) & (values <= envelope_high)
-                scan_values = values[envelope]
-                scan_oids = heads[envelope]
-                extracted = []
-                for low, high, include_low, include_high in bounds:
-                    mask = (scan_values >= low) if include_low else (scan_values > low)
-                    mask &= (scan_values <= high) if include_high else (scan_values < high)
-                    extracted.append(scan_oids[mask])
-                plan_text = (
-                    f"# batched shared scan of {table}.{column} "
-                    f"[{envelope_low:g}, {envelope_high:g}]"
-                )
-            else:
-                # Disjoint ranges present: sort the column once, then each
-                # member is two binary-search probes — no envelope over-scan.
-                order = np.argsort(values, kind="stable")
-                sorted_values = values[order]
-                lows = np.asarray([low for low, _ in half_open], dtype=np.float64)
-                highs = np.asarray([high for _, high in half_open], dtype=np.float64)
-                los = sorted_probe_many(sorted_values, lows, side="left")
-                his = sorted_probe_many(sorted_values, highs, side="left")
-                extracted = [
-                    heads[order[lo:hi]] for lo, hi in zip(los.tolist(), his.tolist())
-                ]
-                plan_text = (
-                    f"# batched sort-and-probe on {table}.{column} "
-                    f"({len(members)} queries)"
-                )
-            selection_seconds = time.perf_counter() - started
-            adaptation_seconds = 0.0
-
-        share = 1.0 / len(members)
-        column_arrays: dict[str, np.ndarray] = {}
-        results: list[QueryResult] = []
-        for (sql, spec), oids in zip(members, extracted):
-            columns: dict[str, np.ndarray] = {}
-            for name in spec.projected:
-                if name not in column_arrays:
-                    column_arrays[name] = self.catalog.column(table, name).bind(0).tail
-                columns[name] = column_arrays[name][oids]
-            results.append(
-                QueryResult(
-                    sql=sql,
-                    columns=columns,
-                    plan_text=plan_text,
-                    selection_seconds=selection_seconds * share,
-                    adaptation_seconds=adaptation_seconds * share,
-                    cache_level="batched",
-                    plan_cache_hits=self.plan_cache.hits,
-                    plan_cache_misses=self.plan_cache.misses,
-                    batched=True,
-                    profile=QueryProfile(cold=False),
-                )
-            )
-        total_share = (time.perf_counter() - total_started) * share
-        for result in results:
-            result.total_seconds = total_share
-            result.profile.execute_seconds = total_share
-        return results
-
-    # -- adaptation accounting ------------------------------------------------------------
-
-    def _adaptive_counters(self) -> dict[tuple[str, str], int]:
-        """Number of recorded queries per adaptive column (to detect activity)."""
-        counters = {}
-        for handle in self.bpm.iter_handles():
-            history = handle.adaptive.history
-            counters[(handle.table, handle.column)] = len(history) if history else 0
-        return counters
-
-    def _adaptive_delta(self, before: dict[tuple[str, str], int]) -> tuple[float, float]:
-        """Selection/adaptation seconds spent by adaptive columns in this query."""
-        selection = 0.0
-        adaptation = 0.0
-        for handle in self.bpm.iter_handles():
-            history = handle.adaptive.history
-            if history is None:
-                continue
-            start = before.get((handle.table, handle.column), 0)
-            for stats in history[start:]:
-                selection += stats.selection_seconds
-                adaptation += stats.adaptation_seconds
-        return selection, adaptation
 
     def last_adaptive_stats(self, table: str, column: str) -> QueryStats | None:
         """Per-query stats of the most recent adaptive selection on a column."""

@@ -2,7 +2,7 @@
 
 Parsing, compiling, optimizing and lowering a statement is pure per-statement
 work that the hot query path would otherwise repeat on every execution.  The
-database short-circuits it with two key levels sharing one LRU store:
+database short-circuits it with three key levels sharing one LRU store:
 
 * ``("shape", shape)`` → :class:`CachedPlan` — the specialized
   :class:`~repro.mal.compiled.CompiledPlan` for one query *shape* (the
@@ -10,9 +10,9 @@ database short-circuits it with two key levels sharing one LRU store:
   :func:`repro.sql.parameters.parameterize`).  All queries that differ only in
   their constants — the common case for the paper's Fig 5–7 workloads — share
   this entry; only a parse is needed to reach it.
-* ``("sql", normalized_text)`` → :class:`BoundPlan` — the shape's plan plus
-  the pre-extracted parameter values for one exact statement text, so
-  repeating the identical query skips even the parse.
+* ``("text-shape", masked_text)`` → :class:`PreparedPlan` — the literal-masked
+  text of a statement whose every literal is a lifted bound: literal variants
+  reach their plan without a parse, and the masked literals *are* the binding.
 * ``("prepared", normalized_text)`` → :class:`PreparedPlan` — the
   placeholder-shape level of the client API: the normalized text *with its
   ``?``/``:name`` placeholders* keys the lowered plan plus the pre-resolved
@@ -20,6 +20,10 @@ database short-circuits it with two key levels sharing one LRU store:
   through it skips the parse **and** the literal masking — binding validates
   ``high >= low``, arity and numeric type against the template and seeds the
   slot environment directly.
+
+Both text levels hold the same thing — a :class:`PreparedPlan` — so every
+statement, however it arrived, reaches the executor as *(prepared plan, bound
+values)*.
 
 Plans depend on the catalog schema and on which columns the BPM manages (the
 segment optimizer rewrites selections on managed columns), so the database
@@ -36,11 +40,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Hashable, Sequence
 
 from repro.mal.compiled import CompiledPlan
-from repro.sql.ast import SelectStatement
+from repro.sql.ast import ComparisonPredicate, Placeholder, SelectStatement
+from repro.sql.compiler import SQLCompiler
 from repro.sql.parameters import BindingSpec
+from repro.storage.catalog import Catalog
 
 
 def normalize_sql(sql: str) -> str:
@@ -62,48 +68,86 @@ class CachedPlan:
 
 
 @dataclass(frozen=True)
-class BoundPlan:
-    """A cached plan bound to one statement's parameter values."""
+class RangeTemplate:
+    """The shape of a batchable range select, decided once at prepare time.
 
-    plan: CachedPlan
-    arguments: dict[str, float]
+    A statement carries a template when it is a plain projection under exactly
+    one range or comparison predicate over known columns — the shape the
+    vectorized batch executor, the snapshot readers and the router's workload
+    model all understand.  Shape only: whether the table has pending deltas is
+    a fact of the moment, read per wave, never stored here.
 
-
-@dataclass(frozen=True)
-class TextShapePlan:
-    """A plan reachable by masked SQL text alone (the parse-free fast path).
-
-    ``parameter_count`` guards against masked-text collisions (it always
-    equals the number of ``?`` in the key for installed entries, so texts
-    containing literal ``?`` can never match); ``range_checks`` re-applies the
-    ``high >= low`` validation the skipped parser would have performed.
+    ``bounds`` is the predicate's ``(low, high, include_low, include_high)``
+    with each placeholder bound still a :class:`~repro.sql.ast.Placeholder`;
+    :meth:`bind` resolves them against one binding.
     """
 
-    plan: CachedPlan
-    parameter_count: int
-    range_checks: tuple[tuple[int, int], ...]
+    table: str
+    column: str
+    projected: tuple[str, ...]
+    bounds: tuple[float, float, bool, bool]
+
+    def bind(self, values: Sequence[float]) -> tuple[float, float, bool, bool]:
+        """The concrete SQL bounds of one execution."""
+        low, high, include_low, include_high = self.bounds
+        if isinstance(low, Placeholder):
+            low = values[low.index]
+        if isinstance(high, Placeholder):
+            high = values[high.index]
+        return low, high, include_low, include_high
+
+
+def range_template(statement: SelectStatement, catalog: Catalog) -> RangeTemplate | None:
+    """Classify ``statement``: its :class:`RangeTemplate`, or ``None``.
+
+    ``None`` for aggregates, a ``LIMIT``, ``<>``, anything but exactly one
+    predicate, and unknown tables or columns (those statements fail in the
+    compiler with the usual error).
+    """
+    if statement.is_aggregate or statement.limit is not None:
+        return None
+    if len(statement.predicates) != 1:
+        return None
+    predicate = statement.predicates[0]
+    if isinstance(predicate, ComparisonPredicate) and predicate.operator == "<>":
+        return None
+    try:
+        schema = catalog.schema(statement.table)
+        projected = (
+            schema.column_names if statement.columns == ("*",) else statement.columns
+        )
+        for name in (*projected, predicate.column):
+            schema.dtype_of(name)
+    except KeyError:
+        return None
+    return RangeTemplate(
+        table=statement.table,
+        column=predicate.column,
+        projected=tuple(projected),
+        bounds=SQLCompiler.bounds(predicate),
+    )
 
 
 @dataclass(frozen=True)
 class PreparedPlan:
-    """A lowered plan plus its binding template (the prepared-statement level).
+    """A lowered plan plus its binding template — what every statement becomes.
 
     ``sql`` is the normalized statement text *including placeholders* (the
-    cache key, and what a stale handle re-prepares from); ``statement`` keeps
-    the placeholder-parsed AST for the batched ``executemany`` clustering;
-    ``binding`` validates client parameters; ``slots`` maps placeholder
-    position → environment slot of the compiled plan (resolved once, at
-    prepare time); ``generation`` is the cache generation the plan was lowered
-    under — when it trails the cache's current generation the schema or an
-    adaptive registration changed and the plan must be re-lowered.
+    cache key, and what a stale handle re-prepares from); ``binding``
+    validates client parameters; ``slots`` maps placeholder position →
+    environment slot of the compiled plan (resolved once, at prepare time);
+    ``generation`` is the cache generation the plan was lowered under — when
+    it trails the cache's current generation the schema or an adaptive
+    registration changed and the plan must be re-lowered; ``template`` is the
+    statement's range-select classification (``None``: not batchable).
     """
 
     sql: str
     plan: CachedPlan
-    statement: SelectStatement
     binding: BindingSpec
     slots: tuple[int, ...]
     generation: int
+    template: RangeTemplate | None
 
 
 @dataclass(frozen=True)
@@ -144,7 +188,6 @@ class PlanCacheLevelStats:
 #: ``QueryResult.cache_level`` (``"cold"``/``"batched"`` are outcomes, not
 #: store levels, so they never appear here).
 _LEVEL_NAMES = {
-    "sql": "exact",
     "text-shape": "masked",
     "shape": "shape",
     "prepared": "prepared",
@@ -167,8 +210,8 @@ class PlanCache:
     """A bounded LRU mapping from hashable keys to cached plan entries.
 
     All levels share the one LRU store; per-level hit/miss/eviction counters
-    (keyed by the public level names — ``exact``/``masked``/``shape``/
-    ``prepared``) are kept alongside the totals for
+    (keyed by the public level names — ``masked``/``shape``/``prepared``) are
+    kept alongside the totals for
     :meth:`~repro.engine.database.Database.cache_stats`.
     """
 
@@ -230,9 +273,9 @@ class PlanCache:
     def level_stats(self) -> dict[str, PlanCacheLevelStats]:
         """Per-level counters, including levels that saw lookups but hold nothing.
 
-        Keys are the public level names (``exact``/``masked``/``shape``/
-        ``prepared``).  Entry counts are computed by a scan over the resident
-        keys — this is an administrative surface, not a hot path.
+        Keys are the public level names (``masked``/``shape``/``prepared``).
+        Entry counts are computed by a scan over the resident keys — this is
+        an administrative surface, not a hot path.
         """
         with self._lock:
             entries: dict[str, int] = {}

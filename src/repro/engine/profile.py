@@ -12,8 +12,8 @@ splitting the query's wall-clock time into the pipeline stages —
 
 — plus per-opcode execution counters from the compiled plan.  On a warm query
 (``cold`` is False) the optimize and compile stages are zero because the
-cached plan was reused; parse is also zero when the exact SQL text hit the
-first-level cache.  The profiler exists so every perf change can be attributed
+cached plan was reused; parse is then the literal masking alone, and zero on
+the prepared path.  The profiler exists so every perf change can be attributed
 to a stage instead of argued about (cf. KnobCF/IWEK: you cannot tune what you
 cannot attribute).
 """

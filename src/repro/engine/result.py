@@ -15,21 +15,22 @@ class QueryResult:
 
     ``columns`` holds the projected columns as numpy arrays (empty for pure
     aggregate queries); ``scalars`` holds aggregate values keyed by their
-    label (e.g. ``"count(*)"``).  On the prepared path ``sql`` is the
-    placeholder text and ``parameters`` carries the bound values (in
-    placeholder-position order), so ``query_history`` keeps enough to
-    reconstruct what each execution actually asked.  The timing fields separate the work spent in
-    plain query processing from the work spent adapting the storage layout,
-    which is the split Figure 10 of the paper reports.
+    label (e.g. ``"count(*)"``).  ``sql`` is the text the statement arrived
+    as — placeholder text on the prepared path, the literal text otherwise —
+    and ``parameters`` carries the bound values (in placeholder-position
+    order; on the literal path, the lifted literals), so ``query_history``
+    keeps enough to reconstruct what each execution actually asked.  The
+    timing fields separate the work spent in plain query processing from the
+    work spent adapting the storage layout, which is the split Figure 10 of
+    the paper reports.
 
     ``plan_cache_hit`` records whether the plan was served from the database's
     plan cache, and ``cache_level`` names the level that answered it —
-    ``"exact"`` (normalized text), ``"masked"`` (literal-masked text),
-    ``"shape"`` (parsed shape), ``"prepared"`` (placeholder-shape binding,
-    the client API's prepared path), ``"batched"`` (the shared-scan path),
-    ``"snapshot"`` (a bound range select answered against a pinned index
-    snapshot by ``execute_readonly`` / the ``execute_wave`` reader pool) or
-    ``"cold"`` (nothing hit; the plan was compiled for this query).
+    ``"masked"`` (literal-masked text), ``"shape"`` (parsed shape),
+    ``"prepared"`` (placeholder-shape binding, the client API's prepared
+    path), ``"batched"`` (the shared-scan path), ``"snapshot"`` (a bound
+    range select answered against a pinned index snapshot by a wave's reader
+    pool) or ``"cold"`` (nothing hit; the plan was compiled for this query).
     ``plan_cache_hits``/``plan_cache_misses`` are the cache's cumulative
     counters at the time this query finished; ``batched`` marks results
     answered by the vectorized batch executor of ``execute_many`` /

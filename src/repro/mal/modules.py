@@ -84,6 +84,10 @@ def _algebra_kintersect(ctx, left: BAT, right: BAT) -> BAT:
     return operators.kintersect(left, right)
 
 
+def _algebra_slice(ctx, bat: BAT, start, stop) -> BAT:
+    return bat.slice(int(start), int(stop))
+
+
 def _algebra_markt(ctx, bat: BAT, base=0) -> BAT:
     return operators.mark_tail(bat, int(base))
 
@@ -167,6 +171,7 @@ def default_registry() -> ModuleRegistry:
             "kunion": _algebra_kunion,
             "kdifference": _algebra_kdifference,
             "kintersect": _algebra_kintersect,
+            "slice": _algebra_slice,
             "markT": _algebra_markt,
             "join": _algebra_join,
             "leftfetchjoin": _algebra_join,

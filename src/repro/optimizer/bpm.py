@@ -23,7 +23,6 @@ downstream plan shape matches the paper's §3.1 snippet.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -35,6 +34,7 @@ from repro.core.models import SegmentationModel
 from repro.core.strategy import AdaptiveColumnStrategy, create_strategy
 from repro.storage.bat import BAT
 from repro.storage.catalog import Catalog
+from repro.util.half_open import half_open_in_domain
 
 
 @dataclass
@@ -214,8 +214,8 @@ class BatPartitionManager:
     ) -> _SegmentIterator:
         """Run the adaptive selection and expose its result one piece at a time."""
         adaptive = handle.adaptive
-        effective_low, effective_high = self._half_open_bounds(
-            adaptive, low, high, include_low, include_high
+        effective_low, effective_high = half_open_in_domain(
+            adaptive.domain, low, high, include_low, include_high
         )
         started = time.perf_counter()
         result = adaptive.select(effective_low, effective_high)
@@ -241,32 +241,3 @@ class BatPartitionManager:
                 )
             )
         return _SegmentIterator(pieces=pieces)
-
-    @staticmethod
-    def _half_open_bounds(
-        adaptive: AdaptiveColumnStrategy,
-        low: float,
-        high: float,
-        include_low: bool,
-        include_high: bool,
-    ) -> tuple[float, float]:
-        """Translate SQL bound semantics into the core's half-open ranges.
-
-        Scalar ``math`` predicates throughout — this runs once per query on
-        the hot path, and ``math.nextafter`` is bit-identical to numpy's for
-        float64 operands.
-        """
-        domain = adaptive.domain
-        low = float(low)
-        high = float(high)
-        low_finite = math.isfinite(low)
-        high_finite = math.isfinite(high)
-        effective_low = max(low, domain.low) if low_finite else domain.low
-        effective_high = min(high, domain.high) if high_finite else domain.high
-        if not include_low and low_finite:
-            effective_low = math.nextafter(effective_low, math.inf)
-        if include_high and high_finite:
-            effective_high = math.nextafter(effective_high, math.inf)
-        effective_high = min(effective_high, domain.high)
-        effective_low = max(min(effective_low, effective_high), domain.low)
-        return effective_low, effective_high

@@ -184,7 +184,6 @@ class AdmissionController:
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         auto_rebuild: bool = True,
-        read_workers: int | None = None,
     ) -> None:
         if batch_window_us < 0:
             raise ValueError("batch_window_us must be >= 0")
@@ -196,8 +195,6 @@ class AdmissionController:
             raise ValueError("wave_deadline_s must be > 0 (or None)")
         if max_retries < 0 or retry_backoff_s < 0:
             raise ValueError("max_retries and retry_backoff_s must be >= 0")
-        if read_workers is not None and read_workers < 1:
-            raise ValueError("read_workers must be >= 1 (or None)")
         if max_inflight_per_connection is None:
             max_inflight_per_connection = max(1, max_inflight // 4)
         if max_inflight_per_connection < 1:
@@ -217,10 +214,6 @@ class AdmissionController:
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
         self.auto_rebuild = bool(auto_rebuild)
-        #: Snapshot-reader fan-out per wave: ``None`` defers to each engine's
-        #: own ``read_workers`` attribute (the knob the self-tuner moves);
-        #: an explicit value overrides it for single-engine waves.
-        self.read_workers = read_workers
 
         self._shards: list[_Shard] = [_Shard() for _ in range(n_replicas)]
         self._connection_pending: dict[Hashable, int] = {}
@@ -350,7 +343,6 @@ class AdmissionController:
             "max_retries": self.max_retries,
             "retry_backoff_s": self.retry_backoff_s,
             "auto_rebuild": self.auto_rebuild,
-            "read_workers": self.read_workers,
             "replicas": len(self._shards),
         }
 
@@ -554,16 +546,9 @@ class AdmissionController:
                 payload,
             )
         else:
-            # ``readers`` is forwarded only when explicitly configured here:
-            # the default (None) defers to the engine's own ``read_workers``
-            # attribute — the knob the self-tuner moves — and keeps duck-typed
-            # engine stand-ins working without the new keyword.
-            keywords: dict[str, Any] = {"isolate": True}
-            if self.read_workers is not None:
-                keywords["readers"] = self.read_workers
             call = loop.run_in_executor(
                 self._executor,
-                partial(self._database.execute_wave, payload, **keywords),
+                partial(self._database.execute_wave, payload, isolate=True),
             )
         if self.wave_deadline_s is None:
             return await call

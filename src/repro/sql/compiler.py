@@ -5,8 +5,10 @@ predicate column is bound at its three levels (persistent, inserts, updates)
 plus the table's deletion BAT, the range selection is evaluated against each
 level and combined with ``kunion``/``kdifference``, deleted oids are removed,
 and the surviving candidate list drives positional joins (``markT`` +
-``reverse`` + ``join``) that reconstruct the projected columns.  Aggregates
-are applied to the reconstructed column and exported as scalars.
+``reverse`` + ``join``) that reconstruct the projected columns — after an
+``algebra.slice`` of the candidate list when the statement carries a ``LIMIT``.
+Aggregates are applied to the reconstructed column and exported as scalars
+(a ``LIMIT`` bounds result rows, so it never changes an aggregate's one row).
 
 The compiler is *naive on purpose* — exactly like the SQL compiler in the
 paper — and leaves all physical decisions (segment awareness in particular)
@@ -19,7 +21,7 @@ import numpy as np
 
 from repro.mal.builder import ProgramBuilder
 from repro.mal.program import Const, MALProgram, Var
-from repro.sql.ast import Aggregate, ComparisonPredicate, RangePredicate, SelectStatement
+from repro.sql.ast import ComparisonPredicate, RangePredicate, SelectStatement
 from repro.sql.parameters import Parameter, parameter_names
 from repro.storage.catalog import Catalog
 
@@ -117,7 +119,7 @@ class SQLCompiler:
         updates = builder.call(
             "sql", "bind", Const(self.schema), Const(table), Const(column), Const(2)
         )
-        low, high, include_low, include_high = self._bounds(predicate)
+        low, high, include_low, include_high = self.bounds(predicate)
 
         def uselect(source: str) -> str:
             return builder.call(
@@ -151,7 +153,8 @@ class SQLCompiler:
         return Const(value)
 
     @staticmethod
-    def _bounds(predicate: RangePredicate | ComparisonPredicate) -> tuple[float, float, bool, bool]:
+    def bounds(predicate: RangePredicate | ComparisonPredicate) -> tuple[float, float, bool, bool]:
+        """A predicate as SQL bounds ``(low, high, include_low, include_high)``."""
         if isinstance(predicate, RangePredicate):
             return predicate.low, predicate.high, predicate.include_low, predicate.include_high
         value = predicate.value
@@ -217,6 +220,14 @@ class SQLCompiler:
         columns: tuple[str, ...],
         candidate: str,
     ) -> None:
+        if statement.limit is not None:
+            # MonetDB's shape: cut the candidate list positionally *before*
+            # the projection joins, so no column reconstructs more rows than
+            # the statement returns.
+            candidate = builder.call(
+                "algebra", "slice", builder.var(candidate), Const(0), Const(statement.limit),
+                comment=f"LIMIT {statement.limit}",
+            )
         positions = self._result_positions(builder, candidate)
         reconstructed = [
             self._reconstruct_column(builder, statement.table, column, positions)

@@ -8,10 +8,12 @@ parameters (``__p0``, ``__p1``, ...) and derives a hashable *shape* key — the
 statement with the literal values erased — so all queries of one shape share a
 single compiled plan and only the parameter values change per execution.
 
-The lifted :class:`Parameter` is a ``float`` subclass carrying its parameter
-name: AST validation (``high >= low``) and bound arithmetic keep working on
-the actual values, while the SQL compiler recognises the subclass and emits a
-MAL variable reference instead of baking the literal into the plan.
+Literals are lifted into positional :class:`Placeholder` parameters — the
+lifted statement is exactly what parsing the literal-masked text in prepared
+mode yields, so the text path and the client API's ``?`` statements share one
+binding template, one plan shape and one runner.  The SQL compiler recognises
+the :class:`Parameter` base class and emits a MAL variable reference instead
+of baking the literal into the plan.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "parameter_names",
     "parameterize",
     "prepared_binding",
-    "range_parameter_checks",
     "statement_shape",
     "substitute_placeholders",
 ]
@@ -61,9 +62,10 @@ class ParameterizedQuery:
     """One statement split into shape and parameter values.
 
     ``statement`` is the parsed statement with every range literal replaced by
-    a :class:`Parameter`; ``shape`` is the hashable cache key (no literal
-    values); ``arguments`` maps parameter names to this query's literals, in
-    the form the compiled plan's environment expects.
+    a positional :class:`Placeholder`; ``shape`` is the hashable cache key (no
+    literal values); ``arguments`` maps parameter names to this query's
+    literals in placeholder order, so ``tuple(arguments.values())`` is the
+    binding of ``statement``.
     """
 
     statement: SelectStatement
@@ -114,10 +116,10 @@ def parameterize(statement: SelectStatement) -> ParameterizedQuery:
     """Split ``statement`` into its shape and its literal parameter values."""
     arguments: dict[str, float] = {}
 
-    def lift(value: float) -> Parameter:
-        name = f"__p{len(arguments)}"
-        arguments[name] = float(value)
-        return Parameter(name, value)
+    def lift(value: float) -> Placeholder:
+        index = len(arguments)
+        arguments[f"__p{index}"] = float(value)
+        return Placeholder(index, index)
 
     predicates: list[RangePredicate | ComparisonPredicate] = []
     for predicate in statement.predicates:
@@ -154,23 +156,6 @@ def mask_literals(normalized_sql: str) -> tuple[str, tuple[float, ...]]:
 
     masked = _LITERAL_PATTERN.sub(replace_literal, normalized_sql)
     return masked, tuple(values)
-
-
-def range_parameter_checks(statement: SelectStatement) -> tuple[tuple[int, int], ...]:
-    """Per-range ``(low_index, high_index)`` pairs for bind-time validation.
-
-    A masked-text cache hit skips the parser, so the ``high >= low`` check a
-    :class:`RangePredicate` performs at parse time must be re-applied to the
-    extracted literal values; violations fall back to the parse path, which
-    raises the usual error.
-    """
-    checks: list[tuple[int, int]] = []
-    for predicate in statement.predicates:
-        if isinstance(predicate, RangePredicate):
-            low, high = predicate.low, predicate.high
-            if isinstance(low, Parameter) and isinstance(high, Parameter):
-                checks.append((int(low.name[3:]), int(high.name[3:])))
-    return tuple(checks)
 
 
 class BindError(ValueError):

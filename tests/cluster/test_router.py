@@ -177,6 +177,24 @@ class TestRouting:
             assert routed == {0, 1, 2}
             assert router.router_stats()["routing"]["hot_routes"] > 0
 
+    def test_workload_aware_routing_survives_a_write(self):
+        # Range-select classification is shape-only: pending deltas change how
+        # an engine answers a wave, never whether the router sees its bounds.
+        with Router(build_database(), 2, hot_query_threshold=0.9, seed=0) as router:
+            prepared = router.prepare_statement(SQL)
+            router.insert(
+                "p", {"objid": np.array([N_ROWS], dtype=np.int64), "ra": np.array([12.5])}
+            )
+            pairs = bounds_of(multimodal_workload(200, DOMAIN, 0.005, n_modes=2, seed=4))
+            self.run_workload(router, prepared, pairs)
+            report = router.retune(force=True)
+            assert report["retuned"] and report["history"] == 200
+            clustered_from = router.router_stats()["routing"]["unclustered_routes"]
+            self.run_workload(router, prepared, pairs)
+            assert router.router_stats()["routing"]["unclustered_routes"] == clustered_from
+            result = router.execute_prepared(prepared, (12.0, 13.0))
+            assert N_ROWS in result.columns["objid"].tolist()  # the inserted row
+
     def test_observed_cost_drives_best_fit(self):
         database = build_database()
         with Router(database, 2, hot_query_threshold=0.9, seed=0) as router:

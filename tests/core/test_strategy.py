@@ -208,15 +208,3 @@ class TestDatabaseEnableAdaptive:
             assert result.row_count > 0
         finally:
             unregister_strategy("mixedcase")
-
-    def test_deprecated_wrappers_still_work(self):
-        database = self._database()
-        with pytest.warns(DeprecationWarning, match="enable_adaptive_segmentation is deprecated"):
-            handle = database.enable_adaptive_segmentation("p", "ra")
-        assert handle.strategy == "segmentation"
-
-    def test_deprecated_replication_wrapper_warns(self):
-        database = self._database()
-        with pytest.warns(DeprecationWarning, match="enable_adaptive_replication is deprecated"):
-            handle = database.enable_adaptive_replication("p", "ra")
-        assert handle.strategy == "replication"

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.executor import overlap_clusters
+from repro.util.half_open import half_open_in_domain, half_open_in_domain_many
 from repro.util.units import KB
 
 
@@ -181,6 +183,24 @@ class TestExecuteWave:
         for got, expected in zip(results, reference):
             assert _rows(got) == _rows(expected)
 
+    def test_a_write_changes_the_wave_not_the_handle(self, database):
+        """Classification is a prepare-time fact; pending deltas are a wave-time fact."""
+        prepared = database.prepare_statement(
+            "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
+        )
+        wave = [(prepared, (10.0, 12.0)), (prepared, (11.0, 13.0))]
+        template = prepared.template
+        assert template is not None and template.column == "ra"
+        before = database.execute_wave(wave)
+        assert all(result.batched for result in before)
+
+        database.insert("p", {"objid": np.array([77_777]), "ra": np.array([11.5])})
+        after = database.execute_wave(wave)
+        assert prepared.template is template  # same handle, same classification
+        assert [result.cache_level for result in after] == ["prepared", "prepared"]
+        for old, new in zip(before, after):
+            assert sorted(new.column("objid")) == sorted([*old.column("objid"), 77_777])
+
     def test_wave_updates_batch_stats(self, database):
         prepared = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
@@ -234,28 +254,28 @@ class TestBatchedProfiles:
 
 class TestOverlapClusters:
     def test_strictly_overlapping_ranges_merge(self):
-        clusters = Database._overlap_clusters([(10.0, 20.0), (19.0, 30.0)])
+        clusters = overlap_clusters([(10.0, 20.0), (19.0, 30.0)])
         assert clusters == [[0, 1]]
 
     def test_touching_at_nextafter_boundary_stays_separate(self):
         """Half-open ranges meeting at one nextafter boundary share no value."""
         boundary = math.nextafter(20.0, math.inf)
-        clusters = Database._overlap_clusters([(10.0, boundary), (boundary, 30.0)])
+        clusters = overlap_clusters([(10.0, boundary), (boundary, 30.0)])
         assert clusters == [[0], [1]]
 
     def test_exactly_touching_half_open_ranges_stay_separate(self):
-        clusters = Database._overlap_clusters([(10.0, 20.0), (20.0, 30.0)])
+        clusters = overlap_clusters([(10.0, 20.0), (20.0, 30.0)])
         assert clusters == [[0], [1]]
 
     def test_cluster_positions_index_the_input(self):
-        clusters = Database._overlap_clusters([(50.0, 60.0), (0.0, 10.0), (5.0, 7.0)])
+        clusters = overlap_clusters([(50.0, 60.0), (0.0, 10.0), (5.0, 7.0)])
         assert clusters == [[1, 2], [0]]
 
 
 class TestCacheStats:
     def test_levels_and_totals(self, database):
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 2.0")  # cold
-        database.execute("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 2.0")  # exact hit
+        database.execute("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 2.0")  # masked hit
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 3.0 AND 4.0")  # masked hit
         prepared = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
@@ -263,8 +283,8 @@ class TestCacheStats:
         database.execute_prepared(prepared, (5.0, 6.0))
         stats = database.cache_stats()
         levels = stats["levels"]
-        assert levels["exact"]["hits"] == 1
-        assert levels["masked"]["hits"] == 1
+        assert set(levels) == {"masked", "shape", "prepared"}
+        assert levels["masked"]["hits"] == 2
         assert levels["prepared"]["misses"] >= 1  # the prepare-time lookup
         assert levels["prepared"]["entries"] == 1
         assert levels["shape"]["entries"] == 1  # one shape shared by all paths
@@ -278,8 +298,8 @@ class TestCacheStats:
         db = Database(plan_cache_size=2)
         db.create_table("t", {"x": "float64"})
         db.bulk_load("t", {"x": np.arange(10, dtype=np.float64)})
-        for low in range(5):
-            db.execute(f"SELECT x FROM t WHERE x BETWEEN {low}.0 AND {low + 1}.5")
+        for operator in ("<", "<=", ">", ">=", "="):  # five shapes, two entries each
+            db.execute(f"SELECT x FROM t WHERE x {operator} 4.5")
         stats = db.cache_stats()
         assert stats["total"]["evictions"] > 0
         assert stats["total"]["evictions"] == sum(
@@ -294,8 +314,6 @@ class TestCacheStats:
 
 class TestHalfOpenBoundsMany:
     def test_bit_identical_to_scalar_translation(self, database):
-        from repro.optimizer.bpm import BatPartitionManager
-
         database.enable_adaptive("p", "ra", m_min=4 * KB, m_max=16 * KB)
         adaptive = database.adaptive_handle("p", "ra").adaptive
         bounds = [
@@ -306,9 +324,8 @@ class TestHalfOpenBoundsMany:
             (42.0, 42.0, True, True),
             (-500.0, 999.0, True, True),  # clamped to the domain
         ]
-        vectorized = Database._half_open_bounds_many(adaptive, bounds)
-        for (low, high, incl, inch), row in zip(bounds, vectorized):
-            expected = BatPartitionManager._half_open_bounds(
-                adaptive, low, high, incl, inch
+        vectorized = half_open_in_domain_many(adaptive.domain, bounds)
+        for bound, row in zip(bounds, vectorized):
+            assert (float(row[0]), float(row[1])) == half_open_in_domain(
+                adaptive.domain, *bound
             )
-            assert (float(row[0]), float(row[1])) == expected

@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.result import QueryResult
-from repro.engine.session import Session
 from repro.storage.bat import BAT
 from repro.util.units import KB
 
@@ -40,7 +39,7 @@ class TestSchemaAndLoading:
         assert isinstance(result, QueryResult)
 
     def test_drop_table_removes_adaptive_state(self, database):
-        database.enable_adaptive_segmentation("p", "ra")
+        database.enable_adaptive("p", "ra", strategy="segmentation")
         database.drop_table("p")
         assert database.table_names() == []
         assert database.bpm.handles() == []
@@ -90,6 +89,56 @@ class TestDeltaFreePathIsUntouched:
         assert len(built) == allocations
 
 
+class TestOneExecutionCore:
+    """The five ``execute*`` doors are adapters over one executor."""
+
+    TEXT = "SELECT objid FROM p WHERE ra BETWEEN 10 AND 11"
+
+    @pytest.mark.parametrize(
+        "door, entry",
+        [
+            ("execute", "run"),
+            ("execute_prepared", "run"),
+            ("execute_prepared_many", "run_wave"),
+            ("execute_many", "run_wave"),
+            ("execute_wave", "run_wave"),
+        ],
+    )
+    def test_each_door_enters_the_executor_once(self, database, monkeypatch, door, entry):
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        pairs = [(10.0, 11.0), (20.0, 21.0), (30.0, 31.0)]
+        calls = {
+            "execute": lambda: database.execute(self.TEXT),
+            "execute_prepared": lambda: database.execute_prepared(prepared, pairs[0]),
+            "execute_prepared_many": lambda: database.execute_prepared_many(prepared, pairs),
+            "execute_many": lambda: database.execute_many([self.TEXT, "SELECT count(*) FROM p"]),
+            "execute_wave": lambda: database.execute_wave([(prepared, pair) for pair in pairs]),
+        }
+        entered = {"run": 0, "run_wave": 0}
+        for name in entered:
+            original = getattr(database._executor, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                entered[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(database._executor, name, counting)
+        calls[door]()
+        assert entered[entry] == 1
+        if entry == "run":  # a wave of one is a straight call into the plan runner
+            assert entered["run_wave"] == 0
+
+    def test_removed_surface_stays_removed(self, database):
+        import repro.engine
+        from repro.engine import plan_cache
+
+        for name in ("execute_readonly", "enable_adaptive_segmentation",
+                     "enable_adaptive_replication", "interpreter"):
+            assert not hasattr(database, name), name
+        assert not hasattr(repro.engine, "Session")
+        assert not hasattr(plan_cache, "BoundPlan") and not hasattr(plan_cache, "TextShapePlan")
+
+
 class TestQueryExecution:
     def test_projection_matches_brute_force(self, database):
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 120 AND 125")
@@ -125,11 +174,16 @@ class TestQueryExecution:
         assert plan.startswith("function user.")
         assert "algebra.uselect" in plan
 
+    def test_result_to_rows(self, database):
+        result = database.execute("SELECT objid, ra FROM p WHERE ra BETWEEN 10 AND 10.5")
+        rows = result.to_rows(limit=5)
+        assert all(len(row) == 2 for row in rows)
+
 
 class TestAdaptiveExecution:
     def test_results_identical_across_strategies(self, database):
         plain = database.execute("SELECT objid FROM p WHERE ra BETWEEN 33 AND 37")
-        database.enable_adaptive_segmentation("p", "ra", m_min=2 * KB, m_max=8 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
         rng = np.random.default_rng(5)
         for _ in range(20):
             low = float(rng.uniform(0, 350))
@@ -138,7 +192,7 @@ class TestAdaptiveExecution:
         assert sorted(adapted.column("objid")) == sorted(plain.column("objid"))
 
     def test_adaptation_time_reported(self, database):
-        database.enable_adaptive_segmentation("p", "ra", m_min=2 * KB, m_max=8 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 100 AND 200")
         assert result.adaptation_seconds >= 0.0
         stats = database.last_adaptive_stats("p", "ra")
@@ -146,41 +200,10 @@ class TestAdaptiveExecution:
 
     def test_replication_through_engine_is_correct(self, database):
         expected = database.execute("SELECT objid FROM p WHERE ra BETWEEN 250 AND 255")
-        database.enable_adaptive_replication("p", "ra", m_min=2 * KB, m_max=8 * KB)
+        database.enable_adaptive("p", "ra", strategy="replication", m_min=2 * KB, m_max=8 * KB)
         rng = np.random.default_rng(9)
         for _ in range(20):
             low = float(rng.uniform(0, 350))
             database.execute(f"SELECT objid FROM p WHERE ra BETWEEN {low} AND {low + 4}")
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 250 AND 255")
         assert sorted(result.column("objid")) == sorted(expected.column("objid"))
-
-
-class TestSession:
-    def test_session_tracks_timings_and_results(self, database):
-        session = Session(database)
-        session.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
-        session.execute("SELECT count(*) FROM p WHERE ra BETWEEN 10 AND 20")
-        assert session.timings.queries == 2
-        assert session.timings.total_seconds > 0
-        assert session.timings.average_milliseconds > 0
-        assert len(session.results) == 2
-        session.reset_timings()
-        assert session.timings.queries == 0
-
-    def test_format_result_table_and_scalars(self, database):
-        session = Session(database)
-        rows = session.execute("SELECT objid, ra FROM p WHERE ra BETWEEN 10 AND 11")
-        text = session.format_result(rows, limit=3)
-        assert "objid" in text and "ra" in text
-        scalars = session.execute("SELECT count(*) FROM p WHERE ra BETWEEN 10 AND 11")
-        assert "count(*)" in session.format_result(scalars)
-
-    def test_format_empty_result(self, database):
-        session = Session(database)
-        result = session.execute("SELECT objid FROM p WHERE ra BETWEEN 400 AND 500")
-        assert session.format_result(result).startswith("")
-
-    def test_result_to_rows(self, database):
-        result = database.execute("SELECT objid, ra FROM p WHERE ra BETWEEN 10 AND 10.5")
-        rows = result.to_rows(limit=5)
-        assert all(len(row) == 2 for row in rows)

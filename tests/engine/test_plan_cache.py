@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.plan_cache import PlanCache, normalize_sql
-from repro.engine.session import Session
 from repro.util.units import KB
 
 
@@ -176,21 +175,15 @@ class TestExecuteMany:
         direct = database.execute(self.STATEMENTS[0])
         assert _rows(results[0]) == _rows(direct)
 
-    def test_batch_disabled_runs_conventionally(self, database):
-        results = database.execute_many(self.STATEMENTS[:2], batch=False)
-        assert not any(result.batched for result in results)
+    def test_one_statement_at_a_time_answers_like_the_batch(self, database):
+        singly = [database.execute(sql) for sql in self.STATEMENTS[:2]]
+        assert not any(result.batched for result in singly)
+        for got, expected in zip(database.execute_many(self.STATEMENTS[:2]), singly):
+            assert got.batched and _rows(got) == _rows(expected)
 
     def test_invalid_statement_raises_the_usual_error(self, database):
         with pytest.raises(Exception):
             database.execute_many(["SELECT objid FROM nowhere WHERE x < 1"])
-
-    def test_session_execute_many_records_timings(self, database):
-        session = Session(database)
-        results = session.execute_many(self.STATEMENTS[:2])
-        assert session.timings.queries == 2
-        assert len(session.results) == 2
-        assert all(result.batched for result in results)
-        assert session.plan_cache_stats.capacity == database.plan_cache.capacity
 
 
 class TestGenerationCounter:
@@ -210,17 +203,3 @@ class TestGenerationCounter:
         assert database.plan_cache.generation == generation + 1
         database.disable_adaptive("p", "ra")
         assert database.plan_cache.generation == generation + 2
-
-
-class TestSessionExecutemanyDeprecation:
-    def test_executemany_warns_and_keeps_per_query_contract(self, database):
-        session = Session(database)
-        statements = [
-            "SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 20.0",
-            "SELECT objid FROM p WHERE ra BETWEEN 15.0 AND 25.0",
-        ]
-        with pytest.warns(DeprecationWarning, match="execute_many"):
-            results = session.executemany(statements)
-        # batch=False: every statement took the full per-query path.
-        assert [result.batched for result in results] == [False, False]
-        assert session.timings.queries == 2

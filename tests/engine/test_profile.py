@@ -55,12 +55,11 @@ class TestQueryProfile:
         assert profile.parse_seconds > 0  # the masked-text fast path still scans
         assert profile.execute_seconds > 0
 
-    def test_exact_repeat_skips_even_the_parse(self, database):
-        database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
+    def test_an_identical_repeat_is_a_masked_hit_like_any_literal_variant(self, database):
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
         repeat = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
-        assert repeat.plan_cache_hit
-        assert repeat.profile.parse_seconds == 0.0
+        assert repeat.plan_cache_hit and repeat.cache_level == "masked"
+        assert repeat.profile.plan_seconds == repeat.profile.parse_seconds  # masking only
 
     def test_stage_seconds_keys_are_the_pipeline_stages(self, database):
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
@@ -151,8 +150,16 @@ class TestContextPooling:
         projection = database.execute("SELECT objid FROM p WHERE ra BETWEEN 0 AND 1")
         assert projection.scalars == {}
 
-    def test_contexts_are_reused(self, database):
+    def test_contexts_are_reused(self, database, monkeypatch):
+        from repro.engine.execution import ExecutionContext
+
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
-        pooled = database._context_pool[0]
+        built = []
+        init = ExecutionContext.__init__
+        monkeypatch.setattr(
+            ExecutionContext, "__init__",
+            lambda self, *args, **kwargs: (built.append(self), init(self, *args, **kwargs))[1],
+        )
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
-        assert database._context_pool[0] is pooled
+        database.execute_many(["SELECT count(*) FROM p", "SELECT objid FROM p WHERE ra < 5"])
+        assert built == []  # every run after the first drew from the pool

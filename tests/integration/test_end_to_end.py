@@ -90,8 +90,9 @@ class TestEngineScenario:
                 {"objid": np.arange(dataset.ra.size, dtype=np.int64), "ra": dataset.ra},
             )
             if adaptive:
-                database.enable_adaptive_segmentation(
-                    "p", "ra", model="apm", m_min=dataset.m_min, m_max=dataset.m_max_large
+                database.enable_adaptive(
+                    "p", "ra", strategy="segmentation", model="apm",
+                    m_min=dataset.m_min, m_max=dataset.m_max_large,
                 )
             times = []
             for query in workload:

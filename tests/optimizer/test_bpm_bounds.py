@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.models import AdaptivePageModel
 from repro.core.segmentation import SegmentedColumn
-from repro.optimizer.bpm import BatPartitionManager
 from repro.storage.catalog import Catalog
+from repro.util.half_open import half_open_in_domain
 from repro.util.units import KB
 
 
@@ -25,34 +25,33 @@ def column() -> SegmentedColumn:
 
 class TestHalfOpenBounds:
     def test_between_includes_both_bounds(self, column):
-        low, high = BatPartitionManager._half_open_bounds(column, 20.0, 40.0, True, True)
+        low, high = half_open_in_domain(column.domain, 20.0, 40.0, True, True)
         result = column.select(low, high)
         assert sorted(set(result.values.tolist())) == [20.0, 30.0, 40.0]
 
     def test_exclusive_high(self, column):
-        low, high = BatPartitionManager._half_open_bounds(column, 20.0, 40.0, True, False)
+        low, high = half_open_in_domain(column.domain, 20.0, 40.0, True, False)
         assert sorted(set(column.select(low, high).values.tolist())) == [20.0, 30.0]
 
     def test_exclusive_low(self, column):
-        low, high = BatPartitionManager._half_open_bounds(column, 20.0, 40.0, False, True)
+        low, high = half_open_in_domain(column.domain, 20.0, 40.0, False, True)
         assert sorted(set(column.select(low, high).values.tolist())) == [30.0, 40.0]
 
     def test_infinite_bounds_clamp_to_domain(self, column):
-        low, high = BatPartitionManager._half_open_bounds(
-            column, -np.inf, np.inf, True, False
+        low, high = half_open_in_domain(column.domain, -np.inf, np.inf, True, False
         )
         assert column.select(low, high).count == 1000
 
     def test_upper_bound_beyond_domain_includes_maximum(self, column):
-        low, high = BatPartitionManager._half_open_bounds(column, 45.0, 1e9, True, True)
+        low, high = half_open_in_domain(column.domain, 45.0, 1e9, True, True)
         assert sorted(set(column.select(low, high).values.tolist())) == [50.0]
 
     def test_degenerate_equality_range(self, column):
-        low, high = BatPartitionManager._half_open_bounds(column, 30.0, 30.0, True, True)
+        low, high = half_open_in_domain(column.domain, 30.0, 30.0, True, True)
         assert set(column.select(low, high).values.tolist()) == {30.0}
 
     def test_empty_when_bounds_cross_after_clamping(self, column):
-        low, high = BatPartitionManager._half_open_bounds(column, 500.0, 600.0, True, True)
+        low, high = half_open_in_domain(column.domain, 500.0, 600.0, True, True)
         assert column.select(low, high).count == 0
 
 
@@ -66,7 +65,7 @@ class TestEngineBoundaryQueries:
         database.bulk_load("t", {"x": values})
         expected = database.execute("SELECT x FROM t WHERE x BETWEEN 2 AND 3").row_count
 
-        database.enable_adaptive_segmentation("t", "x", m_min=256, m_max=1024)
+        database.enable_adaptive("t", "x", strategy="segmentation", m_min=256, m_max=1024)
         for _ in range(3):
             adaptive = database.execute("SELECT x FROM t WHERE x BETWEEN 2 AND 3").row_count
             assert adaptive == expected == 300
@@ -78,7 +77,7 @@ class TestEngineBoundaryQueries:
         database = Database()
         database.create_table("t", {"x": "float64"})
         database.bulk_load("t", {"x": values})
-        database.enable_adaptive_segmentation("t", "x", m_min=256, m_max=1024)
+        database.enable_adaptive("t", "x", strategy="segmentation", m_min=256, m_max=1024)
         strictly_less = database.execute("SELECT x FROM t WHERE x < 9").row_count
         less_equal = database.execute("SELECT x FROM t WHERE x <= 9").row_count
         assert less_equal == strictly_less + 1

@@ -23,15 +23,15 @@ def database() -> Database:
 
 class TestBatPartitionManager:
     def test_enable_and_handle_lookup(self, database):
-        handle = database.enable_adaptive_segmentation("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        handle = database.enable_adaptive("p", "ra", strategy="segmentation", m_min=4 * KB, m_max=16 * KB)
         assert database.bpm.is_managed("p", "ra")
         assert handle.qualified_name == "p.ra"
         assert handle.adaptive.segment_count == 1
 
     def test_enable_twice_rejected(self, database):
-        database.enable_adaptive_segmentation("p", "ra")
+        database.enable_adaptive("p", "ra", strategy="segmentation")
         with pytest.raises(ValueError):
-            database.enable_adaptive_segmentation("p", "ra")
+            database.enable_adaptive("p", "ra", strategy="segmentation")
 
     def test_unknown_strategy_rejected(self, database):
         bpm = database.bpm
@@ -40,7 +40,7 @@ class TestBatPartitionManager:
             bpm.enable("p", "ra", strategy="hashing", model=AdaptivePageModel(1, 2), values=values)
 
     def test_disable_returns_column_to_plain_path(self, database):
-        database.enable_adaptive_segmentation("p", "ra")
+        database.enable_adaptive("p", "ra", strategy="segmentation")
         database.disable_adaptive("p", "ra")
         assert not database.bpm.is_managed("p", "ra")
         plan = database.explain("SELECT objid FROM p WHERE ra BETWEEN 1 AND 2")
@@ -51,7 +51,7 @@ class TestBatPartitionManager:
             database.bpm.handle("p", "ra")
 
     def test_replication_strategy_supported(self, database):
-        handle = database.enable_adaptive_replication("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        handle = database.enable_adaptive("p", "ra", strategy="replication", m_min=4 * KB, m_max=16 * KB)
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
         assert result.row_count > 0
         assert handle.adaptive.storage_bytes >= handle.adaptive.total_bytes * 0.99
@@ -60,12 +60,12 @@ class TestBatPartitionManager:
         database = Database()
         database.create_table("empty", {"x": "float64"})
         with pytest.raises(ValueError):
-            database.enable_adaptive_segmentation("empty", "x")
+            database.enable_adaptive("empty", "x", strategy="segmentation")
 
 
 class TestSegmentOptimizerRewrite:
     def test_rewrite_injects_bpm_iterator_block(self, database):
-        database.enable_adaptive_segmentation("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=4 * KB, m_max=16 * KB)
         plan = database.explain("SELECT objid FROM p WHERE ra BETWEEN 100 AND 120")
         assert "bpm.take" in plan
         assert "barrier" in plan and "redo" in plan and "exit" in plan
@@ -73,7 +73,7 @@ class TestSegmentOptimizerRewrite:
         assert "bpm.result" in plan
 
     def test_only_level_zero_selection_is_rewritten(self, database):
-        database.enable_adaptive_segmentation("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=4 * KB, m_max=16 * KB)
         plan = database.explain("SELECT objid FROM p WHERE ra BETWEEN 100 AND 120")
         # The delta-BAT selections (levels 1 and 2) keep the conventional path.
         assert plan.count("algebra.uselect") == 2
@@ -83,19 +83,19 @@ class TestSegmentOptimizerRewrite:
         assert "bpm." not in plan
 
     def test_predicates_on_other_columns_not_rewritten(self, database):
-        database.enable_adaptive_segmentation("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=4 * KB, m_max=16 * KB)
         plan = database.explain("SELECT ra FROM p WHERE objid < 100")
         assert "bpm." not in plan
 
     def test_rewritten_plan_matches_plain_plan_results(self, database):
         plain = database.execute("SELECT objid FROM p WHERE ra BETWEEN 42 AND 47")
-        database.enable_adaptive_segmentation("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=4 * KB, m_max=16 * KB)
         for _ in range(5):
             adaptive = database.execute("SELECT objid FROM p WHERE ra BETWEEN 42 AND 47")
             assert sorted(adaptive.column("objid")) == sorted(plain.column("objid"))
 
     def test_adaptation_happens_through_the_sql_path(self, database):
-        database.enable_adaptive_segmentation("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=4 * KB, m_max=16 * KB)
         rng = np.random.default_rng(3)
         for _ in range(30):
             low = float(rng.uniform(0, 350))
@@ -105,7 +105,7 @@ class TestSegmentOptimizerRewrite:
         assert len(handle.adaptive.history) == 30
 
     def test_comparison_predicate_uses_bpm_with_open_bound(self, database):
-        database.enable_adaptive_segmentation("p", "ra", m_min=4 * KB, m_max=16 * KB)
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=4 * KB, m_max=16 * KB)
         result = database.execute("SELECT objid FROM p WHERE ra >= 350")
         handle = database.adaptive_handle("p", "ra")
         expected = int((handle.adaptive.select(350, 361).count))

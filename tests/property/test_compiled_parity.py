@@ -156,7 +156,7 @@ def test_engine_iterator_rewrites_match_interpreter(queries):
             interpreted_db.compiler.compile(parse(sql))
         )
         context_a = ExecutionContext(catalog=interpreted_db.catalog)
-        env_a = interpreted_db.interpreter.run(plan_a, context_a)
+        env_a = Interpreter(interpreted_db.registry).run(plan_a, context_a)
 
         plan_b = compiled_db.optimizer.optimize(compiled_db.compiler.compile(parse(sql)))
         context_b = ExecutionContext(catalog=compiled_db.catalog)
@@ -189,7 +189,7 @@ def test_database_execute_matches_interpreter_results():
 
         plan = slow_db.optimizer.optimize(slow_db.compiler.compile(parse(sql)))
         context = ExecutionContext(catalog=slow_db.catalog)
-        slow_db.interpreter.run(plan, context)
+        Interpreter(slow_db.registry).run(plan, context)
         expected = context.exported_columns()
 
         assert fast.column_names == list(expected)

@@ -1,7 +1,7 @@
 """Concurrent snapshot reads must answer exactly like the serial engine.
 
-The contract under test: ``execute_wave(..., readers=N)`` fans bound range
-selects across reader threads against pinned, immutable index snapshots
+The contract under test: ``execute_wave`` with ``read_workers = N`` fans bound
+range selects across reader threads against pinned, immutable index snapshots
 while adaptation (splits, materializations, budget evictions) and knob
 changes keep running on the owner thread between waves.  Whatever the
 interleaving, every member's *row set* must equal the fully serialized
@@ -63,13 +63,14 @@ def _sorted_rows(result) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_waves(database, bounds, *, readers, wave=16, knob_pulse=None):
     prepared = database.prepare_statement(SQL)
+    database.read_workers = readers  # the knob pulse may move it again, never below 2
     results = []
     for wave_index, start in enumerate(range(0, len(bounds), wave)):
         requests = [
             (prepared, prepared.binding.bind(pair))
             for pair in bounds[start : start + wave]
         ]
-        results.extend(database.execute_wave(requests, readers=readers))
+        results.extend(database.execute_wave(requests))
         if knob_pulse is not None:
             knob_pulse(database, wave_index)
     return results

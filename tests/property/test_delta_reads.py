@@ -1,22 +1,27 @@
-"""Property: one oracle for reads beside pending writes.
+"""Property: one oracle for every door, with and without pending writes.
 
 Random interleavings of ``insert`` / ``delete`` / ``ColumnStore.update`` and
 range selects, over a plain column and every registered adaptive strategy,
-through the four read doors (text ``execute``, ``execute_prepared``,
-``execute_many``, ``execute_wave(readers=2)``).  Every answer must be
-permutation-equal to a numpy mask scan of a shadow table replayed in op
-order, and the adaptive structure must pass ``check_invariants()`` after every
-step.  Deletes deliberately repeat oids and hit rows still in the insert
+through the read doors (text ``execute``, ``execute_prepared``,
+``execute_many``, ``execute_wave``) with ``read_workers`` 1 or 2.  Every
+answer must be permutation-equal to a numpy mask scan of a shadow table
+replayed in op order, and the adaptive structure must pass
+``check_invariants()`` after every step.  Deletes deliberately repeat oids and hit rows still in the insert
 delta; an oid is updated at most once (the update BAT keeps every pair it is
 given, so a second update of one row is not a supported write).  Half the
 tables take an insert *before* the column is made adaptive, so the adaptive
 column and the insert delta both hold those rows and the union has to
 deduplicate rather than concatenate.
+
+The door-equivalence check below it drives one fixed set of ranges through
+each of the five ``Database.execute*`` doors — they are adapters over one
+executor, so they must agree on answers, slot order and batch counters.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
@@ -117,7 +122,7 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
             )
         else:
             results = database.execute_wave(
-                [(prepared, prepared.binding.bind(pair)) for pair in bounds], readers=2
+                [(prepared, prepared.binding.bind(pair)) for pair in bounds]
             )
         assert len(results) == len(bounds)
         for (low, high), result in zip(bounds, results):
@@ -129,10 +134,16 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
 
 
 @seed(20260925)
-@given(organisation=organisations, early_insert=st.booleans(), stream=ops)
+@given(
+    organisation=organisations,
+    early_insert=st.booleans(),
+    read_workers=st.sampled_from([1, 2]),
+    stream=ops,
+)
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, stream):
+def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, read_workers, stream):
     database, shadow = _build(organisation, early_insert)
+    database.read_workers = read_workers
     prepared = database.prepare_statement(SQL)
     adaptive = (
         database.adaptive_handle("p", "v").adaptive if organisation is not None else None
@@ -144,3 +155,98 @@ def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, strea
     # Whatever the stream left pending, a full scan sees exactly the live rows.
     result = database.execute_prepared(prepared, (0.0, DOMAIN))
     assert _pairs(result) == shadow.answer(0.0, DOMAIN)
+
+
+# -- one door-equivalence check ------------------------------------------------------
+
+DOORS = ("execute", "execute_prepared", "execute_prepared_many", "execute_many", "execute_wave")
+RANGES = [(40.0, 90.0), (60.0, 120.0), (500.0, 510.0), (880.0, 1000.0), (0.0, 15.5)]
+RAN_SINGLY = {"cold", "shape", "masked", "prepared"}  # the compiled plan ran for this member
+
+
+def _through(database: Database, door: str, prepared, bounds, **options) -> list:
+    """The same ranges through one door; always a list in input order."""
+    texts = [LITERAL.format(low=low, high=high) for low, high in bounds]
+    if door == "execute":
+        return [database.execute(text) for text in texts]
+    if door == "execute_prepared":
+        return [database.execute_prepared(prepared, pair) for pair in bounds]
+    if door == "execute_prepared_many":
+        return database.execute_prepared_many(prepared, bounds)
+    if door == "execute_many":
+        return database.execute_many(texts)
+    return database.execute_wave(
+        [(prepared, prepared.binding.bind(pair)) for pair in bounds], **options
+    )
+
+
+@pytest.mark.parametrize("read_workers", [1, 2])
+@pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "pending-deltas"])
+@pytest.mark.parametrize("organisation", [None, *available_strategies()])
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_answers_alike(door, organisation, pending, read_workers):
+    database, shadow = _build(organisation, early_insert=False)
+    database.read_workers = read_workers
+    adaptive = (
+        database.adaptive_handle("p", "v").adaptive if organisation is not None else None
+    )
+    prepared = database.prepare_statement(SQL)
+    if pending:
+        _step(database, shadow, prepared, "insert", 11)
+        _step(database, shadow, prepared, "delete", 12)
+
+    results = _through(database, door, prepared, RANGES)
+
+    assert [_pairs(result) for result in results] == [
+        shadow.answer(low, high) for low, high in RANGES
+    ]  # slot order is input order
+    assert database.query_history[-len(RANGES):] == results
+    if adaptive is not None:
+        adaptive.check_invariants()
+    # Whichever wave door delivered them, the members were bucketed alike.
+    snapshot_read = read_workers > 1 and getattr(adaptive, "supports_snapshot_reads", False)
+    levels = {result.cache_level for result in results}
+    batch = database.cache_stats()["batch"]
+    counted = (batch["waves"], batch["batched_queries"], batch["fallback_queries"])
+    if door in ("execute", "execute_prepared"):
+        assert counted == (0, 0, 0) and levels <= RAN_SINGLY
+    elif pending:
+        assert counted == (0, 0, len(RANGES)) and levels <= RAN_SINGLY
+    elif snapshot_read:
+        assert counted == (0, 0, 0) and levels == {"snapshot"}
+    else:
+        assert counted == (1, len(RANGES), 0) and levels == {"batched"}
+
+
+@pytest.mark.parametrize("read_workers", [1, 2])
+@pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "pending-deltas"])
+@pytest.mark.parametrize("organisation", [None, *available_strategies()])
+def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pending, read_workers):
+    database, shadow = _build(organisation, early_insert=False)
+    database.read_workers = read_workers
+    database.create_table("gone", {"w": "float64"})
+    database.bulk_load("gone", {"w": np.arange(5.0)})
+    poison = database.prepare_statement("select w from gone where w between ? and ?")
+    database.drop_table("gone")  # the handle is stale and can no longer be refreshed
+    prepared = database.prepare_statement(SQL)
+    if pending:
+        _step(database, shadow, prepared, "insert", 11)
+        _step(database, shadow, prepared, "delete", 12)
+    members = [(prepared, prepared.binding.bind(pair)) for pair in RANGES]
+    members.insert(2, (poison, (0.0, 1.0)))
+
+    with pytest.raises(KeyError):
+        database.execute_wave(members)
+    results = database.execute_wave(members, isolate=True)
+
+    assert isinstance(results[2], KeyError)
+    healthy = results[:2] + results[3:]
+    assert [_pairs(result) for result in healthy] == [
+        shadow.answer(low, high) for low, high in RANGES
+    ]
+    assert database.query_history[-len(RANGES):] == healthy
+    if organisation is not None:
+        database.adaptive_handle("p", "v").adaptive.check_invariants()
+    # The failed whole-wave attempts ran nothing; the replay ran each member alone.
+    batch = database.cache_stats()["batch"]
+    assert (batch["waves"], batch["fallback_queries"]) == (0, len(RANGES))

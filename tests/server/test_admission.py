@@ -326,6 +326,5 @@ class TestStats:
             "retry_backoff_s": 0.05,
             "auto_rebuild": True,
             "replicas": 1,
-            "read_workers": None,  # defers to each engine's own attribute
         }
         executor.shutdown(wait=True)

@@ -15,7 +15,6 @@ from repro.sql.parameters import (
     parameter_names,
     parameterize,
     prepared_binding,
-    range_parameter_checks,
     statement_shape,
     substitute_placeholders,
 )
@@ -119,13 +118,26 @@ class TestMaskLiterals:
         assert values == (5.0,)  # fewer values than '?' occurrences → never matches
 
 
-class TestRangeParameterChecks:
-    def test_checks_cover_range_predicates_only(self):
-        result = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5")
-        assert range_parameter_checks(result.statement) == ((0, 1),)
+class TestLiftedBinding:
+    """A lifted statement binds like the ``?`` statement its masked text spells."""
 
-    def test_unparameterized_statement_has_no_checks(self):
-        assert range_parameter_checks(parse("SELECT x FROM t WHERE x BETWEEN 1 AND 2")) == ()
+    def test_lifted_statement_equals_the_prepared_parse_of_its_masked_text(self):
+        lifted = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5")
+        prepared = parse(
+            "SELECT objid FROM p WHERE ra BETWEEN ? AND ? AND dec > ?", placeholders=True
+        )
+        assert prepared_binding(lifted.statement) == prepared_binding(prepared)
+        assert lifted.shape == statement_shape(prepared)
+
+    def test_range_order_is_revalidated_on_the_lifted_literals(self):
+        binding = prepared_binding(
+            shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5").statement
+        )
+        assert binding.bind((10.0, 40.0, 5.0)) == (10.0, 40.0, 5.0)
+        with pytest.raises(BindError, match="high >= low"):
+            binding.bind((40.0, 10.0, 5.0))
+        with pytest.raises(BindError, match="takes 3 parameter"):
+            binding.bind((10.0, 40.0))
 
     def test_invalid_range_still_raises_at_parse_time(self):
         with pytest.raises(ValueError, match="high < low"):
