@@ -30,9 +30,7 @@ Metrics merged into ``BENCH_segment_kernels.json``:
 * ``router_scaling_x``        — N=4 over N=1 (bar: >= 2x at reference scale)
 * ``router_retune_cost_drop_x`` — modeled scan bytes before/after retune
 * ``degraded_throughput_qps`` — N=4 with one replica quarantined (failover
-  re-routes its clusters to the best surviving sibling; CI gates this at
-  >= 50% of ``router_throughput_qps`` via ``compare_bench.py
-  --min-fraction``)
+  re-routes its clusters to the best surviving sibling; reported, not gated)
 
 Scales with the environment (CI runs reduced)::
 
@@ -141,7 +139,7 @@ def measure_fleet(
     """Best routed qps at this fleet size (plus the retune report for N>1).
 
     With ``degrade=True`` the fleet is re-measured after quarantining one
-    replica (the degraded-mode throughput the CI min-fraction gate rides on).
+    replica (the degraded-mode throughput).
     """
     router = build_router(n_replicas, n_rows=n_rows, slack_kb=slack_kb)
     retune_report = None

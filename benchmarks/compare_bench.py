@@ -20,15 +20,6 @@ introduced after the baseline was committed) — likewise one missing from
 *both* reports (a first-run metric whose bench has not produced a baseline
 yet).  Missing from the *current* report while the baseline has it is a
 failure (the suite stopped measuring something it gates on).
-
-``--min-fraction METRIC:REFERENCE:MIN`` adds an *intra-report* gate: within
-the current report alone, ``METRIC`` must be at least ``MIN`` times
-``REFERENCE`` — e.g. ``--min-fraction
-degraded_throughput_qps:router_throughput_qps:0.5`` fails when a 3-of-4
-degraded fleet retains less than half the full fleet's throughput.  Both
-metrics co-measured in one run, so the gate carries no machine factor.
-Either metric missing from the current report is a warning (the gate arms
-itself once the bench measures both), not a failure.
 """
 
 from __future__ import annotations
@@ -109,53 +100,6 @@ def check(
     return failures, warnings
 
 
-def check_fractions(
-    current: dict,
-    fractions: list[tuple[str, str, float]],
-) -> tuple[list[str], list[str]]:
-    """Evaluate intra-report min-fraction gates; returns ``(failures, warnings)``."""
-    records = _values_by_name(current)
-    failures: list[str] = []
-    warnings: list[str] = []
-    for metric, reference, minimum in fractions:
-        missing = [name for name in (metric, reference) if name not in records]
-        if missing:
-            warnings.append(
-                f"{', '.join(missing)}: not in the current report "
-                f"(skipping the {metric} >= {minimum:g} * {reference} gate)"
-            )
-            continue
-        reference_value = records[reference]["value"]
-        if not reference_value:
-            warnings.append(f"{reference}: value is zero (skipping the gate)")
-            continue
-        fraction = records[metric]["value"] / reference_value
-        if fraction < minimum:
-            unit = records[metric].get("unit", "")
-            failures.append(
-                f"{metric}: {fraction:.2f} of {reference} "
-                f"(minimum {minimum:g}; "
-                f"{_render(records[metric]['value'], unit)} vs "
-                f"{_render(reference_value, unit)})"
-            )
-    return failures, warnings
-
-
-def _parse_fraction(spec: str) -> tuple[str, str, float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected METRIC:REFERENCE:MIN, got {spec!r}"
-        )
-    try:
-        minimum = float(parts[2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"minimum fraction must be a number, got {parts[2]!r}"
-        ) from None
-    return parts[0], parts[1], minimum
-
-
 def format_table(baseline: dict, current: dict) -> str:
     """All shared timing metrics as ``name ratio`` lines (ratio >1 = slower).
 
@@ -193,11 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-ratio", type=float, action="append", default=None,
                         help="failure threshold for the corresponding --metric "
                              f"(default: {DEFAULT_MAX_RATIO})")
-    parser.add_argument("--min-fraction", type=_parse_fraction, action="append",
-                        default=None, metavar="METRIC:REFERENCE:MIN",
-                        help="intra-report gate: METRIC must be >= MIN * "
-                             "REFERENCE within the current report (e.g. "
-                             "degraded_throughput_qps:router_throughput_qps:0.5)")
     args = parser.parse_args(argv)
 
     metrics = args.metric if args.metric else [DEFAULT_METRIC]
@@ -210,10 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     current = load_report(args.current)
     print(format_table(baseline, current))
     failures, warnings = check(baseline, current, gates)
-    fractions = list(args.min_fraction or [])
-    fraction_failures, fraction_warnings = check_fractions(current, fractions)
-    failures.extend(fraction_failures)
-    warnings.extend(fraction_warnings)
     for message in warnings:
         print(f"[warn] {message}")
     if failures:
@@ -221,11 +156,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[FAIL] {message}")
         return 1
     gated = ", ".join(f"{metric} <= {ratio:g}x" for metric, ratio in gates)
-    if fractions:
-        gated += ", " + ", ".join(
-            f"{metric} >= {minimum:g} * {reference}"
-            for metric, reference, minimum in fractions
-        )
     print(f"[ok] perf gate passed ({gated})")
     return 0
 

@@ -22,8 +22,8 @@ front-end"; this package is that front-end for client code::
         result = select.execute({"lo": 205.1, "hi": 205.12})
 
 Parameterized execution binds straight into the engine's compiled plans: the
-statement shape is lowered once, and every execution skips the parse *and*
-the literal masking — the fastest of the plan-cache levels (see
+statement is lowered once, and every execution skips the parse *and*
+the literal masking — the fastest way to a cached plan (see
 ``QueryResult.cache_level``).  The module-level attributes below are the
 PEP 249 contract: ``paramstyle`` is ``"qmark"`` (``?``), with ``:name``
 named style accepted as well.

@@ -100,12 +100,10 @@ class Admin:
             return self._database().explain(sql)
 
     def cache_stats(self) -> dict[str, Any]:
-        """Per-level plan-cache and batch counters (see :meth:`Database.cache_stats`).
+        """Plan-cache and batch counters (see :meth:`Database.cache_stats`).
 
-        ``levels`` splits hits/misses/evictions/entries by cache level —
-        ``masked`` (literal-masked text), ``shape`` (parsed shape) and
-        ``prepared`` (placeholder binding) —
-        ``total`` carries the cache-wide counters, and ``batch`` reports the
+        ``total`` carries the cache-wide counters (hits, misses, evictions,
+        size, capacity, generation, hit ratio), and ``batch`` reports the
         vectorized batch executor (waves run, queries batched vs fallen back,
         wave-size histogram).
         """

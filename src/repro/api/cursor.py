@@ -2,13 +2,13 @@
 
 A cursor is a thin client-side view over :class:`~repro.engine.result
 .QueryResult` rows.  ``execute(sql)`` without parameters takes the literal
-path (masked/shape plan-cache levels); ``execute(sql, params)`` takes the
-prepared path — the statement's placeholder shape is looked up (or lowered
-once) in the plan cache and the bindings are validated and written straight
-into the compiled plan's slot environment, skipping both the parse and the
-literal masking.  ``executemany`` binds every parameter set against one
-prepared shape and routes same-column range selections — overlapping and
-disjoint alike — through the engine's vectorized batch executor.
+path (the plan is found under the literal-masked text); ``execute(sql,
+params)`` takes the prepared path — the statement's placeholder text is
+looked up (or lowered once) in the plan cache and the bindings are validated
+and written straight into the compiled plan's slot environment, skipping both
+the parse and the literal masking.  ``executemany`` binds every parameter set
+against one prepared statement and routes same-column range selections —
+overlapping and disjoint alike — through the engine's vectorized batch executor.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class Cursor:
 
     Attributes beyond the PEP: ``result`` (the :class:`QueryResult` of the
     last statement), ``results`` (all results of the last ``executemany``),
-    ``cache_level`` (which plan-cache level answered the last statement:
-    ``masked``/``shape``/``prepared``/``batched``/``snapshot``/``cold``) and
+    ``cache_level`` (how the last statement's result came about:
+    ``masked``/``prepared``/``batched``/``snapshot``/``cold``) and
     ``profile`` (its per-stage :class:`QueryProfile`).
     """
 

@@ -54,7 +54,7 @@ class PreparedStatement:
     @property
     def plan_text(self) -> str:
         """The lowered MAL plan in concrete syntax (like ``EXPLAIN``)."""
-        return self._refresh().plan.text
+        return self._refresh().text
 
     # -- execution ------------------------------------------------------------
 

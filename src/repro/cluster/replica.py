@@ -55,7 +55,7 @@ class ReplicaHealth(enum.Enum):
 
 
 def clone_database(source: Database) -> Database:
-    """A fresh :class:`Database` with the same tables, data and adaptive setup.
+    """A fresh :class:`Database` with the same tables, data, adaptive setup and reader fan-out.
 
     Data arrays are **copied** (replicas must not share base arrays: each
     replica's adaptive strategy reorganizes its own copy) and adaptive
@@ -74,6 +74,7 @@ def clone_database(source: Database) -> Database:
                 "a model instance; only string-named models can be cloned"
             )
     clone = Database(plan_cache_size=source.plan_cache.capacity)
+    clone.read_workers = source.read_workers
     for table in source.table_names():
         schema = source.catalog.schema(table)
         clone.create_table(
@@ -192,14 +193,9 @@ class EngineReplica:
     component with the fleet-wide view failover needs.
     """
 
-    def __init__(self, index: int, database: Database, *, read_workers: int = 1) -> None:
+    def __init__(self, index: int, database: Database) -> None:
         self.index = int(index)
         self.database = database
-        # Per-replica snapshot-reader fan-out: the replica's worker thread
-        # stays the only adaptation owner; extra threads only serve pinned-
-        # snapshot reads inside execute_wave.
-        self.read_workers = max(1, int(read_workers))
-        database.read_workers = self.read_workers
         self.worker = ReplicaWorker(index)
         self.queries_served = 0
         self.waves_served = 0
@@ -235,7 +231,6 @@ class EngineReplica:
         """
         self.worker.close(timeout=close_timeout)
         self.database = database
-        database.read_workers = self.read_workers
         self.worker = ReplicaWorker(self.index)
         self.consecutive_failures = 0
         self.last_error = None
@@ -272,7 +267,7 @@ class EngineReplica:
             "busy_seconds": self.busy_seconds,
             "qps": qps,
             "health": self.health.value,
-            "read_workers": self.read_workers,
+            "read_workers": self.database.read_workers,
             "failures": self.failures,
             "consecutive_failures": self.consecutive_failures,
             "rebuilds": self.rebuilds,

@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
@@ -61,6 +62,13 @@ from repro.engine.plan_cache import PreparedPlan
 from repro.util.half_open import half_open
 
 __all__ = ["Router", "what_if_bytes"]
+
+#: How many recent query bounds feed :meth:`Router.retune`.
+HISTORY = 4096
+#: Window (in routed queries) of the per-cluster traffic-share EWMA.
+SHARE_WINDOW = 128
+#: Hard per-replica join deadline of :meth:`Router.close` (``timeout=`` overrides).
+JOIN_TIMEOUT_S = 5.0
 
 
 def what_if_bytes(adaptive: Any, low: float, high: float) -> float:
@@ -110,14 +118,10 @@ class Router:
         sticking to the best-fit replica.
     ewma_alpha:
         Smoothing for the observed per-cluster×replica cost model.
-    history:
-        How many recent query bounds feed :meth:`retune`.
     quarantine_after:
         Consecutive wave failures that escalate a suspect replica to
         quarantined (deadline timeouts quarantine immediately — the worker
         is presumed wedged).
-    join_timeout_s:
-        Hard per-replica join deadline in :meth:`close`.
     injector:
         Optional :class:`~repro.fault.FaultInjector`; when armed, every wave
         fires the ``wave.execute`` site with ``replica=<index>`` context on
@@ -134,15 +138,9 @@ class Router:
         n_clusters: int | None = None,
         hot_query_threshold: float = 0.5,
         ewma_alpha: float = 0.2,
-        history: int = 4096,
-        share_window: int = 128,
         quarantine_after: int = 2,
-        retune_cooldown_s: float = 2.0,
-        retune_min_new_routes: int = 0,
-        join_timeout_s: float = 5.0,
         injector: Any | None = None,
         seed: int | None = 0,
-        read_workers: int = 1,
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -150,27 +148,15 @@ class Router:
             raise ValueError("hot_query_threshold must be in (0, 1]")
         if quarantine_after < 1:
             raise ValueError(f"quarantine_after must be >= 1, got {quarantine_after}")
-        if retune_cooldown_s < 0.0:
-            raise ValueError("retune_cooldown_s must be >= 0")
         self.hot_query_threshold = float(hot_query_threshold)
         self.ewma_alpha = float(ewma_alpha)
         self.n_clusters = int(n_clusters) if n_clusters else int(n_replicas)
         self.quarantine_after = int(quarantine_after)
-        self.retune_cooldown_s = float(retune_cooldown_s)
-        self.retune_min_new_routes = int(retune_min_new_routes)
-        self.join_timeout_s = float(join_timeout_s)
         self.injector = injector
         self.seed = seed
-        self.read_workers = max(1, int(read_workers))
-        self.replicas: list[EngineReplica] = [
-            EngineReplica(0, database, read_workers=self.read_workers)
-        ]
+        self.replicas: list[EngineReplica] = [EngineReplica(0, database)]
         for index in range(1, n_replicas):
-            self.replicas.append(
-                EngineReplica(
-                    index, clone_database(database), read_workers=self.read_workers
-                )
-            )
+            self.replicas.append(EngineReplica(index, clone_database(database)))
 
         self._lock = threading.Lock()
         self._rebuild_lock = threading.Lock()
@@ -178,18 +164,13 @@ class Router:
         self._preferred: dict[int, int] = {}  # cluster -> best-fit replica
         self._cost: dict[int, list[float | None]] = {}  # EWMA seconds per cluster×replica
         self._shares: list[float] = []  # recent traffic share per cluster
-        self._share_beta = 1.0 / max(int(share_window), 1)
         self._history: list[tuple[float, float]] = []
-        self._history_cap = int(history)
         self._rr = itertools.count()
         self._routed = 0
         self._hot_routes = 0
         self._unclustered_routes = 0
         self._retunes = 0
         self._last_retune: dict[str, Any] | None = None
-        self._last_retune_at: float | None = None
-        self._routed_at_last_retune = 0
-        self._retune_history: list[dict[str, Any]] = []
         self._reads_seen: list[float] = [0.0] * n_replicas
         self._io_ewma: list[float] = [0.0] * n_replicas
         self._health = {
@@ -229,7 +210,7 @@ class Router:
         """The single-thread worker owning replica ``index``."""
         return self.replicas[index].executor
 
-    def close(self, timeout: float | None = None) -> bool:
+    def close(self, timeout: float = JOIN_TIMEOUT_S) -> bool:
         """Shut down every replica worker (idempotent, hard-timeout joins).
 
         Returns ``True`` when every worker joined within its deadline; a
@@ -237,13 +218,12 @@ class Router:
         abandoned (daemon thread) instead of hanging interpreter shutdown,
         and the method still returns.
         """
-        join_timeout = self.join_timeout_s if timeout is None else float(timeout)
         if self._closed:
             return not any(replica.wedged for replica in self.replicas)
         self._closed = True
         clean = True
         for replica in self.replicas:
-            clean = replica.close(timeout=join_timeout) and clean
+            clean = replica.close(timeout=timeout) and clean
         return clean
 
     def __enter__(self) -> "Router":
@@ -252,12 +232,16 @@ class Router:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
+    def _routable(self) -> list[EngineReplica]:
+        """The routable replicas (``TransientError`` when the fleet has none)."""
+        targets = [replica for replica in self.replicas if replica.health.routable]
+        if not targets:
+            raise TransientError("no routable replicas (entire fleet is quarantined)")
+        return targets
+
     def _lead_replica(self) -> EngineReplica:
-        """The first routable replica (plan-cache authority, literal executes)."""
-        for replica in self.replicas:
-            if replica.health.routable:
-                return replica
-        raise TransientError("no routable replicas (entire fleet is quarantined)")
+        """The first routable replica (the fleet's plan-cache authority)."""
+        return self._routable()[0]
 
     def _routable_indices_locked(self) -> list[int]:
         return [
@@ -312,7 +296,7 @@ class Router:
                 )
             self._routed += 1
             clustering = self._clustering
-            if bounds is not None and len(self._history) < self._history_cap:
+            if bounds is not None and len(self._history) < HISTORY:
                 self._history.append(bounds)
             if bounds is None or clustering is None:
                 self._unclustered_routes += 1
@@ -326,7 +310,7 @@ class Router:
             best: tuple[float, int] | None = None
             if costs is not None:
                 for index in eligible:
-                    cost = costs[index] if index < len(costs) else None
+                    cost = costs[index]
                     if cost is not None and (best is None or cost < best[0]):
                         best = (cost, index)
             if best is not None:
@@ -338,7 +322,7 @@ class Router:
 
     def _touch_share(self, cluster: int) -> None:
         """EWMA traffic share per cluster (lock held)."""
-        beta = self._share_beta
+        beta = 1.0 / SHARE_WINDOW
         shares = self._shares
         if len(shares) <= cluster:
             shares.extend([0.0] * (cluster + 1 - len(shares)))
@@ -435,11 +419,7 @@ class Router:
         """The surviving replica with the lowest modeled cost for ``cluster``."""
         costs = self._cost.get(cluster)
         if costs:
-            observed = [
-                (costs[i], i)
-                for i in survivors
-                if i < len(costs) and costs[i] is not None
-            ]
+            observed = [(costs[i], i) for i in survivors if costs[i] is not None]
             if observed:
                 return min(observed)[1]
         modeled = [
@@ -476,20 +456,15 @@ class Router:
                                   "not quarantined",
                     }
                 if donor is None:
-                    healthy = [
-                        i
-                        for i, sibling in enumerate(self.replicas)
-                        if i != index and sibling.health is ReplicaHealth.HEALTHY
-                    ]
-                    routable = [
-                        i
-                        for i in self._routable_indices_locked()
-                        if i != index
-                    ]
-                    candidates = healthy or routable
-                    if not candidates:
+                    # A healthy donor before a merely suspect one (the
+                    # quarantined replica itself is in neither list).
+                    routable = self._routable_indices_locked()
+                    if not routable:
                         return {"rebuilt": False, "reason": "no routable donor"}
-                    donor = candidates[0]
+                    healthy = [
+                        i for i in routable if self.replicas[i].health is ReplicaHealth.HEALTHY
+                    ]
+                    donor = (healthy or routable)[0]
                 replica.health = ReplicaHealth.REBUILDING
             try:
                 clone = self.replicas[donor].run(
@@ -509,8 +484,7 @@ class Router:
                 self._reads_seen[index] = 0.0
                 self._io_ewma[index] = 0.0
                 for costs in self._cost.values():
-                    if index < len(costs):
-                        costs[index] = None  # stale EWMA of the dead layout
+                    costs[index] = None  # stale EWMA of the dead layout
                 self._health["rebuilds"] += 1
             return {"rebuilt": True, "replica": index, "donor": donor}
 
@@ -608,10 +582,7 @@ class Router:
                 bounds = self._bounds_of(prepared, values)
                 if bounds is None:
                     continue
-                profile = getattr(result, "profile", None)
-                seconds = getattr(profile, "execute_seconds", None)
-                if seconds is None:
-                    seconds = getattr(result, "total_seconds", 0.0)
+                seconds = result.profile.execute_seconds
                 cluster = clustering.assign_one(*bounds)
                 costs = self._cost.setdefault(
                     cluster, [None] * len(self.replicas)
@@ -631,8 +602,6 @@ class Router:
         n_clusters: int | None = None,
         max_iterations: int = 6,
         sample_per_cluster: int = 48,
-        replay: bool = True,
-        force: bool = False,
     ) -> dict[str, Any]:
         """Re-partition the workload and re-specialize the fleet.
 
@@ -647,62 +616,23 @@ class Router:
         worker must not stall the tune loop, and assigning clusters to it
         would undo its failover.  Returns a report with the modeled cost
         trajectory; the routing table and cost model are swapped atomically
-        at the end.
-
-        **Hysteresis guard** (so a controller-driven loop cannot oscillate):
-        within ``retune_cooldown_s`` seconds of the previous retune, or
-        before ``retune_min_new_routes`` fresh queries have been routed
-        since it, the call is refused with ``{"retuned": False, "reason":
-        "cooldown"/"hysteresis", ...}``.  ``force=True`` bypasses the guard
-        (operator intervention).  Every attempt — refused or executed — is
-        recorded in ``router_stats()["retune_history"]``.
+        at the end.  Nothing schedules this call: it is an operator (or
+        benchmark) action, refused — ``{"retuned": False, "reason": ...}`` —
+        only when there is nothing to cluster or nobody to assign to.
         """
-        now = time.monotonic()
         with self._lock:
-            if not force:
-                refusal: dict[str, Any] | None = None
-                if (
-                    self._last_retune_at is not None
-                    and now - self._last_retune_at < self.retune_cooldown_s
-                ):
-                    refusal = {
-                        "retuned": False,
-                        "reason": "cooldown",
-                        "cooldown_s": self.retune_cooldown_s,
-                        "elapsed_s": now - self._last_retune_at,
-                    }
-                elif (
-                    self._last_retune_at is not None
-                    and self._routed - self._routed_at_last_retune
-                    < self.retune_min_new_routes
-                ):
-                    refusal = {
-                        "retuned": False,
-                        "reason": "hysteresis",
-                        "min_new_routes": self.retune_min_new_routes,
-                        "new_routes": self._routed - self._routed_at_last_retune,
-                    }
-                if refusal is not None:
-                    self._record_retune_locked(refusal, now)
-                    return refusal
             history = list(self._history)
             active = [
                 self.replicas[index] for index in self._routable_indices_locked()
             ]
         if not active:
-            report = {"retuned": False, "reason": "no routable replicas"}
-            with self._lock:
-                self._record_retune_locked(report, now)
-            return report
+            return {"retuned": False, "reason": "no routable replicas"}
         minimum = max(len(active), 2)
         if len(history) < minimum:
-            report = {
+            return {
                 "retuned": False,
                 "reason": f"need >= {minimum} routed range queries, have {len(history)}",
             }
-            with self._lock:
-                self._record_retune_locked(report, now)
-            return report
         lows = np.asarray([low for low, _ in history], dtype=np.float64)
         highs = np.asarray([high for _, high in history], dtype=np.float64)
         domain = self._fleet_domain(lows, highs)
@@ -744,19 +674,18 @@ class Router:
         best_total = trajectory[0]
         best_assignment = dict(assignment)
         for _ in range(max_iterations):
-            if replay:
-                futures = []
-                for replica in active:
-                    bounds = [
-                        pair
-                        for cluster, target in assignment.items()
-                        if target == replica.index
-                        for pair in samples[cluster]
-                    ]
-                    if bounds:
-                        futures.append(replica.submit(self._replay, replica, bounds))
-                for future in futures:
-                    future.result()
+            futures = []
+            for replica in active:
+                bounds = [
+                    pair
+                    for cluster, target in assignment.items()
+                    if target == replica.index
+                    for pair in samples[cluster]
+                ]
+                if bounds:
+                    futures.append(replica.submit(self._replay, replica, bounds))
+            for future in futures:
+                future.result()
             matrix = cost_matrix()
             assignment = {
                 cluster: min(
@@ -793,27 +722,7 @@ class Router:
             self._shares = [float(s) / total_trained for s in sizes]
             self._retunes += 1
             self._last_retune = report
-            self._last_retune_at = time.monotonic()
-            self._routed_at_last_retune = self._routed
-            self._record_retune_locked(report, now)
         return report
-
-    def _record_retune_locked(self, report: dict[str, Any], at: float) -> None:
-        """Append a bounded ``retune_history`` entry (caller holds the lock)."""
-        entry = {
-            "at_monotonic_s": at,
-            "routed": self._routed,
-            "retuned": bool(report.get("retuned")),
-        }
-        if report.get("retuned"):
-            entry["initial_cost_bytes"] = report.get("initial_cost_bytes")
-            entry["final_cost_bytes"] = report.get("final_cost_bytes")
-            entry["improved"] = report.get("improved")
-        else:
-            entry["reason"] = report.get("reason")
-        self._retune_history.append(entry)
-        if len(self._retune_history) > 64:
-            del self._retune_history[: len(self._retune_history) - 64]
 
     def _fleet_domain(self, lows: np.ndarray, highs: np.ndarray) -> tuple[float, float]:
         """Feature-normalization domain: the managed columns', else the data's."""
@@ -871,20 +780,17 @@ class Router:
 
     # -- database-compatible surface (fan-out & delegation) --------------------
 
-    def _fan_out(self, op: str, *args: Any, copy_arrays: bool = False) -> list[Any]:
-        """Run ``database.<op>(*args)`` on every routable replica, concurrently.
+    def _fan_out(
+        self, op: str, *args: Any, copy_arrays: bool = False, **options: Any
+    ) -> list[Any]:
+        """Run ``database.<op>(*args, **options)`` on every routable replica at once.
 
         Quarantined replicas are skipped — their workers may be wedged, and
         their state is replaced wholesale by the next rebuild (the donor has
         the DDL applied, so the clone carries it over).
         """
         futures = []
-        targets = [
-            replica for replica in self.replicas if replica.health.routable
-        ]
-        if not targets:
-            raise TransientError("no routable replicas (entire fleet is quarantined)")
-        for replica in targets:
+        for replica in self._routable():
             replica_args = args
             if copy_arrays and replica.index > 0 and args:
                 # Replicas must not share mutable base arrays.
@@ -898,7 +804,9 @@ class Router:
                     for argument in args
                 )
             futures.append(
-                replica.submit(getattr(replica.database, op), *replica_args)
+                replica.submit(
+                    partial(getattr(replica.database, op), *replica_args, **options)
+                )
             )
         return [future.result() for future in futures]
 
@@ -918,14 +826,7 @@ class Router:
         self._fan_out("delete", table, oids)
 
     def enable_adaptive(self, table: str, column: str, **options: Any) -> Any:
-        futures = [
-            replica.submit(
-                lambda db=replica.database: db.enable_adaptive(table, column, **options)
-            )
-            for replica in self.replicas
-            if replica.health.routable
-        ]
-        return [future.result() for future in futures][0]
+        return self._fan_out("enable_adaptive", table, column, **options)[0]
 
     def disable_adaptive(self, table: str, column: str) -> None:
         self._fan_out("disable_adaptive", table, column)
@@ -939,11 +840,8 @@ class Router:
 
     def execute(self, sql: str):
         """Route a literal statement round-robin onto a routable replica worker."""
-        eligible = self.healthy_indices()
-        if not eligible:
-            raise TransientError("no routable replicas (entire fleet is quarantined)")
-        index = eligible[next(self._rr) % len(eligible)]
-        replica = self.replicas[index]
+        eligible = self._routable()
+        replica = eligible[next(self._rr) % len(eligible)]
         return replica.run(replica.database.execute, sql)
 
     def explain(self, sql: str) -> str:
@@ -958,11 +856,16 @@ class Router:
 
     # -- observability ---------------------------------------------------------
 
+    def traffic_shares(self) -> list[float]:
+        """Recent traffic share per workload cluster (a copy; empty before a retune)."""
+        with self._lock:
+            return list(self._shares)
+
     def router_stats(self) -> dict[str, Any]:
         """Routing, cost-model, health and divergence summary for the admin surface."""
         with self._lock:
             clustering = self._clustering
-            stats: dict[str, Any] = {
+            return {
                 "replicas": [replica.stats() for replica in self.replicas],
                 "routing": {
                     "routed": self._routed,
@@ -994,39 +897,4 @@ class Router:
                 "shares": list(self._shares),
                 "retunes": self._retunes,
                 "last_retune": self._last_retune,
-                "retune_history": [dict(entry) for entry in self._retune_history],
-                "retune_guard": {
-                    "cooldown_s": self.retune_cooldown_s,
-                    "min_new_routes": self.retune_min_new_routes,
-                    "last_retune_at_monotonic_s": self._last_retune_at,
-                    "routed_since_last_retune": (
-                        self._routed - self._routed_at_last_retune
-                    ),
-                },
             }
-        return stats
-
-    # ------------------------------------------------------------------
-    # Self-tuning knob surface
-    # ------------------------------------------------------------------
-
-    def knob_registry(self):
-        """Build the fleet-wide :class:`~repro.tuning.knobs.KnobRegistry`.
-
-        Covers the router's own knobs (``hot_query_threshold``,
-        ``router_ewma_alpha``) plus the engine knobs of every routable
-        replica, with a single apply fanned out across the fleet so the
-        replicas never diverge on layout policy.  Built fresh per call —
-        columns made adaptive after the last call are picked up.
-        """
-        from repro.tuning.knobs import server_knob_registry
-
-        return server_knob_registry(self)
-
-    def knobs(self) -> dict[str, float]:
-        """Current value of every registered fleet knob."""
-        return self.knob_registry().knobs()
-
-    def set_knobs(self, values: dict[str, Any]) -> dict[str, float]:
-        """Validate and apply knob changes fleet-wide (all-or-nothing)."""
-        return self.knob_registry().set_knobs(values)

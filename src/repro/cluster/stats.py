@@ -22,16 +22,6 @@ from typing import Any
 __all__ = ["merge_cache_stats"]
 
 
-def _merge_level(levels: list[dict[str, Any]]) -> dict[str, Any]:
-    merged = {
-        key: sum(level.get(key, 0) for level in levels)
-        for key in ("hits", "misses", "evictions", "entries")
-    }
-    lookups = merged["hits"] + merged["misses"]
-    merged["hit_ratio"] = merged["hits"] / lookups if lookups else 0.0
-    return merged
-
-
 def _merge_batch(batches: list[dict[str, Any]]) -> dict[str, Any]:
     merged = {
         key: sum(batch.get(key, 0) for batch in batches)
@@ -56,17 +46,12 @@ def _merge_batch(batches: list[dict[str, Any]]) -> dict[str, Any]:
 def merge_cache_stats(per_replica: list[dict[str, Any]]) -> dict[str, Any]:
     """Fleet-wide :meth:`Database.cache_stats` from per-replica snapshots.
 
-    The result keeps the single-engine shape (``batch`` / ``levels`` /
-    ``total``) with counters summed, and adds ``replicas`` — the unmodified
-    per-replica snapshots, in replica order.
+    The result keeps the single-engine shape (``batch`` / ``total``) with
+    counters summed, and adds ``replicas`` — the unmodified per-replica
+    snapshots, in replica order.
     """
     if not per_replica:
         raise ValueError("merge_cache_stats needs at least one replica snapshot")
-    level_names: list[str] = []
-    for snapshot in per_replica:
-        for name in snapshot.get("levels", {}):
-            if name not in level_names:
-                level_names.append(name)
     totals = [snapshot.get("total", {}) for snapshot in per_replica]
     merged_total = {
         key: sum(total.get(key, 0) for total in totals)
@@ -77,16 +62,6 @@ def merge_cache_stats(per_replica: list[dict[str, Any]]) -> dict[str, Any]:
     merged_total["generation"] = totals[0].get("generation", 0)
     return {
         "batch": _merge_batch([snapshot.get("batch", {}) for snapshot in per_replica]),
-        "levels": {
-            name: _merge_level(
-                [
-                    snapshot.get("levels", {}).get(name, {})
-                    for snapshot in per_replica
-                    if name in snapshot.get("levels", {})
-                ]
-            )
-            for name in level_names
-        },
         "total": merged_total,
         "replicas": list(per_replica),
     }

@@ -16,19 +16,21 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core.ranges import ValueRange
-from repro.core.segment import Segment, SelectionResult
-from repro.util.sorted_search import sorted_probe
+from repro.core.segment import Segment, SelectionResult, sorted_slice
 
 
 class ReplicaNode:
     """One node of the replica tree: a segment plus tree links."""
 
-    __slots__ = ("segment", "parent", "children")
+    __slots__ = ("segment", "parent", "children", "last_access")
 
     def __init__(self, segment: Segment, parent: "ReplicaNode | None" = None) -> None:
         self.segment = segment
         self.parent = parent
         self.children: list[ReplicaNode] = []
+        #: Index of the last query that scanned or materialized this node
+        #: (the storage budget's LRU order); -1 until then.
+        self.last_access = -1
 
     # -- convenience pass-throughs ----------------------------------------
 
@@ -147,10 +149,6 @@ class ReplicaTree:
 
     # -- structure maintenance ----------------------------------------------------
 
-    def roots_overlapping(self, query: ValueRange) -> list[ReplicaNode]:
-        """Top-level nodes whose range overlaps the query."""
-        return [root for root in self.roots if root.vrange.overlaps(query)]
-
     def splice_out(self, node: ReplicaNode) -> None:
         """Remove ``node`` from the tree, re-attaching its children to its parent.
 
@@ -222,6 +220,41 @@ class ReplicaTree:
                 )
 
 
+def minimal_cover(roots, query: ValueRange) -> list:
+    """Algorithm 3: the minimal set of materialized nodes covering ``query``.
+
+    Works over any forest whose nodes expose ``vrange`` / ``children`` /
+    ``is_leaf`` / ``materialized`` — the live :class:`ReplicaNode` tree and
+    the :class:`FrozenReplicaNode` snapshot alike.  The recursion prefers the
+    deepest materialized descendants and backtracks to an ancestor whenever a
+    subtree would require a virtual segment (which holds no data).
+    """
+    cover: list = []
+    for root in roots:
+        if not root.vrange.overlaps(query):
+            continue
+        sub = _cover_node(root, query)
+        if sub is None:
+            raise RuntimeError(f"replica tree cannot cover query {query}: invariant violated")
+        cover.extend(sub)
+    return cover
+
+
+def _cover_node(node, query: ValueRange) -> list | None:
+    if node.is_leaf:
+        return [node] if node.materialized else None
+    collected: list = []
+    for child in node.children:
+        if not child.vrange.overlaps(query):
+            continue
+        sub = _cover_node(child, query)
+        if sub is None:
+            # Backtrack: some part of the query below is only virtual.
+            return [node] if node.materialized else None
+        collected.extend(sub)
+    return collected
+
+
 class FrozenReplicaNode:
     """An immutable copy of one replica-tree node for snapshot readers.
 
@@ -258,20 +291,11 @@ class FrozenReplicaNode:
     def select(self, query: ValueRange) -> SelectionResult:
         """Extract the values/oids falling into ``query`` — zero-copy views.
 
-        Mirrors :meth:`Segment.bounds` / :meth:`Segment.select` exactly:
-        the fully-contained case is answered from range metadata alone,
-        otherwise two ``side="left"`` binary probes slice the sorted payload.
+        The same :func:`~repro.core.segment.sorted_slice` that answers
+        :meth:`Segment.select`, over the captured payload references.
         """
-        values = self.values
-        oids = self.oids
-        assert values is not None and oids is not None
-        if query.low <= self.vrange.low and query.high >= self.vrange.high:
-            return SelectionResult(values, oids, values_sorted=True)
-        lo = sorted_probe(values, query.low, side="left")
-        hi = sorted_probe(values, query.high, side="left")
-        if lo == 0 and hi == values.size:
-            return SelectionResult(values, oids, values_sorted=True)
-        return SelectionResult(values[lo:hi], oids[lo:hi], values_sorted=True)
+        assert self.values is not None and self.oids is not None
+        return sorted_slice(self.values, self.oids, self.vrange, query)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "mat" if self.materialized else "vir"
@@ -313,36 +337,5 @@ class CoverSnapshot:
         return cls(tree.domain, tuple(freeze(root) for root in tree.roots), generation)
 
     def cover(self, query: ValueRange) -> list[FrozenReplicaNode]:
-        """Minimal covering set over the frozen forest (Algorithm 3).
-
-        Identical recursion to :meth:`ReplicatedColumn.get_cover` /
-        ``_cover_node``: prefer the deepest materialized descendants,
-        backtrack to a materialized ancestor whenever part of the query
-        below is only virtual.
-        """
-        cover: list[FrozenReplicaNode] = []
-        for root in self.roots:
-            if not root.vrange.overlaps(query):
-                continue
-            sub = self._cover_node(root, query)
-            if sub is None:
-                raise RuntimeError(
-                    f"replica snapshot cannot cover query {query}: invariant violated"
-                )
-            cover.extend(sub)
-        return cover
-
-    def _cover_node(
-        self, node: FrozenReplicaNode, query: ValueRange
-    ) -> list[FrozenReplicaNode] | None:
-        if node.is_leaf:
-            return [node] if node.materialized else None
-        collected: list[FrozenReplicaNode] = []
-        for child in node.children:
-            if not child.vrange.overlaps(query):
-                continue
-            sub = self._cover_node(child, query)
-            if sub is None:
-                return [node] if node.materialized else None
-            collected.extend(sub)
-        return collected
+        """Minimal covering set over the frozen forest (Algorithm 3)."""
+        return minimal_cover(self.roots, query)

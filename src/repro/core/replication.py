@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.accounting import IOAccountant, QueryLog, QueryStats
 from repro.core.models import SegmentationModel, SplitAction
 from repro.core.ranges import ValueRange, domain_of
-from repro.core.replica_tree import CoverSnapshot, ReplicaNode, ReplicaTree
+from repro.core.replica_tree import CoverSnapshot, ReplicaNode, ReplicaTree, minimal_cover
 from repro.core.segment import SelectionResult, Segment
 from repro.core.strategy import AdaptiveColumnBase, ReadObservations, register_strategy
 
@@ -89,7 +89,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
                 f"({self.total_bytes:g} bytes), got {storage_budget:g}"
             )
         self.storage_budget = storage_budget
-        self._last_access: dict[int, int] = {}
         self.peak_storage_bytes = self.total_bytes
         self._read_observations = ReadObservations()
         self._snapshot_generation = 0
@@ -220,7 +219,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
         parts: list[SelectionResult] = []
         for node in cover:
             self.accountant.record_read(node.size_bytes, node.segment)
-            self._last_access[id(node)] = self._queries_executed
+            node.last_access = self._queries_executed
 
             started = self._now()
             parts.append(node.segment.select(query))
@@ -244,35 +243,8 @@ class ReplicatedColumn(AdaptiveColumnBase):
     # -- Algorithm 3: minimal covering set ---------------------------------------
 
     def get_cover(self, query: ValueRange) -> list[ReplicaNode]:
-        """Minimal set of materialized segments covering the query range.
-
-        The recursion prefers the deepest materialized descendants and
-        backtracks to an ancestor whenever a subtree would require a virtual
-        segment (which holds no data).
-        """
-        cover: list[ReplicaNode] = []
-        for root in self.tree.roots_overlapping(query):
-            sub = self._cover_node(root, query)
-            if sub is None:
-                raise RuntimeError(
-                    f"replica tree cannot cover query {query}: invariant violated"
-                )
-            cover.extend(sub)
-        return cover
-
-    def _cover_node(self, node: ReplicaNode, query: ValueRange) -> list[ReplicaNode] | None:
-        if node.is_leaf:
-            return [node] if node.materialized else None
-        collected: list[ReplicaNode] = []
-        for child in node.children:
-            if not child.vrange.overlaps(query):
-                continue
-            sub = self._cover_node(child, query)
-            if sub is None:
-                # Backtrack: some part of the query below is only virtual.
-                return [node] if node.materialized else None
-            collected.extend(sub)
-        return collected
+        """Minimal set of materialized segments covering the query range."""
+        return minimal_cover(self.tree.roots, query)
 
     # -- Algorithm 4: replica analysis ------------------------------------------
 
@@ -354,7 +326,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
             piece = node.materialize_from(cover_node)
             self.accountant.record_write(piece.size_bytes, piece)
             stats.replicas_materialized += 1
-            self._last_access[id(node)] = self._queries_executed
+            node.last_access = self._queries_executed
         for node in to_materialize:
             self._propagate_drop(node.parent, stats)
 
@@ -367,7 +339,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
             if node.materialized:
                 node.segment.free()
             self.tree.splice_out(node)
-            self._last_access.pop(id(node), None)
             stats.segments_dropped += 1
             self._cover_dirty = True
             node = parent
@@ -379,31 +350,35 @@ class ReplicatedColumn(AdaptiveColumnBase):
 
         Only nodes with a materialized ancestor are candidates: releasing them
         never breaks query coverage, the data is simply re-read from the
-        ancestor when needed again.
+        ancestor when needed again.  One pre-order walk sums the bytes held
+        and collects the candidates; each release is subtracted from that sum.
         """
-        if self.storage_budget is None or self.storage_bytes <= self.storage_budget:
+        held = 0.0
+        candidates: list[ReplicaNode] = []
+
+        def visit(node: ReplicaNode, covered: bool) -> None:
+            nonlocal held
+            if node.materialized:
+                held += node.size_bytes
+                if covered:
+                    candidates.append(node)
+                covered = True
+            for child in node.children:
+                visit(child, covered)
+
+        for root in self.tree.roots:
+            visit(root, False)
+        if held <= self.storage_budget:
             return
-        candidates = [
-            node
-            for node in self.tree.walk()
-            if node.materialized and self._has_materialized_ancestor(node)
-        ]
-        candidates.sort(key=lambda node: self._last_access.get(id(node), -1))
+        # Stable: nodes last touched by the same query go in pre-order.
+        candidates.sort(key=lambda node: node.last_access)
         for node in candidates:
-            if self.storage_bytes <= self.storage_budget:
+            if held <= self.storage_budget:
                 break
+            held -= node.size_bytes
             node.segment.free()
             stats.segments_dropped += 1
             self._cover_dirty = True
-
-    @staticmethod
-    def _has_materialized_ancestor(node: ReplicaNode) -> bool:
-        ancestor = node.parent
-        while ancestor is not None:
-            if ancestor.materialized:
-                return True
-            ancestor = ancestor.parent
-        return False
 
     # -- integrity ----------------------------------------------------------------------
 

@@ -110,6 +110,35 @@ class SelectionResult:
         )
 
 
+def slice_bounds(values: np.ndarray, vrange: ValueRange, query: ValueRange) -> tuple[int, int]:
+    """Positional slice ``[lo, hi)`` of the sorted ``values`` falling into ``query``.
+
+    ``vrange`` is the range the payload covers: the fully-contained case is
+    answered from it alone, otherwise two ``side="left"`` binary searches
+    probe the data.
+    """
+    if query.low <= vrange.low and query.high >= vrange.high:
+        return 0, int(values.size)
+    return (
+        sorted_probe(values, query.low, side="left"),
+        sorted_probe(values, query.high, side="left"),
+    )
+
+
+def sorted_slice(
+    values: np.ndarray, oids: np.ndarray, vrange: ValueRange, query: ValueRange
+) -> SelectionResult:
+    """The values (and oids) of a sorted payload falling into ``query`` — zero-copy views.
+
+    The one range extraction behind :meth:`Segment.select` and the frozen
+    nodes snapshot readers probe.
+    """
+    lo, hi = slice_bounds(values, vrange, query)
+    if lo == 0 and hi == values.size:
+        return SelectionResult(values, oids, values_sorted=True)
+    return SelectionResult(values[lo:hi], oids[lo:hi], values_sorted=True)
+
+
 class Segment:
     """A contiguous value-range piece of a column.
 
@@ -217,11 +246,7 @@ class Segment:
         is answered from the range metadata alone without probing the data.
         """
         self._require_data()
-        if vrange.low <= self.vrange.low and vrange.high >= self.vrange.high:
-            return 0, int(self.values.size)
-        lo = sorted_probe(self.values, vrange.low, side="left")
-        hi = sorted_probe(self.values, vrange.high, side="left")
-        return lo, hi
+        return slice_bounds(self.values, self.vrange, vrange)
 
     def select(self, vrange: ValueRange) -> SelectionResult:
         """Extract the values (and oids) falling into ``vrange``.
@@ -229,10 +254,8 @@ class Segment:
         Returns zero-copy views into the segment payload (read-only by
         contract — see the module docstring).
         """
-        lo, hi = self.bounds(vrange)
-        if lo == 0 and hi == self.values.size:
-            return SelectionResult(self.values, self.oids, values_sorted=True)
-        return SelectionResult(self.values[lo:hi], self.oids[lo:hi], values_sorted=True)
+        self._require_data()
+        return sorted_slice(self.values, self.oids, self.vrange, vrange)
 
     def bounds_many(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positional slices ``[lo_i, hi_i)`` for N half-open ranges at once.

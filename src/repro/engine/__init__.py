@@ -11,7 +11,6 @@ SQL front-end".
 from repro.engine.database import Database
 from repro.engine.execution import ExecutionContext
 from repro.engine.plan_cache import (
-    CachedPlan,
     PlanCache,
     PlanCacheStats,
     PreparedPlan,
@@ -22,7 +21,6 @@ from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
 
 __all__ = [
-    "CachedPlan",
     "Database",
     "ExecutionContext",
     "PlanCache",

@@ -16,7 +16,6 @@ from repro.core.accounting import QueryStats
 from repro.core.models import SegmentationModel, model_from_name
 from repro.engine.executor import Executor, Member, Origin
 from repro.engine.plan_cache import (
-    CachedPlan,
     PlanCache,
     PreparedPlan,
     normalize_sql,
@@ -38,7 +37,6 @@ from repro.sql.parameters import (
     mask_literals,
     parameterize,
     prepared_binding,
-    statement_shape,
 )
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
@@ -60,8 +58,8 @@ class Database:
     Every statement — literal text, a bound prepared handle, a batch, an
     admission wave — becomes a :class:`PreparedPlan` plus bound values and runs
     through one executor.  Range literals are lifted into parameters so the LRU
-    plan cache keys on query *shape*, and each shape is lowered once into a
-    slot-based :class:`~repro.mal.compiled.CompiledPlan` — on a warm query
+    plan cache keys on the statement's ``?`` text, and each text is lowered once
+    into a slot-based :class:`~repro.mal.compiled.CompiledPlan` — on a warm query
     only the literal masking (text) or the bind validation (prepared) and the
     plan execution itself remain.  Waves route same-column range selections —
     overlapping and disjoint alike — through the vectorized batch executor
@@ -234,11 +232,10 @@ class Database:
         return self.knob_registry().set_knobs(values)
 
     def cache_stats(self) -> dict[str, Any]:
-        """Plan-cache observability: per-level and total counters.
+        """Plan-cache observability: the cache's counters and the batch executor's.
 
-        ``levels`` maps each cache level (``masked``/``shape``/``prepared``)
-        to its hit/miss/eviction counters and resident entry count; ``total`` carries the cache-wide counters plus capacity,
-        generation and the overall hit ratio; ``batch`` carries the
+        ``total`` carries the cache-wide hit/miss/eviction counters plus
+        size, capacity, generation and the hit ratio; ``batch`` carries the
         vectorized batch executor's admission-efficiency counters (waves
         executed, a queries-per-wave histogram summary, and the
         fallback-to-sequential count).  Also surfaced on the client API via
@@ -248,16 +245,6 @@ class Database:
         totals = cache.stats
         return {
             "batch": self._executor.batch_stats.summary(),
-            "levels": {
-                name: {
-                    "hits": level.hits,
-                    "misses": level.misses,
-                    "evictions": level.evictions,
-                    "entries": level.entries,
-                    "hit_ratio": level.hit_ratio,
-                }
-                for name, level in cache.level_stats().items()
-            },
             "total": {
                 "hits": totals.hits,
                 "misses": totals.misses,
@@ -280,8 +267,17 @@ class Database:
         """The optimized MAL plan in concrete syntax (like ``EXPLAIN``)."""
         return self.optimizer.optimize(self.compile(sql)).render()
 
-    def _lower(self, statement: SelectStatement, profile: QueryProfile) -> CachedPlan:
-        """Compile, optimize and lower one statement into a :class:`CachedPlan`."""
+    def _lower(
+        self, text: str, statement: SelectStatement, profile: QueryProfile
+    ) -> PreparedPlan:
+        """Compile, optimize and lower ``statement``; cache the plan under ``text``.
+
+        The one place a statement becomes a :class:`PreparedPlan`: binding
+        template, environment slots and the range-select classification are
+        derived here, once, so no later stage looks at the statement again.
+        ``text`` is what the plan is known by — its cache key, and what a
+        stale handle re-prepares from.
+        """
         started = time.perf_counter()
         program = self.compiler.compile(statement)
         codegen_seconds = time.perf_counter() - started
@@ -291,57 +287,38 @@ class Database:
         started = time.perf_counter()
         compiled = compile_program(optimized, self.registry)
         profile.compile_seconds = codegen_seconds + time.perf_counter() - started
-        return CachedPlan(compiled=compiled, text=optimized.render())
-
-    def _plan(
-        self, sql: str, statement: SelectStatement, profile: QueryProfile
-    ) -> tuple[PreparedPlan, str]:
-        """``statement`` as a :class:`PreparedPlan`, and the level that had its plan.
-
-        The compiled plan comes from the *shape* level (``"shape"``) or is
-        lowered now (``"cold"``); binding template, environment slots and the
-        range-select classification are derived here, once, so no later stage
-        looks at the statement again.  ``sql`` is the text the plan is known
-        by — and re-prepared from, should the handle go stale.
-        """
-        shape_key = ("shape", statement_shape(statement))
-        plan = self.plan_cache.get(shape_key)
-        level = "shape"
-        if plan is None:
-            level = "cold"
-            plan = self._lower(statement, profile)
-            self.plan_cache.put(shape_key, plan)
         binding = prepared_binding(statement)
         prepared = PreparedPlan(
-            sql=sql,
-            plan=plan,
+            sql=text,
+            compiled=compiled,
+            text=optimized.render(),
             binding=binding,
-            slots=plan.compiled.parameter_slots(
+            slots=compiled.parameter_slots(
                 tuple(f"__p{index}" for index in range(binding.count))
             ),
             generation=self.plan_cache.generation,
             template=range_template(statement, self.catalog),
         )
-        return prepared, level
+        self.plan_cache.put(text, prepared)
+        return prepared
 
     def _resolve(self, sql: str) -> tuple[PreparedPlan, tuple[float, ...], Origin]:
         """Literal SQL text as *(prepared plan, bound values, origin)*.
 
-        Two levels, fastest first: the literal-masked text (skips the parse —
-        the warm case for workloads that vary only their range constants; the
-        masked literals are the binding, validated by the plan's own
-        :class:`BindingSpec`) and the parsed query *shape* (skips
-        compile/optimize/lowering).  Statements the masked text cannot key —
-        a ``LIMIT``, whose literal is not a lifted bound — reach their shape
-        entry through the parse every time.  ``origin`` names the level that
-        answered (``"masked"``/``"shape"``, or ``"cold"`` when the plan had
-        to be compiled) and carries the profile of whatever work actually ran.
+        The literal-masked text is the cache key — the ``?`` text of the same
+        statement, so a plan prepared through the client API answers here
+        too.  A hit skips the parse (the warm case for workloads that vary
+        only their range constants): the masked literals are the binding,
+        validated by the plan's own :class:`BindingSpec`.  ``origin`` says
+        how the result came about (``"masked"``: the text found its plan;
+        ``"cold"``: the plan had to be compiled) and carries the profile of
+        whatever work actually ran.
         """
         started = time.perf_counter()
         profile = QueryProfile(cold=False)
         normalized = normalize_sql(sql)
         masked, literals = mask_literals(normalized)
-        prepared = self.plan_cache.get(("text-shape", masked))
+        prepared = self.plan_cache.get(masked)
         if prepared is not None:
             try:
                 values = prepared.binding.bind(literals)
@@ -351,39 +328,40 @@ class Database:
                 profile.parse_seconds = time.perf_counter() - started
                 return prepared, values, (sql, "masked", profile)
 
-        shaped = parameterize(parse(sql))
+        statement = parse(sql)
+        shaped = parameterize(statement)
+        key, values, prepared = masked, tuple(shaped.arguments.values()), None
+        if len(literals) == len(values):
+            statement = shaped.statement
+        else:
+            # The masker saw a literal the grammar does not lift (``and-5``):
+            # the text is known by its full form and binds nothing — what
+            # prepare_statement makes of the same text.
+            key, values = normalized, ()
+            prepared = self.plan_cache.get(key)
         profile.parse_seconds = time.perf_counter() - started
-        values = tuple(shaped.arguments.values())
-        # Every textual literal is a lifted bound: the masked text alone
-        # identifies this shape, so future literal variants skip the parse.
-        keyable = shaped.statement.limit is None and len(literals) == len(values)
-        prepared, level = self._plan(
-            masked if keyable else normalized, shaped.statement, profile
-        )
-        if keyable:
-            self.plan_cache.put(("text-shape", masked), prepared)
-        profile.cold = level == "cold"
-        return prepared, values, (sql, level, profile)
+        profile.cold = prepared is None
+        if prepared is None:
+            prepared = self._lower(key, statement, profile)
+        return prepared, values, (sql, "cold" if profile.cold else "masked", profile)
 
     def prepare_statement(self, sql: str) -> PreparedPlan:
         """Lower ``sql`` (with ``?``/``:name`` placeholders) into a bound-ready plan.
 
-        The placeholder-shape cache level: the normalized text keys the
-        prepared entry, so repeated ``Cursor.execute(sql, params)`` calls cost
-        one dictionary lookup — no parse, no literal masking.  A prepared
-        statement whose placeholders cover every bound shares its compiled
-        plan with the literal path's lifted shape, so preparing a statement
-        the masked-text path already compiled lowers nothing.
+        The normalized text keys the cache, so repeated
+        ``Cursor.execute(sql, params)`` calls cost one dictionary lookup — no
+        parse, no literal masking.  A ``?`` statement whose placeholders cover
+        every bound has the text the literal path masks its variants down to,
+        so preparing a statement that :meth:`execute` already compiled lowers
+        nothing, and the other way round.
         """
         normalized = normalize_sql(sql)
-        key = ("prepared", normalized)
-        prepared = self.plan_cache.get(key)
+        prepared = self.plan_cache.get(normalized)
         if prepared is None:
             # Prepare-time work is not attributed to a query's profile.
-            prepared, _ = self._plan(
+            prepared = self._lower(
                 normalized, parse(sql, placeholders=True), QueryProfile()
             )
-            self.plan_cache.put(key, prepared)
         return prepared
 
     # -- the doors: binding/resolution over the one executor ---------------------------
@@ -392,7 +370,7 @@ class Database:
         """Run literal SQL: resolve the text to a plan and values, a wave of one.
 
         Cold: parse → compile → optimize → lower to a :class:`CompiledPlan`,
-        cache by shape and masked text.  Warm: mask the literals, fetch the
+        cached under the masked text.  Warm: mask the literals, fetch the
         plan, bind — no parse, no recompilation, pooled execution context.
         """
         prepared, values, origin = self._resolve(sql)

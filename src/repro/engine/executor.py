@@ -158,7 +158,7 @@ class Executor:
             sql, level, profile = origin
             started = time.perf_counter() - profile.plan_seconds
         database = self.database
-        compiled = prepared.plan.compiled
+        compiled = prepared.compiled
         contexts = self._contexts
         context = contexts.pop() if contexts else ExecutionContext(catalog=database.catalog)
         adaptive_before = self._adaptive_counters()
@@ -174,7 +174,7 @@ class Executor:
             parameters=values,
             columns=context.exported_columns(),
             scalars=dict(context.scalars),
-            plan_text=prepared.plan.text,
+            plan_text=prepared.text,
             total_seconds=time.perf_counter() - started,
             selection_seconds=selection_seconds,
             adaptation_seconds=adaptation_seconds,

@@ -1,29 +1,24 @@
-"""An LRU cache of compiled plans, keyed by query shape and by SQL text.
+"""A bounded LRU from the text a statement is known by to its prepared plan.
 
 Parsing, compiling, optimizing and lowering a statement is pure per-statement
 work that the hot query path would otherwise repeat on every execution.  The
-database short-circuits it with three key levels sharing one LRU store:
+database short-circuits it with one cache level: the statement's normalized
+``?`` / ``:name`` text maps to one :class:`PreparedPlan` — the specialized
+:class:`~repro.mal.compiled.CompiledPlan` plus the pre-resolved binding
+template (environment slots, arity, range checks).
 
-* ``("shape", shape)`` → :class:`CachedPlan` — the specialized
-  :class:`~repro.mal.compiled.CompiledPlan` for one query *shape* (the
-  statement with its range literals lifted into parameters by
-  :func:`repro.sql.parameters.parameterize`).  All queries that differ only in
-  their constants — the common case for the paper's Fig 5–7 workloads — share
-  this entry; only a parse is needed to reach it.
-* ``("text-shape", masked_text)`` → :class:`PreparedPlan` — the literal-masked
-  text of a statement whose every literal is a lifted bound: literal variants
-  reach their plan without a parse, and the masked literals *are* the binding.
-* ``("prepared", normalized_text)`` → :class:`PreparedPlan` — the
-  placeholder-shape level of the client API: the normalized text *with its
-  ``?``/``:name`` placeholders* keys the lowered plan plus the pre-resolved
-  binding template (environment slots, arity, range checks).  Executing
-  through it skips the parse **and** the literal masking — binding validates
-  ``high >= low``, arity and numeric type against the template and seeds the
-  slot environment directly.
-
-Both text levels hold the same thing — a :class:`PreparedPlan` — so every
-statement, however it arrived, reaches the executor as *(prepared plan, bound
-values)*.
+* A prepared statement (:meth:`Database.prepare_statement`, the client API's
+  ``Connection.prepare`` / ``Cursor.execute(sql, params)``) is known by its
+  placeholder text as written: executing through it is one dictionary lookup
+  and a bind.
+* Literal text is known by its literal-masked text
+  (:func:`repro.sql.parameters.mask_literals`): every range literal becomes a
+  ``?`` and the masked literals *are* the binding, so all queries that differ
+  only in their constants — the common case for the paper's Fig 5–7
+  workloads — reach their plan without a parse.  The masked text of
+  ``... BETWEEN 1.5 AND 2.5`` is character for character the normalized text
+  of ``... BETWEEN ? AND ?``, so a statement that arrives both ways is one
+  entry and one compiled plan.
 
 Plans depend on the catalog schema and on which columns the BPM manages (the
 segment optimizer rewrites selections on managed columns), so the database
@@ -40,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Sequence
 
 from repro.mal.compiled import CompiledPlan
 from repro.sql.ast import ComparisonPredicate, Placeholder, SelectStatement
@@ -57,14 +52,6 @@ def normalize_sql(sql: str) -> str:
     share one plan.
     """
     return " ".join(sql.split()).lower()
-
-
-@dataclass(frozen=True)
-class CachedPlan:
-    """One query shape's executable plan plus its pre-rendered text."""
-
-    compiled: CompiledPlan
-    text: str
 
 
 @dataclass(frozen=True)
@@ -133,7 +120,8 @@ class PreparedPlan:
     """A lowered plan plus its binding template — what every statement becomes.
 
     ``sql`` is the normalized statement text *including placeholders* (the
-    cache key, and what a stale handle re-prepares from); ``binding``
+    cache key, and what a stale handle re-prepares from); ``compiled`` is the
+    executable plan and ``text`` its pre-rendered MAL; ``binding``
     validates client parameters; ``slots`` maps placeholder position →
     environment slot of the compiled plan (resolved once, at prepare time);
     ``generation`` is the cache generation the plan was lowered under — when
@@ -143,7 +131,8 @@ class PreparedPlan:
     """
 
     sql: str
-    plan: CachedPlan
+    compiled: CompiledPlan
+    text: str
     binding: BindingSpec
     slots: tuple[int, ...]
     generation: int
@@ -168,65 +157,19 @@ class PlanCacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-@dataclass(frozen=True)
-class PlanCacheLevelStats:
-    """Hit/miss/eviction counters of one cache level (plus resident entries)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over lookups at this level (0.0 when nothing was looked up)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-
-#: Internal key prefixes mapped onto the public cache-level names surfaced on
-#: ``QueryResult.cache_level`` (``"cold"``/``"batched"`` are outcomes, not
-#: store levels, so they never appear here).
-_LEVEL_NAMES = {
-    "text-shape": "masked",
-    "shape": "shape",
-    "prepared": "prepared",
-}
-
-
-def _level_of(key: Hashable) -> str:
-    """The raw level tag of a cache key (its tuple prefix).
-
-    Kept deliberately cheap — this runs on every cache lookup of the warm
-    query path.  Translation to the public level names happens once, in
-    :meth:`PlanCache.level_stats`.
-    """
-    if type(key) is tuple and key:
-        return key[0]
-    return "other"
-
-
 class PlanCache:
-    """A bounded LRU mapping from hashable keys to cached plan entries.
-
-    All levels share the one LRU store; per-level hit/miss/eviction counters
-    (keyed by the public level names — ``masked``/``shape``/``prepared``) are
-    kept alongside the totals for
-    :meth:`~repro.engine.database.Database.cache_stats`.
-    """
+    """A bounded LRU mapping from statement text to its :class:`PreparedPlan`."""
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity <= 0:
             raise ValueError(f"plan cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._plans: OrderedDict[Hashable, Any] = OrderedDict()
+        self._plans: OrderedDict[str, PreparedPlan] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
         self.generation = 0
-        # level name -> [hits, misses, evictions]
-        self._level_counters: dict[str, list[int]] = {}
         # One lock covers store and counters: reader threads resolving plans
         # concurrently with an owner-thread clear() must never observe a
         # half-updated LRU (OrderedDict.move_to_end is not atomic under
@@ -236,62 +179,25 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def _counters(self, level: str) -> list[int]:
-        counters = self._level_counters.get(level)
-        if counters is None:
-            counters = self._level_counters[level] = [0, 0, 0]
-        return counters
-
-    def get(self, key: Hashable) -> Any | None:
-        """The cached entry for ``key``, refreshing its recency; counts hit/miss."""
+    def get(self, text: str) -> PreparedPlan | None:
+        """The plan cached under ``text``, refreshing its recency; counts hit/miss."""
         with self._lock:
-            plan = self._plans.get(key)
-            # Inlined level tagging: this runs on every warm-path lookup.
-            level = key[0] if type(key) is tuple and key else "other"
-            counters = self._level_counters.get(level)
-            if counters is None:
-                counters = self._level_counters[level] = [0, 0, 0]
+            plan = self._plans.get(text)
             if plan is None:
                 self.misses += 1
-                counters[1] += 1
                 return None
-            self._plans.move_to_end(key)
+            self._plans.move_to_end(text)
             self.hits += 1
-            counters[0] += 1
             return plan
 
-    def put(self, key: Hashable, plan: Any) -> None:
-        """Store an entry, evicting the least recently used one when full."""
+    def put(self, text: str, plan: PreparedPlan) -> None:
+        """Store a plan, evicting the least recently used one when full."""
         with self._lock:
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
+            self._plans[text] = plan
+            self._plans.move_to_end(text)
             while len(self._plans) > self.capacity:
-                evicted_key, _ = self._plans.popitem(last=False)
+                self._plans.popitem(last=False)
                 self.evictions += 1
-                self._counters(_level_of(evicted_key))[2] += 1
-
-    def level_stats(self) -> dict[str, PlanCacheLevelStats]:
-        """Per-level counters, including levels that saw lookups but hold nothing.
-
-        Keys are the public level names (``masked``/``shape``/``prepared``).
-        Entry counts are computed by a scan over the resident keys — this is
-        an administrative surface, not a hot path.
-        """
-        with self._lock:
-            entries: dict[str, int] = {}
-            for key in self._plans:
-                level = _level_of(key)
-                entries[level] = entries.get(level, 0) + 1
-            levels = sorted(self._level_counters.keys() | entries.keys())
-            return {
-                _LEVEL_NAMES.get(level, level): PlanCacheLevelStats(
-                    hits=self._level_counters.get(level, [0, 0, 0])[0],
-                    misses=self._level_counters.get(level, [0, 0, 0])[1],
-                    evictions=self._level_counters.get(level, [0, 0, 0])[2],
-                    entries=entries.get(level, 0),
-                )
-                for level in levels
-            }
 
     def clear(self) -> None:
         """Drop every cached plan (schema or adaptive registration changed).

@@ -25,12 +25,13 @@ class QueryResult:
     the paper reports.
 
     ``plan_cache_hit`` records whether the plan was served from the database's
-    plan cache, and ``cache_level`` names the level that answered it —
-    ``"masked"`` (literal-masked text), ``"shape"`` (parsed shape),
-    ``"prepared"`` (placeholder-shape binding, the client API's prepared
-    path), ``"batched"`` (the shared-scan path), ``"snapshot"`` (a bound
-    range select answered against a pinned index snapshot by a wave's reader
-    pool) or ``"cold"`` (nothing hit; the plan was compiled for this query).
+    plan cache, and ``cache_level`` names how the result came about —
+    ``"masked"`` (arrived as literal text and found its plan under the
+    literal-masked text), ``"prepared"`` (a bound prepared handle, the client
+    API's prepared path), ``"batched"`` (the shared-scan path),
+    ``"snapshot"`` (a bound range select answered against a pinned index
+    snapshot by a wave's reader pool) or ``"cold"`` (literal text whose plan
+    was compiled for this query).
     ``plan_cache_hits``/``plan_cache_misses`` are the cache's cumulative
     counters at the time this query finished; ``batched`` marks results
     answered by the vectorized batch executor of ``execute_many`` /

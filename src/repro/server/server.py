@@ -112,10 +112,10 @@ class ReproServer:
         read_workers: int = 1,
     ) -> None:
         self.database = database if database is not None else Database()
-        self.read_workers = max(1, int(read_workers))
         # The engine worker stays the only adaptation owner; read_workers
-        # only sizes the snapshot-reader fan-out inside execute_wave.
-        self.database.read_workers = self.read_workers
+        # only sizes the snapshot-reader fan-out inside execute_wave (the
+        # router's clones copy it from the seed database).
+        self.database.read_workers = max(1, int(read_workers))
         self.router: Router | None = None
         if replicas > 1:
             # Scale-out mode: the seed database becomes replica 0 of a
@@ -124,7 +124,6 @@ class ReproServer:
             knobs = dict(router_knobs or {})
             if injector is not None:
                 knobs.setdefault("injector", injector)
-            knobs.setdefault("read_workers", self.read_workers)
             self.router = Router(self.database, replicas, **knobs)
         self.engine: Any = self.router if self.router is not None else self.database
         self._executor = ThreadPoolExecutor(
@@ -306,11 +305,7 @@ class ReproServer:
         bounds = [(r.low, r.high) for r in fresh]
         cost = sum(r.reads_bytes + r.writes_bytes for r in fresh) / n
         latency = sum(r.total_seconds for r in fresh) / n
-        shares = None
-        if self.router is not None:
-            with self.router._lock:
-                live = list(self.router._shares)
-            shares = live or None
+        shares = (self.router.traffic_shares() or None) if self.router is not None else None
         controller.observe_window(bounds, cost, latency_s=latency, shares=shares)
 
     def _tuning_databases(self) -> list[Database]:

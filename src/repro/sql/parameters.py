@@ -4,14 +4,14 @@ The paper's evaluation workloads (Figures 5–7, the SkyServer traces) issue
 thousands of range selections that differ *only* in their bound constants, so
 a plan cache keyed on literal SQL text is cold on almost every query.  This
 module extracts the numeric literals of a parsed statement into named
-parameters (``__p0``, ``__p1``, ...) and derives a hashable *shape* key — the
-statement with the literal values erased — so all queries of one shape share a
-single compiled plan and only the parameter values change per execution.
+parameters (``__p0``, ``__p1``, ...) and masks them out of the text — the
+cache key — so all queries that differ only in their constants share a single
+compiled plan and only the parameter values change per execution.
 
 Literals are lifted into positional :class:`Placeholder` parameters — the
 lifted statement is exactly what parsing the literal-masked text in prepared
 mode yields, so the text path and the client API's ``?`` statements share one
-binding template, one plan shape and one runner.  The SQL compiler recognises
+binding template, one cached plan and one runner.  The SQL compiler recognises
 the :class:`Parameter` base class and emits a MAL variable reference instead
 of baking the literal into the plan.
 """
@@ -47,73 +47,35 @@ __all__ = [
     "parameter_names",
     "parameterize",
     "prepared_binding",
-    "statement_shape",
     "substitute_placeholders",
 ]
 
-#: A numeric literal as the tokenizer would lex it.  The lookbehind mirrors
-#: the tokenizer's greedy identifier consumption: a digit (or sign) directly
-#: attached to an identifier or another number never starts a fresh literal.
-_LITERAL_PATTERN = re.compile(rf"(?<![\w.]){NUMBER_PATTERN}")
+#: A numeric literal as the tokenizer would lex it.  The first two lookbehinds
+#: mirror the tokenizer's greedy identifier consumption: a digit or sign
+#: directly attached to an identifier or another number never starts a fresh
+#: literal, and neither does the digit after such a sign (``and-5`` lexes as
+#: ``and``, ``-5``; masking only the ``5`` would bind the wrong value).  The
+#: third leaves a ``LIMIT`` count in the text: it is part of the plan, not a
+#: bound (normalized text has exactly one space after the keyword).
+_LITERAL_PATTERN = re.compile(rf"(?<![\w.])(?<![\w.][-+])(?<!limit ){NUMBER_PATTERN}")
 
 
 @dataclass(frozen=True)
 class ParameterizedQuery:
-    """One statement split into shape and parameter values.
+    """One statement split into its lifted form and its parameter values.
 
     ``statement`` is the parsed statement with every range literal replaced by
-    a positional :class:`Placeholder`; ``shape`` is the hashable cache key (no
-    literal values); ``arguments`` maps parameter names to this query's
-    literals in placeholder order, so ``tuple(arguments.values())`` is the
-    binding of ``statement``.
+    a positional :class:`Placeholder`; ``arguments`` maps parameter names to
+    this query's literals in placeholder order, so
+    ``tuple(arguments.values())`` is the binding of ``statement``.
     """
 
     statement: SelectStatement
-    shape: tuple
     arguments: dict[str, float]
 
 
-def statement_shape(statement: SelectStatement) -> tuple:
-    """The hashable plan-cache *shape* key of a (parameterized) statement.
-
-    Bounds that are :class:`Parameter` instances are erased (tagged ``None``)
-    — their values arrive at bind time; plain literals keep their value, so a
-    statement mixing placeholders and baked literals never shares a plan with
-    the fully-lifted shape the literal path produces.  A fully-placeholder
-    prepared statement therefore hashes identically to the literal path's
-    lifted shape and *shares its compiled plan*.
-    """
-    def tag(value: float) -> float | None:
-        return None if isinstance(value, Parameter) else float(value)
-
-    shape_predicates: list[tuple] = []
-    for predicate in statement.predicates:
-        if isinstance(predicate, RangePredicate):
-            shape_predicates.append(
-                (
-                    "range",
-                    predicate.column,
-                    predicate.include_low,
-                    predicate.include_high,
-                    tag(predicate.low),
-                    tag(predicate.high),
-                )
-            )
-        else:
-            shape_predicates.append(
-                ("cmp", predicate.column, predicate.operator, tag(predicate.value))
-            )
-    return (
-        statement.table,
-        statement.columns,
-        statement.aggregates,
-        tuple(shape_predicates),
-        statement.limit,
-    )
-
-
 def parameterize(statement: SelectStatement) -> ParameterizedQuery:
-    """Split ``statement`` into its shape and its literal parameter values."""
+    """Split ``statement`` into its lifted form and its literal parameter values."""
     arguments: dict[str, float] = {}
 
     def lift(value: float) -> Placeholder:
@@ -129,21 +91,20 @@ def parameterize(statement: SelectStatement) -> ParameterizedQuery:
             )
         else:
             predicates.append(replace(predicate, value=lift(predicate.value)))
-    lifted = replace(statement, predicates=tuple(predicates))
     return ParameterizedQuery(
-        statement=lifted,
-        shape=statement_shape(lifted),
+        statement=replace(statement, predicates=tuple(predicates)),
         arguments=arguments,
     )
 
 
 def mask_literals(normalized_sql: str) -> tuple[str, tuple[float, ...]]:
-    """Replace numeric literals in normalized SQL with ``?``; return the values.
+    """Replace the bound literals in normalized SQL with ``?``; return the values.
 
-    This is the parse-free route to a cached plan shape: two statements whose
-    masked texts are equal differ only in their literal values, which map onto
+    This is the parse-free route to a cached plan: two statements whose
+    masked texts are equal differ only in their bound values, which map onto
     parameters ``__p0``, ``__p1``, ... in textual order — the exact order
-    :func:`parameterize` assigns them.  Texts whose lexing would diverge from
+    :func:`parameterize` assigns them — and the masked text is the normalized
+    ``?`` text of the same statement.  Texts whose lexing would diverge from
     the tokenizer (adjacent number lexemes) never parse successfully in this
     grammar, so their masked keys are never installed and they fall through to
     the full parse path with its usual errors.

@@ -412,12 +412,7 @@ def admission_knobs(admission: Any) -> KnobRegistry:
     return registry
 
 
-def server_knob_registry(
-    engine: Any,
-    *,
-    admission: Any | None = None,
-    router: Any | None = None,
-) -> KnobRegistry:
+def server_knob_registry(engine: Any, *, admission: Any | None = None) -> KnobRegistry:
     """The full knob surface of one server: engine + admission + router.
 
     ``engine`` may be a :class:`~repro.engine.database.Database` or a
@@ -447,12 +442,9 @@ def server_knob_registry(
         if any(spec.name == "apm_m_min" for spec in fleet.specs()):
             fleet.register_constraint(_apm_order_constraint)
         registry.merge(fleet)
-        if router is None:
-            router = engine
+        registry.merge(router_knobs(engine))
     else:
         registry.merge(database_knobs(engine))
-    if router is not None:
-        registry.merge(router_knobs(router))
     if admission is not None:
         registry.merge(admission_knobs(admission))
     return registry

@@ -209,6 +209,26 @@ class TestRebuild:
         finally:
             router.close()
 
+    def test_a_rebuilt_replica_keeps_the_read_workers_knob(self):
+        # Database.read_workers is the one switch: the clone copies its
+        # donor's, so a rebuild cannot fall back to a constructor value.
+        from repro.cluster.replica import clone_database
+        from repro.tuning.knobs import server_knob_registry
+
+        database = build_database(200)
+        database.read_workers = 2
+        assert clone_database(database).read_workers == 2
+        router = Router(database, 2)
+        try:
+            assert [r.database.read_workers for r in router.replicas] == [2, 2]
+            server_knob_registry(router).set_knobs({"read_workers": 3})
+            router.quarantine_replica(1)
+            assert router.rebuild_replica(1)["rebuilt"] is True
+            assert [r.database.read_workers for r in router.replicas] == [3, 3]
+            assert [r["read_workers"] for r in router.router_stats()["replicas"]] == [3, 3]
+        finally:
+            router.close()
+
     def test_rebuild_refuses_a_replica_that_is_not_quarantined(self):
         router = Router(build_database(200), 2)
         try:
@@ -331,11 +351,11 @@ class TestCrashStreamProperty:
 
 class TestRouterClose:
     def test_close_with_a_wedged_replica_returns_promptly(self):
-        router = Router(build_database(200), 2, join_timeout_s=0.1)
+        router = Router(build_database(200), 2)
         release = threading.Event()
         router.replicas[1].submit(release.wait)
         started = time.perf_counter()
-        assert router.close() is False
+        assert router.close(timeout=0.1) is False
         assert time.perf_counter() - started < 2.0
         assert router.replicas[1].wedged and not router.replicas[0].wedged
         assert router.close() is False  # idempotent, still reports the wedge

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ranges import ValueRange
-from repro.core.replica_tree import ReplicaNode, ReplicaTree
+from repro.core.replica_tree import CoverSnapshot, ReplicaNode, ReplicaTree, minimal_cover
 from repro.core.segment import Segment
 
 
@@ -56,9 +56,19 @@ class TestTree:
         expected = root.size_bytes + root.children[0].size_bytes
         assert tree.storage_bytes == expected
 
-    def test_roots_overlapping(self, tree):
-        assert tree.roots_overlapping(ValueRange(10, 20)) == [tree.roots[0]]
-        assert tree.roots_overlapping(ValueRange(200, 300)) == []
+    def test_minimal_cover_is_one_recursion_for_live_and_frozen_forests(self, tree):
+        root = tree.roots[0]
+        lower = ReplicaNode(materialized(0, 50, 32))
+        root.add_child(lower)
+        root.add_child(ReplicaNode(virtual(50, 100)))
+        assert minimal_cover(tree.roots, ValueRange(10, 20)) == [lower]
+        assert minimal_cover(tree.roots, ValueRange(40, 60)) == [root]  # backtracks
+        assert minimal_cover(tree.roots, ValueRange(200, 300)) == []  # no root overlaps
+        frozen = CoverSnapshot.capture(tree, 0)
+        for query in (ValueRange(10, 20), ValueRange(40, 60), ValueRange(200, 300)):
+            assert [node.vrange for node in frozen.cover(query)] == [
+                node.vrange for node in minimal_cover(tree.roots, query)
+            ]
 
     def test_splice_out_internal_node(self, tree):
         root = tree.roots[0]

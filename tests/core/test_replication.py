@@ -7,12 +7,54 @@ from repro.core.models import AdaptivePageModel, GaussianDice
 from repro.core.ranges import ValueRange
 from repro.core.replication import ReplicatedColumn
 from repro.util.units import KB
+from repro.workloads.generators import multimodal_workload
 from tests.conftest import TEST_DOMAIN, brute_force_count
 
 
 @pytest.fixture
 def column(values, apm_model) -> ReplicatedColumn:
     return ReplicatedColumn(values, model=apm_model, domain=TEST_DOMAIN)
+
+
+class ReferenceBudgetColumn(ReplicatedColumn):
+    """The enforcement this repo shipped first, kept as the eviction oracle.
+
+    Re-sums the whole tree before the loop and again per eviction, and walks
+    every candidate's ancestor chain — slow, and obviously what the paper's
+    budget extension means.
+    """
+
+    def _enforce_budget(self, stats):
+        def has_materialized_ancestor(node):
+            ancestor = node.parent
+            while ancestor is not None:
+                if ancestor.materialized:
+                    return True
+                ancestor = ancestor.parent
+            return False
+
+        if self.storage_bytes <= self.storage_budget:
+            return
+        candidates = [
+            node
+            for node in self.tree.walk()
+            if node.materialized and has_materialized_ancestor(node)
+        ]
+        candidates.sort(key=lambda node: node.last_access)
+        for node in candidates:
+            if self.storage_bytes <= self.storage_budget:
+                break
+            node.segment.free()
+            stats.segments_dropped += 1
+            self._cover_dirty = True
+
+
+def materialized_ranges(column: ReplicatedColumn) -> list[tuple[float, float]]:
+    return [
+        (node.vrange.low, node.vrange.high)
+        for node in column.tree.walk()
+        if node.materialized
+    ]
 
 
 class TestConstruction:
@@ -148,6 +190,30 @@ class TestStorageBudget:
             column.select(low, low + 10_000)
             assert column.storage_bytes <= budget * 1.001
         column.check_invariants()
+
+    @pytest.mark.parametrize("budget_factor", [1.05, 1.2, 1.6])
+    def test_one_walk_enforcement_evicts_what_the_reference_evicts(self, values, budget_factor):
+        budget = values.size * values.dtype.itemsize * budget_factor
+        columns = [
+            cls(
+                values.copy(),
+                model=AdaptivePageModel(m_min=3 * KB, m_max=12 * KB),
+                domain=TEST_DOMAIN,
+                storage_budget=budget,
+            )
+            for cls in (ReplicatedColumn, ReferenceBudgetColumn)
+        ]
+        workload = multimodal_workload(400, TEST_DOMAIN, 0.02, n_modes=4, seed=29)
+        evictions = 0
+        for query in workload:
+            new, reference = (column.select(query.low, query.high) for column in columns)
+            assert new.count == reference.count
+            stats = [column.history[-1] for column in columns]
+            assert stats[0].segments_dropped == stats[1].segments_dropped
+            assert stats[0].storage_bytes == stats[1].storage_bytes <= budget
+            assert materialized_ranges(columns[0]) == materialized_ranges(columns[1])
+            evictions += stats[0].segments_dropped
+        assert evictions > 0  # the budget really pressed
 
     def test_budgeted_column_still_answers_correctly(self, values, apm_model):
         budget = values.size * values.dtype.itemsize * 1.2

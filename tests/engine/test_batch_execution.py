@@ -273,38 +273,29 @@ class TestOverlapClusters:
 
 
 class TestCacheStats:
-    def test_levels_and_totals(self, database):
+    def test_one_entry_and_totals(self, database):
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 2.0")  # cold
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 2.0")  # masked hit
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 3.0 AND 4.0")  # masked hit
         prepared = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
-        )
+        )  # the same text: a hit
         database.execute_prepared(prepared, (5.0, 6.0))
         stats = database.cache_stats()
-        levels = stats["levels"]
-        assert set(levels) == {"masked", "shape", "prepared"}
-        assert levels["masked"]["hits"] == 2
-        assert levels["prepared"]["misses"] >= 1  # the prepare-time lookup
-        assert levels["prepared"]["entries"] == 1
-        assert levels["shape"]["entries"] == 1  # one shape shared by all paths
+        assert set(stats) == {"batch", "total"}
         total = stats["total"]
-        assert total["hits"] == sum(level["hits"] for level in levels.values())
-        assert total["misses"] == sum(level["misses"] for level in levels.values())
-        assert total["size"] == sum(level["entries"] for level in levels.values())
-        assert 0.0 <= total["hit_ratio"] <= 1.0
+        assert (total["hits"], total["misses"]) == (3, 1)
+        assert total["size"] == 1  # one statement, however it arrived
+        assert total["hit_ratio"] == 0.75
 
-    def test_evictions_counted_per_level(self):
+    def test_evictions_are_counted(self):
         db = Database(plan_cache_size=2)
         db.create_table("t", {"x": "float64"})
         db.bulk_load("t", {"x": np.arange(10, dtype=np.float64)})
-        for operator in ("<", "<=", ">", ">=", "="):  # five shapes, two entries each
+        for operator in ("<", "<=", ">", ">=", "="):  # five texts, one entry each
             db.execute(f"SELECT x FROM t WHERE x {operator} 4.5")
-        stats = db.cache_stats()
-        assert stats["total"]["evictions"] > 0
-        assert stats["total"]["evictions"] == sum(
-            level["evictions"] for level in stats["levels"].values()
-        )
+        total = db.cache_stats()["total"]
+        assert (total["evictions"], total["size"]) == (3, 2)
 
     def test_generation_advances_on_invalidation(self, database):
         before = database.cache_stats()["total"]["generation"]

@@ -137,6 +137,48 @@ class TestOneExecutionCore:
             assert not hasattr(database, name), name
         assert not hasattr(repro.engine, "Session")
         assert not hasattr(plan_cache, "BoundPlan") and not hasattr(plan_cache, "TextShapePlan")
+        # One cache level: no shape level, no per-level counters.
+        from repro.sql import parameters
+
+        assert not hasattr(plan_cache, "CachedPlan") and not hasattr(repro.engine, "CachedPlan")
+        assert not hasattr(parameters, "statement_shape")
+        assert not hasattr(database.plan_cache, "level_stats")
+        assert "levels" not in database.cache_stats()
+
+    def test_the_fleet_keeps_no_option_nothing_sets(self, database):
+        import inspect
+
+        from repro.cluster import EngineReplica, Router
+        from repro.tuning.knobs import server_knob_registry
+
+        def keywords(fn):
+            return {
+                name
+                for name, parameter in inspect.signature(fn).parameters.items()
+                if parameter.kind is parameter.KEYWORD_ONLY
+            }
+
+        assert keywords(Router.__init__) == {
+            "n_clusters", "hot_query_threshold", "ewma_alpha", "quarantine_after",
+            "injector", "seed",
+        }
+        assert list(inspect.signature(Router.__init__).parameters)[:3] == [
+            "self", "database", "n_replicas",
+        ]
+        assert keywords(Router.retune) == {"n_clusters", "max_iterations", "sample_per_cluster"}
+        assert list(inspect.signature(EngineReplica.__init__).parameters) == [
+            "self", "index", "database",
+        ]
+        assert list(inspect.signature(server_knob_registry).parameters) == ["engine", "admission"]
+        for name in ("knobs", "set_knobs", "knob_registry", "read_workers"):
+            assert not hasattr(Router, name), name
+        database.read_workers = 3
+        replica = EngineReplica(0, database)
+        try:
+            assert not hasattr(replica, "read_workers")
+            assert replica.stats()["read_workers"] == 3  # the database's, not a copy
+        finally:
+            replica.close()
 
 
 class TestQueryExecution:

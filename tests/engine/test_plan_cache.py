@@ -203,3 +203,98 @@ class TestGenerationCounter:
         assert database.plan_cache.generation == generation + 1
         database.disable_adaptive("p", "ra")
         assert database.plan_cache.generation == generation + 2
+
+
+class TestOneEntryPerStatement:
+    """A statement is one cache entry and one compiled plan, however it arrives."""
+
+    LITERAL = "SELECT objid FROM p WHERE ra BETWEEN 1.5 AND 2.5"
+    QMARK = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The compiled plans that executed, in order."""
+        from repro.mal.compiled import CompiledPlan
+
+        ran = []
+        original = CompiledPlan.execute_bound
+
+        def spy(plan, *args):
+            ran.append(plan)
+            return original(plan, *args)
+
+        monkeypatch.setattr(CompiledPlan, "execute_bound", spy)
+        return ran
+
+    def test_literal_text_then_prepare_is_one_entry(self, database, ran):
+        first = database.execute(self.LITERAL)
+        hits = database.plan_cache.hits
+        prepared = database.prepare_statement(self.QMARK)
+        assert database.plan_cache.hits == hits + 1  # the prepare found the plan
+        second = database.execute_prepared(prepared, (1.5, 2.5))
+        assert len(database.plan_cache) == 1
+        assert (first.cache_level, second.cache_level) == ("cold", "prepared")
+        assert ran[0] is ran[1] is prepared.compiled
+        assert _rows(first) == _rows(second)
+
+    def test_prepare_then_literal_text_is_one_entry(self, database, ran):
+        prepared = database.prepare_statement(self.QMARK)
+        first = database.execute_prepared(prepared, (1.5, 2.5))
+        second = database.execute(self.LITERAL)
+        assert len(database.plan_cache) == 1
+        assert (first.cache_level, second.cache_level) == ("prepared", "masked")
+        assert second.profile.compile_seconds == 0.0 and not second.profile.cold
+        assert ran[0] is ran[1] is prepared.compiled
+        assert _rows(first) == _rows(second)
+
+    def test_limit_variants_share_an_entry_per_count(self, database):
+        levels = [
+            database.execute(
+                f"SELECT objid FROM p WHERE ra BETWEEN {low} AND {low + 30.0} LIMIT 5"
+            ).cache_level
+            for low in (10.0, 50.0, 90.0)
+        ]
+        assert levels == ["cold", "masked", "masked"]
+        assert len(database.plan_cache) == 1
+        other = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 40.0 LIMIT 6")
+        assert other.cache_level == "cold" and other.row_count == 6
+        assert len(database.plan_cache) == 2
+        prepared = database.prepare_statement(
+            "SELECT objid FROM p WHERE ra BETWEEN ? AND ? LIMIT 5"
+        )
+        assert len(database.plan_cache) == 2
+        assert database.execute_prepared(prepared, (10.0, 40.0)).row_count == 5
+
+    def test_a_named_text_is_its_own_entry(self, database):
+        database.execute(self.LITERAL)
+        named = database.prepare_statement(
+            "SELECT objid FROM p WHERE ra BETWEEN :lo AND :hi"
+        )
+        assert len(database.plan_cache) == 2
+        assert named.binding.style == "named"
+        result = database.execute_prepared(named, {"lo": 1.5, "hi": 2.5})
+        assert _rows(result) == _rows(database.execute(self.LITERAL))
+
+    def test_text_the_masker_cannot_key_is_known_by_its_full_form(self, database):
+        # "AND-5" lexes as AND, -5 but is not maskable: the text binds nothing,
+        # is one entry under its full form, and keeps answering correctly.
+        glued = "SELECT objid FROM p WHERE ra BETWEEN -9 AND-5"
+        spaced = database.execute("SELECT objid FROM p WHERE ra BETWEEN -9 AND -5")
+        first, second = database.execute(glued), database.execute(glued)
+        assert (first.cache_level, second.cache_level) == ("cold", "masked")
+        assert first.parameters == second.parameters == ()
+        assert _rows(first) == _rows(second) == _rows(spaced)
+        assert database.prepare_statement(glued).binding.count == 0
+        assert len(database.plan_cache) == 2
+
+    def test_generation_bump_re_prepares_a_stale_handle(self, database):
+        prepared = database.prepare_statement(self.QMARK)
+        before = database.execute_prepared(prepared, (10.0, 40.0))
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
+        assert prepared.generation != database.plan_cache.generation
+        after = database.execute_prepared(prepared, (10.0, 40.0))
+        assert "bpm." in after.plan_text and "bpm." not in before.plan_text
+        assert _rows(before) == _rows(after)
+        fresh = database.prepare_statement(self.QMARK)
+        assert fresh.generation == database.plan_cache.generation
+        assert len(database.plan_cache) == 1

@@ -408,7 +408,8 @@ class TestAdmin:
                 return stats
 
         stats = run(go)
-        assert set(stats) == {"batch", "levels", "total"}
+        assert set(stats) == {"batch", "total"}
+        assert stats["total"]["size"] == 1 and stats["total"]["misses"] == 1
         assert stats["batch"]["waves"] >= 1
         assert stats["batch"]["wave_size"]["max"] >= 3
         assert sum(stats["batch"]["wave_size_histogram"].values()) == stats["batch"]["waves"]

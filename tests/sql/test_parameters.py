@@ -1,4 +1,4 @@
-"""Tests for query parameterization, shape keys and literal masking."""
+"""Tests for query parameterization, literal masking and parameter binding."""
 
 from decimal import Decimal
 
@@ -15,7 +15,6 @@ from repro.sql.parameters import (
     parameter_names,
     parameterize,
     prepared_binding,
-    statement_shape,
     substitute_placeholders,
 )
 from repro.sql.parser import parse
@@ -23,6 +22,11 @@ from repro.sql.parser import parse
 
 def shaped(sql: str):
     return parameterize(parse(sql))
+
+
+def masked_text(sql: str) -> str:
+    """The plan-cache key of literal ``sql``."""
+    return mask_literals(normalize_sql(sql))[0]
 
 
 class TestParameter:
@@ -50,23 +54,6 @@ class TestParameterize:
         assert isinstance(predicate, ComparisonPredicate)
         assert isinstance(predicate.value, Parameter)
 
-    def test_same_shape_for_different_literals(self):
-        first = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40")
-        second = shaped("SELECT objid FROM p WHERE ra BETWEEN 200.5 AND 201.5")
-        assert first.shape == second.shape
-        assert first.arguments != second.arguments
-
-    def test_shape_distinguishes_structure(self):
-        base = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40").shape
-        assert shaped("SELECT objid FROM p WHERE dec BETWEEN 10 AND 40").shape != base
-        assert shaped("SELECT objid FROM p WHERE ra < 40").shape != base
-        assert shaped("SELECT ra FROM p WHERE ra BETWEEN 10 AND 40").shape != base
-        assert shaped("SELECT objid FROM q WHERE ra BETWEEN 10 AND 40").shape != base
-        assert (
-            shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 LIMIT 5").shape != base
-        )
-        assert shaped("SELECT count(*) FROM p WHERE ra BETWEEN 10 AND 40").shape != base
-
     def test_multiple_predicates_number_parameters_in_textual_order(self):
         result = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5")
         assert result.arguments == {"__p0": 10.0, "__p1": 40.0, "__p2": 5.0}
@@ -92,6 +79,33 @@ class TestMaskLiterals:
         assert first[0] == second[0]
         assert first[1] == second[1] == (10.0,)
 
+    def test_masked_text_distinguishes_structure(self):
+        base = masked_text("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40")
+        assert masked_text("SELECT objid FROM p WHERE dec BETWEEN 10 AND 40") != base
+        assert masked_text("SELECT objid FROM p WHERE ra < 40") != base
+        assert masked_text("SELECT ra FROM p WHERE ra BETWEEN 10 AND 40") != base
+        assert masked_text("SELECT objid FROM q WHERE ra BETWEEN 10 AND 40") != base
+        assert masked_text("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 LIMIT 5") != base
+        assert masked_text("SELECT count(*) FROM p WHERE ra BETWEEN 10 AND 40") != base
+
+    def test_a_limit_count_stays_in_the_text(self):
+        # The count is part of the plan, not a bound: it keys, it does not bind.
+        masked, values = mask_literals(
+            normalize_sql("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 LIMIT 5")
+        )
+        assert masked == "select objid from p where ra between ? and ? limit 5"
+        assert values == (10.0, 40.0)
+        assert masked_text("SELECT objid FROM p WHERE ra BETWEEN 1 AND 2 LIMIT 6") != masked
+
+    def test_a_sign_glued_to_a_keyword_is_not_half_masked(self):
+        # "and-5" lexes as AND, -5.  Masking only the "5" would bind +5 on the
+        # next execution; leaving the literal in makes the text unkeyable by
+        # its masked form (fewer values than the parse lifts) and still correct.
+        masked, values = mask_literals("select x from t where x between -9 and-5")
+        assert masked == "select x from t where x between ? and-5"
+        assert values == (-9.0,)
+        assert len(shaped("select x from t where x between -9 and-5").arguments) == 2
+
     def test_digits_inside_identifiers_are_not_masked(self):
         masked, values = mask_literals("select m1 from t2 where col3 < 5")
         assert masked == "select m1 from t2 where col3 < ?"
@@ -107,10 +121,10 @@ class TestMaskLiterals:
 
     def test_adjacent_numbers_mask_divergently_but_harmlessly(self):
         # "10-5" lexes as two numbers (10, -5) and never parses; the masked
-        # text keeps the "-" so it can never collide with an installed shape.
+        # text keeps the "-5" so it can never collide with an installed plan.
         masked, values = mask_literals("select x from t where x between 10-5 and 20")
-        assert masked == "select x from t where x between ?-? and ?"
-        assert values == (10.0, 5.0, 20.0)
+        assert masked == "select x from t where x between ?-5 and ?"
+        assert values == (10.0, 20.0)
 
     def test_raw_question_marks_survive_masking(self):
         masked, values = mask_literals("select x from t where x between ? and 5")
@@ -127,7 +141,6 @@ class TestLiftedBinding:
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ? AND dec > ?", placeholders=True
         )
         assert prepared_binding(lifted.statement) == prepared_binding(prepared)
-        assert lifted.shape == statement_shape(prepared)
 
     def test_range_order_is_revalidated_on_the_lifted_literals(self):
         binding = prepared_binding(
@@ -144,25 +157,22 @@ class TestLiftedBinding:
             parse("SELECT x FROM t WHERE x BETWEEN 9 AND 3")
 
 
-class TestStatementShape:
-    def test_prepared_placeholder_shape_equals_lifted_literal_shape(self):
-        literal = shaped("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 2.0")
-        prepared = parse(
-            "SELECT objid FROM p WHERE ra BETWEEN ? AND ?", placeholders=True
-        )
-        assert statement_shape(prepared) == literal.shape
+class TestMaskedTextIsThePlaceholderText:
+    """Literal text and its ``?`` spelling meet at one plan-cache key."""
 
-    def test_mixed_literal_shape_is_distinct(self):
-        literal = shaped("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 20.0")
-        mixed = parse(
-            "SELECT objid FROM p WHERE ra BETWEEN ? AND 20.0", placeholders=True
+    def test_masked_literal_text_equals_the_normalized_placeholder_text(self):
+        literal = "SELECT objid FROM p WHERE ra BETWEEN 1.5 AND 2.5"
+        assert masked_text(literal) == normalize_sql(
+            "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         )
-        assert statement_shape(mixed) != literal.shape
+        assert masked_text(literal) == masked_text(
+            "SELECT objid FROM p WHERE ra BETWEEN 7.5 AND 9.5"
+        )
 
-    def test_different_literals_same_shape_after_lifting(self):
-        a = shaped("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 2.0")
-        b = shaped("SELECT objid FROM p WHERE ra BETWEEN 7.5 AND 9.5")
-        assert a.shape == b.shape
+    def test_a_statement_mixing_placeholders_and_literals_keys_apart(self):
+        assert normalize_sql(
+            "SELECT objid FROM p WHERE ra BETWEEN ? AND 20.0"
+        ) != masked_text("SELECT objid FROM p WHERE ra BETWEEN 1.0 AND 20.0")
 
 
 def prepared_spec(sql: str) -> BindingSpec:

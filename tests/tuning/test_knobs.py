@@ -188,6 +188,7 @@ class TestServerRegistry:
             # The fleet constraint still holds across replicas.
             with pytest.raises(ValueError, match="below apm_m_max"):
                 registry.set_knobs({"apm_m_min": 4 * KB})
-            # Router facade mirrors the registry.
-            router.set_knobs({"router_ewma_alpha": 0.5})
-            assert router.knobs()["router_ewma_alpha"] == 0.5
+            # The router's own knobs ride in the same registry.
+            registry.set_knobs({"router_ewma_alpha": 0.5})
+            assert router.ewma_alpha == 0.5
+            assert server_knob_registry(router).knobs()["router_ewma_alpha"] == 0.5
