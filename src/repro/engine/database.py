@@ -25,8 +25,8 @@ from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
 from repro.mal.compiled import compile_program
 from repro.mal.modules import default_registry
-from repro.mal.program import MALProgram
 from repro.optimizer.bpm import AdaptiveColumnHandle, BatPartitionManager
+from repro.optimizer.delta_elision import lower_delta_free
 from repro.optimizer.pipeline import OptimizerPipeline
 from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.optimizer.segment_optimizer import SegmentOptimizer
@@ -259,22 +259,31 @@ class Database:
 
     # -- plan acquisition -----------------------------------------------------------
 
-    def compile(self, sql: str) -> MALProgram:
-        """Parse and compile a query without optimizing or running it."""
-        return self.compiler.compile(parse(sql))
-
     def explain(self, sql: str) -> str:
-        """The optimized MAL plan in concrete syntax (like ``EXPLAIN``)."""
-        return self.optimizer.optimize(self.compile(sql)).render()
+        """The optimized MAL plan in concrete syntax (like ``EXPLAIN``).
+
+        ``sql`` may carry placeholders — the text a client prepares.  The
+        Figure-1 plan comes first; under one comment line, the delta-free
+        lowering the executor runs while the table has no pending deltas.
+        """
+        optimized = self.optimizer.optimize(
+            self.compiler.compile(parse(sql, placeholders=True))
+        )
+        delta_free, tables = lower_delta_free(optimized)
+        return (
+            f"{optimized.render()}\n# delta-free lowering — runs while "
+            f"{', '.join(tables)} has no pending deltas\n{delta_free.render()}"
+        )
 
     def _lower(
         self, text: str, statement: SelectStatement, profile: QueryProfile
     ) -> PreparedPlan:
         """Compile, optimize and lower ``statement``; cache the plan under ``text``.
 
-        The one place a statement becomes a :class:`PreparedPlan`: binding
-        template, environment slots and the range-select classification are
-        derived here, once, so no later stage looks at the statement again.
+        The one place a statement becomes a :class:`PreparedPlan`: both
+        compiled variants (the full cascade and its delta-free lowering), the
+        binding template, environment slots and the range-select classification
+        are derived here, once, so no later stage looks at the statement again.
         ``text`` is what the plan is known by — its cache key, and what a
         stale handle re-prepares from.
         """
@@ -283,19 +292,23 @@ class Database:
         codegen_seconds = time.perf_counter() - started
         started = time.perf_counter()
         optimized = self.optimizer.optimize(program)
+        delta_free_program, delta_tables = lower_delta_free(optimized)
         profile.optimize_seconds = time.perf_counter() - started
         started = time.perf_counter()
         compiled = compile_program(optimized, self.registry)
+        delta_free = compile_program(delta_free_program, self.registry)
         profile.compile_seconds = codegen_seconds + time.perf_counter() - started
         binding = prepared_binding(statement)
+        names = tuple(f"__p{index}" for index in range(binding.count))
         prepared = PreparedPlan(
             sql=text,
             compiled=compiled,
             text=optimized.render(),
             binding=binding,
-            slots=compiled.parameter_slots(
-                tuple(f"__p{index}" for index in range(binding.count))
-            ),
+            slots=compiled.parameter_slots(names),
+            delta_free=delta_free,
+            delta_free_slots=delta_free.parameter_slots(names),
+            delta_tables=delta_tables,
             generation=self.plan_cache.generation,
             template=range_template(statement, self.catalog),
         )

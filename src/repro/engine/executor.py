@@ -9,7 +9,8 @@ answered by a straight call into :meth:`Executor.run`.
 
 Whether a statement is a batchable range select was decided when it was
 prepared (:attr:`PreparedPlan.template`); whether its table has pending deltas
-is read here, once per table per wave.
+is read here — once per table per wave to bucket it, once per single run to
+pick the plan's compiled variant (full cascade or delta-free lowering).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.engine.execution import ExecutionContext
 from repro.engine.plan_cache import PreparedPlan, RangeTemplate
 from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
+from repro.mal.operators import gather
+from repro.storage.bat import BAT
 from repro.util.half_open import half_open, half_open_in_domain, half_open_in_domain_many
 from repro.util.sorted_search import sorted_probe_many
 
@@ -147,7 +150,9 @@ class Executor:
         ``origin`` is given when the member was resolved from SQL text: the
         result then carries that text, the cache level that answered it and
         the profile that timed its plan acquisition.  Contexts are pooled, so
-        the warm path allocates no per-query containers of its own.
+        the warm path allocates no per-query containers of its own.  The
+        delta-free variant runs while the statement's tables have no deltas;
+        ``plan_text`` stays the paper's plan, ``opcode_counts`` say what ran.
         """
         if origin is None:
             started = time.perf_counter()
@@ -158,13 +163,15 @@ class Executor:
             sql, level, profile = origin
             started = time.perf_counter() - profile.plan_seconds
         database = self.database
-        compiled = prepared.compiled
+        compiled, slots = prepared.compiled, prepared.slots
+        if self._delta_free(prepared.delta_tables):
+            compiled, slots = prepared.delta_free, prepared.delta_free_slots
         contexts = self._contexts
         context = contexts.pop() if contexts else ExecutionContext(catalog=database.catalog)
         adaptive_before = self._adaptive_counters()
         counters = compiled.new_counters()
         execute_started = time.perf_counter()
-        compiled.execute_bound(context, prepared.slots, values, counters)
+        compiled.execute_bound(context, slots, values, counters)
         profile.execute_seconds = time.perf_counter() - execute_started
         selection_seconds, adaptation_seconds = self._adaptive_delta(adaptive_before)
         profile.attach_counters(compiled, counters)
@@ -189,6 +196,17 @@ class Executor:
             context.reset()
             contexts.append(context)
         return result
+
+    def _delta_free(self, tables: tuple[str, ...]) -> bool:
+        """True while none of ``tables`` has a pending insert, update or delete.
+
+        Picks a statement's compiled variant and lets wave members batch.
+        """
+        table = self.database.catalog.table
+        for name in tables:
+            if table(name).has_deltas:
+                return False
+        return True
 
     # -- waves --------------------------------------------------------------------
 
@@ -242,7 +260,6 @@ class Executor:
         :meth:`run` in input order.
         """
         database = self.database
-        catalog = database.catalog
         generation = database.plan_cache.generation
         plans: list[PreparedPlan] = []
         refreshed: dict[int, PreparedPlan] = {}
@@ -260,7 +277,7 @@ class Executor:
             if template is not None:
                 free = delta_free.get(template.table)
                 if free is None:
-                    free = not catalog.table(template.table).has_deltas
+                    free = self._delta_free((template.table,))
                     delta_free[template.table] = free
                 if free:
                     groups.setdefault((template.table, template.column), []).append(position)
@@ -321,7 +338,7 @@ class Executor:
     ) -> None:
         """Fan ``reads`` across the reader pool; fill their ``slots``.
 
-        One snapshot is pinned per column and every projection array is
+        One snapshot is pinned per column and every projected column's BAT is
         resolved on this thread — readers touch no shared mutable state (numpy
         probe/gather kernels release the GIL).  After the readers join, each
         touched column absorbs its drained read observations: adaptation stays
@@ -332,13 +349,11 @@ class Executor:
         pinned = {
             key: (adaptive, adaptive.pin_snapshot()) for key, adaptive in readable.items()
         }
-        arrays: dict[tuple[str, str], np.ndarray] = {}
+        bats: dict[tuple[str, str], BAT] = {}
         for _, _, _, template in reads:
             for name in template.projected:
-                if (template.table, name) not in arrays:
-                    arrays[(template.table, name)] = (
-                        catalog.column(template.table, name).bind(0).tail
-                    )
+                if (template.table, name) not in bats:
+                    bats[(template.table, name)] = catalog.column(template.table, name).bind(0)
 
         def run_chunk(chunk: list) -> list[tuple[int, QueryResult | BaseException]]:
             out: list[tuple[int, QueryResult | BaseException]] = []
@@ -346,7 +361,7 @@ class Executor:
                 adaptive, snapshot = pinned[(template.table, template.column)]
                 try:
                     outcome = self._snapshot_read(
-                        sql, values, template, adaptive, snapshot, arrays
+                        sql, values, template, adaptive, snapshot, bats
                     )
                 except Exception as exc:  # noqa: BLE001 - raised after the join
                     outcome = exc
@@ -374,12 +389,12 @@ class Executor:
         template: RangeTemplate,
         adaptive: Any,
         snapshot: Any,
-        arrays: dict[tuple[str, str], np.ndarray],
+        bats: dict[tuple[str, str], BAT],
     ) -> QueryResult:
         """Answer one member against a pinned snapshot (reader-thread safe).
 
         Touches only immutable state: the pinned snapshot, the pre-resolved
-        projection ``arrays`` and the strategy's thread-safe observation
+        column ``bats`` and the strategy's thread-safe observation
         accumulator.  No plan-cache store, catalog or accountant access.
         """
         started = time.perf_counter()
@@ -391,7 +406,7 @@ class Executor:
         return QueryResult(
             sql=sql,
             parameters=tuple(values),
-            columns={name: arrays[(table, name)][oids] for name in template.projected},
+            columns={name: gather(bats[(table, name)], oids) for name in template.projected},
             plan_text=f"# snapshot read on {table}.{template.column}",
             total_seconds=time.perf_counter() - started,
             selection_seconds=selection_seconds,
@@ -487,14 +502,14 @@ class Executor:
 
         share = 1.0 / len(items)
         cache = database.plan_cache
-        column_arrays: dict[str, np.ndarray] = {}
+        column_bats: dict[str, BAT] = {}
         results: list[QueryResult] = []
         for (_, sql, member_values, template), oids in zip(items, extracted):
             columns: dict[str, np.ndarray] = {}
             for name in template.projected:
-                if name not in column_arrays:
-                    column_arrays[name] = catalog.column(table, name).bind(0).tail
-                columns[name] = column_arrays[name][oids]
+                if name not in column_bats:
+                    column_bats[name] = catalog.column(table, name).bind(0)
+                columns[name] = gather(column_bats[name], oids)
             results.append(
                 QueryResult(
                     sql=sql,

@@ -96,6 +96,10 @@ def _algebra_join(ctx, left: BAT, right: BAT) -> BAT:
     return operators.join(left, right)
 
 
+def _algebra_projection(ctx, candidates: BAT, column: BAT) -> BAT:
+    return BAT(operators.projection(column, candidates.head), name=column.name)
+
+
 def _bat_reverse(ctx, bat: BAT) -> BAT:
     return bat.reverse()
 
@@ -175,6 +179,7 @@ def default_registry() -> ModuleRegistry:
             "markT": _algebra_markt,
             "join": _algebra_join,
             "leftfetchjoin": _algebra_join,
+            "projection": _algebra_projection,
         },
     )
     registry.register_module("bat", {"reverse": _bat_reverse, "mirror": _bat_mirror})

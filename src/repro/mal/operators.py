@@ -13,7 +13,8 @@ Conventions:
 * ``kunion``/``kdifference`` operate on the head-oid sets, keeping the pair of
   the left operand.
 * ``markT`` renumbers results densely in the tail; combined with ``reverse``
-  and ``join`` it reconstructs final result columns exactly like Figure 1.
+  and ``join`` it reconstructs final result columns exactly like Figure 1;
+  ``projection`` is the same reconstruction as one positional ``gather``.
 """
 
 from __future__ import annotations
@@ -217,6 +218,31 @@ def join(left: BAT, right: BAT) -> BAT:
     valid = sorted_heads[positions] == left_keys
     matched = order[positions[valid]]
     return BAT.from_pairs(left.head[valid], right.tail[matched], name=right.name)
+
+
+def gather(column: BAT, oids: np.ndarray) -> np.ndarray:
+    """The tail values of the void-headed ``column`` at head oids ``oids``.
+
+    The one positional gather, unchecked: for oids the column is known to hold
+    (the executor's batch and snapshot paths, whose oids come from a select on
+    the same table) — one numpy call per member per column.
+    """
+    return column.tail[oids - column.hseqbase if column.hseqbase else oids]
+
+
+def projection(column: BAT, oids: np.ndarray) -> np.ndarray:
+    """:func:`gather` behind :func:`join`'s guard (``algebra.projection``).
+
+    An oid the column does not hold is dropped — never wrapped around, as a
+    negative numpy index would be — and an empty operand yields an empty array
+    of the column's dtype.
+    """
+    if oids.size == 0:
+        return column.tail[:0]
+    first, end = column.hseqbase, column.hseqbase + column.count
+    if oids.min() < first or oids.max() >= end:
+        oids = oids[(oids >= first) & (oids < end)]
+    return gather(column, oids)
 
 
 def leftfetchjoin(left: BAT, right: BAT) -> BAT:

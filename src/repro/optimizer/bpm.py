@@ -17,8 +17,11 @@ segment optimizer's rewritten plans call at run time:
 
 ``bpm.newIterator`` runs the adaptive column's range selection — which is
 where adaptation (splitting / replica materialization) is piggy-backed — and
-then hands the qualifying pieces to the plan one segment at a time, so the
-downstream plan shape matches the paper's §3.1 snippet.
+hands the plan the qualifying piece, so the downstream plan shape matches the
+paper's §3.1 snippet.  The selection answers the block's bounds exactly, so
+there is never a second piece; the delta-free lowering
+(:mod:`repro.optimizer.delta_elision`) calls the same selection as
+``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it.
 """
 
 from __future__ import annotations
@@ -59,28 +62,12 @@ class AdaptiveColumnHandle:
         return history[-1]
 
 
-@dataclass
-class _SegmentIterator:
-    """State of one barrier-block iteration over qualifying pieces."""
-
-    pieces: list[BAT]
-    position: int = 0
-
-    def next_piece(self) -> BAT | None:
-        if self.position >= len(self.pieces):
-            return None
-        piece = self.pieces[self.position]
-        self.position += 1
-        return piece
-
-
 class BatPartitionManager:
     """Owns adaptive columns and implements the ``bpm`` MAL module."""
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self._handles: dict[tuple[str, str], AdaptiveColumnHandle] = {}
-        self._iterators: dict[int, _SegmentIterator] = {}
         self.total_adaptation_seconds = 0.0
         self.total_selection_seconds = 0.0
 
@@ -154,6 +141,7 @@ class BatPartitionManager:
         """The ``bpm`` module functions to register with the MAL registry."""
         return {
             "take": self._mal_take,
+            "select": self._mal_select,
             "new": self._mal_new,
             "newIterator": self._mal_new_iterator,
             "hasMoreElements": self._mal_has_more_elements,
@@ -171,20 +159,12 @@ class BatPartitionManager:
     def _mal_new_iterator(
         self, ctx, handle: AdaptiveColumnHandle, low, high, include_low=True, include_high=False
     ) -> BAT | None:
-        iterator = self._start_iteration(handle, low, high, include_low, include_high)
-        self._iterators[id(handle)] = iterator
-        return iterator.next_piece()
+        piece = self._mal_select(ctx, handle, low, high, include_low, include_high)
+        return piece if piece.count else None
 
-    def _mal_has_more_elements(
-        self, ctx, handle: AdaptiveColumnHandle, low, high, include_low=True, include_high=False
-    ) -> BAT | None:
-        iterator = self._iterators.get(id(handle))
-        if iterator is None:
-            return None
-        piece = iterator.next_piece()
-        if piece is None:
-            del self._iterators[id(handle)]
-        return piece
+    @staticmethod
+    def _mal_has_more_elements(ctx, handle: AdaptiveColumnHandle, *bounds) -> None:
+        return None  # the first piece was the whole answer
 
     @staticmethod
     def _mal_add_segment(ctx, accumulator: list[BAT], piece: BAT) -> list[BAT]:
@@ -204,15 +184,18 @@ class BatPartitionManager:
 
     # -- the piggy-backed selection ------------------------------------------------
 
-    def _start_iteration(
-        self,
-        handle: AdaptiveColumnHandle,
-        low: float,
-        high: float,
-        include_low: bool,
-        include_high: bool,
-    ) -> _SegmentIterator:
-        """Run the adaptive selection and expose its result one piece at a time."""
+    def _mal_select(
+        self, ctx, handle: AdaptiveColumnHandle, low, high, include_low=True, include_high=False
+    ) -> BAT:
+        """Run the adaptive selection; the qualifying ``(oid, value)`` pairs.
+
+        The one select-and-account implementation behind ``bpm.select`` and
+        ``bpm.newIterator``; the result is a candidate list (oids in the
+        head).  Segment-backed strategies promise sorted values
+        (SelectionResult.values_sorted), so the iterator block's inner
+        algebra.select binary-searches the piece; unsorted results leave the
+        flag off and take the mask path — correct either way.
+        """
         adaptive = handle.adaptive
         effective_low, effective_high = half_open_in_domain(
             adaptive.domain, low, high, include_low, include_high
@@ -226,18 +209,4 @@ class BatPartitionManager:
             self.total_adaptation_seconds += stats.adaptation_seconds
         else:
             self.total_selection_seconds += elapsed
-        pieces: list[BAT] = []
-        if result.count:
-            # Candidate lists carry the qualifying oids in head and tail, the
-            # same shape algebra.uselect produces.  Segment-backed strategies
-            # promise sorted values at construction (SelectionResult.values_sorted),
-            # letting the plan's inner algebra.select answer the piece with
-            # binary-search slicing instead of a scan; the positional baseline
-            # and unsorted plugin results leave the flag off and take the
-            # mask path — correct either way.
-            pieces.append(
-                BAT.from_pairs(
-                    result.oids, result.values, tail_sorted=result.values_sorted
-                )
-            )
-        return _SegmentIterator(pieces=pieces)
+        return BAT.from_pairs(result.oids, result.values, tail_sorted=result.values_sorted)

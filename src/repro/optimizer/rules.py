@@ -66,7 +66,7 @@ def merge_duplicate_binds(program: MALProgram) -> MALProgram:
     renames: dict[str, str] = {}
     optimized = MALProgram(name=program.name, parameters=program.parameters)
     for instruction in program.instructions:
-        instruction = _apply_renames(instruction, renames)
+        instruction = apply_renames(instruction, renames)
         if (
             instruction.opcode == "assign"
             and instruction.module == "sql"
@@ -83,7 +83,8 @@ def merge_duplicate_binds(program: MALProgram) -> MALProgram:
     return optimized
 
 
-def _apply_renames(instruction: Instruction, renames: dict[str, str]) -> Instruction:
+def apply_renames(instruction: Instruction, renames: dict[str, str]) -> Instruction:
+    """``instruction`` with every renamed variable argument replaced by its alias."""
     if not renames:
         return instruction
     new_args = tuple(

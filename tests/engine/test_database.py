@@ -62,15 +62,12 @@ class TestSchemaAndLoading:
 
 
 class TestDeltaFreePathIsUntouched:
-    """The Figure-1 cascade with empty deltas does the work it did before dense deltas."""
+    """A delta-free read runs the delta-free lowering; a pending write runs Figure 1 as before."""
 
-    @pytest.mark.parametrize("strategy, allocations", [(None, 6), ("segmentation", 5)])
-    def test_a_warm_delta_free_read_allocates_the_same_bats(
-        self, database, monkeypatch, strategy, allocations
-    ):
-        if strategy is not None:
-            database.enable_adaptive("p", "ra", strategy=strategy)
-        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+    SQL = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
+
+    @staticmethod
+    def bats_built_by_a_warm_read(database, monkeypatch, prepared) -> int:
         for _ in range(3):
             database.execute_prepared(prepared, (10.0, 11.0))
         built = []
@@ -83,10 +80,39 @@ class TestDeltaFreePathIsUntouched:
         monkeypatch.setattr(BAT, "__init__", counting)
         result = database.execute_prepared(prepared, (10.0, 11.0))
         monkeypatch.undo()
-        assert result.cache_level == "prepared"  # the full compiled plan ran, not a batch
-        # Counted at the parent commit; every delta operator must still take its
-        # empty-operand early return before anything else.
-        assert len(built) == allocations
+        assert result.cache_level == "prepared"  # a compiled plan ran, not a batch
+        return len(built)
+
+    @pytest.mark.parametrize(
+        "strategy, delta_free, pending", [(None, 3, 9), ("segmentation", 2, 8)]
+    )
+    def test_a_warm_read_allocates_the_same_bats(
+        self, database, monkeypatch, strategy, delta_free, pending
+    ):
+        if strategy is not None:
+            database.enable_adaptive("p", "ra", strategy=strategy)
+        prepared = database.prepare_statement(self.SQL)
+        # Delta-free: the candidate list (two BATs for a plain uselect) and the
+        # one gathered column — was 6 (plain) and 5 (segmentation) while the
+        # full cascade ran here.
+        assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) <= delta_free
+        database.insert("p", {"objid": [-1], "ra": [10.5], "dec": [0.0]})
+        # Counted at the parent commit with the same pending insert: the full
+        # variant is the code it was.
+        assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) == pending
+
+    @pytest.mark.parametrize("strategy", [None, "segmentation", "replication", "unsegmented"])
+    def test_the_benchmark_statement_lowers_to_a_handful_of_dispatches(self, database, strategy):
+        if strategy is not None:
+            database.enable_adaptive("p", "ra", strategy=strategy)
+        prepared = database.prepare_statement(self.SQL)
+        counts = prepared.delta_free.opcode_counts([1] * len(prepared.delta_free))
+        assert len(prepared.delta_free) <= 8 and prepared.delta_tables == ("p",)
+        assert not counts.keys() & {
+            "algebra.kunion", "algebra.kdifference", "algebra.markT", "algebra.join",
+            "bat.reverse", "bpm.newIterator", "bpm.hasMoreElements",
+        }
+        assert len(prepared.compiled) == (25 if strategy is None else 31)
 
 
 class TestOneExecutionCore:
@@ -215,6 +241,24 @@ class TestQueryExecution:
         plan = database.explain("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
         assert plan.startswith("function user.")
         assert "algebra.uselect" in plan
+
+    def test_explain_takes_the_text_a_client_prepares(self, database):
+        """``?`` text explains (it raised SQLSyntaxError); both lowerings are shown."""
+        sql = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
+        figure_1, marker, delta_free = database.explain(sql).partition(
+            "\n# delta-free lowering — runs while p has no pending deltas\n"
+        )
+        assert marker and figure_1.count("algebra.kunion") == 4
+        # Statement counters differ between two compilations; the bodies do not.
+        prepared = database.prepare_statement(sql)
+        assert figure_1.splitlines()[1:-1] == prepared.text.splitlines()[1:-1]
+        callees = [line.split("(")[0].split()[-1] for line in delta_free.splitlines()[1:-1]]
+        assert callees == [
+            "sql.bind", "algebra.uselect", "sql.bind", "algebra.projection",
+            "sql.resultSet", "sql.rsColumn", "sql.exportResult",
+        ]
+        named = database.explain("SELECT objid FROM p WHERE ra BETWEEN :lo AND :hi")
+        assert named.count("uselect(X_3, __p0, __p1") == 2  # once in each lowering
 
     def test_result_to_rows(self, database):
         result = database.execute("SELECT objid, ra FROM p WHERE ra BETWEEN 10 AND 10.5")

@@ -234,7 +234,7 @@ class TestOneEntryPerStatement:
         second = database.execute_prepared(prepared, (1.5, 2.5))
         assert len(database.plan_cache) == 1
         assert (first.cache_level, second.cache_level) == ("cold", "prepared")
-        assert ran[0] is ran[1] is prepared.compiled
+        assert ran[0] is ran[1] is prepared.delta_free  # no write yet: the delta-free variant
         assert _rows(first) == _rows(second)
 
     def test_prepare_then_literal_text_is_one_entry(self, database, ran):
@@ -244,7 +244,12 @@ class TestOneEntryPerStatement:
         assert len(database.plan_cache) == 1
         assert (first.cache_level, second.cache_level) == ("prepared", "masked")
         assert second.profile.compile_seconds == 0.0 and not second.profile.cold
-        assert ran[0] is ran[1] is prepared.compiled
+        assert ran[0] is ran[1] is prepared.delta_free
+        database.insert("p", {"objid": [-1], "ra": [2.0]})
+        third = database.execute_prepared(prepared, (1.5, 2.5))
+        fourth = database.execute(self.LITERAL)
+        assert ran[2] is ran[3] is prepared.compiled  # pending deltas: the full cascade
+        assert _rows(third) == _rows(fourth) == sorted(_rows(first) + [(-1,)])
         assert _rows(first) == _rows(second)
 
     def test_limit_variants_share_an_entry_per_count(self, database):

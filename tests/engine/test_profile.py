@@ -66,9 +66,24 @@ class TestQueryProfile:
         assert tuple(result.profile.stage_seconds()) == STAGES
 
     def test_opcode_counts_reflect_the_plan(self, database):
-        result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
-        counts = result.profile.opcode_counts
-        assert counts["algebra.uselect"] == 3  # one per bind level
+        """The counters name the variant that ran: delta-free until the first write."""
+        sql = "SELECT objid FROM p WHERE ra BETWEEN 10 AND 20"
+        counts = database.execute(sql).profile.opcode_counts
+        assert counts == {
+            "sql.bind": 2, "algebra.uselect": 1, "algebra.projection": 1,
+            "sql.resultSet": 1, "sql.rsColumn": 1, "sql.exportResult": 1,
+        }
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
+        counts = database.execute(sql).profile.opcode_counts
+        assert counts == dict.fromkeys(
+            ["bpm.take", "bpm.select", "sql.bind", "algebra.projection",
+             "sql.resultSet", "sql.rsColumn", "sql.exportResult"], 1,
+        )
+        database.insert("p", {"objid": [25_000], "ra": [15.0], "dec": [0.0]})
+        counts = database.execute(sql).profile.opcode_counts
+        assert sum(counts.values()) == 31  # the full Figure-1 cascade, as before this variant
+        assert counts["algebra.uselect"] == 2  # delta levels; level 0 is the iterator block
+        assert counts["algebra.kunion"] == 4 and counts["bpm.newIterator"] == 1
         assert counts["sql.exportResult"] == 1
         assert all(count > 0 for count in counts.values())
 

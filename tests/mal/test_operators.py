@@ -113,6 +113,28 @@ class TestTupleReconstruction:
         positions = marked.reverse()
         result = operators.join(positions, objid)
         assert result.tail.tolist() == [1000, 1002]
+        assert operators.projection(objid, candidates.head).tolist() == [1000, 1002]
+
+    def test_projection_keeps_joins_guard_and_empty_dtype(self):
+        """One gather, same contract: unknown oids dropped (never wrapped), dtype kept."""
+        column = BAT(np.array([10.5, 11.5, 12.5], dtype=np.float32), hseqbase=100)
+        assert operators.projection(column, np.array([102, 100])).tolist() == [12.5, 10.5]
+        for oids in ([101, 99, 103, -1, 100], [2], []):
+            oids = np.array(oids, dtype=np.int64)
+            positions = BAT.from_pairs(np.arange(oids.size), oids)
+            gathered = operators.projection(column, oids)
+            assert gathered.tolist() == operators.join(positions, column).tail.tolist()
+            assert gathered.dtype == np.float32
+
+    def test_gather_is_projection_without_the_guard(self):
+        """The unchecked entry (batch / snapshot paths): same values for oids the column holds."""
+        for hseqbase in (0, 100):
+            column = BAT(np.array([10.5, 11.5, 12.5], dtype=np.float32), hseqbase=hseqbase)
+            for oids in ([2, 0, 1, 2], []):
+                oids = np.array(oids, dtype=np.int64) + hseqbase
+                gathered = operators.gather(column, oids)
+                assert gathered.tolist() == operators.projection(column, oids).tolist()
+                assert gathered.dtype == np.float32
 
 
 class TestDenseDeltas:

@@ -4,6 +4,11 @@ Satellite of the compiled-fast-path PR: the slot-based executor must produce
 the same final variable environments and the same per-query ``QueryStats`` as
 the tree-walking interpreter — including across the segment optimizer's
 barrier/redo/exit iterator rewrites, where the control flow actually loops.
+
+A prepared plan carries two compiled variants — the full Figure-1 cascade and
+its delta-free lowering (``repro.optimizer.delta_elision``).  On a table with
+no pending deltas both must export what ``Interpreter.run`` exports from the
+full plan, for every built-in organisation and every statement shape.
 """
 
 import numpy as np
@@ -98,19 +103,21 @@ def test_barrier_loop_environments_match(items, offset, argument):
 _N_ROWS = 4_000
 
 
-def _build_database() -> Database:
+def _build_database(organisation: str | None = "segmentation") -> Database:
     rng = np.random.default_rng(23)
     db = Database()
-    db.create_table("p", {"objid": "int64", "ra": "float64"})
+    db.create_table("p", {"objid": "int64", "ra": "float64", "dec": "float32"})
     db.bulk_load(
         "p",
         {
             "objid": np.arange(_N_ROWS, dtype=np.int64),
             "ra": rng.uniform(0.0, 360.0, _N_ROWS),
+            "dec": rng.uniform(-90.0, 90.0, _N_ROWS).astype(np.float32),
         },
     )
-    db.enable_adaptive("p", "ra", strategy="segmentation", model="apm",
-                       m_min=1 * KB, m_max=4 * KB)
+    if organisation is not None:
+        db.enable_adaptive("p", "ra", strategy=organisation, model="apm",
+                           m_min=1 * KB, m_max=4 * KB, seed=1)
     return db
 
 
@@ -217,6 +224,87 @@ def test_compiled_plan_is_reusable_across_contexts():
     second = second_context.exported_columns()
     for name in first:
         assert np.array_equal(first[name], second[name])
+
+
+# ---------------------------------------------------------------------------
+# Both compiled variants against the interpreter, shape by shape
+# ---------------------------------------------------------------------------
+
+#: Statement shape -> (text, how many of (low, high, dec bound) it binds).
+_SHAPES = {
+    "between": ("SELECT objid FROM p WHERE ra BETWEEN ? AND ?", 2),
+    "at_least": ("SELECT objid FROM p WHERE ra >= ?", 1),
+    "below": ("SELECT objid FROM p WHERE ra < ?", 1),
+    "two_predicates": ("SELECT objid FROM p WHERE ra BETWEEN ? AND ? AND dec < ?", 3),
+    "star": ("SELECT * FROM p WHERE ra BETWEEN ? AND ?", 2),
+    "two_columns": ("SELECT dec, objid FROM p WHERE ra BETWEEN ? AND ?", 2),
+    "aggregate": ("SELECT count(*), sum(dec), avg(objid) FROM p WHERE ra BETWEEN ? AND ?", 2),
+    "limit": ("SELECT objid, ra FROM p WHERE ra BETWEEN ? AND ? LIMIT 7", 2),
+}
+
+_ranges = st.one_of(
+    st.tuples(st.floats(1.0, 350.0), st.floats(0.01, 30.0)).map(lambda r: (r[0], r[0] + r[1])),
+    st.floats(1.0, 350.0).map(lambda low: (low, low)),  # empty: no value is hit exactly
+    st.just((400.0, 500.0)),  # above the domain: empty, the projected dtypes survive
+    st.just((-50.0, -10.0)),  # below it: an adaptive column rejects the range — alike
+)
+_shape_queries = st.lists(
+    st.tuples(st.sampled_from(sorted(_SHAPES)), _ranges, st.floats(-90.0, 90.0)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _exported(run, database):
+    """What one executor exports: ordered (name, dtype, values) triples and scalars."""
+    context = ExecutionContext(catalog=database.catalog)
+    try:
+        run(context)
+    except ValueError as exc:
+        return type(exc)
+    columns = context.exported_columns()
+    return (
+        [(name, column.dtype, column.tolist()) for name, column in columns.items()],
+        dict(context.scalars),
+    )
+
+
+@pytest.mark.parametrize("organisation", [None, "segmentation", "replication", "unsegmented"])
+@given(queries=_shape_queries)
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_both_compiled_variants_match_the_interpreter(organisation, queries):
+    interpreted_db, full_db, delta_free_db = (_build_database(organisation) for _ in range(3))
+    for shape, (low, high), dec in queries:
+        sql, arity = _SHAPES[shape]
+        values = (low, high, dec)[:arity] if arity != 1 else (low,)
+        program = interpreted_db.optimizer.optimize(
+            interpreted_db.compiler.compile(parse(sql, placeholders=True))
+        )
+        arguments = {f"__p{index}": value for index, value in enumerate(values)}
+        full = full_db.prepare_statement(sql)
+        delta_free = delta_free_db.prepare_statement(sql)
+        assert len(delta_free.delta_free) < len(full.compiled)
+
+        expected = _exported(
+            lambda ctx: Interpreter(interpreted_db.registry).run(program, ctx, arguments),
+            interpreted_db,
+        )
+        assert expected == _exported(
+            lambda ctx: full.compiled.execute_bound(ctx, full.slots, values), full_db
+        )
+        assert expected == _exported(
+            lambda ctx: delta_free.delta_free.execute_bound(
+                ctx, delta_free.delta_free_slots, values
+            ),
+            delta_free_db,
+        )
+    if organisation is not None:
+        histories = [
+            [_stats_tuple(stats) for stats in db.adaptive_handle("p", "ra").adaptive.history]
+            for db in (interpreted_db, full_db, delta_free_db)
+        ]
+        assert histories[0] == histories[1] == histories[2]
+        delta_free_db.adaptive_handle("p", "ra").adaptive.check_invariants()
 
 
 if __name__ == "__main__":  # pragma: no cover

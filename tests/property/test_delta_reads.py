@@ -15,7 +15,10 @@ deduplicate rather than concatenate.
 
 The door-equivalence check below it drives one fixed set of ranges through
 each of the five ``Database.execute*`` doors — they are adapters over one
-executor, so they must agree on answers, slot order and batch counters.
+executor, so they must agree on answers, slot order and batch counters.  The
+variant-flip check follows one prepared handle through delta-free → insert →
+delete → reload: which compiled variant runs is a fact of the table's deltas
+at that moment, and every answer along the way matches the shadow.
 """
 
 from __future__ import annotations
@@ -216,6 +219,50 @@ def test_every_door_answers_alike(door, organisation, pending, read_workers):
         assert counted == (0, 0, 0) and levels == {"snapshot"}
     else:
         assert counted == (1, len(RANGES), 0) and levels == {"batched"}
+
+
+@pytest.mark.parametrize("organisation", [None, *available_strategies()])
+@pytest.mark.parametrize("door", DOORS)
+def test_the_first_write_flips_the_variant_and_a_reload_flips_it_back(door, organisation):
+    database, shadow = _build(organisation, early_insert=False)
+    prepared = database.prepare_statement(SQL)
+
+    def read(pending: bool) -> None:
+        results = _through(database, door, prepared, RANGES)
+        assert [_pairs(result) for result in results] == [
+            shadow.answer(low, high) for low, high in RANGES
+        ]
+        ran = [r.profile.opcode_counts for r in results if r.cache_level in RAN_SINGLY]
+        if pending:  # every member ran the full Figure-1 cascade on its own
+            assert len(ran) == len(RANGES)
+            assert all("algebra.kunion" in counts and "algebra.join" in counts for counts in ran)
+        else:  # the delta-free lowering, or a batch that ran no plan at all
+            assert len(ran) == (len(RANGES) if door in ("execute", "execute_prepared") else 0)
+            assert all(
+                "algebra.projection" in counts and "algebra.kunion" not in counts
+                for counts in ran
+            )
+
+    read(pending=False)
+    _step(database, shadow, prepared, "insert", 11)
+    read(pending=True)
+    _step(database, shadow, prepared, "delete", 12)
+    read(pending=True)
+    # Nothing but a reload empties the deltas again.  An adaptive column is
+    # rebuilt over the new rows; the stale handle re-prepares both variants.
+    values = np.random.default_rng(4).uniform(0.0, DOMAIN, ROWS)
+    if organisation is not None:
+        database.disable_adaptive("p", "v")
+    database.bulk_load("p", {"objid": np.arange(ROWS, dtype=np.int64), "v": values})
+    if organisation is not None:
+        database.enable_adaptive(
+            "p", "v", strategy=organisation, model="apm", m_min=1 * KB, m_max=4 * KB, seed=1
+        )
+        assert prepared.generation != database.plan_cache.generation
+    shadow = Shadow(values)
+    read(pending=False)
+    if organisation is not None:
+        database.adaptive_handle("p", "v").adaptive.check_invariants()
 
 
 @pytest.mark.parametrize("read_workers", [1, 2])

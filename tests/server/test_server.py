@@ -384,16 +384,24 @@ class TestAdmin:
                 )
                 rows = sorted(row[0] for row in cursor.fetchall())
                 plan = await admin.explain("select v from t where v between 1.0 and 2.0")
+                prepared_plan = await admin.explain("select v from t where v between ? and ?")
                 await admin.drop_table("t")
                 with pytest.raises(ProgrammingError):
                     await connection.execute("select v from t where v between 0.0 and 1.0")
                 await connection.close()
-                return names, rows, plan
+                return names, rows, plan, prepared_plan
 
-        names, rows, plan = run(go)
+        names, rows, plan, prepared_plan = run(go)
         assert names == ["t"]
         assert rows == [2.0, 3.0, 4.0, 5.0]
         assert isinstance(plan, str) and plan
+        # The text a client prepares explains too (it raised a syntax error),
+        # Figure 1 first and the delta-free lowering under its comment line.
+        figure_1, marker, delta_free = prepared_plan.partition(
+            "\n# delta-free lowering — runs while t has no pending deltas\n"
+        )
+        assert marker and "algebra.kunion" in figure_1 and "__p0" in figure_1
+        assert "algebra.projection" in delta_free and "algebra.kunion" not in delta_free
 
     def test_cache_stats_sections_cross_the_wire(self):
         async def go():
