@@ -26,16 +26,14 @@ def values() -> np.ndarray:
 @pytest.fixture(scope="module")
 def warm_segmented(values) -> SegmentedColumn:
     """A segmented column already adapted by a 500-query warm-up."""
-    column = SegmentedColumn(
-        values, model=AdaptivePageModel(8 * KB, 32 * KB), keep_history=False, time_phases=False
-    )
+    column = SegmentedColumn(values, model=AdaptivePageModel(8 * KB, 32 * KB), time_phases=False)
     for query in uniform_workload(500, DOMAIN, 0.01, seed=17):
         column.select(query.low, query.high)
     return column
 
 
 def test_micro_fullscan_select(benchmark, values):
-    column = UnsegmentedColumn(values, keep_history=False, time_phases=False)
+    column = UnsegmentedColumn(values, time_phases=False)
     benchmark(column.select, 500_000, 510_000)
 
 
@@ -44,7 +42,7 @@ def test_micro_segmented_select(benchmark, warm_segmented):
 
 
 def test_micro_segmented_beats_fullscan_on_reads(values, warm_segmented):
-    baseline = UnsegmentedColumn(values, keep_history=False, time_phases=False)
+    baseline = UnsegmentedColumn(values, time_phases=False)
     baseline.select(500_000, 510_000)
     before = warm_segmented.accountant.total_reads_bytes
     warm_segmented.select(500_000, 510_000)

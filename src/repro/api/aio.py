@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.api.cursor import _FetchCursor
 from repro.api.exceptions import (
     InterfaceError,
     NotSupportedError,
@@ -67,9 +68,6 @@ __all__ = [
     "RemoteResult",
     "connect",
 ]
-
-#: ``description`` type code for scalar aggregates (mirrors the sync cursor).
-_SCALAR_TYPE = "float64"
 
 
 class RemoteResult:
@@ -115,44 +113,13 @@ class RemoteResult:
         )
 
 
-class AsyncCursor:
+class AsyncCursor(_FetchCursor[RemoteResult]):
     """A cursor over one :class:`AsyncConnection` (PEP 249 fetch surface).
 
     ``execute``/``executemany`` are coroutines; fetching is synchronous
     because results arrive whole.  Extensions mirror the sync cursor:
     ``result``, ``results``, ``cache_level``.
     """
-
-    def __init__(self, connection: "AsyncConnection") -> None:
-        self._connection = connection
-        self._closed = False
-        self.arraysize = 1
-        self._executed = False
-        self._results: list[RemoteResult] = []
-        self._result_index = 0
-        self._row_index = 0
-        self._description: list[tuple] | None = None
-        self._rowcount = -1
-
-    # -- state ----------------------------------------------------------------
-
-    @property
-    def connection(self) -> "AsyncConnection":
-        return self._connection
-
-    @property
-    def closed(self) -> bool:
-        return self._closed or self._connection.closed
-
-    def close(self) -> None:
-        """Close the cursor (purely client-side; the connection stays open)."""
-        self._closed = True
-        self._results = []
-        self._description = None
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise InterfaceError("cursor is closed")
 
     # -- execution ------------------------------------------------------------
 
@@ -187,141 +154,6 @@ class AsyncCursor:
         )
         self._install([RemoteResult(payload) for payload in reply.get("results", [])])
         return self
-
-    def _install(self, results: list[RemoteResult]) -> None:
-        self._executed = True
-        self._results = results
-        self._result_index = 0
-        self._row_index = 0
-        self._description = self._describe(results[0]) if results else None
-        self._rowcount = sum(self._result_rows(result) for result in results)
-
-    @staticmethod
-    def _describe(result: RemoteResult) -> list[tuple]:
-        if result.scalars:
-            return [
-                (label, _SCALAR_TYPE, None, 8, None, None, None)
-                for label in result.scalars
-            ]
-        return [
-            (name, array.dtype.name, None, int(array.dtype.itemsize), None, None, None)
-            for name, array in result.columns.items()
-        ]
-
-    @staticmethod
-    def _result_rows(result: RemoteResult) -> int:
-        if result.scalars:
-            return 1
-        return result.row_count
-
-    # -- results --------------------------------------------------------------
-
-    @property
-    def description(self) -> list[tuple] | None:
-        return self._description
-
-    @property
-    def rowcount(self) -> int:
-        return self._rowcount
-
-    @property
-    def result(self) -> RemoteResult | None:
-        return self._results[-1] if self._results else None
-
-    @property
-    def results(self) -> list[RemoteResult]:
-        return list(self._results)
-
-    @property
-    def cache_level(self) -> str | None:
-        result = self.result
-        return result.cache_level if result is not None else None
-
-    # -- fetching (synchronous: the rows are already here) ---------------------
-
-    def fetchone(self) -> tuple | None:
-        self._check_open()
-        if not self._executed:
-            raise InterfaceError("no result set: call execute() first")
-        while self._result_index < len(self._results):
-            result = self._results[self._result_index]
-            if self._row_index < self._result_rows(result):
-                row = self._row(result, self._row_index)
-                self._row_index += 1
-                return row
-            self._result_index += 1
-            self._row_index = 0
-        return None
-
-    @staticmethod
-    def _row(result: RemoteResult, index: int) -> tuple:
-        if result.scalars:
-            return tuple(result.scalars.values())
-        return tuple(array[index] for array in result.columns.values())
-
-    @staticmethod
-    def _rows_slice(result: RemoteResult, start: int, stop: int) -> list[tuple]:
-        if result.scalars:
-            return [tuple(result.scalars.values())] if start == 0 and stop > 0 else []
-        return list(zip(*(array[start:stop] for array in result.columns.values())))
-
-    def fetchmany(self, size: int | None = None) -> list[tuple]:
-        self._check_open()
-        if not self._executed:
-            raise InterfaceError("no result set: call execute() first")
-        if size is None:
-            size = self.arraysize
-        rows: list[tuple] = []
-        remaining = max(size, 0)
-        while remaining > 0 and self._result_index < len(self._results):
-            result = self._results[self._result_index]
-            available = self._result_rows(result) - self._row_index
-            if available <= 0:
-                self._result_index += 1
-                self._row_index = 0
-                continue
-            take = min(remaining, available)
-            rows.extend(
-                self._rows_slice(result, self._row_index, self._row_index + take)
-            )
-            self._row_index += take
-            remaining -= take
-        return rows
-
-    def fetchall(self) -> list[tuple]:
-        self._check_open()
-        if not self._executed:
-            raise InterfaceError("no result set: call execute() first")
-        rows: list[tuple] = []
-        while self._result_index < len(self._results):
-            result = self._results[self._result_index]
-            total = self._result_rows(result)
-            if self._row_index < total:
-                rows.extend(self._rows_slice(result, self._row_index, total))
-            self._result_index += 1
-            self._row_index = 0
-        return rows
-
-    def __iter__(self) -> Iterator[tuple]:
-        return self
-
-    def __next__(self) -> tuple:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    def setinputsizes(self, sizes: Any) -> None:
-        """Required by PEP 249; this client needs no sizing hints."""
-
-    def setoutputsize(self, size: Any, column: Any | None = None) -> None:
-        """Required by PEP 249; this client needs no sizing hints."""
-
-    def __enter__(self) -> "AsyncCursor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class AsyncPreparedStatement:

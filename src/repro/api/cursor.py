@@ -9,11 +9,15 @@ and written straight into the compiled plan's slot environment, skipping both
 the parse and the literal masking.  ``executemany`` binds every parameter set
 against one prepared statement and routes same-column range selections —
 overlapping and disjoint alike — through the engine's vectorized batch executor.
+
+Everything after ``execute*`` — the fetch state machine, ``description``,
+``rowcount`` — is :class:`_FetchCursor`, which the wire client's
+``AsyncCursor`` (:mod:`repro.api.aio`) derives from as well.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Generic, Iterator, Self, Sequence, TypeVar
 
 from repro.api.exceptions import InterfaceError, translating
 from repro.engine.profile import QueryProfile
@@ -22,15 +26,21 @@ from repro.engine.result import QueryResult
 #: ``description`` type codes are numpy dtype names; scalar aggregates are floats.
 _SCALAR_TYPE = "float64"
 
+#: A result as the fetch machine sees it (``QueryResult`` or ``RemoteResult``).
+_Result = TypeVar("_Result")
 
-class Cursor:
-    """A database cursor (PEP 249) bound to one :class:`~repro.api.Connection`.
 
-    Attributes beyond the PEP: ``result`` (the :class:`QueryResult` of the
-    last statement), ``results`` (all results of the last ``executemany``),
-    ``cache_level`` (how the last statement's result came about:
-    ``masked``/``prepared``/``batched``/``snapshot``/``cold``) and
-    ``profile`` (its per-stage :class:`QueryProfile`).
+class _FetchCursor(Generic[_Result]):
+    """The fetch state machine both cursors derive from.
+
+    Everything between ``execute*`` and the caller: the result list a
+    statement installed, ``description`` / ``rowcount`` / ``result`` /
+    ``results`` / ``cache_level``, the three fetches, iteration, ``close``
+    and the PEP 249 no-ops.  It reads only ``scalars`` / ``columns`` /
+    ``row_count`` / ``cache_level`` of a result, which
+    :class:`~repro.engine.result.QueryResult` and the wire client's
+    ``RemoteResult`` both expose; a subclass adds its ``execute`` /
+    ``executemany`` and hands their results to :meth:`_install`.
     """
 
     def __init__(self, connection: Any) -> None:
@@ -38,7 +48,7 @@ class Cursor:
         self._closed = False
         self.arraysize = 1
         self._executed = False
-        self._results: list[QueryResult] = []
+        self._results: list[_Result] = []
         self._result_index = 0
         self._row_index = 0
         self._description: list[tuple] | None = None
@@ -66,48 +76,7 @@ class Cursor:
         if self.closed:
             raise InterfaceError("cursor is closed")
 
-    # -- execution ------------------------------------------------------------
-
-    def execute(self, operation: str, parameters: Any | None = None) -> "Cursor":
-        """Run one statement; returns the cursor itself (so fetches chain).
-
-        Without ``parameters`` the SQL must carry its literals inline (the
-        classic path).  With ``parameters`` the SQL must carry ``?`` positional
-        or ``:name`` named placeholders; the statement is prepared (once per
-        text, cached) and the values are bound without re-parsing.
-        """
-        self._check_open()
-        database = self._connection._database
-        with translating():
-            if parameters is None:
-                result = database.execute(operation)
-            else:
-                prepared = database.prepare_statement(operation)
-                result = database.execute_prepared(prepared, parameters)
-        self._install([result])
-        return self
-
-    def executemany(
-        self, operation: str, seq_of_parameters: Sequence[Any]
-    ) -> "Cursor":
-        """Run one parameterized statement once per parameter set.
-
-        The statement is prepared exactly once; every binding is validated
-        against that one shape up front.  Same-column range selections —
-        overlapping and disjoint alike — are answered by the engine's
-        vectorized batch executor (one kernel pass for the whole batch);
-        everything else executes individually.  The fetchable rows are the
-        concatenation of every execution's rows, in input order.
-        """
-        self._check_open()
-        database = self._connection._database
-        with translating():
-            prepared = database.prepare_statement(operation)
-            results = database.execute_prepared_many(prepared, list(seq_of_parameters))
-        self._install(results)
-        return self
-
-    def _install(self, results: list[QueryResult]) -> None:
+    def _install(self, results: list[_Result]) -> None:
         """Point the fetch state at a fresh list of results."""
         self._executed = True
         self._results = results
@@ -117,7 +86,7 @@ class Cursor:
         self._rowcount = sum(self._result_rows(result) for result in results)
 
     @staticmethod
-    def _describe(result: QueryResult) -> list[tuple]:
+    def _describe(result: _Result) -> list[tuple]:
         """The 7-item ``description`` sequence of one result (PEP 249)."""
         if result.scalars:
             return [
@@ -130,7 +99,7 @@ class Cursor:
         ]
 
     @staticmethod
-    def _result_rows(result: QueryResult) -> int:
+    def _result_rows(result: _Result) -> int:
         """Fetchable rows of one result: row count, or 1 for a scalar row."""
         if result.scalars:
             return 1
@@ -149,12 +118,12 @@ class Cursor:
         return self._rowcount
 
     @property
-    def result(self) -> QueryResult | None:
+    def result(self) -> _Result | None:
         """The engine-level result of the last statement (extension)."""
         return self._results[-1] if self._results else None
 
     @property
-    def results(self) -> list[QueryResult]:
+    def results(self) -> list[_Result]:
         """Every result of the last operation (one per ``executemany`` binding)."""
         return list(self._results)
 
@@ -163,12 +132,6 @@ class Cursor:
         """Plan-cache level that answered the last statement (extension)."""
         result = self.result
         return result.cache_level if result is not None else None
-
-    @property
-    def profile(self) -> QueryProfile | None:
-        """Per-stage profile of the last statement (extension)."""
-        result = self.result
-        return result.profile if result is not None else None
 
     # -- fetching -------------------------------------------------------------
 
@@ -196,13 +159,13 @@ class Cursor:
         return None
 
     @staticmethod
-    def _row(result: QueryResult, index: int) -> tuple:
+    def _row(result: _Result, index: int) -> tuple:
         if result.scalars:
             return tuple(result.scalars.values())
         return tuple(array[index] for array in result.columns.values())
 
     @staticmethod
-    def _rows_slice(result: QueryResult, start: int, stop: int) -> list[tuple]:
+    def _rows_slice(result: _Result, start: int, stop: int) -> list[tuple]:
         """Rows ``[start, stop)`` of one result, materialized in bulk.
 
         One ``zip`` over column slices instead of a per-row tuple build —
@@ -266,8 +229,66 @@ class Cursor:
     def setoutputsize(self, size: Any, column: Any | None = None) -> None:
         """Required by PEP 249; this engine needs no sizing hints."""
 
-    def __enter__(self) -> "Cursor":
+    def __enter__(self) -> Self:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+class Cursor(_FetchCursor[QueryResult]):
+    """A database cursor (PEP 249) bound to one :class:`~repro.api.Connection`.
+
+    Attributes beyond the PEP: ``result`` (the :class:`QueryResult` of the
+    last statement), ``results`` (all results of the last ``executemany``),
+    ``cache_level`` (how the last statement's result came about:
+    ``masked``/``prepared``/``batched``/``snapshot``/``cold``) and
+    ``profile`` (its per-stage :class:`QueryProfile`).
+    """
+
+    # -- execution ------------------------------------------------------------
+
+    def execute(self, operation: str, parameters: Any | None = None) -> "Cursor":
+        """Run one statement; returns the cursor itself (so fetches chain).
+
+        Without ``parameters`` the SQL must carry its literals inline (the
+        classic path).  With ``parameters`` the SQL must carry ``?`` positional
+        or ``:name`` named placeholders; the statement is prepared (once per
+        text, cached) and the values are bound without re-parsing.
+        """
+        self._check_open()
+        database = self._connection._database
+        with translating():
+            if parameters is None:
+                result = database.execute(operation)
+            else:
+                prepared = database.prepare_statement(operation)
+                result = database.execute_prepared(prepared, parameters)
+        self._install([result])
+        return self
+
+    def executemany(
+        self, operation: str, seq_of_parameters: Sequence[Any]
+    ) -> "Cursor":
+        """Run one parameterized statement once per parameter set.
+
+        The statement is prepared exactly once; every binding is validated
+        against that one shape up front.  Same-column range selections —
+        overlapping and disjoint alike — are answered by the engine's
+        vectorized batch executor (one kernel pass for the whole batch);
+        everything else executes individually.  The fetchable rows are the
+        concatenation of every execution's rows, in input order.
+        """
+        self._check_open()
+        database = self._connection._database
+        with translating():
+            prepared = database.prepare_statement(operation)
+            results = database.execute_prepared_many(prepared, list(seq_of_parameters))
+        self._install(results)
+        return self
+
+    @property
+    def profile(self) -> QueryProfile | None:
+        """Per-stage profile of the last statement (extension)."""
+        result = self.result
+        return result.profile if result is not None else None

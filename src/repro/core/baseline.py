@@ -15,20 +15,12 @@ paper uses as the experimental control.
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
-
 import numpy as np
 
-from repro.core.accounting import IOAccountant, QueryLog, QueryStats
-from repro.core.ranges import ValueRange, domain_of
+from repro.core.accounting import IOAccountant, QueryStats
+from repro.core.ranges import ValueRange
 from repro.core.segment import SelectionResult, Segment
-from repro.core.strategy import (
-    AdaptiveColumnBase,
-    ReadObservations,
-    batch_bounds_arrays,
-    register_strategy,
-)
+from repro.core.strategy import AdaptiveColumnBase, register_strategy
 
 
 @register_strategy
@@ -38,7 +30,6 @@ class UnsegmentedColumn(AdaptiveColumnBase):
     strategy_name = "unsegmented"
     requires_model = False
     display_short = "NoSegm"
-    supports_batch = True
     #: The baseline never reorganizes, so its payload arrays are inherently
     #: immutable — snapshot reads need no snapshot object at all.
     supports_snapshot_reads = True
@@ -50,21 +41,11 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         oids: np.ndarray | None = None,
         domain: tuple[float, float] | None = None,
         accountant: IOAccountant | None = None,
-        keep_history: bool = True,
         time_phases: bool = True,
     ) -> None:
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise ValueError("a column must be a one-dimensional array")
-        if values.size == 0:
-            raise ValueError("cannot build a column from an empty array")
-        self.dtype = values.dtype
-        self.value_width = int(values.dtype.itemsize)
-        self.domain = (
-            ValueRange(float(domain[0]), float(domain[1])) if domain is not None else domain_of(values)
-        )
+        super().__init__(values, domain=domain, accountant=accountant, time_phases=time_phases)
         # Positional payload — the baseline never reorganises or sorts.
-        self._values = values
+        self._values = values = np.asarray(values)
         if oids is None:
             self._oids = np.arange(values.size, dtype=np.int64)
         else:
@@ -74,13 +55,7 @@ class UnsegmentedColumn(AdaptiveColumnBase):
                     f"values and oids must have equal length, "
                     f"got {values.size} and {self._oids.size}"
                 )
-        self.total_bytes = float(values.size * self.value_width)
         self._segment_view: Segment | None = None
-        self.accountant = accountant if accountant is not None else IOAccountant()
-        self.history: QueryLog | None = QueryLog() if keep_history else None
-        self._time_phases = time_phases
-        self._queries_executed = 0
-        self._read_observations = ReadObservations()
 
     def select_readonly(
         self, low: float, high: float, snapshot: object | None = None
@@ -94,29 +69,9 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         :meth:`pin_snapshot` returns ``None`` for this strategy.
         """
         query = ValueRange(float(low), float(high))
-        mask = (self._values >= query.low) & (self._values < query.high)
-        result = SelectionResult(self._values[mask], self._oids[mask])
+        result = self._scan(query)
         self.read_observations.record(query.low, query.high, result.count * self.value_width)
         return result
-
-    def absorb_reads(self) -> int:
-        """Fold drained snapshot reads into the query ledger (no adaptation)."""
-        bounds, result_bytes = self.read_observations.drain()
-        if not bounds:
-            return 0
-        stats = QueryStats(
-            index=self._queries_executed,
-            low=min(low for low, _ in bounds),
-            high=max(high for _, high in bounds),
-            batch_size=len(bounds),
-        )
-        stats.result_count = int(round(sum(result_bytes) / self.value_width))
-        stats.segment_count = 1
-        stats.storage_bytes = self.storage_bytes
-        self._queries_executed += len(bounds)
-        if self.history is not None:
-            self.history.append(stats)
-        return len(bounds)
 
     @property
     def segment_count(self) -> int:
@@ -141,32 +96,25 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         """Bytes used for the column payload."""
         return self.total_bytes
 
-    def select(self, low: float, high: float) -> SelectionResult:
+    def _after_frame(self, stats: QueryStats) -> None:
+        """Nothing to feed: the baseline has no segmentation model."""
+
+    def _scan(self, query: ValueRange) -> SelectionResult:
+        mask = (self._values >= query.low) & (self._values < query.high)
+        return SelectionResult(self._values[mask], self._oids[mask])
+
+    def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
         """Answer ``low <= value < high`` with a full column scan."""
-        query = ValueRange(float(low), float(high))
-        stats = QueryStats(index=self._queries_executed, low=query.low, high=query.high)
-        self.accountant.attach(stats)
-        try:
-            # ``self`` is the buffer-pool page token: one stable identity for
-            # the one "segment" the baseline ever reads.
-            self.accountant.record_read(self.total_bytes, self)
-            started = time.perf_counter() if self._time_phases else 0.0
-            mask = (self._values >= query.low) & (self._values < query.high)
-            result = SelectionResult(self._values[mask], self._oids[mask])
-            if self._time_phases:
-                stats.selection_seconds = time.perf_counter() - started
-        finally:
-            self.accountant.detach()
-        stats.result_count = result.count
-        stats.segment_count = 1
-        stats.storage_bytes = self.storage_bytes
-        self._queries_executed += 1
-        if self.history is not None:
-            self.history.append(stats)
+        # ``self`` is the buffer-pool page token: one stable identity for
+        # the one "segment" the baseline ever reads.
+        self.accountant.record_read(self.total_bytes, self)
+        started = self._now()
+        result = self._scan(query)
+        stats.selection_seconds = self._now() - started
         return result
 
-    def select_many(
-        self, bounds: Sequence[tuple[float, float]]
+    def _execute_batch(
+        self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats
     ) -> list[SelectionResult]:
         """Answer N range selections from **one** scan of the column.
 
@@ -175,34 +123,12 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         calls for the whole batch — so member results come back in value
         order rather than the per-query path's load order (the two are
         permutations of each other).  The batch's access statistics reflect
-        the amortization: one full-column read serves every member, recorded
-        as a single :class:`QueryStats` with ``batch_size == len(bounds)``.
+        the amortization: one full-column read serves every member.
         """
-        lows, highs = batch_bounds_arrays(bounds)
-        if lows.size == 0:
-            return []
-        stats = QueryStats(
-            index=self._queries_executed,
-            low=float(lows.min()),
-            high=float(highs.max()),
-            batch_size=int(lows.size),
-        )
-        self.accountant.attach(stats)
-        try:
-            self.accountant.record_read(self.total_bytes, self)
-            started = time.perf_counter() if self._time_phases else 0.0
-            view = self.segments[0]
-            results = view.select_many(lows, highs)
-            if self._time_phases:
-                stats.selection_seconds = time.perf_counter() - started
-        finally:
-            self.accountant.detach()
-        stats.result_count = sum(result.count for result in results)
-        stats.segment_count = 1
-        stats.storage_bytes = self.storage_bytes
-        self._queries_executed += int(lows.size)
-        if self.history is not None:
-            self.history.append(stats)
+        self.accountant.record_read(self.total_bytes, self)
+        started = self._now()
+        results = self.segments[0].select_many(lows, highs)
+        stats.selection_seconds = self._now() - started
         return results
 
     def check_invariants(self) -> None:

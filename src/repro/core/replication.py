@@ -19,16 +19,14 @@ extra storage for the replicas.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.accounting import IOAccountant, QueryLog, QueryStats
+from repro.core.accounting import IOAccountant, QueryStats
 from repro.core.models import SegmentationModel, SplitAction
-from repro.core.ranges import ValueRange, domain_of
+from repro.core.ranges import ValueRange
 from repro.core.replica_tree import CoverSnapshot, ReplicaNode, ReplicaTree, minimal_cover
 from repro.core.segment import SelectionResult, Segment
-from repro.core.strategy import AdaptiveColumnBase, ReadObservations, register_strategy
+from repro.core.strategy import AdaptiveColumnBase, register_strategy
 
 
 @register_strategy
@@ -44,12 +42,15 @@ class ReplicatedColumn(AdaptiveColumnBase):
     strategy_name = "replication"
     requires_model = True
     display_short = "Repl"
-    #: Replication answers batches through the inherited sequential
-    #: ``select_many`` fallback: Algorithm 2 interleaves cover computation,
-    #: replica analysis and materialization per query, and each query's
-    #: minimal cover depends on the replicas the previous one materialized —
-    #: a batch kernel would have to re-derive the tree per member anyway.
-    supports_batch = False
+    #: Replication defines no ``_execute_batch``: Algorithm 2 interleaves
+    #: cover computation, replica analysis and materialization per query, and
+    #: each query's minimal cover depends on the replicas the previous one
+    #: materialized — a batch kernel would have to re-derive the tree per
+    #: member anyway, so batches take the sequential fallback.  For the same
+    #: reason it defines no ``_absorb``: replaying stale covers would
+    #: materialize replicas nobody scanned for, so absorbed snapshot reads
+    #: only feed the model's result-size average and the query ledger, and
+    #: the next mutating ``select`` adapts from fresh state.
     supports_snapshot_reads = True
 
     def __init__(
@@ -60,29 +61,14 @@ class ReplicatedColumn(AdaptiveColumnBase):
         oids: np.ndarray | None = None,
         domain: tuple[float, float] | None = None,
         accountant: IOAccountant | None = None,
-        keep_history: bool = True,
         time_phases: bool = True,
         storage_budget: float | None = None,
     ) -> None:
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise ValueError("a column must be a one-dimensional array")
-        if values.size == 0:
-            raise ValueError("cannot build a replicated column from an empty array")
+        super().__init__(values, domain=domain, accountant=accountant, time_phases=time_phases)
         self.model = model
-        self.dtype = values.dtype
-        self.value_width = int(values.dtype.itemsize)
-        self.domain = (
-            ValueRange(float(domain[0]), float(domain[1])) if domain is not None else domain_of(values)
-        )
         root_segment = Segment(self.domain, values, oids, value_width=self.value_width)
         root_segment.check_invariants()
         self.tree = ReplicaTree(root_segment)
-        self.total_bytes = root_segment.size_bytes
-        self.accountant = accountant if accountant is not None else IOAccountant()
-        self.history: QueryLog | None = QueryLog() if keep_history else None
-        self._time_phases = time_phases
-        self._queries_executed = 0
         if storage_budget is not None and storage_budget < self.total_bytes:
             raise ValueError(
                 "storage_budget must be at least the column size "
@@ -90,7 +76,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
             )
         self.storage_budget = storage_budget
         self.peak_storage_bytes = self.total_bytes
-        self._read_observations = ReadObservations()
         self._snapshot_generation = 0
         self._cover_dirty = False
         self._cover_snapshot = CoverSnapshot.capture(self.tree, 0)
@@ -117,32 +102,14 @@ class ReplicatedColumn(AdaptiveColumnBase):
         """Depth of the replica tree (a §6.1.3 quantity)."""
         return self.tree.depth
 
-    def select(self, low: float, high: float) -> SelectionResult:
-        """Answer ``low <= value < high`` and adapt the replica tree."""
-        query = ValueRange(float(low), float(high)).intersect(self.domain)
-        stats = QueryStats(index=self._queries_executed, low=float(low), high=float(high))
-        self.accountant.attach(stats)
-        try:
-            if query.is_empty:
-                result = SelectionResult.empty(self.dtype)
-            else:
-                result = self._execute(query, stats)
-        finally:
-            self.accountant.detach()
-        stats.result_count = result.count
-        stats.segment_count = self.segment_count
-        stats.storage_bytes = self.storage_bytes
+    def _after_frame(self, stats: QueryStats) -> None:
+        super()._after_frame(stats)
         self.peak_storage_bytes = max(self.peak_storage_bytes, stats.storage_bytes)
-        self._queries_executed += 1
-        if self.history is not None:
-            self.history.append(stats)
-        self.model.observe(result.count * self.value_width)
         # Publish a fresh cover snapshot once per mutating query, outside the
         # per-phase timings: one reference assignment makes the new layout
         # visible to readers, which keep their pinned snapshots meanwhile.
         if self._cover_dirty:
             self._publish_snapshot()
-        return result
 
     # -- snapshot reads -------------------------------------------------------
 
@@ -180,41 +147,12 @@ class ReplicatedColumn(AdaptiveColumnBase):
         self.read_observations.record(float(low), float(high), result.count * self.value_width)
         return result
 
-    def absorb_reads(self) -> int:
-        """Absorb drained snapshot-read observations on the owning worker.
-
-        Replication's structural adaptation (replica analysis, materialization,
-        drops) is deliberately *not* replayed here: Algorithm 2 interleaves it
-        with the covering scan, and each query's minimal cover depends on the
-        replicas the previous one materialized — replaying stale covers would
-        materialize replicas nobody scanned for.  Snapshot reads therefore
-        only feed the segmentation model's result-size average and the query
-        ledger; the next mutating ``select`` adapts from fresh state.
-        """
-        bounds, result_bytes = self.read_observations.drain()
-        if not bounds:
-            return 0
-        stats = QueryStats(
-            index=self._queries_executed,
-            low=min(low for low, _ in bounds),
-            high=max(high for _, high in bounds),
-            batch_size=len(bounds),
-        )
-        stats.result_count = int(round(sum(result_bytes) / self.value_width))
-        stats.segment_count = self.segment_count
-        stats.storage_bytes = self.storage_bytes
-        self._queries_executed += len(bounds)
-        if self.history is not None:
-            self.history.append(stats)
-        self.model.observe(sum(result_bytes) / len(bounds))
-        return len(bounds)
-
     # -- Algorithm 2: the per-query driver -----------------------------------
 
-    def _now(self) -> float:
-        return time.perf_counter() if self._time_phases else 0.0
-
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
+        query = query.intersect(self.domain)
+        if query.is_empty:
+            return SelectionResult.empty(self.dtype)
         cover = self.get_cover(query)
         parts: list[SelectionResult] = []
         for node in cover:

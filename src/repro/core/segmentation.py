@@ -18,28 +18,33 @@ figures are unchanged.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from typing import Sequence
-
-from repro.core.accounting import IOAccountant, QueryLog, QueryStats
+from repro.core.accounting import IOAccountant, QueryStats
 from repro.core.meta_index import MetaIndexSnapshot, SegmentMetaIndex
 from repro.core.models import SegmentationModel
-from repro.core.ranges import ValueRange, domain_of
+from repro.core.ranges import ValueRange
 from repro.core.segment import SelectionResult, Segment
-from repro.core.strategy import (
-    AdaptiveColumnBase,
-    ReadObservations,
-    batch_bounds_arrays,
-    register_strategy,
-)
+from repro.core.strategy import AdaptiveColumnBase, register_strategy
+
+
+def _read_segment(segment: Segment, fully_contained: bool, query: ValueRange) -> SelectionResult:
+    """One segment's share of ``query``, as zero-copy views.
+
+    Meta-index fast path: a segment fully inside the predicate contributes
+    its whole (sorted) payload — no probes, no data touched.
+    """
+    if fully_contained:
+        return SelectionResult(segment.values, segment.oids, values_sorted=True)
+    return segment.select(query)
 
 
 @register_strategy
 class SegmentedColumn(AdaptiveColumnBase):
     """A column organised as value-ranged segments that adapt to the workload.
+
+    Only segments overlapping a predicate are read; each of them may be split
+    according to the segmentation model.
 
     Parameters
     ----------
@@ -54,8 +59,6 @@ class SegmentedColumn(AdaptiveColumnBase):
         to the smallest range containing the data.
     accountant:
         Byte counters; a private one is created when omitted.
-    keep_history:
-        Record one :class:`QueryStats` per query (needed by the harness).
     time_phases:
         Measure wall-clock selection/adaptation time per query.
     """
@@ -63,7 +66,6 @@ class SegmentedColumn(AdaptiveColumnBase):
     strategy_name = "segmentation"
     requires_model = True
     display_short = "Segm"
-    supports_batch = True
     supports_snapshot_reads = True
 
     def __init__(
@@ -74,29 +76,13 @@ class SegmentedColumn(AdaptiveColumnBase):
         oids: np.ndarray | None = None,
         domain: tuple[float, float] | None = None,
         accountant: IOAccountant | None = None,
-        keep_history: bool = True,
         time_phases: bool = True,
     ) -> None:
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise ValueError("a column must be a one-dimensional array")
-        if values.size == 0:
-            raise ValueError("cannot build a segmented column from an empty array")
+        super().__init__(values, domain=domain, accountant=accountant, time_phases=time_phases)
         self.model = model
-        self.dtype = values.dtype
-        self.value_width = int(values.dtype.itemsize)
-        self.domain = (
-            ValueRange(float(domain[0]), float(domain[1])) if domain is not None else domain_of(values)
-        )
         root = Segment(self.domain, values, oids, value_width=self.value_width)
         root.check_invariants()
         self.meta_index = SegmentMetaIndex([root])
-        self.total_bytes = root.size_bytes
-        self.accountant = accountant if accountant is not None else IOAccountant()
-        self.history: QueryLog | None = QueryLog() if keep_history else None
-        self._time_phases = time_phases
-        self._queries_executed = 0
-        self._read_observations = ReadObservations()
 
     # -- public API ---------------------------------------------------------
 
@@ -120,75 +106,6 @@ class SegmentedColumn(AdaptiveColumnBase):
         """
         return self.total_bytes
 
-    def select(self, low: float, high: float) -> SelectionResult:
-        """Answer ``low <= value < high`` and adapt the segmentation.
-
-        Only segments overlapping the predicate are read; each of them may be
-        split according to the segmentation model.  Per-query measurements are
-        appended to :attr:`history`.
-        """
-        query = ValueRange(float(low), float(high))
-        stats = QueryStats(
-            index=self._queries_executed,
-            low=query.low,
-            high=query.high,
-        )
-        self.accountant.attach(stats)
-        try:
-            result = self._execute(query, stats)
-        finally:
-            self.accountant.detach()
-        stats.result_count = result.count
-        stats.segment_count = self.segment_count
-        stats.storage_bytes = self.storage_bytes
-        self._queries_executed += 1
-        if self.history is not None:
-            self.history.append(stats)
-        self.model.observe(result.count * self.value_width)
-        return result
-
-    def select_many(
-        self, bounds: Sequence[tuple[float, float]]
-    ) -> list[SelectionResult]:
-        """Answer N half-open range selections with a vectorized batch kernel.
-
-        The whole batch is routed against the segment bounds in one
-        ``np.searchsorted`` pass (:meth:`SegmentMetaIndex.route_many`) and
-        every touched segment answers all of its member queries with one
-        probe batch (:meth:`Segment.bounds_many`) — O(touched segments) numpy
-        calls for the entire batch, never O(N).
-
-        Piggy-backed adaptation fires **once per batch**: each touched
-        segment sees a single split decision against the envelope of the
-        member ranges that overlap it, and the model observes the batch's
-        mean result size.  Access statistics are genuinely shared — each
-        touched segment is read once for the whole batch — so one
-        :class:`QueryStats` record with ``batch_size == len(bounds)`` is
-        appended to :attr:`history`.
-        """
-        lows, highs = batch_bounds_arrays(bounds)
-        if lows.size == 0:
-            return []
-        stats = QueryStats(
-            index=self._queries_executed,
-            low=float(lows.min()),
-            high=float(highs.max()),
-            batch_size=int(lows.size),
-        )
-        self.accountant.attach(stats)
-        try:
-            results = self._execute_batch(lows, highs, stats)
-        finally:
-            self.accountant.detach()
-        stats.result_count = sum(result.count for result in results)
-        stats.segment_count = self.segment_count
-        stats.storage_bytes = self.storage_bytes
-        self._queries_executed += int(lows.size)
-        if self.history is not None:
-            self.history.append(stats)
-        self.model.observe(stats.result_count * self.value_width / lows.size)
-        return results
-
     # -- snapshot reads -------------------------------------------------------
 
     def pin_snapshot(self) -> MetaIndexSnapshot:
@@ -209,95 +126,24 @@ class SegmentedColumn(AdaptiveColumnBase):
         """
         query = ValueRange(float(low), float(high))
         snap = snapshot if snapshot is not None else self.meta_index.pin_snapshot()
-        parts: list[SelectionResult] = []
-        for segment, fully_contained in snap.overlapping_classified(query):
-            if fully_contained:
-                parts.append(SelectionResult(segment.values, segment.oids, values_sorted=True))
-            else:
-                parts.append(segment.select(query))
+        parts = [
+            _read_segment(segment, fully_contained, query)
+            for segment, fully_contained in snap.overlapping_classified(query)
+        ]
         result = SelectionResult.concatenate(parts, self.dtype)
         self.read_observations.record(query.low, query.high, result.count * self.value_width)
         return result
 
-    def absorb_reads(self) -> int:
-        """Replay drained snapshot-read observations into the adaptation path.
-
-        Runs on the owning worker, mirroring the deferred-adaptation shape of
-        :meth:`select_many`: route every drained range against the *current*
-        segment list, give each touched segment one split decision against
-        the envelope of its member ranges, and feed the model the mean result
-        size.  The ``(segment, envelope)`` jobs are collected before any
-        split, because splitting shifts meta-index positions.  One
-        :class:`QueryStats` record with ``batch_size == absorbed count``
-        lands in :attr:`history`; snapshot reads themselves were not
-        accounted, so only split writes touch the accountant here.
-        """
-        bounds, result_bytes = self.read_observations.drain()
-        if not bounds:
-            return 0
-        lows = np.asarray([low for low, _ in bounds], dtype=np.float64)
-        highs = np.asarray([high for _, high in bounds], dtype=np.float64)
-        stats = QueryStats(
-            index=self._queries_executed,
-            low=float(lows.min()),
-            high=float(highs.max()),
-            batch_size=int(lows.size),
-        )
-        started = self._now()
-        starts, stops = self.meta_index.route_many(lows, highs)
-        low_list = lows.tolist()
-        high_list = highs.tolist()
-        touched: dict[int, list[int]] = {}
-        for q, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-            for s in range(start, stop):
-                touched.setdefault(s, []).append(q)
-        split_jobs = [
-            (
-                self.meta_index[s],
-                ValueRange(
-                    min(low_list[q] for q in queries),
-                    max(high_list[q] for q in queries),
-                ),
-            )
-            for s, queries in sorted(touched.items())
-        ]
-        self.accountant.attach(stats)
-        try:
-            for segment, envelope in split_jobs:
-                decision = self.model.decide(envelope, segment, total_bytes=self.total_bytes)
-                if decision.should_split:
-                    self._split(segment, list(decision.points), stats)
-        finally:
-            self.accountant.detach()
-        stats.adaptation_seconds += self._now() - started
-        stats.result_count = int(round(sum(result_bytes) / self.value_width))
-        stats.segment_count = self.segment_count
-        stats.storage_bytes = self.storage_bytes
-        self._queries_executed += int(lows.size)
-        if self.history is not None:
-            self.history.append(stats)
-        self.model.observe(sum(result_bytes) / lows.size)
-        return int(lows.size)
-
-    # -- internals ------------------------------------------------------------
-
-    def _now(self) -> float:
-        return time.perf_counter() if self._time_phases else 0.0
+    # -- the frame's hooks ----------------------------------------------------
 
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
         parts: list[SelectionResult] = []
         for segment, fully_contained in self.meta_index.overlapping_classified(query):
+            # Logical read bytes are accounted whether or not data is touched.
             self.accountant.record_read(segment.size_bytes, segment)
 
             started = self._now()
-            if fully_contained:
-                # Meta-index fast path: a segment fully inside the predicate
-                # contributes its whole (sorted) payload as a zero-copy view
-                # — no probes, no data touched.  Logical read bytes are
-                # accounted above exactly as before.
-                parts.append(SelectionResult(segment.values, segment.oids, values_sorted=True))
-            else:
-                parts.append(segment.select(query))
+            parts.append(_read_segment(segment, fully_contained, query))
             stats.selection_seconds += self._now() - started
 
             started = self._now()
@@ -313,23 +159,25 @@ class SegmentedColumn(AdaptiveColumnBase):
     def _execute_batch(
         self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats
     ) -> list[SelectionResult]:
+        """The vectorized batch kernel.
+
+        The whole batch is routed against the segment bounds in one
+        ``np.searchsorted`` pass (:meth:`SegmentMetaIndex.route_many`) and
+        every touched segment answers all of its member queries with one
+        probe batch (:meth:`Segment.bounds_many`) — O(touched segments) numpy
+        calls for the entire batch, never O(N).  Each touched segment is read
+        once for the whole batch and sees a single split decision
+        (:meth:`_adapt_envelopes`).
+        """
         started = self._now()
-        starts, stops = self.meta_index.route_many(lows, highs)
+        routed = self._route(lows, highs)
         n = int(lows.size)
         low_list = lows.tolist()
         high_list = highs.tolist()
         # Per-query (values, oids) slice pairs; raw tuples until assembly so
         # the hot loop builds no intermediate SelectionResults.
         parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
-        touched: dict[int, list[int]] = {}
-        for q, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-            for s in range(start, stop):
-                touched.setdefault(s, []).append(q)
-
-        split_jobs: list[tuple[Segment, ValueRange]] = []
-        for s in sorted(touched):
-            queries = touched[s]
-            segment = self.meta_index[s]
+        for segment, queries, _ in routed:
             # One read answers every member query that overlaps this segment
             # — this is the batch's amortization of the shared scan.
             self.accountant.record_read(segment.size_bytes, segment)
@@ -338,8 +186,8 @@ class SegmentedColumn(AdaptiveColumnBase):
             partial: list[int] = []
             for q in queries:
                 if low_list[q] <= seg_low and high_list[q] >= seg_high:
-                    # Meta-index fast path, exactly as in _execute: the whole
-                    # (sorted) payload answers a fully-contained member.
+                    # Meta-index fast path, exactly as in _read_segment: the
+                    # whole (sorted) payload answers a fully-contained member.
                     parts[q].append((seg_values, seg_oids))
                 else:
                     partial.append(q)
@@ -347,26 +195,12 @@ class SegmentedColumn(AdaptiveColumnBase):
                 los, his = segment.bounds_many(lows[partial], highs[partial])
                 for q, lo, hi in zip(partial, los.tolist(), his.tolist()):
                     parts[q].append((seg_values[lo:hi], seg_oids[lo:hi]))
-            # Adaptation is deferred so every member reads pre-split payloads
-            # (the returned views stay valid across splits regardless — splits
-            # are slices over the same base array).
-            split_jobs.append(
-                (
-                    segment,
-                    ValueRange(
-                        min(low_list[q] for q in queries),
-                        max(high_list[q] for q in queries),
-                    ),
-                )
-            )
         stats.selection_seconds += self._now() - started
 
-        started = self._now()
-        for segment, envelope in split_jobs:
-            decision = self.model.decide(envelope, segment, total_bytes=self.total_bytes)
-            if decision.should_split:
-                self._split(segment, list(decision.points), stats)
-        stats.adaptation_seconds += self._now() - started
+        # Adaptation is deferred so every member reads pre-split payloads
+        # (the returned views stay valid across splits regardless — splits
+        # are slices over the same base array).
+        self._adapt_envelopes(routed, stats)
 
         started = self._now()
         # Per-query parts were appended in ascending segment order over
@@ -390,6 +224,56 @@ class SegmentedColumn(AdaptiveColumnBase):
                 )
         stats.selection_seconds += self._now() - started
         return results
+
+    def _absorb(self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats) -> None:
+        """Replay drained snapshot reads against the *current* segment list."""
+        started = self._now()
+        routed = self._route(lows, highs)
+        stats.adaptation_seconds += self._now() - started
+        self._adapt_envelopes(routed, stats)
+
+    def _route(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> list[tuple[Segment, list[int], ValueRange]]:
+        """Each touched segment, in value order, with its members and their envelope.
+
+        ``(segment, positions of the member ranges overlapping it, the
+        smallest range containing those members)``.  The list is complete
+        before anything splits, because splitting shifts meta-index positions.
+        """
+        starts, stops = self.meta_index.route_many(lows, highs)
+        touched: dict[int, list[int]] = {}
+        for q, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+            for s in range(start, stop):
+                touched.setdefault(s, []).append(q)
+        low_list = lows.tolist()
+        high_list = highs.tolist()
+        return [
+            (
+                self.meta_index[s],
+                queries,
+                ValueRange(
+                    min(low_list[q] for q in queries),
+                    max(high_list[q] for q in queries),
+                ),
+            )
+            for s, queries in sorted(touched.items())
+        ]
+
+    def _adapt_envelopes(
+        self, routed: list[tuple[Segment, list[int], ValueRange]], stats: QueryStats
+    ) -> None:
+        """The one deferred-adaptation pass of a batch or of absorbed reads.
+
+        Each touched segment sees a single split decision against the
+        envelope of the member ranges that overlap it.
+        """
+        started = self._now()
+        for segment, _, envelope in routed:
+            decision = self.model.decide(envelope, segment, total_bytes=self.total_bytes)
+            if decision.should_split:
+                self._split(segment, list(decision.points), stats)
+        stats.adaptation_seconds += self._now() - started
 
     def _split(self, segment: Segment, points: list[float], stats: QueryStats) -> None:
         pieces = segment.partition(points)

@@ -13,9 +13,13 @@ segmentation+replication, sharded columns, ...) is one file that calls
 Public surface:
 
 * :class:`AdaptiveColumnStrategy` — the runtime-checkable protocol.
-* :class:`AdaptiveColumnBase` — mixin providing ``stats``/``adapt``/
-  ``select_many``/``describe``/``paper_label`` on top of a concrete
-  ``select``.
+* :class:`AdaptiveColumnBase` — the template every strategy extends: it owns
+  construction (validation, domain, accountant, ``history``) and the three
+  doors ``select`` / ``select_many`` / ``absorb_reads``, each of which opens
+  the one *query frame* (one :class:`QueryStats` record, accountant attached
+  for exactly the hook's duration, one ``history`` append, one model
+  observation) around a per-strategy hook — ``_execute``, optionally
+  ``_execute_batch`` and ``_absorb``.
 * :func:`batch_bounds_arrays` — shared validation for the batched
   ``select_many`` hook (mirrors :class:`~repro.core.ranges.ValueRange`).
 * :func:`register_strategy` / :func:`unregister_strategy` — registry admin.
@@ -27,12 +31,13 @@ from __future__ import annotations
 
 import inspect
 import threading
+import time
 from typing import Any, ClassVar, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.core.accounting import QueryLog, QueryStats
-from repro.core.ranges import ValueRange
+from repro.core.accounting import IOAccountant, QueryLog, QueryStats
+from repro.core.ranges import ValueRange, domain_of
 from repro.core.segment import SelectionResult
 
 
@@ -72,9 +77,6 @@ class ReadObservations:
         return bounds, result_bytes
 
 
-_read_observations_init_lock = threading.Lock()
-
-
 def batch_bounds_arrays(
     bounds: Sequence[tuple[float, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -112,13 +114,17 @@ class AdaptiveColumnStrategy(Protocol):
     The three built-ins (:class:`~repro.core.baseline.UnsegmentedColumn`,
     :class:`~repro.core.segmentation.SegmentedColumn`,
     :class:`~repro.core.replication.ReplicatedColumn`) implement this surface;
-    so must any plugged-in strategy.
+    so must any plugged-in strategy — extending :class:`AdaptiveColumnBase`
+    provides everything here but ``storage_bytes``, ``segment_count`` and
+    ``check_invariants``.  ``history`` is always a :class:`QueryLog`: one
+    record per ``select``, per batch-kernel ``select_many`` and per
+    ``absorb_reads``.
     """
 
     strategy_name: ClassVar[str]
     requires_model: ClassVar[bool]
     domain: ValueRange
-    history: QueryLog | None
+    history: QueryLog
     total_bytes: float
 
     @property
@@ -143,11 +149,16 @@ class AdaptiveColumnStrategy(Protocol):
 
 
 class AdaptiveColumnBase:
-    """Shared strategy surface on top of a concrete ``select`` implementation.
+    """The template every strategy extends: construction and the query frame.
 
     Subclasses set :attr:`strategy_name` (the registry key),
     :attr:`requires_model` (whether construction needs a segmentation model)
-    and :attr:`display_short` (the label fragment used in the paper's plots).
+    and :attr:`display_short` (the label fragment used in the paper's plots),
+    start their ``__init__`` with ``super().__init__(...)`` and implement
+    :meth:`_execute`.  The public doors — :meth:`select`, :meth:`select_many`,
+    :meth:`absorb_reads` — live here and must not be overridden: each opens
+    the one query frame and runs a hook inside it, so every strategy's
+    ``history`` holds the same kind of record, written the same way.
     """
 
     #: Registry key; empty means "abstract, do not register".
@@ -156,20 +167,50 @@ class AdaptiveColumnBase:
     requires_model: ClassVar[bool] = True
     #: Label fragment in the paper's style ("Segm", "Repl", "NoSegm").
     display_short: ClassVar[str] = ""
-    #: Whether :meth:`select_many` is a vectorized batch kernel.  ``False``
-    #: means the sequential fallback below answers batches one query at a
-    #: time (correct for every strategy; just not amortized).
-    supports_batch: ClassVar[bool] = False
     #: Whether :meth:`select_readonly` answers from a pinned immutable
     #: snapshot without mutating any shared state, so reader threads can
     #: call it concurrently with adaptation on the owning worker.  ``False``
     #: keeps the strategy on the serialized single-worker path.
     supports_snapshot_reads: ClassVar[bool] = False
+    #: The vectorized batch hook ``(lows, highs, stats) -> list[SelectionResult]``
+    #: a strategy defines when it can amortize a batch: one frame, one record
+    #: with ``batch_size == N``.  Left ``None``, :meth:`select_many` answers
+    #: one :meth:`select` per member (N frames, N records).
+    _execute_batch: ClassVar[Any] = None
 
-    # Concrete subclasses provide these (declared for type checkers only).
-    history: QueryLog | None
-    domain: ValueRange
-    total_bytes: float
+    #: The segmentation model the frame feeds result sizes to; strategies
+    #: with ``requires_model = False`` override :meth:`_after_frame` instead.
+    model: Any
+    # Subclasses provide these (declared for type checkers only).
+    storage_bytes: float
+    segment_count: int
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        *,
+        domain: tuple[float, float] | None = None,
+        accountant: IOAccountant | None = None,
+        time_phases: bool = True,
+    ) -> None:
+        values = np.asarray(values)
+        if values.ndim != 1:
+            raise ValueError("a column must be a one-dimensional array")
+        if values.size == 0:
+            raise ValueError("cannot build a column from an empty array")
+        self.dtype = values.dtype
+        self.value_width = int(values.dtype.itemsize)
+        self.domain = (
+            ValueRange(float(domain[0]), float(domain[1])) if domain is not None else domain_of(values)
+        )
+        self.total_bytes = float(values.size * self.value_width)
+        self.accountant = accountant if accountant is not None else IOAccountant()
+        self.history = QueryLog()
+        #: Snapshot readers record what they saw here; :meth:`absorb_reads`
+        #: drains it on the owning worker.
+        self.read_observations = ReadObservations()
+        self._time_phases = time_phases
+        self._queries_executed = 0
 
     @classmethod
     def paper_label(cls, model_name: str | None = None) -> str:
@@ -180,44 +221,118 @@ class AdaptiveColumnBase:
 
     def stats(self) -> QueryStats | None:
         """Per-query stats of the most recent selection (``None`` if nothing ran)."""
-        history = self.history
-        if history is None or len(history) == 0:
-            return None
-        return history[-1]
+        records = self.history.records
+        return records[-1] if records else None
+
+    # -- the query frame -----------------------------------------------------
+
+    def _now(self) -> float:
+        return time.perf_counter() if self._time_phases else 0.0
+
+    def _open_frame(self, low: float, high: float, batch_size: int) -> QueryStats:
+        """Start one record and route the accountant's increments into it.
+
+        The caller runs its hook under ``try`` / ``finally:
+        self.accountant.detach()`` and then hands the record to
+        :meth:`_close_frame`; a hook that raises leaves no record behind.
+        """
+        stats = QueryStats(
+            index=self._queries_executed, low=low, high=high, batch_size=batch_size
+        )
+        self.accountant.attach(stats)
+        return stats
+
+    def _close_frame(self, stats: QueryStats, result_count: int) -> None:
+        """Complete the record, append it to ``history`` and tell the strategy."""
+        stats.result_count = result_count
+        stats.segment_count = self.segment_count
+        stats.storage_bytes = self.storage_bytes
+        self._queries_executed += stats.batch_size
+        self.history.append(stats)
+        self._after_frame(stats)
+
+    def _after_frame(self, stats: QueryStats) -> None:
+        """Hook run once per record: the model observes the mean result size."""
+        self.model.observe(stats.result_count * self.value_width / stats.batch_size)
+
+    # -- the three doors -----------------------------------------------------
+
+    def select(self, low: float, high: float) -> SelectionResult:
+        """Answer ``low <= value < high``; adaptation is piggy-backed on it.
+
+        One record of per-query measurements is appended to :attr:`history`.
+        """
+        query = ValueRange(float(low), float(high))
+        stats = self._open_frame(query.low, query.high, 1)
+        try:
+            result = self._execute(query, stats)
+        finally:
+            self.accountant.detach()
+        self._close_frame(stats, result.count)
+        return result
 
     def select_many(
         self, bounds: Sequence[tuple[float, float]]
     ) -> list[SelectionResult]:
         """Answer N half-open range selections ``[low_i, high_i)`` at once.
 
-        This base implementation is the tested sequential fallback: one
-        :meth:`select` per pair, with the usual per-query piggy-backed
-        adaptation and one history record per query.  Strategies that can
-        amortize the batch (vectorized probes, one adaptation pass per batch)
-        override it and set ``supports_batch = True``; the engine's batch
-        executor calls ``select_many`` unconditionally, so every registered
-        strategy is batch-correct by construction.
+        A strategy with an :attr:`_execute_batch` hook answers the whole batch
+        inside one frame: access statistics are genuinely shared, adaptation
+        fires once per batch, the model observes the batch's mean result size
+        and one record with ``batch_size == len(bounds)`` lands in
+        :attr:`history`.  Without the hook this is the sequential fallback —
+        one :meth:`select` per pair, with the usual per-query adaptation and
+        record — so every registered strategy is batch-correct by
+        construction.
         """
-        return [self.select(low, high) for low, high in bounds]
+        if self._execute_batch is None:
+            return [self.select(low, high) for low, high in bounds]
+        lows, highs = batch_bounds_arrays(bounds)
+        if lows.size == 0:
+            return []
+        stats = self._open_frame(float(lows.min()), float(highs.max()), int(lows.size))
+        try:
+            results = self._execute_batch(lows, highs, stats)
+        finally:
+            self.accountant.detach()
+        self._close_frame(stats, sum(result.count for result in results))
+        return results
+
+    def absorb_reads(self) -> int:
+        """Drain pending snapshot-read observations on the owning worker.
+
+        The drained reads become one record with ``batch_size == absorbed
+        count`` (the reads themselves were not accounted, so only what
+        :meth:`_absorb` writes touches the accountant) and the model observes
+        their mean result size.  Returns the number of observations absorbed.
+        """
+        bounds, result_bytes = self.read_observations.drain()
+        if not bounds:
+            return 0
+        lows = np.asarray([low for low, _ in bounds], dtype=np.float64)
+        highs = np.asarray([high for _, high in bounds], dtype=np.float64)
+        stats = self._open_frame(float(lows.min()), float(highs.max()), len(bounds))
+        try:
+            self._absorb(lows, highs, stats)
+        finally:
+            self.accountant.detach()
+        self._close_frame(stats, int(round(sum(result_bytes) / self.value_width)))
+        return len(bounds)
+
+    # -- per-strategy hooks --------------------------------------------------
+
+    def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
+        """Answer ``query`` (and adapt), timing the phases into ``stats``."""
+        raise NotImplementedError
+
+    def _absorb(self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats) -> None:
+        """Replay drained snapshot reads into the adaptation machinery.
+
+        The default adapts nothing: the reads only feed the ledger and the
+        model's result-size average.
+        """
 
     # -- snapshot reads ----------------------------------------------------
-
-    @property
-    def read_observations(self) -> ReadObservations:
-        """The column's snapshot-read accumulator (created lazily, once).
-
-        Built-ins create it eagerly in ``__init__``; for plugged-in
-        strategies the double-checked module lock below makes lazy creation
-        safe even if the first readers race.
-        """
-        observations = getattr(self, "_read_observations", None)
-        if observations is None:
-            with _read_observations_init_lock:
-                observations = getattr(self, "_read_observations", None)
-                if observations is None:
-                    observations = ReadObservations()
-                    self._read_observations = observations
-        return observations
 
     def pin_snapshot(self) -> Any | None:
         """Pin an immutable snapshot of the read structure (or ``None``).
@@ -243,17 +358,6 @@ class AdaptiveColumnBase:
             f"strategy {self.strategy_name!r} does not support snapshot reads"
         )
 
-    def absorb_reads(self) -> int:
-        """Drain pending snapshot-read observations on the owning worker.
-
-        The base implementation discards the drained observations (a
-        strategy with no adaptation model has nothing to feed); strategies
-        override it to replay the observations into their piggy-backed
-        adaptation machinery.  Returns the number of observations absorbed.
-        """
-        bounds, _ = self.read_observations.drain()
-        return len(bounds)
-
     def adapt(self, low: float, high: float) -> QueryStats | None:
         """Run one selection purely for its adaptation side effect.
 
@@ -266,14 +370,13 @@ class AdaptiveColumnBase:
 
     def describe(self) -> dict[str, Any]:
         """A structured snapshot of the strategy's current state."""
-        history = self.history
         return {
             "strategy": self.strategy_name,
-            "segment_count": self.segment_count,  # type: ignore[attr-defined]
-            "storage_bytes": float(self.storage_bytes),  # type: ignore[attr-defined]
+            "segment_count": self.segment_count,
+            "storage_bytes": float(self.storage_bytes),
             "total_bytes": float(self.total_bytes),
             "domain": (self.domain.low, self.domain.high),
-            "queries_executed": len(history) if history is not None else 0,
+            "queries_executed": len(self.history),
         }
 
 

@@ -468,4 +468,4 @@ class Database:
 
     def last_adaptive_stats(self, table: str, column: str) -> QueryStats | None:
         """Per-query stats of the most recent adaptive selection on a column."""
-        return self.adaptive_handle(table, column).last_query_stats
+        return self.adaptive_handle(table, column).adaptive.stats()

@@ -29,7 +29,7 @@ from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
 from repro.mal.operators import gather
 from repro.storage.bat import BAT
-from repro.util.half_open import half_open, half_open_in_domain, half_open_in_domain_many
+from repro.util.half_open import half_open, half_open_in_domain
 from repro.util.sorted_search import sorted_probe_many
 
 if TYPE_CHECKING:
@@ -168,12 +168,13 @@ class Executor:
             compiled, slots = prepared.delta_free, prepared.delta_free_slots
         contexts = self._contexts
         context = contexts.pop() if contexts else ExecutionContext(catalog=database.catalog)
-        adaptive_before = self._adaptive_counters()
+        bpm = database.bpm
+        selection_before = bpm.total_selection_seconds
+        adaptation_before = bpm.total_adaptation_seconds
         counters = compiled.new_counters()
         execute_started = time.perf_counter()
         compiled.execute_bound(context, slots, values, counters)
         profile.execute_seconds = time.perf_counter() - execute_started
-        selection_seconds, adaptation_seconds = self._adaptive_delta(adaptive_before)
         profile.attach_counters(compiled, counters)
 
         result = QueryResult(
@@ -183,8 +184,8 @@ class Executor:
             scalars=dict(context.scalars),
             plan_text=prepared.text,
             total_seconds=time.perf_counter() - started,
-            selection_seconds=selection_seconds,
-            adaptation_seconds=adaptation_seconds,
+            selection_seconds=bpm.total_selection_seconds - selection_before,
+            adaptation_seconds=bpm.total_adaptation_seconds - adaptation_before,
             optimizer_seconds=execute_started - started,
             plan_cache_hit=level != "cold",
             cache_level=level,
@@ -453,12 +454,13 @@ class Executor:
         self.batch_stats.observe_wave(len(items))
         bounds = [template.bind(values) for _, _, values, template in items]
 
-        if database.bpm.is_managed(table, column):
-            adaptive = database.bpm.handle(table, column).adaptive
-            adaptive_before = self._adaptive_counters()
-            selections = adaptive.select_many(half_open_in_domain_many(adaptive.domain, bounds))
-            selection_seconds, adaptation_seconds = self._adaptive_delta(adaptive_before)
-            extracted = [selection.oids for selection in selections]
+        bpm = database.bpm
+        if bpm.is_managed(table, column):
+            selection_before = bpm.total_selection_seconds
+            adaptation_before = bpm.total_adaptation_seconds
+            extracted = [selection.oids for selection in bpm.select_many(table, column, bounds)]
+            selection_seconds = bpm.total_selection_seconds - selection_before
+            adaptation_seconds = bpm.total_adaptation_seconds - adaptation_before
             plan_text = f"# batched select_many on {table}.{column} ({len(items)} queries)"
         else:
             started = time.perf_counter()
@@ -530,27 +532,3 @@ class Executor:
             result.total_seconds = total_share
             result.profile.execute_seconds = total_share
         return results
-
-    # -- adaptation accounting ------------------------------------------------------
-
-    def _adaptive_counters(self) -> dict[tuple[str, str], int]:
-        """Number of recorded queries per adaptive column (to detect activity)."""
-        counters = {}
-        for handle in self.database.bpm.iter_handles():
-            history = handle.adaptive.history
-            counters[(handle.table, handle.column)] = len(history) if history else 0
-        return counters
-
-    def _adaptive_delta(self, before: dict[tuple[str, str], int]) -> tuple[float, float]:
-        """Selection/adaptation seconds spent by adaptive columns in this query."""
-        selection = 0.0
-        adaptation = 0.0
-        for handle in self.database.bpm.iter_handles():
-            history = handle.adaptive.history
-            if history is None:
-                continue
-            start = before.get((handle.table, handle.column), 0)
-            for stats in history[start:]:
-                selection += stats.selection_seconds
-                adaptation += stats.adaptation_seconds
-        return selection, adaptation

@@ -22,22 +22,29 @@ paper's §3.1 snippet.  The selection answers the block's bounds exactly, so
 there is never a second piece; the delta-free lowering
 (:mod:`repro.optimizer.delta_elision`) calls the same selection as
 ``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it.
+
+The BPM is the engine's one door to an adapting selection (``bpm.select`` for
+one query, :meth:`BatPartitionManager.select_many` for a batch; snapshot
+readers go to ``select_readonly`` on a pinned snapshot, off this thread) and
+its one seconds ledger: both add the selection / adaptation seconds of exactly
+the ``QueryStats`` records they caused to two running totals, and the executor
+reads a query's share as a before/after of those totals.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.accounting import QueryStats
 from repro.core.models import SegmentationModel
+from repro.core.segment import SelectionResult
 from repro.core.strategy import AdaptiveColumnStrategy, create_strategy
 from repro.storage.bat import BAT
 from repro.storage.catalog import Catalog
-from repro.util.half_open import half_open_in_domain
+from repro.util.half_open import half_open_in_domain, half_open_in_domain_many
 
 
 @dataclass
@@ -53,14 +60,6 @@ class AdaptiveColumnHandle:
     def qualified_name(self) -> str:
         return f"{self.table}.{self.column}"
 
-    @property
-    def last_query_stats(self) -> QueryStats | None:
-        """Per-query stats of the most recent selection through this handle."""
-        history = self.adaptive.history
-        if history is None or len(history) == 0:
-            return None
-        return history[-1]
-
 
 class BatPartitionManager:
     """Owns adaptive columns and implements the ``bpm`` MAL module."""
@@ -68,8 +67,10 @@ class BatPartitionManager:
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self._handles: dict[tuple[str, str], AdaptiveColumnHandle] = {}
-        self.total_adaptation_seconds = 0.0
+        #: The seconds ledger: what every selection made through this manager
+        #: spent selecting / adapting, summed from the records it caused.
         self.total_selection_seconds = 0.0
+        self.total_adaptation_seconds = 0.0
 
     # -- administration -------------------------------------------------------
 
@@ -126,10 +127,6 @@ class BatPartitionManager:
     def handles(self) -> list[AdaptiveColumnHandle]:
         """All registered adaptive columns."""
         return list(self._handles.values())
-
-    def iter_handles(self):
-        """A view over the registered handles (no list built — hot path)."""
-        return self._handles.values()
 
     def is_managed(self, table: str, column: str) -> bool:
         """True when the column is managed by the BPM."""
@@ -197,16 +194,32 @@ class BatPartitionManager:
         flag off and take the mask path — correct either way.
         """
         adaptive = handle.adaptive
-        effective_low, effective_high = half_open_in_domain(
-            adaptive.domain, low, high, include_low, include_high
+        records = adaptive.history.records
+        recorded = len(records)
+        result = adaptive.select(
+            *half_open_in_domain(adaptive.domain, low, high, include_low, include_high)
         )
-        started = time.perf_counter()
-        result = adaptive.select(effective_low, effective_high)
-        elapsed = time.perf_counter() - started
-        stats = handle.last_query_stats
-        if stats is not None and (stats.selection_seconds or stats.adaptation_seconds):
+        self._charge(records, recorded)
+        return BAT.from_pairs(result.oids, result.values, tail_sorted=result.values_sorted)
+
+    def select_many(
+        self, table: str, column: str, sql_bounds: Sequence[tuple[float, float, bool, bool]]
+    ) -> list[SelectionResult]:
+        """Answer a batch of SQL ``(low, high, include_low, include_high)`` bounds.
+
+        The N-member counterpart of ``bpm.select``: the bounds are translated
+        into the column's domain at once and answered by the strategy's
+        ``select_many``, with adaptation piggy-backed on the batch.
+        """
+        adaptive = self.handle(table, column).adaptive
+        records = adaptive.history.records
+        recorded = len(records)
+        results = adaptive.select_many(half_open_in_domain_many(adaptive.domain, sql_bounds))
+        self._charge(records, recorded)
+        return results
+
+    def _charge(self, records: list[QueryStats], recorded: int) -> None:
+        """Add the seconds of the records appended since ``recorded`` to the ledger."""
+        for stats in records[recorded:]:
             self.total_selection_seconds += stats.selection_seconds
             self.total_adaptation_seconds += stats.adaptation_seconds
-        else:
-            self.total_selection_seconds += elapsed
-        return BAT.from_pairs(result.oids, result.values, tail_sorted=result.values_sorted)

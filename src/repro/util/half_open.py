@@ -57,7 +57,8 @@ def half_open_in_domain(
         effective_high = math.nextafter(effective_high, math.inf)
     effective_high = min(effective_high, domain.high)
     effective_low = max(min(effective_low, effective_high), domain.low)
-    return effective_low, effective_high
+    # A range entirely below the domain is empty, not reversed.
+    return effective_low, max(effective_high, effective_low)
 
 
 def half_open_in_domain_many(
@@ -88,4 +89,4 @@ def half_open_in_domain_many(
         )
     effective_high = np.minimum(effective_high, domain.high)
     effective_low = np.maximum(np.minimum(effective_low, effective_high), domain.low)
-    return np.column_stack([effective_low, effective_high])
+    return np.column_stack([effective_low, np.maximum(effective_high, effective_low)])

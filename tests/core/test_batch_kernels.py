@@ -185,11 +185,6 @@ class TestSegmentedSelectMany:
         assert column.select_many([]) == []
         assert len(column.history) == 0
 
-    def test_supports_batch_flag(self):
-        assert SegmentedColumn.supports_batch
-        assert UnsegmentedColumn.supports_batch
-        assert not ReplicatedColumn.supports_batch
-
 
 class TestUnsegmentedSelectMany:
     def test_matches_per_query_results(self, values):

@@ -314,6 +314,8 @@ class TestHalfOpenBoundsMany:
             (20.0, np.inf, True, False),
             (42.0, 42.0, True, True),
             (-500.0, 999.0, True, True),  # clamped to the domain
+            (-50.0, -10.0, True, True),  # entirely below it: empty, not reversed
+            (-50.0, -10.0, False, False),
         ]
         vectorized = half_open_in_domain_many(adaptive.domain, bounds)
         for bound, row in zip(bounds, vectorized):

@@ -284,6 +284,47 @@ class TestAdaptiveExecution:
         stats = database.last_adaptive_stats("p", "ra")
         assert stats is not None and stats.result_count == result.row_count
 
+    def test_result_seconds_are_the_seconds_of_the_records_the_query_caused(self, database):
+        """With two adaptive columns on the table, each result reports its own share.
+
+        A single run reports the seconds of exactly the records it appended;
+        a batch member reports ``1 / members`` of its batch's records — one
+        shared record from a batch kernel, N from the sequential fallback.
+        """
+        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
+        database.enable_adaptive("p", "dec", strategy="replication", m_min=2 * KB, m_max=8 * KB)
+        histories = {
+            name: database.adaptive_handle("p", name).adaptive.history for name in ("ra", "dec")
+        }
+        on_ra = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        on_dec = database.prepare_statement("SELECT objid FROM p WHERE dec BETWEEN ? AND ?")
+        on_both = database.prepare_statement(
+            "SELECT objid FROM p WHERE ra BETWEEN ? AND ? AND dec BETWEEN ? AND ?"
+        )
+        pairs = [(10.0, 14.0), (40.0, 41.0), (12.0, 30.0), (-60.0, -50.0)]
+
+        def check(run, expected_new):
+            seen = {name: len(history) for name, history in histories.items()}
+            results = run()
+            new = {name: history.records[seen[name]:] for name, history in histories.items()}
+            assert {name: len(records) for name, records in new.items()} == expected_new
+            caused = [record for records in new.values() for record in records]
+            assert sum(record.selection_seconds for record in caused) > 0.0
+            for result in results:
+                for phase in ("selection_seconds", "adaptation_seconds"):
+                    total = sum(getattr(record, phase) for record in caused)
+                    assert getattr(result, phase) == pytest.approx(
+                        total / len(results), rel=1e-6, abs=1e-12
+                    )
+
+        check(lambda: [database.execute_prepared(on_ra, pairs[0])], {"ra": 1, "dec": 0})
+        check(lambda: [database.execute("SELECT objid FROM p WHERE dec BETWEEN -5 AND 5")],
+              {"ra": 0, "dec": 1})
+        check(lambda: [database.execute_prepared(on_both, (*pairs[0], -45.0, 45.0))],
+              {"ra": 1, "dec": 1})
+        check(lambda: database.execute_prepared_many(on_ra, pairs), {"ra": 1, "dec": 0})
+        check(lambda: database.execute_prepared_many(on_dec, pairs), {"ra": 0, "dec": len(pairs)})
+
     def test_replication_through_engine_is_correct(self, database):
         expected = database.execute("SELECT objid FROM p WHERE ra BETWEEN 250 AND 255")
         database.enable_adaptive("p", "ra", strategy="replication", m_min=2 * KB, m_max=8 * KB)

@@ -54,6 +54,12 @@ class TestHalfOpenBounds:
         low, high = half_open_in_domain(column.domain, 500.0, 600.0, True, True)
         assert column.select(low, high).count == 0
 
+    @pytest.mark.parametrize("inclusive", [(True, True), (False, False)])
+    def test_empty_when_entirely_below_the_domain(self, column, inclusive):
+        low, high = half_open_in_domain(column.domain, -50.0, -10.0, *inclusive)
+        assert low == high == column.domain.low  # empty, not reversed
+        assert column.select(low, high).count == 0
+
 
 class TestEngineBoundaryQueries:
     def test_between_boundary_values_via_sql(self):
@@ -69,6 +75,43 @@ class TestEngineBoundaryQueries:
         for _ in range(3):
             adaptive = database.execute("SELECT x FROM t WHERE x BETWEEN 2 AND 3").row_count
             assert adaptive == expected == 300
+
+    @pytest.mark.parametrize(
+        "organisation", [None, "segmentation", "replication", "unsegmented"]
+    )
+    def test_range_below_the_domain_answers_empty_through_every_door(self, organisation):
+        """``BETWEEN -50 AND -10`` on ``[0, 360)``: empty with the projected dtypes.
+
+        An adaptive column used to raise ``ValueError`` here (the clamped
+        range came out reversed) while a plain column answered empty.
+        """
+        from repro.engine.database import Database
+
+        rng = np.random.default_rng(3)
+        database = Database()
+        database.create_table("p", {"objid": "int64", "ra": "float64"})
+        database.bulk_load(
+            "p", {"objid": np.arange(2_000), "ra": rng.uniform(0.0, 360.0, 2_000)}
+        )
+        if organisation is not None:
+            database.enable_adaptive("p", "ra", strategy=organisation, m_min=1 * KB, m_max=4 * KB)
+        prepared = database.prepare_statement("SELECT objid, ra FROM p WHERE ra BETWEEN ? AND ?")
+        below, inside = (-50.0, -10.0), (10.0, 12.0)
+        text = "SELECT objid, ra FROM p WHERE ra BETWEEN {} AND {}"
+        results = [
+            database.execute(text.format(*below)),
+            database.execute_prepared(prepared, below),
+            *database.execute_prepared_many(prepared, [below, inside, below])[::2],
+            database.execute_many([text.format(*inside), text.format(*below)])[1],
+            database.execute_wave([(prepared, inside), (prepared, below)])[1],
+        ]
+        assert len(results) == 6
+        for result in results:
+            assert result.row_count == 0
+            assert result.column("objid").dtype == np.int64
+            assert result.column("ra").dtype == np.float64
+        if organisation is not None:
+            database.adaptive_handle("p", "ra").adaptive.check_invariants()
 
     def test_comparison_boundaries_via_sql(self):
         from repro.engine.database import Database
