@@ -4,7 +4,7 @@ The scenario reuses the self-tuning bench's pressure cooker: a replication
 column squeezed by a storage budget sized for one query mode, hit by an
 interleaved multi-mode stream whose working set exceeds the budget.  On
 the serialized path every wave member runs the conventional ``select()``
-— cover analysis, materialization decisions, budget-enforcement walks and
+— cover analysis, materialization decisions, budget enforcement and
 eviction churn, per query.  With ``Database.read_workers = N`` the same
 members are answered against a pinned :class:`CoverSnapshot`: zero-lock
 range probes plus gathers, with the drained observations absorbed once

@@ -8,20 +8,21 @@ point of the subsystem:
 
 * One engine serving four interleaved query modes must keep four replica
   working sets alive at once.  That exceeds the budget, so every query pays
-  :meth:`ReplicatedColumn._enforce_budget` — a full replica-tree walk plus an
-  LRU sort — and the next query on an evicted mode pays cover backtracking
+  :meth:`ReplicatedColumn._enforce_budget` — an LRU sort of the evictable
+  replicas — and the next query on an evicted mode pays cover backtracking
   and rematerialization.  The engine thrashes at the budget boundary.
 * After :meth:`Router.retune` clusters the workload and assigns each mode to
   its own replica, every replica holds *one* mode's working set — under
-  budget, no enforcement walks, no eviction churn, small trees.
+  budget, no evictions, no rematerialization, small trees.
 
-The speedup is therefore **divergent specialization**, not thread
+Any speedup is therefore **divergent specialization**, not thread
 parallelism: all replicas share one Python process (and on a single-core
-host, one core), yet N=4 answers the same queries more than twice as fast
-because each query simply does less work.  ``router_scaling_x`` is
-co-measured (N=1 and N=4 run the identical routed-wave path in the same
-process), so the ratio is host-speed independent and the PERF_ASSERT bar
-needs no machine factor.
+host, one core).  ``router_scaling_x`` is co-measured (N=1 and N=4 run the
+identical routed-wave path in the same process), so the ratio needs no
+machine factor.  Until PR 21 the N=1 side also walked the whole replica tree
+four times per query and the ratio read 2.5x; with the walks gone it reads
+0.6-1.1x at the reference scale (README "Scale-out", ROADMAP item 6), below
+the PERF_ASSERT bar of 2x this script still carries.
 
 Metrics merged into ``BENCH_segment_kernels.json``:
 

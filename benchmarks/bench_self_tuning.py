@@ -4,8 +4,8 @@ One replication-strategy engine is squeezed by a storage budget sized for a
 *single* query mode, then the workload drifts: a hotspot warm-up phase is
 followed by an interleaved four-mode phase whose combined working set
 exceeds the budget.  With fixed default knobs every phase-two query pays
-budget enforcement walks plus eviction/rematerialization churn — the engine
-thrashes at the budget boundary for the rest of the run.
+eviction/rematerialization churn — the engine thrashes at the budget
+boundary for the rest of the run.
 
 The self-tuning run drives the identical query stream through the same
 engine with a :class:`~repro.tuning.TuningController` observing each query
@@ -19,9 +19,9 @@ flatten.  Four committed moves typically lift the budget from "one mode
 fits" to "all four fit" and the thrash disappears.
 
 Both runs time the *whole* drifted phase (``PERF_REPEAT`` segments of
-``PERF_TUNING_QUERIES``) end to end: the fixed engine's enforcement-walk
-cost compounds as its replica tree grows, while the controller run pays
-its climb transient early and then serves from a fitting budget.
+``PERF_TUNING_QUERIES``) end to end: the fixed engine keeps re-creating
+the replicas it evicts, while the controller run pays its climb transient
+early and then serves from a fitting budget.
 ``tuning_gain_x`` is co-measured (both runs execute the same prepared plan
 on the same data in the same process), so the ratio is host-speed
 independent and the PERF_ASSERT bar needs no machine factor.
@@ -310,9 +310,8 @@ def run_bench() -> PerfSuite:
     suite.derive(
         "tuning_fixed_qps", fixed_qps, unit="qps", **common,
         note="whole drifted 4-mode phase under default knobs: the working "
-             "set exceeds the replication budget, every query pays "
-             "enforcement walks and eviction churn that compound as the "
-             "replica tree grows",
+             "set exceeds the replication budget, so every query evicts "
+             "replicas another mode re-materializes on its next turn",
     )
     suite.derive(
         "tuning_controller_qps", tuned_qps, unit="qps", **common,

@@ -237,10 +237,19 @@ class EngineReplica:
         self.rebuilds += 1
 
     def close(self, timeout: float = 5.0) -> bool:
-        """Shut down the worker thread (idempotent, hard-timeout join)."""
+        """Shut down the worker thread (idempotent, hard-timeout join).
+
+        Once the worker has joined cleanly nothing can execute on this
+        replica again, so its engine's ``query_history`` — every
+        :class:`QueryResult` it delivered, result columns included — is
+        released here rather than whenever the cyclic collector next reaches
+        the engine's reference cycles.  Read the history before closing.  A
+        wedged worker may still be appending: its engine is left alone.
+        """
         if not self._closed:
             self._closed = True
-            return self.worker.close(timeout=timeout)
+            if self.worker.close(timeout=timeout):
+                self.database.query_history.clear()
         return not self.worker.wedged
 
     @property

@@ -216,7 +216,9 @@ class Router:
         Returns ``True`` when every worker joined within its deadline; a
         wedged worker — stuck in an injected hang or a runaway kernel — is
         abandoned (daemon thread) instead of hanging interpreter shutdown,
-        and the method still returns.
+        and the method still returns.  Every replica that joined releases its
+        engine's ``query_history`` (:meth:`EngineReplica.close`) — replica 0's
+        engine is the seed database, so read its history before closing.
         """
         if self._closed:
             return not any(replica.wedged for replica in self.replicas)

@@ -57,29 +57,7 @@ class ReplicaNode:
     def estimate_bytes(self, sub: ValueRange) -> float:
         return self.segment.estimate_bytes(sub)
 
-    # -- structure maintenance ----------------------------------------------
-
-    def materialize_from(self, source: "ReplicaNode") -> Segment:
-        """Materialize this node's payload from ``source``'s segment.
-
-        With the sorted zero-copy layout the replica is a slice *view* of the
-        source's base array — creating it moves no payload bytes physically.
-        The caller remains responsible for accounting the *logical* write
-        (``piece.size_bytes``), which is what the paper's figures count.
-        """
-        piece = source.segment.extract(self.vrange)
-        self.segment = piece
-        return piece
-
-    def add_child(self, node: "ReplicaNode") -> None:
-        """Attach ``node`` below this node, keeping children ordered by range."""
-        if not self.vrange.contains_range(node.vrange):
-            raise ValueError(
-                f"child range {node.vrange} is not contained in parent range {self.vrange}"
-            )
-        node.parent = self
-        self.children.append(node)
-        self.children.sort(key=lambda child: child.vrange.low)
+    # -- traversal (structure is changed through the owning ReplicaTree) -----
 
     def depth(self) -> int:
         """Number of edges from this node down to its deepest leaf."""
@@ -104,12 +82,33 @@ class ReplicaTree:
     The tree starts as a single materialized root holding the whole column.
     Dropped roots are replaced by their children, so the structure is a forest
     whose top-level ranges always partition the domain.
+
+    The tree owns its mutations: :meth:`add_child`, :meth:`materialize`,
+    :meth:`free` and :meth:`splice_out` are the only places a node is
+    attached, given a payload or released, and they keep three counters so
+    that no per-query quantity needs a walk —
+
+    ``node_count``
+        nodes in the forest, materialized and virtual;
+    ``storage_bytes``
+        bytes held by materialized nodes (the Figure 8/9 quantity).  Every
+        term is ``count × value_width``, an integer-valued float, so the
+        running sum is exact;
+    ``materialized``
+        the nodes currently holding data.
+
+    :meth:`check_invariants` recounts all three from a walk.
     """
 
     def __init__(self, root_segment: Segment) -> None:
         self.domain = root_segment.vrange
         self.value_width = root_segment.value_width
-        self.roots: list[ReplicaNode] = [ReplicaNode(root_segment)]
+        root = ReplicaNode(root_segment)
+        self.roots: list[ReplicaNode] = [root]
+        self.node_count = 1
+        self.storage_bytes = 0.0
+        self.materialized: set[ReplicaNode] = set()
+        self._hold(root)
 
     # -- iteration ------------------------------------------------------------
 
@@ -118,30 +117,6 @@ class ReplicaTree:
         for root in self.roots:
             yield from root.walk()
 
-    def nodes(self) -> list[ReplicaNode]:
-        """All nodes of the forest as a list."""
-        return list(self.walk())
-
-    def materialized_nodes(self) -> list[ReplicaNode]:
-        """All nodes currently holding data."""
-        return [node for node in self.walk() if node.materialized]
-
-    def leaves(self) -> list[ReplicaNode]:
-        """All leaf nodes of the forest."""
-        return [node for node in self.walk() if node.is_leaf]
-
-    # -- metrics ----------------------------------------------------------------
-
-    @property
-    def storage_bytes(self) -> float:
-        """Total bytes held by materialized nodes (the Figure 8/9 quantity)."""
-        return sum(node.size_bytes for node in self.materialized_nodes())
-
-    @property
-    def node_count(self) -> int:
-        """Total number of nodes (materialized and virtual)."""
-        return sum(1 for _ in self.walk())
-
     @property
     def depth(self) -> int:
         """Depth of the deepest root subtree."""
@@ -149,13 +124,52 @@ class ReplicaTree:
 
     # -- structure maintenance ----------------------------------------------------
 
-    def splice_out(self, node: ReplicaNode) -> None:
-        """Remove ``node`` from the tree, re-attaching its children to its parent.
+    def _hold(self, node: ReplicaNode) -> None:
+        self.storage_bytes += node.size_bytes
+        self.materialized.add(node)
 
-        This is the structural part of Algorithm 5 (``check4Drop``); freeing
-        the node's storage is the caller's responsibility so that it can be
-        accounted.
+    def add_child(self, parent: ReplicaNode, node: ReplicaNode) -> None:
+        """Attach ``node`` below ``parent``, keeping children ordered by range."""
+        if not parent.vrange.contains_range(node.vrange):
+            raise ValueError(
+                f"child range {node.vrange} is not contained in parent range {parent.vrange}"
+            )
+        node.parent = parent
+        parent.children.append(node)
+        parent.children.sort(key=lambda child: child.vrange.low)
+        self.node_count += 1
+        if node.materialized:
+            self._hold(node)
+
+    def materialize(self, node: ReplicaNode, source: ReplicaNode) -> Segment:
+        """Give the virtual ``node`` its payload from ``source``'s segment.
+
+        With the sorted zero-copy layout the replica is a slice *view* of the
+        source's base array — creating it moves no payload bytes physically.
+        The caller remains responsible for accounting the *logical* write
+        (``piece.size_bytes``), which is what the paper's figures count.
         """
+        piece = source.segment.extract(node.vrange)
+        node.segment = piece
+        self._hold(node)
+        return piece
+
+    def free(self, node: ReplicaNode) -> None:
+        """Release ``node``'s payload; it stays in the tree as a virtual node."""
+        if not node.materialized:
+            return
+        self.storage_bytes -= node.size_bytes
+        self.materialized.remove(node)
+        node.segment.free()
+
+    def splice_out(self, node: ReplicaNode) -> None:
+        """Drop ``node``: release its payload, hand its children to its parent.
+
+        This is Algorithm 5's ``check4Drop`` for one node — a dropped root is
+        replaced by its children in the top-level forest.
+        """
+        self.free(node)
+        self.node_count -= 1
         children = list(node.children)
         parent = node.parent
         if parent is None:
@@ -177,7 +191,7 @@ class ReplicaTree:
     # -- integrity ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify range containment, child partitioning and coverage invariants."""
+        """Verify containment, partitioning, coverage and the three counters."""
         covered = sorted((root.vrange for root in self.roots), key=lambda r: r.low)
         position = self.domain.low
         for vrange in covered:
@@ -204,6 +218,21 @@ class ReplicaTree:
             if child_position != node.vrange.high:
                 raise AssertionError(f"children of {node.vrange} do not cover it")
         self._check_virtual_coverage()
+        self._check_counters()
+
+    def _check_counters(self) -> None:
+        """``node_count`` / ``storage_bytes`` / ``materialized`` equal a recount."""
+        nodes = list(self.walk())
+        held = {node for node in nodes if node.materialized}
+        if self.node_count != len(nodes):
+            raise AssertionError(f"node_count {self.node_count} drifted from {len(nodes)} nodes")
+        if self.materialized != held:
+            raise AssertionError("materialized set drifted from the nodes holding data")
+        recount = sum(node.size_bytes for node in held)
+        if self.storage_bytes != recount:
+            raise AssertionError(
+                f"storage_bytes {self.storage_bytes:g} drifted from the {recount:g} bytes held"
+            )
 
     def _check_virtual_coverage(self) -> None:
         """Every virtual leaf must have a materialized ancestor (query coverage)."""
@@ -260,10 +289,10 @@ class FrozenReplicaNode:
 
     Unlike segmentation segments — which are never mutated after creation —
     a live :class:`ReplicaNode`'s segment is mutated in place
-    (``materialize_from`` swaps the payload in, ``free`` nulls it out), so a
-    snapshot must capture the *payload array references*, not the live
-    ``Segment`` objects.  The captured numpy views stay valid after a later
-    ``free()`` because freeing only drops the segment's references.
+    (:meth:`ReplicaTree.materialize` swaps the payload in, ``free`` nulls it
+    out), so a snapshot must capture the *payload array references*, not the
+    live ``Segment`` objects.  The captured numpy views stay valid after a
+    later ``free()`` because freeing only drops the segment's references.
     """
 
     __slots__ = ("vrange", "values", "oids", "children")
@@ -305,8 +334,9 @@ class FrozenReplicaNode:
 class CoverSnapshot:
     """An immutable point-in-time view of a replica tree for snapshot readers.
 
-    Captured on the owning worker (never concurrently with mutation) and
-    published by reference assignment; readers run Algorithm 3's cover
+    Captured on the owning worker when a reader pins it (never concurrently
+    with mutation, and only if the tree changed since the last pin — see
+    :meth:`ReplicatedColumn.pin_snapshot`); readers run Algorithm 3's cover
     recursion and the per-node range probes entirely against frozen nodes,
     so live materialization, drops and budget evictions can proceed
     underneath without ever tearing a read.

@@ -105,26 +105,26 @@ class ReplicatedColumn(AdaptiveColumnBase):
     def _after_frame(self, stats: QueryStats) -> None:
         super()._after_frame(stats)
         self.peak_storage_bytes = max(self.peak_storage_bytes, stats.storage_bytes)
-        # Publish a fresh cover snapshot once per mutating query, outside the
-        # per-phase timings: one reference assignment makes the new layout
-        # visible to readers, which keep their pinned snapshots meanwhile.
-        if self._cover_dirty:
-            self._publish_snapshot()
 
     # -- snapshot reads -------------------------------------------------------
 
-    def _publish_snapshot(self) -> None:
-        self._snapshot_generation += 1
-        self._cover_snapshot = CoverSnapshot.capture(self.tree, self._snapshot_generation)
-        self._cover_dirty = False
-
     def pin_snapshot(self) -> CoverSnapshot:
-        """Pin the current immutable cover snapshot (one reference grab).
+        """Pin an immutable cover snapshot of the tree as it is now.
+
+        Captures a fresh snapshot (and bumps its generation) if the tree
+        changed since the last pin, otherwise hands out the one already
+        captured — a mutating query only marks the cover dirty, so queries
+        nobody reads behind freeze nothing.  Owning thread only: the capture
+        walks the live tree.
 
         Snapshots capture payload *array references*, not live segments, so a
         pinned snapshot keeps answering correctly even after budget evictions
         ``free()`` the corresponding live nodes.
         """
+        if self._cover_dirty:
+            self._snapshot_generation += 1
+            self._cover_snapshot = CoverSnapshot.capture(self.tree, self._snapshot_generation)
+            self._cover_dirty = False
         return self._cover_snapshot
 
     def select_readonly(
@@ -135,13 +135,15 @@ class ReplicatedColumn(AdaptiveColumnBase):
         Runs Algorithm 3's cover recursion and the per-node sorted probes
         against the frozen forest — no replica analysis, no materialization,
         no budget enforcement, no accounting.  The observation is recorded
-        into :attr:`read_observations` for the owning worker.
+        into :attr:`read_observations` for the owning worker.  Readers off the
+        owning thread must pass a snapshot pinned there; without one the call
+        pins for itself (:meth:`pin_snapshot`).
         """
         query = ValueRange(float(low), float(high)).intersect(self.domain)
         if query.is_empty:
             self.read_observations.record(float(low), float(high), 0.0)
             return SelectionResult.empty(self.dtype)
-        snap = snapshot if snapshot is not None else self._cover_snapshot
+        snap = snapshot if snapshot is not None else self.pin_snapshot()
         parts = [node.select(query) for node in snap.cover(query)]
         result = SelectionResult.concatenate(parts, self.dtype)
         self.read_observations.record(float(low), float(high), result.count * self.value_width)
@@ -227,7 +229,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
                 estimated_count=node.segment.estimate_count(piece),
             )
             child = ReplicaNode(child_segment)
-            node.add_child(child)
+            self.tree.add_child(node, child)
             if piece in materialize_ranges:
                 to_materialize.append(child)
 
@@ -255,13 +257,13 @@ class ReplicatedColumn(AdaptiveColumnBase):
         """Single scan of the covering segment materializes every chosen replica.
 
         Replicas are zero-copy slices of the covering segment's sorted
-        payload (:meth:`ReplicaNode.materialize_from`); the write accounting
+        payload (:meth:`ReplicaTree.materialize`); the write accounting
         records the logical bytes of each replica exactly as before.
         """
         if to_materialize:
             self._cover_dirty = True
         for node in to_materialize:
-            piece = node.materialize_from(cover_node)
+            piece = self.tree.materialize(node, cover_node)
             self.accountant.record_write(piece.size_bytes, piece)
             stats.replicas_materialized += 1
             node.last_access = self._queries_executed
@@ -274,8 +276,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
             if node.is_leaf or not all(child.materialized for child in node.children):
                 return
             parent = node.parent
-            if node.materialized:
-                node.segment.free()
             self.tree.splice_out(node)
             stats.segments_dropped += 1
             self._cover_dirty = True
@@ -288,33 +288,24 @@ class ReplicatedColumn(AdaptiveColumnBase):
 
         Only nodes with a materialized ancestor are candidates: releasing them
         never breaks query coverage, the data is simply re-read from the
-        ancestor when needed again.  One pre-order walk sums the bytes held
-        and collects the candidates; each release is subtracted from that sum.
+        ancestor when needed again.  Under budget this is one comparison of
+        the tree's counter; over it, the cost is the materialized set (each
+        member climbs its parent chain), never the whole tree.
         """
-        held = 0.0
-        candidates: list[ReplicaNode] = []
-
-        def visit(node: ReplicaNode, covered: bool) -> None:
-            nonlocal held
-            if node.materialized:
-                held += node.size_bytes
-                if covered:
-                    candidates.append(node)
-                covered = True
-            for child in node.children:
-                visit(child, covered)
-
-        for root in self.tree.roots:
-            visit(root, False)
-        if held <= self.storage_budget:
+        tree = self.tree
+        if tree.storage_bytes <= self.storage_budget:
             return
-        # Stable: nodes last touched by the same query go in pre-order.
-        candidates.sort(key=lambda node: node.last_access)
+        held = tree.materialized
+        candidates = [node for node in held if _has_ancestor_in(node, held)]
+        # Nodes last touched by the same query go in pre-order: a child's range
+        # is a strict sub-range of its parent's, so (low, -high) is that order.
+        candidates.sort(
+            key=lambda node: (node.last_access, node.vrange.low, -node.vrange.high)
+        )
         for node in candidates:
-            if held <= self.storage_budget:
+            if tree.storage_bytes <= self.storage_budget:
                 break
-            held -= node.size_bytes
-            node.segment.free()
+            tree.free(node)
             stats.segments_dropped += 1
             self._cover_dirty = True
 
@@ -329,3 +320,12 @@ class ReplicatedColumn(AdaptiveColumnBase):
             f"ReplicatedColumn(nodes={self.segment_count}, depth={self.tree_depth}, "
             f"storage={self.storage_bytes:g}B, model={self.model.name})"
         )
+
+
+def _has_ancestor_in(node: ReplicaNode, held: set[ReplicaNode]) -> bool:
+    ancestor = node.parent
+    while ancestor is not None:
+        if ancestor in held:
+            return True
+        ancestor = ancestor.parent
+    return False

@@ -365,3 +365,26 @@ class TestRouterClose:
         router = Router(build_database(200), 2)
         assert router.close() is True
         assert router.close() is True
+
+    def test_close_releases_the_result_history_of_every_joined_replica(self):
+        def fleet_with_history() -> Router:
+            router = Router(build_database(200), 2)
+            prepared = router.prepare_statement(SQL)
+            for index, replica in enumerate(router.replicas):
+                replica.run(router.execute_wave_on, index, [(prepared, (100.0, 200.0))] * 3)
+            assert [len(r.database.query_history) for r in router.replicas] == [3, 3]
+            return router
+
+        router = fleet_with_history()
+        seed_engine = router.database
+        assert router.close() is True
+        assert [r.database.query_history for r in router.replicas] == [[], []]
+        assert seed_engine.query_history == []  # replica 0 is the engine handed in
+
+        router = fleet_with_history()
+        release = threading.Event()
+        router.replicas[1].submit(release.wait)
+        assert router.close(timeout=0.1) is False
+        # The wedged worker may still be appending: its engine is left alone.
+        assert [len(r.database.query_history) for r in router.replicas] == [0, 3]
+        release.set()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.models import AdaptivePageModel, GaussianDice
 from repro.core.ranges import ValueRange
+from repro.core.replica_tree import CoverSnapshot, ReplicaNode, ReplicaTree
 from repro.core.replication import ReplicatedColumn
 from repro.util.units import KB
 from repro.workloads.generators import multimodal_workload
@@ -21,7 +22,10 @@ class ReferenceBudgetColumn(ReplicatedColumn):
 
     Re-sums the whole tree before the loop and again per eviction, and walks
     every candidate's ancestor chain — slow, and obviously what the paper's
-    budget extension means.
+    budget extension means.  It shares no arithmetic with the code under
+    test: the bytes held are its own recount, never the tree's counter, and
+    only the release goes through the tree's door (a bare
+    ``node.segment.free()`` would leave the counters behind).
     """
 
     def _enforce_budget(self, stats):
@@ -33,18 +37,21 @@ class ReferenceBudgetColumn(ReplicatedColumn):
                 ancestor = ancestor.parent
             return False
 
-        if self.storage_bytes <= self.storage_budget:
+        def held():
+            return sum(node.size_bytes for node in self.tree.walk() if node.materialized)
+
+        if held() <= self.storage_budget:
             return
         candidates = [
             node
             for node in self.tree.walk()
             if node.materialized and has_materialized_ancestor(node)
         ]
-        candidates.sort(key=lambda node: node.last_access)
+        candidates.sort(key=lambda node: node.last_access)  # stable, over pre-order
         for node in candidates:
-            if self.storage_bytes <= self.storage_budget:
+            if held() <= self.storage_budget:
                 break
-            node.segment.free()
+            self.tree.free(node)
             stats.segments_dropped += 1
             self._cover_dirty = True
 
@@ -55,6 +62,45 @@ def materialized_ranges(column: ReplicatedColumn) -> list[tuple[float, float]]:
         for node in column.tree.walk()
         if node.materialized
     ]
+
+
+RA_DOMAIN = (0.0, 360.0)
+
+
+def small_column_shape(values: np.ndarray, budget_factor: float) -> dict:
+    """The 20 K-row test column pressed to ``budget_factor`` × its size."""
+    return dict(
+        values=values,
+        domain=TEST_DOMAIN,
+        bounds=(3 * KB, 12 * KB),
+        budget=values.size * values.dtype.itemsize * budget_factor,
+        workload=multimodal_workload(400, TEST_DOMAIN, 0.02, n_modes=4, seed=29),
+    )
+
+
+def replica_budget_shape() -> dict:
+    """The e2e ``replica_budget`` workload: 100 K ``ra`` floats, column + 48 KB.
+
+    Four disjoint modes cycled, 1 % ranges inside 4 % areas, fine APM bounds:
+    one query touches several nodes, so ``last_access`` ties are the rule.
+    """
+    ra = np.random.default_rng(7).uniform(*RA_DOMAIN, size=100_000)
+    return dict(
+        values=ra,
+        domain=RA_DOMAIN,
+        bounds=(1 * KB, 4 * KB),
+        budget=ra.nbytes + 48 * KB,
+        workload=multimodal_workload(
+            400, RA_DOMAIN, 0.01, n_modes=4, mode_fraction=0.04, seed=29
+        ),
+    )
+
+
+def recount(column: ReplicatedColumn) -> tuple[int, float, set]:
+    """Node count, bytes held and the materialized nodes, from a walk."""
+    nodes = list(column.tree.walk())
+    held = {node for node in nodes if node.materialized}
+    return len(nodes), sum(node.size_bytes for node in held), held
 
 
 class TestConstruction:
@@ -189,23 +235,29 @@ class TestStorageBudget:
             low = float(rng.uniform(0, 90_000))
             column.select(low, low + 10_000)
             assert column.storage_bytes <= budget * 1.001
-        column.check_invariants()
+            column.check_invariants()
 
-    @pytest.mark.parametrize("budget_factor", [1.05, 1.2, 1.6])
-    def test_one_walk_enforcement_evicts_what_the_reference_evicts(self, values, budget_factor):
-        budget = values.size * values.dtype.itemsize * budget_factor
+    @pytest.mark.parametrize("pressure", ["1.05", "1.2", "1.6", "replica_budget"])
+    def test_one_walk_enforcement_evicts_what_the_reference_evicts(self, values, pressure):
+        benchmark_shape = pressure == "replica_budget"
+        shape = (
+            replica_budget_shape()
+            if benchmark_shape
+            else small_column_shape(values, float(pressure))
+        )
+        budget = shape["budget"]
+        m_min, m_max = shape["bounds"]
         columns = [
             cls(
-                values.copy(),
-                model=AdaptivePageModel(m_min=3 * KB, m_max=12 * KB),
-                domain=TEST_DOMAIN,
+                shape["values"].copy(),
+                model=AdaptivePageModel(m_min=m_min, m_max=m_max),
+                domain=shape["domain"],
                 storage_budget=budget,
             )
             for cls in (ReplicatedColumn, ReferenceBudgetColumn)
         ]
-        workload = multimodal_workload(400, TEST_DOMAIN, 0.02, n_modes=4, seed=29)
-        evictions = 0
-        for query in workload:
+        evictions = ties = 0
+        for query in shape["workload"]:
             new, reference = (column.select(query.low, query.high) for column in columns)
             assert new.count == reference.count
             stats = [column.history[-1] for column in columns]
@@ -213,7 +265,13 @@ class TestStorageBudget:
             assert stats[0].storage_bytes == stats[1].storage_bytes <= budget
             assert materialized_ranges(columns[0]) == materialized_ranges(columns[1])
             evictions += stats[0].segments_dropped
+            if benchmark_shape:
+                columns[0].check_invariants()
+                touched = [node.last_access for node in columns[0].tree.materialized]
+                ties += len(touched) - len(set(touched))
         assert evictions > 0  # the budget really pressed
+        if benchmark_shape:
+            assert ties > 0  # nodes one query touched survive together: the order mattered
 
     def test_budgeted_column_still_answers_correctly(self, values, apm_model):
         budget = values.size * values.dtype.itemsize * 1.2
@@ -225,3 +283,72 @@ class TestStorageBudget:
             low = float(rng.uniform(0, 90_000))
             high = low + 10_000
             assert column.select(low, high).count == brute_force_count(values, low, high)
+
+
+class TestCounters:
+    @pytest.mark.parametrize("budget_factor", [None, 1.05, 1.6])
+    def test_counters_equal_a_recount_after_every_query(self, values, apm_model, budget_factor):
+        budget = None if budget_factor is None else values.nbytes * budget_factor
+        column = ReplicatedColumn(
+            values, model=apm_model, domain=TEST_DOMAIN, storage_budget=budget
+        )
+        rng = np.random.default_rng(53)
+        for _ in range(250):
+            low = float(rng.uniform(0, 95_000))
+            column.select(low, low + float(rng.uniform(50, 12_000)))
+            nodes, held_bytes, held = recount(column)
+            assert column.segment_count == column.tree.node_count == nodes
+            assert column.storage_bytes == column.tree.storage_bytes == held_bytes
+            assert column.tree.materialized == held
+            stats = column.history[-1]
+            assert (stats.segment_count, stats.storage_bytes) == (nodes, held_bytes)
+        assert nodes > 10  # the tree really grew
+        column.check_invariants()
+
+
+class TestNoTraversalOnTheQueryPath:
+    def test_select_walks_nothing_and_the_next_pin_captures_once(self, monkeypatch):
+        shape = replica_budget_shape()
+        values = shape["values"]
+        column = ReplicatedColumn(
+            values,
+            model=AdaptivePageModel(m_min=1 * KB, m_max=4 * KB),
+            domain=RA_DOMAIN,
+            storage_budget=shape["budget"],
+        )
+        queries = list(shape["workload"])
+        for query in queries[:80]:  # warm: every mode has its replicas
+            column.select(query.low, query.high)
+        generation = column.pin_snapshot().generation
+
+        calls = {"tree.walk": 0, "node.walk": 0, "capture": 0}
+
+        def spy(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(ReplicaTree, "walk", spy("tree.walk", ReplicaTree.walk))
+        monkeypatch.setattr(ReplicaNode, "walk", spy("node.walk", ReplicaNode.walk))
+        monkeypatch.setattr(CoverSnapshot, "capture", spy("capture", CoverSnapshot.capture))
+
+        dropped = 0
+        for query in queries[80:]:
+            column.select(query.low, query.high)
+            dropped += column.history[-1].segments_dropped
+        assert len(queries) - 80 >= 300 and dropped > 0  # budgeted, and it pressed
+        assert calls == {"tree.walk": 0, "node.walk": 0, "capture": 0}
+
+        pinned = column.pin_snapshot()
+        assert calls["capture"] == 1
+        assert pinned.generation > generation
+        assert column.pin_snapshot() is pinned  # nothing changed: nothing captured
+        assert calls["capture"] == 1
+
+        low, high = queries[0].low, queries[-1].high
+        got = column.select_readonly(low, high, pinned)
+        expected = np.sort(values[(values >= low) & (values < high)])
+        np.testing.assert_array_equal(np.sort(got.values), expected)
+        np.testing.assert_array_equal(np.sort(values[got.oids]), expected)
