@@ -2,8 +2,10 @@
 
 These use pytest-benchmark's timing for what it is good at: comparing the
 steady-state per-query cost of an adapted (segmented or replicated) column
-against the non-segmented full-scan baseline on identical queries, and the
-per-query cost of replication pressed against its storage budget.
+against the non-segmented full-scan baseline on identical queries, the
+per-query cost of replication pressed against its storage budget, and one
+16-member wave through the engine's batch pass on a plain and on a segmented
+100 K-row column (each member checked against the same query run alone).
 """
 
 from itertools import cycle
@@ -15,6 +17,7 @@ from repro.core.baseline import UnsegmentedColumn
 from repro.core.models import AdaptivePageModel
 from repro.core.replication import ReplicatedColumn
 from repro.core.segmentation import SegmentedColumn
+from repro.engine import Database
 from repro.util.units import KB
 from repro.workloads.generators import make_column, multimodal_workload, uniform_workload
 
@@ -96,3 +99,47 @@ def test_micro_segmented_beats_fullscan_on_reads(values, warm_segmented):
     warm_segmented.select(500_000, 510_000)
     segmented_reads = warm_segmented.accountant.total_reads_bytes - before
     assert segmented_reads < 0.25 * baseline.accountant.total_reads_bytes
+
+
+WAVE_ROWS = 100_000
+#: 16 disjoint 0.036°-wide ranges, and 16 0.36°-wide ranges forming one overlap cluster.
+DISJOINT_WAVE = [(low, low + 0.036) for low in np.linspace(5.0, 355.0, 16).tolist()]
+OVERLAPPING_WAVE = [(100.0 + 0.036 * i, 100.36 + 0.036 * i) for i in range(16)]
+
+
+def _bench_wave(benchmark, ranges, strategy=None):
+    """Time one ``execute_wave`` of ``ranges``; each member must answer like a lone run."""
+    rng = np.random.default_rng(29)
+    database = Database()
+    database.create_table("p", {"objid": "int64", "ra": "float64"})
+    database.bulk_load(
+        "p",
+        {"objid": np.arange(WAVE_ROWS, dtype=np.int64), "ra": rng.uniform(0.0, 360.0, WAVE_ROWS)},
+    )
+    if strategy is not None:
+        database.enable_adaptive(
+            "p", "ra", strategy=strategy, model="apm", m_min=8 * KB, m_max=32 * KB
+        )
+    prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+    wave = [(prepared, prepared.binding.bind(pair)) for pair in ranges]
+    results = benchmark(database.execute_wave, wave)
+    assert [result.cache_level for result in results] == ["batched"] * len(ranges)
+    for result, pair in zip(results, ranges):
+        got = result.column("objid")
+        alone = database.execute_prepared(prepared, pair).column("objid")
+        if strategy is None:  # a plain column answers in oid order on both paths
+            np.testing.assert_array_equal(got, alone)
+        else:
+            np.testing.assert_array_equal(np.sort(got), np.sort(alone))
+
+
+def test_micro_plain_wave_disjoint(benchmark):
+    _bench_wave(benchmark, DISJOINT_WAVE)
+
+
+def test_micro_plain_wave_overlapping(benchmark):
+    _bench_wave(benchmark, OVERLAPPING_WAVE)
+
+
+def test_micro_managed_wave(benchmark):
+    _bench_wave(benchmark, DISJOINT_WAVE, strategy="segmentation")

@@ -5,7 +5,9 @@ members ``(PreparedPlan, values)`` and hands them here.  A wave is bucketed in
 one pass — each member is *snapshot-readable*, *batchable* or *single* — the
 buckets run (reader pool · vectorized batch · the compiled-plan runner) and
 the results come back in input order.  A single query is a wave of one and is
-answered by a straight call into :meth:`Executor.run`.
+answered by a straight call into :meth:`Executor.run`.  Every adaptive
+selection goes through a BPM door (``bpm.select`` in a plan, ``select_many``,
+``pin`` / ``select_pinned`` / ``absorb``); every result is built by :func:`_result`.
 
 Whether a statement is a batchable range select was decided when it was
 prepared (:attr:`PreparedPlan.template`); whether its table has pending deltas
@@ -27,10 +29,9 @@ from repro.engine.execution import ExecutionContext
 from repro.engine.plan_cache import PreparedPlan, RangeTemplate
 from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
-from repro.mal.operators import gather
+from repro.mal.operators import gather, select
 from repro.storage.bat import BAT
-from repro.util.half_open import half_open, half_open_in_domain
-from repro.util.sorted_search import sorted_probe_many
+from repro.util.half_open import half_open
 
 if TYPE_CHECKING:
     from repro.engine.database import Database
@@ -41,6 +42,10 @@ Member = tuple[PreparedPlan, tuple[float, ...]]
 #: What text resolution knows about a member: ``(sql text, cache level that
 #: answered, profile carrying the plan-acquisition timings)``.
 Origin = tuple[str, str, QueryProfile]
+
+#: A range-select member as the batch and reader passes see it:
+#: ``(position in the wave, sql text, bound values, its range template)``.
+Item = tuple[int, str, tuple[float, ...], RangeTemplate]
 
 #: Wave-size histogram buckets: label -> inclusive (low, high) member count.
 _WAVE_BUCKETS: tuple[tuple[str, int, float], ...] = (
@@ -100,14 +105,13 @@ class BatchStats:
 def overlap_clusters(ranges: list[tuple[float, float]]) -> list[list[int]]:
     """Split half-open ``[low, high)`` ranges into strictly-overlapping clusters.
 
-    Used by the plain-column batch path to decide between one envelope scan
-    (a single cluster: the envelope equals the union, so the scan reads
-    nothing no member asked for) and the sort-and-probe kernel.  Only ranges
-    that genuinely *share values* are merged: ranges that merely touch —
-    ``low == envelope_high``, including bounds one ``math.nextafter`` apart,
-    as an inclusive bound and the adjacent exclusive bound produce — stay in
-    separate clusters, since their shared envelope would not be cheaper than
-    exact per-member probes.  Returns clusters of positions into ``ranges``.
+    The plain-column batch pass scans each cluster's envelope once: the
+    envelope of a cluster equals its union, so the scan reads nothing no
+    member asked for.  Only ranges that genuinely *share values* are merged:
+    ranges that merely touch — ``low == envelope_high``, including bounds one
+    ``math.nextafter`` apart, as an inclusive bound and the adjacent exclusive
+    bound produce — stay in separate clusters.  Returns clusters of positions
+    into ``ranges``.
     """
     order = sorted(range(len(ranges)), key=lambda i: ranges[i])
     clusters: list[list[int]] = []
@@ -121,6 +125,57 @@ def overlap_clusters(ranges: list[tuple[float, float]]) -> list[list[int]]:
             clusters.append([index])
             envelope_high = high
     return clusters
+
+
+def _scan_clusters(
+    persistent: BAT, bounds: list[tuple[float, float, bool, bool]]
+) -> tuple[list[np.ndarray], int]:
+    """Each member's oids in oid order, and the count of overlap clusters scanned once."""
+    clusters = overlap_clusters([half_open(*bound) for bound in bounds])
+    extracted: list[Any] = [None] * len(bounds)  # every member is in one cluster
+    for cluster in clusters:
+        # One pass over the column; the members then select from the envelope only.
+        envelope = select(
+            persistent,
+            min(bounds[i][0] for i in cluster),
+            max(bounds[i][1] for i in cluster),
+            include_high=True,
+        )
+        for index in cluster:
+            low, high, include_low, include_high = bounds[index]
+            extracted[index] = select(
+                envelope, low, high, include_low=include_low, include_high=include_high
+            ).head
+    return extracted, len(clusters)
+
+
+def _gather(
+    template: RangeTemplate, oids: np.ndarray, bats: dict[tuple[str, str], BAT]
+) -> dict[str, np.ndarray]:
+    """The projected columns of ``oids`` from pre-resolved ``bats`` (thread safe)."""
+    table = template.table
+    return {name: gather(bats[(table, name)], oids) for name in template.projected}
+
+
+def _result(
+    sql: str, values: tuple[float, ...], level: str, plan_text: str,
+    columns: dict[str, np.ndarray], *, total_seconds: float, selection_seconds: float,
+    adaptation_seconds: float, optimizer_seconds: float = 0.0,
+    scalars: dict[str, float] | None = None, profile: QueryProfile | None = None,
+) -> QueryResult:
+    """The one place a :class:`QueryResult` is built.
+
+    Without a plan's ``profile`` (batched, snapshot) the result gets a warm
+    one whose ``execute`` stage is its whole share of the wave.
+    """
+    if profile is None:
+        profile = QueryProfile(cold=False)
+        profile.execute_seconds = total_seconds
+    # Positional, in QueryResult's field order: a keyword call costs twice as much.
+    return QueryResult(
+        sql, values, columns, {} if scalars is None else scalars, plan_text, total_seconds,
+        selection_seconds, adaptation_seconds, optimizer_seconds, level, profile,
+    )
 
 
 class Executor:
@@ -177,21 +232,13 @@ class Executor:
         profile.execute_seconds = time.perf_counter() - execute_started
         profile.attach_counters(compiled, counters)
 
-        result = QueryResult(
-            sql=sql,
-            parameters=values,
-            columns=context.exported_columns(),
-            scalars=dict(context.scalars),
-            plan_text=prepared.text,
+        result = _result(
+            sql, values, level, prepared.text, context.exported_columns(),
             total_seconds=time.perf_counter() - started,
             selection_seconds=bpm.total_selection_seconds - selection_before,
             adaptation_seconds=bpm.total_adaptation_seconds - adaptation_before,
             optimizer_seconds=execute_started - started,
-            plan_cache_hit=level != "cold",
-            cache_level=level,
-            plan_cache_hits=database.plan_cache.hits,
-            plan_cache_misses=database.plan_cache.misses,
-            profile=profile,
+            scalars=dict(context.scalars), profile=profile,
         )
         if len(contexts) < 4:
             context.reset()
@@ -253,9 +300,9 @@ class Executor:
 
         A member with a range template on a delta-free table joins its
         ``(table, column)`` group.  With ``read_workers > 1`` and more than
-        one member, the groups on snapshot-capable adaptive columns are
-        answered concurrently against pinned snapshots; any other group of
-        two or more is one vectorized batch pass, run where its first member
+        one member, each group whose column the BPM can pin a snapshot of is
+        answered concurrently against that snapshot; any other group of two
+        or more is one vectorized batch pass, run where its first member
         stands; everything else — aggregates, groups of one, tables with
         pending deltas (they take the full Figure-1 cascade) — goes through
         :meth:`run` in input order.
@@ -283,21 +330,19 @@ class Executor:
                 if free:
                     groups.setdefault((template.table, template.column), []).append(position)
 
-        def item(position: int) -> tuple[int, str, tuple[float, ...], RangeTemplate]:
+        def item(position: int) -> Item:
             sql = origins[position][0] if origins else plans[position].sql
             return position, sql, members[position][1], plans[position].template
 
         workers = database.read_workers
         fan_out = workers > 1 and len(members) > 1
-        reads: list[tuple[int, str, tuple[float, ...], RangeTemplate]] = []
-        readable: dict[tuple[str, str], Any] = {}  # group -> its snapshot-capable strategy
+        readable: list[tuple[Any, list[Item]]] = []  # (BPM pin, its column's members)
         batch_at: dict[int, tuple[str, str]] = {}  # first member's position -> its group
         grouped: set[int] = set()
         for key, positions in groups.items():
-            adaptive = self._snapshot_adaptive(*key) if fan_out else None
-            if adaptive is not None:
-                readable[key] = adaptive
-                reads.extend(item(position) for position in positions)
+            pinned = database.bpm.pin(*key) if fan_out else None
+            if pinned is not None:
+                readable.append((pinned, [item(position) for position in positions]))
             elif len(positions) >= 2:
                 batch_at[positions[0]] = key
             else:
@@ -316,57 +361,48 @@ class Executor:
                 slots[position] = self.run(
                     plans[position], values, origins[position] if origins else None
                 )
-        if reads:
-            self._read_snapshots(reads, readable, workers, slots)
+        if readable:
+            self._read_snapshots(readable, workers, slots)
         return slots  # type: ignore[return-value]
+
+    def _bats(self, items: list[Item]) -> dict[tuple[str, str], BAT]:
+        """Every projected column's persistent BAT, resolved on this thread."""
+        column = self.database.catalog.column
+        bats: dict[tuple[str, str], BAT] = {}
+        for _, _, _, template in items:
+            for name in template.projected:
+                if (template.table, name) not in bats:
+                    bats[(template.table, name)] = column(template.table, name).bind(0)
+        return bats
 
     # -- snapshot reads -----------------------------------------------------------
 
-    def _snapshot_adaptive(self, table: str, column: str) -> Any | None:
-        """The snapshot-capable strategy behind ``table.column``, or ``None``."""
-        bpm = self.database.bpm
-        if not bpm.is_managed(table, column):
-            return None
-        adaptive = bpm.handle(table, column).adaptive
-        return adaptive if getattr(adaptive, "supports_snapshot_reads", False) else None
+    def _read_snapshots(self, readable: list, workers: int, slots: list) -> None:
+        """Fan the pinned columns' members across the reader pool; fill their ``slots``.
 
-    def _read_snapshots(
-        self,
-        reads: list[tuple[int, str, tuple[float, ...], RangeTemplate]],
-        readable: dict[tuple[str, str], Any],
-        workers: int,
-        slots: list[QueryResult | BaseException | None],
-    ) -> None:
-        """Fan ``reads`` across the reader pool; fill their ``slots``.
-
-        One snapshot is pinned per column and every projected column's BAT is
-        resolved on this thread — readers touch no shared mutable state (numpy
-        probe/gather kernels release the GIL).  After the readers join, each
-        touched column absorbs its drained read observations: adaptation stays
-        on this thread, once per wave.  A member's exception is raised only
-        after every reader has joined.
+        Every projected column's BAT is resolved on this thread, so readers
+        touch no shared mutable state (numpy probe/gather kernels release the
+        GIL).  After the readers join, each pinned column absorbs its reads
+        through the BPM — adaptation stays on this thread, once per column per
+        wave — and each member carries an equal share of that absorb's
+        seconds.  A member's exception is raised only after every reader has
+        joined.
         """
-        catalog = self.database.catalog
-        pinned = {
-            key: (adaptive, adaptive.pin_snapshot()) for key, adaptive in readable.items()
-        }
-        bats: dict[tuple[str, str], BAT] = {}
-        for _, _, _, template in reads:
-            for name in template.projected:
-                if (template.table, name) not in bats:
-                    bats[(template.table, name)] = catalog.column(template.table, name).bind(0)
+        bpm = self.database.bpm
+        reads = [(pinned, item) for pinned, items in readable for item in items]
+        bats = self._bats([item for _, item in reads])
 
-        def run_chunk(chunk: list) -> list[tuple[int, QueryResult | BaseException]]:
-            out: list[tuple[int, QueryResult | BaseException]] = []
-            for position, sql, values, template in chunk:
-                adaptive, snapshot = pinned[(template.table, template.column)]
+        def run_chunk(chunk: list) -> list[tuple[int, Any]]:
+            out: list[tuple[int, Any]] = []
+            for pinned, (position, _, values, template) in chunk:
+                started = time.perf_counter()
                 try:
-                    outcome = self._snapshot_read(
-                        sql, values, template, adaptive, snapshot, bats
-                    )
+                    oids = bpm.select_pinned(pinned, *template.bind(values))
+                    selected = time.perf_counter() - started
+                    columns = _gather(template, oids, bats)
+                    out.append((position, (columns, selected, time.perf_counter() - started)))
                 except Exception as exc:  # noqa: BLE001 - raised after the join
-                    outcome = exc
-                out.append((position, outcome))
+                    out.append((position, exc))
             return out
 
         chunk_count = min(workers, len(reads))
@@ -374,49 +410,27 @@ class Executor:
         futures = [
             pool.submit(run_chunk, reads[offset::chunk_count]) for offset in range(chunk_count)
         ]
+        outcomes: dict[int, Any] = {}
         for future in futures:
-            for position, outcome in future.result():
+            outcomes.update(future.result())
+        for pinned, items in readable:
+            before = bpm.total_adaptation_seconds
+            bpm.absorb(pinned)
+            share = (bpm.total_adaptation_seconds - before) / len(items)
+            for position, sql, values, template in items:
+                outcome = outcomes[position]
+                if not isinstance(outcome, BaseException):
+                    columns, selected, total = outcome
+                    outcome = _result(
+                        sql, values, "snapshot",
+                        f"# snapshot read on {template.table}.{template.column}", columns,
+                        total_seconds=total + share, selection_seconds=selected,
+                        adaptation_seconds=share,
+                    )
                 slots[position] = outcome
-        for adaptive, _ in pinned.values():
-            adaptive.absorb_reads()
-        for position, _, _, _ in reads:
+        for _, (position, _, _, _) in reads:
             if isinstance(slots[position], BaseException):
                 raise slots[position]
-
-    def _snapshot_read(
-        self,
-        sql: str,
-        values: tuple[float, ...],
-        template: RangeTemplate,
-        adaptive: Any,
-        snapshot: Any,
-        bats: dict[tuple[str, str], BAT],
-    ) -> QueryResult:
-        """Answer one member against a pinned snapshot (reader-thread safe).
-
-        Touches only immutable state: the pinned snapshot, the pre-resolved
-        column ``bats`` and the strategy's thread-safe observation
-        accumulator.  No plan-cache store, catalog or accountant access.
-        """
-        started = time.perf_counter()
-        low, high = half_open_in_domain(adaptive.domain, *template.bind(values))
-        oids = adaptive.select_readonly(low, high, snapshot).oids
-        selection_seconds = time.perf_counter() - started
-        table = template.table
-        cache = self.database.plan_cache
-        return QueryResult(
-            sql=sql,
-            parameters=tuple(values),
-            columns={name: gather(bats[(table, name)], oids) for name in template.projected},
-            plan_text=f"# snapshot read on {table}.{template.column}",
-            total_seconds=time.perf_counter() - started,
-            selection_seconds=selection_seconds,
-            plan_cache_hit=True,
-            cache_level="snapshot",
-            plan_cache_hits=cache.hits,
-            plan_cache_misses=cache.misses,
-            profile=QueryProfile(cold=False),
-        )
 
     def _reader_executor(self, workers: int) -> ThreadPoolExecutor:
         """The lazily built (and grown on demand) snapshot-reader pool."""
@@ -431,26 +445,18 @@ class Executor:
 
     # -- the vectorized batch pass ------------------------------------------------
 
-    def _batch(
-        self,
-        table: str,
-        column: str,
-        items: list[tuple[int, str, tuple[float, ...], RangeTemplate]],
-    ) -> list[QueryResult]:
+    def _batch(self, table: str, column: str, items: list[Item]) -> list[QueryResult]:
         """One vectorized pass over ``table.column`` answering every member.
 
-        An adaptive (BPM-managed) column answers the batch through the
-        strategy layer's ``select_many`` — vectorized segment routing and
-        probe kernels for the strategies that support batching, the
-        sequential fallback otherwise — with adaptation piggy-backed on the
-        batch.  A plain column is answered either by one envelope scan (all
-        ranges strictly overlapping: the envelope is the union) or by
-        value-sorting the column once and probing every member's slice —
-        disjoint members cost two binary searches each, not a scan.
+        An adaptive (BPM-managed) column answers the batch through
+        ``bpm.select_many`` — vectorized segment routing and probe kernels for
+        the strategies that support batching, the sequential fallback
+        otherwise — with adaptation piggy-backed on the batch.  A plain column
+        is scanned once per overlap cluster of the members' ranges; each
+        member's rows come back in oid order, as from :meth:`run`.
         """
-        total_started = time.perf_counter()
+        started = time.perf_counter()
         database = self.database
-        catalog = database.catalog
         self.batch_stats.observe_wave(len(items))
         bounds = [template.bind(values) for _, _, values, template in items]
 
@@ -463,72 +469,26 @@ class Executor:
             adaptation_seconds = bpm.total_adaptation_seconds - adaptation_before
             plan_text = f"# batched select_many on {table}.{column} ({len(items)} queries)"
         else:
-            started = time.perf_counter()
-            persistent = catalog.column(table, column).bind(0)
-            values, heads = persistent.tail, persistent.head
-            ranges = [half_open(*bound) for bound in bounds]
-            if len(overlap_clusters(ranges)) == 1:
-                # Every range shares values with the next: one mask scan over
-                # the envelope (== the union) answers the whole batch.
-                envelope_low = min(low for low, _, _, _ in bounds)
-                envelope_high = max(high for _, high, _, _ in bounds)
-                envelope = (values >= envelope_low) & (values <= envelope_high)
-                scan_values = values[envelope]
-                scan_oids = heads[envelope]
-                extracted = []
-                for low, high, include_low, include_high in bounds:
-                    mask = (scan_values >= low) if include_low else (scan_values > low)
-                    mask &= (scan_values <= high) if include_high else (scan_values < high)
-                    extracted.append(scan_oids[mask])
-                plan_text = (
-                    f"# batched shared scan of {table}.{column} "
-                    f"[{envelope_low:g}, {envelope_high:g}]"
-                )
-            else:
-                # Disjoint ranges present: sort the column once, then each
-                # member is two binary-search probes — no envelope over-scan.
-                order = np.argsort(values, kind="stable")
-                sorted_values = values[order]
-                lows = np.asarray([low for low, _ in ranges], dtype=np.float64)
-                highs = np.asarray([high for _, high in ranges], dtype=np.float64)
-                los = sorted_probe_many(sorted_values, lows, side="left")
-                his = sorted_probe_many(sorted_values, highs, side="left")
-                extracted = [
-                    heads[order[lo:hi]] for lo, hi in zip(los.tolist(), his.tolist())
-                ]
-                plan_text = (
-                    f"# batched sort-and-probe on {table}.{column} ({len(items)} queries)"
-                )
-            selection_seconds = time.perf_counter() - started
-            adaptation_seconds = 0.0
-
-        share = 1.0 / len(items)
-        cache = database.plan_cache
-        column_bats: dict[str, BAT] = {}
-        results: list[QueryResult] = []
-        for (_, sql, member_values, template), oids in zip(items, extracted):
-            columns: dict[str, np.ndarray] = {}
-            for name in template.projected:
-                if name not in column_bats:
-                    column_bats[name] = catalog.column(table, name).bind(0)
-                columns[name] = gather(column_bats[name], oids)
-            results.append(
-                QueryResult(
-                    sql=sql,
-                    parameters=member_values,
-                    columns=columns,
-                    plan_text=plan_text,
-                    selection_seconds=selection_seconds * share,
-                    adaptation_seconds=adaptation_seconds * share,
-                    cache_level="batched",
-                    plan_cache_hits=cache.hits,
-                    plan_cache_misses=cache.misses,
-                    batched=True,
-                    profile=QueryProfile(cold=False),
-                )
+            scan_started = time.perf_counter()
+            persistent = database.catalog.column(table, column).bind(0)
+            extracted, clusters = _scan_clusters(persistent, bounds)
+            selection_seconds, adaptation_seconds = time.perf_counter() - scan_started, 0.0
+            plan_text = (
+                f"# batched shared scan of {table}.{column} "
+                f"({len(items)} queries, one scan per overlap cluster: {clusters})"
             )
-        total_share = (time.perf_counter() - total_started) * share
-        for result in results:
-            result.total_seconds = total_share
-            result.profile.execute_seconds = total_share
-        return results
+
+        bats = self._bats(items)
+        columns = [
+            _gather(template, oids, bats) for (_, _, _, template), oids in zip(items, extracted)
+        ]
+        share = 1.0 / len(items)
+        total_share = (time.perf_counter() - started) * share
+        return [
+            _result(
+                sql, values, "batched", plan_text, member_columns, total_seconds=total_share,
+                selection_seconds=selection_seconds * share,
+                adaptation_seconds=adaptation_seconds * share,
+            )
+            for (_, sql, values, _), member_columns in zip(items, columns)
+        ]

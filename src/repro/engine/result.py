@@ -24,21 +24,17 @@ class QueryResult:
     work spent adapting the storage layout, which is the split Figure 10 of
     the paper reports.
 
-    ``plan_cache_hit`` records whether the plan was served from the database's
-    plan cache, and ``cache_level`` names how the result came about —
-    ``"masked"`` (arrived as literal text and found its plan under the
-    literal-masked text), ``"prepared"`` (a bound prepared handle, the client
-    API's prepared path), ``"batched"`` (the shared-scan path),
+    ``cache_level`` names how the result came about — ``"masked"`` (arrived
+    as literal text and found its plan under the literal-masked text),
+    ``"prepared"`` (a bound prepared handle, the client API's prepared path),
+    ``"batched"`` (one member of a wave's vectorized batch pass),
     ``"snapshot"`` (a bound range select answered against a pinned index
     snapshot by a wave's reader pool) or ``"cold"`` (literal text whose plan
-    was compiled for this query).
-    ``plan_cache_hits``/``plan_cache_misses`` are the cache's cumulative
-    counters at the time this query finished; ``batched`` marks results
-    answered by the vectorized batch executor of ``execute_many`` /
-    ``executemany``.  ``profile`` carries the per-stage wall-clock split and
-    per-opcode execution counters; on the batched path it is a warm profile
-    whose ``execute`` stage holds this member's share of the batch cost (the
-    batch bypasses plan execution, so the other stages and the opcode
+    was compiled for this query); :attr:`plan_cache_hit` and :attr:`batched`
+    are read off it.  ``profile`` carries the per-stage wall-clock split and
+    per-opcode execution counters; on the batched and snapshot paths it is a
+    warm profile whose ``execute`` stage holds this member's share of the
+    wave's cost (no plan runs there, so the other stages and the opcode
     counters are zero).
     """
 
@@ -51,12 +47,18 @@ class QueryResult:
     selection_seconds: float = 0.0
     adaptation_seconds: float = 0.0
     optimizer_seconds: float = 0.0
-    plan_cache_hit: bool = False
     cache_level: str = "cold"
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    batched: bool = False
     profile: QueryProfile | None = None
+
+    @property
+    def plan_cache_hit(self) -> bool:
+        """Whether the plan came from the database's plan cache."""
+        return self.cache_level != "cold"
+
+    @property
+    def batched(self) -> bool:
+        """Whether a wave's vectorized batch pass answered this query."""
+        return self.cache_level == "batched"
 
     @property
     def row_count(self) -> int:

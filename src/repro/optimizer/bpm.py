@@ -23,12 +23,14 @@ there is never a second piece; the delta-free lowering
 (:mod:`repro.optimizer.delta_elision`) calls the same selection as
 ``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it.
 
-The BPM is the engine's one door to an adapting selection (``bpm.select`` for
-one query, :meth:`BatPartitionManager.select_many` for a batch; snapshot
-readers go to ``select_readonly`` on a pinned snapshot, off this thread) and
-its one seconds ledger: both add the selection / adaptation seconds of exactly
-the ``QueryStats`` records they caused to two running totals, and the executor
-reads a query's share as a before/after of those totals.
+The BPM is the engine's one door to an adapting selection — ``bpm.select`` for
+one query, :meth:`BatPartitionManager.select_many` for a batch, and for a
+wave's snapshot readers :meth:`~BatPartitionManager.pin` /
+:meth:`~BatPartitionManager.select_pinned` /
+:meth:`~BatPartitionManager.absorb` — and its one seconds ledger: the doors
+that run on the owning thread add the selection / adaptation seconds of
+exactly the ``QueryStats`` records they caused to two running totals, and the
+executor reads a query's share as a before/after of those totals.
 """
 
 from __future__ import annotations
@@ -217,6 +219,30 @@ class BatPartitionManager:
         results = adaptive.select_many(half_open_in_domain_many(adaptive.domain, sql_bounds))
         self._charge(records, recorded)
         return results
+
+    # -- snapshot reads: pin and absorb on the owning thread, select on readers --------
+
+    def pin(self, table: str, column: str) -> tuple[AdaptiveColumnStrategy, Any] | None:
+        """A pinned snapshot of ``table.column``, or ``None`` without snapshot reads."""
+        handle = self._handles.get((table, column))
+        if handle is None or not getattr(handle.adaptive, "supports_snapshot_reads", False):
+            return None
+        return handle.adaptive, handle.adaptive.pin_snapshot()
+
+    @staticmethod
+    def select_pinned(pinned, low, high, include_low=True, include_high=False) -> np.ndarray:
+        """The oids answering one SQL bound on a :meth:`pin`; adapts and charges nothing."""
+        adaptive, snapshot = pinned
+        bounds = half_open_in_domain(adaptive.domain, low, high, include_low, include_high)
+        return adaptive.select_readonly(*bounds, snapshot).oids
+
+    def absorb(self, pinned: tuple[AdaptiveColumnStrategy, Any]) -> None:
+        """Adapt to the reads made on ``pinned``: one record, charged to the ledger."""
+        adaptive = pinned[0]
+        records = adaptive.history.records
+        recorded = len(records)
+        adaptive.absorb_reads()
+        self._charge(records, recorded)
 
     def _charge(self, records: list[QueryStats], recorded: int) -> None:
         """Add the seconds of the records appended since ``recorded`` to the ledger."""

@@ -17,17 +17,13 @@ import numpy as np
 
 from repro.core.accounting import IOAccountant
 from repro.core.models import SegmentationModel, model_from_name
-from repro.core.strategy import available_strategies, create_strategy, strategy_class
+from repro.core.strategy import create_strategy, strategy_class
 from repro.simulation.metrics import ExperimentResult
 from repro.storage.buffer import BufferPool
 from repro.util.units import KB
 from repro.util.validation import ensure_positive
 from repro.workloads.generators import make_column
 from repro.workloads.query import Workload
-
-#: Strategy name → column class (deprecated compatibility view of the
-#: registry in :mod:`repro.core.strategy`; consult the registry directly).
-STRATEGIES = {name: strategy_class(name) for name in available_strategies()}
 
 
 class BufferedIOAccountant(IOAccountant):

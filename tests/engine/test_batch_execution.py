@@ -67,7 +67,9 @@ class TestBatchExecutor:
         assert all(result.cache_level == "batched" for result in results)
         for got, expected in zip(results, _reference(DISJOINT)):
             assert _rows(got) == _rows(expected)
-        assert "sort-and-probe" in results[0].plan_text
+        assert results[0].plan_text == (
+            "# batched shared scan of p.ra (3 queries, one scan per overlap cluster: 3)"
+        )
 
     def test_overlapping_ranges_share_one_envelope_scan(self, database):
         statements = MIXED[:2]
@@ -76,6 +78,23 @@ class TestBatchExecutor:
         assert "shared scan" in results[0].plan_text
         for got, expected in zip(results, _reference(statements)):
             assert _rows(got) == _rows(expected)
+
+    @pytest.mark.parametrize(
+        "bindings",
+        [
+            [(10.0, 12.0), (100.0, 103.0), (350.0, 351.0)],  # disjoint
+            [(10.0, 40.0), (30.0, 60.0), (35.0, 36.0), (55.0, 90.0)],  # one overlap cluster
+        ],
+        ids=["disjoint", "overlapping"],
+    )
+    def test_batched_plain_rows_come_in_single_run_order(self, database, bindings):
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        results = database.execute_wave([(prepared, values) for values in bindings])
+        assert all(result.batched for result in results)
+        for got, values in zip(results, bindings):
+            alone = database.execute_prepared(prepared, values)
+            assert alone.cache_level == "prepared"
+            np.testing.assert_array_equal(got.column("objid"), alone.column("objid"))
 
     def test_mixed_shapes_batch_on_plain_column(self, database):
         results = database.execute_many(MIXED)
@@ -150,6 +169,22 @@ class TestExecuteWave:
         assert _rows(results[2]) == _rows(reference[1])
         assert _rows(results[3]) == _rows(reference[2])
         assert results[1].scalars["count(*)"] == len(_rows(reference[0]))
+
+    def test_plan_cache_hit_says_where_the_plan_came_from(self, database):
+        """A batched and a snapshot member found their plan; a cold literal did not."""
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        wave = [(prepared, (10.0, 12.0)), (prepared, (100.0, 103.0))]
+        batched = database.execute_wave(wave)[0]
+        database.enable_adaptive(
+            "p", "ra", strategy="segmentation", model="apm", m_min=2 * KB, m_max=8 * KB
+        )
+        database.read_workers = 2
+        snapshot = database.execute_wave(wave)[0]
+        cold = database.execute("SELECT ra FROM p WHERE ra BETWEEN 1.0 AND 2.0")
+        assert [r.cache_level for r in (batched, snapshot, cold)] == [
+            "batched", "snapshot", "cold",
+        ]
+        assert [r.plan_cache_hit for r in (batched, snapshot, cold)] == [True, True, False]
 
     def test_batched_members_record_their_bound_parameters(self, database):
         prepared = database.prepare_statement(

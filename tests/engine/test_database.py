@@ -325,6 +325,27 @@ class TestAdaptiveExecution:
         check(lambda: database.execute_prepared_many(on_ra, pairs), {"ra": 1, "dec": 0})
         check(lambda: database.execute_prepared_many(on_dec, pairs), {"ra": 0, "dec": len(pairs)})
 
+        # Snapshot readers: the wave's one absorb record is its adaptation, in
+        # equal shares; the selection side is each reader's own time.
+        database.read_workers = 2
+        wave = [(on_ra, on_ra.binding.bind((low, low + 3.0))) for low in range(0, 300, 20)]
+        bpm = database.bpm
+        ledger = (bpm.total_selection_seconds, bpm.total_adaptation_seconds)
+        seen = len(histories["ra"])
+        results = database.execute_wave(wave)
+        (absorbed,) = histories["ra"].records[seen:]
+        assert (absorbed.batch_size, absorbed.selection_seconds) == (len(wave), 0.0)
+        assert absorbed.adaptation_seconds > 0.0
+        assert bpm.total_selection_seconds == ledger[0]
+        assert bpm.total_adaptation_seconds - ledger[1] == pytest.approx(
+            absorbed.adaptation_seconds, rel=1e-6, abs=1e-12
+        )
+        for result in results:
+            assert result.cache_level == "snapshot" and result.selection_seconds > 0.0
+            assert result.adaptation_seconds == pytest.approx(
+                absorbed.adaptation_seconds / len(wave), rel=1e-6, abs=1e-12
+            )
+
     def test_replication_through_engine_is_correct(self, database):
         expected = database.execute("SELECT objid FROM p WHERE ra BETWEEN 250 AND 255")
         database.enable_adaptive("p", "ra", strategy="replication", m_min=2 * KB, m_max=8 * KB)

@@ -71,7 +71,7 @@ class TestExecuteWithCache:
         assert not first.plan_cache_hit
         assert second.plan_cache_hit
         assert _rows(first) == _rows(second)
-        assert second.plan_cache_hits == 1
+        assert database.cache_stats()["total"]["hits"] == 1
 
     def test_whitespace_and_case_variants_share_a_plan(self, database):
         database.execute(self.SQL)
