@@ -6,9 +6,11 @@ interleaved multi-mode stream whose working set exceeds the budget.  On
 the serialized path every wave member runs the conventional ``select()``
 — cover analysis, materialization decisions, budget enforcement and
 eviction churn, per query.  With ``Database.read_workers = N`` the same
-members are answered against a pinned :class:`CoverSnapshot`: zero-lock
-range probes plus gathers, with the drained observations absorbed once
-per wave on the owner thread.
+members are answered against a pinned
+:class:`~repro.core.interval_index.IndexSnapshot` — the one snapshot type
+both organisations publish: the index's cover (two binary searches and a
+pass), zero-lock range probes per piece plus gathers, with the drained
+observations absorbed once per wave on the owner thread.
 
 That composition is what ``concurrent_read_scaling_x`` measures, stated
 honestly: the gain combines (a) taking adaptation out of the read path —
@@ -244,7 +246,7 @@ def run_bench() -> PerfSuite:
         "concurrent_readers_qps", readers_qps, unit="qps", **common,
         readers=readers,
         note="same waves with the snapshot fan-out: members answered "
-             "against a pinned CoverSnapshot on reader threads, "
+             "against a pinned IndexSnapshot on reader threads, "
              "observations absorbed once per wave",
     )
     suite.derive(

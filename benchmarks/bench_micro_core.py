@@ -3,9 +3,12 @@
 These use pytest-benchmark's timing for what it is good at: comparing the
 steady-state per-query cost of an adapted (segmented or replicated) column
 against the non-segmented full-scan baseline on identical queries, the
-per-query cost of replication pressed against its storage budget, and one
-16-member wave through the engine's batch pass on a plain and on a segmented
-100 K-row column (each member checked against the same query run alone).
+per-query cost of replication pressed against its storage budget, one
+pinned snapshot read per organisation on a converged 100 K-row column (the
+reader path both share: index cover, then one probe per piece; checked
+against a mask scan), and one 16-member wave through the engine's batch pass
+on a plain and on a segmented 100 K-row column (each member checked against
+the same query run alone).
 """
 
 from itertools import cycle
@@ -99,6 +102,26 @@ def test_micro_segmented_beats_fullscan_on_reads(values, warm_segmented):
     warm_segmented.select(500_000, 510_000)
     segmented_reads = warm_segmented.accountant.total_reads_bytes - before
     assert segmented_reads < 0.25 * baseline.accountant.total_reads_bytes
+
+
+SNAPSHOT_ROWS = 100_000
+
+
+@pytest.mark.parametrize("strategy", [SegmentedColumn, ReplicatedColumn], ids=["segmentation", "replication"])
+def test_micro_snapshot_read_converged(benchmark, strategy):
+    """A pinned ``select_readonly`` on a converged column: no adaptation, no accounting."""
+    ra = np.random.default_rng(29).uniform(0.0, 360.0, SNAPSHOT_ROWS)
+    column = strategy(ra, model=AdaptivePageModel(8 * KB, 32 * KB), time_phases=False)
+    for query in uniform_workload(500, (0.0, 360.0), 0.01, seed=17):
+        column.select(query.low, query.high)
+    low, high = 180.0, 183.6
+    for _ in range(3):  # the measured range itself settles
+        column.select(low, high)
+    pinned = column.pin_snapshot()
+    result = benchmark(column.select_readonly, low, high, pinned)
+    expected = np.sort(ra[(ra >= low) & (ra < high)])
+    np.testing.assert_array_equal(np.sort(result.values), expected)
+    np.testing.assert_array_equal(ra[result.oids], result.values)
 
 
 WAVE_ROWS = 100_000

@@ -113,7 +113,7 @@ def run_suite() -> PerfSuite:
 
     suite = PerfSuite("segment_kernels")
 
-    # -- select on a fully-contained range (the meta-index fast path) -------
+    # -- select on a fully-contained range (answered from the range alone) --
     contained = ValueRange(*DOMAIN)
     suite.measure(
         "select_contained_sorted",

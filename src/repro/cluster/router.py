@@ -74,9 +74,11 @@ JOIN_TIMEOUT_S = 5.0
 def what_if_bytes(adaptive: Any, low: float, high: float) -> float:
     """Modeled bytes this adaptive column would read for ``[low, high)``.
 
-    Reads only layout metadata — no data is touched and no adaptation runs —
-    so it is safe as a cost probe (it still must run on the owning replica's
-    thread, since adaptation may be rewriting the layout concurrently).
+    The footprint of the column's interval-index cover (a strategy without an
+    index reads its whole column).  Reads only layout metadata — no data is
+    touched and no adaptation runs — so it is safe as a cost probe (it still
+    must run on the owning replica's thread, since adaptation may be
+    rewriting the layout concurrently).
     """
     domain = adaptive.domain
     query = ValueRange(
@@ -85,13 +87,9 @@ def what_if_bytes(adaptive: Any, low: float, high: float) -> float:
     )
     if query.is_empty:
         return 0.0
-    meta_index = getattr(adaptive, "meta_index", None)
-    if meta_index is not None:  # segmentation-family layout
-        return float(meta_index.estimated_footprint_bytes(query))
-    get_cover = getattr(adaptive, "get_cover", None)
-    if get_cover is not None:  # replication-family layout (Algorithm 3 cover)
-        return float(sum(node.size_bytes for node in get_cover(query)))
-    return float(adaptive.total_bytes)
+    if adaptive.index is None:
+        return float(adaptive.total_bytes)
+    return float(adaptive.index.footprint(query))
 
 
 class Router:

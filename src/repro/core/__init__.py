@@ -4,7 +4,9 @@ Public surface:
 
 * :class:`~repro.core.ranges.ValueRange` — half-open ranges over the domain.
 * :class:`~repro.core.segment.Segment` / :class:`~repro.core.segment.SelectionResult`.
-* :class:`~repro.core.meta_index.SegmentMetaIndex` — the sparse segment index.
+* :class:`~repro.core.interval_index.IntervalIndex` — which stored pieces
+  cover a range, kept by both segmentation and the replica tree, and its one
+  :class:`~repro.core.interval_index.IndexSnapshot` for lock-free readers.
 * Segmentation models: :class:`~repro.core.models.GaussianDice`,
   :class:`~repro.core.models.AdaptivePageModel`,
   :class:`~repro.core.models.AutoTunedAPM`.
@@ -19,7 +21,7 @@ Public surface:
 
 from repro.core.accounting import IOAccountant, PhaseTimer, QueryLog, QueryStats
 from repro.core.baseline import UnsegmentedColumn
-from repro.core.meta_index import SegmentMetaIndex
+from repro.core.interval_index import IndexSnapshot, IntervalIndex
 from repro.core.models import (
     AdaptivePageModel,
     AutoTunedAPM,
@@ -51,7 +53,8 @@ __all__ = [
     "QueryLog",
     "QueryStats",
     "UnsegmentedColumn",
-    "SegmentMetaIndex",
+    "IndexSnapshot",
+    "IntervalIndex",
     "AdaptivePageModel",
     "AutoTunedAPM",
     "GaussianDice",

@@ -7,24 +7,32 @@ ranges of their materialized siblings).  Dropping a fully replicated node
 splices its children into its parent — or into the top-level forest when the
 node was a root, which is how the original column eventually disappears once
 its replicas cover the whole domain.
+
+The tree keeps an :class:`~repro.core.interval_index.IntervalIndex` over its
+leaves, each answered by its deepest materialized ancestor-or-self, so
+Algorithm 3's minimal cover is ``tree.index.cover(query)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
-import numpy as np
-
+from repro.core.interval_index import IntervalIndex
 from repro.core.ranges import ValueRange
-from repro.core.segment import Segment, SelectionResult, sorted_slice
+from repro.core.segment import Segment
 
 
 class ReplicaNode:
-    """One node of the replica tree: a segment plus tree links."""
+    """One node of the replica tree: a segment plus tree links.
 
-    __slots__ = ("segment", "parent", "children", "last_access")
+    ``segment`` is swapped, never mutated: :meth:`ReplicaTree.materialize`
+    installs a materialized one and :meth:`ReplicaTree.free` a virtual one.
+    """
+
+    __slots__ = ("vrange", "segment", "parent", "children", "last_access")
 
     def __init__(self, segment: Segment, parent: "ReplicaNode | None" = None) -> None:
+        self.vrange: ValueRange = segment.vrange
         self.segment = segment
         self.parent = parent
         self.children: list[ReplicaNode] = []
@@ -35,10 +43,6 @@ class ReplicaNode:
     # -- convenience pass-throughs ----------------------------------------
 
     @property
-    def vrange(self) -> ValueRange:
-        return self.segment.vrange
-
-    @property
     def materialized(self) -> bool:
         return self.segment.materialized
 
@@ -47,15 +51,8 @@ class ReplicaNode:
         return self.segment.size_bytes
 
     @property
-    def count(self) -> float:
-        return self.segment.count
-
-    @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def estimate_bytes(self, sub: ValueRange) -> float:
-        return self.segment.estimate_bytes(sub)
 
     # -- traversal (structure is changed through the owning ReplicaTree) -----
 
@@ -83,10 +80,10 @@ class ReplicaTree:
     Dropped roots are replaced by their children, so the structure is a forest
     whose top-level ranges always partition the domain.
 
-    The tree owns its mutations: :meth:`add_child`, :meth:`materialize`,
+    The tree owns its mutations: :meth:`add_children`, :meth:`materialize`,
     :meth:`free` and :meth:`splice_out` are the only places a node is
-    attached, given a payload or released, and they keep three counters so
-    that no per-query quantity needs a walk —
+    attached, given a payload or released, and they keep three counters and
+    the leaf index so that no per-query quantity needs a walk —
 
     ``node_count``
         nodes in the forest, materialized and virtual;
@@ -95,9 +92,12 @@ class ReplicaTree:
         term is ``count × value_width``, an integer-valued float, so the
         running sum is exact;
     ``materialized``
-        the nodes currently holding data.
+        the nodes currently holding data;
+    ``index``
+        the leaves in value order, each answered by its deepest
+        materialized ancestor-or-self.
 
-    :meth:`check_invariants` recounts all three from a walk.
+    :meth:`check_invariants` recounts all four from a walk.
     """
 
     def __init__(self, root_segment: Segment) -> None:
@@ -109,6 +109,7 @@ class ReplicaTree:
         self.storage_bytes = 0.0
         self.materialized: set[ReplicaNode] = set()
         self._hold(root)
+        self.index = IntervalIndex([root], [root])
 
     # -- iteration ------------------------------------------------------------
 
@@ -122,24 +123,54 @@ class ReplicaTree:
         """Depth of the deepest root subtree."""
         return max((root.depth() for root in self.roots), default=0)
 
+    def held_ancestor(self, node: ReplicaNode) -> ReplicaNode | None:
+        """``node``'s nearest proper ancestor holding data, or ``None``."""
+        held = self.materialized
+        ancestor = node.parent
+        while ancestor is not None and ancestor not in held:
+            ancestor = ancestor.parent
+        return ancestor
+
     # -- structure maintenance ----------------------------------------------------
 
     def _hold(self, node: ReplicaNode) -> None:
         self.storage_bytes += node.size_bytes
         self.materialized.add(node)
 
-    def add_child(self, parent: ReplicaNode, node: ReplicaNode) -> None:
-        """Attach ``node`` below ``parent``, keeping children ordered by range."""
-        if not parent.vrange.contains_range(node.vrange):
-            raise ValueError(
-                f"child range {node.vrange} is not contained in parent range {parent.vrange}"
-            )
-        node.parent = parent
-        parent.children.append(node)
-        parent.children.sort(key=lambda child: child.vrange.low)
-        self.node_count += 1
-        if node.materialized:
-            self._hold(node)
+    def _release(self, node: ReplicaNode) -> None:
+        self.storage_bytes -= node.size_bytes
+        self.materialized.remove(node)
+        node.segment = Segment(
+            node.vrange, value_width=self.value_width, estimated_count=node.segment.count
+        )
+
+    def add_children(self, parent: ReplicaNode, children: Sequence[ReplicaNode]) -> None:
+        """Split the leaf ``parent``: attach ``children``, ordered by range, below it.
+
+        One leaf splice in the index: a child holding data answers itself,
+        a virtual one inherits what answered ``parent``.
+        """
+        if parent.children:
+            raise ValueError(f"only a leaf splits; {parent.vrange} already has children")
+        for child in children:
+            if not parent.vrange.contains_range(child.vrange):
+                raise ValueError(
+                    f"child range {child.vrange} is not contained in parent range {parent.vrange}"
+                )
+        parent.children = sorted(children, key=lambda child: child.vrange.low)
+        for child in parent.children:
+            child.parent = parent
+            if child.materialized:
+                self._hold(child)
+        self.node_count += len(children)
+        start, stop = self.index.span(parent.vrange)
+        inherited = self.index.answers[start]
+        self.index.splice(
+            start,
+            stop,
+            parent.children,
+            [child if child.materialized else inherited for child in parent.children],
+        )
 
     def materialize(self, node: ReplicaNode, source: ReplicaNode) -> Segment:
         """Give the virtual ``node`` its payload from ``source``'s segment.
@@ -147,28 +178,37 @@ class ReplicaTree:
         With the sorted zero-copy layout the replica is a slice *view* of the
         source's base array — creating it moves no payload bytes physically.
         The caller remains responsible for accounting the *logical* write
-        (``piece.size_bytes``), which is what the paper's figures count.
+        (``piece.size_bytes``), which is what the paper's figures count.  The
+        leaves below ``node`` that an ancestor answered are answered by
+        ``node`` from now on.
         """
         piece = source.segment.extract(node.vrange)
+        self.index.repoint(node.vrange, node)
         node.segment = piece
         self._hold(node)
         return piece
 
     def free(self, node: ReplicaNode) -> None:
-        """Release ``node``'s payload; it stays in the tree as a virtual node."""
+        """Release ``node``'s payload; it stays in the tree as a virtual node.
+
+        The leaves ``node`` answered are answered by its nearest materialized
+        ancestor from now on.
+        """
         if not node.materialized:
             return
-        self.storage_bytes -= node.size_bytes
-        self.materialized.remove(node)
-        node.segment.free()
+        self._release(node)
+        self.index.repoint(node.vrange, self.held_ancestor(node))
 
     def splice_out(self, node: ReplicaNode) -> None:
         """Drop ``node``: release its payload, hand its children to its parent.
 
         This is Algorithm 5's ``check4Drop`` for one node — a dropped root is
-        replaced by its children in the top-level forest.
+        replaced by its children in the top-level forest.  Algorithm 5 drops
+        a node only once every child holds data, so no leaf answers it and the
+        index is left alone.
         """
-        self.free(node)
+        if node.materialized:
+            self._release(node)
         self.node_count -= 1
         children = list(node.children)
         parent = node.parent
@@ -191,7 +231,7 @@ class ReplicaTree:
     # -- integrity ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify containment, partitioning, coverage and the three counters."""
+        """Verify containment, partitioning, coverage, the counters and the index."""
         covered = sorted((root.vrange for root in self.roots), key=lambda r: r.low)
         position = self.domain.low
         for vrange in covered:
@@ -217,8 +257,8 @@ class ReplicaTree:
                 child_position = child.vrange.high
             if child_position != node.vrange.high:
                 raise AssertionError(f"children of {node.vrange} do not cover it")
-        self._check_virtual_coverage()
         self._check_counters()
+        self._check_index()
 
     def _check_counters(self) -> None:
         """``node_count`` / ``storage_bytes`` / ``materialized`` equal a recount."""
@@ -234,138 +274,32 @@ class ReplicaTree:
                 f"storage_bytes {self.storage_bytes:g} drifted from the {recount:g} bytes held"
             )
 
-    def _check_virtual_coverage(self) -> None:
-        """Every virtual leaf must have a materialized ancestor (query coverage)."""
-        for node in self.walk():
-            if node.materialized or node.children:
-                continue
-            ancestor = node.parent
-            while ancestor is not None and not ancestor.materialized:
-                ancestor = ancestor.parent
-            if ancestor is None:
+    def _check_index(self) -> None:
+        """The index lists every leaf in value order with its deepest
+        materialized ancestor-or-self — and every leaf has one (query coverage)."""
+        leaves: list[tuple[ReplicaNode, ReplicaNode]] = []
+        pending: list[tuple[ReplicaNode, ReplicaNode | None]] = [
+            (root, None) for root in reversed(self.roots)
+        ]
+        while pending:
+            node, answer = pending.pop()
+            if node.materialized:
+                answer = node
+            if node.children:
+                pending.extend((child, answer) for child in reversed(node.children))
+            elif answer is None:
                 raise AssertionError(
                     f"virtual leaf {node.vrange} has no materialized ancestor; "
                     "queries hitting it could not be answered"
                 )
-
-
-def minimal_cover(roots, query: ValueRange) -> list:
-    """Algorithm 3: the minimal set of materialized nodes covering ``query``.
-
-    Works over any forest whose nodes expose ``vrange`` / ``children`` /
-    ``is_leaf`` / ``materialized`` — the live :class:`ReplicaNode` tree and
-    the :class:`FrozenReplicaNode` snapshot alike.  The recursion prefers the
-    deepest materialized descendants and backtracks to an ancestor whenever a
-    subtree would require a virtual segment (which holds no data).
-    """
-    cover: list = []
-    for root in roots:
-        if not root.vrange.overlaps(query):
-            continue
-        sub = _cover_node(root, query)
-        if sub is None:
-            raise RuntimeError(f"replica tree cannot cover query {query}: invariant violated")
-        cover.extend(sub)
-    return cover
-
-
-def _cover_node(node, query: ValueRange) -> list | None:
-    if node.is_leaf:
-        return [node] if node.materialized else None
-    collected: list = []
-    for child in node.children:
-        if not child.vrange.overlaps(query):
-            continue
-        sub = _cover_node(child, query)
-        if sub is None:
-            # Backtrack: some part of the query below is only virtual.
-            return [node] if node.materialized else None
-        collected.extend(sub)
-    return collected
-
-
-class FrozenReplicaNode:
-    """An immutable copy of one replica-tree node for snapshot readers.
-
-    Unlike segmentation segments — which are never mutated after creation —
-    a live :class:`ReplicaNode`'s segment is mutated in place
-    (:meth:`ReplicaTree.materialize` swaps the payload in, ``free`` nulls it
-    out), so a snapshot must capture the *payload array references*, not the
-    live ``Segment`` objects.  The captured numpy views stay valid after a
-    later ``free()`` because freeing only drops the segment's references.
-    """
-
-    __slots__ = ("vrange", "values", "oids", "children")
-
-    def __init__(
-        self,
-        vrange: ValueRange,
-        values: np.ndarray | None,
-        oids: np.ndarray | None,
-        children: tuple["FrozenReplicaNode", ...],
-    ) -> None:
-        self.vrange = vrange
-        self.values = values
-        self.oids = oids
-        self.children = children
-
-    @property
-    def materialized(self) -> bool:
-        return self.values is not None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def select(self, query: ValueRange) -> SelectionResult:
-        """Extract the values/oids falling into ``query`` — zero-copy views.
-
-        The same :func:`~repro.core.segment.sorted_slice` that answers
-        :meth:`Segment.select`, over the captured payload references.
-        """
-        assert self.values is not None and self.oids is not None
-        return sorted_slice(self.values, self.oids, self.vrange, query)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "mat" if self.materialized else "vir"
-        return f"FrozenReplicaNode({self.vrange}, {kind}, children={len(self.children)})"
-
-
-class CoverSnapshot:
-    """An immutable point-in-time view of a replica tree for snapshot readers.
-
-    Captured on the owning worker when a reader pins it (never concurrently
-    with mutation, and only if the tree changed since the last pin — see
-    :meth:`ReplicatedColumn.pin_snapshot`); readers run Algorithm 3's cover
-    recursion and the per-node range probes entirely against frozen nodes,
-    so live materialization, drops and budget evictions can proceed
-    underneath without ever tearing a read.
-    """
-
-    __slots__ = ("domain", "roots", "generation", "__weakref__")
-
-    def __init__(
-        self, domain: ValueRange, roots: tuple[FrozenReplicaNode, ...], generation: int
-    ) -> None:
-        self.domain = domain
-        self.roots = roots
-        self.generation = generation
-
-    @classmethod
-    def capture(cls, tree: ReplicaTree, generation: int) -> "CoverSnapshot":
-        """Freeze the forest: every node's range, payload refs and children."""
-
-        def freeze(node: ReplicaNode) -> FrozenReplicaNode:
-            segment = node.segment
-            return FrozenReplicaNode(
-                segment.vrange,
-                segment.values,
-                segment.oids,
-                tuple(freeze(child) for child in node.children),
+            else:
+                leaves.append((node, answer))
+        index = self.index
+        index.check_invariants()
+        if len(leaves) != len(index) or any(
+            (leaf.vrange.low, leaf.vrange.high) != (low, high) or answer is not got
+            for (leaf, answer), low, high, got in zip(
+                leaves, index.lows, index.highs, index.answers
             )
-
-        return cls(tree.domain, tuple(freeze(root) for root in tree.roots), generation)
-
-    def cover(self, query: ValueRange) -> list[FrozenReplicaNode]:
-        """Minimal covering set over the frozen forest (Algorithm 3)."""
-        return minimal_cover(self.roots, query)
+        ):
+            raise AssertionError("interval index drifted from the tree's leaves and their answers")

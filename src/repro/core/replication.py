@@ -4,7 +4,8 @@ Instead of reorganizing a column in place, adaptive replication keeps query
 results as *replica segments* arranged in a replica tree.  Per query the
 system:
 
-1. finds the minimal covering set of materialized segments (Algorithm 3),
+1. finds the minimal covering set of materialized segments (Algorithm 3 —
+   ``index.cover``, kept by the replica tree's doors),
 2. analyses each covering segment's subtree with the segmentation model and
    decides which replicas to create (Algorithm 4),
 3. materializes the chosen replicas (and the query result) with a single scan
@@ -24,7 +25,7 @@ import numpy as np
 from repro.core.accounting import IOAccountant, QueryStats
 from repro.core.models import SegmentationModel, SplitAction
 from repro.core.ranges import ValueRange
-from repro.core.replica_tree import CoverSnapshot, ReplicaNode, ReplicaTree, minimal_cover
+from repro.core.replica_tree import ReplicaNode, ReplicaTree
 from repro.core.segment import SelectionResult, Segment
 from repro.core.strategy import AdaptiveColumnBase, register_strategy
 
@@ -69,6 +70,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
         root_segment = Segment(self.domain, values, oids, value_width=self.value_width)
         root_segment.check_invariants()
         self.tree = ReplicaTree(root_segment)
+        self.index = self.tree.index
         if storage_budget is not None and storage_budget < self.total_bytes:
             raise ValueError(
                 "storage_budget must be at least the column size "
@@ -76,9 +78,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
             )
         self.storage_budget = storage_budget
         self.peak_storage_bytes = self.total_bytes
-        self._snapshot_generation = 0
-        self._cover_dirty = False
-        self._cover_snapshot = CoverSnapshot.capture(self.tree, 0)
 
     # -- public API --------------------------------------------------------
 
@@ -106,56 +105,13 @@ class ReplicatedColumn(AdaptiveColumnBase):
         super()._after_frame(stats)
         self.peak_storage_bytes = max(self.peak_storage_bytes, stats.storage_bytes)
 
-    # -- snapshot reads -------------------------------------------------------
-
-    def pin_snapshot(self) -> CoverSnapshot:
-        """Pin an immutable cover snapshot of the tree as it is now.
-
-        Captures a fresh snapshot (and bumps its generation) if the tree
-        changed since the last pin, otherwise hands out the one already
-        captured — a mutating query only marks the cover dirty, so queries
-        nobody reads behind freeze nothing.  Owning thread only: the capture
-        walks the live tree.
-
-        Snapshots capture payload *array references*, not live segments, so a
-        pinned snapshot keeps answering correctly even after budget evictions
-        ``free()`` the corresponding live nodes.
-        """
-        if self._cover_dirty:
-            self._snapshot_generation += 1
-            self._cover_snapshot = CoverSnapshot.capture(self.tree, self._snapshot_generation)
-            self._cover_dirty = False
-        return self._cover_snapshot
-
-    def select_readonly(
-        self, low: float, high: float, snapshot: CoverSnapshot | None = None
-    ) -> SelectionResult:
-        """Answer ``low <= value < high`` from a pinned snapshot, adaptation-free.
-
-        Runs Algorithm 3's cover recursion and the per-node sorted probes
-        against the frozen forest — no replica analysis, no materialization,
-        no budget enforcement, no accounting.  The observation is recorded
-        into :attr:`read_observations` for the owning worker.  Readers off the
-        owning thread must pass a snapshot pinned there; without one the call
-        pins for itself (:meth:`pin_snapshot`).
-        """
-        query = ValueRange(float(low), float(high)).intersect(self.domain)
-        if query.is_empty:
-            self.read_observations.record(float(low), float(high), 0.0)
-            return SelectionResult.empty(self.dtype)
-        snap = snapshot if snapshot is not None else self.pin_snapshot()
-        parts = [node.select(query) for node in snap.cover(query)]
-        result = SelectionResult.concatenate(parts, self.dtype)
-        self.read_observations.record(float(low), float(high), result.count * self.value_width)
-        return result
-
     # -- Algorithm 2: the per-query driver -----------------------------------
 
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
         query = query.intersect(self.domain)
         if query.is_empty:
             return SelectionResult.empty(self.dtype)
-        cover = self.get_cover(query)
+        cover = self.index.cover(query)
         parts: list[SelectionResult] = []
         for node in cover:
             self.accountant.record_read(node.size_bytes, node.segment)
@@ -179,12 +135,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
             self._enforce_budget(stats)
             stats.adaptation_seconds += self._now() - started
         return result
-
-    # -- Algorithm 3: minimal covering set ---------------------------------------
-
-    def get_cover(self, query: ValueRange) -> list[ReplicaNode]:
-        """Minimal set of materialized segments covering the query range."""
-        return minimal_cover(self.tree.roots, query)
 
     # -- Algorithm 4: replica analysis ------------------------------------------
 
@@ -221,17 +171,18 @@ class ReplicatedColumn(AdaptiveColumnBase):
                 to_materialize.append(node)
             return
         materialize_ranges = self._query_side_pieces(pieces, query, decision.action)
-        self._cover_dirty = True
-        for piece in pieces:
-            child_segment = Segment(
-                piece,
-                value_width=self.value_width,
-                estimated_count=node.segment.estimate_count(piece),
+        children = [
+            ReplicaNode(
+                Segment(
+                    piece,
+                    value_width=self.value_width,
+                    estimated_count=node.segment.estimate_count(piece),
+                )
             )
-            child = ReplicaNode(child_segment)
-            self.tree.add_child(node, child)
-            if piece in materialize_ranges:
-                to_materialize.append(child)
+            for piece in pieces
+        ]
+        self.tree.add_children(node, children)
+        to_materialize.extend(child for child in children if child.vrange in materialize_ranges)
 
     @staticmethod
     def _query_side_pieces(
@@ -260,8 +211,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
         payload (:meth:`ReplicaTree.materialize`); the write accounting
         records the logical bytes of each replica exactly as before.
         """
-        if to_materialize:
-            self._cover_dirty = True
         for node in to_materialize:
             piece = self.tree.materialize(node, cover_node)
             self.accountant.record_write(piece.size_bytes, piece)
@@ -278,7 +227,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
             parent = node.parent
             self.tree.splice_out(node)
             stats.segments_dropped += 1
-            self._cover_dirty = True
             node = parent
 
     # -- storage budget (extension) ---------------------------------------------------
@@ -295,8 +243,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
         tree = self.tree
         if tree.storage_bytes <= self.storage_budget:
             return
-        held = tree.materialized
-        candidates = [node for node in held if _has_ancestor_in(node, held)]
+        candidates = [node for node in tree.materialized if tree.held_ancestor(node) is not None]
         # Nodes last touched by the same query go in pre-order: a child's range
         # is a strict sub-range of its parent's, so (low, -high) is that order.
         candidates.sort(
@@ -307,7 +254,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
                 break
             tree.free(node)
             stats.segments_dropped += 1
-            self._cover_dirty = True
 
     # -- integrity ----------------------------------------------------------------------
 
@@ -321,11 +267,3 @@ class ReplicatedColumn(AdaptiveColumnBase):
             f"storage={self.storage_bytes:g}B, model={self.model.name})"
         )
 
-
-def _has_ancestor_in(node: ReplicaNode, held: set[ReplicaNode]) -> bool:
-    ancestor = node.parent
-    while ancestor is not None:
-        if ancestor in held:
-            return True
-        ancestor = ancestor.parent
-    return False

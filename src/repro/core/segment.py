@@ -125,22 +125,11 @@ def slice_bounds(values: np.ndarray, vrange: ValueRange, query: ValueRange) -> t
     )
 
 
-def sorted_slice(
-    values: np.ndarray, oids: np.ndarray, vrange: ValueRange, query: ValueRange
-) -> SelectionResult:
-    """The values (and oids) of a sorted payload falling into ``query`` — zero-copy views.
-
-    The one range extraction behind :meth:`Segment.select` and the frozen
-    nodes snapshot readers probe.
-    """
-    lo, hi = slice_bounds(values, vrange, query)
-    if lo == 0 and hi == values.size:
-        return SelectionResult(values, oids, values_sorted=True)
-    return SelectionResult(values[lo:hi], oids[lo:hi], values_sorted=True)
-
-
 class Segment:
     """A contiguous value-range piece of a column.
+
+    A segment is never mutated once built: a split, a replica materialization
+    or a release builds a new one, so a snapshot may hold plain references.
 
     Parameters
     ----------
@@ -208,6 +197,11 @@ class Segment:
         return self.values is not None
 
     @property
+    def segment(self) -> "Segment":
+        """The segment an interval-index answer reads from: itself."""
+        return self
+
+    @property
     def count(self) -> float:
         """Number of values held (materialized) or estimated (virtual)."""
         if self.values is not None:
@@ -255,7 +249,11 @@ class Segment:
         contract — see the module docstring).
         """
         self._require_data()
-        return sorted_slice(self.values, self.oids, self.vrange, vrange)
+        values, oids = self.values, self.oids
+        lo, hi = slice_bounds(values, self.vrange, vrange)
+        if lo == 0 and hi == values.size:
+            return SelectionResult(values, oids, values_sorted=True)
+        return SelectionResult(values[lo:hi], oids[lo:hi], values_sorted=True)
 
     def bounds_many(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positional slices ``[lo_i, hi_i)`` for N half-open ranges at once.
@@ -324,12 +322,6 @@ class Segment:
             )
             for sub, start, stop in zip(sub_ranges, edges[:-1], edges[1:])
         ]
-
-    def free(self) -> None:
-        """Drop the payload, turning the segment into a virtual one."""
-        self.estimated_count = self.count
-        self.values = None
-        self.oids = None
 
     def check_invariants(self) -> None:
         """Raise :class:`AssertionError` when the payload violates the layout.

@@ -21,22 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.accounting import IOAccountant, QueryStats
-from repro.core.meta_index import MetaIndexSnapshot, SegmentMetaIndex
+from repro.core.interval_index import IntervalIndex
 from repro.core.models import SegmentationModel
 from repro.core.ranges import ValueRange
 from repro.core.segment import SelectionResult, Segment
 from repro.core.strategy import AdaptiveColumnBase, register_strategy
-
-
-def _read_segment(segment: Segment, fully_contained: bool, query: ValueRange) -> SelectionResult:
-    """One segment's share of ``query``, as zero-copy views.
-
-    Meta-index fast path: a segment fully inside the predicate contributes
-    its whole (sorted) payload — no probes, no data touched.
-    """
-    if fully_contained:
-        return SelectionResult(segment.values, segment.oids, values_sorted=True)
-    return segment.select(query)
 
 
 @register_strategy
@@ -82,19 +71,19 @@ class SegmentedColumn(AdaptiveColumnBase):
         self.model = model
         root = Segment(self.domain, values, oids, value_width=self.value_width)
         root.check_invariants()
-        self.meta_index = SegmentMetaIndex([root])
+        self.index = IntervalIndex([root], [root])
 
     # -- public API ---------------------------------------------------------
 
     @property
     def segments(self) -> list[Segment]:
         """The current segments in value order."""
-        return self.meta_index.segments
+        return list(self.index.answers)
 
     @property
     def segment_count(self) -> int:
         """Number of segments the column is currently split into."""
-        return len(self.meta_index)
+        return len(self.index)
 
     @property
     def storage_bytes(self) -> float:
@@ -106,44 +95,16 @@ class SegmentedColumn(AdaptiveColumnBase):
         """
         return self.total_bytes
 
-    # -- snapshot reads -------------------------------------------------------
-
-    def pin_snapshot(self) -> MetaIndexSnapshot:
-        """Pin the current immutable segment-list snapshot (one reference grab)."""
-        return self.meta_index.pin_snapshot()
-
-    def select_readonly(
-        self, low: float, high: float, snapshot: MetaIndexSnapshot | None = None
-    ) -> SelectionResult:
-        """Answer ``low <= value < high`` from a pinned snapshot, adaptation-free.
-
-        Runs the exact read half of :meth:`select` against ``snapshot`` (or a
-        freshly pinned one): meta-index overlap lookup, the fully-contained
-        fast path, zero-copy probe slices.  It never splits, never touches
-        the IO accountant or the query history — the observation goes into
-        :attr:`read_observations` for the owning worker to absorb later — so
-        reader threads can call it concurrently with live adaptation.
-        """
-        query = ValueRange(float(low), float(high))
-        snap = snapshot if snapshot is not None else self.meta_index.pin_snapshot()
-        parts = [
-            _read_segment(segment, fully_contained, query)
-            for segment, fully_contained in snap.overlapping_classified(query)
-        ]
-        result = SelectionResult.concatenate(parts, self.dtype)
-        self.read_observations.record(query.low, query.high, result.count * self.value_width)
-        return result
-
     # -- the frame's hooks ----------------------------------------------------
 
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
         parts: list[SelectionResult] = []
-        for segment, fully_contained in self.meta_index.overlapping_classified(query):
+        for segment in self.index.cover(query):
             # Logical read bytes are accounted whether or not data is touched.
             self.accountant.record_read(segment.size_bytes, segment)
 
             started = self._now()
-            parts.append(_read_segment(segment, fully_contained, query))
+            parts.append(segment.select(query))
             stats.selection_seconds += self._now() - started
 
             started = self._now()
@@ -162,7 +123,7 @@ class SegmentedColumn(AdaptiveColumnBase):
         """The vectorized batch kernel.
 
         The whole batch is routed against the segment bounds in one
-        ``np.searchsorted`` pass (:meth:`SegmentMetaIndex.route_many`) and
+        ``np.searchsorted`` pass (:meth:`IntervalIndex.route_many`) and
         every touched segment answers all of its member queries with one
         probe batch (:meth:`Segment.bounds_many`) — O(touched segments) numpy
         calls for the entire batch, never O(N).  Each touched segment is read
@@ -186,8 +147,8 @@ class SegmentedColumn(AdaptiveColumnBase):
             partial: list[int] = []
             for q in queries:
                 if low_list[q] <= seg_low and high_list[q] >= seg_high:
-                    # Meta-index fast path, exactly as in _read_segment: the
-                    # whole (sorted) payload answers a fully-contained member.
+                    # The whole (sorted) payload answers a fully-contained
+                    # member, as in Segment.select.
                     parts[q].append((seg_values, seg_oids))
                 else:
                     partial.append(q)
@@ -239,9 +200,9 @@ class SegmentedColumn(AdaptiveColumnBase):
 
         ``(segment, positions of the member ranges overlapping it, the
         smallest range containing those members)``.  The list is complete
-        before anything splits, because splitting shifts meta-index positions.
+        before anything splits, because splitting shifts index positions.
         """
-        starts, stops = self.meta_index.route_many(lows, highs)
+        starts, stops = self.index.route_many(lows, highs)
         touched: dict[int, list[int]] = {}
         for q, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
             for s in range(start, stop):
@@ -250,7 +211,7 @@ class SegmentedColumn(AdaptiveColumnBase):
         high_list = highs.tolist()
         return [
             (
-                self.meta_index[s],
+                self.index.answers[s],
                 queries,
                 ValueRange(
                     min(low_list[q] for q in queries),
@@ -281,7 +242,8 @@ class SegmentedColumn(AdaptiveColumnBase):
             return
         for piece in pieces:
             self.accountant.record_write(piece.size_bytes, piece)
-        self.meta_index.replace(segment, pieces)
+        start, stop = self.index.span(segment.vrange)
+        self.index.splice(start, stop, pieces, pieces)
         stats.splits_performed += 1
 
     # -- maintenance and extensions --------------------------------------------
@@ -296,45 +258,43 @@ class SegmentedColumn(AdaptiveColumnBase):
         accounted as segment materialization.
         """
         merges = 0
-        merged_something = True
-        while merged_something:
-            merged_something = False
-            segments = self.meta_index.segments
-            for first, second in zip(segments, segments[1:]):
-                if first.size_bytes >= min_bytes and second.size_bytes >= min_bytes:
-                    continue
-                if first.vrange.high != second.vrange.low:
-                    continue
-                # Adjacent segments hold disjoint ascending value ranges, so
-                # their concatenation is already sorted.
-                glued = Segment(
-                    ValueRange(first.vrange.low, second.vrange.high),
-                    np.concatenate([first.values, second.values]),
-                    np.concatenate([first.oids, second.oids]),
-                    value_width=self.value_width,
-                    assume_sorted=True,
-                )
-                self.accountant.record_write(glued.size_bytes, glued)
-                self.meta_index.replace(first, [glued])
-                self.meta_index.replace(second, [])
-                merges += 1
-                merged_something = True
-                break
+        segments = self.index.answers
+        position = 0
+        while position + 1 < len(segments):
+            first, second = segments[position], segments[position + 1]
+            if first.size_bytes >= min_bytes and second.size_bytes >= min_bytes:
+                position += 1
+                continue
+            # Adjacent segments hold disjoint ascending value ranges, so
+            # their concatenation is already sorted.
+            glued = Segment(
+                ValueRange(first.vrange.low, second.vrange.high),
+                np.concatenate([first.values, second.values]),
+                np.concatenate([first.oids, second.oids]),
+                value_width=self.value_width,
+                assume_sorted=True,
+            )
+            self.accountant.record_write(glued.size_bytes, glued)
+            self.index.splice(position, position + 2, [glued], [glued])
+            merges += 1
+            # The pairs before the glued segment's left neighbour are unchanged.
+            position = max(position - 1, 0)
         return merges
 
     def check_invariants(self) -> None:
         """Verify that the segments partition the domain and conserve the data."""
-        self.meta_index.check_invariants()
-        segments = self.meta_index.segments
+        self.index.check_invariants()
+        segments = self.index.answers
         if not segments:
             raise AssertionError("a segmented column must always have at least one segment")
         if segments[0].vrange.low != self.domain.low or segments[-1].vrange.high != self.domain.high:
             raise AssertionError("segments do not cover the attribute domain")
-        for first, second in zip(segments, segments[1:]):
-            if first.vrange.high != second.vrange.low:
+        for segment, low, high in zip(segments, self.index.lows, self.index.highs):
+            if (segment.vrange.low, segment.vrange.high) != (low, high):
                 raise AssertionError(
-                    f"gap between segments {first.vrange} and {second.vrange}"
+                    f"segment {segment.vrange} is not its own leaf [{low:g}, {high:g})"
                 )
+            segment.check_invariants()
         total_values = sum(int(segment.count) for segment in segments)
         expected = int(round(self.total_bytes / self.value_width))
         if total_values != expected:

@@ -19,7 +19,9 @@ Public surface:
   the one *query frame* (one :class:`QueryStats` record, accountant attached
   for exactly the hook's duration, one ``history`` append, one model
   observation) around a per-strategy hook — ``_execute``, optionally
-  ``_execute_batch`` and ``_absorb``.
+  ``_execute_batch`` and ``_absorb``.  A strategy that keeps an
+  :class:`~repro.core.interval_index.IntervalIndex` in ``index`` gets the
+  snapshot reader (``pin_snapshot`` / ``select_readonly``) from it.
 * :func:`batch_bounds_arrays` — shared validation for the batched
   ``select_many`` hook (mirrors :class:`~repro.core.ranges.ValueRange`).
 * :func:`register_strategy` / :func:`unregister_strategy` — registry admin.
@@ -37,6 +39,7 @@ from typing import Any, ClassVar, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.core.accounting import IOAccountant, QueryLog, QueryStats
+from repro.core.interval_index import IndexSnapshot, IntervalIndex
 from repro.core.ranges import ValueRange, domain_of
 from repro.core.segment import SelectionResult
 
@@ -126,6 +129,7 @@ class AdaptiveColumnStrategy(Protocol):
     domain: ValueRange
     history: QueryLog
     total_bytes: float
+    index: IntervalIndex | None
 
     @property
     def storage_bytes(self) -> float: ...
@@ -178,6 +182,9 @@ class AdaptiveColumnBase:
     #: one :meth:`select` per member (N frames, N records).
     _execute_batch: ClassVar[Any] = None
 
+    #: The interval index over the stored pieces, for a strategy that keeps
+    #: one: it answers :meth:`select_readonly` and the router's cost probe.
+    index: IntervalIndex | None = None
     #: The segmentation model the frame feeds result sizes to; strategies
     #: with ``requires_model = False`` override :meth:`_after_frame` instead.
     model: Any
@@ -334,29 +341,42 @@ class AdaptiveColumnBase:
 
     # -- snapshot reads ----------------------------------------------------
 
-    def pin_snapshot(self) -> Any | None:
-        """Pin an immutable snapshot of the read structure (or ``None``).
+    def pin_snapshot(self) -> IndexSnapshot | None:
+        """Pin an immutable snapshot of :attr:`index` (``None`` without one).
 
-        ``None`` means the strategy needs no snapshot object — either its
-        read structure is inherently immutable (the unsegmented baseline) or
-        it does not support snapshot reads at all.
+        Owning thread only: :meth:`IntervalIndex.pin` captures a snapshot
+        when the index changed since the last pin.  ``None`` means the
+        strategy keeps no index — its read structure is inherently immutable
+        (the unsegmented baseline) or it does not support snapshot reads.
         """
-        return None
+        return None if self.index is None else self.index.pin()
 
     def select_readonly(
-        self, low: float, high: float, snapshot: Any | None = None
+        self, low: float, high: float, snapshot: IndexSnapshot | None = None
     ) -> SelectionResult:
         """Answer one range selection against a pinned snapshot.
 
-        Unlike :meth:`select`, this never adapts, never touches the IO
-        accountant or the query history, and records its observation into
+        The snapshot's cover, then ``Segment.select`` per piece (a piece the
+        range contains answers from its range alone), concatenated in value
+        order.  Unlike :meth:`select`, this never adapts, never touches the
+        IO accountant or the query history, and records its observation into
         :attr:`read_observations` instead — safe to call from reader threads
         concurrently with adaptation, when ``supports_snapshot_reads`` is
-        ``True``.
+        ``True``.  A reader off the owning thread passes a snapshot pinned
+        there; without one the call pins for itself.
         """
-        raise NotImplementedError(
-            f"strategy {self.strategy_name!r} does not support snapshot reads"
+        if self.index is None:
+            raise NotImplementedError(
+                f"strategy {self.strategy_name!r} does not support snapshot reads"
+            )
+        query = ValueRange(float(low), float(high))
+        if snapshot is None:
+            snapshot = self.index.pin()
+        result = SelectionResult.concatenate(
+            [piece.select(query) for piece in snapshot.cover(query)], self.dtype
         )
+        self.read_observations.record(query.low, query.high, result.count * self.value_width)
+        return result
 
     def adapt(self, low: float, high: float) -> QueryStats | None:
         """Run one selection purely for its adaptation side effect.

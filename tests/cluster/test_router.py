@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import Router, clone_database, merge_cache_stats, what_if_bytes
+from repro.core.ranges import ValueRange
 from repro.engine.database import Database
 from repro.util.units import KB
 from repro.workloads import changing_workload, multimodal_workload
+from tests.support.cover_oracle import minimal_cover
 
 SQL = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
 DOMAIN = (0.0, 360.0)
@@ -299,6 +301,18 @@ class TestWhatIfBytes:
             adaptive.select(100.0, 101.0)
         after = what_if_bytes(adaptive, 100.0, 101.0)
         assert after < before
+
+    def test_replication_cost_is_the_oracle_cover_after_a_budgeted_stream(self):
+        database = build_database(strategy="replication", storage_budget=N_ROWS * 8 + 8 * KB)
+        adaptive = database.adaptive_handle("p", "ra").adaptive
+        for query in multimodal_workload(300, DOMAIN, 0.01, n_modes=4, seed=3):
+            adaptive.select(query.low, query.high)
+        assert sum(record.segments_dropped for record in adaptive.history) > 0
+        domain = adaptive.domain
+        for low, high in [(10.0, 11.0), (100.0, 180.0), (-5.0, 3.0), (0.0, 400.0)]:
+            query = ValueRange(max(low, domain.low), min(high, domain.high))
+            oracle = minimal_cover(adaptive.tree.roots, query)
+            assert what_if_bytes(adaptive, low, high) == sum(node.size_bytes for node in oracle)
 
 
 class TestStatsMerge:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import UnsegmentedColumn
-from repro.core.meta_index import SegmentMetaIndex
+from repro.core.interval_index import IntervalIndex
 from repro.core.models import AdaptivePageModel
 from repro.core.ranges import ValueRange
 from repro.core.replication import ReplicatedColumn
@@ -85,9 +85,9 @@ class TestRouteMany:
             Segment(ValueRange(10.0, 25.0), np.arange(10, 25)),
             Segment(ValueRange(25.0, 100.0), np.arange(25, 100)),
         ]
-        return SegmentMetaIndex(segs)
+        return IntervalIndex(segs, segs)
 
-    def test_spans_match_overlapping(self):
+    def test_spans_match_cover(self):
         index = self._index()
         queries = [
             (0.0, 100.0),
@@ -101,8 +101,8 @@ class TestRouteMany:
         highs = np.array([q[1] for q in queries])
         starts, stops = index.route_many(lows, highs)
         for (low, high), start, stop in zip(queries, starts.tolist(), stops.tolist()):
-            expected = index.overlapping(ValueRange(low, high))
-            got = [index[i] for i in range(start, stop)]
+            expected = index.cover(ValueRange(low, high))
+            got = [index.answers[i] for i in range(start, stop)]
             assert [id(s) for s in got] == [id(s) for s in expected]
 
     def test_contained_tags_recoverable(self):
@@ -112,16 +112,15 @@ class TestRouteMany:
         starts, stops = index.route_many(lows, highs)
         tags = [
             lows[0] <= seg.vrange.low and seg.vrange.high <= highs[0]
-            for seg in (index[i] for i in range(starts[0], stops[0]))
+            for seg in (index.answers[i] for i in range(starts[0], stops[0]))
         ]
-        expected = [tag for _, tag in index.overlapping_classified(ValueRange(5.0, 30.0))]
-        assert tags == expected
+        assert tags == [False, True, False]
 
-    def test_high_cache_checked_by_invariants(self):
+    def test_leaf_bounds_checked_by_invariants(self):
         index = self._index()
         index.check_invariants()
-        index._highs[1] = 11.0
-        with pytest.raises(AssertionError, match="high-bound cache"):
+        index.highs[1] = 11.0
+        with pytest.raises(AssertionError, match="gap"):
             index.check_invariants()
 
 

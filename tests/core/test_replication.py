@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.models import AdaptivePageModel, GaussianDice
 from repro.core.ranges import ValueRange
-from repro.core.replica_tree import CoverSnapshot, ReplicaNode, ReplicaTree
+from repro.core.interval_index import IndexSnapshot
+from repro.core.replica_tree import ReplicaNode, ReplicaTree
 from repro.core.replication import ReplicatedColumn
 from repro.util.units import KB
 from repro.workloads.generators import multimodal_workload
@@ -24,8 +25,8 @@ class ReferenceBudgetColumn(ReplicatedColumn):
     every candidate's ancestor chain — slow, and obviously what the paper's
     budget extension means.  It shares no arithmetic with the code under
     test: the bytes held are its own recount, never the tree's counter, and
-    only the release goes through the tree's door (a bare
-    ``node.segment.free()`` would leave the counters behind).
+    only the release goes through the tree's door (swapping a segment in
+    behind the tree's back would leave the counters and the index behind).
     """
 
     def _enforce_budget(self, stats):
@@ -53,7 +54,6 @@ class ReferenceBudgetColumn(ReplicatedColumn):
                 break
             self.tree.free(node)
             stats.segments_dropped += 1
-            self._cover_dirty = True
 
 
 def materialized_ranges(column: ReplicatedColumn) -> list[tuple[float, float]]:
@@ -152,18 +152,18 @@ class TestSelectionCorrectness:
 
 class TestCoveringSet:
     def test_initial_cover_is_the_root(self, column):
-        cover = column.get_cover(ValueRange(10_000, 20_000))
+        cover = column.index.cover(ValueRange(10_000, 20_000))
         assert cover == [column.tree.roots[0]]
 
     def test_cover_prefers_materialized_children(self, column):
         column.select(10_000, 20_000)  # creates a materialized replica of the range
-        cover = column.get_cover(ValueRange(12_000, 18_000))
+        cover = column.index.cover(ValueRange(12_000, 18_000))
         assert len(cover) == 1
         assert cover[0].vrange == ValueRange(10_000, 20_000)
 
     def test_cover_backtracks_to_ancestor_for_virtual_areas(self, column):
         column.select(10_000, 20_000)
-        cover = column.get_cover(ValueRange(50_000, 60_000))  # untouched, still virtual below
+        cover = column.index.cover(ValueRange(50_000, 60_000))  # untouched, still virtual below
         assert cover[0].vrange == ValueRange(*TEST_DOMAIN)
 
     def test_cover_segments_are_disjoint_and_cover_query(self, column):
@@ -172,7 +172,7 @@ class TestCoveringSet:
             low = float(rng.uniform(0, 90_000))
             column.select(low, low + 8_000)
         query = ValueRange(20_000, 70_000)
-        cover = column.get_cover(query)
+        cover = column.index.cover(query)
         assert all(node.materialized for node in cover)
         ranges = sorted((node.vrange for node in cover), key=lambda r: r.low)
         for first, second in zip(ranges, ranges[1:]):
@@ -332,7 +332,7 @@ class TestNoTraversalOnTheQueryPath:
 
         monkeypatch.setattr(ReplicaTree, "walk", spy("tree.walk", ReplicaTree.walk))
         monkeypatch.setattr(ReplicaNode, "walk", spy("node.walk", ReplicaNode.walk))
-        monkeypatch.setattr(CoverSnapshot, "capture", spy("capture", CoverSnapshot.capture))
+        monkeypatch.setattr(IndexSnapshot, "__init__", spy("capture", IndexSnapshot.__init__))
 
         dropped = 0
         for query in queries[80:]:

@@ -113,12 +113,6 @@ class TestSelectAndPartition:
         assert result.values is segment.values
         assert result.oids is segment.oids
 
-    def test_free_turns_segment_virtual(self, segment):
-        count = segment.count
-        segment.free()
-        assert not segment.materialized
-        assert segment.count == count
-
 
 class TestSelectionResult:
     def test_empty(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.interval_index import IndexSnapshot
 from repro.core.models import AdaptivePageModel, GaussianDice
 from repro.core.segmentation import SegmentedColumn
 from repro.util.units import KB
@@ -129,3 +130,40 @@ class TestMergeSmallSegments:
             column.select(float(low), float(low + 6_000))
         column.merge_small_segments(min_bytes=8 * KB)
         assert column.select(12_345, 67_890).count == brute_force_count(values, 12_345, 67_890)
+
+
+class TestPublishRule:
+    def test_splits_capture_nothing_and_the_next_pin_captures_once(self, monkeypatch):
+        ra = np.random.default_rng(7).uniform(0.0, 360.0, 100_000)
+        column = SegmentedColumn(
+            ra, model=AdaptivePageModel(m_min=256, m_max=1 * KB), domain=(0.0, 360.0)
+        )
+        generation = column.pin_snapshot().generation
+        captures = []
+        capture = IndexSnapshot.__init__
+
+        def counted(snapshot, *args):
+            captures.append(args[-1])
+            capture(snapshot, *args)
+
+        monkeypatch.setattr(IndexSnapshot, "__init__", counted)
+        rng = np.random.default_rng(17)
+        splitting = 0
+        while splitting < 300:
+            low = float(rng.uniform(0.0, 359.0))
+            column.select(low, low + 1.0)
+            splitting += column.history[-1].splits_performed > 0
+        assert captures == []  # a split only marks the index dirty
+
+        pinned = column.pin_snapshot()
+        assert len(captures) == 1
+        assert column.pin_snapshot() is pinned  # nothing changed: nothing captured
+        assert len(captures) == 1
+        assert pinned.generation > generation
+        column.check_invariants()
+
+        low, high = 90.0, 270.0
+        got = column.select_readonly(low, high, pinned)
+        expected = np.sort(ra[(ra >= low) & (ra < high)])
+        np.testing.assert_array_equal(got.values, expected)
+        np.testing.assert_array_equal(ra[got.oids], got.values)

@@ -11,8 +11,8 @@ order vs load order), so results are compared as sorted row sets.
 Also pinned down here, at the strategy level: an already-pinned snapshot
 keeps serving the layout it was taken under after the index is swapped; a
 released snapshot is actually collected (no reader-side leak); and a
-replication cover snapshot stays readable after budget eviction ``free()``s
-the live nodes it froze.
+replication snapshot stays readable after budget eviction ``free()``s the
+live nodes whose segments it holds.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def test_pinned_segmentation_snapshot_serves_old_layout_after_swap():
     generation = pinned.generation
     for low, high in _bounds(60, seed=3):
         adaptive.select(low, high)
-    assert adaptive.meta_index.generation > generation, "workload did not adapt"
+    assert adaptive.pin_snapshot().generation > generation, "workload did not adapt"
     assert pinned.generation == generation  # the pin never moved
     low, high = 100_000.0, 140_000.0
     stale_read = adaptive.select_readonly(low, high, pinned)
@@ -149,7 +149,7 @@ def test_released_snapshots_are_collected():
     seg_ref = weakref.ref(snap)
     for low, high in _bounds(60, seed=3):
         segmentation.select(low, high)
-    assert segmentation.meta_index.generation > snap.generation
+    assert segmentation.pin_snapshot().generation > snap.generation
     del snap
     gc.collect()
     assert seg_ref() is None, "superseded segmentation snapshot leaked"
@@ -167,11 +167,11 @@ def test_released_snapshots_are_collected():
 
 
 def test_replication_snapshot_survives_budget_eviction_free():
-    """A pinned cover snapshot stays readable after ``free()`` nulls live nodes."""
+    """A pinned snapshot stays readable after ``free()`` swaps live nodes virtual."""
     database, values = _build("replication")
     adaptive = database.adaptive_handle("t", "v").adaptive
     # Materialize replicas in one region, pin, then hammer another region so
-    # budget enforcement evicts (frees) the replicas the snapshot froze.
+    # budget enforcement evicts (frees) the replicas the snapshot holds.
     rng = np.random.default_rng(11)
     for _ in range(40):
         low = float(rng.uniform(0.0, DOMAIN * 0.25))
