@@ -2,8 +2,10 @@
 
 These use pytest-benchmark's timing for what it is good at: comparing the
 steady-state per-query cost of an adapted (segmented or replicated) column
-against the non-segmented full-scan baseline on identical queries, the
-per-query cost of replication pressed against its storage budget, one
+against the non-segmented full-scan baseline on identical queries, one
+prepared engine select on a converged segmented column beside pending
+inserts and deletes (checked against a mask scan), the per-query cost of
+replication pressed against its storage budget, one
 pinned snapshot read per organisation on a converged 100 K-row column (the
 reader path both share: index cover, then one probe per piece; checked
 against a mask scan), and one 16-member wave through the engine's batch pass
@@ -60,6 +62,43 @@ def test_micro_fullscan_select(benchmark, values):
 
 def test_micro_segmented_select(benchmark, warm_segmented):
     benchmark(warm_segmented.select, 500_000, 510_000)
+
+
+DELTA_ROWS = 100_000
+PENDING_ROWS = 720
+
+
+def test_micro_segmented_select_with_deltas(benchmark):
+    """A prepared 1 % select beside 720 pending inserts and 720 pending deletes.
+
+    The engine path on a converged 100 K-row segmented int32 column: the
+    short plan's adaptive select plus its live-rows step, then the gather.
+    """
+    rng = np.random.default_rng(29)
+    values = rng.integers(0, 1_000_000, DELTA_ROWS + PENDING_ROWS).astype(np.int32)
+    database = Database()
+    database.create_table("p", {"objid": "int64", "v": "int32"})
+    database.bulk_load(
+        "p", {"objid": np.arange(DELTA_ROWS, dtype=np.int64), "v": values[:DELTA_ROWS]}
+    )
+    database.enable_adaptive("p", "v", strategy="segmentation", model="apm",
+                             m_min=3 * KB, m_max=12 * KB)
+    prepared = database.prepare_statement("SELECT objid FROM p WHERE v BETWEEN ? AND ?")
+    for query in uniform_workload(500, DOMAIN, 0.01, seed=17):
+        database.execute_prepared(prepared, (query.low, query.high))
+    database.insert("p", {"objid": np.arange(DELTA_ROWS, DELTA_ROWS + PENDING_ROWS),
+                          "v": values[DELTA_ROWS:]})
+    deleted = rng.choice(DELTA_ROWS + PENDING_ROWS, PENDING_ROWS, replace=False)
+    database.delete("p", deleted)
+    bounds = (500_000, 510_000)
+    for _ in range(3):  # the measured range itself settles
+        database.execute_prepared(prepared, bounds)
+    result = benchmark(database.execute_prepared, prepared, bounds)
+    live = np.ones(values.size, dtype=bool)
+    live[deleted] = False
+    expected = np.flatnonzero(live & (values >= bounds[0]) & (values <= bounds[1]))
+    np.testing.assert_array_equal(np.sort(result.column("objid")), expected)
+    assert result.profile.opcode_counts["sql.live"] == 1  # the short plan ran
 
 
 def test_micro_replicated_select_converged(benchmark, warm_replicated):

@@ -26,7 +26,7 @@ from repro.engine.result import QueryResult
 from repro.mal.compiled import compile_program
 from repro.mal.modules import default_registry
 from repro.optimizer.bpm import AdaptiveColumnHandle, BatPartitionManager
-from repro.optimizer.delta_elision import lower_delta_free
+from repro.optimizer.delta_elision import lower_short
 from repro.optimizer.pipeline import OptimizerPipeline
 from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.optimizer.segment_optimizer import SegmentOptimizer
@@ -263,16 +263,16 @@ class Database:
         """The optimized MAL plan in concrete syntax (like ``EXPLAIN``).
 
         ``sql`` may carry placeholders — the text a client prepares.  The
-        Figure-1 plan comes first; under one comment line, the delta-free
-        lowering the executor runs while the table has no pending deltas.
+        Figure-1 plan comes first; under one comment line, the short lowering
+        the executor runs while the table has no pending updates.
         """
         optimized = self.optimizer.optimize(
             self.compiler.compile(parse(sql, placeholders=True))
         )
-        delta_free, tables = lower_delta_free(optimized)
+        short, tables = lower_short(optimized)
         return (
-            f"{optimized.render()}\n# delta-free lowering — runs while "
-            f"{', '.join(tables)} has no pending deltas\n{delta_free.render()}"
+            f"{optimized.render()}\n# short lowering — runs while "
+            f"{', '.join(tables)} has no pending updates\n{short.render()}"
         )
 
     def _lower(
@@ -281,7 +281,7 @@ class Database:
         """Compile, optimize and lower ``statement``; cache the plan under ``text``.
 
         The one place a statement becomes a :class:`PreparedPlan`: both
-        compiled variants (the full cascade and its delta-free lowering), the
+        compiled variants (the full cascade and its short lowering), the
         binding template, environment slots and the range-select classification
         are derived here, once, so no later stage looks at the statement again.
         ``text`` is what the plan is known by — its cache key, and what a
@@ -292,11 +292,11 @@ class Database:
         codegen_seconds = time.perf_counter() - started
         started = time.perf_counter()
         optimized = self.optimizer.optimize(program)
-        delta_free_program, delta_tables = lower_delta_free(optimized)
+        short_program, update_tables = lower_short(optimized)
         profile.optimize_seconds = time.perf_counter() - started
         started = time.perf_counter()
         compiled = compile_program(optimized, self.registry)
-        delta_free = compile_program(delta_free_program, self.registry)
+        short = compile_program(short_program, self.registry)
         profile.compile_seconds = codegen_seconds + time.perf_counter() - started
         binding = prepared_binding(statement)
         names = tuple(f"__p{index}" for index in range(binding.count))
@@ -306,9 +306,9 @@ class Database:
             text=optimized.render(),
             binding=binding,
             slots=compiled.parameter_slots(names),
-            delta_free=delta_free,
-            delta_free_slots=delta_free.parameter_slots(names),
-            delta_tables=delta_tables,
+            short=short,
+            short_slots=short.parameter_slots(names),
+            update_tables=update_tables,
             generation=self.plan_cache.generation,
             template=range_template(statement, self.catalog),
         )

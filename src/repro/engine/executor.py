@@ -10,9 +10,9 @@ selection goes through a BPM door (``bpm.select`` in a plan, ``select_many``,
 ``pin`` / ``select_pinned`` / ``absorb``); every result is built by :func:`_result`.
 
 Whether a statement is a batchable range select was decided when it was
-prepared (:attr:`PreparedPlan.template`); whether its table has pending deltas
-is read here — once per table per wave to bucket it, once per single run to
-pick the plan's compiled variant (full cascade or delta-free lowering).
+prepared (:attr:`PreparedPlan.template`); what its table has pending is read
+here — deltas once per table per wave to bucket it, updates once per single
+run to pick the plan's compiled variant (full cascade or short lowering).
 """
 
 from __future__ import annotations
@@ -206,8 +206,9 @@ class Executor:
         result then carries that text, the cache level that answered it and
         the profile that timed its plan acquisition.  Contexts are pooled, so
         the warm path allocates no per-query containers of its own.  The
-        delta-free variant runs while the statement's tables have no deltas;
-        ``plan_text`` stays the paper's plan, ``opcode_counts`` say what ran.
+        short variant runs while the statement's tables have no pending
+        updates; ``plan_text`` stays the paper's plan, ``opcode_counts`` say
+        what ran.
         """
         if origin is None:
             started = time.perf_counter()
@@ -218,9 +219,9 @@ class Executor:
             sql, level, profile = origin
             started = time.perf_counter() - profile.plan_seconds
         database = self.database
-        compiled, slots = prepared.compiled, prepared.slots
-        if self._delta_free(prepared.delta_tables):
-            compiled, slots = prepared.delta_free, prepared.delta_free_slots
+        compiled, slots = prepared.short, prepared.short_slots
+        if self._updated(prepared.update_tables):
+            compiled, slots = prepared.compiled, prepared.slots
         contexts = self._contexts
         context = contexts.pop() if contexts else ExecutionContext(catalog=database.catalog)
         bpm = database.bpm
@@ -245,16 +246,13 @@ class Executor:
             contexts.append(context)
         return result
 
-    def _delta_free(self, tables: tuple[str, ...]) -> bool:
-        """True while none of ``tables`` has a pending insert, update or delete.
-
-        Picks a statement's compiled variant and lets wave members batch.
-        """
+    def _updated(self, tables: tuple[str, ...]) -> bool:
+        """True when one of ``tables`` has a pending update: the full plan runs."""
         table = self.database.catalog.table
         for name in tables:
-            if table(name).has_deltas:
-                return False
-        return True
+            if table(name).has_updates:
+                return True
+        return False
 
     # -- waves --------------------------------------------------------------------
 
@@ -304,8 +302,7 @@ class Executor:
         answered concurrently against that snapshot; any other group of two
         or more is one vectorized batch pass, run where its first member
         stands; everything else — aggregates, groups of one, tables with
-        pending deltas (they take the full Figure-1 cascade) — goes through
-        :meth:`run` in input order.
+        pending deltas — goes through :meth:`run` in input order.
         """
         database = self.database
         generation = database.plan_cache.generation
@@ -325,7 +322,7 @@ class Executor:
             if template is not None:
                 free = delta_free.get(template.table)
                 if free is None:
-                    free = self._delta_free((template.table,))
+                    free = not database.catalog.table(template.table).has_deltas
                     delta_free[template.table] = free
                 if free:
                     groups.setdefault((template.table, template.column), []).append(position)

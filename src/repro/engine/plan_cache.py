@@ -27,9 +27,9 @@ survive a clear via the monotonically increasing :attr:`PlanCache.generation`:
 a handle lowered under an older generation is re-prepared instead of served
 stale.  Data changes (inserts, deletes) do *not* invalidate: ``sql.bind``
 resolves BATs at execution time, and compiled plans hold pre-resolved module
-callables, not data.  They do decide which of a plan's two compiled variants
-runs — the full cascade or its delta-free lowering — and that is read per
-query from ``ColumnStore.has_deltas`` by the executor, never stored here.
+callables, not data.  Updates decide which of a plan's two compiled variants
+runs — the full cascade or its short lowering — and that is read per query
+from ``ColumnStore.has_updates`` by the executor, never stored here.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class PreparedPlan:
     executable plan (the full Figure-1 cascade) and ``text`` its pre-rendered
     MAL; ``binding`` validates client parameters; ``slots`` maps placeholder
     position → environment slot of the compiled plan (resolved once, at
-    prepare time); ``delta_free`` / ``delta_free_slots`` are the same for the
-    delta-free lowering, run while no table in ``delta_tables`` has deltas;
+    prepare time); ``short`` / ``short_slots`` are the same for the short
+    lowering, run while no table in ``update_tables`` has pending updates;
     ``generation`` is the cache generation the plan was lowered under — when
     it trails the cache's current generation the schema or an adaptive
     registration changed and the plan must be re-lowered; ``template`` is the
@@ -139,9 +139,9 @@ class PreparedPlan:
     text: str
     binding: BindingSpec
     slots: tuple[int, ...]
-    delta_free: CompiledPlan
-    delta_free_slots: tuple[int, ...]
-    delta_tables: tuple[str, ...]
+    short: CompiledPlan
+    short_slots: tuple[int, ...]
+    update_tables: tuple[str, ...]
     generation: int
     template: RangeTemplate | None
 

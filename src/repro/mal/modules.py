@@ -144,6 +144,27 @@ def _sql_bind_dbat(ctx, schema: str, table: str, level) -> BAT:
     return ctx.catalog.table(table).deletion_bat
 
 
+def _sql_live(
+    ctx, candidates: BAT, source, schema: str, table: str, column: str, low, high,
+    include_low=True, include_high=False,
+) -> BAT:
+    """The short lowering's live-rows step after a select over ``source``.
+
+    ``source`` is what the select read: a persistent BAT, or an adaptive
+    column's handle (built over the oids ``[0, rows)`` — pending inserts
+    included when it was enabled over them).  Its end is where the scan of
+    the pending-insert tail starts.  A table without deltas costs one check.
+    """
+    store = ctx.catalog.table(table)
+    if not store.has_deltas:
+        return candidates
+    end = source.hseqbase + source.count if isinstance(source, BAT) else source.rows
+    return operators.live_rows(
+        candidates, store.column(column).bind(1), store.live_mask, end, low, high,
+        include_low=bool(include_low), include_high=bool(include_high),
+    )
+
+
 def _sql_result_set(ctx, n_columns, n_rows_hint, order_bat) -> int:
     return ctx.new_result_set()
 
@@ -199,6 +220,7 @@ def default_registry() -> ModuleRegistry:
         {
             "bind": _sql_bind,
             "bind_dbat": _sql_bind_dbat,
+            "live": _sql_live,
             "resultSet": _sql_result_set,
             "rsColumn": _sql_rs_column,
             "exportResult": _sql_export_result,

@@ -15,6 +15,9 @@ Conventions:
 * ``markT`` renumbers results densely in the tail; combined with ``reverse``
   and ``join`` it reconstructs final result columns exactly like Figure 1;
   ``projection`` is the same reconstruction as one positional ``gather``.
+* ``live_rows`` is the short lowering's one step for pending inserts and
+  deletes: a select's candidates with the tombstoned oids dropped and the
+  insert delta's hits appended.
 """
 
 from __future__ import annotations
@@ -49,14 +52,21 @@ def select(bat: BAT, low: float, high: float, *, include_low: bool = True, inclu
     if bat.tail_sorted:
         return bat.value_slice(low, high, include_low=include_low, include_high=include_high)
     tail = bat.tail
-    mask = (tail >= low) if include_low else (tail > low)
-    mask &= (tail <= high) if include_high else (tail < high)
-    positions = np.flatnonzero(mask)
+    positions = _qualifying(tail, low, high, include_low, include_high)
     if bat.is_void_head:
         heads = positions.astype(np.int64) + bat.hseqbase
     else:
         heads = bat.head[positions]
     return BAT.from_pairs(heads, tail[positions], name=bat.name)
+
+
+def _qualifying(
+    tail: np.ndarray, low: float, high: float, include_low: bool, include_high: bool
+) -> np.ndarray:
+    """Positions of the ``tail`` values inside the range (one mask scan)."""
+    mask = (tail >= low) if include_low else (tail > low)
+    mask &= (tail <= high) if include_high else (tail < high)
+    return np.flatnonzero(mask)
 
 
 def uselect(
@@ -113,21 +123,6 @@ def thetaselect(bat: BAT, value: float, operator: str) -> BAT:
 # ---------------------------------------------------------------------------
 
 
-def _heads_in(heads: np.ndarray, members: np.ndarray, members_sorted: bool) -> np.ndarray:
-    """Mask of the oids in ``heads`` that appear in the head oids ``members``.
-
-    A sorted head (the deletion list, any void head) is probed by binary
-    search, O(len(heads) · log).  Anything else — in the Figure-1 cascade only
-    the update delta, which no public write API fills — is hashed with
-    ``np.isin``: correct, not fast.
-    """
-    if not members_sorted:
-        return np.isin(heads, members)
-    slots = np.searchsorted(members, heads)
-    np.minimum(slots, members.size - 1, out=slots)
-    return members[slots] == heads
-
-
 def kunion(left: BAT, right: BAT) -> BAT:
     """Union by head oid; pairs from ``left`` win on duplicates.
 
@@ -135,21 +130,21 @@ def kunion(left: BAT, right: BAT) -> BAT:
     being copied — the same shortcut MonetDB's operational optimizer takes for
     empty delta BATs, and essential to keep the per-query cost dominated by
     the actual scan.  With pending inserts the cost stays O(result + delta):
-    an insert delta that densely continues ``left`` yields the storage
-    layer's pre-built view over both, and operands with disjoint oid ranges
-    (persistent hits below insert hits) are concatenated.  Only operands that
-    are neither — update deltas, which no public write API fills — take the
-    hashing fall-through: correct, not fast.
+    a column's persistent and insert BATs yield the storage layer's pre-built
+    view over both, and operands with disjoint oid ranges (persistent hits
+    below insert hits) are concatenated.  Only operands that are neither —
+    update deltas, which no public write API fills — take the hashing
+    fall-through: correct, not fast.
     """
     if right.count == 0:
         return left
     if left.count == 0:
         return right
-    if right.dense_union is not None and right.dense_union[0] is left:
-        return right.dense_union[1]
+    if left.merged is not None and left.merged is right.merged and left is not right:
+        return left.merged
     left_heads, right_heads, right_tail = left.head, right.head, right.tail
     if left_heads.max() >= right_heads.min():
-        right_only = ~_heads_in(right_heads, left_heads, left.head_sorted)
+        right_only = ~np.isin(right_heads, left_heads)
         right_heads, right_tail = right_heads[right_only], right_tail[right_only]
     return BAT.from_pairs(
         np.concatenate([left_heads, right_heads]),
@@ -162,22 +157,27 @@ def kdifference(left: BAT, right: BAT) -> BAT:
     """Pairs of ``left`` whose head oid does not appear in ``right``.
 
     An empty ``right`` operand passes ``left`` through unchanged (see
-    :func:`kunion` for the rationale); the sorted deletion list is probed by
-    binary search.
+    :func:`kunion` for the rationale); against the deletion BAT the answer is
+    one gather from its tombstone bitmap, ``alive[heads]``.  Anything else —
+    in the Figure-1 cascade only the update delta — is hashed with
+    ``np.isin``: correct, not fast.
     """
     if left.count == 0 or right.count == 0:
         return left
     heads = left.head
-    keep = ~_heads_in(heads, right.head, right.head_sorted)
+    if right.alive is not None:
+        keep = right.alive[heads]
+    else:
+        keep = ~np.isin(heads, right.head)
     return BAT.from_pairs(heads[keep], left.tail[keep], name=left.name)
 
 
 def kintersect(left: BAT, right: BAT) -> BAT:
-    """Pairs of ``left`` whose head oid appears in ``right`` (semijoin)."""
+    """Pairs of ``left`` whose head oid appears in ``right`` (semijoin, hashed)."""
     if left.count == 0 or right.count == 0:
         return BAT.from_pairs(np.empty(0, dtype=np.int64), left.tail[:0], name=left.name)
     heads = left.head
-    keep = _heads_in(heads, right.head, right.head_sorted)
+    keep = np.isin(heads, right.head)
     return BAT.from_pairs(heads[keep], left.tail[keep], name=left.name)
 
 
@@ -233,16 +233,55 @@ def gather(column: BAT, oids: np.ndarray) -> np.ndarray:
 def projection(column: BAT, oids: np.ndarray) -> np.ndarray:
     """:func:`gather` behind :func:`join`'s guard (``algebra.projection``).
 
-    An oid the column does not hold is dropped — never wrapped around, as a
-    negative numpy index would be — and an empty operand yields an empty array
-    of the column's dtype.
+    A persistent BAT is read as its column's logical rows: through the merged
+    view the storage layer keeps over it and its pending inserts.  An oid the
+    column does not hold is dropped — never wrapped around, as a negative
+    numpy index would be — and an empty operand yields an empty array of the
+    column's dtype.
     """
+    if column.merged is not None:
+        column = column.merged
     if oids.size == 0:
         return column.tail[:0]
     first, end = column.hseqbase, column.hseqbase + column.count
     if oids.min() < first or oids.max() >= end:
         oids = oids[(oids >= first) & (oids < end)]
     return gather(column, oids)
+
+
+def live_rows(
+    candidates: BAT,
+    inserts: BAT,
+    alive: np.ndarray | None,
+    start: int,
+    low: float,
+    high: float,
+    *,
+    include_low: bool = True,
+    include_high: bool = False,
+) -> BAT:
+    """A select's ``candidates`` as the live hits of the whole column.
+
+    ``candidates`` answer the range over the oids below ``start`` (where the
+    select's source ends).  The tombstoned ones are dropped — one gather,
+    ``alive[heads]`` (``alive`` is ``None`` while nothing is deleted) — and
+    the hits of one mask scan of the insert delta ``inserts`` from oid
+    ``start`` on are appended.  O(result + pending rows); an answer with
+    nothing to drop or append is ``candidates`` itself.
+    """
+    tail = inserts.tail[max(0, start - inserts.hseqbase):]
+    if alive is None and not tail.size:
+        return candidates
+    heads = candidates.head
+    if alive is not None:
+        heads = heads[alive[heads]]
+    if tail.size:
+        hits = _qualifying(tail, low, high, include_low, include_high)
+        hits += inserts.hseqbase + inserts.count - tail.size
+        if alive is not None:
+            hits = hits[alive[hits]]
+        heads = np.concatenate((heads, hits))
+    return BAT.from_pairs(heads, heads, name=candidates.name)
 
 
 def leftfetchjoin(left: BAT, right: BAT) -> BAT:

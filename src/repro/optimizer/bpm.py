@@ -19,7 +19,7 @@ segment optimizer's rewritten plans call at run time:
 where adaptation (splitting / replica materialization) is piggy-backed — and
 hands the plan the qualifying piece, so the downstream plan shape matches the
 paper's §3.1 snippet.  The selection answers the block's bounds exactly, so
-there is never a second piece; the delta-free lowering
+there is never a second piece; the short lowering
 (:mod:`repro.optimizer.delta_elision`) calls the same selection as
 ``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it.
 
@@ -57,6 +57,8 @@ class AdaptiveColumnHandle:
     column: str
     strategy: str
     adaptive: AdaptiveColumnStrategy
+    #: The adaptive column holds the oids ``[0, rows)`` of its table.
+    rows: int
 
     @property
     def qualified_name(self) -> str:
@@ -107,7 +109,8 @@ class BatPartitionManager:
         )
         strategy_name = str(adaptive.strategy_name).strip().lower()
         handle = AdaptiveColumnHandle(
-            table=table, column=column, strategy=strategy_name, adaptive=adaptive
+            table=table, column=column, strategy=strategy_name, adaptive=adaptive,
+            rows=int(np.asarray(values).size),
         )
         # Register with the catalog first so a rejection leaves no half state.
         self.catalog.register_adaptive(table, column, strategy_name)

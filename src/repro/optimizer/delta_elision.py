@@ -1,13 +1,14 @@
-"""Delta elision: the second lowering of an optimized plan (delta-free tables).
+"""Delta elision: the short lowering of an optimized plan (no pending updates).
 
-The Figure-1 plan merges three delta BATs into every column it touches.  While
-a table has no pending insert, update or delete those BATs are empty and the
-operators merging them return their other operand untouched — at run time,
-once per instruction per query.  The three MAL→MAL rules here take the same
-short-cuts statically, under the assumption "the statement's tables have no
-pending deltas"; the executor runs the result only while
-``ColumnStore.has_deltas`` says the assumption holds, and the full plan
-otherwise.  Every rule is exact under that assumption: same candidates, same
+The Figure-1 plan merges three delta BATs into every column it touches.  The
+MAL→MAL rules here rewrite it under the assumption "the statement's tables
+have no pending updates"; the executor runs the result while
+``ColumnStore.has_updates`` says the assumption holds, and the full plan
+otherwise.  Only ``ColumnStore.update`` fills an update delta, so pending
+inserts and deletes run the short plan too: each predicate's merge of its
+insert hits, and the final difference against the deletion BAT, become one
+``sql.live`` step after the select, which costs one check on a table without
+deltas.  Every rule is exact under the assumption: same candidates, same
 adaptive selection, same exported columns.
 """
 
@@ -28,14 +29,39 @@ _ITERATOR_BLOCK = [
 ]
 
 
-def elide_empty_deltas(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]]:
-    """Static twin of the operators' empty-operand early returns.
+def _definitions(program: MALProgram) -> dict[str, Instruction]:
+    """Each assigned variable's defining instruction."""
+    return {
+        instruction.target: instruction
+        for instruction in program.instructions
+        if instruction.opcode == OPCODE_ASSIGN and instruction.target is not None
+    }
 
-    ``sql.bind`` at level 1 or 2 and ``sql.bind_dbat`` define empty variables;
-    ``reverse`` / ``uselect`` / ``select`` of an empty variable is empty;
-    ``kunion(x, ∅)``, ``kunion(∅, x)`` and ``kdifference(x, ∅)`` *are* ``x``.
-    Returns the program with those aliases applied and the tables whose
-    emptiness it assumed.
+
+def _defined_by(
+    definitions: dict[str, Instruction], argument, callee: str
+) -> Instruction | None:
+    """The instruction defining ``argument`` if it calls ``callee``."""
+    definition = definitions.get(argument.name) if isinstance(argument, Var) else None
+    return definition if definition is not None and definition.callee == callee else None
+
+
+def _bound(instruction: Instruction | None, level: int) -> tuple | None:
+    """``(schema, table, column)`` of a constant ``sql.bind`` at ``level``."""
+    if instruction is None or not all(isinstance(arg, Const) for arg in instruction.args):
+        return None
+    *column, bound_level = (arg.value for arg in instruction.args)
+    return tuple(column) if bound_level == level else None
+
+
+def elide_empty_updates(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]]:
+    """Static twin of the operators' empty-operand early returns, for updates.
+
+    ``sql.bind`` at level 2 defines an empty variable; ``reverse`` /
+    ``uselect`` / ``select`` of an empty variable is empty; ``kunion(x, ∅)``,
+    ``kunion(∅, x)`` and ``kdifference(x, ∅)`` *are* ``x``.  Returns the
+    program with those aliases applied and the tables whose update deltas it
+    assumed empty.
     """
     empty: set[str] = set()
     renames: dict[str, str] = {}
@@ -46,12 +72,11 @@ def elide_empty_deltas(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]
         target, callee, args = instruction.target, instruction.callee, instruction.args
         if instruction.opcode != OPCODE_ASSIGN or target is None:
             pass  # barrier / redo / exit and effect-only calls define nothing empty
-        elif callee in ("sql.bind", "sql.bind_dbat"):
-            if all(isinstance(arg, Const) for arg in args) and (
-                callee == "sql.bind_dbat" or args[3].value in (1, 2)
-            ):
+        elif callee == "sql.bind":
+            bound = _bound(instruction, 2)
+            if bound is not None:
                 empty.add(target)
-                tables[args[1].value] = None
+                tables[bound[1]] = None
         elif callee in _EMPTY_IN_EMPTY_OUT:
             if isinstance(args[0], Var) and args[0].name in empty:
                 empty.add(target)
@@ -65,6 +90,74 @@ def elide_empty_deltas(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]
                 continue
         kept.append(instruction)
     return MALProgram(program.name, program.parameters, kept), tuple(tables)
+
+
+def _live_step(instruction: Instruction, definitions: dict[str, Instruction]) -> Instruction | None:
+    """``sql.live(hits, source, schema, table, column, bounds…)`` for one merge.
+
+    ``instruction`` must be ``kunion(hits, inserted)`` where ``inserted`` is
+    the predicate's ``uselect`` over the insert delta and ``hits`` the same
+    range selected from the column's persistent bind or adaptive handle.
+    """
+    hits, inserted = instruction.args
+    tail_select = _defined_by(definitions, inserted, "algebra.uselect")
+    if tail_select is None:
+        return None
+    column = _bound(_defined_by(definitions, tail_select.args[0], "sql.bind"), 1)
+    bounds = tail_select.args[1:]
+    select = _defined_by(definitions, hits, "algebra.uselect") or _defined_by(
+        definitions, hits, "bpm.select"
+    )
+    if column is None or select is None or select.args[1:] != bounds:
+        return None
+    source = select.args[0]
+    if select.callee == "algebra.uselect":
+        matches = _bound(_defined_by(definitions, source, "sql.bind"), 0) == column
+    else:
+        take = _defined_by(definitions, source, "bpm.take")
+        matches = take is not None and tuple(arg.value for arg in take.args) == column
+    if not matches:
+        return None
+    return Instruction(
+        OPCODE_ASSIGN, instruction.targets, "sql", "live",
+        (hits, source, *(Const(part) for part in column), *bounds),
+        f"live rows of {column[1]}.{column[2]}",
+    )
+
+
+def insert_live_rows(program: MALProgram) -> MALProgram:
+    """Each predicate's insert merge as one ``sql.live`` step; no deletion difference.
+
+    ``kunion(select(level 0), uselect(level 1))`` becomes the live-rows step
+    over the select, which drops the tombstoned oids and appends the insert
+    delta's hits.  A ``kintersect`` with a live operand is live, and
+    ``kdifference(x, reverse(bind_dbat))`` of a live ``x`` *is* ``x``.
+    """
+    definitions = _definitions(program)
+    live: set[str] = set()
+    renames: dict[str, str] = {}
+    kept: list[Instruction] = []
+    for instruction in program.instructions:
+        instruction = apply_renames(instruction, renames)
+        callee, args = instruction.callee, instruction.args
+        if instruction.opcode == OPCODE_ASSIGN and instruction.target is not None:
+            if callee == "algebra.kunion":
+                step = _live_step(instruction, definitions)
+                if step is not None:
+                    instruction = step
+                    live.add(instruction.target)
+            elif callee == "algebra.kintersect" and any(
+                isinstance(arg, Var) and arg.name in live for arg in args
+            ):
+                live.add(instruction.target)
+            elif callee == "algebra.kdifference" and isinstance(args[0], Var):
+                reverse = _defined_by(definitions, args[1], "bat.reverse")
+                deletions = reverse and _defined_by(definitions, reverse.args[0], "sql.bind_dbat")
+                if deletions and args[0].name in live:
+                    renames[instruction.target] = args[0].name
+                    continue
+        kept.append(instruction)
+    return MALProgram(program.name, program.parameters, kept)
 
 
 def _collapsed(block: list[Instruction]) -> Instruction | None:
@@ -111,37 +204,36 @@ def collapse_iterator_block(program: MALProgram) -> MALProgram:
 def fuse_projection(program: MALProgram) -> MALProgram:
     """``calc.oid(0)`` → ``markT`` → ``reverse`` → ``join(·, col)`` as one gather.
 
-    Fires when ``col`` is a persistent bind (void-headed by construction):
-    ``algebra.projection(candidates, col)`` gathers ``col`` at the candidate
-    oids directly.  ``markT`` / ``reverse`` go with their last user.
+    Fires when ``col`` is ``kunion`` of a column's persistent and insert
+    binds: ``algebra.projection(candidates, persistent)`` gathers the
+    column's logical rows at the candidate oids directly (the persistent BAT
+    names the merged view over both).  ``markT`` / ``reverse`` and the merge
+    go with their last user.
     """
-    definitions = {
-        instruction.target: instruction
-        for instruction in program.instructions
-        if instruction.opcode == OPCODE_ASSIGN and instruction.target is not None
-    }
-
-    def defined_by(argument, callee: str) -> Instruction | None:
-        definition = definitions.get(argument.name) if isinstance(argument, Var) else None
-        return definition if definition is not None and definition.callee == callee else None
-
+    definitions = _definitions(program)
     kept: list[Instruction] = []
     for instruction in program.instructions:
         if instruction.opcode == OPCODE_ASSIGN and instruction.callee == "algebra.join":
             positions, column = instruction.args
-            bind = defined_by(column, "sql.bind")
-            reverse = defined_by(positions, "bat.reverse")
-            mark = reverse and defined_by(reverse.args[0], "algebra.markT")
-            base = mark and len(mark.args) == 2 and defined_by(mark.args[1], "calc.oid")
-            if bind and base and bind.args[3] == Const(0) and base.args == (Const(0),):
+            merge = _defined_by(definitions, column, "algebra.kunion")
+            persistent = merge and merge.args[0]
+            bound = merge and _bound(_defined_by(definitions, persistent, "sql.bind"), 0)
+            inserts = merge and _bound(_defined_by(definitions, merge.args[1], "sql.bind"), 1)
+            reverse = _defined_by(definitions, positions, "bat.reverse")
+            mark = reverse and _defined_by(definitions, reverse.args[0], "algebra.markT")
+            base = (
+                mark and len(mark.args) == 2
+                and _defined_by(definitions, mark.args[1], "calc.oid")
+            )
+            if bound and bound == inserts and base and base.args == (Const(0),):
                 instruction = replace(
-                    instruction, function="projection", args=(mark.args[0], column)
+                    instruction, function="projection", args=(mark.args[0], persistent)
                 )
         kept.append(instruction)
     return MALProgram(program.name, program.parameters, kept)
 
 
-def lower_delta_free(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]]:
-    """The delta-free variant of an optimized plan, and the tables gating it."""
-    elided, tables = elide_empty_deltas(program)
-    return remove_dead_code(fuse_projection(collapse_iterator_block(elided))), tables
+def lower_short(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]]:
+    """The short variant of an optimized plan, and the tables gating it."""
+    elided, tables = elide_empty_updates(collapse_iterator_block(program))
+    return remove_dead_code(fuse_projection(insert_live_rows(elided))), tables

@@ -43,17 +43,18 @@ class BAT:
         operators then use binary-search slicing (zero-copy) instead of
         boolean masks.  The flag is a promise, not verified here.
 
-    ``head_sorted`` is derived, never passed: a void head is sorted, and
-    :meth:`reverse` hands a sorted tail over as a sorted head — which is how
-    the deletion list reaches ``kdifference`` as a binary-search operand.
-    ``dense_union`` is set by the storage layer on an insert-delta BAT only:
-    the pair ``(base, union)`` names the BAT this one densely continues in
-    the same tail buffer and the pre-built void-headed view over both, which
-    is what ``kunion(base, self)`` returns.
+    Two slots are set by the storage layer only.  ``merged`` is set on a
+    column's persistent and insert-delta BATs: the pre-built void-headed view
+    over both (one tail buffer holds them), which is what ``kunion`` of the
+    two returns and what ``projection`` over the persistent BAT gathers from.
+    ``alive`` is set on the deletion BAT: the table's tombstone bitmap
+    (``alive[oid]`` is false for a deleted oid), frozen for as long as this
+    BAT is referenced, which is what ``kdifference`` against it gathers.
+    :meth:`reverse` carries it, since head and tail hold the same oids.
     """
 
     __slots__ = (
-        "_head", "tail", "hseqbase", "name", "tail_sorted", "head_sorted", "dense_union"
+        "_head", "tail", "hseqbase", "name", "tail_sorted", "merged", "alive"
     )
 
     def __init__(
@@ -81,8 +82,8 @@ class BAT:
         self.hseqbase = int(hseqbase)
         self.name = name
         self.tail_sorted = bool(tail_sorted)
-        self.head_sorted = head is None
-        self.dense_union: tuple[BAT, BAT] | None = None
+        self.merged: BAT | None = None
+        self.alive: np.ndarray | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -140,15 +141,15 @@ class BAT:
 
         The tail of the reversed BAT holds the former head oids; the former
         tail becomes the (explicit) head.  The operation is used by the Fig-1
-        plan to turn a deletion BAT into an oid lookup structure.
+        plan to turn a deletion BAT into an oid lookup structure (its
+        tombstone bitmap travels along).
         """
-        # Order travels with the column it describes: a void (or sorted) head
-        # becomes a sorted tail, a sorted tail a sorted head.
+        # A void head is sorted, and becomes a sorted tail.
         flipped = BAT(
             self.head, np.asarray(self.tail, dtype=np.int64), name=self.name,
-            tail_sorted=self.head_sorted,
+            tail_sorted=self.is_void_head,
         )
-        flipped.head_sorted = self.tail_sorted
+        flipped.alive = self.alive
         return flipped
 
     def slice(self, start: int, stop: int) -> "BAT":
@@ -203,22 +204,6 @@ class BAT:
         valid = sorted_head[positions] == oids
         chosen = order[positions[valid]]
         return BAT(self.tail[chosen], oids[valid], name=self.name)
-
-    def append(self, other: "BAT") -> "BAT":
-        """Concatenate two BATs (explicit heads in the result).
-
-        O(both operands): only the update delta, which no read-mostly
-        workload fills, still grows this way.  An empty ``other`` passes
-        ``self`` through — BATs are never mutated, so there is nothing to
-        protect with a copy.
-        """
-        if other.count == 0:
-            return self
-        return BAT.from_pairs(
-            np.concatenate([self.head, other.head]),
-            np.concatenate([self.tail, other.tail]),
-            name=self.name,
-        )
 
     def copy(self) -> "BAT":
         """A deep copy of the BAT."""

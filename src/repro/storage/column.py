@@ -11,7 +11,9 @@ Inserted rows always receive the next free oids, so the insert delta is the
 dense continuation of the persistent BAT.  Both therefore live in one tail
 buffer: ``bind(0)``, ``bind(1)`` and the merged logical column are three
 void-headed views of it, and a read beside pending inserts never touches more
-than its result plus the delta.
+than its result plus the delta.  Deletions are kept twice: as the sorted
+deletion list and as a tombstone bitmap over the allocated oids, so dropping
+the deleted rows from a result is one gather, whatever the list's length.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from repro.storage.bat import BAT
 BIND_PERSISTENT = 0
 BIND_INSERTS = 1
 BIND_UPDATES = 2
+
+
+def _capacity(total: int, loaded: int) -> int:
+    """Slots for ``total`` rows plus room for the pending delta to double (≥ 1024)."""
+    return total + max(1024, total - loaded)
 
 
 class StoredColumn:
@@ -110,8 +117,7 @@ class StoredColumn:
             )
         total = self._total + values.size
         if total > self._buffer.size:
-            headroom = max(1024, total - self._loaded)
-            grown = np.empty(total + headroom, dtype=self.dtype)
+            grown = np.empty(_capacity(total, self._loaded), dtype=self.dtype)
             grown[: self._total] = self._buffer[: self._total]
             self._buffer = grown
         self._buffer[self._total : total] = values
@@ -119,7 +125,12 @@ class StoredColumn:
         self._reslice()
 
     def _reslice(self) -> None:
-        """Re-cut the three void-headed views of the tail buffer (O(1), no copy)."""
+        """Re-cut the three void-headed views of the tail buffer (O(1), no copy).
+
+        The persistent and insert BATs both name the merged view, so
+        ``kunion`` of the two returns it and ``projection`` over the
+        persistent BAT reaches the pending rows.
+        """
         loaded, total, first = self._loaded, self._total, self._start_oid
         self._persistent = BAT(
             self._buffer[:loaded], hseqbase=first, name=self.qualified_name(BIND_PERSISTENT)
@@ -131,16 +142,28 @@ class StoredColumn:
         merged = BAT(
             self._buffer[:total], hseqbase=first, name=self.qualified_name(BIND_PERSISTENT)
         )
-        self._inserts.dense_union = (self._persistent, merged)
+        self._persistent.merged = self._inserts.merged = merged
 
     def update(self, oids: np.ndarray, values: np.ndarray) -> None:
-        """Record updated values in the update-delta BAT."""
+        """Record updated values in the update-delta BAT, one pair per oid.
+
+        The latest value of an oid wins: over the earlier updates, and over
+        an earlier occurrence of the same oid in ``oids``.
+        """
         oids = np.asarray(oids, dtype=np.int64)
         values = np.asarray(values, dtype=self.dtype)
         if oids.size != values.size:
             raise ValueError("update oids and values must have equal length")
-        fresh = BAT.from_pairs(oids, values, name=self.qualified_name(2))
-        self._updates = self._updates.append(fresh)
+        if not oids.size:
+            return
+        last = oids.size - 1 - np.unique(oids[::-1], return_index=True)[1]
+        oids, values = oids[last], values[last]
+        earlier = self._updates
+        if earlier.count:
+            kept = ~np.isin(earlier.head, oids)
+            oids = np.concatenate((earlier.head[kept], oids))
+            values = np.concatenate((earlier.tail[kept], values))
+        self._updates = BAT.from_pairs(oids, values, name=self.qualified_name(BIND_UPDATES))
 
     def merge_deltas(self) -> np.ndarray:
         """The logical column contents with deltas applied (no deletions).
@@ -161,16 +184,29 @@ class StoredColumn:
 
 
 class ColumnStore:
-    """All columns of one table plus the table-level deletion BAT."""
+    """All columns of one table plus the table-level deletion BAT.
+
+    Deletions live in two forms kept in step by :meth:`delete`: the sorted,
+    duplicate-free deletion list (``row_count``, the ``sql.bind_dbat`` BAT)
+    and a tombstone bitmap over the allocated oids (``alive[oid]`` is false
+    once ``oid`` is deleted).  The bitmap grows with :meth:`insert` by the
+    tail buffer's headroom rule (the headroom is alive) and is reset by
+    :meth:`bulk_load`.  A deletion BAT, once handed out, keeps the bitmap it
+    was cut with: the next :meth:`delete` copies the bitmap before setting
+    bits, and only then.
+    """
 
     def __init__(self, table: str) -> None:
         self.table = table
         self.columns: dict[str, StoredColumn] = {}
         #: True once any column has a pending insert or update, or a row was
-        #: deleted — maintained by the three write paths, read per statement.
+        #: deleted — maintained by the write paths, read per wave and by
+        #: the live-rows step.
         self.has_deltas = False
-        self._set_deleted(np.empty(0, dtype=np.int64))
-        self._next_oid = 0
+        #: True once any column has a pending update — what gates the short
+        #: lowering, read per statement.
+        self.has_updates = False
+        self._reset(0)
 
     # -- schema -------------------------------------------------------------
 
@@ -194,12 +230,31 @@ class ColumnStore:
     @property
     def row_count(self) -> int:
         """Number of logical rows (loaded plus inserted, minus deletions)."""
-        return self._next_oid - self._deleted_oids.count
+        return self._next_oid - self._deleted.size
 
     @property
     def deletion_bat(self) -> BAT:
-        """The table's deletion BAT (``sql.bind_dbat``)."""
-        return self._deleted_oids
+        """The table's deletion BAT (``sql.bind_dbat``), with its tombstone bitmap.
+
+        The BAT never observes a later write: handing it out makes the next
+        :meth:`delete` set its bits in a copy of the bitmap.
+        """
+        self._alive_shared = True
+        deletions = BAT.from_pairs(
+            self._deleted, self._deleted, name=f"sys_{self.table}_dbat", tail_sorted=True
+        )
+        deletions.alive = self._alive
+        return deletions
+
+    @property
+    def live_mask(self) -> np.ndarray | None:
+        """The tombstone bitmap itself, or ``None`` while no row is deleted.
+
+        Covers at least every allocated oid.  It is the store's own array,
+        changed in place by the next :meth:`delete`: a plan step reads it
+        and lets go; whatever keeps it longer binds :attr:`deletion_bat`.
+        """
+        return self._alive if self._deleted.size else None
 
     def bulk_load(self, data: dict[str, np.ndarray]) -> None:
         """Load aligned arrays into all columns at once (a fresh table)."""
@@ -214,9 +269,8 @@ class ColumnStore:
             raise ValueError(f"bulk load has unknown columns: {sorted(unknown)}")
         for name, values in data.items():
             self.columns[name].bulk_load(values, start_oid=0)
-        self._next_oid = next(iter(lengths.values()), 0)
-        self._set_deleted(np.empty(0, dtype=np.int64))
-        self.has_deltas = False
+        self._reset(next(iter(lengths.values()), 0))
+        self.has_deltas = self.has_updates = False
 
     def insert(self, data: dict[str, np.ndarray]) -> None:
         """Append rows to the insert deltas of all columns."""
@@ -228,7 +282,12 @@ class ColumnStore:
         count = next(iter(lengths.values()), 0)
         for name, values in data.items():
             self.columns[name].append(values, start_oid=self._next_oid)
-        self._next_oid += count
+        total = self._next_oid + count
+        if total > self._alive.size:
+            grown = np.ones(_capacity(total, self._loaded), dtype=bool)
+            grown[: self._next_oid] = self._alive[: self._next_oid]
+            self._alive, self._alive_shared = grown, False
+        self._next_oid = total
         if count:
             self.has_deltas = True
 
@@ -236,35 +295,39 @@ class ColumnStore:
         """Record updated values of one column in its update delta."""
         self.column(name).update(oids, values)
         if np.size(oids):
-            self.has_deltas = True
+            self.has_deltas = self.has_updates = True
 
     def delete(self, oids: np.ndarray) -> None:
         """Mark the given oids as deleted; re-deleting a row is a no-op.
 
-        The deletion list stays sorted and duplicate-free, so ``row_count``
-        is exact and ``kdifference`` probes it by binary search.  Oids that
-        were never allocated raise :class:`ValueError`.
+        O(oids given + deletion list): the fresh oids clear their bits and
+        are merged into the sorted list, so ``row_count`` is exact.  Oids
+        that were never allocated raise :class:`ValueError`.
         """
-        deleted = self._deleted_oids.tail
-        merged = np.concatenate((deleted, np.asarray(oids, dtype=np.int64)))
-        # Timsort: the list so far is one sorted run, so this is near-linear.
-        merged.sort(kind="stable")
-        if merged.size and (merged[0] < 0 or merged[-1] >= self._next_oid):
+        oids = np.unique(np.asarray(oids, dtype=np.int64))
+        if not oids.size:
+            return
+        if oids[0] < 0 or oids[-1] >= self._next_oid:
             raise ValueError(
                 f"cannot delete oids outside [0, {self._next_oid}) of table {self.table!r}"
             )
-        distinct = np.ones(merged.size, dtype=bool)
-        np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
-        merged = merged[distinct]
-        if merged.size != deleted.size:
-            self._set_deleted(merged)
-            self.has_deltas = True
+        fresh = oids[self._alive[oids]]
+        if not fresh.size:
+            return
+        if self._alive_shared:
+            self._alive, self._alive_shared = self._alive.copy(), False
+        self._alive[fresh] = False
+        deleted = np.concatenate((self._deleted, fresh))
+        deleted.sort(kind="stable")  # Timsort: two sorted runs merge in linear time
+        self._deleted = deleted
+        self.has_deltas = True
 
-    def _set_deleted(self, oids: np.ndarray) -> None:
-        """Install a sorted, duplicate-free deletion list as the deletion BAT."""
-        self._deleted_oids = BAT.from_pairs(
-            oids, oids, name=f"sys_{self.table}_dbat", tail_sorted=True
-        )
+    def _reset(self, rows: int) -> None:
+        """``rows`` loaded rows, none deleted: a fresh bitmap and deletion list."""
+        self._next_oid = self._loaded = rows
+        self._deleted = np.empty(0, dtype=np.int64)
+        self._alive = np.ones(rows, dtype=bool)
+        self._alive_shared = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnStore(table={self.table!r}, columns={sorted(self.columns)}, rows={self.row_count})"

@@ -61,8 +61,8 @@ class TestSchemaAndLoading:
         assert existing[0] not in result.column("objid").tolist()
 
 
-class TestDeltaFreePathIsUntouched:
-    """A delta-free read runs the delta-free lowering; a pending write runs Figure 1 as before."""
+class TestTheShortPath:
+    """Reads run the short lowering until an update is pending; then Figure 1 as before."""
 
     SQL = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
 
@@ -84,10 +84,10 @@ class TestDeltaFreePathIsUntouched:
         return len(built)
 
     @pytest.mark.parametrize(
-        "strategy, delta_free, pending", [(None, 3, 9), ("segmentation", 2, 8)]
+        "strategy, delta_free, updated", [(None, 3, 11), ("segmentation", 2, 10)]
     )
     def test_a_warm_read_allocates_the_same_bats(
-        self, database, monkeypatch, strategy, delta_free, pending
+        self, database, monkeypatch, strategy, delta_free, updated
     ):
         if strategy is not None:
             database.enable_adaptive("p", "ra", strategy=strategy)
@@ -96,18 +96,21 @@ class TestDeltaFreePathIsUntouched:
         # one gathered column — was 6 (plain) and 5 (segmentation) while the
         # full cascade ran here.
         assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) <= delta_free
+        # Beside a pending insert and delete: one more, the live-rows step's list.
         database.insert("p", {"objid": [-1], "ra": [10.5], "dec": [0.0]})
-        # Counted at the parent commit with the same pending insert: the full
-        # variant is the code it was.
-        assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) == pending
+        database.delete("p", [0])
+        assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) <= delta_free + 1
+        # A pending update runs the full cascade over all three deltas.
+        database.catalog.table("p").update("dec", np.array([1]), np.array([5.0]))
+        assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) == updated
 
     @pytest.mark.parametrize("strategy", [None, "segmentation", "replication", "unsegmented"])
     def test_the_benchmark_statement_lowers_to_a_handful_of_dispatches(self, database, strategy):
         if strategy is not None:
             database.enable_adaptive("p", "ra", strategy=strategy)
         prepared = database.prepare_statement(self.SQL)
-        counts = prepared.delta_free.opcode_counts([1] * len(prepared.delta_free))
-        assert len(prepared.delta_free) <= 8 and prepared.delta_tables == ("p",)
+        counts = prepared.short.opcode_counts([1] * len(prepared.short))
+        assert len(prepared.short) == 8 and prepared.update_tables == ("p",)
         assert not counts.keys() & {
             "algebra.kunion", "algebra.kdifference", "algebra.markT", "algebra.join",
             "bat.reverse", "bpm.newIterator", "bpm.hasMoreElements",
@@ -245,16 +248,16 @@ class TestQueryExecution:
     def test_explain_takes_the_text_a_client_prepares(self, database):
         """``?`` text explains (it raised SQLSyntaxError); both lowerings are shown."""
         sql = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
-        figure_1, marker, delta_free = database.explain(sql).partition(
-            "\n# delta-free lowering — runs while p has no pending deltas\n"
+        figure_1, marker, short = database.explain(sql).partition(
+            "\n# short lowering — runs while p has no pending updates\n"
         )
         assert marker and figure_1.count("algebra.kunion") == 4
         # Statement counters differ between two compilations; the bodies do not.
         prepared = database.prepare_statement(sql)
         assert figure_1.splitlines()[1:-1] == prepared.text.splitlines()[1:-1]
-        callees = [line.split("(")[0].split()[-1] for line in delta_free.splitlines()[1:-1]]
+        callees = [line.split("(")[0].split()[-1] for line in short.splitlines()[1:-1]]
         assert callees == [
-            "sql.bind", "algebra.uselect", "sql.bind", "algebra.projection",
+            "sql.bind", "algebra.uselect", "sql.live", "sql.bind", "algebra.projection",
             "sql.resultSet", "sql.rsColumn", "sql.exportResult",
         ]
         named = database.explain("SELECT objid FROM p WHERE ra BETWEEN :lo AND :hi")

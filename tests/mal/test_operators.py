@@ -5,7 +5,7 @@ import pytest
 
 from repro.mal import operators
 from repro.storage.bat import BAT
-from repro.storage.column import StoredColumn
+from repro.storage.column import ColumnStore, StoredColumn
 
 
 @pytest.fixture
@@ -194,23 +194,38 @@ class TestDenseDeltas:
             7: 70, 3: 30, 12: 120, 10: 100,
         }
 
-    @pytest.mark.parametrize("operator", ["kdifference", "kintersect"])
-    def test_sorted_heads_are_probed_not_hashed(self, operator, monkeypatch):
+    def test_live_rows_drop_tombstones_and_add_the_insert_hits_past_the_source(self):
+        column = self.column(10, 6)  # oids 10..15 hold 0, 7, 14, 21, 28, 35
+        alive = np.ones(16, dtype=bool)
+        alive[[1, 13]] = False
+        inserts = column.bind(1)
+        # A source over the persistent rows: the whole insert delta is scanned.
+        hits = BAT.from_pairs(np.array([3, 1, 7]), np.array([30, 10, 7]))
+        live = operators.live_rows(hits, inserts, alive, 10, 5, 30, include_high=True)
+        assert live.head.tolist() == [3, 7, 11, 12, 14]
+        # A source that already holds oids 10..11 (an adaptive column enabled
+        # over them) answered oid 11 itself: the scan starts past it.
+        hits = BAT.from_pairs(np.array([3, 1, 11]), np.array([30, 10, 7]))
+        live = operators.live_rows(hits, inserts, alive, 12, 5, 30, include_high=True)
+        assert live.head.tolist() == [3, 11, 12, 14]
+        # Nothing deleted, nothing pending past the source: the candidates themselves.
+        assert operators.live_rows(hits, inserts, None, 16, 5, 30) is hits
+
+    def test_the_deletion_bat_is_gathered_from_its_bitmap_not_hashed(self, monkeypatch):
         rng = np.random.default_rng(5)
-        heads = rng.permutation(500)[:200]
+        heads = rng.permutation(600)[:200]
         left = BAT.from_pairs(heads, heads * 2)
         members = np.unique(rng.integers(0, 600, size=80))
-        unsorted = BAT.from_pairs(members[::-1].copy(), members[::-1].copy())
-        expected = getattr(operators, operator)(left, unsorted)
-        deleted = BAT.from_pairs(members, members, tail_sorted=True).reverse()
+        store = ColumnStore("p")
+        store.add_column("v", np.int64)
+        store.bulk_load({"v": np.arange(600)})
+        store.delete(members)
+        deleted = store.deletion_bat.reverse()
         self.forbid(monkeypatch, "isin")
-        probed = getattr(operators, operator)(left, deleted)
-        assert probed.head.tolist() == expected.head.tolist()
-        assert probed.tail.tolist() == expected.tail.tolist()
-        # A key past the last member must not probe out of bounds.
-        beyond = BAT.from_pairs(np.array([700, int(members[0])]), np.array([1, 2]))
-        kept = [int(members[0])] if operator == "kintersect" else [700]
-        assert getattr(operators, operator)(beyond, deleted).head.tolist() == kept
+        kept = operators.kdifference(left, deleted)
+        expected = [oid for oid in heads.tolist() if oid not in set(members.tolist())]
+        assert kept.head.tolist() == expected
+        assert kept.tail.tolist() == [oid * 2 for oid in expected]
 
 
 class TestAggregates:

@@ -6,8 +6,8 @@ the tree-walking interpreter — including across the segment optimizer's
 barrier/redo/exit iterator rewrites, where the control flow actually loops.
 
 A prepared plan carries two compiled variants — the full Figure-1 cascade and
-its delta-free lowering (``repro.optimizer.delta_elision``).  On a table with
-no pending deltas both must export what ``Interpreter.run`` exports from the
+its short lowering (``repro.optimizer.delta_elision``).  On a table with no
+pending deltas both must export what ``Interpreter.run`` exports from the
 full plan, for every built-in organisation and every statement shape.
 """
 
@@ -269,7 +269,7 @@ def _exported(run, database):
 @example(queries=[("two_columns", (-50.0, -10.0), 0.0), ("limit", (-50.0, -10.0), 0.0)])
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_both_compiled_variants_match_the_interpreter(organisation, queries):
-    interpreted_db, full_db, delta_free_db = (_build_database(organisation) for _ in range(3))
+    interpreted_db, full_db, short_db = (_build_database(organisation) for _ in range(3))
     for shape, (low, high), dec in queries:
         sql, arity = _SHAPES[shape]
         values = (low, high, dec)[:arity] if arity != 1 else (low,)
@@ -278,8 +278,8 @@ def test_both_compiled_variants_match_the_interpreter(organisation, queries):
         )
         arguments = {f"__p{index}": value for index, value in enumerate(values)}
         full = full_db.prepare_statement(sql)
-        delta_free = delta_free_db.prepare_statement(sql)
-        assert len(delta_free.delta_free) < len(full.compiled)
+        short = short_db.prepare_statement(sql)
+        assert len(short.short) < len(full.compiled)
 
         expected = _exported(
             lambda ctx: Interpreter(interpreted_db.registry).run(program, ctx, arguments),
@@ -294,18 +294,16 @@ def test_both_compiled_variants_match_the_interpreter(organisation, queries):
             lambda ctx: full.compiled.execute_bound(ctx, full.slots, values), full_db
         )
         assert expected == _exported(
-            lambda ctx: delta_free.delta_free.execute_bound(
-                ctx, delta_free.delta_free_slots, values
-            ),
-            delta_free_db,
+            lambda ctx: short.short.execute_bound(ctx, short.short_slots, values),
+            short_db,
         )
     if organisation is not None:
         histories = [
             [_stats_tuple(stats) for stats in db.adaptive_handle("p", "ra").adaptive.history]
-            for db in (interpreted_db, full_db, delta_free_db)
+            for db in (interpreted_db, full_db, short_db)
         ]
         assert histories[0] == histories[1] == histories[2]
-        delta_free_db.adaptive_handle("p", "ra").adaptive.check_invariants()
+        short_db.adaptive_handle("p", "ra").adaptive.check_invariants()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,19 +6,21 @@ through the read doors (text ``execute``, ``execute_prepared``,
 ``execute_many``, ``execute_wave``) with ``read_workers`` 1 or 2.  Every
 answer must be permutation-equal to a numpy mask scan of a shadow table
 replayed in op order, and the adaptive structure must pass
-``check_invariants()`` after every step.  Deletes deliberately repeat oids and hit rows still in the insert
-delta; an oid is updated at most once (the update BAT keeps every pair it is
-given, so a second update of one row is not a supported write).  Half the
-tables take an insert *before* the column is made adaptive, so the adaptive
-column and the insert delta both hold those rows and the union has to
-deduplicate rather than concatenate.
+``check_invariants()`` after every step.  Deletes deliberately repeat oids and
+hit rows still in the insert delta; updates hit any row, repeatedly (the
+update BAT keeps one pair per oid, the latest).  Half the tables take an
+insert *before* the column is made adaptive, so the adaptive column and the
+insert delta both hold those rows: the union has to deduplicate rather than
+concatenate, and the live-rows step scans the delta only past the adaptive
+column's rows.
 
 The door-equivalence check below it drives one fixed set of ranges through
 each of the five ``Database.execute*`` doors — they are adapters over one
 executor, so they must agree on answers, slot order and batch counters.  The
 variant-flip check follows one prepared handle through delta-free → insert →
-delete → reload: which compiled variant runs is a fact of the table's deltas
-at that moment, and every answer along the way matches the shadow.
+delete → update → reload: the short variant runs until an update is pending,
+and every answer along the way matches the shadow.  The clone check rebuilds
+a table with every kind of pending write on a fresh engine.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from repro.cluster.replica import clone_database
 from repro.core.strategy import available_strategies
 from repro.engine.database import Database
 from repro.util.units import KB
@@ -103,8 +106,8 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
         shadow.live[oids] = False
         database.delete("p", np.concatenate((oids, oids[:1])))
     elif kind == "update":
-        oids = np.flatnonzero(~shadow.updated)
-        oids = rng.choice(oids, size=min(oids.size, int(rng.integers(1, 5))), replace=False)
+        # Any allocated oid: updated again, deleted and inserted rows included.
+        oids = rng.choice(shadow.values.size, size=int(rng.integers(1, 5)), replace=False)
         values = rng.uniform(0.0, DOMAIN, oids.size)
         shadow.values[oids] = values
         shadow.updated[oids] = True
@@ -134,6 +137,7 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
     assert store.has_deltas == bool(
         shadow.values.size > ROWS or not shadow.live.all() or shadow.updated.any()
     )
+    assert store.has_updates == bool(shadow.updated.any())
 
 
 @seed(20260925)
@@ -221,33 +225,40 @@ def test_every_door_answers_alike(door, organisation, pending, read_workers):
         assert counted == (1, len(RANGES), 0) and levels == {"batched"}
 
 
+@pytest.mark.parametrize("read_workers", [1, 2])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 @pytest.mark.parametrize("door", DOORS)
-def test_the_first_write_flips_the_variant_and_a_reload_flips_it_back(door, organisation):
+def test_only_an_update_flips_the_variant_and_a_reload_flips_it_back(
+    door, organisation, read_workers
+):
     database, shadow = _build(organisation, early_insert=False)
+    database.read_workers = read_workers
     prepared = database.prepare_statement(SQL)
 
-    def read(pending: bool) -> None:
+    def read(variant: str) -> None:
         results = _through(database, door, prepared, RANGES)
         assert [_pairs(result) for result in results] == [
             shadow.answer(low, high) for low, high in RANGES
         ]
         ran = [r.profile.opcode_counts for r in results if r.cache_level in RAN_SINGLY]
-        if pending:  # every member ran the full Figure-1 cascade on its own
-            assert len(ran) == len(RANGES)
-            assert all("algebra.kunion" in counts and "algebra.join" in counts for counts in ran)
-        else:  # the delta-free lowering, or a batch that ran no plan at all
+        if variant == "delta-free":  # the short lowering, or a wave that ran no plan at all
             assert len(ran) == (len(RANGES) if door in ("execute", "execute_prepared") else 0)
+        else:  # pending writes: every member ran a plan on its own
+            assert len(ran) == len(RANGES)
+        if variant == "cascade":
+            assert all("algebra.kunion" in counts and "algebra.join" in counts for counts in ran)
+        else:
             assert all(
-                "algebra.projection" in counts and "algebra.kunion" not in counts
-                for counts in ran
+                counts["sql.live"] == 1 and "algebra.kunion" not in counts for counts in ran
             )
 
-    read(pending=False)
+    read("delta-free")
     _step(database, shadow, prepared, "insert", 11)
-    read(pending=True)
+    read("short")
     _step(database, shadow, prepared, "delete", 12)
-    read(pending=True)
+    read("short")
+    _step(database, shadow, prepared, "update", 13)
+    read("cascade")
     # Nothing but a reload empties the deltas again.  An adaptive column is
     # rebuilt over the new rows; the stale handle re-prepares both variants.
     values = np.random.default_rng(4).uniform(0.0, DOMAIN, ROWS)
@@ -260,9 +271,36 @@ def test_the_first_write_flips_the_variant_and_a_reload_flips_it_back(door, orga
         )
         assert prepared.generation != database.plan_cache.generation
     shadow = Shadow(values)
-    read(pending=False)
+    read("delta-free")
     if organisation is not None:
         database.adaptive_handle("p", "v").adaptive.check_invariants()
+
+
+@pytest.mark.parametrize("updates", [False, True], ids=["inserts-deletes", "with-updates"])
+@pytest.mark.parametrize("early_insert", [False, True], ids=["late", "early-insert"])
+@pytest.mark.parametrize("organisation", [None, *available_strategies()])
+def test_a_clone_of_a_table_with_pending_writes_answers_like_its_source(
+    organisation, early_insert, updates
+):
+    source, shadow = _build(organisation, early_insert)
+    prepared = source.prepare_statement(SQL)
+    kinds = ["insert", "delete", "insert", "delete"] + ["update", "update"] * updates
+    for draw, kind in enumerate(kinds, start=20):
+        _step(source, shadow, prepared, kind, draw)
+    clone = clone_database(source)
+    for database in (source, clone):
+        store = database.catalog.table("p")
+        assert (store.row_count, store.has_updates) == (int(shadow.live.sum()), updates)
+        results = [database.execute_prepared(database.prepare_statement(SQL), pair)
+                   for pair in [*RANGES, (0.0, DOMAIN)]]
+        assert [_pairs(result) for result in results] == [
+            shadow.answer(low, high) for low, high in [*RANGES, (0.0, DOMAIN)]
+        ]
+        assert all(("sql.live" in r.profile.opcode_counts) != updates for r in results)
+    # The source's deletion BAT was read to build the clone; later deletes
+    # on the source must not reach into the clone, nor back.
+    source.delete("p", np.arange(ROWS))
+    assert clone.catalog.table("p").row_count == int(shadow.live.sum())
 
 
 @pytest.mark.parametrize("read_workers", [1, 2])
@@ -297,3 +335,17 @@ def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pendin
     # The failed whole-wave attempts ran nothing; the replay ran each member alone.
     batch = database.cache_stats()["batch"]
     assert (batch["waves"], batch["fallback_queries"]) == (0, len(RANGES))
+
+
+@pytest.mark.parametrize("organisation", [None, *available_strategies()])
+def test_a_second_update_of_one_oid_answers_with_the_latest_value(organisation):
+    database, _ = _build(organisation, early_insert=False)
+    store = database.catalog.table("p")
+    store.update("v", np.array([3]), np.array([500.0]))
+    store.update("v", np.array([3]), np.array([700.0]))
+    prepared = database.prepare_statement(SQL)
+    stale = database.execute_prepared(prepared, (490.0, 510.0))
+    fresh = database.execute_prepared(prepared, (690.0, 710.0))
+    assert 3 not in stale.columns["objid"].tolist()
+    assert (3, 700.0) in _pairs(fresh)
+

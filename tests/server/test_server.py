@@ -396,12 +396,12 @@ class TestAdmin:
         assert rows == [2.0, 3.0, 4.0, 5.0]
         assert isinstance(plan, str) and plan
         # The text a client prepares explains too (it raised a syntax error),
-        # Figure 1 first and the delta-free lowering under its comment line.
-        figure_1, marker, delta_free = prepared_plan.partition(
-            "\n# delta-free lowering — runs while t has no pending deltas\n"
+        # Figure 1 first and the short lowering under its comment line.
+        figure_1, marker, short = prepared_plan.partition(
+            "\n# short lowering — runs while t has no pending updates\n"
         )
         assert marker and "algebra.kunion" in figure_1 and "__p0" in figure_1
-        assert "algebra.projection" in delta_free and "algebra.kunion" not in delta_free
+        assert "algebra.projection" in short and "algebra.kunion" not in short
 
     def test_cache_stats_sections_cross_the_wire(self):
         async def go():

@@ -32,6 +32,18 @@ class TestStoredColumn:
         merged = column.merge_deltas()
         assert merged.tolist() == [1.0, 20.0, 3.0]
 
+    def test_a_second_update_of_one_oid_replaces_the_first(self):
+        column = StoredColumn("p", "ra", np.float64)
+        column.bulk_load(np.array([1.0, 2.0, 3.0, 4.0]))
+        column.update(np.array([3, 1]), np.array([500.0, 10.0]))
+        column.update(np.array([3]), np.array([700.0]))
+        column.update(np.array([2, 2]), np.array([8.0, 9.0]))  # later in one call wins too
+        updates = column.bind(2)
+        assert sorted(zip(updates.head.tolist(), updates.tail.tolist())) == [
+            (1, 10.0), (2, 9.0), (3, 700.0)
+        ]
+        assert column.merge_deltas().tolist() == [1.0, 10.0, 9.0, 700.0]
+
     def test_update_length_mismatch_rejected(self):
         column = StoredColumn("p", "ra", np.float64)
         with pytest.raises(ValueError):
@@ -48,8 +60,8 @@ class TestStoredColumn:
         column.append(np.array([4.0, 5.0]), start_oid=3)
         column.append(np.array([6.0]), start_oid=5)
         persistent, inserts = column.bind(0), column.bind(1)
-        base, merged = inserts.dense_union
-        assert base is persistent
+        merged = inserts.merged
+        assert persistent.merged is merged
         for view in (persistent, inserts, merged):
             assert view.is_void_head
             assert np.shares_memory(view.tail, column._buffer)
@@ -69,7 +81,7 @@ class TestStoredColumn:
         loaded = np.arange(8)
         column.bulk_load(loaded)
         column.append(np.array([8]), start_oid=8)
-        before = column.bind(1).dense_union[1]
+        before = column.bind(1).merged
         snapshot = before.tail.copy()
         buffers = {id(column._buffer)}
         for start in range(9, 10_009, 500):
@@ -78,7 +90,7 @@ class TestStoredColumn:
         assert 2 < len(buffers) < 8  # the delta's room doubles: a handful of regrowths
         assert before.tail.tolist() == snapshot.tolist()
         assert loaded.tolist() == list(range(8))  # the caller's array is never written
-        assert column.bind(1).dense_union[1].tail.tolist() == list(range(10_009))
+        assert column.bind(1).merged.tail.tolist() == list(range(10_009))
 
     def test_headroom_follows_the_delta_not_the_column(self):
         column = StoredColumn("p", "v", np.int64)
@@ -151,7 +163,8 @@ class TestColumnStore:
         store.delete(np.array([3, 1, 1]))
         store.delete(np.array([1, 4]))  # 1 again, plus the inserted row
         assert store.deletion_bat.tail.tolist() == [1, 3, 4]
-        assert store.deletion_bat.tail_sorted and store.deletion_bat.reverse().head_sorted
+        assert store.deletion_bat.tail_sorted
+        assert (~store.deletion_bat.reverse().alive[:5]).nonzero()[0].tolist() == [1, 3, 4]
         assert store.row_count == 2
         for bad in ([99], [-1], [5], [0, 99]):
             with pytest.raises(ValueError, match="outside"):
@@ -166,16 +179,17 @@ class TestColumnStore:
         store.delete(np.empty(0, dtype=np.int64))
         store.update("ra", np.empty(0, dtype=np.int64), np.empty(0))
         assert store.has_deltas is False
-        for write in (
-            lambda s: s.insert({"objid": np.array([7]), "ra": np.array([7.0])}),
-            lambda s: s.delete(np.array([2])),
-            lambda s: s.update("ra", np.array([0]), np.array([5.0])),
+        for write, updates in (
+            (lambda s: s.insert({"objid": np.array([7]), "ra": np.array([7.0])}), False),
+            (lambda s: s.delete(np.array([2])), False),
+            (lambda s: s.update("ra", np.array([0]), np.array([5.0])), True),
         ):
             fresh = self._store()
             write(fresh)
-            assert fresh.has_deltas is True
+            assert fresh.has_deltas is True and fresh.has_updates is updates
             fresh.bulk_load({"objid": np.arange(2), "ra": np.array([1.0, 2.0])})
-            assert fresh.has_deltas is False and fresh.row_count == 2
+            assert fresh.has_deltas is False and fresh.has_updates is False
+            assert fresh.row_count == 2
 
 
 class TestCatalog:
