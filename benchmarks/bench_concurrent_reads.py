@@ -4,8 +4,8 @@ The scenario reuses the self-tuning bench's pressure cooker: a replication
 column squeezed by a storage budget sized for one query mode, hit by an
 interleaved multi-mode stream whose working set exceeds the budget.  On
 the serialized path every wave member runs the conventional ``select()``
-— cover analysis, materialization decisions, budget enforcement and
-eviction churn, per query.  With ``Database.read_workers = N`` the same
+— cover analysis, the budget's admission probes, materialization or
+partitioning, per query.  With ``Database.read_workers = N`` the same
 members are answered against a pinned
 :class:`~repro.core.interval_index.IndexSnapshot` — the one snapshot type
 both organisations publish: the index's cover (two binary searches and a
@@ -240,7 +240,7 @@ def run_bench() -> PerfSuite:
         "concurrent_serialized_qps", serialized_qps, unit="qps", **common,
         note="drifted 4-mode stream admitted in waves, readers=1: every "
              "member runs conventional select() with cover analysis, "
-             "materialization and budget-enforcement churn inline",
+             "admission probes and materialization or partitioning inline",
     )
     suite.derive(
         "concurrent_readers_qps", readers_qps, unit="qps", **common,

@@ -111,8 +111,9 @@ def test_micro_replicated_select_converged(benchmark, warm_replicated):
 def test_micro_replicated_select_budgeted(benchmark, values):
     """Four modes cycled over a budget that holds less than their replicas.
 
-    Every query materializes and evicts (the e2e ``replica_budget`` shape), so
-    this times cover + analysis + materialize + enforcement, not a warm scan.
+    The e2e ``replica_budget`` shape: replicas that do not fit partition the
+    covering piece instead, so this times cover + analysis + the exact-size
+    admission probes + the odd materialize, not a warm scan.
     """
     column = ReplicatedColumn(
         values,
@@ -131,7 +132,7 @@ def test_micro_replicated_select_budgeted(benchmark, values):
 
     benchmark(select_next)
     assert column.storage_bytes <= column.storage_budget
-    assert sum(stats.segments_dropped for stats in column.history) > 0  # it pressed
+    assert sum(stats.segments_dropped for stats in column.history) > 0  # pieces were dropped
 
 
 def test_micro_segmented_beats_fullscan_on_reads(values, warm_segmented):

@@ -6,23 +6,24 @@ engine-side routed-wave throughput.  The replicas are *replication*-strategy
 columns under a storage budget sized so the experiment captures the whole
 point of the subsystem:
 
-* One engine serving four interleaved query modes must keep four replica
-  working sets alive at once.  That exceeds the budget, so every query pays
-  :meth:`ReplicatedColumn._enforce_budget` — an LRU sort of the evictable
-  replicas — and the next query on an evicted mode pays cover backtracking
-  and rematerialization.  The engine thrashes at the budget boundary.
+* One engine serving four interleaved query modes cannot keep four replica
+  working sets beside the column: that exceeds the budget.  A query whose
+  replicas do not fit partitions its covering piece instead (the budget's
+  admit-or-partition rule, see :mod:`repro.core.replication`), so the one
+  engine ends up with a segmentation-like layout of small pieces.
 * After :meth:`Router.retune` clusters the workload and assigns each mode to
-  its own replica, every replica holds *one* mode's working set — under
-  budget, no evictions, no rematerialization, small trees.
+  its own replica, every replica holds *one* mode's working set — its
+  replicas fit the budget and stay beside their sources, small trees.
 
 Any speedup is therefore **divergent specialization**, not thread
 parallelism: all replicas share one Python process (and on a single-core
 host, one core).  ``router_scaling_x`` is co-measured (N=1 and N=4 run the
 identical routed-wave path in the same process), so the ratio needs no
-machine factor.  Until PR 21 the N=1 side also walked the whole replica tree
-four times per query and the ratio read 2.5x; with the walks gone it reads
-0.6-1.1x at the reference scale (README "Scale-out", ROADMAP item 6), below
-the PERF_ASSERT bar of 2x this script still carries.
+machine factor.  The N=1 side once walked the whole replica tree per query,
+then evicted what the next mode rebuilt; the ratio read 2.5x, then
+0.6-1.1x.  Neither pathology is left, and the ratio sits below 1x at the
+reference scale (README "Scale-out"), under the PERF_ASSERT bar of 2x this
+script still carries.
 
 Metrics merged into ``BENCH_segment_kernels.json``:
 
@@ -217,7 +218,8 @@ def run_bench() -> PerfSuite:
     suite.derive(
         "router_single_replica_qps", qps[1], unit="qps", **common,
         note="routed waves, one replica: the whole multi-modal workload "
-             "thrashes one storage budget (the 1x yardstick)",
+             "under one storage budget, which partitions covering pieces "
+             "where four modes' replicas do not fit (the 1x yardstick)",
     )
     suite.derive(
         "router_throughput_qps", qps[4], unit="qps", **common,

@@ -111,12 +111,17 @@ def simulation_grid(
 
 @dataclass
 class EngineRunResult:
-    """Per-query timings of one scheme on one SkyServer-style workload."""
+    """Per-query timings of one scheme on one SkyServer-style workload.
+
+    ``splits_performed`` is the adapted column's per-query split count (empty
+    for NoSegm): the adaptation work as a count that repeats exactly.
+    """
 
     scheme: str
     workload: str
     selection_seconds: list[float] = field(default_factory=list)
     adaptation_seconds: list[float] = field(default_factory=list)
+    splits_performed: list[int] = field(default_factory=list)
     segment_stats: SegmentStatistics | None = None
     column_bytes: int = 0
 
@@ -244,5 +249,6 @@ def skyserver_engine_run(
     if configuration["strategy"] is not None:
         handle = database.adaptive_handle("p", "ra")
         run.segment_stats = segment_statistics(handle.adaptive)
+        run.splits_performed = handle.adaptive.history.series("splits_performed")
     _ENGINE_CACHE[key] = run
     return run

@@ -29,16 +29,13 @@ class ReplicaNode:
     installs a materialized one and :meth:`ReplicaTree.free` a virtual one.
     """
 
-    __slots__ = ("vrange", "segment", "parent", "children", "last_access")
+    __slots__ = ("vrange", "segment", "parent", "children")
 
     def __init__(self, segment: Segment, parent: "ReplicaNode | None" = None) -> None:
         self.vrange: ValueRange = segment.vrange
         self.segment = segment
         self.parent = parent
         self.children: list[ReplicaNode] = []
-        #: Index of the last query that scanned or materialized this node
-        #: (the storage budget's LRU order); -1 until then.
-        self.last_access = -1
 
     # -- convenience pass-throughs ----------------------------------------
 

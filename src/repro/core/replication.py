@@ -16,6 +16,17 @@ system:
 Compared with adaptive segmentation the reorganization overhead is smaller —
 only pieces queries expressed interest in are ever copied — at the price of
 extra storage for the replicas.
+
+The paper leaves a cap on replica storage as future work; the optional
+``storage_budget`` is this repo's rule, not the paper's: *admit or
+partition*.  Before step 3 the chosen replicas' exact bytes are probed on
+the covering segment's sorted payload.  If they fit beside what the tree
+holds, Algorithm 2 runs unchanged.  Otherwise the covering segment is
+partitioned instead: every virtual leaf it answers is materialized, and
+Algorithm 5 drops the covering segment itself.  Storage never rises on that
+path — it falls by the replicas nested under the cover — and the next query
+reads a piece, not the ancestor: under pressure replication turns into
+segmentation locally, so nothing is ever evicted.
 """
 
 from __future__ import annotations
@@ -35,9 +46,11 @@ class ReplicatedColumn(AdaptiveColumnBase):
     """A column augmented with a workload-driven replica tree.
 
     Parameters mirror :class:`repro.core.segmentation.SegmentedColumn`; the
-    extra ``storage_budget`` implements the paper's future-work item of
-    bounding replica storage (least-recently-used replicas are released when
-    the budget is exceeded).
+    extra ``storage_budget`` bounds replica storage by this repo's
+    admit-or-partition rule (see the module docstring — the paper leaves the
+    bound as future work).  A budget lowered below the bytes held after
+    construction (the ``replication_storage_budget`` knob) is met at the top
+    of the next query by releasing nested replicas in value order.
     """
 
     strategy_name = "replication"
@@ -108,6 +121,11 @@ class ReplicatedColumn(AdaptiveColumnBase):
     # -- Algorithm 2: the per-query driver -----------------------------------
 
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
+        budget = self.storage_budget
+        if budget is not None and self.tree.storage_bytes > budget:
+            started = self._now()
+            self._meet_lowered_budget(budget, stats)
+            stats.adaptation_seconds += self._now() - started
         query = query.intersect(self.domain)
         if query.is_empty:
             return SelectionResult.empty(self.dtype)
@@ -115,7 +133,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
         parts: list[SelectionResult] = []
         for node in cover:
             self.accountant.record_read(node.size_bytes, node.segment)
-            node.last_access = self._queries_executed
 
             started = self._now()
             parts.append(node.segment.select(query))
@@ -123,17 +140,14 @@ class ReplicatedColumn(AdaptiveColumnBase):
 
             started = self._now()
             to_materialize = self.analyze_replicas(query, node)
+            if budget is not None and not self._fits(node, to_materialize, budget):
+                to_materialize = self._answered_leaves(node)
             self._materialize(node, to_materialize, stats)
             stats.adaptation_seconds += self._now() - started
 
         started = self._now()
         result = SelectionResult.concatenate(parts, self.dtype)
         stats.selection_seconds += self._now() - started
-
-        if self.storage_budget is not None:
-            started = self._now()
-            self._enforce_budget(stats)
-            stats.adaptation_seconds += self._now() - started
         return result
 
     # -- Algorithm 4: replica analysis ------------------------------------------
@@ -215,7 +229,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
             piece = self.tree.materialize(node, cover_node)
             self.accountant.record_write(piece.size_bytes, piece)
             stats.replicas_materialized += 1
-            node.last_access = self._queries_executed
         for node in to_materialize:
             self._propagate_drop(node.parent, stats)
 
@@ -229,28 +242,59 @@ class ReplicatedColumn(AdaptiveColumnBase):
             stats.segments_dropped += 1
             node = parent
 
-    # -- storage budget (extension) ---------------------------------------------------
+    # -- storage budget (this repo's rule: admit or partition) -------------------------
 
-    def _enforce_budget(self, stats: QueryStats) -> None:
-        """Release least-recently-used replicas until the budget is respected.
+    def _fits(
+        self, cover_node: ReplicaNode, to_materialize: list[ReplicaNode], budget: float
+    ) -> bool:
+        """Whether the chosen replicas fit beside what the tree holds.
 
-        Only nodes with a materialized ancestor are candidates: releasing them
-        never breaks query coverage, the data is simply re-read from the
-        ancestor when needed again.  Under budget this is one comparison of
-        the tree's counter; over it, the cost is the materialized set (each
-        member climbs its parent chain), never the whole tree.
+        Their exact sizes come from two probes each on the covering segment's
+        sorted payload — a virtual node's estimate can undershoot.
+        """
+        segment = cover_node.segment
+        need = 0
+        for node in to_materialize:
+            lo, hi = segment.bounds(node.vrange)
+            need += hi - lo
+        return self.tree.storage_bytes + need * self.value_width <= budget
+
+    @staticmethod
+    def _answered_leaves(cover_node: ReplicaNode) -> list[ReplicaNode]:
+        """The virtual leaves ``cover_node`` answers, in value order.
+
+        Its subtree, descended without entering a node that holds data.
+        Materialized together they partition what only ``cover_node`` held, so
+        Algorithm 5 drops ``cover_node`` and storage falls by the replicas
+        nested under it.
+        """
+        leaves: list[ReplicaNode] = []
+        pending = cover_node.children[::-1]
+        while pending:
+            node = pending.pop()
+            if node.materialized:
+                continue
+            if node.children:
+                pending.extend(node.children[::-1])
+            else:
+                leaves.append(node)
+        return leaves
+
+    def _meet_lowered_budget(self, budget: float, stats: QueryStats) -> None:
+        """Release nested replicas, in value order, until storage fits ``budget``.
+
+        Only a budget lowered at runtime gets here.  Releasing a node with a
+        held ancestor never breaks coverage, and releasing all of them leaves
+        the maximal held pieces: they partition the domain and hold exactly
+        the column bytes, which no budget is below.
         """
         tree = self.tree
-        if tree.storage_bytes <= self.storage_budget:
-            return
-        candidates = [node for node in tree.materialized if tree.held_ancestor(node) is not None]
-        # Nodes last touched by the same query go in pre-order: a child's range
-        # is a strict sub-range of its parent's, so (low, -high) is that order.
-        candidates.sort(
-            key=lambda node: (node.last_access, node.vrange.low, -node.vrange.high)
+        nested = sorted(
+            (node for node in tree.materialized if tree.held_ancestor(node) is not None),
+            key=lambda node: (node.vrange.low, -node.vrange.high),
         )
-        for node in candidates:
-            if tree.storage_bytes <= self.storage_budget:
+        for node in nested:
+            if tree.storage_bytes <= budget:
                 break
             tree.free(node)
             stats.segments_dropped += 1

@@ -223,8 +223,8 @@ class Database:
         """Validate and apply knob changes; returns the new knob vector.
 
         All-or-nothing (a rejected batch changes nothing) and answer-
-        preserving: knobs steer *layout* decisions — split thresholds,
-        replica eviction — never predicate semantics, so queries before and
+        preserving: knobs steer *layout* decisions — split thresholds, the
+        replica budget — never predicate semantics, so queries before and
         after a change return the same rows (property-tested in
         ``tests/tuning``).  Must run on the thread that owns the engine,
         like any other engine call.

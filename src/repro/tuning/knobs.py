@@ -282,15 +282,16 @@ def database_knobs(database: Any) -> KnobRegistry:
             low=float(floor),
             high=float(floor) * 4.0,
             # Budget moves only matter at working-set granularity: a step a
-            # quarter of the column makes one controller move change eviction
-            # behaviour, instead of 50 imperceptible nudges to double it.
+            # quarter of the column makes one controller move change which
+            # replicas fit, instead of 50 imperceptible nudges to double it.
             step=max(float(floor) * 0.25, 32 * KB),
             read=lambda lead_column=lead_column: float(lead_column.storage_budget),
             apply=_set_budget,
-            description="replication storage budget (paper §5 future work): "
-                        "total replica bytes before LRU release kicks in "
-                        "(larger = fewer evictions/rematerializations, more "
-                        "memory)",
+            description="replication storage budget (this repo's rule; the "
+                        "paper leaves it as future work): a query's replicas "
+                        "are built only if they fit, otherwise it partitions "
+                        "the covering piece (larger = more replicas beside "
+                        "their sources, more memory)",
         ))
 
     if _snapshot_capable(database):

@@ -8,6 +8,8 @@ from repro.core.ranges import ValueRange
 from repro.core.interval_index import IndexSnapshot
 from repro.core.replica_tree import ReplicaNode, ReplicaTree
 from repro.core.replication import ReplicatedColumn
+from repro.engine.database import Database
+from repro.tuning.knobs import database_knobs
 from repro.util.units import KB
 from repro.workloads.generators import multimodal_workload
 from tests.conftest import TEST_DOMAIN, brute_force_count
@@ -16,52 +18,6 @@ from tests.conftest import TEST_DOMAIN, brute_force_count
 @pytest.fixture
 def column(values, apm_model) -> ReplicatedColumn:
     return ReplicatedColumn(values, model=apm_model, domain=TEST_DOMAIN)
-
-
-class ReferenceBudgetColumn(ReplicatedColumn):
-    """The enforcement this repo shipped first, kept as the eviction oracle.
-
-    Re-sums the whole tree before the loop and again per eviction, and walks
-    every candidate's ancestor chain — slow, and obviously what the paper's
-    budget extension means.  It shares no arithmetic with the code under
-    test: the bytes held are its own recount, never the tree's counter, and
-    only the release goes through the tree's door (swapping a segment in
-    behind the tree's back would leave the counters and the index behind).
-    """
-
-    def _enforce_budget(self, stats):
-        def has_materialized_ancestor(node):
-            ancestor = node.parent
-            while ancestor is not None:
-                if ancestor.materialized:
-                    return True
-                ancestor = ancestor.parent
-            return False
-
-        def held():
-            return sum(node.size_bytes for node in self.tree.walk() if node.materialized)
-
-        if held() <= self.storage_budget:
-            return
-        candidates = [
-            node
-            for node in self.tree.walk()
-            if node.materialized and has_materialized_ancestor(node)
-        ]
-        candidates.sort(key=lambda node: node.last_access)  # stable, over pre-order
-        for node in candidates:
-            if held() <= self.storage_budget:
-                break
-            self.tree.free(node)
-            stats.segments_dropped += 1
-
-
-def materialized_ranges(column: ReplicatedColumn) -> list[tuple[float, float]]:
-    return [
-        (node.vrange.low, node.vrange.high)
-        for node in column.tree.walk()
-        if node.materialized
-    ]
 
 
 RA_DOMAIN = (0.0, 360.0)
@@ -82,7 +38,7 @@ def replica_budget_shape() -> dict:
     """The e2e ``replica_budget`` workload: 100 K ``ra`` floats, column + 48 KB.
 
     Four disjoint modes cycled, 1 % ranges inside 4 % areas, fine APM bounds:
-    one query touches several nodes, so ``last_access`` ties are the rule.
+    48 KB cannot hold the four modes' replicas, so queries keep partitioning.
     """
     ra = np.random.default_rng(7).uniform(*RA_DOMAIN, size=100_000)
     return dict(
@@ -94,6 +50,37 @@ def replica_budget_shape() -> dict:
             400, RA_DOMAIN, 0.01, n_modes=4, mode_fraction=0.04, seed=29
         ),
     )
+
+
+def budget_shape(values: np.ndarray, pressure: str) -> dict:
+    """``small_column_shape`` at ``pressure`` × the column, or ``replica_budget``."""
+    if pressure == "replica_budget":
+        return replica_budget_shape()
+    return small_column_shape(values, float(pressure))
+
+
+def shaped_column(shape: dict, model: str, budget: float | None, **options) -> ReplicatedColumn:
+    m_min, m_max = shape["bounds"]
+    return ReplicatedColumn(
+        shape["values"].copy(),
+        model=AdaptivePageModel(m_min=m_min, m_max=m_max) if model == "apm" else GaussianDice(seed=3),
+        domain=shape["domain"],
+        storage_budget=budget,
+        **options,
+    )
+
+
+def record_partitions(monkeypatch) -> list[list[ReplicaNode]]:
+    """The leaves of every partition step from now on, appended as they happen."""
+    partitions: list[list[ReplicaNode]] = []
+    answered_leaves = ReplicatedColumn._answered_leaves
+
+    def recorded(cover_node):
+        partitions.append(answered_leaves(cover_node))
+        return partitions[-1]
+
+    monkeypatch.setattr(ReplicatedColumn, "_answered_leaves", staticmethod(recorded))
+    return partitions
 
 
 def recount(column: ReplicatedColumn) -> tuple[int, float, set]:
@@ -234,44 +221,88 @@ class TestStorageBudget:
         for _ in range(200):
             low = float(rng.uniform(0, 90_000))
             column.select(low, low + 10_000)
-            assert column.storage_bytes <= budget * 1.001
+            assert column.storage_bytes <= budget
             column.check_invariants()
 
-    @pytest.mark.parametrize("pressure", ["1.05", "1.2", "1.6", "replica_budget"])
-    def test_one_walk_enforcement_evicts_what_the_reference_evicts(self, values, pressure):
-        benchmark_shape = pressure == "replica_budget"
-        shape = (
-            replica_budget_shape()
-            if benchmark_shape
-            else small_column_shape(values, float(pressure))
-        )
-        budget = shape["budget"]
-        m_min, m_max = shape["bounds"]
-        columns = [
-            cls(
-                shape["values"].copy(),
-                model=AdaptivePageModel(m_min=m_min, m_max=m_max),
-                domain=shape["domain"],
-                storage_budget=budget,
-            )
-            for cls in (ReplicatedColumn, ReferenceBudgetColumn)
-        ]
-        evictions = ties = 0
+    @pytest.mark.parametrize("pressure", ["1.05", "1.2", "replica_budget"])
+    @pytest.mark.parametrize("model", ["apm", "gd"])
+    def test_storage_stays_within_budget_after_every_query(
+        self, values, model, pressure, monkeypatch
+    ):
+        partitions = record_partitions(monkeypatch)
+        shape = budget_shape(values, pressure)
+        budget, base = shape["budget"], shape["values"]
+        column = shaped_column(shape, model, budget)
         for query in shape["workload"]:
-            new, reference = (column.select(query.low, query.high) for column in columns)
-            assert new.count == reference.count
-            stats = [column.history[-1] for column in columns]
-            assert stats[0].segments_dropped == stats[1].segments_dropped
-            assert stats[0].storage_bytes == stats[1].storage_bytes <= budget
-            assert materialized_ranges(columns[0]) == materialized_ranges(columns[1])
-            evictions += stats[0].segments_dropped
-            if benchmark_shape:
-                columns[0].check_invariants()
-                touched = [node.last_access for node in columns[0].tree.materialized]
-                ties += len(touched) - len(set(touched))
-        assert evictions > 0  # the budget really pressed
-        if benchmark_shape:
-            assert ties > 0  # nodes one query touched survive together: the order mattered
+            got = column.select(query.low, query.high)
+            assert column.storage_bytes <= budget
+            assert column.history[-1].storage_bytes <= budget
+            expected = np.sort(base[(base >= query.low) & (base < query.high)])
+            np.testing.assert_array_equal(np.sort(got.values), expected)
+            np.testing.assert_array_equal(np.sort(base[got.oids]), expected)
+            column.check_invariants()
+        assert partitions  # the budget really pressed
+
+    @pytest.mark.parametrize("pressure", ["1.05", "replica_budget"])
+    def test_replicas_that_do_not_fit_never_raise_storage(self, values, pressure, monkeypatch):
+        shape = budget_shape(values, pressure)
+        column = shaped_column(shape, "apm", shape["budget"])
+        partitioned = record_partitions(monkeypatch)
+        materialize = column._materialize
+        steps = []
+
+        def measured(cover_node, to_materialize, stats):
+            before = column.storage_bytes
+            materialize(cover_node, to_materialize, stats)
+            if partitioned and to_materialize is partitioned[-1]:
+                steps.append((before, column.storage_bytes, cover_node))
+
+        column._materialize = measured
+        for query in shape["workload"]:
+            column.select(query.low, query.high)
+        assert steps
+        for before, after, cover_node in steps:
+            assert after <= before
+            assert not cover_node.materialized  # Algorithm 5 dropped the partitioned piece
+
+    @pytest.mark.parametrize("model", ["apm", "gd"])
+    def test_a_budget_never_pressed_changes_no_record(self, model, monkeypatch):
+        partitions = record_partitions(monkeypatch)
+        shape = replica_budget_shape()
+        columns = [
+            shaped_column(shape, model, budget, time_phases=False)
+            for budget in (None, shape["values"].nbytes * 100.0)
+        ]
+        for query in shape["workload"]:
+            for column in columns:
+                column.select(query.low, query.high)
+        assert not partitions
+        assert columns[0].history.records == columns[1].history.records
+
+    def test_a_lowered_budget_is_met_by_the_next_query(self):
+        values = np.random.default_rng(3).uniform(0.0, 1000.0, 20_000)
+        database = Database()
+        database.create_table("t", {"v": "float64"})
+        database.bulk_load("t", {"v": values})
+        database.enable_adaptive(
+            "t", "v", strategy="replication", model="apm", m_min=1 * KB, m_max=4 * KB,
+            storage_budget=4.0 * values.nbytes,
+        )
+        column = database.adaptive_handle("t", "v").adaptive
+        for query in multimodal_workload(200, (0.0, 1000.0), 0.02, n_modes=4, seed=29):
+            column.select(query.low, query.high)
+        registry = database_knobs(database)
+        lowered = registry.spec("replication_storage_budget").low  # the column bytes
+        assert column.storage_bytes > lowered
+        registry.set_knobs({"replication_storage_budget": lowered})
+        assert column.storage_budget == lowered
+
+        got = column.select(100.0, 120.0)
+        assert column.storage_bytes <= lowered
+        assert column.history[-1].segments_dropped > 0
+        expected = np.sort(values[(values >= 100.0) & (values < 120.0)])
+        np.testing.assert_array_equal(np.sort(got.values), expected)
+        column.check_invariants()
 
     def test_budgeted_column_still_answers_correctly(self, values, apm_model):
         budget = values.size * values.dtype.itemsize * 1.2
@@ -334,11 +365,10 @@ class TestNoTraversalOnTheQueryPath:
         monkeypatch.setattr(ReplicaNode, "walk", spy("node.walk", ReplicaNode.walk))
         monkeypatch.setattr(IndexSnapshot, "__init__", spy("capture", IndexSnapshot.__init__))
 
-        dropped = 0
+        partitions = record_partitions(monkeypatch)
         for query in queries[80:]:
             column.select(query.low, query.high)
-            dropped += column.history[-1].segments_dropped
-        assert len(queries) - 80 >= 300 and dropped > 0  # budgeted, and it pressed
+        assert len(queries) - 80 >= 300 and partitions  # budgeted, and it partitioned
         assert calls == {"tree.walk": 0, "node.walk": 0, "capture": 0}
 
         pinned = column.pin_snapshot()
