@@ -16,9 +16,11 @@ Points a resilient async client at an already-running multi-replica server
 The workload fires bound range selects through the crash window, verifies
 every completed answer against a client-side recomputation of the demo
 table, then polls ``router_stats`` until the fleet converges back to full
-health.  Exit 0 requires: zero wrong answers, failover counters that show
-the injected crashes actually exercised quarantine + rebuild, and every
-replica healthy again.  CI runs this as the ``chaos-smoke`` job.
+health, and sends a second, checked batch to the healed fleet.  Exit 0
+requires: zero wrong answers, health counters that show the injected
+crashes actually exercised quarantine + rebuild, every replica healthy
+again, and every replica serving part of the second batch (re-admission).
+CI runs this as the ``chaos-smoke`` job.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from repro.api.exceptions import OperationalError  # noqa: E402
 SQL = "SELECT v FROM demo WHERE v BETWEEN ? AND ?"
 #: ``python -m repro.server --demo-rows N`` loads uniform values seeded with 7.
 DEMO_SEED = 7
+#: Queries in the checked batch sent once the fleet has healed.
+HEALED_QUERIES = 48
 
 
 async def wait_for_server(host: str, port: int, deadline_s: float) -> None:
@@ -73,33 +77,43 @@ async def run_workload(args: argparse.Namespace) -> int:
     values = np.random.default_rng(DEMO_SEED).random(args.demo_rows)
 
     rng = np.random.default_rng(23)
-    queries = []
-    for _ in range(args.queries):
-        low = float(rng.uniform(0.0, 0.9))
-        queries.append((low, low + float(rng.uniform(0.01, 0.08))))
 
     async def one(low: float, high: float):
         cursor = await connection.execute(SQL, (low, high))
         return cursor.rowcount
 
-    outcomes = await asyncio.gather(
-        *(one(low, high) for low, high in queries), return_exceptions=True
-    )
+    async def batch(count: int) -> tuple[int, int, int] | None:
+        """Send ``count`` queries at once and check every answer.
 
-    completed = wrong = failed = 0
-    for (low, high), outcome in zip(queries, outcomes):
-        if isinstance(outcome, BaseException):
-            if not isinstance(outcome, OperationalError):
-                print(f"FATAL: non-operational failure: {outcome!r}")
-                return 1
-            failed += 1
-            continue
-        completed += 1
-        expected = int(np.count_nonzero((values >= low) & (values <= high)))
-        if outcome != expected:
-            wrong += 1
-            print(f"WRONG ANSWER: [{low:.4f}, {high:.4f}] -> {outcome}, "
-                  f"expected {expected}")
+        Returns ``(completed, failed, wrong)``, or ``None`` on a fatal failure.
+        """
+        queries = []
+        for _ in range(count):
+            low = float(rng.uniform(0.0, 0.9))
+            queries.append((low, low + float(rng.uniform(0.01, 0.08))))
+        outcomes = await asyncio.gather(
+            *(one(low, high) for low, high in queries), return_exceptions=True
+        )
+        completed = wrong = failed = 0
+        for (low, high), outcome in zip(queries, outcomes):
+            if isinstance(outcome, BaseException):
+                if not isinstance(outcome, OperationalError):
+                    print(f"FATAL: non-operational failure: {outcome!r}")
+                    return None
+                failed += 1
+                continue
+            completed += 1
+            expected = int(np.count_nonzero((values >= low) & (values <= high)))
+            if outcome != expected:
+                wrong += 1
+                print(f"WRONG ANSWER: [{low:.4f}, {high:.4f}] -> {outcome}, "
+                      f"expected {expected}")
+        return completed, failed, wrong
+
+    first = await batch(args.queries)
+    if first is None:
+        return 1
+    completed, failed, wrong = first
 
     # Convergence: the failure detector quarantined crashed replicas, the
     # admission layer kicked off rebuilds, the fleet must return to health.
@@ -111,20 +125,33 @@ async def run_workload(args: argparse.Namespace) -> int:
             break
         await asyncio.sleep(0.2)
         stats = await connection.admin.router_stats()
-    await connection.close()
-
     health = stats.get("health", {})
-    print(
-        f"chaos workload: {completed}/{len(queries)} completed, "
-        f"{failed} transient-failed, {wrong} wrong; health={health}"
-    )
-    if wrong:
-        return 1
-    if completed < len(queries) * 0.9:
-        print(f"FATAL: only {completed}/{len(queries)} answers completed")
-        return 1
     if not health:
         print("FATAL: router_stats has no health block (is --replicas > 1?)")
+        return 1
+
+    # Re-admission: a second batch against the healed fleet must be answered
+    # correctly, and every replica — the rebuilt ones too — must serve part of it.
+    served_before = [replica["queries_served"] for replica in stats["replicas"]]
+    second = await batch(HEALED_QUERIES)
+    if second is None:
+        return 1
+    served_after = [
+        replica["queries_served"]
+        for replica in (await connection.admin.router_stats())["replicas"]
+    ]
+    await connection.close()
+
+    print(
+        f"chaos workload: {completed}/{args.queries} completed, "
+        f"{failed} transient-failed, {wrong} wrong; health={health}; "
+        f"after healing {second[0]}/{HEALED_QUERIES} completed, "
+        f"{second[2]} wrong, served per replica {served_before} -> {served_after}"
+    )
+    if wrong or second[2]:
+        return 1
+    if completed < args.queries * 0.9:
+        print(f"FATAL: only {completed}/{args.queries} answers completed")
         return 1
     if health["quarantines"] < 1 or health["rebuilds"] < 1:
         print("FATAL: the injected crashes never exercised failover "
@@ -135,7 +162,19 @@ async def run_workload(args: argparse.Namespace) -> int:
         print(f"FATAL: fleet did not converge back to health: "
               f"{health['states']}")
         return 1
-    print("chaos smoke ok: crashed, failed over, rebuilt, healed")
+    if second[0] < HEALED_QUERIES:
+        print(f"FATAL: the healed fleet completed only {second[0]}/"
+              f"{HEALED_QUERIES} answers")
+        return 1
+    idle = [
+        index
+        for index, (before, after) in enumerate(zip(served_before, served_after))
+        if after <= before
+    ]
+    if idle:
+        print(f"FATAL: replicas {idle} served nothing after healing (not re-admitted)")
+        return 1
+    print("chaos smoke ok: crashed, failed over, rebuilt, healed, re-admitted")
     return 0
 
 

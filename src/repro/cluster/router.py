@@ -1,32 +1,31 @@
-"""Load-aware routing across N divergently-adapted engine replicas.
+"""Workload-aware routing across N divergently-adapted engine replicas.
 
 The paper adapts one column inside one engine; the :class:`Router` scales
 that out following Hang 2024's recipe (SNIPPETS.md ``Tuner``): cluster the
 recent workload by query-range similarity, let each replica's adaptive
 strategies specialize on its partition, iterate the partition→tune→re-cost
 loop until total modeled cost stops dropping (:meth:`Router.retune`,
-Algorithm 1's shape), and route load-aware with a hot-query threshold so no
-single replica melts under a dominant cluster.
+Algorithm 1's shape), and route from the resulting table with a hot-query
+threshold so no single replica melts under a dominant cluster.
 
 Where Hang shells out to Postgres+hypopg for *estimated* what-if costs, this
-engine's substrate is real: routing costs are EWMA'd from observed
-``QueryProfile.execute_seconds`` per cluster×replica, and the retune loop's
-what-if model reads the actual adaptive layouts — overlapping-segment bytes
-for :class:`~repro.core.segmentation.SegmentedColumn`, Algorithm-3 cover
+engine's substrate is real: the retune loop's what-if model reads the actual
+adaptive layouts — overlapping-segment bytes for
+:class:`~repro.core.segmentation.SegmentedColumn`, the interval-index cover
 bytes for :class:`~repro.core.replication.ReplicatedColumn` — the same
-quantities the paper's Fig 5–16 accounting tracks.
+quantities the paper's Fig 5–16 accounting tracks.  That cluster×replica
+matrix is the fleet's one cost model: routing is a function of the seed, the
+routed stream and health transitions, and no wall-clock time feeds it.
 
 Fault tolerance: the router is also the fleet's failure detector.  Worker
 exceptions surfacing from :meth:`execute_wave_on` and per-wave deadline
 timeouts reported by the admission layer drive each replica's health state
 machine (healthy → suspect → quarantined → rebuilding → healthy, see
-:class:`~repro.cluster.replica.ReplicaHealth`); :meth:`route` only considers
-routable replicas, quarantining a replica *fails over* its preferred
-workload clusters to the sibling with the lowest modeled cost (the EWMA
-cluster×replica cost where observed, the per-replica IO EWMA as the
-degraded-mode prior), and :meth:`rebuild_replica` restores a quarantined
-replica from a healthy sibling via :func:`clone_database` on a fresh worker
-before re-admitting it to the fleet.  The last routable replica is never
+:class:`~repro.cluster.replica.ReplicaHealth`).  :meth:`route` only considers
+routable replicas: a cluster whose home is quarantined goes to the routable
+replica with the fewest modeled bytes for it, and goes home again as soon as
+:meth:`rebuild_replica` has restored the replica from a healthy sibling via
+:func:`clone_database` on a fresh worker.  The last routable replica is never
 quarantined — graceful degradation bottoms out at N=1, not N=0.
 
 Threading model: :meth:`route` runs on the caller (event-loop) thread and is
@@ -41,19 +40,17 @@ never stall routing.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
+from collections import deque
 from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.api.exceptions import TransientError
-from repro.cluster.replica import (
-    EngineReplica,
-    ReplicaHealth,
-    clone_database,
-)
+from repro.cluster.replica import EngineReplica, ReplicaHealth, clone_database
 from repro.cluster.stats import merge_cache_stats
 from repro.cluster.workload_clustering import WorkloadClustering, cluster_workload
 from repro.core.ranges import ValueRange
@@ -93,7 +90,7 @@ def what_if_bytes(adaptive: Any, low: float, high: float) -> float:
 
 
 class Router:
-    """N database replicas behind one load-aware, self-retuning front.
+    """N database replicas behind one self-retuning front.
 
     The router quacks like a :class:`Database` for the server's admin and
     execution surface — DDL and data loads fan out to every routable replica,
@@ -113,9 +110,7 @@ class Router:
     hot_query_threshold:
         A cluster whose share of recent routed traffic exceeds this fraction
         is *hot*: its queries round-robin across all replicas instead of
-        sticking to the best-fit replica.
-    ewma_alpha:
-        Smoothing for the observed per-cluster×replica cost model.
+        sticking to its home replica.
     quarantine_after:
         Consecutive wave failures that escalate a suspect replica to
         quarantined (deadline timeouts quarantine immediately — the worker
@@ -135,7 +130,6 @@ class Router:
         *,
         n_clusters: int | None = None,
         hot_query_threshold: float = 0.5,
-        ewma_alpha: float = 0.2,
         quarantine_after: int = 2,
         injector: Any | None = None,
         seed: int | None = 0,
@@ -147,7 +141,6 @@ class Router:
         if quarantine_after < 1:
             raise ValueError(f"quarantine_after must be >= 1, got {quarantine_after}")
         self.hot_query_threshold = float(hot_query_threshold)
-        self.ewma_alpha = float(ewma_alpha)
         self.n_clusters = int(n_clusters) if n_clusters else int(n_replicas)
         self.quarantine_after = int(quarantine_after)
         self.injector = injector
@@ -159,25 +152,21 @@ class Router:
         self._lock = threading.Lock()
         self._rebuild_lock = threading.Lock()
         self._clustering: WorkloadClustering | None = None
-        self._preferred: dict[int, int] = {}  # cluster -> best-fit replica
-        self._cost: dict[int, list[float | None]] = {}  # EWMA seconds per cluster×replica
+        self._preferred: dict[int, int] = {}  # cluster -> home replica
+        self._modeled: dict[int, list[float]] = {}  # replica -> bytes per cluster
         self._shares: list[float] = []  # recent traffic share per cluster
-        self._history: list[tuple[float, float]] = []
+        self._history: deque[tuple[float, float]] = deque(maxlen=HISTORY)
         self._rr = itertools.count()
         self._routed = 0
         self._hot_routes = 0
         self._unclustered_routes = 0
         self._retunes = 0
         self._last_retune: dict[str, Any] | None = None
-        self._reads_seen: list[float] = [0.0] * n_replicas
-        self._io_ewma: list[float] = [0.0] * n_replicas
         self._health = {
             "wave_failures": 0,
             "timeouts": 0,
             "quarantines": 0,
             "quarantine_vetoes": 0,
-            "failovers": 0,
-            "clusters_failed_over": 0,
             "rebuilds": 0,
             "rebuild_failures": 0,
         }
@@ -244,11 +233,7 @@ class Router:
         return self._routable()[0]
 
     def _routable_indices_locked(self) -> list[int]:
-        return [
-            index
-            for index, replica in enumerate(self.replicas)
-            if replica.health.routable
-        ]
+        return [replica.index for replica in self.replicas if replica.health.routable]
 
     def healthy_indices(self) -> list[int]:
         """Indices the router may currently send traffic to."""
@@ -281,11 +266,13 @@ class Router:
     def route(self, prepared: PreparedPlan, values: tuple[float, ...]) -> int:
         """Pick the replica for one bound statement.
 
-        Best-fit on the observed EWMA cost of the query's cluster; a cluster
-        above the hot threshold (or anything unclustered) spreads
-        round-robin.  Only routable replicas (healthy or suspect) are
-        considered — a quarantined replica's traffic lands on its failover
-        siblings until the rebuild re-admits it.
+        A query goes to its cluster's home in the last :meth:`retune`'s
+        table.  A cluster above the hot threshold, and anything before the
+        first retune or without range bounds, spreads round-robin.  Only
+        routable replicas (healthy or suspect) are considered: while a home
+        is out of rotation its clusters go to the routable replica with the
+        fewest modeled bytes for them (lower index on ties), and they go home
+        again once :meth:`rebuild_replica` re-admits it.
         """
         bounds = self._bounds_of(prepared, values)
         with self._lock:
@@ -296,7 +283,7 @@ class Router:
                 )
             self._routed += 1
             clustering = self._clustering
-            if bounds is not None and len(self._history) < HISTORY:
+            if bounds is not None:
                 self._history.append(bounds)
             if bounds is None or clustering is None:
                 self._unclustered_routes += 1
@@ -306,19 +293,14 @@ class Router:
             if self._shares[cluster] > self.hot_query_threshold:
                 self._hot_routes += 1
                 return eligible[next(self._rr) % len(eligible)]
-            costs = self._cost.get(cluster)
-            best: tuple[float, int] | None = None
-            if costs is not None:
-                for index in eligible:
-                    cost = costs[index]
-                    if cost is not None and (best is None or cost < best[0]):
-                        best = (cost, index)
-            if best is not None:
-                return best[1]
-            preferred = self._preferred.get(cluster)
-            if preferred is not None and preferred in eligible:
-                return preferred
-            return eligible[next(self._rr) % len(eligible)]
+            home = self._preferred[cluster]
+            if home in eligible:
+                return home
+            modeled = self._modeled
+            return min(
+                eligible,
+                key=lambda i: (modeled[i][cluster] if i in modeled else math.inf, i),
+            )
 
     def _touch_share(self, cluster: int) -> None:
         """EWMA traffic share per cluster (lock held)."""
@@ -380,53 +362,27 @@ class Router:
             return replica.health
 
     def quarantine_replica(self, index: int) -> bool:
-        """Take replica ``index`` out of rotation and fail over its clusters.
+        """Take replica ``index`` out of rotation; :meth:`route` fails over.
 
-        Public for operational tooling, benchmarks (degraded-mode
-        throughput) and tests; the failure detector calls the same internal
-        transition.  Refuses — returning ``False`` — when this is the last
-        routable replica: graceful degradation bottoms out at one replica.
+        Public for operational tooling, benchmarks (degraded-mode throughput)
+        and tests; the failure detector calls the same internal transition.
+        Refuses — returning ``False`` — when this is the last routable
+        replica: graceful degradation bottoms out at one replica.
         """
         with self._lock:
             return self._quarantine_locked(index)
 
     def _quarantine_locked(self, index: int) -> bool:
-        """QUARANTINE + failover (lock held).  False when vetoed (last replica)."""
+        """QUARANTINE (lock held).  False when vetoed (last routable replica)."""
         replica = self.replicas[index]
         if not replica.health.routable:
             return replica.health is ReplicaHealth.QUARANTINED
-        survivors = [
-            i for i in self._routable_indices_locked() if i != index
-        ]
-        if not survivors:
+        if self._routable_indices_locked() == [index]:
             self._health["quarantine_vetoes"] += 1
             return False
         replica.health = ReplicaHealth.QUARANTINED
         self._health["quarantines"] += 1
-        self._health["failovers"] += 1
-        # Failover: every cluster that preferred this replica moves to the
-        # surviving sibling with the lowest modeled cost — the observed EWMA
-        # for that cluster where we have one, the per-replica IO EWMA (the
-        # what-if-informed bytes-per-query estimate) as the degraded prior.
-        for cluster, target in list(self._preferred.items()):
-            if target != index:
-                continue
-            self._preferred[cluster] = self._failover_target_locked(cluster, survivors)
-            self._health["clusters_failed_over"] += 1
         return True
-
-    def _failover_target_locked(self, cluster: int, survivors: list[int]) -> int:
-        """The surviving replica with the lowest modeled cost for ``cluster``."""
-        costs = self._cost.get(cluster)
-        if costs:
-            observed = [(costs[i], i) for i in survivors if costs[i] is not None]
-            if observed:
-                return min(observed)[1]
-        modeled = [
-            (self._io_ewma[i] if self._io_ewma[i] > 0.0 else float("inf"), i)
-            for i in survivors
-        ]
-        return min(modeled)[1]
 
     # -- rebuild ----------------------------------------------------------------
 
@@ -438,8 +394,9 @@ class Router:
         consistent), then swapped in on a fresh worker — the quarantined
         replica's old worker may be wedged and is abandoned.  The rebuilt
         replica starts from the paper's initial one-segment state (plus the
-        donor's data) and re-diverges on its own traffic; its stale
-        cluster-cost EWMAs are dropped so the router re-learns it.
+        donor's data) and re-diverges on its own traffic: the routing table
+        still names it as home for its clusters, so they come back to it on
+        the next :meth:`route`, no retune needed.
 
         Rebuilds serialize on their own lock.  Returns a report dict;
         ``{"rebuilt": False, "reason": ...}`` when the replica is not
@@ -481,10 +438,6 @@ class Router:
             replica.replace_database(clone)
             with self._lock:
                 replica.health = ReplicaHealth.HEALTHY
-                self._reads_seen[index] = 0.0
-                self._io_ewma[index] = 0.0
-                for costs in self._cost.values():
-                    costs[index] = None  # stale EWMA of the dead layout
                 self._health["rebuilds"] += 1
             return {"rebuilt": True, "replica": index, "donor": donor}
 
@@ -534,7 +487,6 @@ class Router:
         replica.waves_served += 1
         replica.busy_seconds += elapsed
         self.record_wave_success(index)
-        self._observe(index, payload, results)
         return results
 
     def execute_prepared(self, prepared: PreparedPlan, values: tuple[float, ...]):
@@ -546,53 +498,6 @@ class Router:
         if isinstance(result, BaseException):
             raise result
         return result
-
-    def _observe(
-        self,
-        index: int,
-        payload: Sequence[tuple[PreparedPlan, tuple[float, ...]]],
-        results: Sequence[Any],
-    ) -> None:
-        """Feed the cost model from one executed wave (replica thread)."""
-        reads = 0.0
-        for handle in self.replicas[index].database.bpm.handles():
-            accountant = getattr(handle.adaptive, "accountant", None)
-            if accountant is not None:
-                reads += float(accountant.total_reads_bytes)
-        alpha = self.ewma_alpha
-        with self._lock:
-            clustering = self._clustering
-            delta = max(reads - self._reads_seen[index], 0.0)
-            self._reads_seen[index] = reads
-            completed = [
-                result for result in results if not isinstance(result, BaseException)
-            ]
-            if completed:
-                per_query = delta / len(completed)
-                previous = self._io_ewma[index]
-                self._io_ewma[index] = (
-                    per_query if previous == 0.0
-                    else (1.0 - alpha) * previous + alpha * per_query
-                )
-            if clustering is None:
-                return
-            for (prepared, values), result in zip(payload, results):
-                if isinstance(result, BaseException):
-                    continue  # an isolated poison member carries no profile
-                bounds = self._bounds_of(prepared, values)
-                if bounds is None:
-                    continue
-                seconds = result.profile.execute_seconds
-                cluster = clustering.assign_one(*bounds)
-                costs = self._cost.setdefault(
-                    cluster, [None] * len(self.replicas)
-                )
-                previous = costs[index]
-                costs[index] = (
-                    float(seconds)
-                    if previous is None
-                    else (1.0 - alpha) * previous + alpha * float(seconds)
-                )
 
     # -- retune (Hang 2024 Algorithm 1 shape) ---------------------------------
 
@@ -613,10 +518,10 @@ class Router:
            cluster best-fit; stop when total modeled cost stops dropping.
 
         Only routable replicas participate: a quarantined replica's wedged
-        worker must not stall the tune loop, and assigning clusters to it
-        would undo its failover.  Returns a report with the modeled cost
-        trajectory; the routing table and cost model are swapped atomically
-        at the end.  Nothing schedules this call: it is an operator (or
+        worker must not stall the tune loop.  Returns a report with the
+        modeled cost trajectory; the routing table and the what-if matrix it
+        won on (:meth:`route`'s failover order) are swapped atomically at the
+        end.  Nothing schedules this call: it is an operator (or
         benchmark) action, refused — ``{"retuned": False, "reason": ...}`` —
         only when there is nothing to cluster or nobody to assign to.
         """
@@ -672,7 +577,7 @@ class Router:
         matrix = cost_matrix()
         trajectory = [self._total_cost(matrix, assignment, sizes)]
         best_total = trajectory[0]
-        best_assignment = dict(assignment)
+        best_assignment, best_matrix = dict(assignment), matrix
         for _ in range(max_iterations):
             futures = []
             for replica in active:
@@ -698,7 +603,7 @@ class Router:
             trajectory.append(total)
             if total < best_total * (1.0 - 1e-3):
                 best_total = total
-                best_assignment = dict(assignment)
+                best_assignment, best_matrix = dict(assignment), matrix
             else:
                 break  # Algorithm 1: stop when cost stops dropping
 
@@ -717,7 +622,7 @@ class Router:
         with self._lock:
             self._clustering = clustering
             self._preferred = dict(best_assignment)
-            self._cost = {}
+            self._modeled = best_matrix
             total_trained = float(sizes.sum()) or 1.0
             self._shares = [float(s) / total_trained for s in sizes]
             self._retunes += 1
@@ -862,7 +767,7 @@ class Router:
             return list(self._shares)
 
     def router_stats(self) -> dict[str, Any]:
-        """Routing, cost-model, health and divergence summary for the admin surface."""
+        """Routing, health and divergence summary for the admin surface."""
         with self._lock:
             clustering = self._clustering
             return {
@@ -882,18 +787,11 @@ class Router:
                     "quarantine_after": self.quarantine_after,
                     **dict(self._health),
                 },
-                "cost_model": {
-                    "ewma_alpha": self.ewma_alpha,
-                    "observed": {
-                        str(cluster): [
-                            None if cost is None else float(cost) for cost in costs
-                        ]
-                        for cluster, costs in self._cost.items()
-                    },
-                    "io_ewma_bytes_per_query": list(self._io_ewma),
-                },
                 "clusters": clustering.describe() if clustering else None,
                 "assignment": {str(c): r for c, r in self._preferred.items()},
+                "modeled_bytes": {
+                    str(replica): list(costs) for replica, costs in self._modeled.items()
+                },
                 "shares": list(self._shares),
                 "retunes": self._retunes,
                 "last_retune": self._last_retune,

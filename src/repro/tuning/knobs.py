@@ -323,9 +323,6 @@ def router_knobs(router: Any) -> KnobRegistry:
     def _set_threshold(value: float) -> None:
         router.hot_query_threshold = float(value)
 
-    def _set_alpha(value: float) -> None:
-        router.ewma_alpha = float(value)
-
     registry = KnobRegistry()
     registry.register(KnobSpec(
         name="hot_query_threshold",
@@ -338,19 +335,7 @@ def router_knobs(router: Any) -> KnobRegistry:
         apply=_set_threshold,
         description="traffic share above which a query cluster spreads "
                     "round-robin over every replica instead of sticking to "
-                    "its best-fit home",
-    ))
-    registry.register(KnobSpec(
-        name="router_ewma_alpha",
-        layer="cluster",
-        default=0.2,
-        low=0.01,
-        high=0.9,
-        step=0.05,
-        read=lambda: router.ewma_alpha,
-        apply=_set_alpha,
-        description="EWMA decay of the observed cluster-by-replica cost model "
-                    "(larger = faster adaptation, noisier routing)",
+                    "its home",
     ))
     return registry
 

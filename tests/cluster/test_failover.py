@@ -91,7 +91,7 @@ class TestHealthStateMachine:
             assert router.record_wave_failure(1, RuntimeError("y")) is ReplicaHealth.QUARANTINED
             health = router.router_stats()["health"]
             assert health["states"] == ["healthy", "quarantined"]
-            assert health["quarantines"] == 1 and health["failovers"] == 1
+            assert health["quarantines"] == 1
         finally:
             router.close()
 
@@ -141,7 +141,9 @@ class TestHealthStateMachine:
             router.close()
 
     def test_quarantine_fails_over_preferred_clusters(self):
-        router = Router(build_database(500), 3, quarantine_after=1)
+        # The table stays as retune() left it; route() sends each of the
+        # victim's clusters to the survivor with the fewest modeled bytes.
+        router = Router(build_database(500), 3, hot_query_threshold=1.0, quarantine_after=1)
         try:
             prepared = router.prepare_statement(SQL)
             rng = np.random.default_rng(5)
@@ -149,11 +151,23 @@ class TestHealthStateMachine:
                 low = float(rng.uniform(0.0, 900.0))
                 wave_of(router, prepared, (low, low + 50.0))
             router.retune(n_clusters=3)
-            victim = next(iter(router.router_stats()["assignment"].values()))
-            router.quarantine_replica(victim)
-            assignment = router.router_stats()["assignment"]
-            assert victim not in assignment.values()
-            assert router.router_stats()["health"]["clusters_failed_over"] >= 1
+            stats = router.router_stats()
+            assignment = stats["assignment"]
+            victim = assignment["0"]
+            assert router.quarantine_replica(victim)
+            modeled = router.router_stats()["modeled_bytes"]
+            assert sorted(modeled) == ["0", "1", "2"]
+            survivors = [i for i in range(3) if i != victim]
+            for cluster, shape in enumerate(stats["clusters"]["clusters"]):
+                half = shape["width"] / 2.0
+                bounds = (shape["center"] - half, shape["center"] + half)
+                if assignment[str(cluster)] == victim:
+                    expected = min(survivors, key=lambda i: (modeled[str(i)][cluster], i))
+                else:
+                    expected = assignment[str(cluster)]
+                assert {router.route(prepared, bounds) for _ in range(4)} == {expected}
+            assert router.router_stats()["assignment"] == assignment
+            assert router.router_stats()["health"]["quarantines"] == 1
         finally:
             router.close()
 
@@ -174,6 +188,30 @@ class TestRebuild:
             )[0]
             assert result.row_count == expected
             assert router.router_stats()["health"]["rebuilds"] == 1
+        finally:
+            router.close()
+
+    def test_a_rebuilt_replica_gets_its_clusters_back_without_a_retune(self):
+        router = Router(build_database(500), 2, hot_query_threshold=0.9, quarantine_after=1)
+        try:
+            prepared = router.prepare_statement(SQL)
+            rng = np.random.default_rng(4)
+            modes = (100.0, 800.0)
+            for _ in range(48):
+                for mode in modes:
+                    low = mode + float(rng.uniform(0.0, 10.0))
+                    wave_of(router, prepared, (low, low + 5.0))
+            assert router.retune()["retuned"]
+
+            def routes() -> list[int]:
+                return [router.route(prepared, (mode + 4.0, mode + 9.0)) for mode in modes]
+
+            homes = routes()
+            assert sorted(homes) == [0, 1]
+            assert router.quarantine_replica(0)
+            assert routes() == [1, 1]
+            assert router.rebuild_replica(0)["rebuilt"] is True
+            assert routes() == homes
         finally:
             router.close()
 

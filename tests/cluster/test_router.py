@@ -1,4 +1,4 @@
-"""Router: cloning, fan-out, cost-model routing, hot spreading, retune."""
+"""Router: cloning, fan-out, table routing, hot spreading, retune."""
 
 import numpy as np
 import pytest
@@ -196,24 +196,47 @@ class TestRouting:
             result = router.execute_prepared(prepared, (12.0, 13.0))
             assert N_ROWS in result.columns["objid"].tolist()  # the inserted row
 
-    def test_observed_cost_drives_best_fit(self):
-        database = build_database()
-        with Router(database, 2, hot_query_threshold=0.9, seed=0) as router:
-            prepared = router.prepare_statement(SQL)
-            workload = multimodal_workload(80, DOMAIN, 0.005, n_modes=2, seed=3)
-            self.run_workload(router, prepared, bounds_of(workload))
-            router.retune()
-            with router._lock:
-                some_cluster = next(iter(router._preferred))
-                # Pretend replica 1 got drastically faster for this cluster.
-                router._cost[some_cluster] = [1.0, 1e-9]
-            mode_lows = workload.metadata["mode_lows"]
-            routed = {
-                router.route(prepared, (low + 0.05, low + 0.2))
-                for low in mode_lows
-                for _ in range(3)
-            }
-            assert 1 in routed
+    def test_routing_is_a_function_of_seed_and_stream(self, monkeypatch):
+        # No wall-clock time feeds a route: two fleets built alike and driven
+        # by one stream through warm-up, retune, a hot phase that cools, and a
+        # quarantine + rebuild take the same routes and end in the same state
+        # (busy seconds and the qps derived from them aside).
+        monkeypatch.setattr("repro.cluster.router.SHARE_WINDOW", 8)
+        workload = multimodal_workload(96, DOMAIN, 0.005, n_modes=3, seed=8)
+        warm = bounds_of(workload)
+        hot_low = workload.metadata["mode_lows"][0]
+        hot = [(hot_low + 0.05, hot_low + 0.2)] * 24  # interleaved traffic then cools it
+
+        def drive(router, prepared, pairs):
+            routes = []
+            for pair in pairs:
+                index = router.route(prepared, pair)
+                router.replicas[index].run(router.execute_wave_on, index, [(prepared, pair)])
+                routes.append(index)
+            return routes
+
+        def run():
+            with Router(build_database(), 3, n_clusters=3, seed=0) as router:
+                prepared = router.prepare_statement(SQL)
+                routes = drive(router, prepared, warm)
+                assert router.retune()["retuned"]
+                routes += drive(router, prepared, hot + warm[:24])
+                assert max(router.traffic_shares()) < router.hot_query_threshold
+                assert router.quarantine_replica(1)
+                routes += drive(router, prepared, warm[24:60])
+                assert router.rebuild_replica(1)["rebuilt"]
+                routes += drive(router, prepared, warm[60:])
+                stats = router.router_stats()
+                for replica in stats["replicas"]:
+                    del replica["busy_seconds"], replica["qps"]
+                return routes, stats
+
+        first_routes, first_stats = run()
+        second_routes, second_stats = run()
+        assert first_stats["routing"]["hot_routes"] > 0
+        assert first_stats["health"]["quarantines"] == first_stats["health"]["rebuilds"] == 1
+        assert first_routes == second_routes
+        assert first_stats == second_stats
 
 
 class TestRetune:
@@ -265,6 +288,23 @@ class TestRetune:
             assert stats["retunes"] == 2
             assert stats["last_retune"] == second
             assert "retune_history" not in stats and "retune_guard" not in stats
+
+    def test_retune_clusters_the_most_recent_history(self):
+        # The history is the last HISTORY routed queries, not the first: a
+        # mode that arrives after HISTORY routes still gets a cluster of its own.
+        from repro.cluster.router import HISTORY
+
+        rng = np.random.default_rng(3)
+        with Router(build_database(), 2, seed=0) as router:
+            prepared = router.prepare_statement(SQL)
+            for low in rng.uniform(10.0, 12.0, size=HISTORY):
+                router.route(prepared, (low, low + 1.0))
+            for low in rng.uniform(300.0, 302.0, size=256):
+                router.route(prepared, (low, low + 1.0))
+            report = router.retune(n_clusters=2)
+            assert report["history"] == HISTORY
+            centers = [c["center"] for c in report["clustering"]["clusters"]]
+            assert any(300.0 <= center <= 303.0 for center in centers), centers
 
     def test_retune_is_deterministic_for_fixed_seed(self):
         def run():

@@ -188,8 +188,7 @@ class TestOneExecutionCore:
             }
 
         assert keywords(Router.__init__) == {
-            "n_clusters", "hot_query_threshold", "ewma_alpha", "quarantine_after",
-            "injector", "seed",
+            "n_clusters", "hot_query_threshold", "quarantine_after", "injector", "seed",
         }
         assert list(inspect.signature(Router.__init__).parameters)[:3] == [
             "self", "database", "n_replicas",

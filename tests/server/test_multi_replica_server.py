@@ -153,17 +153,27 @@ class TestAdminSurfaces:
                 connection = await repro.aio.connect(*server.address)
                 statement = await connection.prepare(SQL)
                 await statement.execute((10.0, 20.0))
+                before = await connection.admin.router_stats()
+                for low in (100.0, 200.0, 300.0):
+                    await statement.execute((low, low + 10.0))
+                await asyncio.to_thread(server.router.retune)
                 stats = await connection.admin.router_stats()
                 await connection.close()
-                return stats
+                return before, stats
 
-        stats = run(go)
+        before, stats = run(go)
         assert len(stats["replicas"]) == 2
         for replica in stats["replicas"]:
             assert "queue_depth" in replica
             assert "columns" in replica
         assert "hot_query_threshold" in stats["routing"]
-        assert "ewma_alpha" in stats["cost_model"]
+        assert "cost_model" not in stats
+        # The retune's what-if matrix: modeled bytes per replica, one per cluster.
+        assert before["modeled_bytes"] == {}
+        assert sorted(stats["modeled_bytes"]) == ["0", "1"]
+        for costs in stats["modeled_bytes"].values():
+            assert len(costs) == stats["clusters"]["n_clusters"]
+            assert all(cost > 0.0 for cost in costs)
 
     def test_single_engine_server_reports_router_absence(self):
         async def go():

@@ -189,6 +189,6 @@ class TestServerRegistry:
             with pytest.raises(ValueError, match="below apm_m_max"):
                 registry.set_knobs({"apm_m_min": 4 * KB})
             # The router's own knobs ride in the same registry.
-            registry.set_knobs({"router_ewma_alpha": 0.5})
-            assert router.ewma_alpha == 0.5
-            assert server_knob_registry(router).knobs()["router_ewma_alpha"] == 0.5
+            registry.set_knobs({"hot_query_threshold": 0.75})
+            assert router.hot_query_threshold == 0.75
+            assert server_knob_registry(router).knobs()["hot_query_threshold"] == 0.75
