@@ -72,7 +72,7 @@ def test_micro_segmented_select_with_deltas(benchmark):
     """A prepared 1 % select beside 720 pending inserts and 720 pending deletes.
 
     The engine path on a converged 100 K-row segmented int32 column: the
-    short plan's adaptive select plus its live-rows step, then the gather.
+    lowered plan's adaptive select plus its live-rows step, then the gather.
     """
     rng = np.random.default_rng(29)
     values = rng.integers(0, 1_000_000, DELTA_ROWS + PENDING_ROWS).astype(np.int32)
@@ -98,7 +98,7 @@ def test_micro_segmented_select_with_deltas(benchmark):
     live[deleted] = False
     expected = np.flatnonzero(live & (values >= bounds[0]) & (values <= bounds[1]))
     np.testing.assert_array_equal(np.sort(result.column("objid")), expected)
-    assert result.profile.opcode_counts["sql.live"] == 1  # the short plan ran
+    assert result.profile.opcode_counts["sql.live"] == 1  # the lowered plan ran
 
 
 def test_micro_replicated_select_converged(benchmark, warm_replicated):

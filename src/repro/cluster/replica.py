@@ -63,8 +63,8 @@ def clone_database(source: Database) -> Database:
     so the clone starts from the paper's initial one-segment state and is
     free to diverge from the source as it serves its own workload slice.
     Pending deltas are carried, not flushed: level 0 is bulk-loaded and the
-    source's insert tail, update pairs and deleted oids are replayed onto
-    the clone, so a fleet that has taken writes can still rebuild a replica.
+    source's insert tail and deleted oids are replayed onto the clone, so a
+    fleet that has taken writes can still rebuild a replica.
     """
     configs = source.adaptive_configs()
     for handle in source.bpm.handles():
@@ -95,9 +95,6 @@ def clone_database(source: Database) -> Database:
         target.insert(
             {name: column.bind(1).tail.copy() for name, column in store.columns.items()}
         )
-        for name, column in store.columns.items():
-            updates = column.bind(2)
-            target.update(name, updates.head.copy(), updates.tail.copy())
         target.delete(store.deletion_bat.tail)
     return clone
 

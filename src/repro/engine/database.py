@@ -263,16 +263,15 @@ class Database:
         """The optimized MAL plan in concrete syntax (like ``EXPLAIN``).
 
         ``sql`` may carry placeholders — the text a client prepares.  The
-        Figure-1 plan comes first; under one comment line, the short lowering
-        the executor runs while the table has no pending updates.
+        Figure-1 plan comes first; under one comment line, the lowering the
+        executor runs.
         """
         optimized = self.optimizer.optimize(
             self.compiler.compile(parse(sql, placeholders=True))
         )
-        short, tables = lower_short(optimized)
         return (
-            f"{optimized.render()}\n# short lowering — runs while "
-            f"{', '.join(tables)} has no pending updates\n{short.render()}"
+            f"{optimized.render()}\n# lowering — what the executor runs\n"
+            f"{lower_short(optimized).render()}"
         )
 
     def _lower(
@@ -280,10 +279,10 @@ class Database:
     ) -> PreparedPlan:
         """Compile, optimize and lower ``statement``; cache the plan under ``text``.
 
-        The one place a statement becomes a :class:`PreparedPlan`: both
-        compiled variants (the full cascade and its short lowering), the
-        binding template, environment slots and the range-select classification
-        are derived here, once, so no later stage looks at the statement again.
+        The one place a statement becomes a :class:`PreparedPlan`: the
+        compiled lowering, the Figure-1 text, the binding template,
+        environment slots and the range-select classification are derived
+        here, once, so no later stage looks at the statement again.
         ``text`` is what the plan is known by — its cache key, and what a
         stale handle re-prepares from.
         """
@@ -292,11 +291,10 @@ class Database:
         codegen_seconds = time.perf_counter() - started
         started = time.perf_counter()
         optimized = self.optimizer.optimize(program)
-        short_program, update_tables = lower_short(optimized)
+        lowered = lower_short(optimized)
         profile.optimize_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        compiled = compile_program(optimized, self.registry)
-        short = compile_program(short_program, self.registry)
+        compiled = compile_program(lowered, self.registry)
         profile.compile_seconds = codegen_seconds + time.perf_counter() - started
         binding = prepared_binding(statement)
         names = tuple(f"__p{index}" for index in range(binding.count))
@@ -306,9 +304,6 @@ class Database:
             text=optimized.render(),
             binding=binding,
             slots=compiled.parameter_slots(names),
-            short=short,
-            short_slots=short.parameter_slots(names),
-            update_tables=update_tables,
             generation=self.plan_cache.generation,
             template=range_template(statement, self.catalog),
         )

@@ -10,9 +10,8 @@ selection goes through a BPM door (``bpm.select`` in a plan, ``select_many``,
 ``pin`` / ``select_pinned`` / ``absorb``); every result is built by :func:`_result`.
 
 Whether a statement is a batchable range select was decided when it was
-prepared (:attr:`PreparedPlan.template`); what its table has pending is read
-here — deltas once per table per wave to bucket it, updates once per single
-run to pick the plan's compiled variant (full cascade or short lowering).
+prepared (:attr:`PreparedPlan.template`); whether its table has pending
+deltas is read here, once per table per wave, to bucket it.
 """
 
 from __future__ import annotations
@@ -205,10 +204,9 @@ class Executor:
         ``origin`` is given when the member was resolved from SQL text: the
         result then carries that text, the cache level that answered it and
         the profile that timed its plan acquisition.  Contexts are pooled, so
-        the warm path allocates no per-query containers of its own.  The
-        short variant runs while the statement's tables have no pending
-        updates; ``plan_text`` stays the paper's plan, ``opcode_counts`` say
-        what ran.
+        the warm path allocates no per-query containers of its own.
+        ``plan_text`` is the paper's plan; ``opcode_counts`` say what ran,
+        the plan's lowering.
         """
         if origin is None:
             started = time.perf_counter()
@@ -219,9 +217,7 @@ class Executor:
             sql, level, profile = origin
             started = time.perf_counter() - profile.plan_seconds
         database = self.database
-        compiled, slots = prepared.short, prepared.short_slots
-        if self._updated(prepared.update_tables):
-            compiled, slots = prepared.compiled, prepared.slots
+        compiled = prepared.compiled
         contexts = self._contexts
         context = contexts.pop() if contexts else ExecutionContext(catalog=database.catalog)
         bpm = database.bpm
@@ -229,7 +225,7 @@ class Executor:
         adaptation_before = bpm.total_adaptation_seconds
         counters = compiled.new_counters()
         execute_started = time.perf_counter()
-        compiled.execute_bound(context, slots, values, counters)
+        compiled.execute_bound(context, prepared.slots, values, counters)
         profile.execute_seconds = time.perf_counter() - execute_started
         profile.attach_counters(compiled, counters)
 
@@ -245,14 +241,6 @@ class Executor:
             context.reset()
             contexts.append(context)
         return result
-
-    def _updated(self, tables: tuple[str, ...]) -> bool:
-        """True when one of ``tables`` has a pending update: the full plan runs."""
-        table = self.database.catalog.table
-        for name in tables:
-            if table(name).has_updates:
-                return True
-        return False
 
     # -- waves --------------------------------------------------------------------
 

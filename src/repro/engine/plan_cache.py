@@ -4,8 +4,8 @@ Parsing, compiling, optimizing and lowering a statement is pure per-statement
 work that the hot query path would otherwise repeat on every execution.  The
 database short-circuits it with one cache level: the statement's normalized
 ``?`` / ``:name`` text maps to one :class:`PreparedPlan` — the specialized
-:class:`~repro.mal.compiled.CompiledPlan` plus the pre-resolved binding
-template (environment slots, arity, range checks).
+:class:`~repro.mal.compiled.CompiledPlan` of the plan's one lowering plus the
+pre-resolved binding template (environment slots, arity, range checks).
 
 * A prepared statement (:meth:`Database.prepare_statement`, the client API's
   ``Connection.prepare`` / ``Cursor.execute(sql, params)``) is known by its
@@ -27,9 +27,7 @@ survive a clear via the monotonically increasing :attr:`PlanCache.generation`:
 a handle lowered under an older generation is re-prepared instead of served
 stale.  Data changes (inserts, deletes) do *not* invalidate: ``sql.bind``
 resolves BATs at execution time, and compiled plans hold pre-resolved module
-callables, not data.  Updates decide which of a plan's two compiled variants
-runs — the full cascade or its short lowering — and that is read per query
-from ``ColumnStore.has_updates`` by the executor, never stored here.
+callables, not data.
 """
 
 from __future__ import annotations
@@ -123,15 +121,15 @@ class PreparedPlan:
 
     ``sql`` is the normalized statement text *including placeholders* (the
     cache key, and what a stale handle re-prepares from); ``compiled`` is the
-    executable plan (the full Figure-1 cascade) and ``text`` its pre-rendered
-    MAL; ``binding`` validates client parameters; ``slots`` maps placeholder
-    position → environment slot of the compiled plan (resolved once, at
-    prepare time); ``short`` / ``short_slots`` are the same for the short
-    lowering, run while no table in ``update_tables`` has pending updates;
-    ``generation`` is the cache generation the plan was lowered under — when
-    it trails the cache's current generation the schema or an adaptive
-    registration changed and the plan must be re-lowered; ``template`` is the
-    statement's range-select classification (``None``: not batchable).
+    executable plan (the lowering of the Figure-1 plan, see
+    :mod:`repro.optimizer.delta_elision`) and ``text`` the pre-rendered
+    Figure-1 MAL; ``binding`` validates client parameters; ``slots`` maps
+    placeholder position → environment slot of the compiled plan (resolved
+    once, at prepare time); ``generation`` is the cache generation the plan
+    was lowered under — when it trails the cache's current generation the
+    schema or an adaptive registration changed and the plan must be
+    re-lowered; ``template`` is the statement's range-select classification
+    (``None``: not batchable).
     """
 
     sql: str
@@ -139,9 +137,6 @@ class PreparedPlan:
     text: str
     binding: BindingSpec
     slots: tuple[int, ...]
-    short: CompiledPlan
-    short_slots: tuple[int, ...]
-    update_tables: tuple[str, ...]
     generation: int
     template: RangeTemplate | None
 

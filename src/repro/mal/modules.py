@@ -148,7 +148,7 @@ def _sql_live(
     ctx, candidates: BAT, source, schema: str, table: str, column: str, low, high,
     include_low=True, include_high=False,
 ) -> BAT:
-    """The short lowering's live-rows step after a select over ``source``.
+    """The lowered plan's live-rows step after a select over ``source``.
 
     ``source`` is what the select read: a persistent BAT, or an adaptive
     column's handle (built over the oids ``[0, rows)`` — pending inserts

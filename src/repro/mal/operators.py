@@ -15,7 +15,7 @@ Conventions:
 * ``markT`` renumbers results densely in the tail; combined with ``reverse``
   and ``join`` it reconstructs final result columns exactly like Figure 1;
   ``projection`` is the same reconstruction as one positional ``gather``.
-* ``live_rows`` is the short lowering's one step for pending inserts and
+* ``live_rows`` is the lowered plan's one step for pending inserts and
   deletes: a select's candidates with the tombstoned oids dropped and the
   insert delta's hits appended.
 """
@@ -132,9 +132,12 @@ def kunion(left: BAT, right: BAT) -> BAT:
     the actual scan.  With pending inserts the cost stays O(result + delta):
     a column's persistent and insert BATs yield the storage layer's pre-built
     view over both, and operands with disjoint oid ranges (persistent hits
-    below insert hits) are concatenated.  Only operands that are neither —
-    update deltas, which no public write API fills — take the hashing
-    fall-through: correct, not fast.
+    below insert hits) are concatenated.  Operands whose oids overlap take
+    the hashing fall-through: correct, not fast.  The engine runs the
+    lowered plan, which has no ``kunion`` over hits, so only the
+    interpreter oracle running the Figure-1 plan (an adaptive column enabled
+    over pending inserts holds oids the insert delta holds too) and direct
+    calls reach it.
     """
     if right.count == 0:
         return left
@@ -158,9 +161,10 @@ def kdifference(left: BAT, right: BAT) -> BAT:
 
     An empty ``right`` operand passes ``left`` through unchanged (see
     :func:`kunion` for the rationale); against the deletion BAT the answer is
-    one gather from its tombstone bitmap, ``alive[heads]``.  Anything else —
-    in the Figure-1 cascade only the update delta — is hashed with
-    ``np.isin``: correct, not fast.
+    one gather from its tombstone bitmap, ``alive[heads]``.  Anything else is
+    hashed with ``np.isin``: correct, not fast — reached only by direct
+    calls, since the Figure-1 cascade differences against the always-empty
+    update delta and the deletion BAT alone.
     """
     if left.count == 0 or right.count == 0:
         return left

@@ -5,8 +5,8 @@ programs produced by the SQL compiler are transformed before execution.  This
 package provides the optimizer pipeline, a couple of generic MAL→MAL rules,
 the **segment optimizer** that rewrites selections over adaptive columns into
 segment-aware iterator blocks, the **Bat Partition Manager (BPM)** runtime
-module those blocks call into, and **delta elision** — the short lowering of
-an optimized plan that the executor runs while a table has no pending updates.
+module those blocks call into, and **delta elision** — the lowering of an
+optimized plan that the executor runs in place of the Figure-1 cascade.
 """
 
 from repro.optimizer.bpm import AdaptiveColumnHandle, BatPartitionManager

@@ -19,7 +19,7 @@ segment optimizer's rewritten plans call at run time:
 where adaptation (splitting / replica materialization) is piggy-backed — and
 hands the plan the qualifying piece, so the downstream plan shape matches the
 paper's §3.1 snippet.  The selection answers the block's bounds exactly, so
-there is never a second piece; the short lowering
+there is never a second piece; the plan's lowering
 (:mod:`repro.optimizer.delta_elision`) calls the same selection as
 ``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it.
 

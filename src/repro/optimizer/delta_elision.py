@@ -1,15 +1,12 @@
-"""Delta elision: the short lowering of an optimized plan (no pending updates).
+"""Delta elision: the lowering of an optimized plan that the executor runs.
 
-The Figure-1 plan merges three delta BATs into every column it touches.  The
-MAL→MAL rules here rewrite it under the assumption "the statement's tables
-have no pending updates"; the executor runs the result while
-``ColumnStore.has_updates`` says the assumption holds, and the full plan
-otherwise.  Only ``ColumnStore.update`` fills an update delta, so pending
-inserts and deletes run the short plan too: each predicate's merge of its
-insert hits, and the final difference against the deletion BAT, become one
-``sql.live`` step after the select, which costs one check on a table without
-deltas.  Every rule is exact under the assumption: same candidates, same
-adaptive selection, same exported columns.
+The Figure-1 plan merges three delta BATs into every column it touches.  No
+write fills the update delta (level 2 is always empty), so the MAL→MAL rules
+here drop it unconditionally; each predicate's merge of its insert hits, and
+the final difference against the deletion BAT, become one ``sql.live`` step
+after the select, which costs one check on a table without deltas.  Every
+rule is exact: same candidates, same adaptive selection, same exported
+columns as the Figure-1 plan, which stays the plan's text.
 """
 
 from __future__ import annotations
@@ -54,18 +51,16 @@ def _bound(instruction: Instruction | None, level: int) -> tuple | None:
     return tuple(column) if bound_level == level else None
 
 
-def elide_empty_updates(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]]:
+def elide_empty_updates(program: MALProgram) -> MALProgram:
     """Static twin of the operators' empty-operand early returns, for updates.
 
     ``sql.bind`` at level 2 defines an empty variable; ``reverse`` /
     ``uselect`` / ``select`` of an empty variable is empty; ``kunion(x, ∅)``,
     ``kunion(∅, x)`` and ``kdifference(x, ∅)`` *are* ``x``.  Returns the
-    program with those aliases applied and the tables whose update deltas it
-    assumed empty.
+    program with those aliases applied.
     """
     empty: set[str] = set()
     renames: dict[str, str] = {}
-    tables: dict[str, None] = {}
     kept: list[Instruction] = []
     for instruction in program.instructions:
         instruction = apply_renames(instruction, renames)
@@ -73,10 +68,8 @@ def elide_empty_updates(program: MALProgram) -> tuple[MALProgram, tuple[str, ...
         if instruction.opcode != OPCODE_ASSIGN or target is None:
             pass  # barrier / redo / exit and effect-only calls define nothing empty
         elif callee == "sql.bind":
-            bound = _bound(instruction, 2)
-            if bound is not None:
+            if _bound(instruction, 2) is not None:
                 empty.add(target)
-                tables[bound[1]] = None
         elif callee in _EMPTY_IN_EMPTY_OUT:
             if isinstance(args[0], Var) and args[0].name in empty:
                 empty.add(target)
@@ -89,7 +82,7 @@ def elide_empty_updates(program: MALProgram) -> tuple[MALProgram, tuple[str, ...
                 renames[target] = right
                 continue
         kept.append(instruction)
-    return MALProgram(program.name, program.parameters, kept), tuple(tables)
+    return MALProgram(program.name, program.parameters, kept)
 
 
 def _live_step(instruction: Instruction, definitions: dict[str, Instruction]) -> Instruction | None:
@@ -233,7 +226,7 @@ def fuse_projection(program: MALProgram) -> MALProgram:
     return MALProgram(program.name, program.parameters, kept)
 
 
-def lower_short(program: MALProgram) -> tuple[MALProgram, tuple[str, ...]]:
-    """The short variant of an optimized plan, and the tables gating it."""
-    elided, tables = elide_empty_updates(collapse_iterator_block(program))
-    return remove_dead_code(fuse_projection(insert_live_rows(elided))), tables
+def lower_short(program: MALProgram) -> MALProgram:
+    """The lowering of an optimized plan: what the executor runs."""
+    elided = elide_empty_updates(collapse_iterator_block(program))
+    return remove_dead_code(fuse_projection(insert_live_rows(elided)))

@@ -6,6 +6,8 @@ family of BATs: the persistent payload (bind level 0), the pending inserts
 in a separate deletion BAT (``bind_dbat``).  The Fig-1 query plan unions and
 differences these pieces before evaluating predicates — the reproduction
 follows the same structure so that the generated plans look like the paper's.
+No write fills level 2 (an update is a delete plus an insert): it stays an
+always-empty BAT, there so that the plan is the paper's figure.
 
 Inserted rows always receive the next free oids, so the insert delta is the
 dense continuation of the persistent BAT.  Both therefore live in one tail
@@ -38,9 +40,9 @@ def _capacity(total: int, loaded: int) -> int:
 class StoredColumn:
     """One relational column stored as persistent + delta BATs.
 
-    The write methods (:meth:`bulk_load`, :meth:`append`, :meth:`update`) are
-    driven by the owning :class:`ColumnStore`, which keeps the table's oid
-    allocation and ``has_deltas`` in step; call them through it.
+    The write methods (:meth:`bulk_load`, :meth:`append`) are driven by the
+    owning :class:`ColumnStore`, which keeps the table's oid allocation and
+    ``has_deltas`` in step; call them through it.
     """
 
     def __init__(self, table: str, name: str, dtype: Any) -> None:
@@ -68,15 +70,15 @@ class StoredColumn:
     @property
     def size_bytes(self) -> int:
         """Total bytes across persistent and delta BATs."""
-        return self._persistent.size_bytes + self._inserts.size_bytes + self._updates.size_bytes
+        return self._persistent.size_bytes + self._inserts.size_bytes
 
     @property
     def has_deltas(self) -> bool:
-        """True when pending inserts or updates exist for this column."""
-        return bool(self._inserts.count or self._updates.count)
+        """True when pending inserts exist for this column."""
+        return bool(self._inserts.count)
 
     def bind(self, level: int) -> BAT:
-        """The BAT for a ``sql.bind`` at the given level (0, 1 or 2)."""
+        """The BAT for a ``sql.bind`` at the given level (0, 1 or 2; 2 is always empty)."""
         if level == BIND_PERSISTENT:
             return self._persistent
         if level == BIND_INSERTS:
@@ -144,37 +146,13 @@ class StoredColumn:
         )
         self._persistent.merged = self._inserts.merged = merged
 
-    def update(self, oids: np.ndarray, values: np.ndarray) -> None:
-        """Record updated values in the update-delta BAT, one pair per oid.
-
-        The latest value of an oid wins: over the earlier updates, and over
-        an earlier occurrence of the same oid in ``oids``.
-        """
-        oids = np.asarray(oids, dtype=np.int64)
-        values = np.asarray(values, dtype=self.dtype)
-        if oids.size != values.size:
-            raise ValueError("update oids and values must have equal length")
-        if not oids.size:
-            return
-        last = oids.size - 1 - np.unique(oids[::-1], return_index=True)[1]
-        oids, values = oids[last], values[last]
-        earlier = self._updates
-        if earlier.count:
-            kept = ~np.isin(earlier.head, oids)
-            oids = np.concatenate((earlier.head[kept], oids))
-            values = np.concatenate((earlier.tail[kept], values))
-        self._updates = BAT.from_pairs(oids, values, name=self.qualified_name(BIND_UPDATES))
-
     def merge_deltas(self) -> np.ndarray:
-        """The logical column contents with deltas applied (no deletions).
+        """The logical column contents with pending inserts (no deletions).
 
         Equivalent to the kunion/kdifference cascade the SQL compiler emits,
         evaluated eagerly; used for loading adaptive columns and by tests.
         """
-        merged = self._buffer[: self._total].copy()
-        if self._updates.count:
-            merged[self._updates.head] = self._updates.tail
-        return merged
+        return self._buffer[: self._total].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -199,13 +177,10 @@ class ColumnStore:
     def __init__(self, table: str) -> None:
         self.table = table
         self.columns: dict[str, StoredColumn] = {}
-        #: True once any column has a pending insert or update, or a row was
-        #: deleted — maintained by the write paths, read per wave and by
-        #: the live-rows step.
+        #: True once any column has a pending insert, or a row was deleted —
+        #: maintained by the write paths, read per wave and by the
+        #: live-rows step.
         self.has_deltas = False
-        #: True once any column has a pending update — what gates the short
-        #: lowering, read per statement.
-        self.has_updates = False
         self._reset(0)
 
     # -- schema -------------------------------------------------------------
@@ -270,7 +245,7 @@ class ColumnStore:
         for name, values in data.items():
             self.columns[name].bulk_load(values, start_oid=0)
         self._reset(next(iter(lengths.values()), 0))
-        self.has_deltas = self.has_updates = False
+        self.has_deltas = False
 
     def insert(self, data: dict[str, np.ndarray]) -> None:
         """Append rows to the insert deltas of all columns."""
@@ -290,12 +265,6 @@ class ColumnStore:
         self._next_oid = total
         if count:
             self.has_deltas = True
-
-    def update(self, name: str, oids: np.ndarray, values: np.ndarray) -> None:
-        """Record updated values of one column in its update delta."""
-        self.column(name).update(oids, values)
-        if np.size(oids):
-            self.has_deltas = self.has_updates = True
 
     def delete(self, oids: np.ndarray) -> None:
         """Mark the given oids as deleted; re-deleting a row is a no-op.

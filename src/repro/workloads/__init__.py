@@ -17,7 +17,6 @@ from repro.workloads.generators import (
     multimodal_workload,
     make_column,
     uniform_workload,
-    update_heavy_workload,
     zipf_workload,
 )
 from repro.workloads.replay import load_workload, save_workload
@@ -39,7 +38,6 @@ __all__ = [
     "mixed_workload",
     "multimodal_workload",
     "uniform_workload",
-    "update_heavy_workload",
     "zipf_workload",
     "load_workload",
     "save_workload",

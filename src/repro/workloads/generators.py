@@ -30,7 +30,7 @@ class WorkloadSpec:
 
     name: str
     distribution: str  # "uniform" | "zipf" | "changing" | "hotspot" | "multimodal"
-    #   | "update_heavy" | "mixed" | "drifting_mix"
+    #   | "mixed" | "drifting_mix"
     selectivity: float
     n_queries: int
     zipf_exponent: float = 1.0
@@ -61,10 +61,6 @@ class WorkloadSpec:
             )
         if self.distribution == "multimodal":
             return multimodal_workload(
-                self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
-            )
-        if self.distribution == "update_heavy":
-            return update_heavy_workload(
                 self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
             )
         if self.distribution == "mixed":
@@ -354,61 +350,6 @@ def changing_workload(
             f"{phase_fraction:.1%} of the domain"
         ),
         metadata={"n_phases": n_phases, "phase_fraction": phase_fraction},
-    )
-
-
-def update_heavy_workload(
-    n_queries: int,
-    domain: tuple[float, float],
-    selectivity: float,
-    *,
-    update_fraction: float = 0.7,
-    n_hotspots: int = 2,
-    hotspot_fraction: float = 0.02,
-    seed: int | None = None,
-    name: str = "update-heavy",
-) -> Workload:
-    """A mostly-write stream: hot-area range touches, most marked ``update``.
-
-    The query *positions* follow the hotspot pattern (updates concentrate
-    where the data is hot), but each query carries an operation label in
-    ``metadata["ops"]`` — ``"update"`` with probability ``update_fraction``,
-    else ``"read"``.  An update of ``[low, high)`` models a delete+reinsert
-    over that range, which is what stresses segment rematerialization and
-    the replication storage budget; executors that only understand reads
-    can replay the stream as-is (every query is still a valid range probe).
-    """
-    ensure_positive("n_queries", n_queries)
-    ensure_in_range("update_fraction", update_fraction, 0.0, 1.0)
-    base = hotspot_workload(
-        n_queries,
-        domain,
-        selectivity,
-        n_hotspots=n_hotspots,
-        hotspot_fraction=hotspot_fraction,
-        seed=seed,
-        name=name,
-    )
-    rng = make_rng(None if seed is None else seed + 104_729)
-    ops = [
-        "update" if rng.random() < update_fraction else "read"
-        for _ in range(n_queries)
-    ]
-    return Workload(
-        name=name,
-        queries=base.queries,
-        domain=domain,
-        selectivity=selectivity,
-        description=(
-            f"{n_queries} hot-area range touches, {update_fraction:.0%} marked "
-            f"update (delete+reinsert over the range)"
-        ),
-        metadata={
-            **base.metadata,
-            "ops": ops,
-            "op_mix": {op: ops.count(op) for op in ("read", "update")},
-            "update_fraction": update_fraction,
-        },
     )
 
 

@@ -62,7 +62,7 @@ class TestSchemaAndLoading:
 
 
 class TestTheShortPath:
-    """Reads run the short lowering until an update is pending; then Figure 1 as before."""
+    """Reads run the plan's lowering, with or without pending inserts and deletes."""
 
     SQL = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
 
@@ -83,11 +83,9 @@ class TestTheShortPath:
         assert result.cache_level == "prepared"  # a compiled plan ran, not a batch
         return len(built)
 
-    @pytest.mark.parametrize(
-        "strategy, delta_free, updated", [(None, 3, 11), ("segmentation", 2, 10)]
-    )
+    @pytest.mark.parametrize("strategy, delta_free", [(None, 3), ("segmentation", 2)])
     def test_a_warm_read_allocates_the_same_bats(
-        self, database, monkeypatch, strategy, delta_free, updated
+        self, database, monkeypatch, strategy, delta_free
     ):
         if strategy is not None:
             database.enable_adaptive("p", "ra", strategy=strategy)
@@ -100,22 +98,18 @@ class TestTheShortPath:
         database.insert("p", {"objid": [-1], "ra": [10.5], "dec": [0.0]})
         database.delete("p", [0])
         assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) <= delta_free + 1
-        # A pending update runs the full cascade over all three deltas.
-        database.catalog.table("p").update("dec", np.array([1]), np.array([5.0]))
-        assert self.bats_built_by_a_warm_read(database, monkeypatch, prepared) == updated
 
     @pytest.mark.parametrize("strategy", [None, "segmentation", "replication", "unsegmented"])
     def test_the_benchmark_statement_lowers_to_a_handful_of_dispatches(self, database, strategy):
         if strategy is not None:
             database.enable_adaptive("p", "ra", strategy=strategy)
         prepared = database.prepare_statement(self.SQL)
-        counts = prepared.short.opcode_counts([1] * len(prepared.short))
-        assert len(prepared.short) == 8 and prepared.update_tables == ("p",)
+        counts = prepared.compiled.opcode_counts([1] * len(prepared.compiled))
+        assert len(prepared.compiled) == 8
         assert not counts.keys() & {
             "algebra.kunion", "algebra.kdifference", "algebra.markT", "algebra.join",
             "bat.reverse", "bpm.newIterator", "bpm.hasMoreElements",
         }
-        assert len(prepared.compiled) == (25 if strategy is None else 31)
 
 
 class TestOneExecutionCore:
@@ -245,10 +239,10 @@ class TestQueryExecution:
         assert "algebra.uselect" in plan
 
     def test_explain_takes_the_text_a_client_prepares(self, database):
-        """``?`` text explains (it raised SQLSyntaxError); both lowerings are shown."""
+        """``?`` text explains (it raised SQLSyntaxError); Figure 1, then the lowering."""
         sql = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         figure_1, marker, short = database.explain(sql).partition(
-            "\n# short lowering — runs while p has no pending updates\n"
+            "\n# lowering — what the executor runs\n"
         )
         assert marker and figure_1.count("algebra.kunion") == 4
         # Statement counters differ between two compilations; the bodies do not.
@@ -260,7 +254,28 @@ class TestQueryExecution:
             "sql.resultSet", "sql.rsColumn", "sql.exportResult",
         ]
         named = database.explain("SELECT objid FROM p WHERE ra BETWEEN :lo AND :hi")
-        assert named.count("uselect(X_3, __p0, __p1") == 2  # once in each lowering
+        assert named.count("uselect(X_3, __p0, __p1") == 2  # in Figure 1 and the lowering
+
+    def test_a_statement_is_compiled_once_and_runs_its_lowering(self, database, monkeypatch):
+        import repro.engine.database as module
+
+        compiled = []
+        original = module.compile_program
+
+        def counting(program, registry, **options):
+            compiled.append(program)
+            return original(program, registry, **options)
+
+        monkeypatch.setattr(module, "compile_program", counting)
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        assert len(compiled) == 1
+        assert "algebra.kunion" not in compiled[0].render()
+        database.insert("p", {"objid": np.array([-1]), "ra": np.array([15.0]),
+                              "dec": np.array([0.0])})
+        result = database.execute_prepared(prepared, (14.0, 16.0))
+        assert len(compiled) == 1  # pending writes run the same plan
+        assert -1 in result.columns["objid"].tolist()
+        assert result.profile.opcode_counts["sql.live"] == 1
 
     def test_result_to_rows(self, database):
         result = database.execute("SELECT objid, ra FROM p WHERE ra BETWEEN 10 AND 10.5")

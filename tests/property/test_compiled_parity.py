@@ -5,10 +5,12 @@ the same final variable environments and the same per-query ``QueryStats`` as
 the tree-walking interpreter — including across the segment optimizer's
 barrier/redo/exit iterator rewrites, where the control flow actually loops.
 
-A prepared plan carries two compiled variants — the full Figure-1 cascade and
-its short lowering (``repro.optimizer.delta_elision``).  On a table with no
-pending deltas both must export what ``Interpreter.run`` exports from the
-full plan, for every built-in organisation and every statement shape.
+A prepared plan carries one compiled plan: the lowering of the Figure-1 plan
+(``repro.optimizer.delta_elision``).  The interpreter runs the full Figure-1
+plan as the oracle: on a delta-free table and beside pending inserts (made
+before and after the column turns adaptive) and deletes, the lowering must
+export what ``Interpreter.run`` exports, with equal ``QueryStats`` histories,
+for every built-in organisation and every statement shape.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.accounting import QueryStats
 from repro.engine.database import Database
 from repro.engine.execution import ExecutionContext
+from repro.mal import operators
 from repro.mal.builder import ProgramBuilder
 from repro.mal.compiled import compile_program
 from repro.mal.interpreter import Interpreter
@@ -101,23 +104,41 @@ def test_barrier_loop_environments_match(items, offset, argument):
 # ---------------------------------------------------------------------------
 
 _N_ROWS = 4_000
+_PENDING = 60  # rows inserted on each side of enable_adaptive
 
 
-def _build_database(organisation: str | None = "segmentation") -> Database:
+def _rows(rng: np.random.Generator, first_oid: int, count: int) -> dict[str, np.ndarray]:
+    return {
+        "objid": np.arange(first_oid, first_oid + count, dtype=np.int64),
+        "ra": rng.uniform(0.0, 360.0, count),
+        "dec": rng.uniform(-90.0, 90.0, count).astype(np.float32),
+    }
+
+
+def _build_database(organisation: str | None = "segmentation", pending: bool = False) -> Database:
+    """``pending``: inserts before and after the column turns adaptive, then deletes.
+
+    The adaptive column is built over the early inserts, which stay in the
+    insert delta too — the Figure-1 plan's ``kunion`` of its hits with the
+    delta's then sees overlapping oids.  The deletes hit loaded, early and
+    late rows alike.
+    """
     rng = np.random.default_rng(23)
     db = Database()
     db.create_table("p", {"objid": "int64", "ra": "float64", "dec": "float32"})
-    db.bulk_load(
-        "p",
-        {
-            "objid": np.arange(_N_ROWS, dtype=np.int64),
-            "ra": rng.uniform(0.0, 360.0, _N_ROWS),
-            "dec": rng.uniform(-90.0, 90.0, _N_ROWS).astype(np.float32),
-        },
-    )
+    db.bulk_load("p", _rows(rng, 0, _N_ROWS))
+    if pending:
+        db.insert("p", _rows(rng, _N_ROWS, _PENDING))
     if organisation is not None:
         db.enable_adaptive("p", "ra", strategy=organisation, model="apm",
                            m_min=1 * KB, m_max=4 * KB, seed=1)
+    if pending:
+        db.insert("p", _rows(rng, _N_ROWS + _PENDING, _PENDING))
+        allocated = _N_ROWS + 2 * _PENDING
+        db.delete("p", np.concatenate((
+            rng.choice(allocated, size=400, replace=False),
+            [_N_ROWS + 1, _N_ROWS + _PENDING + 1],  # one early and one late insert
+        )))
     return db
 
 
@@ -225,7 +246,7 @@ def test_compiled_plan_is_reusable_across_contexts():
 
 
 # ---------------------------------------------------------------------------
-# Both compiled variants against the interpreter, shape by shape
+# The compiled lowering against the interpreter's Figure-1 plan, shape by shape
 # ---------------------------------------------------------------------------
 
 #: Statement shape -> (text, how many of (low, high, dec bound) it binds).
@@ -238,6 +259,7 @@ _SHAPES = {
     "two_columns": ("SELECT dec, objid FROM p WHERE ra BETWEEN ? AND ?", 2),
     "aggregate": ("SELECT count(*), sum(dec), avg(objid) FROM p WHERE ra BETWEEN ? AND ?", 2),
     "limit": ("SELECT objid, ra FROM p WHERE ra BETWEEN ? AND ? LIMIT 7", 2),
+    "all_rows": ("SELECT objid, ra FROM p", 0),
 }
 
 _ranges = st.one_of(
@@ -264,12 +286,16 @@ def _exported(run, database):
     )
 
 
-@pytest.mark.parametrize("organisation", [None, "segmentation", "replication", "unsegmented"])
+_ORGANISATIONS = [None, "segmentation", "replication", "unsegmented"]
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "pending-writes"])
+@pytest.mark.parametrize("organisation", _ORGANISATIONS)
 @given(queries=_shape_queries)
 @example(queries=[("two_columns", (-50.0, -10.0), 0.0), ("limit", (-50.0, -10.0), 0.0)])
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_both_compiled_variants_match_the_interpreter(organisation, queries):
-    interpreted_db, full_db, short_db = (_build_database(organisation) for _ in range(3))
+def test_the_lowering_matches_the_interpreter(organisation, pending, queries):
+    interpreted_db, compiled_db = (_build_database(organisation, pending) for _ in range(2))
     for shape, (low, high), dec in queries:
         sql, arity = _SHAPES[shape]
         values = (low, high, dec)[:arity] if arity != 1 else (low,)
@@ -277,33 +303,54 @@ def test_both_compiled_variants_match_the_interpreter(organisation, queries):
             interpreted_db.compiler.compile(parse(sql, placeholders=True))
         )
         arguments = {f"__p{index}": value for index, value in enumerate(values)}
-        full = full_db.prepare_statement(sql)
-        short = short_db.prepare_statement(sql)
-        assert len(short.short) < len(full.compiled)
+        prepared = compiled_db.prepare_statement(sql)
+        assert len(prepared.compiled) < len(program)
 
         expected = _exported(
             lambda ctx: Interpreter(interpreted_db.registry).run(program, ctx, arguments),
             interpreted_db,
         )
-        if arity != 1 and high < 0.0:  # entirely below the domain: empty, dtypes intact
+        if arity > 1 and high < 0.0:  # entirely below the domain: empty, dtypes intact
             assert [column[1:] for column in expected[0]] == [
                 (interpreted_db.catalog.column("p", name).dtype, [])
                 for name, _, _ in expected[0]
             ]
         assert expected == _exported(
-            lambda ctx: full.compiled.execute_bound(ctx, full.slots, values), full_db
-        )
-        assert expected == _exported(
-            lambda ctx: short.short.execute_bound(ctx, short.short_slots, values),
-            short_db,
+            lambda ctx: prepared.compiled.execute_bound(ctx, prepared.slots, values),
+            compiled_db,
         )
     if organisation is not None:
         histories = [
             [_stats_tuple(stats) for stats in db.adaptive_handle("p", "ra").adaptive.history]
-            for db in (interpreted_db, full_db, short_db)
+            for db in (interpreted_db, compiled_db)
         ]
-        assert histories[0] == histories[1] == histories[2]
-        short_db.adaptive_handle("p", "ra").adaptive.check_invariants()
+        assert histories[0] == histories[1]
+        compiled_db.adaptive_handle("p", "ra").adaptive.check_invariants()
+
+
+@pytest.mark.parametrize("organisation", _ORGANISATIONS[1:])
+def test_beside_pending_writes_the_oracle_merges_overlapping_oids(organisation, monkeypatch):
+    """The pending-writes case above reaches ``kunion``'s hashing fall-through."""
+    database = _build_database(organisation, pending=True)
+    overlaps: list[int] = []
+    kunion = operators.kunion
+
+    def spy(left: BAT, right: BAT) -> BAT:
+        if left.count and right.count:
+            overlaps.append(np.intersect1d(left.head, right.head).size)
+        return kunion(left, right)
+
+    monkeypatch.setattr(operators, "kunion", spy)
+    program = database.optimizer.optimize(
+        database.compiler.compile(parse("SELECT objid FROM p WHERE ra BETWEEN 0.0 AND 360.0"))
+    )
+    context = ExecutionContext(catalog=database.catalog)
+    Interpreter(database.registry).run(program, context)
+    assert max(overlaps) == _PENDING  # the early inserts: adaptive hits and delta hits
+    expected = sorted(set(range(_N_ROWS + 2 * _PENDING)) - set(
+        database.catalog.table("p").deletion_bat.tail.tolist()
+    ))
+    assert sorted(context.exported_columns()["objid"].tolist()) == expected
 
 
 if __name__ == "__main__":  # pragma: no cover

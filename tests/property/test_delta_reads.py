@@ -1,26 +1,23 @@
 """Property: one oracle for every door, with and without pending writes.
 
-Random interleavings of ``insert`` / ``delete`` / ``ColumnStore.update`` and
-range selects, over a plain column and every registered adaptive strategy,
-through the read doors (text ``execute``, ``execute_prepared``,
-``execute_many``, ``execute_wave``) with ``read_workers`` 1 or 2.  Every
-answer must be permutation-equal to a numpy mask scan of a shadow table
-replayed in op order, and the adaptive structure must pass
-``check_invariants()`` after every step.  Deletes deliberately repeat oids and
-hit rows still in the insert delta; updates hit any row, repeatedly (the
-update BAT keeps one pair per oid, the latest).  Half the tables take an
-insert *before* the column is made adaptive, so the adaptive column and the
-insert delta both hold those rows: the union has to deduplicate rather than
-concatenate, and the live-rows step scans the delta only past the adaptive
-column's rows.
+Random interleavings of ``insert`` / ``delete`` and range selects, over a
+plain column and every registered adaptive strategy, through the read doors
+(text ``execute``, ``execute_prepared``, ``execute_many``, ``execute_wave``)
+with ``read_workers`` 1 or 2.  Every answer must be permutation-equal to a
+numpy mask scan of a shadow table replayed in op order, and the adaptive
+structure must pass ``check_invariants()`` after every step.  Deletes
+deliberately repeat oids and hit rows still in the insert delta.  Half the
+tables take an insert *before* the column is made adaptive, so the adaptive
+column and the insert delta both hold those rows: the live-rows step scans
+the delta only past the adaptive column's rows.
 
 The door-equivalence check below it drives one fixed set of ranges through
 each of the five ``Database.execute*`` doors — they are adapters over one
 executor, so they must agree on answers, slot order and batch counters.  The
-variant-flip check follows one prepared handle through delta-free → insert →
-delete → update → reload: the short variant runs until an update is pending,
-and every answer along the way matches the shadow.  The clone check rebuilds
-a table with every kind of pending write on a fresh engine.
+one-lowering check follows one prepared handle through delta-free → insert →
+delete → reload: every member that runs a plan runs the lowering, and every
+answer along the way matches the shadow.  The clone check rebuilds a table
+with pending inserts and deletes on a fresh engine.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ SQL = "select objid, v from p where v between ? and ?"
 LITERAL = "select objid, v from p where v between {low!r} and {high!r}"
 
 op_kinds = st.sampled_from(
-    ["insert", "delete", "update", "text", "prepared", "many", "wave"]
+    ["insert", "delete", "text", "prepared", "many", "wave"]
 )
 ops = st.lists(st.tuples(op_kinds, st.integers(0, 2**16)), min_size=6, max_size=40)
 organisations = st.sampled_from([None, *available_strategies()])
@@ -53,13 +50,11 @@ class Shadow:
     def __init__(self, values: np.ndarray) -> None:
         self.values = values.copy()
         self.live = np.ones(values.size, dtype=bool)
-        self.updated = np.zeros(values.size, dtype=bool)
 
     def insert(self, values: np.ndarray) -> np.ndarray:
         oids = np.arange(self.values.size, self.values.size + values.size)
         self.values = np.concatenate((self.values, values))
         self.live = np.concatenate((self.live, np.ones(values.size, dtype=bool)))
-        self.updated = np.concatenate((self.updated, np.zeros(values.size, dtype=bool)))
         return oids
 
     def answer(self, low: float, high: float) -> list[tuple[int, float]]:
@@ -105,13 +100,6 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
         oids = rng.integers(0, shadow.values.size, int(rng.integers(1, 7)))
         shadow.live[oids] = False
         database.delete("p", np.concatenate((oids, oids[:1])))
-    elif kind == "update":
-        # Any allocated oid: updated again, deleted and inserted rows included.
-        oids = rng.choice(shadow.values.size, size=int(rng.integers(1, 5)), replace=False)
-        values = rng.uniform(0.0, DOMAIN, oids.size)
-        shadow.values[oids] = values
-        shadow.updated[oids] = True
-        store.update("v", oids, values)
     elif kind == "text":
         ((low, high),) = _ranges(rng, 1)
         result = database.execute(LITERAL.format(low=low, high=high))
@@ -134,10 +122,7 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
         for (low, high), result in zip(bounds, results):
             assert _pairs(result) == shadow.answer(low, high)
     assert store.row_count == int(shadow.live.sum())
-    assert store.has_deltas == bool(
-        shadow.values.size > ROWS or not shadow.live.all() or shadow.updated.any()
-    )
-    assert store.has_updates == bool(shadow.updated.any())
+    assert store.has_deltas == bool(shadow.values.size > ROWS or not shadow.live.all())
 
 
 @seed(20260925)
@@ -228,39 +213,32 @@ def test_every_door_answers_alike(door, organisation, pending, read_workers):
 @pytest.mark.parametrize("read_workers", [1, 2])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 @pytest.mark.parametrize("door", DOORS)
-def test_only_an_update_flips_the_variant_and_a_reload_flips_it_back(
+def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(
     door, organisation, read_workers
 ):
     database, shadow = _build(organisation, early_insert=False)
     database.read_workers = read_workers
     prepared = database.prepare_statement(SQL)
 
-    def read(variant: str) -> None:
+    def read(pending: bool) -> None:
         results = _through(database, door, prepared, RANGES)
         assert [_pairs(result) for result in results] == [
             shadow.answer(low, high) for low, high in RANGES
         ]
         ran = [r.profile.opcode_counts for r in results if r.cache_level in RAN_SINGLY]
-        if variant == "delta-free":  # the short lowering, or a wave that ran no plan at all
-            assert len(ran) == (len(RANGES) if door in ("execute", "execute_prepared") else 0)
-        else:  # pending writes: every member ran a plan on its own
+        if pending:  # every member ran a plan on its own
             assert len(ran) == len(RANGES)
-        if variant == "cascade":
-            assert all("algebra.kunion" in counts and "algebra.join" in counts for counts in ran)
-        else:
-            assert all(
-                counts["sql.live"] == 1 and "algebra.kunion" not in counts for counts in ran
-            )
+        else:  # the lowering, or a wave that ran no plan at all
+            assert len(ran) == (len(RANGES) if door in ("execute", "execute_prepared") else 0)
+        assert all(counts["sql.live"] == 1 and "algebra.kunion" not in counts for counts in ran)
 
-    read("delta-free")
+    read(pending=False)
     _step(database, shadow, prepared, "insert", 11)
-    read("short")
+    read(pending=True)
     _step(database, shadow, prepared, "delete", 12)
-    read("short")
-    _step(database, shadow, prepared, "update", 13)
-    read("cascade")
+    read(pending=True)
     # Nothing but a reload empties the deltas again.  An adaptive column is
-    # rebuilt over the new rows; the stale handle re-prepares both variants.
+    # rebuilt over the new rows; the stale handle re-prepares its lowering.
     values = np.random.default_rng(4).uniform(0.0, DOMAIN, ROWS)
     if organisation is not None:
         database.disable_adaptive("p", "v")
@@ -271,36 +249,57 @@ def test_only_an_update_flips_the_variant_and_a_reload_flips_it_back(
         )
         assert prepared.generation != database.plan_cache.generation
     shadow = Shadow(values)
-    read("delta-free")
+    read(pending=False)
     if organisation is not None:
         database.adaptive_handle("p", "v").adaptive.check_invariants()
 
 
-@pytest.mark.parametrize("updates", [False, True], ids=["inserts-deletes", "with-updates"])
 @pytest.mark.parametrize("early_insert", [False, True], ids=["late", "early-insert"])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 def test_a_clone_of_a_table_with_pending_writes_answers_like_its_source(
-    organisation, early_insert, updates
+    organisation, early_insert
 ):
     source, shadow = _build(organisation, early_insert)
     prepared = source.prepare_statement(SQL)
-    kinds = ["insert", "delete", "insert", "delete"] + ["update", "update"] * updates
-    for draw, kind in enumerate(kinds, start=20):
+    for draw, kind in enumerate(["insert", "delete", "insert", "delete"], start=20):
         _step(source, shadow, prepared, kind, draw)
     clone = clone_database(source)
     for database in (source, clone):
-        store = database.catalog.table("p")
-        assert (store.row_count, store.has_updates) == (int(shadow.live.sum()), updates)
+        assert database.catalog.table("p").row_count == int(shadow.live.sum())
         results = [database.execute_prepared(database.prepare_statement(SQL), pair)
                    for pair in [*RANGES, (0.0, DOMAIN)]]
         assert [_pairs(result) for result in results] == [
             shadow.answer(low, high) for low, high in [*RANGES, (0.0, DOMAIN)]
         ]
-        assert all(("sql.live" in r.profile.opcode_counts) != updates for r in results)
+        assert all(r.profile.opcode_counts["sql.live"] == 1 for r in results)
     # The source's deletion BAT was read to build the clone; later deletes
     # on the source must not reach into the clone, nor back.
     source.delete("p", np.arange(ROWS))
     assert clone.catalog.table("p").row_count == int(shadow.live.sum())
+
+
+@pytest.mark.parametrize("organisation", [None, *available_strategies()])
+@pytest.mark.parametrize("door", DOORS)
+def test_an_update_as_delete_then_insert_answers_with_the_latest_value(door, organisation):
+    """Objid 3 is rewritten twice through the write doors; only its last value answers."""
+    database, _ = _build(organisation, early_insert=False)
+    prepared = database.prepare_statement(SQL)
+    # The loaded row, then its first replacement, which took the next free oid.
+    for oid, value in ((3, 500.0), (ROWS, 700.0)):
+        database.delete("p", np.array([oid]))
+        database.insert("p", {"objid": np.array([3]), "v": np.array([value])})
+    stale, fresh, everything = _through(
+        database, door, prepared, [(499.0, 501.0), (699.0, 701.0), (0.0, DOMAIN)]
+    )
+    assert (3, 500.0) not in _pairs(stale)
+    assert (3, 700.0) in _pairs(fresh)
+    assert everything.columns["objid"].tolist().count(3) == 1
+    assert len(everything.columns["objid"]) == ROWS
+    for result in (stale, fresh, everything):
+        counts = result.profile.opcode_counts
+        assert counts["sql.live"] == 1 and "algebra.kunion" not in counts
+    if organisation is not None:
+        database.adaptive_handle("p", "v").adaptive.check_invariants()
 
 
 @pytest.mark.parametrize("read_workers", [1, 2])
@@ -335,17 +334,3 @@ def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pendin
     # The failed whole-wave attempts ran nothing; the replay ran each member alone.
     batch = database.cache_stats()["batch"]
     assert (batch["waves"], batch["fallback_queries"]) == (0, len(RANGES))
-
-
-@pytest.mark.parametrize("organisation", [None, *available_strategies()])
-def test_a_second_update_of_one_oid_answers_with_the_latest_value(organisation):
-    database, _ = _build(organisation, early_insert=False)
-    store = database.catalog.table("p")
-    store.update("v", np.array([3]), np.array([500.0]))
-    store.update("v", np.array([3]), np.array([700.0]))
-    prepared = database.prepare_statement(SQL)
-    stale = database.execute_prepared(prepared, (490.0, 510.0))
-    fresh = database.execute_prepared(prepared, (690.0, 710.0))
-    assert 3 not in stale.columns["objid"].tolist()
-    assert (3, 700.0) in _pairs(fresh)
-

@@ -396,9 +396,9 @@ class TestAdmin:
         assert rows == [2.0, 3.0, 4.0, 5.0]
         assert isinstance(plan, str) and plan
         # The text a client prepares explains too (it raised a syntax error),
-        # Figure 1 first and the short lowering under its comment line.
+        # Figure 1 first and the lowering under its comment line.
         figure_1, marker, short = prepared_plan.partition(
-            "\n# short lowering — runs while t has no pending updates\n"
+            "\n# lowering — what the executor runs\n"
         )
         assert marker and "algebra.kunion" in figure_1 and "__p0" in figure_1
         assert "algebra.projection" in short and "algebra.kunion" not in short

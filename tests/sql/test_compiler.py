@@ -120,7 +120,12 @@ class TestCompiledPlansExecuteCorrectly:
         assert sorted(context.exported_columns()["objid"].tolist()) == [1002, 1003, 2000]
 
     def test_updated_values_are_visible(self, catalog, compiler):
-        catalog.column("p", "ra").update(np.array([0]), np.array([359.9]))
+        # An update is a delete plus an insert: the row keeps its objid, not its oid.
+        store = catalog.table("p")
+        store.delete(np.array([0]))
+        store.insert({"objid": np.array([1000], dtype=np.int64), "ra": np.array([359.9])})
         program = compiler.compile(parse("SELECT objid FROM p WHERE ra BETWEEN 359.0 AND 360.0"))
         context = run(catalog, program)
         assert context.exported_columns()["objid"].tolist() == [1000]
+        program = compiler.compile(parse("SELECT objid FROM p WHERE ra BETWEEN 200.0 AND 200.01"))
+        assert run(catalog, program).exported_columns()["objid"].tolist() == [1001]

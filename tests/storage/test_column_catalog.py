@@ -25,29 +25,27 @@ class TestStoredColumn:
         assert column.bind(1).count == 1
         assert column.bind(1).head.tolist() == [2]
 
-    def test_update_delta_and_merge(self):
+    def test_the_update_delta_is_an_empty_bat_of_the_column_dtype(self):
+        column = StoredColumn("p", "ra", np.float32)
+        for write in (
+            lambda: column.bulk_load(np.array([1.0, 2.0], dtype=np.float32)),
+            lambda: column.append(np.array([3.0], dtype=np.float32), start_oid=2),
+        ):
+            write()
+            updates = column.bind(2)
+            assert updates.count == 0
+            assert updates.tail.dtype == np.dtype(np.float32)
+            assert updates.name == "sys_p_ra_2"
+
+    def test_merge_deltas_is_a_copy_of_loaded_plus_inserted(self):
         column = StoredColumn("p", "ra", np.float64)
         column.bulk_load(np.array([1.0, 2.0, 3.0]))
-        column.update(np.array([1]), np.array([20.0]))
+        column.append(np.array([4.0]), start_oid=3)
         merged = column.merge_deltas()
-        assert merged.tolist() == [1.0, 20.0, 3.0]
-
-    def test_a_second_update_of_one_oid_replaces_the_first(self):
-        column = StoredColumn("p", "ra", np.float64)
-        column.bulk_load(np.array([1.0, 2.0, 3.0, 4.0]))
-        column.update(np.array([3, 1]), np.array([500.0, 10.0]))
-        column.update(np.array([3]), np.array([700.0]))
-        column.update(np.array([2, 2]), np.array([8.0, 9.0]))  # later in one call wins too
-        updates = column.bind(2)
-        assert sorted(zip(updates.head.tolist(), updates.tail.tolist())) == [
-            (1, 10.0), (2, 9.0), (3, 700.0)
-        ]
-        assert column.merge_deltas().tolist() == [1.0, 10.0, 9.0, 700.0]
-
-    def test_update_length_mismatch_rejected(self):
-        column = StoredColumn("p", "ra", np.float64)
-        with pytest.raises(ValueError):
-            column.update(np.array([1, 2]), np.array([1.0]))
+        assert merged.tolist() == [1.0, 2.0, 3.0, 4.0]
+        merged[:] = 0.0
+        assert column.merge_deltas().tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert column.bind(1).merged.tail.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_size_bytes_counts_all_pieces(self):
         column = StoredColumn("p", "ra", np.float32)
@@ -106,7 +104,6 @@ class TestStoredColumn:
         column = StoredColumn("p", "v", np.int64)
         column.bulk_load(np.arange(3))
         column.append(np.array([3]), start_oid=3)
-        column.update(np.array([0]), np.array([9]))
         column.bulk_load(np.arange(5))
         assert not column.has_deltas
         assert column.merge_deltas().tolist() == [0, 1, 2, 3, 4]
@@ -151,6 +148,16 @@ class TestColumnStore:
         assert store.row_count == 5
         assert store.column("ra").bind(1).count == 1
 
+    def test_insert_validates_shape_and_leaves_no_trace(self):
+        store = self._store()
+        with pytest.raises(ValueError, match="every column"):
+            store.insert({"ra": np.array([9.0])})
+        with pytest.raises(ValueError, match="differ in length"):
+            store.insert({"objid": np.array([100, 101]), "ra": np.array([9.0])})
+        assert store.row_count == 4
+        assert store.has_deltas is False
+        assert all(column.bind(1).count == 0 for column in store.columns.values())
+
     def test_delete_marks_oids(self):
         store = self._store()
         store.delete(np.array([0, 2]))
@@ -177,18 +184,18 @@ class TestColumnStore:
         store = self._store()
         assert store.has_deltas is False
         store.delete(np.empty(0, dtype=np.int64))
-        store.update("ra", np.empty(0, dtype=np.int64), np.empty(0))
         assert store.has_deltas is False
-        for write, updates in (
-            (lambda s: s.insert({"objid": np.array([7]), "ra": np.array([7.0])}), False),
-            (lambda s: s.delete(np.array([2])), False),
-            (lambda s: s.update("ra", np.array([0]), np.array([5.0])), True),
+        for write in (
+            lambda s: s.insert({"objid": np.array([7]), "ra": np.array([7.0])}),
+            lambda s: s.delete(np.array([2])),
         ):
             fresh = self._store()
             write(fresh)
-            assert fresh.has_deltas is True and fresh.has_updates is updates
+            assert fresh.has_deltas is True
+            # No write fills the update delta: level 2 stays the empty BAT.
+            assert fresh.column("ra").bind(2).count == 0
             fresh.bulk_load({"objid": np.arange(2), "ra": np.array([1.0, 2.0])})
-            assert fresh.has_deltas is False and fresh.has_updates is False
+            assert fresh.has_deltas is False
             assert fresh.row_count == 2
 
 

@@ -11,7 +11,6 @@ from repro.workloads.generators import (
     make_column,
     mixed_workload,
     uniform_workload,
-    update_heavy_workload,
     zipf_workload,
 )
 from repro.workloads.query import RangeQuery, Workload, queries_from_pairs
@@ -122,8 +121,7 @@ class TestGenerators:
 
     def test_workload_spec_dispatch(self):
         for distribution in (
-            "uniform", "zipf", "changing", "hotspot",
-            "update_heavy", "mixed", "drifting_mix",
+            "uniform", "zipf", "changing", "hotspot", "mixed", "drifting_mix",
         ):
             spec = WorkloadSpec(name=distribution, distribution=distribution, selectivity=0.05, n_queries=20, seed=1)
             workload = spec.generate(DOMAIN)
@@ -135,22 +133,6 @@ class TestGenerators:
 class TestTunerScenarioGenerators:
     """The self-tuning loop's training/eval workloads (ISSUE 9 satellite)."""
 
-    def test_update_heavy_op_mix(self):
-        workload = update_heavy_workload(400, DOMAIN, 0.01, update_fraction=0.7, seed=6)
-        ops = workload.metadata["ops"]
-        assert len(ops) == len(workload.queries) == 400
-        assert set(ops) <= {"read", "update"}
-        mix = workload.metadata["op_mix"]
-        assert mix["read"] + mix["update"] == 400
-        assert 0.6 <= mix["update"] / 400 <= 0.8  # near the requested fraction
-        # Positions stay hot-area confined (hotspot base pattern).
-        assert workload.coverage_fraction() < 0.1
-
-    def test_update_heavy_is_replayable_as_reads(self):
-        workload = update_heavy_workload(50, DOMAIN, 0.01, seed=6)
-        for query in workload.queries:
-            assert DOMAIN[0] <= query.low <= query.high <= DOMAIN[1]
-
     def test_mixed_write_fraction(self):
         workload = mixed_workload(400, DOMAIN, 0.01, write_fraction=0.3, seed=6)
         mix = workload.metadata["op_mix"]
@@ -158,6 +140,24 @@ class TestTunerScenarioGenerators:
         writes = mix["insert"] + mix["delete"]
         assert 0.2 <= writes / 400 <= 0.4
         assert mix["read"] == 400 - writes
+
+    def test_mixed_write_fraction_extremes(self):
+        reads_only = mixed_workload(50, DOMAIN, 0.01, write_fraction=0.0, seed=6)
+        writes_only = mixed_workload(50, DOMAIN, 0.01, write_fraction=1.0, seed=6)
+        assert reads_only.metadata["op_mix"] == {"read": 50, "insert": 0, "delete": 0}
+        assert writes_only.metadata["op_mix"]["read"] == 0
+        with pytest.raises(ValueError):
+            mixed_workload(50, DOMAIN, 0.01, write_fraction=1.5)
+
+    def test_mixed_is_seed_deterministic_and_stays_in_the_domain(self):
+        first = mixed_workload(60, DOMAIN, 0.01, seed=8)
+        second = mixed_workload(60, DOMAIN, 0.01, seed=8)
+        assert first.metadata["ops"] == second.metadata["ops"]
+        assert [(q.low, q.high) for q in first.queries] == [
+            (q.low, q.high) for q in second.queries
+        ]
+        for query in first.queries:
+            assert DOMAIN[0] <= query.low <= query.high <= DOMAIN[1]
 
     def test_drifting_mix_phases(self):
         workload = drifting_mix_workload(300, DOMAIN, 0.01, seed=6)
