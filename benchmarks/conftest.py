@@ -4,15 +4,56 @@ Every benchmark regenerates one figure or table of the paper.  Because the
 interesting output is the series/table itself (not only the wall-clock time
 pytest-benchmark records), each benchmark also writes its formatted output to
 ``results/<name>.txt`` at the repository root via the ``save_result`` fixture.
+
+The simulator figures are deterministic under their seed, so their scripts pin
+the series they plot through the ``check_grid_pins`` fixture: a change that
+moves a pinned series fails here unless it updates the pin in the same diff.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+#: The pins hold at the paper's default scale only (``REPRO_SIM_QUERIES`` unset).
+PINNED_SIM_QUERIES = 10_000
+
+#: The per-query series one pin covers, hashed as float64 in this order.
+PINNED_SERIES = ("reads_bytes", "writes_bytes", "storage_bytes", "segment_count")
+
+
+def series_sha256(result) -> str:
+    """SHA-256 over the pinned per-query series of one simulated run."""
+    digest = hashlib.sha256()
+    for name in PINNED_SERIES:
+        digest.update(np.asarray(result.log.series(name), dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def check_grid_pins():
+    """Assert ``{(distribution, selectivity): {label: sha256}}`` pins.
+
+    Every label of every listed grid must match; a scaled-down run
+    (``REPRO_SIM_QUERIES`` set to anything else) skips the comparison.
+    """
+    # Imported here: the e2e tests below this directory run without src/ on the path.
+    from repro.bench.harness import sim_query_count, simulation_grid
+
+    def _check(pins: dict[tuple[str, float], dict[str, str]]) -> None:
+        if sim_query_count() != PINNED_SIM_QUERIES:
+            return
+        for (distribution, selectivity), expected in pins.items():
+            grid = simulation_grid(distribution, selectivity)
+            actual = {label: series_sha256(result) for label, result in grid.items()}
+            assert actual == expected, f"{distribution} {selectivity}: pinned series moved"
+
+    return _check
 
 
 @pytest.fixture(scope="session")

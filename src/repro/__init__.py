@@ -5,7 +5,7 @@ techniques for a column-store — **adaptive segmentation** and **adaptive
 replication** — together with the substrates they rely on: a MonetDB-like
 column-store engine (BAT storage, a MAL interpreter, a tactical optimizer
 with a segment optimizer and a SQL front-end), an architecture-conscious
-simulator with a constrained memory buffer, workload generators and a
+simulator counting memory reads and writes, workload generators and a
 benchmark harness reproducing every figure and table of the evaluation.
 
 Quickstart

@@ -224,9 +224,11 @@ class EngineReplica:
         it gets a token-timeout close and is otherwise abandoned; the new
         worker starts with an empty queue, and the replica's failure
         bookkeeping resets.  The caller (the router) owns the health
-        transition back to ``HEALTHY``.
+        transition back to ``HEALTHY``.  The old engine's reader threads
+        are released without a join, since its worker may still hold them.
         """
         self.worker.close(timeout=close_timeout)
+        self.database.close(wait=False)
         self.database = database
         self.worker = ReplicaWorker(self.index)
         self.consecutive_failures = 0
@@ -240,13 +242,15 @@ class EngineReplica:
         replica again, so its engine's ``query_history`` — every
         :class:`QueryResult` it delivered, result columns included — is
         released here rather than whenever the cyclic collector next reaches
-        the engine's reference cycles.  Read the history before closing.  A
-        wedged worker may still be appending: its engine is left alone.
+        the engine's reference cycles, and so are its reader threads.  Read
+        the history before closing.  A wedged worker may still be appending:
+        its engine is left alone.
         """
         if not self._closed:
             self._closed = True
             if self.worker.close(timeout=timeout):
                 self.database.query_history.clear()
+                self.database.close()
         return not self.worker.wedged
 
     @property

@@ -19,7 +19,7 @@ Public surface:
 * :func:`~repro.core.statistics.segment_statistics` — Table 2 style summaries.
 """
 
-from repro.core.accounting import IOAccountant, PhaseTimer, QueryLog, QueryStats
+from repro.core.accounting import IOAccountant, QueryLog, QueryStats
 from repro.core.baseline import UnsegmentedColumn
 from repro.core.interval_index import IndexSnapshot, IntervalIndex
 from repro.core.models import (
@@ -49,7 +49,6 @@ from repro.core.strategy import (
 
 __all__ = [
     "IOAccountant",
-    "PhaseTimer",
     "QueryLog",
     "QueryStats",
     "UnsegmentedColumn",

@@ -10,10 +10,7 @@ turns into the paper's figures and tables.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 @dataclass
@@ -67,13 +64,8 @@ class IOAccountant:
     total_writes_bytes: float = 0.0
     current: QueryStats | None = None
 
-    def record_read(self, n_bytes: float, segment: object | None = None) -> None:
-        """Account ``n_bytes`` read from a segment.
-
-        ``segment`` identifies the segment being scanned; the base accountant
-        ignores it, while buffer-aware accountants (the §6.1 simulator) use it
-        to model residency in the constrained memory buffer.
-        """
+    def record_read(self, n_bytes: float) -> None:
+        """Account ``n_bytes`` read from a segment."""
         if n_bytes < 0:
             raise ValueError(f"read size must be non-negative, got {n_bytes}")
         self.total_reads_bytes += n_bytes
@@ -81,7 +73,7 @@ class IOAccountant:
             self.current.reads_bytes += n_bytes
             self.current.segments_scanned += 1
 
-    def record_write(self, n_bytes: float, segment: object | None = None) -> None:
+    def record_write(self, n_bytes: float) -> None:
         """Account ``n_bytes`` written while materializing a segment."""
         if n_bytes < 0:
             raise ValueError(f"write size must be non-negative, got {n_bytes}")
@@ -96,40 +88,6 @@ class IOAccountant:
     def detach(self) -> None:
         """Stop routing increments into a per-query record."""
         self.current = None
-
-
-class PhaseTimer:
-    """Accumulates wall-clock time into named phases of one query.
-
-    The engine experiments of the paper separate *adaptation* time (splitting,
-    copying, tree maintenance) from *selection* time (predicate evaluation and
-    result extraction); Figure 10 plots exactly this split.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._totals: dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Context manager adding the elapsed time of its body to ``name``."""
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._totals[name] = self._totals.get(name, 0.0) + elapsed
-
-    def total(self, name: str) -> float:
-        """Accumulated seconds for phase ``name`` (0.0 when never entered)."""
-        return self._totals.get(name, 0.0)
-
-    def reset(self) -> None:
-        """Clear all accumulated phase times."""
-        self._totals.clear()
 
 
 @dataclass

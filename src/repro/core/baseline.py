@@ -105,9 +105,7 @@ class UnsegmentedColumn(AdaptiveColumnBase):
 
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
         """Answer ``low <= value < high`` with a full column scan."""
-        # ``self`` is the buffer-pool page token: one stable identity for
-        # the one "segment" the baseline ever reads.
-        self.accountant.record_read(self.total_bytes, self)
+        self.accountant.record_read(self.total_bytes)
         started = self._now()
         result = self._scan(query)
         stats.selection_seconds = self._now() - started
@@ -125,7 +123,7 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         permutations of each other).  The batch's access statistics reflect
         the amortization: one full-column read serves every member.
         """
-        self.accountant.record_read(self.total_bytes, self)
+        self.accountant.record_read(self.total_bytes)
         started = self._now()
         results = self.segments[0].select_many(lows, highs)
         stats.selection_seconds = self._now() - started

@@ -132,7 +132,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
         cover = self.index.cover(query)
         parts: list[SelectionResult] = []
         for node in cover:
-            self.accountant.record_read(node.size_bytes, node.segment)
+            self.accountant.record_read(node.size_bytes)
 
             started = self._now()
             parts.append(node.segment.select(query))
@@ -227,7 +227,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
         """
         for node in to_materialize:
             piece = self.tree.materialize(node, cover_node)
-            self.accountant.record_write(piece.size_bytes, piece)
+            self.accountant.record_write(piece.size_bytes)
             stats.replicas_materialized += 1
         for node in to_materialize:
             self._propagate_drop(node.parent, stats)

@@ -89,7 +89,7 @@ class SegmentedColumn(AdaptiveColumnBase):
     def storage_bytes(self) -> float:
         """Bytes used for the column payload (constant for segmentation).
 
-        Splits and merges conserve the payload exactly (verified by
+        Splits conserve the payload exactly (verified by
         :meth:`check_invariants`), so this is ``total_bytes`` — computed in
         O(1) instead of summing over every segment on the query hot path.
         """
@@ -101,7 +101,7 @@ class SegmentedColumn(AdaptiveColumnBase):
         parts: list[SelectionResult] = []
         for segment in self.index.cover(query):
             # Logical read bytes are accounted whether or not data is touched.
-            self.accountant.record_read(segment.size_bytes, segment)
+            self.accountant.record_read(segment.size_bytes)
 
             started = self._now()
             parts.append(segment.select(query))
@@ -141,7 +141,7 @@ class SegmentedColumn(AdaptiveColumnBase):
         for segment, queries, _ in routed:
             # One read answers every member query that overlaps this segment
             # — this is the batch's amortization of the shared scan.
-            self.accountant.record_read(segment.size_bytes, segment)
+            self.accountant.record_read(segment.size_bytes)
             seg_low, seg_high = segment.vrange.low, segment.vrange.high
             seg_values, seg_oids = segment.values, segment.oids
             partial: list[int] = []
@@ -241,45 +241,10 @@ class SegmentedColumn(AdaptiveColumnBase):
         if len(pieces) <= 1:
             return
         for piece in pieces:
-            self.accountant.record_write(piece.size_bytes, piece)
+            self.accountant.record_write(piece.size_bytes)
         start, stop = self.index.span(segment.vrange)
         self.index.splice(start, stop, pieces, pieces)
         stats.splits_performed += 1
-
-    # -- maintenance and extensions --------------------------------------------
-
-    def merge_small_segments(self, min_bytes: float) -> int:
-        """Glue adjacent segments smaller than ``min_bytes`` together.
-
-        This implements the "complementary merging strategies" the paper lists
-        as future work (§8): the GD model can fragment a column under skewed
-        workloads, and merging counters that.  Returns the number of merge
-        operations performed.  Merging writes the glued segment back, which is
-        accounted as segment materialization.
-        """
-        merges = 0
-        segments = self.index.answers
-        position = 0
-        while position + 1 < len(segments):
-            first, second = segments[position], segments[position + 1]
-            if first.size_bytes >= min_bytes and second.size_bytes >= min_bytes:
-                position += 1
-                continue
-            # Adjacent segments hold disjoint ascending value ranges, so
-            # their concatenation is already sorted.
-            glued = Segment(
-                ValueRange(first.vrange.low, second.vrange.high),
-                np.concatenate([first.values, second.values]),
-                np.concatenate([first.oids, second.oids]),
-                value_width=self.value_width,
-                assume_sorted=True,
-            )
-            self.accountant.record_write(glued.size_bytes, glued)
-            self.index.splice(position, position + 2, [glued], [glued])
-            merges += 1
-            # The pairs before the glued segment's left neighbour are unchanged.
-            position = max(position - 1, 0)
-        return merges
 
     def check_invariants(self) -> None:
         """Verify that the segments partition the domain and conserve the data."""

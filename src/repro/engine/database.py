@@ -419,25 +419,6 @@ class Database:
             self._executor.run_wave([(prepared, values) for values in bound])
         )
 
-    def execute_many(self, statements: Sequence[str]) -> list[QueryResult]:
-        """Run several literal statements as one wave.
-
-        Each text is resolved once (an invalid one raises the error
-        :meth:`execute` would); range selections over the same
-        ``table.column`` of a delta-free table are answered together by the
-        **vectorized batch executor**, everything else runs singly.  Results
-        are returned (and recorded in ``query_history``) in input order;
-        batched results carry ``batched=True`` and a :class:`QueryProfile`
-        with the batch cost apportioned across members.
-        """
-        resolved = [self._resolve(sql) for sql in statements]
-        return self._record(
-            self._executor.run_wave(
-                [(prepared, values) for prepared, values, _ in resolved],
-                origins=[origin for _, _, origin in resolved],
-            )
-        )
-
     def execute_wave(
         self, requests: Sequence[Member], *, isolate: bool = False
     ) -> list[QueryResult | BaseException]:
@@ -453,6 +434,15 @@ class Database:
         while the rest of the wave completes.
         """
         return self._record(self._executor.run_wave(list(requests), isolate=isolate))
+
+    def close(self, *, wait: bool = True) -> None:
+        """Release the snapshot-reader threads (``wait=False``: do not join them).
+
+        The database stays usable: a later wave that fans out starts a new
+        reader pool.  Call it when the engine is retired; ``wait=False`` is
+        for an engine whose owning worker may be wedged mid-wave.
+        """
+        self._executor.close(wait=wait)
 
     def _record(self, results: list) -> list:
         """Append a wave's delivered results to ``query_history``, in input order."""

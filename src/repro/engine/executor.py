@@ -245,11 +245,7 @@ class Executor:
     # -- waves --------------------------------------------------------------------
 
     def run_wave(
-        self,
-        members: Sequence[Member],
-        *,
-        isolate: bool = False,
-        origins: Sequence[Origin] | None = None,
+        self, members: Sequence[Member], *, isolate: bool = False
     ) -> list[QueryResult | BaseException]:
         """Answer every member; results come back in input order.
 
@@ -262,26 +258,19 @@ class Executor:
         exception escaping ``isolate=True`` is therefore infrastructure-level.
         """
         try:
-            return self._wave(members, origins)
+            return self._wave(members)
         except Exception:  # noqa: BLE001 - replayed per member below
             if not isolate:
                 raise
             out: list[QueryResult | BaseException] = []
             for position in range(len(members)):
                 try:
-                    out.extend(
-                        self._wave(
-                            members[position : position + 1],
-                            origins[position : position + 1] if origins else None,
-                        )
-                    )
+                    out.extend(self._wave(members[position : position + 1]))
                 except Exception as exc:  # noqa: BLE001 - isolated to its slot
                     out.append(exc)
             return out
 
-    def _wave(
-        self, members: Sequence[Member], origins: Sequence[Origin] | None
-    ) -> list[QueryResult | BaseException]:
+    def _wave(self, members: Sequence[Member]) -> list[QueryResult | BaseException]:
         """One pass: refresh stale plans, bucket every member, run the buckets.
 
         A member with a range template on a delta-free table joins its
@@ -316,8 +305,7 @@ class Executor:
                     groups.setdefault((template.table, template.column), []).append(position)
 
         def item(position: int) -> Item:
-            sql = origins[position][0] if origins else plans[position].sql
-            return position, sql, members[position][1], plans[position].template
+            return position, plans[position].sql, members[position][1], plans[position].template
 
         workers = database.read_workers
         fan_out = workers > 1 and len(members) > 1
@@ -343,9 +331,7 @@ class Executor:
                     slots[at] = result
             elif position not in grouped:
                 self.batch_stats.fallback_queries += 1
-                slots[position] = self.run(
-                    plans[position], values, origins[position] if origins else None
-                )
+                slots[position] = self.run(plans[position], values)
         if readable:
             self._read_snapshots(readable, workers, slots)
         return slots  # type: ignore[return-value]
@@ -416,6 +402,12 @@ class Executor:
         for _, (position, _, _, _) in reads:
             if isinstance(slots[position], BaseException):
                 raise slots[position]
+
+    def close(self, *, wait: bool = True) -> None:
+        """Shut the snapshot-reader pool down; a later fan-out starts a new one."""
+        pool, self._reader_pool, self._reader_pool_size = self._reader_pool, None, 0
+        if pool is not None:
+            pool.shutdown(wait=wait)
 
     def _reader_executor(self, workers: int) -> ThreadPoolExecutor:
         """The lazily built (and grown on demand) snapshot-reader pool."""

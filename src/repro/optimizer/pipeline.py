@@ -22,18 +22,6 @@ class OptimizerPipeline:
     def __init__(self, rules: list[OptimizerRule] | None = None) -> None:
         self.rules: list[OptimizerRule] = list(rules or [])
 
-    def add_rule(self, rule: OptimizerRule, *, position: int | None = None) -> None:
-        """Append a rule (or insert it at ``position``)."""
-        if position is None:
-            self.rules.append(rule)
-        else:
-            self.rules.insert(position, rule)
-
-    def remove_rule(self, rule: OptimizerRule) -> None:
-        """Remove a rule if present."""
-        if rule in self.rules:
-            self.rules.remove(rule)
-
     def optimize(self, program: MALProgram) -> MALProgram:
         """Apply every rule in order and return the final program."""
         optimized = program
@@ -41,10 +29,3 @@ class OptimizerPipeline:
             optimized = rule(optimized)
         return optimized
 
-    def rule_names(self) -> list[str]:
-        """Human-readable names of the configured rules (for diagnostics)."""
-        names = []
-        for rule in self.rules:
-            name = getattr(rule, "name", None) or getattr(rule, "__name__", None)
-            names.append(name or type(rule).__name__)
-        return names

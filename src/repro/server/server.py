@@ -224,7 +224,9 @@ class ReproServer:
         await self.admission.stop()
         self._executor.shutdown(wait=True)
         if self.router is not None:
-            self.router.close()
+            self.router.close()  # closes every replica's engine
+        else:
+            self.database.close()
 
     async def __aenter__(self) -> "ReproServer":
         return await self.start()

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.accounting import QueryLog
-from repro.storage.buffer import BufferStats
-from repro.util.stats import moving_average
 from repro.util.units import KB
 
 
@@ -26,9 +22,6 @@ class MetricsSummary:
     peak_storage_bytes: float
     total_selection_seconds: float
     total_adaptation_seconds: float
-    disk_reads_bytes: float = 0.0
-    disk_writes_bytes: float = 0.0
-    buffer_hit_ratio: float = 0.0
 
 
 @dataclass
@@ -46,7 +39,6 @@ class ExperimentResult:
     workload: str
     log: QueryLog
     column_bytes: float
-    buffer_stats: BufferStats | None = None
     metadata: dict = field(default_factory=dict)
 
     # -- series (the figures) ---------------------------------------------
@@ -63,20 +55,6 @@ class ExperimentResult:
         """Replica storage after each query in bytes (Fig 8/9)."""
         return self.log.series("storage_bytes")
 
-    def segment_count_series(self) -> list[int]:
-        """Number of segments after each query."""
-        return [int(x) for x in self.log.series("segment_count")]
-
-    def cumulative_time_series(self) -> list[float]:
-        """Cumulative per-query wall-clock seconds (Fig 11/13/15)."""
-        total = [r.selection_seconds + r.adaptation_seconds for r in self.log]
-        return list(np.cumsum(total))
-
-    def moving_average_time_series(self, window: int = 20) -> list[float]:
-        """Moving average of per-query seconds (Fig 12/14/16)."""
-        total = [r.selection_seconds + r.adaptation_seconds for r in self.log]
-        return list(moving_average(total, window))
-
     # -- aggregates (the tables) ----------------------------------------------
 
     def summary(self) -> MetricsSummary:
@@ -87,7 +65,6 @@ class ExperimentResult:
         total_writes = sum(r.writes_bytes for r in records)
         average_read = total_reads / queries if queries else 0.0
         storage = [r.storage_bytes for r in records] or [self.column_bytes]
-        buffer_stats = self.buffer_stats
         return MetricsSummary(
             queries=queries,
             total_reads_bytes=total_reads,
@@ -99,9 +76,6 @@ class ExperimentResult:
             peak_storage_bytes=max(storage),
             total_selection_seconds=sum(r.selection_seconds for r in records),
             total_adaptation_seconds=sum(r.adaptation_seconds for r in records),
-            disk_reads_bytes=buffer_stats.disk_reads_bytes if buffer_stats else 0.0,
-            disk_writes_bytes=buffer_stats.disk_writes_bytes if buffer_stats else 0.0,
-            buffer_hit_ratio=buffer_stats.hit_ratio if buffer_stats else 0.0,
         )
 
     def average_read_kb(self) -> float:

@@ -5,17 +5,9 @@ Figures 5-7 and Table 1 compare the four combinations {GD, APM} x
 baseline — on the same column and workload.  ``run_grid`` executes that grid
 and returns the results keyed by the paper's labels (``"GD Segm"``,
 ``"APM Repl"``, ...).
-
-The grid combinations are embarrassingly parallel — every combination runs
-against its own copy of the column — so ``run_grid(workers=N)`` distributes
-them over a process pool.  The serial path stays the default and the
-parallel path is bit-for-bit deterministic: each combination's RNG state is
-derived only from the seed, so results are byte-identical to the serial run.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,7 +36,6 @@ def run_single(
     domain_size: int = 1_000_000,
     m_min: float = 3 * KB,
     m_max: float = 12 * KB,
-    buffer_capacity_bytes: float | None = None,
     seed: int | None = None,
     time_phases: bool = False,
 ) -> ExperimentResult:
@@ -56,27 +47,11 @@ def run_single(
         m_max=m_max,
         column_size=column_size,
         domain_size=domain_size,
-        buffer_capacity_bytes=buffer_capacity_bytes,
         seed=seed,
         time_phases=time_phases,
     )
     simulator = Simulator(config, values=values)
     return simulator.run(workload)
-
-
-def _run_grid_combo(task: tuple) -> tuple[str, ExperimentResult]:
-    """One grid combination, shaped for ``ProcessPoolExecutor.map``.
-
-    Module-level so it pickles; returns ``(label, result)`` so the parent can
-    rebuild the mapping in combination order regardless of completion order.
-    """
-    model_name, strategy, workload, values, kwargs = task
-    # Copy here, not when building the task list: each combination gets its
-    # own column, but only in-flight combinations hold a copy at a time.
-    result = run_single(
-        workload, strategy=strategy, model_name=model_name, values=values.copy(), **kwargs
-    )
-    return result.label, result
 
 
 def run_grid(
@@ -88,28 +63,13 @@ def run_grid(
     m_min: float = 3 * KB,
     m_max: float = 12 * KB,
     include_baseline: bool = False,
-    buffer_capacity_bytes: float | None = None,
     seed: int | None = None,
-    workers: int | None = None,
-    backend: str = "process",
 ) -> dict[str, ExperimentResult]:
     """Run the paper's strategy/model grid against one workload.
 
     Every combination runs against its own copy of the same column (the
     adaptive strategies reorganize data in place), so results are directly
     comparable.  Returns a mapping from the paper-style label to the result.
-
-    ``workers`` opts into a pool over the combinations.  ``None`` or ``1``
-    keeps the serial path (the determinism reference); any larger value fans
-    the combinations out while preserving the serial path's result ordering
-    and producing byte-identical :class:`ExperimentResult` contents — each
-    combination copies the column, seeds its own RNG and touches no module
-    state, so placement on a worker cannot change its arithmetic.
-
-    ``backend`` selects the pool flavor: ``"process"`` (the default) forks
-    worker processes and requires picklable workloads; ``"thread"`` shares
-    the address space — no pickling, cheaper startup, and the numpy kernels
-    release the GIL, which is where the simulation spends its time.
     """
     if values is None:
         values = make_column(column_size, domain_size, seed=seed)
@@ -118,30 +78,18 @@ def run_grid(
         # The baseline needs no model; its registered strategy class also
         # provides the "NoSegm" label, so no special-casing is needed here.
         combos.append(("-", "unsegmented"))
-    kwargs = dict(
-        column_size=column_size,
-        domain_size=domain_size,
-        m_min=m_min,
-        m_max=m_max,
-        buffer_capacity_bytes=buffer_capacity_bytes,
-        seed=seed,
-    )
-    tasks = [
-        (model_name, strategy, workload, values, kwargs)
-        for model_name, strategy in combos
-    ]
-    if backend not in ("process", "thread"):
-        raise ValueError(f"unknown run_grid backend {backend!r}, expected 'process' or 'thread'")
     results: dict[str, ExperimentResult] = {}
-    if workers is not None and workers > 1:
-        pool_class: type[Executor] = (
-            ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
+    for model_name, strategy in combos:
+        result = run_single(
+            workload,
+            strategy=strategy,
+            model_name=model_name,
+            values=values.copy(),
+            column_size=column_size,
+            domain_size=domain_size,
+            m_min=m_min,
+            m_max=m_max,
+            seed=seed,
         )
-        with pool_class(max_workers=min(workers, len(tasks))) as pool:
-            for label, result in pool.map(_run_grid_combo, tasks):
-                results[label] = result
-    else:
-        for task in tasks:
-            label, result = _run_grid_combo(task)
-            results[label] = result
+        results[result.label] = result
     return results

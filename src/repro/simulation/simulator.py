@@ -1,12 +1,13 @@
-"""The simulator driving adaptive strategies under a constrained buffer.
+"""The simulator driving adaptive strategies over one column.
 
-This reproduces the evaluation vehicle of §6.1: "We simulated the core
-algorithms of MonetDB, its management in a constrained memory buffer setting,
-and its read/write behavior as data is flushed to secondary store."  The
-simulator takes a column, a strategy ("segmentation", "replication" or
-"unsegmented"), a segmentation model and a workload, executes every query and
-returns an :class:`~repro.simulation.metrics.ExperimentResult` with the same
-counters the paper plots.
+This reproduces the evaluation vehicle of §6.1.  The paper's simulator also
+modelled a constrained memory buffer, but the figures it reports (memory
+reads, memory writes due to segment materialization, replica storage) are
+memory-level counters, and those are what this simulator counts.  It takes a
+column, a strategy ("segmentation", "replication" or "unsegmented"), a
+segmentation model and a workload, executes every query and returns an
+:class:`~repro.simulation.metrics.ExperimentResult` with the same counters
+the paper plots.
 """
 
 from __future__ import annotations
@@ -19,34 +20,10 @@ from repro.core.accounting import IOAccountant
 from repro.core.models import SegmentationModel, model_from_name
 from repro.core.strategy import create_strategy, strategy_class
 from repro.simulation.metrics import ExperimentResult
-from repro.storage.buffer import BufferPool
 from repro.util.units import KB
 from repro.util.validation import ensure_positive
 from repro.workloads.generators import make_column
 from repro.workloads.query import Workload
-
-
-class BufferedIOAccountant(IOAccountant):
-    """An accountant that additionally models a constrained memory buffer.
-
-    Segment scans fault non-resident segments in from the secondary store;
-    segment materializations dirty their pages.  The resulting disk-level
-    counters complement the paper's memory-level counters.
-    """
-
-    def __init__(self, buffer_pool: BufferPool) -> None:
-        super().__init__()
-        self.buffer_pool = buffer_pool
-
-    def record_read(self, n_bytes: float, segment: object | None = None) -> None:
-        super().record_read(n_bytes, segment)
-        if segment is not None:
-            self.buffer_pool.access(id(segment), n_bytes, dirty=False)
-
-    def record_write(self, n_bytes: float, segment: object | None = None) -> None:
-        super().record_write(n_bytes, segment)
-        if segment is not None:
-            self.buffer_pool.access(id(segment), n_bytes, dirty=True)
 
 
 def build_strategy(
@@ -83,9 +60,7 @@ class SimulationConfig:
     """Configuration of one simulated run.
 
     Defaults match the paper's simulation setup: a 100 K-value column over a
-    1 M integer domain (4-byte values) and APM bounds of 3 KB / 12 KB.  The
-    buffer capacity defaults to one quarter of the column, which makes the
-    constrained-memory effects visible without dominating the run.
+    1 M integer domain (4-byte values) and APM bounds of 3 KB / 12 KB.
     """
 
     strategy: str = "segmentation"
@@ -94,7 +69,6 @@ class SimulationConfig:
     m_max: float = 12 * KB
     column_size: int = 100_000
     domain_size: int = 1_000_000
-    buffer_capacity_bytes: float | None = None
     storage_budget: float | None = None
     seed: int | None = None
     label: str | None = None
@@ -123,17 +97,11 @@ class Simulator:
             values = make_column(config.column_size, config.domain_size, seed=config.seed)
         self.values = np.asarray(values)
         ensure_positive("column size", self.values.size)
-        self.buffer_pool: BufferPool | None = None
-        if config.buffer_capacity_bytes is not None:
-            self.buffer_pool = BufferPool(config.buffer_capacity_bytes)
-            accountant: IOAccountant = BufferedIOAccountant(self.buffer_pool)
-        else:
-            accountant = IOAccountant()
         self.column = build_strategy(
             config.strategy,
             self.values,
             config.make_model(),
-            accountant=accountant,
+            accountant=IOAccountant(),
             time_phases=config.time_phases,
             storage_budget=config.storage_budget,
         )
@@ -150,7 +118,6 @@ class Simulator:
             workload=workload.name,
             log=self.column.history,
             column_bytes=self.column.total_bytes,
-            buffer_stats=self.buffer_pool.stats if self.buffer_pool is not None else None,
             metadata={
                 "column_size": int(self.values.size),
                 "value_width": int(self.values.dtype.itemsize),

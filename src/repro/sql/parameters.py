@@ -47,7 +47,6 @@ __all__ = [
     "parameter_names",
     "parameterize",
     "prepared_binding",
-    "substitute_placeholders",
 ]
 
 #: A numeric literal as the tokenizer would lex it.  The first two lookbehinds
@@ -307,31 +306,6 @@ def prepared_binding(statement: SelectStatement) -> BindingSpec:
         keys=tuple(placeholder.key for placeholder in placeholders),
         range_checks=tuple(range_checks),
     )
-
-
-def substitute_placeholders(
-    statement: SelectStatement, values: Sequence[float]
-) -> SelectStatement:
-    """The statement with every placeholder replaced by its bound value.
-
-    Used by the batched ``executemany`` path, which clusters overlapping
-    ranges on the *concrete* bounds.  ``values`` must already be validated by
-    :meth:`BindingSpec.bind` (range ordering included).
-    """
-    def resolve(value: float) -> float:
-        if isinstance(value, Placeholder):
-            return float(values[value.index])
-        return value
-
-    predicates: list[RangePredicate | ComparisonPredicate] = []
-    for predicate in statement.predicates:
-        if isinstance(predicate, RangePredicate):
-            predicates.append(
-                replace(predicate, low=resolve(predicate.low), high=resolve(predicate.high))
-            )
-        else:
-            predicates.append(replace(predicate, value=resolve(predicate.value)))
-    return replace(statement, predicates=tuple(predicates))
 
 
 def parameter_names(statement: SelectStatement) -> tuple[str, ...]:

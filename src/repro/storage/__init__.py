@@ -1,25 +1,19 @@
-"""Storage substrate: BATs, the catalog, the buffer pool and the disk model.
+"""Storage substrate: BATs and the catalog.
 
 This package reproduces the storage layer the paper's techniques sit on: the
 MonetDB binary association tables (BATs) with contiguous, hole-free storage
-that "can be conveniently split at any point" (§2), a relational catalog
-mapping SQL tables to BATs, and the constrained memory buffer / secondary
-store model used by the §6.1 simulator.
+that "can be conveniently split at any point" (§2), and a relational catalog
+mapping SQL tables to BATs.
 """
 
 from repro.storage.bat import BAT
-from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.catalog import Catalog, TableSchema
 from repro.storage.column import ColumnStore, StoredColumn
-from repro.storage.disk import DiskModel
 
 __all__ = [
     "BAT",
-    "BufferPool",
-    "BufferStats",
     "Catalog",
     "TableSchema",
     "ColumnStore",
     "StoredColumn",
-    "DiskModel",
 ]

@@ -1,22 +1,18 @@
 """Small shared utilities: units, random-number helpers, statistics, validation."""
 
-from repro.util.units import KB, MB, GB, format_bytes, parse_bytes
-from repro.util.rng import make_rng, spawn_rngs
-from repro.util.stats import moving_average, cumulative_sum, zipf_probabilities
-from repro.util.validation import ensure_positive, ensure_in_range, ensure_type
+from repro.util.units import KB, MB, GB, format_bytes
+from repro.util.rng import make_rng
+from repro.util.stats import moving_average, zipf_probabilities
+from repro.util.validation import ensure_positive, ensure_in_range
 
 __all__ = [
     "KB",
     "MB",
     "GB",
     "format_bytes",
-    "parse_bytes",
     "make_rng",
-    "spawn_rngs",
     "moving_average",
-    "cumulative_sum",
     "zipf_probabilities",
     "ensure_positive",
     "ensure_in_range",
-    "ensure_type",
 ]

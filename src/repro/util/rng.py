@@ -19,15 +19,3 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     deterministic by default; pass an explicit seed to vary runs.
     """
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
-
-def spawn_rngs(n: int, seed: int | None = None) -> list[np.random.Generator]:
-    """Create ``n`` independent generators derived from one seed.
-
-    Useful when an experiment needs separate, non-interfering random streams
-    for the workload and for the Gaussian Dice model.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    seed_seq = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
-    return [np.random.default_rng(child) for child in seed_seq.spawn(n)]

@@ -30,11 +30,6 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
     return result
 
 
-def cumulative_sum(values: Sequence[float]) -> np.ndarray:
-    """Cumulative sum as a float array (Figures 5, 6, 11, 13, 15)."""
-    return np.cumsum(np.asarray(values, dtype=float))
-
-
 def zipf_probabilities(n_ranks: int, exponent: float = 1.0) -> np.ndarray:
     """Normalised Zipf probabilities ``p(k) ∝ 1 / k**exponent`` for ranks 1..n.
 
@@ -48,17 +43,3 @@ def zipf_probabilities(n_ranks: int, exponent: float = 1.0) -> np.ndarray:
     ranks = np.arange(1, n_ranks + 1, dtype=float)
     weights = ranks**-exponent
     return weights / weights.sum()
-
-
-def descriptive_stats(values: Sequence[float]) -> dict[str, float]:
-    """Count / mean / standard deviation summary (Table 2 of the paper)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return {"count": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
-    return {
-        "count": int(arr.size),
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }

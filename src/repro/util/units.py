@@ -32,20 +32,3 @@ def format_bytes(n_bytes: float) -> str:
         if n_bytes >= factor:
             return f"{n_bytes / factor:.1f}{suffix}"
     return f"{int(n_bytes)}B"
-
-
-def parse_bytes(text: str) -> int:
-    """Parse strings such as ``"3KB"``, ``"25MB"`` or ``"1024"`` into bytes.
-
-    Parsing is case-insensitive and tolerates surrounding whitespace.
-    """
-    cleaned = text.strip().upper()
-    if not cleaned:
-        raise ValueError("empty byte-size string")
-    for factor, suffix in _SUFFIXES:
-        if cleaned.endswith(suffix):
-            number = cleaned[: -len(suffix)].strip()
-            return int(float(number) * factor)
-    if cleaned.endswith("B"):
-        cleaned = cleaned[:-1].strip()
-    return int(float(cleaned))

@@ -6,8 +6,6 @@ constructors in the core package short and their error behaviour uniform.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 def ensure_positive(name: str, value: float, *, allow_zero: bool = False) -> float:
     """Raise :class:`ValueError` unless ``value`` is positive (or >= 0)."""
@@ -23,16 +21,4 @@ def ensure_in_range(name: str, value: float, low: float, high: float) -> float:
     """Raise :class:`ValueError` unless ``low <= value <= high``."""
     if not (low <= value <= high):
         raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return value
-
-
-def ensure_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Raise :class:`TypeError` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        expected_names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " or ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(f"{name} must be {expected_names}, got {type(value).__name__}")
     return value

@@ -9,17 +9,13 @@ generated here.
 
 from repro.workloads.query import RangeQuery, Workload
 from repro.workloads.generators import (
-    WorkloadSpec,
     changing_workload,
-    drifting_mix_workload,
     hotspot_workload,
-    mixed_workload,
     multimodal_workload,
     make_column,
     uniform_workload,
     zipf_workload,
 )
-from repro.workloads.replay import load_workload, save_workload
 from repro.workloads.skyserver import (
     SkyServerDataset,
     skyserver_column,
@@ -30,17 +26,12 @@ from repro.workloads.skyserver import (
 __all__ = [
     "RangeQuery",
     "Workload",
-    "WorkloadSpec",
     "changing_workload",
-    "drifting_mix_workload",
     "hotspot_workload",
     "make_column",
-    "mixed_workload",
     "multimodal_workload",
     "uniform_workload",
     "zipf_workload",
-    "load_workload",
-    "save_workload",
     "SkyServerDataset",
     "skyserver_column",
     "skyserver_dataset",

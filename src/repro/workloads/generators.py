@@ -9,8 +9,6 @@ access patterns of the prototype experiments (§6.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.util.rng import make_rng
@@ -22,56 +20,6 @@ from repro.workloads.query import RangeQuery, Workload
 PAPER_COLUMN_SIZE = 100_000
 PAPER_DOMAIN_SIZE = 1_000_000
 PAPER_QUERY_COUNT = 10_000
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Declarative description of a workload, used by the benchmark harness."""
-
-    name: str
-    distribution: str  # "uniform" | "zipf" | "changing" | "hotspot" | "multimodal"
-    #   | "mixed" | "drifting_mix"
-    selectivity: float
-    n_queries: int
-    zipf_exponent: float = 1.0
-    seed: int | None = None
-
-    def generate(self, domain: tuple[float, float]) -> Workload:
-        """Materialise the workload over ``domain``."""
-        if self.distribution == "uniform":
-            return uniform_workload(
-                self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
-            )
-        if self.distribution == "zipf":
-            return zipf_workload(
-                self.n_queries,
-                domain,
-                self.selectivity,
-                exponent=self.zipf_exponent,
-                seed=self.seed,
-                name=self.name,
-            )
-        if self.distribution == "changing":
-            return changing_workload(
-                self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
-            )
-        if self.distribution == "hotspot":
-            return hotspot_workload(
-                self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
-            )
-        if self.distribution == "multimodal":
-            return multimodal_workload(
-                self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
-            )
-        if self.distribution == "mixed":
-            return mixed_workload(
-                self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
-            )
-        if self.distribution == "drifting_mix":
-            return drifting_mix_workload(
-                self.n_queries, domain, self.selectivity, seed=self.seed, name=self.name
-            )
-        raise ValueError(f"unknown workload distribution {self.distribution!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +207,8 @@ def multimodal_workload(
     mode.  ``interleave=False`` emits the same queries grouped by mode
     (then it degenerates to :func:`changing_workload` with disjoint phases).
 
-    ``seed`` is explicit and flows through :class:`WorkloadSpec`, so cluster
-    partition assignments are deterministic in CI.
+    ``seed`` is explicit, so cluster partition assignments are deterministic
+    in CI.
     """
     ensure_positive("n_queries", n_queries)
     ensure_positive("n_modes", n_modes)
@@ -350,100 +298,4 @@ def changing_workload(
             f"{phase_fraction:.1%} of the domain"
         ),
         metadata={"n_phases": n_phases, "phase_fraction": phase_fraction},
-    )
-
-
-def mixed_workload(
-    n_queries: int,
-    domain: tuple[float, float],
-    selectivity: float,
-    *,
-    write_fraction: float = 0.3,
-    seed: int | None = None,
-    name: str = "mixed",
-) -> Workload:
-    """A mixed read/write stream: uniform range reads with interleaved writes.
-
-    Query positions are uniform over the domain; each query is labelled in
-    ``metadata["ops"]`` — ``"read"`` with probability ``1 - write_fraction``,
-    else an even split of ``"insert"`` / ``"delete"`` over the query's range.
-    The tuner's training loop uses this to learn how write pressure shifts
-    the IO-optimal knob settings away from the read-only optimum.
-    """
-    ensure_positive("n_queries", n_queries)
-    ensure_in_range("write_fraction", write_fraction, 0.0, 1.0)
-    base = uniform_workload(n_queries, domain, selectivity, seed=seed, name=name)
-    rng = make_rng(None if seed is None else seed + 15_485_863)
-    ops: list[str] = []
-    for _ in range(n_queries):
-        if rng.random() < write_fraction:
-            ops.append("insert" if rng.random() < 0.5 else "delete")
-        else:
-            ops.append("read")
-    return Workload(
-        name=name,
-        queries=base.queries,
-        domain=domain,
-        selectivity=selectivity,
-        description=(
-            f"{n_queries} uniform range queries, {write_fraction:.0%} writes "
-            f"(even insert/delete split)"
-        ),
-        metadata={
-            "ops": ops,
-            "op_mix": {op: ops.count(op) for op in ("read", "insert", "delete")},
-            "write_fraction": write_fraction,
-        },
-    )
-
-
-def drifting_mix_workload(
-    n_queries: int,
-    domain: tuple[float, float],
-    selectivity: float,
-    *,
-    phases: tuple[str, ...] = ("hotspot", "uniform", "multimodal"),
-    seed: int | None = None,
-    name: str = "drifting-mix",
-) -> Workload:
-    """The tuner's evaluation stream: the *distribution family* drifts.
-
-    Unlike :func:`changing_workload` (same family, moving point of access),
-    each phase here comes from a different generator — by default hotspot →
-    uniform → multimodal — so both the access locality *and* the shape of
-    the workload-feature vector shift at every boundary.  A drift detector
-    should fire at each phase edge; a fixed-knob engine tuned for one phase
-    is mis-tuned for the next.  ``metadata["phase_boundaries"]`` carries the
-    query index where each phase starts; per-phase sub-seeds derive from
-    ``seed`` so the stream is reproducible through :class:`WorkloadSpec`.
-    """
-    ensure_positive("n_queries", n_queries)
-    if not phases:
-        raise ValueError("phases must name at least one distribution")
-    per_phase = int(np.ceil(n_queries / len(phases)))
-    queries: list[RangeQuery] = []
-    boundaries: list[int] = []
-    for position, distribution in enumerate(phases):
-        boundaries.append(len(queries))
-        remaining = n_queries - len(queries)
-        if remaining <= 0:
-            break
-        spec = WorkloadSpec(
-            name=f"{name}:{distribution}",
-            distribution=distribution,
-            selectivity=selectivity,
-            n_queries=min(per_phase, remaining),
-            seed=None if seed is None else seed + 31 * (position + 1),
-        )
-        queries.extend(spec.generate(domain).queries)
-    return Workload(
-        name=name,
-        queries=queries,
-        domain=domain,
-        selectivity=selectivity,
-        description=(
-            f"{n_queries} range queries drifting across distribution families "
-            f"{' → '.join(phases)}"
-        ),
-        metadata={"phases": list(phases), "phase_boundaries": boundaries},
     )

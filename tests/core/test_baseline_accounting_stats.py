@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.accounting import IOAccountant, PhaseTimer, QueryLog, QueryStats
+from repro.core.accounting import IOAccountant, QueryLog, QueryStats
 from repro.core.baseline import UnsegmentedColumn
 from repro.core.models import AdaptivePageModel
 from repro.core.segmentation import SegmentedColumn
@@ -86,25 +86,6 @@ class TestQueryLog:
         log = self._log()
         assert log[0].reads_bytes == 10
         assert len(log) == 3
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate(self):
-        timer = PhaseTimer()
-        with timer.phase("selection"):
-            pass
-        with timer.phase("selection"):
-            pass
-        assert timer.total("selection") >= 0.0
-        assert timer.total("unknown") == 0.0
-        timer.reset()
-        assert timer.total("selection") == 0.0
-
-    def test_disabled_timer_measures_nothing(self):
-        timer = PhaseTimer(enabled=False)
-        with timer.phase("selection"):
-            pass
-        assert timer.total("selection") == 0.0
 
 
 class TestSegmentStatistics:

@@ -109,29 +109,6 @@ class TestGaussianDiceIntegration:
         assert column.segment_count > 1
 
 
-class TestMergeSmallSegments:
-    def test_merge_reduces_fragmentation(self, values):
-        column = SegmentedColumn(
-            values, model=AdaptivePageModel(m_min=256, m_max=1 * KB), domain=TEST_DOMAIN
-        )
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            low = float(rng.uniform(0, 99_000))
-            column.select(low, low + 500)
-        fragmented = column.segment_count
-        merges = column.merge_small_segments(min_bytes=2 * KB)
-        assert merges > 0
-        assert column.segment_count < fragmented
-        column.check_invariants()
-
-    def test_merge_keeps_results_correct(self, values, apm_model):
-        column = SegmentedColumn(values, model=apm_model, domain=TEST_DOMAIN)
-        for low in range(0, 90_000, 5_000):
-            column.select(float(low), float(low + 6_000))
-        column.merge_small_segments(min_bytes=8 * KB)
-        assert column.select(12_345, 67_890).count == brute_force_count(values, 12_345, 67_890)
-
-
 class TestPublishRule:
     def test_splits_capture_nothing_and_the_next_pin_captures_once(self, monkeypatch):
         ra = np.random.default_rng(7).uniform(0.0, 360.0, 100_000)

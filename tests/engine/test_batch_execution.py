@@ -11,6 +11,7 @@ from repro.engine.database import Database
 from repro.engine.executor import overlap_clusters
 from repro.util.half_open import half_open_in_domain, half_open_in_domain_many
 from repro.util.units import KB
+from tests.conftest import literal_wave
 
 
 @pytest.fixture
@@ -62,7 +63,7 @@ MIXED = [
 
 class TestBatchExecutor:
     def test_disjoint_ranges_batch_on_plain_column(self, database):
-        results = database.execute_many(DISJOINT)
+        results = literal_wave(database, DISJOINT)
         assert all(result.batched for result in results)
         assert all(result.cache_level == "batched" for result in results)
         for got, expected in zip(results, _reference(DISJOINT)):
@@ -73,7 +74,7 @@ class TestBatchExecutor:
 
     def test_overlapping_ranges_share_one_envelope_scan(self, database):
         statements = MIXED[:2]
-        results = database.execute_many(statements)
+        results = literal_wave(database, statements)
         assert all(result.batched for result in results)
         assert "shared scan" in results[0].plan_text
         for got, expected in zip(results, _reference(statements)):
@@ -97,7 +98,7 @@ class TestBatchExecutor:
             np.testing.assert_array_equal(got.column("objid"), alone.column("objid"))
 
     def test_mixed_shapes_batch_on_plain_column(self, database):
-        results = database.execute_many(MIXED)
+        results = literal_wave(database, MIXED)
         assert all(result.batched for result in results)
         for got, expected in zip(results, _reference(MIXED)):
             assert _rows(got) == _rows(expected)
@@ -107,7 +108,7 @@ class TestBatchExecutor:
         database.enable_adaptive(
             "p", "ra", strategy=strategy, model="apm", m_min=2 * KB, m_max=8 * KB
         )
-        results = database.execute_many(MIXED + DISJOINT)
+        results = literal_wave(database, MIXED + DISJOINT)
         assert all(result.batched for result in results)
         for got, expected in zip(results, _reference(MIXED + DISJOINT)):
             assert _rows(got) == _rows(expected)
@@ -116,7 +117,7 @@ class TestBatchExecutor:
         handle = database.enable_adaptive(
             "p", "ra", strategy="segmentation", model="apm", m_min=2 * KB, m_max=8 * KB
         )
-        results = database.execute_many(DISJOINT)
+        results = literal_wave(database, DISJOINT)
         assert all(result.batched for result in results)
         history = handle.adaptive.history
         assert len(history) == 1
@@ -181,6 +182,7 @@ class TestExecuteWave:
         database.read_workers = 2
         snapshot = database.execute_wave(wave)[0]
         cold = database.execute("SELECT ra FROM p WHERE ra BETWEEN 1.0 AND 2.0")
+        database.close()
         assert [r.cache_level for r in (batched, snapshot, cold)] == [
             "batched", "snapshot", "cold",
         ]
@@ -265,7 +267,7 @@ class TestExecuteWave:
 
 class TestBatchedProfiles:
     def test_batched_results_carry_a_real_profile(self, database):
-        results = database.execute_many(DISJOINT)
+        results = literal_wave(database, DISJOINT)
         for result in results:
             assert result.profile is not None
             assert not result.profile.cold
@@ -273,14 +275,14 @@ class TestBatchedProfiles:
             assert result.profile.execute_seconds > 0.0
 
     def test_batch_cost_apportioned_across_members(self, database):
-        results = database.execute_many(DISJOINT)
+        results = literal_wave(database, DISJOINT)
         shares = {result.profile.execute_seconds for result in results}
         assert len(shares) == 1  # equal shares of one batch
         total = sum(result.total_seconds for result in results)
         assert total == pytest.approx(results[0].total_seconds * len(results))
 
     def test_profile_format_on_a_batched_result(self, database):
-        result = database.execute_many(DISJOINT)[0]
+        result = literal_wave(database, DISJOINT)[0]
         rendered = result.profile.format()
         assert "query profile (warm)" in rendered
         assert "execute" in rendered

@@ -113,7 +113,7 @@ class TestTheShortPath:
 
 
 class TestOneExecutionCore:
-    """The five ``execute*`` doors are adapters over one executor."""
+    """The four ``execute*`` doors are adapters over one executor."""
 
     TEXT = "SELECT objid FROM p WHERE ra BETWEEN 10 AND 11"
 
@@ -123,7 +123,6 @@ class TestOneExecutionCore:
             ("execute", "run"),
             ("execute_prepared", "run"),
             ("execute_prepared_many", "run_wave"),
-            ("execute_many", "run_wave"),
             ("execute_wave", "run_wave"),
         ],
     )
@@ -134,7 +133,6 @@ class TestOneExecutionCore:
             "execute": lambda: database.execute(self.TEXT),
             "execute_prepared": lambda: database.execute_prepared(prepared, pairs[0]),
             "execute_prepared_many": lambda: database.execute_prepared_many(prepared, pairs),
-            "execute_many": lambda: database.execute_many([self.TEXT, "SELECT count(*) FROM p"]),
             "execute_wave": lambda: database.execute_wave([(prepared, pair) for pair in pairs]),
         }
         entered = {"run": 0, "run_wave": 0}
@@ -350,6 +348,7 @@ class TestAdaptiveExecution:
         ledger = (bpm.total_selection_seconds, bpm.total_adaptation_seconds)
         seen = len(histories["ra"])
         results = database.execute_wave(wave)
+        database.close()
         (absorbed,) = histories["ra"].records[seen:]
         assert (absorbed.batch_size, absorbed.selection_seconds) == (len(wave), 0.0)
         assert absorbed.adaptation_seconds > 0.0

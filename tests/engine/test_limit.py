@@ -21,6 +21,7 @@ from repro.engine.database import Database
 from repro.server import ReproServer
 from repro.sql import parse
 from repro.util.units import KB
+from tests.conftest import literal_wave
 
 ROWS = 5_000
 UNLIMITED = "SELECT objid, ra FROM p WHERE ra BETWEEN 10.0 AND 30.0"
@@ -72,13 +73,13 @@ class TestLimit:
         assert result.column_names == ["objid", "ra"]
         assert result.column("objid").dtype == np.int64
 
-    def test_cursor_and_execute_many_honour_it(self, organisation, pending):
+    def test_cursor_and_wave_honour_it(self, organisation, pending):
         database = build(organisation, pending)
         cursor = repro.connect(database).cursor()
         cursor.execute(UNLIMITED + " LIMIT 5")
         assert cursor.rowcount == 5 and len(cursor.fetchall()) == 5
         # Beside batchable wave-mates a LIMIT statement runs its own plan.
-        results = database.execute_many([UNLIMITED, UNLIMITED + " LIMIT 3", UNLIMITED])
+        results = literal_wave(database, [UNLIMITED, UNLIMITED + " LIMIT 3", UNLIMITED])
         assert [result.row_count for result in results] == [
             results[0].row_count, 3, results[0].row_count
         ]

@@ -1,4 +1,4 @@
-"""Tests for the LRU plan cache and the batched ``execute_many`` path."""
+"""Tests for the LRU plan cache and the batched wave path."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.engine.database import Database
 from repro.engine.plan_cache import PlanCache, normalize_sql
 from repro.util.units import KB
+from tests.conftest import literal_wave
 
 
 @pytest.fixture
@@ -126,7 +127,7 @@ class TestExecuteMany:
         return [db.execute(sql) for sql in statements]
 
     def test_batched_results_match_individual_execution(self, database):
-        batched = database.execute_many(self.STATEMENTS)
+        batched = literal_wave(database, self.STATEMENTS)
         reference = self._reference(self.STATEMENTS)
         assert all(result.batched for result in batched)
         for got, expected in zip(batched, reference):
@@ -135,7 +136,7 @@ class TestExecuteMany:
 
     def test_batched_results_match_on_an_adaptive_column(self, database):
         database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
-        batched = database.execute_many(self.STATEMENTS)
+        batched = literal_wave(database, self.STATEMENTS)
         reference = self._reference(self.STATEMENTS)
         for got, expected in zip(batched, reference):
             assert _rows(got) == _rows(expected)
@@ -146,7 +147,7 @@ class TestExecuteMany:
             "SELECT objid FROM p WHERE ra BETWEEN 0.0 AND 1.0",
             "SELECT objid FROM p WHERE ra BETWEEN 350.0 AND 351.0",
         ]
-        results = database.execute_many(statements)
+        results = literal_wave(database, statements)
         assert all(result.batched for result in results)
         reference = self._reference(statements)
         for got, expected in zip(results, reference):
@@ -158,19 +159,20 @@ class TestExecuteMany:
             "SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 40.0",
             "SELECT objid FROM p WHERE ra BETWEEN 30.0 AND 60.0",
         ]
-        results = database.execute_many(statements)
-        assert [result.sql for result in results] == statements
+        results = literal_wave(database, statements)
+        normalized = [normalize_sql(sql) for sql in statements]
+        assert [result.sql for result in results] == normalized
         assert not results[0].batched
         assert results[1].batched and results[2].batched
-        assert [r.sql for r in database.query_history] == statements
+        assert [r.sql for r in database.query_history] == normalized
 
     def test_single_member_groups_take_the_conventional_path(self, database):
-        results = database.execute_many(["SELECT objid FROM p WHERE ra < 10.0"])
+        results = literal_wave(database, ["SELECT objid FROM p WHERE ra < 10.0"])
         assert not results[0].batched
 
     def test_tables_with_deltas_fall_back(self, database):
         database.insert("p", {"objid": np.array([99_999]), "ra": np.array([10.5])})
-        results = database.execute_many(self.STATEMENTS[:2])
+        results = literal_wave(database, self.STATEMENTS[:2])
         assert not any(result.batched for result in results)
         direct = database.execute(self.STATEMENTS[0])
         assert _rows(results[0]) == _rows(direct)
@@ -178,12 +180,12 @@ class TestExecuteMany:
     def test_one_statement_at_a_time_answers_like_the_batch(self, database):
         singly = [database.execute(sql) for sql in self.STATEMENTS[:2]]
         assert not any(result.batched for result in singly)
-        for got, expected in zip(database.execute_many(self.STATEMENTS[:2]), singly):
+        for got, expected in zip(literal_wave(database, self.STATEMENTS[:2]), singly):
             assert got.batched and _rows(got) == _rows(expected)
 
     def test_invalid_statement_raises_the_usual_error(self, database):
         with pytest.raises(Exception):
-            database.execute_many(["SELECT objid FROM nowhere WHERE x < 1"])
+            literal_wave(database, ["SELECT objid FROM nowhere WHERE x < 1"])
 
 
 class TestGenerationCounter:

@@ -167,6 +167,8 @@ class TestContextPooling:
         from repro.engine.execution import ExecutionContext
 
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
+        count = database.prepare_statement("SELECT count(*) FROM p")
+        below = database.prepare_statement("SELECT objid FROM p WHERE ra < ?")
         built = []
         init = ExecutionContext.__init__
         monkeypatch.setattr(
@@ -174,5 +176,5 @@ class TestContextPooling:
             lambda self, *args, **kwargs: (built.append(self), init(self, *args, **kwargs))[1],
         )
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")
-        database.execute_many(["SELECT count(*) FROM p", "SELECT objid FROM p WHERE ra < 5"])
+        database.execute_wave([(count, ()), (below, (5.0,))])
         assert built == []  # every run after the first drew from the pool

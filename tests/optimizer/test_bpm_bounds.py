@@ -102,10 +102,9 @@ class TestEngineBoundaryQueries:
             database.execute(text.format(*below)),
             database.execute_prepared(prepared, below),
             *database.execute_prepared_many(prepared, [below, inside, below])[::2],
-            database.execute_many([text.format(*inside), text.format(*below)])[1],
             database.execute_wave([(prepared, inside), (prepared, below)])[1],
         ]
-        assert len(results) == 6
+        assert len(results) == 5
         for result in results:
             assert result.row_count == 0
             assert result.column("objid").dtype == np.int64

@@ -208,14 +208,6 @@ class TestPipeline:
             calls.append("b")
             return program
 
-        pipeline = OptimizerPipeline([rule_a])
-        pipeline.add_rule(rule_b)
+        pipeline = OptimizerPipeline([rule_a, rule_b])
         pipeline.optimize(ProgramBuilder("x").build())
         assert calls == ["a", "b"]
-
-    def test_add_remove_and_names(self):
-        pipeline = OptimizerPipeline([remove_dead_code])
-        pipeline.add_rule(merge_duplicate_binds, position=0)
-        assert pipeline.rule_names() == ["merge_duplicate_binds", "remove_dead_code"]
-        pipeline.remove_rule(remove_dead_code)
-        assert pipeline.rule_names() == ["merge_duplicate_binds"]

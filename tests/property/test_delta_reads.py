@@ -2,7 +2,7 @@
 
 Random interleavings of ``insert`` / ``delete`` and range selects, over a
 plain column and every registered adaptive strategy, through the read doors
-(text ``execute``, ``execute_prepared``, ``execute_many``, ``execute_wave``)
+(text ``execute``, ``execute_prepared``, ``execute_wave``)
 with ``read_workers`` 1 or 2.  Every answer must be permutation-equal to a
 numpy mask scan of a shadow table replayed in op order, and the adaptive
 structure must pass ``check_invariants()`` after every step.  Deletes
@@ -12,7 +12,7 @@ column and the insert delta both hold those rows: the live-rows step scans
 the delta only past the adaptive column's rows.
 
 The door-equivalence check below it drives one fixed set of ranges through
-each of the five ``Database.execute*`` doors — they are adapters over one
+each of the four ``Database.execute*`` doors — they are adapters over one
 executor, so they must agree on answers, slot order and batch counters.  The
 one-lowering check follows one prepared handle through delta-free → insert →
 delete → reload: every member that runs a plan runs the lowering, and every
@@ -38,7 +38,7 @@ SQL = "select objid, v from p where v between ? and ?"
 LITERAL = "select objid, v from p where v between {low!r} and {high!r}"
 
 op_kinds = st.sampled_from(
-    ["insert", "delete", "text", "prepared", "many", "wave"]
+    ["insert", "delete", "text", "prepared", "wave"]
 )
 ops = st.lists(st.tuples(op_kinds, st.integers(0, 2**16)), min_size=6, max_size=40)
 organisations = st.sampled_from([None, *available_strategies()])
@@ -110,14 +110,9 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
         assert _pairs(result) == shadow.answer(low, high)
     else:
         bounds = _ranges(rng, int(rng.integers(2, 6)))
-        if kind == "many":
-            results = database.execute_many(
-                [LITERAL.format(low=low, high=high) for low, high in bounds]
-            )
-        else:
-            results = database.execute_wave(
-                [(prepared, prepared.binding.bind(pair)) for pair in bounds]
-            )
+        results = database.execute_wave(
+            [(prepared, prepared.binding.bind(pair)) for pair in bounds]
+        )
         assert len(results) == len(bounds)
         for (low, high), result in zip(bounds, results):
             assert _pairs(result) == shadow.answer(low, high)
@@ -146,27 +141,25 @@ def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, read_
             adaptive.check_invariants()
     # Whatever the stream left pending, a full scan sees exactly the live rows.
     result = database.execute_prepared(prepared, (0.0, DOMAIN))
+    database.close()
     assert _pairs(result) == shadow.answer(0.0, DOMAIN)
 
 
 # -- one door-equivalence check ------------------------------------------------------
 
-DOORS = ("execute", "execute_prepared", "execute_prepared_many", "execute_many", "execute_wave")
+DOORS = ("execute", "execute_prepared", "execute_prepared_many", "execute_wave")
 RANGES = [(40.0, 90.0), (60.0, 120.0), (500.0, 510.0), (880.0, 1000.0), (0.0, 15.5)]
 RAN_SINGLY = {"cold", "shape", "masked", "prepared"}  # the compiled plan ran for this member
 
 
 def _through(database: Database, door: str, prepared, bounds, **options) -> list:
     """The same ranges through one door; always a list in input order."""
-    texts = [LITERAL.format(low=low, high=high) for low, high in bounds]
     if door == "execute":
-        return [database.execute(text) for text in texts]
+        return [database.execute(LITERAL.format(low=low, high=high)) for low, high in bounds]
     if door == "execute_prepared":
         return [database.execute_prepared(prepared, pair) for pair in bounds]
     if door == "execute_prepared_many":
         return database.execute_prepared_many(prepared, bounds)
-    if door == "execute_many":
-        return database.execute_many(texts)
     return database.execute_wave(
         [(prepared, prepared.binding.bind(pair)) for pair in bounds], **options
     )
@@ -188,6 +181,7 @@ def test_every_door_answers_alike(door, organisation, pending, read_workers):
         _step(database, shadow, prepared, "delete", 12)
 
     results = _through(database, door, prepared, RANGES)
+    database.close()
 
     assert [_pairs(result) for result in results] == [
         shadow.answer(low, high) for low, high in RANGES
@@ -250,6 +244,7 @@ def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(
         assert prepared.generation != database.plan_cache.generation
     shadow = Shadow(values)
     read(pending=False)
+    database.close()
     if organisation is not None:
         database.adaptive_handle("p", "v").adaptive.check_invariants()
 
@@ -322,6 +317,7 @@ def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pendin
     with pytest.raises(KeyError):
         database.execute_wave(members)
     results = database.execute_wave(members, isolate=True)
+    database.close()
 
     assert isinstance(results[2], KeyError)
     healthy = results[:2] + results[3:]

@@ -1,4 +1,4 @@
-"""Property-based tests for the substrate layers (operators, buffer, workloads)."""
+"""Property-based tests for the substrate layers (operators, workloads)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.mal import operators
 from repro.storage.bat import BAT
-from repro.storage.buffer import BufferPool
 from repro.workloads.generators import uniform_workload, zipf_workload
 
 values_strategy = st.lists(
@@ -52,25 +51,6 @@ def test_tuple_reconstruction_round_trips(values):
     positions = marked.reverse()
     rebuilt = operators.join(positions, column)
     assert rebuilt.tail.tolist() == values
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    accesses=st.lists(
-        st.tuples(st.integers(0, 15), st.integers(1, 64), st.booleans()), min_size=1, max_size=120
-    ),
-    capacity_kb=st.integers(min_value=1, max_value=64),
-)
-def test_buffer_pool_accounting_is_consistent(accesses, capacity_kb):
-    pool = BufferPool(capacity_kb * 1024)
-    for key, size_kb, dirty in accesses:
-        pool.access(f"page-{key}", size_kb * 1024, dirty=dirty)
-        # Unless a single page exceeds the capacity, usage stays within bounds.
-        if pool.resident_pages > 1:
-            assert pool.used_bytes <= pool.capacity_bytes or pool.resident_pages == 1
-    stats = pool.stats
-    assert stats.page_hits + stats.page_faults == len(accesses)
-    assert 0.0 <= stats.hit_ratio <= 1.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,13 +5,7 @@ import pytest
 
 from repro.simulation.metrics import ExperimentResult, MetricsSummary
 from repro.simulation.runner import STRATEGY_MODEL_GRID, run_grid, run_single
-from repro.simulation.simulator import (
-    BufferedIOAccountant,
-    SimulationConfig,
-    Simulator,
-    build_strategy,
-)
-from repro.storage.buffer import BufferPool
+from repro.simulation.simulator import SimulationConfig, Simulator, build_strategy
 from repro.util.units import KB
 from repro.workloads.generators import make_column, uniform_workload, zipf_workload
 
@@ -74,63 +68,6 @@ class TestSimulator:
         assert result.label == "APM Segm"
         assert result.metadata["column_size"] == 20_000
 
-    def test_buffer_constrained_run_records_disk_traffic(self, workload):
-        config = SimulationConfig(
-            strategy="unsegmented",
-            column_size=20_000,
-            buffer_capacity_bytes=10 * KB,  # much smaller than the 80 KB column
-        )
-        simulator = Simulator(config)
-        result = simulator.run(workload.head(50))
-        summary = result.summary()
-        assert summary.disk_reads_bytes > 0
-        assert result.buffer_stats is not None
-        assert result.buffer_stats.page_faults > 0
-
-    def test_segmented_column_causes_less_disk_traffic_than_baseline(self, workload):
-        """With a buffer smaller than the column, segmentation pays off.
-
-        The non-segmented column (80 KB) never fits the 30 KB buffer, so every
-        query streams it from the secondary store; the adapted segments do fit
-        and mostly hit the buffer — the behaviour §2 of the paper motivates.
-        """
-        capacity = 30 * KB
-        baseline = Simulator(
-            SimulationConfig(strategy="unsegmented", column_size=20_000, buffer_capacity_bytes=capacity)
-        ).run(workload.head(150))
-        segmented = Simulator(
-            SimulationConfig(
-                strategy="segmentation",
-                model_name="apm",
-                column_size=20_000,
-                m_min=1 * KB,
-                m_max=4 * KB,
-                buffer_capacity_bytes=capacity,
-            )
-        ).run(workload.head(150))
-        assert (
-            segmented.buffer_stats.disk_reads_bytes < baseline.buffer_stats.disk_reads_bytes
-        )
-        assert segmented.buffer_stats.hit_ratio > baseline.buffer_stats.hit_ratio
-
-
-class TestBufferedAccountant:
-    def test_reads_fault_pages_and_writes_dirty_them(self):
-        pool = BufferPool(8 * KB)
-        accountant = BufferedIOAccountant(pool)
-        segment = object()
-        accountant.record_read(4 * KB, segment)
-        assert pool.stats.page_faults == 1
-        accountant.record_write(4 * KB, segment)
-        assert pool.stats.page_hits == 1
-        assert accountant.total_reads_bytes == 4 * KB
-
-    def test_segmentless_records_skip_the_pool(self):
-        pool = BufferPool(8 * KB)
-        accountant = BufferedIOAccountant(pool)
-        accountant.record_read(4 * KB)
-        assert pool.stats.page_faults == 0
-
 
 class TestRunners:
     def test_run_single_respects_strategy(self, workload):
@@ -168,9 +105,6 @@ class TestMetrics:
         assert len(result.cumulative_writes()) == 120
         assert len(result.reads_series()) == 120
         assert len(result.storage_series()) == 120
-        assert len(result.moving_average_time_series(10)) == 120
-        cumulative = result.cumulative_time_series()
-        assert all(b >= a for a, b in zip(cumulative, cumulative[1:]))
         summary = result.summary()
         assert isinstance(summary, MetricsSummary)
         assert summary.average_read_kb == pytest.approx(summary.average_read_bytes / 1024)

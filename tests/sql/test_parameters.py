@@ -15,7 +15,6 @@ from repro.sql.parameters import (
     parameter_names,
     parameterize,
     prepared_binding,
-    substitute_placeholders,
 )
 from repro.sql.parser import parse
 
@@ -228,23 +227,6 @@ class TestBindingSpec:
 
 
 class TestSubstitutePlaceholders:
-    def test_substitution_produces_concrete_statement(self):
-        statement = parse(
-            "SELECT objid FROM p WHERE ra BETWEEN ? AND ?", placeholders=True
-        )
-        spec = prepared_binding(statement)
-        concrete = substitute_placeholders(statement, spec.bind((2.0, 4.0)))
-        predicate = concrete.predicates[0]
-        assert not isinstance(predicate.low, Parameter)
-        assert (predicate.low, predicate.high) == (2.0, 4.0)
-
-    def test_substitution_keeps_baked_literals(self):
-        statement = parse(
-            "SELECT objid FROM p WHERE ra BETWEEN ? AND 9.0", placeholders=True
-        )
-        concrete = substitute_placeholders(statement, (3.0,))
-        assert (concrete.predicates[0].low, concrete.predicates[0].high) == (3.0, 9.0)
-
     def test_named_keys_colliding_by_case_rejected(self):
         spec = prepared_spec("SELECT objid FROM p WHERE ra BETWEEN :lo AND :hi")
         with pytest.raises(BindError, match="more than once"):

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.workloads.generators import (
-    WorkloadSpec,
     changing_workload,
-    drifting_mix_workload,
     hotspot_workload,
     make_column,
-    mixed_workload,
     uniform_workload,
     zipf_workload,
 )
@@ -118,67 +115,6 @@ class TestGenerators:
             uniform_workload(10, DOMAIN, 1.5)
         with pytest.raises(ValueError):
             uniform_workload(10, DOMAIN, 0.0)
-
-    def test_workload_spec_dispatch(self):
-        for distribution in (
-            "uniform", "zipf", "changing", "hotspot", "mixed", "drifting_mix",
-        ):
-            spec = WorkloadSpec(name=distribution, distribution=distribution, selectivity=0.05, n_queries=20, seed=1)
-            workload = spec.generate(DOMAIN)
-            assert len(workload) == 20
-        with pytest.raises(ValueError):
-            WorkloadSpec("x", "unknown", 0.1, 10).generate(DOMAIN)
-
-
-class TestTunerScenarioGenerators:
-    """The self-tuning loop's training/eval workloads (ISSUE 9 satellite)."""
-
-    def test_mixed_write_fraction(self):
-        workload = mixed_workload(400, DOMAIN, 0.01, write_fraction=0.3, seed=6)
-        mix = workload.metadata["op_mix"]
-        assert set(workload.metadata["ops"]) <= {"read", "insert", "delete"}
-        writes = mix["insert"] + mix["delete"]
-        assert 0.2 <= writes / 400 <= 0.4
-        assert mix["read"] == 400 - writes
-
-    def test_mixed_write_fraction_extremes(self):
-        reads_only = mixed_workload(50, DOMAIN, 0.01, write_fraction=0.0, seed=6)
-        writes_only = mixed_workload(50, DOMAIN, 0.01, write_fraction=1.0, seed=6)
-        assert reads_only.metadata["op_mix"] == {"read": 50, "insert": 0, "delete": 0}
-        assert writes_only.metadata["op_mix"]["read"] == 0
-        with pytest.raises(ValueError):
-            mixed_workload(50, DOMAIN, 0.01, write_fraction=1.5)
-
-    def test_mixed_is_seed_deterministic_and_stays_in_the_domain(self):
-        first = mixed_workload(60, DOMAIN, 0.01, seed=8)
-        second = mixed_workload(60, DOMAIN, 0.01, seed=8)
-        assert first.metadata["ops"] == second.metadata["ops"]
-        assert [(q.low, q.high) for q in first.queries] == [
-            (q.low, q.high) for q in second.queries
-        ]
-        for query in first.queries:
-            assert DOMAIN[0] <= query.low <= query.high <= DOMAIN[1]
-
-    def test_drifting_mix_phases(self):
-        workload = drifting_mix_workload(300, DOMAIN, 0.01, seed=6)
-        assert len(workload.queries) == 300
-        assert workload.metadata["phases"] == ["hotspot", "uniform", "multimodal"]
-        assert workload.metadata["phase_boundaries"] == [0, 100, 200]
-        # The phases genuinely differ in shape: the hotspot phase is far more
-        # spatially confined than the uniform phase.
-        lows = np.array([query.low for query in workload.queries])
-        assert lows[:100].std() < lows[100:200].std() / 3
-
-    def test_drifting_mix_is_seed_deterministic(self):
-        first = drifting_mix_workload(90, DOMAIN, 0.01, seed=7)
-        second = drifting_mix_workload(90, DOMAIN, 0.01, seed=7)
-        assert [(q.low, q.high) for q in first.queries] == [
-            (q.low, q.high) for q in second.queries
-        ]
-
-    def test_drifting_mix_rejects_empty_phases(self):
-        with pytest.raises(ValueError, match="at least one"):
-            drifting_mix_workload(10, DOMAIN, 0.01, phases=())
 
 
 class TestSkyServer:
