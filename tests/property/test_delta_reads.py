@@ -12,8 +12,10 @@ column and the insert delta both hold those rows: the live-rows step scans
 the delta only past the adaptive column's rows.
 
 The door-equivalence check below it drives one fixed set of ranges through
-each of the four ``Database.execute*`` doors — they are adapters over one
-executor, so they must agree on answers, slot order and batch counters.  The
+each of the four ``Database.execute*`` doors, a wave of literal statements
+(one prepared handle per member), and the client API's ``Cursor.executemany``
+and ``PreparedStatement.executemany`` — they are adapters over one executor,
+so they must agree on answers, slot order and batch counters.  The
 one-lowering check follows one prepared handle through delta-free → insert →
 delete → reload: every member that runs a plan runs the lowering, and every
 answer along the way matches the shadow.  The clone check rebuilds a table
@@ -27,10 +29,12 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cluster.replica import clone_database
 from repro.core.strategy import available_strategies
 from repro.engine.database import Database
 from repro.util.units import KB
+from tests.conftest import literal_wave
 
 ROWS = 400
 DOMAIN = 1_000.0
@@ -147,7 +151,15 @@ def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, read_
 
 # -- one door-equivalence check ------------------------------------------------------
 
-DOORS = ("execute", "execute_prepared", "execute_prepared_many", "execute_wave")
+DOORS = (
+    "execute",
+    "execute_prepared",
+    "execute_prepared_many",
+    "execute_wave",
+    "literal_wave",
+    "cursor_executemany",
+    "statement_executemany",
+)
 RANGES = [(40.0, 90.0), (60.0, 120.0), (500.0, 510.0), (880.0, 1000.0), (0.0, 15.5)]
 RAN_SINGLY = {"cold", "shape", "masked", "prepared"}  # the compiled plan ran for this member
 
@@ -160,6 +172,12 @@ def _through(database: Database, door: str, prepared, bounds, **options) -> list
         return [database.execute_prepared(prepared, pair) for pair in bounds]
     if door == "execute_prepared_many":
         return database.execute_prepared_many(prepared, bounds)
+    if door == "literal_wave":
+        return literal_wave(database, [LITERAL.format(low=low, high=high) for low, high in bounds])
+    if door == "cursor_executemany":
+        return repro.connect(database).cursor().executemany(SQL, bounds).results
+    if door == "statement_executemany":
+        return repro.connect(database).prepare(SQL).executemany(bounds)
     return database.execute_wave(
         [(prepared, prepared.binding.bind(pair)) for pair in bounds], **options
     )
