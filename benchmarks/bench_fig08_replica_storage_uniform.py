@@ -10,27 +10,11 @@ GD releases storage faster than APM.
 from repro.bench import experiments
 from repro.bench.harness import simulation_grid
 
-#: SHA-256 of each run's reads / writes / storage / segment-count series.
-PINS = {
-    ("uniform", 0.1): {
-        "GD Segm": "46919cfa0e03a9b19980d9471549f52670c9ed0fba7b987ea6045c375ad853b0",
-        "GD Repl": "2b57e99fb354c9e994a2e35d59a7244d62956375578c46ab491e9e92d9432c04",
-        "APM Segm": "d2f0b6f41668b4eb6efe8ad53671cbff5f98c4487f76b8184c2612ccb72ec3f0",
-        "APM Repl": "1a428250d21e7da5de941c66324157ed89a15ab8da6c6515e5998402c0324da7",
-    },
-    ("uniform", 0.01): {
-        "GD Segm": "aac65d67ce52a37c65828f96e036068f4f4b2d30cd3b957a5856ea3ecdcef1aa",
-        "GD Repl": "76151f7896ef658e9f9e2aa015033102691267118a61db8b25d3dce894514ee7",
-        "APM Segm": "2521fcb9089caef0718ca8246402c0bd285f9d02ae99653d09573c4fee45841c",
-        "APM Repl": "0ac5187e9b1ea63119bed48e5e5f3b3319f5c060f179ea4eab753bd3316e5cf0",
-    },
-}
-
 
 def test_fig08_replica_storage_uniform(benchmark, save_result, check_grid_pins):
     text = benchmark.pedantic(experiments.figure_8, rounds=1, iterations=1)
     save_result("fig08_replica_storage_uniform", text)
-    check_grid_pins(PINS)
+    check_grid_pins(("uniform", 0.1), ("uniform", 0.01))
 
     grid = simulation_grid("uniform", 0.1)
     for label in ("GD Repl", "APM Repl"):

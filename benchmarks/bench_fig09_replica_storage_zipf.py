@@ -9,33 +9,11 @@ storage faster than APM.
 from repro.bench import experiments
 from repro.bench.harness import simulation_grid
 
-#: SHA-256 of each run's reads / writes / storage / segment-count series.
-PINS = {
-    ("uniform", 0.1): {
-        "GD Segm": "46919cfa0e03a9b19980d9471549f52670c9ed0fba7b987ea6045c375ad853b0",
-        "GD Repl": "2b57e99fb354c9e994a2e35d59a7244d62956375578c46ab491e9e92d9432c04",
-        "APM Segm": "d2f0b6f41668b4eb6efe8ad53671cbff5f98c4487f76b8184c2612ccb72ec3f0",
-        "APM Repl": "1a428250d21e7da5de941c66324157ed89a15ab8da6c6515e5998402c0324da7",
-    },
-    ("zipf", 0.1): {
-        "GD Segm": "24a5db2f8535b9bb332926588ffedba5a0f0375a649460c226d55a5f75675a72",
-        "GD Repl": "a578e4f2eac8c5bd5b8f554e7165a238f619928df3e17736c27a1241268101d2",
-        "APM Segm": "ba9bfd1547f4a431d478b9dc456d52d14f6a5c715bf328c058f37b3f2aa6b2fe",
-        "APM Repl": "d77b7160ea2ae55e8df9cc2b72b86ccda68d95d421f7e9fa5642dd4373f30c12",
-    },
-    ("zipf", 0.01): {
-        "GD Segm": "550758b2a54b888b76d17ef9453280f2793d25e5a8a7f7357298bbbb83c8003e",
-        "GD Repl": "210c3694a2902a3d38e3348d7c584ab1fc9b4ffd787ed5622dc0e4876d8b8ff8",
-        "APM Segm": "a36feb98228bf8e5baccd640f4410f055275e2e2e7ba18e84db2746c7e76bb60",
-        "APM Repl": "d07dc8214fe0dec3dfe26785727d6d584498a625331b69c65a16bb3606f1168b",
-    },
-}
-
 
 def test_fig09_replica_storage_zipf(benchmark, save_result, check_grid_pins):
     text = benchmark.pedantic(experiments.figure_9, rounds=1, iterations=1)
     save_result("fig09_replica_storage_zipf", text)
-    check_grid_pins(PINS)
+    check_grid_pins(("uniform", 0.1), ("zipf", 0.1), ("zipf", 0.01))
 
     uniform = simulation_grid("uniform", 0.1)
     zipf = simulation_grid("zipf", 0.1)

@@ -9,17 +9,17 @@ totals line.  The drivers are:
 * the six ``benchmarks/e2e`` workloads at 0.5 s, each with its own
   ``--workload`` and with ``--trace 0`` and ``--trace 1``;
 * the 14 paper figure / table / ablation scripts at default scale;
-* every ``examples/*.py``; ``chaos_workload.py`` runs against the
-  fault-injected 3-replica fleet that CI's ``chaos-smoke`` job boots;
-* CI's standalone-server smoke.
+* every ``examples/*.py``, the files CI runs: ``server_smoke.py`` is CI's
+  standalone-server smoke, and ``chaos_workload.py`` boots the
+  fault-injected 3-replica fleet of CI's ``chaos-smoke`` job and stops it
+  with SIGINT, so the server's shutdown path counts too.
 
 ``--legacy`` adds a pass over the six legacy ``bench_*.py`` scripts at CI
 scale (run in a temporary copy, because they rewrite
 ``BENCH_segment_kernels.json``); the report labels what only they reach.
 
-The tracer is the standard library's: ``sys.monitoring`` on Python 3.12+,
-where each function reports once and then runs at full speed, else
-``sys.settrace`` / ``threading.settrace`` (``coverage`` is not a
+The tracer is the standard library's ``sys.settrace`` /
+``threading.settrace`` on every Python version (``coverage`` is not a
 dependency).  It is installed by a ``sitecustomize.py`` on
 ``PYTHONPATH`` so that spawned pool workers and server subprocesses record
 too.  Every traced process writes its hits every half second and again at
@@ -40,8 +40,6 @@ import atexit
 import json
 import os
 import shutil
-import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -54,8 +52,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 #: The unreached-line total this check fails above: the last measured total
-#: (3 483 lines, 387 of 953 defs) plus the difference between two runs of the
-#: same tree (0 lines).
+#: (3 483 lines, 387 of 953 defs) plus the difference between runs of the
+#: same tree (0 lines over four).  The drivers are time-boxed, so it holds
+#: for this tracer on the Python it was measured on (3.11, as CI runs it).
 MAX_UNREACHED_LINES = 3_483
 
 #: Environment of a traced process: where it writes its hits, and which tree
@@ -73,30 +72,6 @@ module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
 module.install()
 """
-
-#: CI's ``server-smoke`` step: a standalone server boots, answers, stops.
-SERVER_SMOKE = """\
-import asyncio
-import repro.aio
-from repro.server import ReproServer
-
-async def main():
-    async with ReproServer(port=0, batch_window_us=100.0) as server:
-        connection = await repro.aio.connect(*server.address)
-        await connection.admin.create_table("t", {"v": "float64"})
-        await connection.admin.bulk_load("t", {"v": [1.0, 2.0, 3.0]})
-        cursor = await connection.execute("select v from t where v between ? and ?", (1.5, 3.5))
-        assert cursor.rowcount == 2, cursor.rowcount
-        await connection.close()
-
-asyncio.run(main())
-"""
-
-#: CI's ``chaos-smoke`` fleet: three replicas, two of them crash mid-stream.
-CHAOS_FAULTS = json.dumps({"seed": 7, "faults": [
-    {"site": "wave.execute", "at": 1, "action": "crash", "match": {"replica": 1}},
-    {"site": "wave.execute", "at": 2, "action": "crash", "match": {"replica": 2}},
-]})
 
 #: The legacy perf scripts at the scale CI's ``bench-smoke`` job runs them.
 LEGACY_SCALE = {
@@ -128,11 +103,9 @@ def install() -> None:
     if not hits_dir:
         return
     src = os.path.realpath(os.environ[SRC_ENV]) + os.sep
+    # Unique per process: a pid the kernel reuses must not overwrite hits.
+    target = Path(hits_dir) / f"{os.getpid()}-{time.time_ns()}.json"
     seen: set = set()
-
-    def started(code, offset):
-        seen.add(code)
-        return sys.monitoring.DISABLE  # one report per code object, then free
 
     def tracer(frame, event, arg):
         seen.add(frame.f_code)  # "call" is the only event a global tracer gets
@@ -143,7 +116,6 @@ def install() -> None:
             path = os.path.realpath(code.co_filename)
             if path.startswith(src):
                 hits.add((path[len(src):], code.co_name, code.co_firstlineno))
-        target = Path(hits_dir) / f"{os.getpid()}.json"
         partial = target.with_suffix(".part")
         partial.write_text(json.dumps(sorted(hits)))
         partial.replace(target)
@@ -153,14 +125,8 @@ def install() -> None:
             time.sleep(DUMP_INTERVAL_S)
             dump()
 
-    if hasattr(sys, "monitoring"):  # 3.12+: every thread, near-zero cost
-        monitoring = sys.monitoring
-        monitoring.use_tool_id(monitoring.COVERAGE_ID, "reachability")
-        monitoring.register_callback(monitoring.COVERAGE_ID, monitoring.events.PY_START, started)
-        monitoring.set_events(monitoring.COVERAGE_ID, monitoring.events.PY_START)
-    else:
-        sys.settrace(tracer)
-        threading.settrace(tracer)
+    sys.settrace(tracer)
+    threading.settrace(tracer)
     threading.Thread(target=dump_periodically, name="reachability-dump", daemon=True).start()
     atexit.register(dump)
 
@@ -196,9 +162,7 @@ def product_drivers() -> list[Driver]:
     drivers += [
         Driver(f"examples/{path.name}", [python, f"examples/{path.name}"])
         for path in sorted((ROOT / "examples").glob("*.py"))
-        if path.name != "chaos_workload.py"
     ]
-    drivers.append(Driver("server smoke", [python, "-c", SERVER_SMOKE]))
     return drivers
 
 
@@ -238,33 +202,6 @@ def run_driver(driver: Driver, cwd: Path, env: dict[str, str]) -> bool:
     return ok
 
 
-def run_chaos(cwd: Path, env: dict[str, str]) -> bool:
-    """CI's chaos-smoke: boot the fault-injected fleet, drive it, interrupt it."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = str(probe.getsockname()[1])
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro.server", "--port", port, "--replicas", "3",
-         "--demo-rows", "20000", "--batch-window-us", "400", "--max-wave", "16",
-         "--quarantine-after", "1", "--max-retries", "3", "--fault-spec", CHAOS_FAULTS],
-        cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    try:
-        return run_driver(
-            Driver("examples/chaos_workload.py (fleet)",
-                   [sys.executable, "examples/chaos_workload.py", "--port", port]),
-            cwd, env,
-        )
-    finally:
-        # SIGINT, not SIGTERM: the server's own shutdown path is a product path.
-        server.send_signal(signal.SIGINT)
-        try:
-            server.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            server.wait()
-
-
 def collect_hits(hits_dir: Path) -> set[tuple[str, str, int]]:
     hits = set()
     for path in hits_dir.glob("*.json"):
@@ -274,8 +211,7 @@ def collect_hits(hits_dir: Path) -> set[tuple[str, str, int]]:
 
 def trace_product(hits_dir: Path, site_dir: Path) -> bool:
     env = traced_env(hits_dir, site_dir, SRC)
-    ok = all([run_driver(driver, ROOT, env) for driver in product_drivers()])
-    return run_chaos(ROOT, env) and ok
+    return all([run_driver(driver, ROOT, env) for driver in product_drivers()])
 
 
 def trace_legacy(hits_dir: Path, site_dir: Path) -> bool:

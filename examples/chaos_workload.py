@@ -1,17 +1,11 @@
 """Chaos smoke: a client stream against a fault-injected replica fleet.
 
-Points a resilient async client at an already-running multi-replica server
-(boot one with the deterministic fault injector armed)::
+Boots a 3-replica server on a free loopback port with the deterministic
+fault injector armed (:data:`FAULT_SPEC` crashes two replicas mid-stream),
+points a resilient async client at it, and stops it with SIGINT afterwards;
+the fleet must exit cleanly::
 
-    PYTHONPATH=src python -m repro.server --port 7744 --replicas 3 \
-        --demo-rows 20000 --quarantine-after 1 --max-retries 3 \
-        --max-wave 16 \
-        --fault-spec '{"seed": 7, "faults": [
-            {"site": "wave.execute", "at": 1, "action": "crash",
-             "match": {"replica": 1}},
-            {"site": "wave.execute", "at": 2, "action": "crash",
-             "match": {"replica": 2}}]}' &
-    PYTHONPATH=src timeout 120 python examples/chaos_workload.py --port 7744
+    PYTHONPATH=src timeout 120 python examples/chaos_workload.py
 
 The workload fires bound range selects through the crash window, verifies
 every completed answer against a client-side recomputation of the demo
@@ -27,22 +21,57 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
+import signal
+import socket
+import subprocess
 import sys
 import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 import repro.aio  # noqa: E402
 from repro.api.exceptions import OperationalError  # noqa: E402
 
+HOST = "127.0.0.1"
 SQL = "SELECT v FROM demo WHERE v BETWEEN ? AND ?"
 #: ``python -m repro.server --demo-rows N`` loads uniform values seeded with 7.
 DEMO_SEED = 7
 #: Queries in the checked batch sent once the fleet has healed.
 HEALED_QUERIES = 48
+#: The faults the fleet is booted with: replicas 1 and 2 crash on their first waves.
+FAULT_SPEC = {"seed": 7, "faults": [
+    {"site": "wave.execute", "at": 1, "action": "crash", "match": {"replica": 1}},
+    {"site": "wave.execute", "at": 2, "action": "crash", "match": {"replica": 2}},
+]}
+
+
+def boot_fleet(port: int, demo_rows: int) -> subprocess.Popen:
+    """Start the fault-injected 3-replica server this smoke runs against."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.server", "--host", HOST, "--port", str(port),
+         "--replicas", "3", "--demo-rows", str(demo_rows), "--batch-window-us", "400",
+         "--max-wave", "16", "--quarantine-after", "1", "--max-retries", "3",
+         "--fault-spec", json.dumps(FAULT_SPEC)],
+        env=env,
+    )
+
+
+def stop_fleet(server: subprocess.Popen) -> int:
+    """SIGINT, the server's own shutdown path; returns its exit code."""
+    server.send_signal(signal.SIGINT)
+    try:
+        return server.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        server.wait()
+        return 1
 
 
 async def wait_for_server(host: str, port: int, deadline_s: float) -> None:
@@ -60,11 +89,11 @@ async def wait_for_server(host: str, port: int, deadline_s: float) -> None:
             return
 
 
-async def run_workload(args: argparse.Namespace) -> int:
-    await wait_for_server(args.host, args.port, args.boot_timeout)
+async def run_workload(port: int, args: argparse.Namespace) -> int:
+    await wait_for_server(HOST, port, args.boot_timeout)
     connection = await repro.aio.connect(
-        args.host,
-        args.port,
+        HOST,
+        port,
         request_timeout=10.0,
         reconnect=True,
         retry_reads=True,
@@ -180,17 +209,26 @@ async def run_workload(args: argparse.Namespace) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7744)
     parser.add_argument("--queries", type=int,
                         default=int(os.environ.get("CHAOS_QUERIES", "96")))
     parser.add_argument("--demo-rows", type=int,
                         default=int(os.environ.get("CHAOS_DEMO_ROWS", "20000")),
-                        help="must match the server's --demo-rows")
+                        help="rows of the fleet's demo table")
     parser.add_argument("--boot-timeout", type=float, default=30.0)
     parser.add_argument("--heal-timeout", type=float, default=30.0)
     args = parser.parse_args()
-    return asyncio.run(run_workload(args))
+    with socket.socket() as probe:
+        probe.bind((HOST, 0))
+        port = probe.getsockname()[1]
+    server = boot_fleet(port, args.demo_rows)
+    try:
+        status = asyncio.run(run_workload(port, args))
+    finally:
+        exit_code = stop_fleet(server)
+    if exit_code != 0:
+        print(f"FATAL: the fleet exited {exit_code} on SIGINT (not a clean shutdown)")
+        return 1
+    return status
 
 
 if __name__ == "__main__":
