@@ -1,8 +1,8 @@
 """Concurrent snapshot reads: wave fan-out vs the fully serialized path.
 
-The scenario reuses the self-tuning bench's pressure cooker: a replication
-column squeezed by a storage budget sized for one query mode, hit by an
-interleaved multi-mode stream whose working set exceeds the budget.  On
+The scenario is a pressure cooker: a replication column squeezed by a
+storage budget sized for one query mode, hit by an interleaved multi-mode
+stream whose working set exceeds the budget.  On
 the serialized path every wave member runs the conventional ``select()``
 — cover analysis, the budget's admission probes, materialization or
 partitioning, per query.  With ``Database.read_workers = N`` the same

@@ -38,7 +38,6 @@ True
 
 from repro.core import (
     AdaptivePageModel,
-    AutoTunedAPM,
     GaussianDice,
     IOAccountant,
     QueryLog,
@@ -81,7 +80,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdaptivePageModel",
-    "AutoTunedAPM",
     "Connection",
     "Cursor",
     "DataError",

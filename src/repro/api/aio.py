@@ -281,8 +281,8 @@ class AsyncAdmin:
         """The server's live knob table: one row per registered knob.
 
         Each row carries ``name``, ``layer``, ``value``, ``default``,
-        ``low``/``high``/``step`` bounds and a description — the full
-        self-tuning surface of :mod:`repro.tuning.knobs`.
+        ``low``/``high`` bounds and a description — the typed registry of
+        :mod:`repro.tuning.knobs`.
         """
         return await self._call("knobs")
 
@@ -294,16 +294,6 @@ class AsyncAdmin:
         frame and leaves every knob untouched.
         """
         return await self._call("set_knobs", values=dict(values))
-
-    async def tuning_stats(self) -> dict[str, Any]:
-        """Self-tuning observability: controller state, moves, drift, model.
-
-        On a server without an active controller this returns
-        ``{"enabled": ..., "state": None, "knob_table": [...]}``; with
-        ``--self-tuning`` it carries the controller's full
-        :meth:`~repro.tuning.controller.TuningController.tuning_stats`.
-        """
-        return await self._call("tuning_stats")
 
 
 class AsyncConnection:

@@ -761,11 +761,6 @@ class Router:
 
     # -- observability ---------------------------------------------------------
 
-    def traffic_shares(self) -> list[float]:
-        """Recent traffic share per workload cluster (a copy; empty before a retune)."""
-        with self._lock:
-            return list(self._shares)
-
     def router_stats(self) -> dict[str, Any]:
         """Routing, health and divergence summary for the admin surface."""
         with self._lock:

@@ -7,9 +7,8 @@ Public surface:
 * :class:`~repro.core.interval_index.IntervalIndex` — which stored pieces
   cover a range, kept by both segmentation and the replica tree, and its one
   :class:`~repro.core.interval_index.IndexSnapshot` for lock-free readers.
-* Segmentation models: :class:`~repro.core.models.GaussianDice`,
-  :class:`~repro.core.models.AdaptivePageModel`,
-  :class:`~repro.core.models.AutoTunedAPM`.
+* Segmentation models: :class:`~repro.core.models.GaussianDice` and
+  :class:`~repro.core.models.AdaptivePageModel`.
 * Strategies: :class:`~repro.core.segmentation.SegmentedColumn` (adaptive
   segmentation), :class:`~repro.core.replication.ReplicatedColumn` (adaptive
   replication) and :class:`~repro.core.baseline.UnsegmentedColumn` (the
@@ -24,7 +23,6 @@ from repro.core.baseline import UnsegmentedColumn
 from repro.core.interval_index import IndexSnapshot, IntervalIndex
 from repro.core.models import (
     AdaptivePageModel,
-    AutoTunedAPM,
     GaussianDice,
     SegmentationModel,
     SplitAction,
@@ -55,7 +53,6 @@ __all__ = [
     "IndexSnapshot",
     "IntervalIndex",
     "AdaptivePageModel",
-    "AutoTunedAPM",
     "GaussianDice",
     "SegmentationModel",
     "SplitAction",

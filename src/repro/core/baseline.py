@@ -96,9 +96,6 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         """Bytes used for the column payload."""
         return self.total_bytes
 
-    def _after_frame(self, stats: QueryStats) -> None:
-        """Nothing to feed: the baseline has no segmentation model."""
-
     def _scan(self, query: ValueRange) -> SelectionResult:
         mask = (self._values >= query.low) & (self._values < query.high)
         return SelectionResult(self._values[mask], self._oids[mask])

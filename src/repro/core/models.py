@@ -110,13 +110,6 @@ class SegmentationModel(ABC):
             Size of the whole column; used by GD to scale its tolerance.
         """
 
-    def observe(self, selected_bytes: float) -> None:
-        """Feedback hook: the number of bytes a query actually selected.
-
-        The base models ignore it; :class:`AutoTunedAPM` uses it to derive its
-        bounds from the workload (a paper §8 future-work item).
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -259,57 +252,6 @@ class AdaptivePageModel(SegmentationModel):
         return SplitDecision.no_split()
 
 
-class AutoTunedAPM(AdaptivePageModel):
-    """APM whose bounds follow the observed query footprint (extension).
-
-    The paper's summary lists automatic determination of the APM parameters as
-    future work.  This extension keeps a bounded history of the byte sizes
-    queries actually selected and periodically re-derives
-    ``Mmin = max(min_floor, 0.75 * median)`` and ``Mmax = 3 * median``, i.e.
-    segments converge towards a small multiple of the typical selection.
-    """
-
-    name = "APM-auto"
-
-    def __init__(
-        self,
-        initial_m_min: float = 3 * KB,
-        initial_m_max: float = 12 * KB,
-        *,
-        history_size: int = 256,
-        retune_every: int = 32,
-        min_floor: float = 1 * KB,
-    ) -> None:
-        super().__init__(initial_m_min, initial_m_max)
-        ensure_positive("history_size", history_size)
-        ensure_positive("retune_every", retune_every)
-        ensure_positive("min_floor", min_floor)
-        self._history: list[float] = []
-        self._history_size = int(history_size)
-        self._retune_every = int(retune_every)
-        self._min_floor = float(min_floor)
-        self._observations = 0
-
-    def observe(self, selected_bytes: float) -> None:
-        if selected_bytes <= 0:
-            return
-        self._history.append(float(selected_bytes))
-        if len(self._history) > self._history_size:
-            del self._history[: len(self._history) - self._history_size]
-        self._observations += 1
-        if self._observations % self._retune_every == 0:
-            self._retune()
-
-    def _retune(self) -> None:
-        if not self._history:
-            return
-        median = float(np.median(self._history))
-        new_min = max(self._min_floor, 0.75 * median)
-        new_max = max(new_min * 2.0, 3.0 * median)
-        self.m_min = new_min
-        self.m_max = new_max
-
-
 def model_from_name(
     name: str,
     *,
@@ -319,14 +261,11 @@ def model_from_name(
 ) -> SegmentationModel:
     """Factory used by the benchmark harness and the examples.
 
-    ``name`` is case-insensitive and one of ``"gd"``, ``"apm"`` or
-    ``"apm-auto"``.
+    ``name`` is case-insensitive: ``"gd"`` or ``"apm"``.
     """
     key = name.strip().lower()
     if key in {"gd", "gaussian", "gaussian-dice"}:
         return GaussianDice(seed=seed)
     if key in {"apm", "adaptive-page-model"}:
         return AdaptivePageModel(m_min=m_min, m_max=m_max)
-    if key in {"apm-auto", "auto", "autotuned"}:
-        return AutoTunedAPM(initial_m_min=m_min, initial_m_max=m_max)
     raise ValueError(f"unknown segmentation model {name!r}")

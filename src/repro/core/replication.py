@@ -115,7 +115,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
         return self.tree.depth
 
     def _after_frame(self, stats: QueryStats) -> None:
-        super()._after_frame(stats)
         self.peak_storage_bytes = max(self.peak_storage_bytes, stats.storage_bytes)
 
     # -- Algorithm 2: the per-query driver -----------------------------------

@@ -185,8 +185,8 @@ class AdaptiveColumnBase:
     #: The interval index over the stored pieces, for a strategy that keeps
     #: one: it answers :meth:`select_readonly` and the router's cost probe.
     index: IntervalIndex | None = None
-    #: The segmentation model the frame feeds result sizes to; strategies
-    #: with ``requires_model = False`` override :meth:`_after_frame` instead.
+    #: The segmentation model that decides splits (strategies with
+    #: ``requires_model = False`` carry none).
     model: Any
     # Subclasses provide these (declared for type checkers only).
     storage_bytes: float
@@ -259,8 +259,7 @@ class AdaptiveColumnBase:
         self._after_frame(stats)
 
     def _after_frame(self, stats: QueryStats) -> None:
-        """Hook run once per record: the model observes the mean result size."""
-        self.model.observe(stats.result_count * self.value_width / stats.batch_size)
+        """Hook run once per closed record (default: nothing)."""
 
     # -- the three doors -----------------------------------------------------
 

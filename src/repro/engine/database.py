@@ -83,8 +83,8 @@ class Database:
         self._adaptive_configs: dict[tuple[str, str], dict[str, Any]] = {}
         #: How many reader threads a wave may fan its snapshot-readable
         #: members across (1 = fully serialized).  The one switch for the
-        #: reader fan-out: the server, the replicas and the self-tuner's
-        #: ``read_workers`` knob all write this attribute.
+        #: reader fan-out: the server, the replicas and the ``read_workers``
+        #: knob all write this attribute.
         self.read_workers = 1
 
     # -- schema and data -----------------------------------------------------
@@ -201,7 +201,7 @@ class Database:
         """The BPM handle of an adaptive column (for inspection)."""
         return self.bpm.handle(table.lower(), column.lower())
 
-    # -- self-tuning knobs -----------------------------------------------------
+    # -- knobs -----------------------------------------------------------------
 
     def knob_registry(self):
         """The engine's live knob surface (see :mod:`repro.tuning.knobs`).

@@ -86,19 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="consecutive wave failures before a replica is quarantined",
     )
     parser.add_argument(
-        "--self-tuning",
-        action="store_true",
-        help="enable the online knob controller (drift-gated what-if tuning; "
-        "observe via the ADMIN tuning_stats op)",
-    )
-    parser.add_argument(
-        "--tuning-pulse-s",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="self-tuning pulse interval in seconds",
-    )
-    parser.add_argument(
         "--fault-spec",
         default=None,
         metavar="JSON",
@@ -109,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _main(args: argparse.Namespace) -> None:
+def _build_server(args: argparse.Namespace) -> ReproServer:
     database = Database()
     if args.demo_rows > 0:
         rng = np.random.default_rng(7)
@@ -127,7 +114,7 @@ async def _main(args: argparse.Namespace) -> None:
         from repro.fault import specs_from_json
 
         injector = specs_from_json(args.fault_spec)
-    server = ReproServer(
+    return ReproServer(
         database,
         host=args.host,
         port=args.port,
@@ -143,25 +130,30 @@ async def _main(args: argparse.Namespace) -> None:
         wave_deadline_s=args.wave_deadline_s,
         max_retries=args.max_retries,
         injector=injector,
-        self_tuning=args.self_tuning,
-        tuning={"pulse_s": args.tuning_pulse_s},
         read_workers=args.read_workers,
     )
+
+
+async def _serve(server: ReproServer, args: argparse.Namespace) -> None:
     async with server:
         assert server.address is not None
         print(
             f"repro server listening on {server.address[0]}:{server.address[1]}"
             + (f" ({args.replicas} routed replicas)" if args.replicas > 1 else "")
-            + (" [self-tuning]" if args.self_tuning else "")
         )
         with contextlib.suppress(asyncio.CancelledError):
             await server.serve_forever()
 
 
 def main() -> None:
-    args = _build_parser().parse_args()
+    parser = _build_parser()
+    args = parser.parse_args()
+    try:
+        server = _build_server(args)
+    except ValueError as exc:  # a setting out of bounds is a usage error
+        parser.error(str(exc))
     with contextlib.suppress(KeyboardInterrupt):
-        asyncio.run(_main(args))
+        asyncio.run(_serve(server, args))
 
 
 if __name__ == "__main__":

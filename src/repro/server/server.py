@@ -46,6 +46,7 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
+from repro.tuning.knobs import KnobRegistry, read_workers_spec, server_knob_registry
 
 
 def result_payload(result: QueryResult) -> dict[str, Any]:
@@ -107,15 +108,15 @@ class ReproServer:
         auto_rebuild: bool = True,
         drain_timeout_s: float = 5.0,
         injector: Any | None = None,
-        self_tuning: bool = False,
-        tuning: dict[str, Any] | None = None,
         read_workers: int = 1,
     ) -> None:
         self.database = database if database is not None else Database()
         # The engine worker stays the only adaptation owner; read_workers
         # only sizes the snapshot-reader fan-out inside execute_wave (the
-        # router's clones copy it from the seed database).
-        self.database.read_workers = max(1, int(read_workers))
+        # router's clones copy it from the seed database).  It obeys the
+        # same bounds as the ``read_workers`` knob.
+        spec = read_workers_spec(self.database)
+        spec.apply(spec.coerce(read_workers))
         self.router: Router | None = None
         if replicas > 1:
             # Scale-out mode: the seed database becomes replica 0 of a
@@ -143,18 +144,6 @@ class ReproServer:
             auto_rebuild=auto_rebuild,
         )
         self.drain_timeout_s = float(drain_timeout_s)
-        # Self-tuning (repro.tuning): a pulse task feeds the adaptive
-        # accountants' per-query records to an online TuningController that
-        # proposes/trials knob moves through the same registry the ADMIN
-        # ``set_knobs`` op uses.  Off by default; ``tuning`` forwards
-        # controller kwargs (window, objective, kappa, ...) plus ``pulse_s``.
-        self.self_tuning = bool(self_tuning)
-        self._tuning_options = dict(tuning or {})
-        self._tuning_pulse_s = float(self._tuning_options.pop("pulse_s", 0.5))
-        self.tuning_controller: Any | None = None
-        self._tuning_task: asyncio.Task | None = None
-        self._tuning_seen: dict[tuple[int, str], int] = {}
-        self._tuning_errors = 0
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
@@ -173,10 +162,6 @@ class ReproServer:
         self._server = await asyncio.start_server(self._accept, self._host, self._port)
         name = self._server.sockets[0].getsockname()
         self.address = (name[0], name[1])
-        if self.self_tuning and self._tuning_task is None:
-            self._tuning_task = asyncio.get_running_loop().create_task(
-                self._tuning_loop(), name="repro-tuning-pulse"
-            )
         return self
 
     @property
@@ -207,11 +192,6 @@ class ReproServer:
         if self._stopped:
             return
         self._stopped = True
-        if self._tuning_task is not None:
-            self._tuning_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._tuning_task
-            self._tuning_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -254,95 +234,15 @@ class ReproServer:
             self._executor, partial(fn, *args)
         )
 
-    # -- self-tuning ----------------------------------------------------------
+    # -- knobs ----------------------------------------------------------------
 
-    def knob_registry(self):
+    def knob_registry(self) -> KnobRegistry:
         """This server's full knob surface: engine + admission (+ router).
 
         Built fresh per call so columns made adaptive after server start are
-        covered.  The same registry backs the ADMIN ``knobs`` / ``set_knobs``
-        ops and the self-tuning controller.
+        covered.  It backs the ADMIN ``knobs`` / ``set_knobs`` ops.
         """
-        from repro.tuning.knobs import server_knob_registry
-
         return server_knob_registry(self.engine, admission=self.admission)
-
-    async def _tuning_loop(self) -> None:
-        """Periodic pulse: ship accumulated query records to the controller."""
-        while True:
-            await asyncio.sleep(self._tuning_pulse_s)
-            try:
-                await self.engine_call(self._tuning_pulse)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - tuning must never kill serving
-                self._tuning_errors += 1
-
-    def _tuning_pulse(self) -> None:
-        """One tuning step; runs on the engine worker thread.
-
-        Drains the per-query :class:`~repro.core.accounting.QueryStats`
-        appended to every adaptive column's history since the last pulse,
-        aggregates them into one observation window (bounds + mean IO bytes
-        + mean latency) and feeds the controller — which may train, detect
-        drift, and propose/trial/roll back a knob move via the registry.
-        """
-        registry = self.knob_registry()
-        if len(registry) == 0:
-            return
-        fresh: list[Any] = []
-        for database in self._tuning_databases():
-            for handle in database.bpm.handles():
-                records = handle.adaptive.history.records
-                key = (id(database), handle.qualified_name)
-                seen = self._tuning_seen.get(key, 0)
-                if len(records) > seen:
-                    fresh.extend(records[seen:])
-                self._tuning_seen[key] = len(records)
-        if not fresh:
-            return
-        controller = self._ensure_controller(registry, fresh)
-        controller.registry = registry  # fresh build; same live engine objects
-        n = sum(max(int(r.batch_size), 1) for r in fresh)
-        bounds = [(r.low, r.high) for r in fresh]
-        cost = sum(r.reads_bytes + r.writes_bytes for r in fresh) / n
-        latency = sum(r.total_seconds for r in fresh) / n
-        shares = (self.router.traffic_shares() or None) if self.router is not None else None
-        controller.observe_window(bounds, cost, latency_s=latency, shares=shares)
-
-    def _tuning_databases(self) -> list[Database]:
-        if self.router is not None:
-            return [replica.database for replica in self.router.replicas]
-        return [self.database]
-
-    def _ensure_controller(self, registry: Any, fresh: list[Any]) -> Any:
-        """Lazily build the controller once there is something to observe.
-
-        The feature/drift domain is anchored on the first pulse's adaptive
-        domains (falling back to its observed bounds), so normalization
-        matches the data actually stored rather than a unit-interval guess.
-        """
-        if self.tuning_controller is not None:
-            return self.tuning_controller
-        from repro.tuning.controller import TuningController
-        from repro.tuning.whatif import WhatIfEstimator
-
-        lows = [r.low for r in fresh]
-        highs = [r.high for r in fresh]
-        for database in self._tuning_databases():
-            for handle in database.bpm.handles():
-                domain = handle.adaptive.domain
-                lows.append(float(domain.low))
-                highs.append(float(domain.high))
-        domain = (min(lows), max(highs))
-        options = dict(self._tuning_options)
-        estimator = options.pop(
-            "estimator", None
-        ) or WhatIfEstimator(sorted(registry.names()), seed=0)
-        self.tuning_controller = TuningController(
-            registry, estimator, domain=domain, **options
-        )
-        return self.tuning_controller
 
 
 async def serve(
@@ -610,18 +510,6 @@ class _ClientConnection:
                 return self._server.knob_registry().table()
             elif op == "set_knobs":
                 return self._server.knob_registry().set_knobs(args["values"])
-            elif op == "tuning_stats":
-                controller = self._server.tuning_controller
-                if controller is None:
-                    return {
-                        "enabled": self._server.self_tuning,
-                        "state": None,
-                        "knob_table": self._server.knob_registry().table(),
-                        "note": "controller not active"
-                                + ("" if self._server.self_tuning
-                                   else ": start with self_tuning=True / --self-tuning"),
-                    }
-                return {"enabled": True, **controller.tuning_stats()}
             elif op == "router_stats":
                 router = self._server.router
                 if router is None:

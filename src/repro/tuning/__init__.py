@@ -1,61 +1,29 @@
-"""Self-tuning knobs: what-if estimation and online retuning under drift.
+"""Typed knobs: one ``knobs()`` / ``set_knobs()`` surface over the tunables.
 
-The paper's adaptive layer reacts per query, but the knobs that govern it —
-APM split thresholds, the replication storage budget, the admission batch
-window, the router's hot-query threshold — were hand-picked constants.
-This package turns them into one tunable surface:
-
-``knobs``
-    A typed registry (:class:`KnobSpec`) unifying the scattered tunables of
-    :mod:`repro.core.models`, :mod:`repro.core.replication`,
-    :mod:`repro.server.admission` and :mod:`repro.cluster.router` behind one
-    ``knobs()`` / ``set_knobs()`` surface.
-``whatif``
-    An IWEK-style interpretable what-if estimator: a small bagged linear
-    regressor over (knob values, workload features) predicting IO bytes and
-    warm latency per knob setting, with a per-prediction uncertainty.
-``drift``
-    Workload drift detection from query-bound histograms or the router's
-    traffic-share EWMAs.
-``controller``
-    The online controller (KnobCF shape): detect drift, propose a knob move,
-    apply it only when the predicted gain clears the uncertainty band, and
-    roll back when the observed cost regresses.
+The paper's adaptive layer reacts per query; the constants that govern it —
+APM split thresholds, the replication storage budget, the snapshot-reader
+pool, the admission batch window, the router's hot-query threshold — are
+gathered in :mod:`repro.tuning.knobs` as a typed registry an operator reads
+and sets (``Database.knobs`` / ``set_knobs``, the ADMIN ``knobs`` /
+``set_knobs`` ops, fanned out over a routed fleet).
 """
 
-from repro.tuning.controller import TuningController
-from repro.tuning.drift import DriftDetector, DriftReport
 from repro.tuning.knobs import (
     KnobRegistry,
     KnobSpec,
     admission_knobs,
     database_knobs,
+    read_workers_spec,
     router_knobs,
     server_knob_registry,
 )
-from repro.tuning.whatif import (
-    Prediction,
-    TrainingExample,
-    WhatIfEstimator,
-    rank_correlation,
-    simulation_sweep_examples,
-    workload_feature_vector,
-)
 
 __all__ = [
-    "DriftDetector",
-    "DriftReport",
     "KnobRegistry",
     "KnobSpec",
-    "Prediction",
-    "TrainingExample",
-    "TuningController",
-    "WhatIfEstimator",
     "admission_knobs",
     "database_knobs",
-    "rank_correlation",
+    "read_workers_spec",
     "router_knobs",
     "server_knob_registry",
-    "simulation_sweep_examples",
-    "workload_feature_vector",
 ]

@@ -5,10 +5,10 @@ Every adaptive layer grew its own constants — the APM split thresholds in
 :mod:`repro.core.replication`, the admission window and queue caps in
 :mod:`repro.server.admission`, the routing thresholds in
 :mod:`repro.cluster.router`.  A :class:`KnobSpec` wraps each one with its
-layer, bounds, step and read/apply callbacks; a :class:`KnobRegistry`
-collects them behind ``knobs()`` / ``set_knobs()`` so the what-if estimator
-and the online controller (and the ADMIN ``set_knobs`` wire op) can treat
-"the engine's configuration" as one typed vector.
+layer, bounds and read/apply callbacks; a :class:`KnobRegistry` collects
+them behind ``knobs()`` / ``set_knobs()``, which back ``Database.knobs`` /
+``set_knobs`` and the ADMIN ``knobs`` / ``set_knobs`` wire ops.  Nothing
+moves a knob on its own: an operator sets them.
 
 Thread-safety: applying an engine-layer knob mutates live adaptive state, so
 ``set_knobs`` must run on the thread that owns the engine — the server
@@ -19,7 +19,7 @@ loop each iteration, so crossing from the worker thread is benign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.util.units import KB
@@ -29,6 +29,7 @@ __all__ = [
     "KnobSpec",
     "admission_knobs",
     "database_knobs",
+    "read_workers_spec",
     "router_knobs",
     "server_knob_registry",
 ]
@@ -36,12 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnobSpec:
-    """One tunable: identity, bounds, granularity and live accessors.
+    """One tunable: identity, bounds and live accessors.
 
     ``read`` returns the current live value; ``apply`` writes a validated
-    value into the owning component.  ``step`` is the controller's move
-    granularity — one proposed move changes the knob by ``±step`` (clamped
-    into ``[low, high]``).
+    value into the owning component.
     """
 
     name: str
@@ -49,7 +48,6 @@ class KnobSpec:
     default: float
     low: float
     high: float
-    step: float
     read: Callable[[], float]
     apply: Callable[[float], None]
     integer: bool = False
@@ -67,11 +65,6 @@ class KnobSpec:
             )
         return float(int(round(value))) if self.integer else value
 
-    def clamp(self, value: float) -> float:
-        """``value`` forced into bounds (for controller-proposed moves)."""
-        value = min(max(float(value), self.low), self.high)
-        return float(int(round(value))) if self.integer else value
-
     def describe(self) -> dict[str, Any]:
         return {
             "name": self.name,
@@ -79,7 +72,6 @@ class KnobSpec:
             "default": self.default,
             "low": self.low,
             "high": self.high,
-            "step": self.step,
             "integer": self.integer,
             "value": float(self.read()),
             "description": self.description,
@@ -152,24 +144,6 @@ class KnobRegistry:
             self._specs[name].apply(value)
         return self.knobs()
 
-    def validate(self, values: dict[str, Any]) -> bool:
-        """Whether ``values`` would be accepted by :meth:`set_knobs`."""
-        try:
-            coerced = {
-                name: self.spec(name).coerce(value) for name, value in values.items()
-            }
-            prospective = self.knobs()
-            prospective.update(coerced)
-            for check in self._constraints:
-                check(prospective)
-        except (KeyError, ValueError):
-            return False
-        return True
-
-    def snapshot(self) -> dict[str, float]:
-        """The current vector, suitable for a later :meth:`set_knobs` rollback."""
-        return self.knobs()
-
     def table(self) -> list[dict[str, Any]]:
         """Per-knob description rows (the README table / ``knobs`` admin op)."""
         return [spec.describe() for spec in self._specs.values()]
@@ -237,7 +211,6 @@ def database_knobs(database: Any) -> KnobRegistry:
             default=3 * KB,
             low=0.25 * KB,
             high=64 * KB,
-            step=0.5 * KB,
             read=lambda lead=lead: lead.m_min,
             apply=_set_m_min,
             description="APM lower split threshold: segments are never split "
@@ -250,21 +223,13 @@ def database_knobs(database: Any) -> KnobRegistry:
             default=12 * KB,
             low=1 * KB,
             high=256 * KB,
-            step=2 * KB,
             read=lambda lead=lead: lead.m_max,
             apply=_set_m_max,
             description="APM upper split threshold: segments larger than this "
                         "always split when touched",
         ))
 
-        def _ordered(values: dict[str, float]) -> None:
-            if values["apm_m_min"] >= values["apm_m_max"]:
-                raise ValueError(
-                    f"apm_m_min must stay below apm_m_max "
-                    f"({values['apm_m_min']:g} >= {values['apm_m_max']:g})"
-                )
-
-        registry.register_constraint(_ordered)
+        registry.register_constraint(_apm_order_constraint)
 
     budgeted = _budgeted_columns(database)
     if budgeted:
@@ -281,10 +246,6 @@ def database_knobs(database: Any) -> KnobRegistry:
             default=float(lead_column.storage_budget),
             low=float(floor),
             high=float(floor) * 4.0,
-            # Budget moves only matter at working-set granularity: a step a
-            # quarter of the column makes one controller move change which
-            # replicas fit, instead of 50 imperceptible nudges to double it.
-            step=max(float(floor) * 0.25, 32 * KB),
             read=lambda lead_column=lead_column: float(lead_column.storage_budget),
             apply=_set_budget,
             description="replication storage budget (this repo's rule; the "
@@ -295,26 +256,35 @@ def database_knobs(database: Any) -> KnobRegistry:
         ))
 
     if _snapshot_capable(database):
-
-        def _set_read_workers(value: float) -> None:
-            database.read_workers = int(value)
-
-        registry.register(KnobSpec(
-            name="read_workers",
-            layer="engine",
-            default=1,
-            low=1,
-            high=8,
-            step=1,
-            integer=True,
-            read=lambda: float(database.read_workers),
-            apply=_set_read_workers,
-            description="snapshot-reader pool size: how many threads "
-                        "execute_wave fans read-only members across against "
-                        "pinned index snapshots (1 = fully serialized; the "
-                        "adaptation path always stays single-threaded)",
-        ))
+        registry.register(read_workers_spec(database))
     return registry
+
+
+def read_workers_spec(database: Any) -> KnobSpec:
+    """The ``read_workers`` knob of ``database``.
+
+    The one rule for the reader fan-out: ``set_knobs`` validates against it
+    and so does ``ReproServer(read_workers=...)``, the door behind the
+    server's ``--read-workers`` flag.
+    """
+
+    def _set_read_workers(value: float) -> None:
+        database.read_workers = int(value)
+
+    return KnobSpec(
+        name="read_workers",
+        layer="engine",
+        default=1,
+        low=1,
+        high=8,
+        integer=True,
+        read=lambda: float(database.read_workers),
+        apply=_set_read_workers,
+        description="snapshot-reader pool size: how many threads "
+                    "execute_wave fans read-only members across against "
+                    "pinned index snapshots (1 = fully serialized; the "
+                    "adaptation path always stays single-threaded)",
+    )
 
 
 def router_knobs(router: Any) -> KnobRegistry:
@@ -330,7 +300,6 @@ def router_knobs(router: Any) -> KnobRegistry:
         default=0.5,
         low=0.05,
         high=1.0,
-        step=0.05,
         read=lambda: router.hot_query_threshold,
         apply=_set_threshold,
         description="traffic share above which a query cluster spreads "
@@ -363,7 +332,6 @@ def admission_knobs(admission: Any) -> KnobRegistry:
         default=250.0,
         low=0.0,
         high=10_000.0,
-        step=50.0,
         read=lambda: admission.batch_window_us,
         apply=_set_window,
         description="how long the first request of a wave waits for company "
@@ -375,7 +343,6 @@ def admission_knobs(admission: Any) -> KnobRegistry:
         default=1024,
         low=1,
         high=65_536,
-        step=64,
         integer=True,
         read=lambda: admission.max_inflight,
         apply=_set_inflight,
@@ -388,7 +355,6 @@ def admission_knobs(admission: Any) -> KnobRegistry:
         default=256,
         low=1,
         high=4_096,
-        step=32,
         integer=True,
         read=lambda: admission.max_wave,
         apply=_set_wave,
@@ -416,12 +382,8 @@ def server_knob_registry(engine: Any, *, admission: Any | None = None) -> KnobRe
                 if spec.name in fleet:
                     # Chain the lead's apply with this replica's.
                     lead = fleet.spec(spec.name)
-                    chained = _chain_apply(lead.apply, spec.apply)
-                    fleet._specs[spec.name] = KnobSpec(
-                        name=lead.name, layer=lead.layer, default=lead.default,
-                        low=lead.low, high=lead.high, step=lead.step,
-                        read=lead.read, apply=chained, integer=lead.integer,
-                        description=lead.description,
+                    fleet._specs[spec.name] = replace(
+                        lead, apply=_chain_apply(lead.apply, spec.apply)
                     )
                 else:
                     fleet.register(spec)

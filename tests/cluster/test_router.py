@@ -221,7 +221,7 @@ class TestRouting:
                 routes = drive(router, prepared, warm)
                 assert router.retune()["retuned"]
                 routes += drive(router, prepared, hot + warm[:24])
-                assert max(router.traffic_shares()) < router.hot_query_threshold
+                assert max(router.router_stats()["shares"]) < router.hot_query_threshold
                 assert router.quarantine_replica(1)
                 routes += drive(router, prepared, warm[24:60])
                 assert router.rebuild_replica(1)["rebuilt"]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.models import (
     AdaptivePageModel,
-    AutoTunedAPM,
     GaussianDice,
     SplitAction,
     model_from_name,
@@ -147,31 +146,10 @@ class TestAdaptivePageModel:
         assert not decision.should_split
 
 
-class TestAutoTunedAPM:
-    def test_bounds_follow_observations(self):
-        model = AutoTunedAPM(initial_m_min=3 * KB, initial_m_max=12 * KB, retune_every=8)
-        for _ in range(16):
-            model.observe(64 * KB)
-        assert model.m_min == pytest.approx(0.75 * 64 * KB)
-        assert model.m_max == pytest.approx(3 * 64 * KB)
-
-    def test_zero_observations_keep_bounds(self):
-        model = AutoTunedAPM()
-        model.observe(0)
-        assert model.m_min == 3 * KB
-
-    def test_history_is_bounded(self):
-        model = AutoTunedAPM(history_size=4, retune_every=100)
-        for i in range(20):
-            model.observe(float(i + 1))
-        assert len(model._history) == 4
-
-
 class TestModelFactory:
     def test_known_names(self):
         assert isinstance(model_from_name("gd"), GaussianDice)
         assert isinstance(model_from_name("APM"), AdaptivePageModel)
-        assert isinstance(model_from_name("apm-auto"), AutoTunedAPM)
 
     def test_apm_receives_bounds(self):
         model = model_from_name("apm", m_min=1 * KB, m_max=2 * KB)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import strategy as strategy_module
-from repro.core.models import AdaptivePageModel
+from repro.core.models import AdaptivePageModel, SegmentationModel
 from repro.core.strategy import available_strategies, create_strategy, strategy_class
 from repro.engine.executor import Executor
 from repro.optimizer.bpm import AdaptiveColumnHandle, BatPartitionManager
@@ -25,26 +25,16 @@ FIVE = [(10_000.0, 12_000.0), (7.0, 7.0), (60_000.0, 61_500.0), (10_000.0, 12_00
         (11_000.0, 40_000.0)]
 
 
-class RecordingModel(AdaptivePageModel):
-    """An APM that remembers every result size the frame feeds it."""
-
-    def __init__(self) -> None:
-        super().__init__(m_min=3 * KB, m_max=12 * KB)
-        self.observed: list[float] = []
-
-    def observe(self, selected_bytes: float) -> None:
-        self.observed.append(selected_bytes)
-        super().observe(selected_bytes)
+def apm() -> AdaptivePageModel:
+    return AdaptivePageModel(m_min=3 * KB, m_max=12 * KB)
 
 
 def build(name: str, values: np.ndarray):
-    """A warmed-up column (non-zero index, already reorganized) and its model."""
-    model = RecordingModel()
-    column = create_strategy(name, values, model=model, domain=TEST_DOMAIN)
+    """A warmed-up column (non-zero index, already reorganized)."""
+    column = create_strategy(name, values, model=apm(), domain=TEST_DOMAIN)
     for low in (5_000.0, 30_000.0, 72_000.0):
         column.select(low, low + 3_000.0)
-    model.observed.clear()
-    return column, model
+    return column
 
 
 def doors(column) -> dict:
@@ -66,7 +56,7 @@ def doors(column) -> dict:
 @pytest.mark.parametrize("door", ["select", "select_many_1", "select_many_5", "absorb_reads"])
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_every_door_writes_the_same_record(name, door, values):
-    column, model = build(name, values)
+    column = build(name, values)
     call, members = doors(column)[door]
     # Only a batch-kernel select_many and absorb_reads share one record.
     shared = door == "absorb_reads" or (
@@ -101,15 +91,12 @@ def test_every_door_writes_the_same_record(name, door, values):
     assert column.stats() is records[-1]
     assert records[-1].segment_count == column.segment_count
     assert records[-1].storage_bytes == column.storage_bytes
-    # The model is fed once per record with the mean result size; the baseline has none.
-    expected = [record.result_count * column.value_width / record.batch_size for record in records]
-    assert model.observed == (expected if strategy_class(name).requires_model else [])
     column.check_invariants()
 
 
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_a_raising_hook_detaches_the_accountant_and_leaves_no_record(name, values):
-    column, model = build(name, values)
+    column = build(name, values)
 
     def boom(*args):
         column.accountant.record_read(8.0)
@@ -129,16 +116,15 @@ def test_a_raising_hook_detaches_the_accountant_and_leaves_no_record(name, value
             call()
         assert column.accountant.current is None
     assert (column._queries_executed, len(column.history)) == (executed, recorded)
-    assert model.observed == []
 
 
 def test_an_empty_batch_opens_no_frame(values):
     for name in STRATEGIES:
-        column, model = build(name, values)
+        column = build(name, values)
         recorded = len(column.history)
         assert column.select_many([]) == []
         assert column.absorb_reads() == 0
-        assert len(column.history) == recorded and model.observed == []
+        assert len(column.history) == recorded
 
 
 def test_removed_names_stay_removed(values):
@@ -149,7 +135,8 @@ def test_removed_names_stay_removed(values):
         for door in ("select", "select_many", "absorb_reads"):  # the doors are the base's
             assert door not in vars(cls), (name, door)
         with pytest.raises(TypeError):
-            create_strategy(name, values, model=RecordingModel(), keep_history=False)
+            create_strategy(name, values, model=apm(), keep_history=False)
+    assert not hasattr(SegmentationModel, "observe")  # nothing reads result sizes back
     assert not hasattr(strategy_module, "_read_observations_init_lock")
     assert not hasattr(Executor, "_adaptive_counters")
     assert not hasattr(Executor, "_adaptive_delta")

@@ -1,4 +1,4 @@
-"""Self-tuning over the wire: knobs / set_knobs / tuning_stats admin ops.
+"""Knobs over the wire: the knobs / set_knobs admin ops.
 
 Same harness as the rest of the server suite: each test runs a real
 :class:`ReproServer` on an ephemeral port inside its own ``asyncio.run``.
@@ -7,6 +7,10 @@ Same harness as the rest of the server suite: each test runs a real
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +20,6 @@ from repro.api.exceptions import ProgrammingError
 from repro.engine.database import Database
 from repro.server import ReproServer
 from repro.util.units import KB
-
-SQL = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
-
 
 def run(main):
     return asyncio.run(main())
@@ -50,7 +51,7 @@ class TestKnobOps:
                 assert by_name["apm_m_min"]["layer"] == "storage-model"
                 assert by_name["apm_m_min"]["value"] == 1 * KB
                 assert by_name["batch_window_us"]["layer"] == "server"
-                assert {"default", "low", "high", "step"} <= set(by_name["max_wave"])
+                assert {"default", "low", "high"} <= set(by_name["max_wave"])
                 await connection.close()
 
         run(go)
@@ -87,65 +88,50 @@ class TestKnobOps:
 
         run(go)
 
-    def test_tuning_stats_without_controller(self):
+    def test_tuning_stats_op_is_gone(self):
         async def go():
             async with ReproServer(adaptive_database(), port=0) as server:
                 connection = await repro.aio.connect(*server.address)
-                stats = await connection.admin.tuning_stats()
-                assert stats["enabled"] is False
-                assert stats["state"] is None
-                assert any(
-                    row["name"] == "apm_m_min" for row in stats["knob_table"]
-                )
+                with pytest.raises(ProgrammingError, match="unknown admin op"):
+                    await connection.admin._call("tuning_stats")
                 await connection.close()
 
         run(go)
 
 
-class TestSelfTuningServer:
-    def test_pulse_feeds_controller_and_answers_stay_correct(self):
-        async def go():
-            database = adaptive_database()
-            async with ReproServer(
-                database, port=0, self_tuning=True,
-                tuning={"pulse_s": 0.05, "window": 8},
-            ) as server:
-                connection = await repro.aio.connect(*server.address)
-                cursor = connection.cursor()
-                rng = np.random.default_rng(3)
-                for _ in range(40):
-                    low = float(rng.uniform(0.0, 300.0))
-                    await cursor.execute(SQL, (low, low + 10.0))
-                    got = sorted(value for (value,) in cursor.fetchall())
-                    assert got == _expected(low, low + 10.0)
-                await asyncio.sleep(0.25)  # a few pulses
-                stats = await connection.admin.tuning_stats()
-                assert stats["enabled"] is True
-                assert stats["state"] in ("idle", "trial")
-                assert stats["counters"]["observed_queries"] >= 40
-                assert stats["counters"]["windows"] >= 1
-                assert stats["drift"]["checks"] >= 1
-                assert server._tuning_errors == 0
-                await connection.close()
+class TestReadWorkersRule:
+    """``read_workers`` has one rule, the knob's bounds, at every door that sets it."""
 
-        run(go)
+    def test_constructor_cli_and_set_knobs_all_reject_zero(self):
+        database = adaptive_database()
+        with pytest.raises(ValueError) as knob:
+            database.set_knobs({"read_workers": 0})
+        with pytest.raises(ValueError) as constructor:
+            ReproServer(database, read_workers=0)
+        assert str(constructor.value) == str(knob.value) == "knob read_workers: 0 outside [1, 8]"
+        assert database.read_workers == 1
+        src = str(Path(repro.aio.__file__).resolve().parents[1])
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro.server", "--port", "0", "--read-workers", "0"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert cli.returncode == 2  # argparse's usage error, not a silent 1
+        assert str(knob.value) in cli.stderr
 
-    def test_controller_lazy_until_first_adaptive_stats(self):
-        async def go():
-            # No adaptive column at start: the pulse idles without a
-            # controller until there is a knob surface *and* observations.
-            async with ReproServer(
-                port=0, self_tuning=True, tuning={"pulse_s": 0.02},
-            ) as server:
-                await asyncio.sleep(0.1)
-                assert server.tuning_controller is None
-                assert server._tuning_errors == 0
+    @pytest.mark.parametrize("value", [-1, 9, "two"])
+    def test_constructor_rejects_what_the_knob_rejects(self, value):
+        database = adaptive_database()
+        with pytest.raises(ValueError) as knob:
+            database.set_knobs({"read_workers": value})
+        with pytest.raises(ValueError) as constructor:
+            ReproServer(database, read_workers=value)
+        assert str(constructor.value) == str(knob.value)
+        assert database.read_workers == 1
 
-        run(go)
-
-
-def _expected(low: float, high: float, n_rows: int = 4_000) -> list[int]:
-    rng = np.random.default_rng(17)  # mirrors adaptive_database()
-    objid = np.arange(n_rows, dtype=np.int64)
-    ra = rng.uniform(0.0, 360.0, size=n_rows)
-    return sorted(objid[(ra >= low) & (ra <= high)].tolist())
+    @pytest.mark.parametrize("value", [1, 8])
+    def test_constructor_accepts_the_knob_bounds(self, value):
+        database = adaptive_database()
+        ReproServer(database, read_workers=value)
+        assert database.read_workers == value == database.knobs()["read_workers"]
+        database.close()
