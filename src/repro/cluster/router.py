@@ -207,9 +207,17 @@ class Router:
         engine's ``query_history`` (:meth:`EngineReplica.close`) — replica 0's
         engine is the seed database, so read its history before closing.
         """
-        if self._closed:
-            return not any(replica.wedged for replica in self.replicas)
-        self._closed = True
+        # A rebuild in flight (e.g. on an admission layer's pool thread) would
+        # start a fresh worker after this close; let it finish first, within
+        # the same hard deadline.
+        locked = self._rebuild_lock.acquire(timeout=timeout)
+        try:
+            if self._closed:
+                return not any(replica.wedged for replica in self.replicas)
+            self._closed = True
+        finally:
+            if locked:
+                self._rebuild_lock.release()
         clean = True
         for replica in self.replicas:
             clean = replica.close(timeout=timeout) and clean
@@ -406,6 +414,8 @@ class Router:
         with self._rebuild_lock:
             replica = self.replicas[index]
             with self._lock:
+                if self._closed:
+                    return {"rebuilt": False, "reason": "router is closed"}
                 if replica.health is not ReplicaHealth.QUARANTINED:
                     return {
                         "rebuilt": False,

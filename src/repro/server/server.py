@@ -46,7 +46,6 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
-from repro.tuning.knobs import KnobRegistry, read_workers_spec, server_knob_registry
 
 
 def result_payload(result: QueryResult) -> dict[str, Any]:
@@ -115,6 +114,8 @@ class ReproServer:
         # only sizes the snapshot-reader fan-out inside execute_wave (the
         # router's clones copy it from the seed database).  It obeys the
         # same bounds as the ``read_workers`` knob.
+        from repro.tuning.knobs import read_workers_spec
+
         spec = read_workers_spec(self.database)
         spec.apply(spec.coerce(read_workers))
         self.router: Router | None = None
@@ -236,12 +237,14 @@ class ReproServer:
 
     # -- knobs ----------------------------------------------------------------
 
-    def knob_registry(self) -> KnobRegistry:
+    def knob_registry(self):
         """This server's full knob surface: engine + admission (+ router).
 
         Built fresh per call so columns made adaptive after server start are
         covered.  It backs the ADMIN ``knobs`` / ``set_knobs`` ops.
         """
+        from repro.tuning.knobs import server_knob_registry
+
         return server_knob_registry(self.engine, admission=self.admission)
 
 

@@ -105,9 +105,6 @@ class KnobRegistry:
     def specs(self) -> list[KnobSpec]:
         return list(self._specs.values())
 
-    def names(self) -> list[str]:
-        return list(self._specs)
-
     def spec(self, name: str) -> KnobSpec:
         try:
             return self._specs[name]

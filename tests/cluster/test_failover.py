@@ -266,6 +266,15 @@ class TestRebuild:
         finally:
             router.close()
 
+    def test_a_closed_router_rebuilds_nothing(self):
+        # A rebuild that reaches the router after close() (an admission
+        # layer's pool thread outliving its stop) must not start a worker.
+        router = Router(build_database(200), 2)
+        router.quarantine_replica(1)
+        router.close()
+        assert router.rebuild_replica(1) == {"rebuilt": False, "reason": "router is closed"}
+        assert not router.replicas[1].worker.alive
+
     def test_rebuild_refuses_a_replica_that_is_not_quarantined(self):
         router = Router(build_database(200), 2)
         try:

@@ -116,7 +116,7 @@ class TestReadWorkersRule:
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert cli.returncode == 2  # argparse's usage error, not a silent 1
+        assert cli.returncode == 2  # argparse's usage error
         assert str(knob.value) in cli.stderr
 
     @pytest.mark.parametrize("value", [-1, 9, "two"])
@@ -131,7 +131,9 @@ class TestReadWorkersRule:
 
     @pytest.mark.parametrize("value", [1, 8])
     def test_constructor_accepts_the_knob_bounds(self, value):
-        database = adaptive_database()
-        ReproServer(database, read_workers=value)
-        assert database.read_workers == value == database.knobs()["read_workers"]
-        database.close()
+        async def go():
+            database = adaptive_database()
+            async with ReproServer(database, port=0, read_workers=value):
+                assert database.read_workers == value == database.knobs()["read_workers"]
+
+        run(go)

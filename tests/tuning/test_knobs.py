@@ -232,7 +232,7 @@ def server_surface():
 
 class TestPinnedSurface:
     def test_names_are_pinned(self, server_surface):
-        assert sorted(server_surface.names()) == sorted(SURFACE)
+        assert sorted(server_surface.knobs()) == sorted(SURFACE)
 
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_spec_is_pinned(self, server_surface, name):
