@@ -149,15 +149,11 @@ async def run_workload(port: int, args: argparse.Namespace) -> int:
     deadline = time.perf_counter() + args.heal_timeout
     stats = await connection.admin.router_stats()
     while time.perf_counter() < deadline:
-        health = stats.get("health", {})
-        if health and all(state == "healthy" for state in health["states"]):
+        if all(state == "healthy" for state in stats["health"]["states"]):
             break
         await asyncio.sleep(0.2)
         stats = await connection.admin.router_stats()
-    health = stats.get("health", {})
-    if not health:
-        print("FATAL: router_stats has no health block (is --replicas > 1?)")
-        return 1
+    health = stats["health"]
 
     # Re-admission: a second batch against the healed fleet must be answered
     # correctly, and every replica — the rebuilt ones too — must serve part of it.

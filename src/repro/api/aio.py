@@ -268,12 +268,13 @@ class AsyncAdmin:
         return await self._call("admission_stats")
 
     async def router_stats(self) -> dict[str, Any]:
-        """Scale-out observability: per-replica qps, queue depth, divergence.
+        """Fleet observability: per-replica qps, queue depth, health, divergence.
 
-        On a single-engine server this returns ``{"replicas": 1, ...}``; on a
-        ``--replicas N`` server it carries per-replica service counters and
-        segment counts, cluster assignments, traffic shares, the observed
-        cost model and the last ``retune`` report.
+        Every server is a fleet — a single-engine server is a fleet of one —
+        so the reply always has one shape: per-replica service counters,
+        queue depths and segment counts, routing counters, the health
+        machine's states and counters, cluster assignments, traffic shares,
+        the modeled-bytes matrix and the last ``retune`` report.
         """
         return await self._call("router_stats")
 

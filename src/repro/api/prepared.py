@@ -6,9 +6,9 @@ exactly once and hands back a :class:`PreparedStatement` holding the engine's
 pre-resolved environment slots and the binding template.  ``execute`` then
 costs one bind validation and the plan execution: no SQL text is touched
 again.  The handle survives schema/adaptive invalidations safely: when the
-plan cache's generation has advanced, the statement transparently re-prepares
-(re-lowering against the new optimizer state) instead of serving a stale
-compiled plan.
+engine's plan cache would no longer run it (:meth:`PlanCache.is_current`),
+the statement transparently re-prepares (re-lowering against the new
+optimizer state) instead of serving a stale compiled plan.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ class PreparedStatement:
     # -- execution ------------------------------------------------------------
 
     def _refresh(self) -> PreparedPlan:
-        """The current plan, re-lowered if the cache generation advanced."""
+        """The current plan, re-prepared if the engine's cache would not run it."""
         if self._connection.closed:
             raise InterfaceError("connection is closed")
         database = self._connection._database
-        if self._plan.generation != database.plan_cache.generation:
+        if not database.plan_cache.is_current(self._plan):
             with translating():
                 self._plan = database.prepare_statement(self._plan.sql)
         return self._plan

@@ -204,11 +204,6 @@ class EngineReplica:
         self.last_error: str | None = None
         self._closed = False
 
-    @property
-    def executor(self) -> ReplicaWorker:
-        """The worker, quacking like an executor (``run_in_executor`` target)."""
-        return self.worker
-
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
         """Schedule ``fn(*args)`` on the replica's worker thread."""
         return self.worker.submit(fn, *args)

@@ -94,8 +94,9 @@ class Router:
 
     The router quacks like a :class:`Database` for the server's admin and
     execution surface — DDL and data loads fan out to every routable replica,
-    reads are routed — so :class:`~repro.server.ReproServer` keeps a single
-    code path whether it fronts one engine or a fleet.
+    reads are routed.  Every :class:`~repro.server.ReproServer` fronts one:
+    a single engine is a fleet of one (``n_replicas=1``), which routes every
+    wave to replica 0, retries a failed wave there and never quarantines it.
 
     Parameters
     ----------
@@ -185,17 +186,17 @@ class Router:
 
     @property
     def plan_cache(self):
-        """The lead replica's plan cache — the fleet's canonical generation counter.
+        """The lead replica's plan cache: the one that lowers the fleet's plans.
 
-        DDL fans out to every routable replica, so generations advance in
-        lockstep; per-replica plans are resolved lazily by SQL text at wave
-        time.
+        :meth:`prepare_statement` lowers on the lead, so a plan is current
+        for the fleet when this cache would run it; other replicas re-prepare
+        it by text at wave time (:meth:`execute_wave_on`).
         """
         return self._lead_replica().database.plan_cache
 
     def executor(self, index: int):
         """The single-thread worker owning replica ``index``."""
-        return self.replicas[index].executor
+        return self.replicas[index].worker
 
     def close(self, timeout: float = JOIN_TIMEOUT_S) -> bool:
         """Shut down every replica worker (idempotent, hard-timeout joins).
@@ -281,7 +282,15 @@ class Router:
         is out of rotation its clusters go to the routable replica with the
         fewest modeled bytes for them (lower index on ties), and they go home
         again once :meth:`rebuild_replica` re-admits it.
+
+        A fleet of one has nothing to choose — its only replica is never
+        quarantined — so it counts the route but reads no bounds and keeps no
+        history.
         """
+        if len(self.replicas) == 1:
+            with self._lock:
+                self._routed += 1
+            return 0
         bounds = self._bounds_of(prepared, values)
         with self._lock:
             eligible = self._routable_indices_locked()
@@ -460,13 +469,15 @@ class Router:
     ) -> list[Any]:
         """Run one admission wave on replica ``index`` (on its worker thread).
 
-        Prepared plans were compiled against replica 0's catalog; they are
-        re-resolved here by SQL text — a warm plan-cache dict hit per
-        distinct statement — so every replica executes its *own* compiled
+        The payload goes to ``execute_wave(payload, isolate=True)`` as it
+        came.  Its plans were lowered by the lead replica's cache; the
+        executor's plan-refresh rule (:meth:`PlanCache.is_current`)
+        re-prepares them by text on any other replica — a warm plan-cache hit
+        per distinct statement — so every replica executes its *own* compiled
         plan against its *own* diverged layout.
 
-        Per-member errors are **isolated** (``execute_wave(...,
-        isolate=True)``): a poison member comes back as an exception instance
+        Per-member errors are **isolated**: a poison member — one whose plan
+        cannot even be re-prepared, say — comes back as an exception instance
         in its slot while the rest of the wave completes.  Failures of the
         wave as a whole — an injected crash, a worker exception, anything
         thrown before member execution — are recorded with the failure
@@ -479,11 +490,7 @@ class Router:
             if self.injector is not None:
                 self.injector.fire("wave.execute", replica=index)
             started = time.perf_counter()
-            local = [
-                (database.prepare_statement(prepared.sql), values)
-                for prepared, values in payload
-            ]
-            results = database.execute_wave(local, isolate=True)
+            results = database.execute_wave(payload, isolate=True)
         except TransientError:
             self.record_wave_failure(index, TransientError("replica worker failed"))
             raise

@@ -1,9 +1,9 @@
 """Merge per-replica observability counters into fleet totals.
 
-The admin surface keeps one shape whether the server fronts one engine or N
-replicas: ``cache_stats()`` / ``admission_stats()`` return the familiar
-top-level counters (now summed across replicas) plus a ``replicas`` list
-carrying the per-replica breakdown.  The merge rules are plain:
+Every server fronts a :class:`~repro.cluster.Router` — a single engine is a
+fleet of one — so its ``cache_stats()`` always has one shape: the engine's
+``batch`` / ``total`` counters summed across replicas, plus a ``replicas``
+list carrying the per-replica breakdown.  The merge rules are plain:
 
 * counters (hits, misses, waves, …) add;
 * ``min``/``max`` take the elementwise min/max;

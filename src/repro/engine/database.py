@@ -306,6 +306,7 @@ class Database:
             slots=compiled.parameter_slots(names),
             generation=self.plan_cache.generation,
             template=range_template(statement, self.catalog),
+            cache=self.plan_cache,
         )
         self.plan_cache.put(text, prepared)
         return prepared
@@ -372,6 +373,12 @@ class Database:
             )
         return prepared
 
+    def refresh(self, prepared: PreparedPlan) -> PreparedPlan:
+        """``prepared`` if this engine may run it, else its re-preparation from text."""
+        if self.plan_cache.is_current(prepared):
+            return prepared
+        return self.prepare_statement(prepared.sql)
+
     # -- the doors: binding/resolution over the one executor ---------------------------
 
     def execute(self, sql: str) -> QueryResult:
@@ -392,12 +399,11 @@ class Database:
         The hot path of the client API: binding validates arity, numeric type
         and ``high >= low`` against the prepared template and seeds the
         compiled plan's slot environment directly — the query never touches
-        SQL text again.  A handle lowered under an older cache generation
-        (schema or adaptive registration changed since) is re-prepared
-        transparently instead of serving a stale plan.
+        SQL text again.  A handle this engine's cache would not run
+        (:meth:`PlanCache.is_current`) is re-prepared transparently instead of
+        serving a stale plan.
         """
-        if prepared.generation != self.plan_cache.generation:
-            prepared = self.prepare_statement(prepared.sql)
+        prepared = self.refresh(prepared)
         result = self._executor.run(prepared, prepared.binding.bind(parameters))
         self.query_history.append(result)
         return result
@@ -412,8 +418,7 @@ class Database:
         binding by one vectorized pass — overlapping *and* disjoint ranges
         alike (this is ``Cursor.executemany``).
         """
-        if prepared.generation != self.plan_cache.generation:
-            prepared = self.prepare_statement(prepared.sql)
+        prepared = self.refresh(prepared)
         bound = prepared.binding.bind_many(seq_of_parameters)
         return self._record(
             self._executor.run_wave([(prepared, values) for values in bound])

@@ -273,7 +273,11 @@ class Executor:
     def _wave(self, members: Sequence[Member]) -> list[QueryResult | BaseException]:
         """One pass: refresh stale plans, bucket every member, run the buckets.
 
-        A member with a range template on a delta-free table joins its
+        A plan runs only under the cache, and the generation, that lowered
+        it (:meth:`PlanCache.is_current`); any other plan — an older
+        generation, another replica's cache — is re-prepared from its text
+        here, once per wave, so under ``isolate=True`` a member that cannot
+        be re-prepared fails alone.  A member with a range template on a delta-free table joins its
         ``(table, column)`` group.  With ``read_workers > 1`` and more than
         one member, each group whose column the BPM can pin a snapshot of is
         answered concurrently against that snapshot; any other group of two
@@ -282,13 +286,13 @@ class Executor:
         pending deltas — goes through :meth:`run` in input order.
         """
         database = self.database
-        generation = database.plan_cache.generation
+        is_current = database.plan_cache.is_current
         plans: list[PreparedPlan] = []
         refreshed: dict[int, PreparedPlan] = {}
         delta_free: dict[str, bool] = {}
         groups: dict[tuple[str, str], list[int]] = {}
         for position, (prepared, _) in enumerate(members):
-            if prepared.generation != generation:
+            if not is_current(prepared):
                 current = refreshed.get(id(prepared))
                 if current is None:
                     current = database.prepare_statement(prepared.sql)

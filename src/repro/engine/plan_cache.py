@@ -23,9 +23,10 @@ pre-resolved binding template (environment slots, arity, range checks).
 Plans depend on the catalog schema and on which columns the BPM manages (the
 segment optimizer rewrites selections on managed columns), so the database
 clears the cache whenever either changes.  Externally-held prepared handles
-survive a clear via the monotonically increasing :attr:`PlanCache.generation`:
-a handle lowered under an older generation is re-prepared instead of served
-stale.  Data changes (inserts, deletes) do *not* invalidate: ``sql.bind``
+survive a clear by one rule, :meth:`PlanCache.is_current`: a plan runs only
+under the cache, and the generation, that lowered it — anything else (an
+older generation, or another replica's cache) is re-prepared from its text
+instead of served stale.  Data changes (inserts, deletes) do *not* invalidate: ``sql.bind``
 resolves BATs at execution time, and compiled plans hold pre-resolved module
 callables, not data.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.mal.compiled import CompiledPlan
@@ -125,11 +126,10 @@ class PreparedPlan:
     :mod:`repro.optimizer.delta_elision`) and ``text`` the pre-rendered
     Figure-1 MAL; ``binding`` validates client parameters; ``slots`` maps
     placeholder position → environment slot of the compiled plan (resolved
-    once, at prepare time); ``generation`` is the cache generation the plan
-    was lowered under — when it trails the cache's current generation the
-    schema or an adaptive registration changed and the plan must be
-    re-lowered; ``template`` is the statement's range-select classification
-    (``None``: not batchable).
+    once, at prepare time); ``cache`` and ``generation`` are the plan cache
+    that lowered the plan and its generation at the time — see
+    :meth:`PlanCache.is_current`; ``template`` is the statement's range-select
+    classification (``None``: not batchable).
     """
 
     sql: str
@@ -139,6 +139,7 @@ class PreparedPlan:
     slots: tuple[int, ...]
     generation: int
     template: RangeTemplate | None
+    cache: "PlanCache" = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,16 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
+    def is_current(self, plan: PreparedPlan) -> bool:
+        """The plan-refresh rule: may ``plan`` run on this cache's engine?
+
+        Only when this cache lowered it, at the current generation.  A plan
+        from an older generation (the schema or an adaptive registration
+        changed since) or from another engine's cache (a routed wave carries
+        the lead replica's plans) must be re-prepared from its text.
+        """
+        return plan.cache is self and plan.generation == self.generation
+
     def get(self, text: str) -> PreparedPlan | None:
         """The plan cached under ``text``, refreshing its recency; counts hit/miss."""
         with self._lock:
@@ -204,10 +215,9 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every cached plan (schema or adaptive registration changed).
 
-        Always advances :attr:`generation`: prepared handles held outside the
-        cache (by :class:`~repro.api.PreparedStatement`) compare it to decide
-        whether their lowered plan is stale — even when the store happened to
-        be empty at clear time, the handles themselves may not be.
+        Always advances :attr:`generation`, so every plan lowered before it
+        fails :meth:`is_current` — even when the store happened to be empty
+        at clear time, handles held outside it may not be.
         """
         with self._lock:
             if self._plans:

@@ -1,4 +1,4 @@
-"""The asyncio server front-end: batch admission over one engine.
+"""The asyncio server front-end: batch admission over a fleet (of one, by default).
 
 See :mod:`repro.server.server` for the server, :mod:`repro.server.admission`
 for the batching/backpressure/fairness layer, and

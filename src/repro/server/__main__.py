@@ -51,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="engine replicas behind the load-aware router (1 = single engine)",
+        help="engine replicas behind the router (1 = a fleet of one: a failed "
+        "wave is retried on it, and it is never quarantined)",
     )
     parser.add_argument(
         "--hot-query-threshold",

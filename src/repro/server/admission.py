@@ -4,17 +4,17 @@ The controller is the heart of the server front-end.  Incoming bound selects
 are not executed as they arrive: each is queued for at most ``batch_window_us``
 microseconds so that requests from *other* connections can pile on, then the
 whole wave is handed to :meth:`~repro.engine.database.Database.execute_wave`
-on a single engine worker thread — same-column selects collapse into one
+on its replica's single worker thread — same-column selects collapse into one
 ``select_many`` kernel pass (piggy-backed adaptation runs once per batch,
 preserving the engine's single-threaded adaptation invariant), everything
 else falls back to per-query prepared execution inside the same wave.
 
-When the controller fronts a :class:`~repro.cluster.Router` it keeps **one
-wave queue per replica**: each submission is routed to a replica up front
-(load-aware, cluster best-fit), queued on that replica's shard, and each
-flush window drains *one wave per replica*, executed concurrently — every
-replica on its own worker thread, so the per-replica adaptation invariant
-holds while the fleet proceeds in parallel.
+The controller always fronts a :class:`~repro.cluster.Router` — a single
+engine is a fleet of one — and keeps **one wave queue per replica**: each
+submission is routed to a replica up front (cluster best-fit), queued on that
+replica's shard, and each flush window drains *one wave per replica*,
+executed concurrently — every replica on its own worker thread, so the
+per-replica adaptation invariant holds while the fleet proceeds in parallel.
 
 Knobs (all first-class constructor parameters, surfaced over the wire in the
 HELLO response and in :meth:`AdmissionController.stats`):
@@ -49,11 +49,13 @@ Fault tolerance (the wave-level half; the replica health machine lives in
 * a wave that dies with the *infrastructure*
   (:class:`~repro.api.exceptions.TransientError`: replica crash, injected
   fault, deadline timeout) is **retried with exponential backoff** on a
-  failover replica, up to ``max_retries`` times — safe because waves carry
-  bound range selects, idempotent above adaptation;
+  failover replica — on a fleet of one, the same replica — up to
+  ``max_retries`` times; safe because waves carry bound range selects,
+  idempotent above adaptation;
 * ``wave_deadline_s`` bounds each wave attempt; a blown deadline quarantines
   the replica (its worker is presumed wedged and is abandoned — the engine
-  call keeps running on the orphaned thread but its result is discarded);
+  call keeps running on the orphaned thread but its result is discarded),
+  unless it is the last routable one, which the router never quarantines;
 * quarantined replicas are **rebuilt in the background**
   (``auto_rebuild=True``) via ``Router.rebuild_replica`` on a default-pool
   thread, then re-admitted to routing;
@@ -66,9 +68,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Hashable
 
 from repro.api.exceptions import (
@@ -156,25 +156,21 @@ class AdmissionStats:
 
 
 class AdmissionController:
-    """Window-batched, fairness-aware admission onto one or N engine workers.
+    """Window-batched, fairness-aware admission onto a fleet's replica workers.
 
     The controller owns no sockets and no threads of its own: the server
-    hands it an executor (one worker thread — the engine thread) and submits
-    ``(connection_id, prepared_plan, bound_values)`` triples from its
-    connection handlers.  ``submit`` returns an :class:`asyncio.Future` that
-    resolves to the member's :class:`~repro.engine.result.QueryResult`.
-
-    ``database`` may be a :class:`~repro.engine.database.Database` (one
-    shard, executed on ``executor``) or a :class:`~repro.cluster.Router`
-    (one shard per replica, each wave executed on its replica's own
-    executor; routing happens at submit time via ``Router.route``).
+    hands it a :class:`~repro.cluster.Router` (one shard per replica, each
+    wave executed on its replica's own worker; routing happens at submit
+    time via ``Router.route``) and submits ``(connection_id, prepared_plan,
+    bound_values)`` triples from its connection handlers.  ``submit``
+    returns an :class:`asyncio.Future` that resolves to the member's
+    :class:`~repro.engine.result.QueryResult`.
     """
 
     def __init__(
         self,
-        database: Any,
+        router: Any,
         *,
-        executor: Executor,
         batch_window_us: float = 250.0,
         max_inflight: int = 1024,
         max_wave: int = 256,
@@ -199,12 +195,8 @@ class AdmissionController:
             max_inflight_per_connection = max(1, max_inflight // 4)
         if max_inflight_per_connection < 1:
             raise ValueError("max_inflight_per_connection must be >= 1")
-        self._database = database
-        self._executor = executor
-        # A Router quacks like a Database but routes and owns its replica
-        # executors; duck-typed so repro.server has no hard cluster import.
-        self._router = database if hasattr(database, "execute_wave_on") else None
-        n_replicas = self._router.n_replicas if self._router is not None else 1
+        self._router = router
+        n_replicas = router.n_replicas
         self.batch_window_us = float(batch_window_us)
         self.max_inflight = int(max_inflight)
         self.max_wave = int(max_wave)
@@ -303,11 +295,6 @@ class AdmissionController:
         """Requests currently queued (not yet drained into a wave)."""
         return self._pending
 
-    @property
-    def n_replicas(self) -> int:
-        """Wave shards (1 for a single engine, N behind a Router)."""
-        return len(self._shards)
-
     def replica_pending(self) -> list[int]:
         """Per-shard queue depth (instantaneous)."""
         return [len(shard) for shard in self._shards]
@@ -356,8 +343,8 @@ class AdmissionController:
         Applies the per-connection fairness cap (always awaited: the
         submitting handler stops reading, which is exactly the backpressure a
         firehose should feel) and the global ``max_inflight`` bound (policy
-        per the ``overflow`` knob).  Behind a Router the statement is routed
-        to its replica here, before queueing.
+        per the ``overflow`` knob).  The statement is routed to its replica
+        here, before queueing.
         """
         self._check_running()
         while self.connection_pending(connection_id) >= self.max_inflight_per_connection:
@@ -372,9 +359,7 @@ class AdmissionController:
             while self._pending >= self.max_inflight:
                 await self._wait_drained()
         values = tuple(values)
-        shard_index = (
-            self._router.route(prepared, values) if self._router is not None else 0
-        )
+        shard_index = self._router.route(prepared, values)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         request = _Request(connection_id, prepared, values, future)
         shard = self._shards[shard_index]
@@ -489,9 +474,8 @@ class AdmissionController:
                     # the orphaned thread; its late result is discarded) and
                     # quarantine via the router's failure detector.
                     self.stats.wave_timeouts += 1
-                    if self._router is not None:
-                        self._router.record_wave_timeout(target)
-                        self._maybe_rebuild(target)
+                    self._router.record_wave_timeout(target)
+                    self._maybe_rebuild(target)
                     exc: BaseException = TransientError(
                         f"wave deadline of {self.wave_deadline_s}s expired "
                         f"on replica {target}"
@@ -502,8 +486,7 @@ class AdmissionController:
                         return
                 except TransientError as exc:
                     # execute_wave_on already recorded the failure.
-                    if self._router is not None:
-                        self._maybe_rebuild(target)
+                    self._maybe_rebuild(target)
                     retry = self._retry_target(target, attempt)
                     if retry is None:
                         self._fail_wave(wave, exc)
@@ -537,26 +520,16 @@ class AdmissionController:
         self, target: int, payload: list[tuple[Any, tuple[float, ...]]]
     ) -> list[Any]:
         """One wave attempt on one replica's worker, under the wave deadline."""
-        loop = asyncio.get_running_loop()
-        if self._router is not None:
-            call = loop.run_in_executor(
-                self._router.executor(target),
-                self._router.execute_wave_on,
-                target,
-                payload,
-            )
-        else:
-            call = loop.run_in_executor(
-                self._executor,
-                partial(self._database.execute_wave, payload, isolate=True),
-            )
+        call = asyncio.get_running_loop().run_in_executor(
+            self._router.executor(target), self._router.execute_wave_on, target, payload
+        )
         if self.wave_deadline_s is None:
             return await call
         return await asyncio.wait_for(call, self.wave_deadline_s)
 
     def _retry_target(self, failed: int, attempt: int) -> int | None:
         """The replica for the next attempt, or ``None`` when out of retries."""
-        if self._router is None or attempt >= self.max_retries:
+        if attempt >= self.max_retries:
             return None
         routable = self._router.healthy_indices()
         if not routable:
@@ -572,10 +545,9 @@ class AdmissionController:
 
     def _maybe_rebuild(self, index: int) -> None:
         """Kick off a background rebuild of a quarantined replica, once."""
-        if not self.auto_rebuild or self._router is None:
+        if not self.auto_rebuild:
             return
-        replica = self._router.replicas[index]
-        if getattr(replica.health, "value", None) != "quarantined":
+        if self._router.replicas[index].health.value != "quarantined":
             return
         loop = asyncio.get_running_loop()
         task = loop.create_task(

@@ -1,12 +1,13 @@
-"""The asyncio server front-end: many connections, one engine, batched waves.
+"""The asyncio server front-end: many connections, one fleet, batched waves.
 
 :class:`ReproServer` listens on a TCP socket speaking the length-prefixed
 JSON protocol of :mod:`repro.server.protocol` and multiplexes every client
-over **one** engine :class:`~repro.engine.database.Database`.  All engine
-work — waves, prepares, literal executes, admin calls — runs on a single
-worker thread, so the paper's piggy-backed adaptation never races itself;
-concurrency lives entirely in the admission layer, where bound selects from
-different connections are grouped into vectorized waves (see
+over one :class:`~repro.cluster.Router` — ``replicas=1``, the default, is a
+fleet of one engine.  All work on a replica's engine runs on that replica's
+single worker thread, so the paper's piggy-backed adaptation never races
+itself; admin ops are serialized on the server's own admin thread, and
+concurrency lives in the admission layer, where bound selects from different
+connections are grouped into vectorized waves (see
 :mod:`repro.server.admission`).
 
 Typical embedding::
@@ -79,7 +80,11 @@ def _error_frame(request_id: Any, exc: BaseException) -> dict[str, Any]:
 
 
 class ReproServer:
-    """An asyncio front-end serving one engine to many client connections.
+    """An asyncio front-end serving a fleet of engines to many client connections.
+
+    ``database`` becomes replica 0 of a :class:`~repro.cluster.Router` of
+    ``replicas`` engines (``router_knobs`` and ``injector`` go to the
+    router); with ``replicas=1`` it is the only one.
 
     The admission knobs (``batch_window_us``, ``max_inflight``, ``max_wave``,
     ``max_inflight_per_connection``, ``overflow``) are forwarded to the
@@ -110,40 +115,37 @@ class ReproServer:
         read_workers: int = 1,
     ) -> None:
         self.database = database if database is not None else Database()
-        # The engine worker stays the only adaptation owner; read_workers
-        # only sizes the snapshot-reader fan-out inside execute_wave (the
-        # router's clones copy it from the seed database).  It obeys the
-        # same bounds as the ``read_workers`` knob.
+        # Each replica worker stays its engine's only adaptation owner;
+        # read_workers only sizes the snapshot-reader fan-out inside
+        # execute_wave (the router's clones copy it from the seed database).
+        # It obeys the same bounds as the ``read_workers`` knob.
         from repro.tuning.knobs import read_workers_spec
 
         spec = read_workers_spec(self.database)
         spec.apply(spec.coerce(read_workers))
-        self.router: Router | None = None
-        if replicas > 1:
-            # Scale-out mode: the seed database becomes replica 0 of a
-            # divergent fleet; waves are routed per replica by the admission
-            # layer and DDL fans out (see repro.cluster).
-            knobs = dict(router_knobs or {})
-            if injector is not None:
-                knobs.setdefault("injector", injector)
-            self.router = Router(self.database, replicas, **knobs)
-        self.engine: Any = self.router if self.router is not None else self.database
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-engine"
-        )
-        self.admission = AdmissionController(
-            self.engine,
-            executor=self._executor,
-            batch_window_us=batch_window_us,
-            max_inflight=max_inflight,
-            max_wave=max_wave,
-            max_inflight_per_connection=max_inflight_per_connection,
-            overflow=overflow,
-            wave_deadline_s=wave_deadline_s,
-            max_retries=max_retries,
-            retry_backoff_s=retry_backoff_s,
-            auto_rebuild=auto_rebuild,
-        )
+        knobs = dict(router_knobs or {})
+        if injector is not None:
+            knobs.setdefault("injector", injector)
+        # The seed database becomes replica 0; waves are routed per replica
+        # by the admission layer and DDL fans out (see repro.cluster).
+        self.router = Router(self.database, replicas, **knobs)
+        try:
+            self.admission = AdmissionController(
+                self.router,
+                batch_window_us=batch_window_us,
+                max_inflight=max_inflight,
+                max_wave=max_wave,
+                max_inflight_per_connection=max_inflight_per_connection,
+                overflow=overflow,
+                wave_deadline_s=wave_deadline_s,
+                max_retries=max_retries,
+                retry_backoff_s=retry_backoff_s,
+                auto_rebuild=auto_rebuild,
+            )
+        except ValueError:
+            self.router.close()  # a rejected setting must not leave its workers running
+            raise
+        self._admin = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-admin")
         self.drain_timeout_s = float(drain_timeout_s)
         self._host = host
         self._port = port
@@ -187,8 +189,9 @@ class ReproServer:
         waves run to completion while new submissions are refused — then each
         connection flushes its response pump so completed answers reach their
         clients before the sockets die.  Only after that are the reader
-        tasks cancelled and the workers joined (hard-timeout: a wedged
-        replica worker is abandoned, never waited on forever).
+        tasks cancelled, the admin thread joined and the router closed
+        (hard-timeout joins: a wedged replica worker is abandoned, never
+        waited on forever).
         """
         if self._stopped:
             return
@@ -203,11 +206,8 @@ class ReproServer:
         for connection in list(self._connections):
             await connection.shutdown()
         await self.admission.stop()
-        self._executor.shutdown(wait=True)
-        if self.router is not None:
-            self.router.close()  # closes every replica's engine
-        else:
-            self.database.close()
+        self._admin.shutdown(wait=True)
+        self.router.close()  # closes every replica's engine
 
     async def __aenter__(self) -> "ReproServer":
         return await self.start()
@@ -229,23 +229,21 @@ class ReproServer:
         finally:
             self._connections.discard(connection)
 
-    def engine_call(self, fn: Any, *args: Any) -> asyncio.Future:
-        """Run an engine-touching callable on the single worker thread."""
-        return asyncio.get_running_loop().run_in_executor(
-            self._executor, partial(fn, *args)
-        )
+    def admin_call(self, fn: Any, *args: Any) -> asyncio.Future:
+        """Run ``fn(*args)`` on the admin thread, serialized with every other admin op."""
+        return asyncio.get_running_loop().run_in_executor(self._admin, partial(fn, *args))
 
     # -- knobs ----------------------------------------------------------------
 
     def knob_registry(self):
-        """This server's full knob surface: engine + admission (+ router).
+        """This server's full knob surface: the fleet's engines + router + admission.
 
         Built fresh per call so columns made adaptive after server start are
         covered.  It backs the ADMIN ``knobs`` / ``set_knobs`` ops.
         """
         from repro.tuning.knobs import server_knob_registry
 
-        return server_knob_registry(self.engine, admission=self.admission)
+        return server_knob_registry(self.router, admission=self.admission)
 
 
 async def serve(
@@ -430,11 +428,10 @@ class _ClientConnection:
     async def _handle_execute(self, request_id: Any, frame: dict[str, Any]) -> None:
         params = frame.get("params")
         if params is None and frame.get("statement") is None:
-            # Literal SQL: the conventional compiled fast path, still on the
-            # engine worker thread (serialized with the waves; a Router
-            # forwards onto one replica's worker).
+            # Literal SQL: the conventional compiled fast path, forwarded by
+            # the router onto one replica's worker (serialized with its waves).
             sql = self._sql_of(frame)
-            future = self._server.engine_call(self._server.engine.execute, sql)
+            future = self._server.admin_call(self._server.router.execute, sql)
             self._push(("one", request_id, future))
             return
         prepared = await self._prepared_for(frame)
@@ -469,59 +466,51 @@ class _ClientConnection:
                 "knobs": admission.knobs(),
             }
         else:
-            value = await self._server.engine_call(self._admin_call, op, args)
+            value = await self._server.admin_call(self._admin_call, op, args)
         self._push(("frame", {"type": "result", "id": request_id, "value": value}))
 
     def _admin_call(self, op: str, args: dict[str, Any]) -> Any:
-        """Admin dispatch; runs on the engine worker thread.
+        """Admin dispatch; runs on the server's admin thread.
 
-        ``engine`` is the database or, in scale-out mode, the Router — whose
-        DDL/load ops fan out to every replica and whose ``cache_stats``
-        merges per-replica counters (same shape plus a ``replicas`` list).
+        Every op goes to the router, whose DDL/load ops fan out to every
+        replica and whose ``cache_stats`` merges per-replica counters
+        (``batch`` / ``total`` plus a ``replicas`` list).
         """
-        database = self._server.engine
+        router = self._server.router
         with translating():
             if op == "create_table":
-                database.create_table(args["name"], args["columns"])
+                router.create_table(args["name"], args["columns"])
             elif op == "drop_table":
-                database.drop_table(args["name"])
+                router.drop_table(args["name"])
             elif op == "bulk_load":
-                database.bulk_load(
+                router.bulk_load(
                     args["table"],
                     {name: np.asarray(values) for name, values in args["data"].items()},
                 )
             elif op == "insert":
-                database.insert(
+                router.insert(
                     args["table"],
                     {name: np.asarray(values) for name, values in args["data"].items()},
                 )
             elif op == "delete":
-                database.delete(args["table"], np.asarray(args["oids"], dtype=np.int64))
+                router.delete(args["table"], np.asarray(args["oids"], dtype=np.int64))
             elif op == "enable_adaptive":
-                database.enable_adaptive(
+                router.enable_adaptive(
                     args["table"], args["column"], **args.get("options", {})
                 )
             elif op == "disable_adaptive":
-                database.disable_adaptive(args["table"], args["column"])
+                router.disable_adaptive(args["table"], args["column"])
             elif op == "table_names":
-                return database.table_names()
+                return router.table_names()
             elif op == "cache_stats":
-                return database.cache_stats()
+                return router.cache_stats()
             elif op == "explain":
-                return database.explain(args["sql"])
+                return router.explain(args["sql"])
             elif op == "knobs":
                 return self._server.knob_registry().table()
             elif op == "set_knobs":
                 return self._server.knob_registry().set_knobs(args["values"])
             elif op == "router_stats":
-                router = self._server.router
-                if router is None:
-                    return {
-                        "replicas": 1,
-                        "routing": None,
-                        "note": "single-engine server: start with --replicas N "
-                                "to enable the router",
-                    }
                 stats = router.router_stats()
                 for replica, depth in zip(
                     stats["replicas"], self._server.admission.replica_pending()
@@ -550,10 +539,10 @@ class _ClientConnection:
                 raise ProgrammingError(f"unknown prepared statement id {statement_id}")
             return prepared
         sql = self._sql_of(frame)
-        engine = self._server.engine
+        router = self._server.router
         prepared = self._by_sql.get(sql)
-        if prepared is None or prepared.generation != engine.plan_cache.generation:
-            prepared = await self._server.engine_call(engine.prepare_statement, sql)
+        if prepared is None or not router.plan_cache.is_current(prepared):
+            prepared = await self._server.admin_call(router.prepare_statement, sql)
             self._by_sql[sql] = prepared
         return prepared
 

@@ -11,15 +11,17 @@ them behind ``knobs()`` / ``set_knobs()``, which back ``Database.knobs`` /
 moves a knob on its own: an operator sets them.
 
 Thread-safety: applying an engine-layer knob mutates live adaptive state, so
-``set_knobs`` must run on the thread that owns the engine — the server
-dispatches it on its single engine worker exactly like any other admin op.
-Admission-layer knobs are plain attribute stores read afresh by the flush
-loop each iteration, so crossing from the worker thread is benign.
+it must run on the thread that owns the engine — :meth:`Database.set_knobs`
+on its caller's, and :func:`server_knob_registry` on each replica's own
+worker.  Router- and admission-layer knobs are plain attribute stores read
+afresh on every route / flush, so applying them from the server's admin
+thread is benign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable
 
 from repro.util.units import KB
@@ -361,35 +363,31 @@ def admission_knobs(admission: Any) -> KnobRegistry:
     return registry
 
 
-def server_knob_registry(engine: Any, *, admission: Any | None = None) -> KnobRegistry:
-    """The full knob surface of one server: engine + admission + router.
+def server_knob_registry(router: Any, *, admission: Any | None = None) -> KnobRegistry:
+    """The full knob surface of one server: its fleet's engines + router + admission.
 
-    ``engine`` may be a :class:`~repro.engine.database.Database` or a
-    :class:`~repro.cluster.Router` (whose storage-model knobs then fan out to
-    every routable replica so the fleet's policy moves in lockstep).
+    Each engine-layer knob fans out to every routable replica of the
+    :class:`~repro.cluster.Router` (a single engine is a fleet of one), so
+    the fleet's policy moves in lockstep, and each replica applies it on its
+    own worker — the thread that owns its models.  The whole batch is
+    validated before anything is applied.
     """
     registry = KnobRegistry()
-    replicas = getattr(engine, "replicas", None)
-    if replicas is not None:  # a Router: fan engine knobs over the fleet
-        fleet = KnobRegistry()
-        for replica in replicas:
-            if not replica.health.routable:
-                continue
-            for spec in database_knobs(replica.database).specs():
-                if spec.name in fleet:
-                    # Chain the lead's apply with this replica's.
-                    lead = fleet.spec(spec.name)
-                    fleet._specs[spec.name] = replace(
-                        lead, apply=_chain_apply(lead.apply, spec.apply)
-                    )
-                else:
-                    fleet.register(spec)
-        if any(spec.name == "apm_m_min" for spec in fleet.specs()):
-            fleet.register_constraint(_apm_order_constraint)
-        registry.merge(fleet)
-        registry.merge(router_knobs(engine))
-    else:
-        registry.merge(database_knobs(engine))
+    for replica in router.replicas:
+        if not replica.health.routable:
+            continue
+        for spec in database_knobs(replica.database).specs():
+            on_worker = partial(replica.run, spec.apply)
+            if spec.name in registry:
+                # Chain the lead's apply with this replica's.
+                lead = registry.spec(spec.name)
+                on_worker = _chain_apply(lead.apply, on_worker)
+                registry._specs[spec.name] = replace(lead, apply=on_worker)
+            else:
+                registry.register(replace(spec, apply=on_worker))
+    if "apm_m_min" in registry:
+        registry.register_constraint(_apm_order_constraint)
+    registry.merge(router_knobs(router))
     if admission is not None:
         registry.merge(admission_knobs(admission))
     return registry

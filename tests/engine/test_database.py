@@ -189,7 +189,14 @@ class TestOneExecutionCore:
         assert list(inspect.signature(EngineReplica.__init__).parameters) == [
             "self", "index", "database",
         ]
-        assert list(inspect.signature(server_knob_registry).parameters) == ["engine", "admission"]
+        assert list(inspect.signature(server_knob_registry).parameters) == ["router", "admission"]
+        from repro.server import AdmissionController
+
+        # Every server is a fleet: admission takes the router, never an executor.
+        assert list(inspect.signature(AdmissionController.__init__).parameters)[:2] == [
+            "self", "router",
+        ]
+        assert "executor" not in inspect.signature(AdmissionController.__init__).parameters
         for name in ("knobs", "set_knobs", "knob_registry", "read_workers"):
             assert not hasattr(Router, name), name
         database.read_workers = 3

@@ -1,19 +1,21 @@
 """The batch admission controller: windows, waves, backpressure, fairness.
 
-Every test runs against a fake database whose ``execute_wave`` records the
-waves it was handed, so wave composition is asserted directly — the real
-engine integration is covered by ``tests/server/test_server.py`` and the
-``execute_wave`` tests in ``tests/engine/test_batch_execution.py``.
+Every test runs a fleet of one (``Router(fake, 1)``) over a fake database
+whose ``execute_wave`` records the waves it was handed, so wave composition
+is asserted directly — the real engine integration is covered by
+``tests/server/test_server.py`` and the ``execute_wave`` tests in
+``tests/engine/test_batch_execution.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import pytest
 
-from repro.api.exceptions import OperationalError, ProgrammingError
+from repro.api.exceptions import OperationalError, TransientError
+from repro.cluster import Router
 from repro.server.admission import AdmissionController, AdmissionStats
 
 #: Long enough that a test can queue several submissions inside one window,
@@ -27,6 +29,7 @@ class FakeDatabase:
     def __init__(self, fail: Exception | None = None):
         self.waves: list[list[tuple]] = []
         self.fail = fail
+        self.query_history: list = []
 
     def execute_wave(self, payload, *, isolate=False):
         self.waves.append(list(payload))
@@ -34,16 +37,17 @@ class FakeDatabase:
             raise self.fail
         return [values for _, values in payload]
 
+    def close(self, *, wait=True):
+        pass
+
 
 class Controller:
-    """An async context manager pairing a controller with its worker thread."""
+    """An async context manager pairing a controller with its fleet of one."""
 
     def __init__(self, database=None, **knobs):
         self.database = database if database is not None else FakeDatabase()
-        self.executor = ThreadPoolExecutor(max_workers=1)
-        self.controller = AdmissionController(
-            self.database, executor=self.executor, **knobs
-        )
+        self.router = Router(self.database, 1)
+        self.controller = AdmissionController(self.router, **knobs)
 
     async def __aenter__(self):
         await self.controller.start()
@@ -51,7 +55,7 @@ class Controller:
 
     async def __aexit__(self, *exc_info):
         await self.controller.stop()
-        self.executor.shutdown(wait=True)
+        self.router.close()
 
     def __getattr__(self, name):
         return getattr(self.controller, name)
@@ -59,36 +63,39 @@ class Controller:
 
 class TestConstruction:
     def test_rejects_bad_knobs(self):
-        database, executor = FakeDatabase(), ThreadPoolExecutor(max_workers=1)
+        with Router(FakeDatabase(), 1) as router:
+            with pytest.raises(ValueError):
+                AdmissionController(router, batch_window_us=-1.0)
+            with pytest.raises(ValueError):
+                AdmissionController(router, max_inflight=0)
+            with pytest.raises(ValueError):
+                AdmissionController(router, max_wave=0)
+            with pytest.raises(ValueError):
+                AdmissionController(router, overflow="drop")
+            with pytest.raises(ValueError):
+                AdmissionController(router, max_inflight_per_connection=0)
+
+    def test_a_server_rejecting_a_setting_stops_its_fleet(self):
+        from repro.server import ReproServer
+
         with pytest.raises(ValueError):
-            AdmissionController(database, executor=executor, batch_window_us=-1.0)
-        with pytest.raises(ValueError):
-            AdmissionController(database, executor=executor, max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionController(database, executor=executor, max_wave=0)
-        with pytest.raises(ValueError):
-            AdmissionController(database, executor=executor, overflow="drop")
-        with pytest.raises(ValueError):
-            AdmissionController(
-                database, executor=executor, max_inflight_per_connection=0
-            )
-        executor.shutdown(wait=True)
+            ReproServer(max_wave=0)
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-replica")
+        ]
 
     def test_per_connection_cap_defaults_to_a_quarter(self):
-        executor = ThreadPoolExecutor(max_workers=1)
-        controller = AdmissionController(
-            FakeDatabase(), executor=executor, max_inflight=100
-        )
-        assert controller.max_inflight_per_connection == 25
-        assert controller.knobs()["max_inflight_per_connection"] == 25
-        executor.shutdown(wait=True)
+        with Router(FakeDatabase(), 1) as router:
+            controller = AdmissionController(router, max_inflight=100)
+            assert controller.max_inflight_per_connection == 25
+            assert controller.knobs()["max_inflight_per_connection"] == 25
 
     def test_submit_before_start_raises(self):
-        executor = ThreadPoolExecutor(max_workers=1)
-        controller = AdmissionController(FakeDatabase(), executor=executor)
-        with pytest.raises(OperationalError, match="not running"):
-            asyncio.run(controller.submit("c1", object(), (1.0,)))
-        executor.shutdown(wait=True)
+        with Router(FakeDatabase(), 1) as router:
+            controller = AdmissionController(router)
+            with pytest.raises(OperationalError, match="not running"):
+                asyncio.run(controller.submit("c1", object(), (1.0,)))
 
 
 class TestWaves:
@@ -129,20 +136,27 @@ class TestWaves:
         waves = asyncio.run(go())
         assert [len(wave) for wave in waves] == [2, 2, 1]
 
-    def test_wave_failure_fails_every_member_with_a_mapped_error(self):
+    def test_wave_failure_is_retried_then_fails_every_member_transiently(self):
+        # An exception escaping execute_wave(isolate=True) is the replica's,
+        # not a member's: the wave is retried (on a fleet of one, on the same
+        # replica) and, once retries run out, every member gets the
+        # TransientError.
         async def go():
             database = FakeDatabase(fail=KeyError("no such table"))
-            async with Controller(database, batch_window_us=1.0) as controller:
+            async with Controller(
+                database, batch_window_us=1.0, retry_backoff_s=0.0
+            ) as controller:
                 futures = [
                     await controller.submit("conn", object(), (float(i),))
                     for i in range(2)
                 ]
                 outcomes = await asyncio.gather(*futures, return_exceptions=True)
-                return outcomes, controller.stats
+                return outcomes, controller.stats, database.waves
 
-        outcomes, stats = asyncio.run(go())
-        assert all(isinstance(o, ProgrammingError) for o in outcomes)
+        outcomes, stats, waves = asyncio.run(go())
+        assert all(isinstance(o, TransientError) for o in outcomes)
         assert stats.failed == 2 and stats.completed == 0
+        assert stats.retries == 2 and len(waves) == 3
 
     def test_zero_window_still_batches_a_burst(self):
         async def go():
@@ -309,12 +323,11 @@ class TestStats:
         assert AdmissionStats().as_dict(pending=0)["mean_wave"] == 0.0
 
     def test_knobs_mirror_the_constructor(self):
-        executor = ThreadPoolExecutor(max_workers=1)
-        controller = AdmissionController(
-            FakeDatabase(), executor=executor, batch_window_us=125.0,
-            max_inflight=64, max_wave=8, max_inflight_per_connection=4,
-            overflow="wait",
-        )
+        with Router(FakeDatabase(), 1) as router:
+            controller = AdmissionController(
+                router, batch_window_us=125.0, max_inflight=64, max_wave=8,
+                max_inflight_per_connection=4, overflow="wait",
+            )
         assert controller.knobs() == {
             "batch_window_us": 125.0,
             "max_inflight": 64,
@@ -327,4 +340,3 @@ class TestStats:
             "auto_rebuild": True,
             "replicas": 1,
         }
-        executor.shutdown(wait=True)

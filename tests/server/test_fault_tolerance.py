@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.aio
-from repro.api.exceptions import Error, OperationalError
+from repro.api.exceptions import Error, OperationalError, ProgrammingError
 from repro.cluster import Router
 from repro.engine.database import Database
 from repro.fault import FaultInjector
@@ -97,6 +97,44 @@ class TestMemberIsolation:
         assert stats["completed"] >= 2
 
 
+class TestStaleStatementOnAFleet:
+    def test_a_stale_statement_fails_alone_on_a_two_replica_server(self):
+        # One statement whose table was dropped rides a window with seven
+        # healthy wave-mates spread over two replicas.  Its re-preparation
+        # fails inside the isolated wave, so it fails alone — no replica
+        # failure, no quarantine, no retry.
+        async def go():
+            server = ReproServer(
+                build_database(), port=0, replicas=2, batch_window_us=20_000.0
+            )
+            async with server:
+                connection = await repro.aio.connect(*server.address)
+                await connection.admin.create_table("u", {"w": "float64"})
+                await connection.admin.bulk_load(
+                    "u", {"w": np.linspace(0.0, 100.0, 50)}
+                )
+                healthy = await connection.prepare(SQL_T)
+                poison = await connection.prepare(SQL_U)
+                await connection.admin.drop_table("u")
+                bounds = [(float(low), low + 10.0) for low in range(0, 70, 10)]
+                outcomes = await asyncio.gather(
+                    poison.execute((10.0, 20.0)),
+                    *(healthy.execute(pair) for pair in bounds),
+                    return_exceptions=True,
+                )
+                health = (await connection.admin.router_stats())["health"]
+                admission = await connection.admin.admission_stats()
+                await connection.close()
+            return outcomes, health, admission
+
+        outcomes, health, admission = run(go)
+        assert isinstance(outcomes[0], ProgrammingError)
+        assert all(not isinstance(outcome, BaseException) for outcome in outcomes[1:])
+        assert health["wave_failures"] == 0 and health["quarantines"] == 0
+        assert admission["retries"] == 0
+        assert admission["member_failures"] == 1
+
+
 class TestRetryOnFailover:
     def test_a_crashed_wave_is_retried_on_a_sibling_replica(self):
         async def go():
@@ -107,7 +145,6 @@ class TestRetryOnFailover:
             )
             admission = AdmissionController(
                 router,
-                executor=None,
                 batch_window_us=500.0,
                 max_retries=2,
                 retry_backoff_s=0.001,
@@ -147,7 +184,6 @@ class TestRetryOnFailover:
             )
             admission = AdmissionController(
                 router,
-                executor=None,
                 batch_window_us=0.0,
                 max_retries=1,
                 retry_backoff_s=0.001,
@@ -183,7 +219,6 @@ class TestWaveDeadline:
             )
             admission = AdmissionController(
                 router,
-                executor=None,
                 batch_window_us=500.0,
                 wave_deadline_s=0.05,
                 max_retries=2,
@@ -217,15 +252,14 @@ class TestWaveDeadline:
 class TestGracefulDrain:
     def test_drain_completes_queued_waves_then_refuses_new_work(self):
         async def go():
-            database = build_database()
+            router = Router(build_database(), 1)
             admission = AdmissionController(
-                database,
-                executor=None,
+                router,
                 batch_window_us=20_000.0,  # long window: requests queue up
             )
             await admission.start()
             try:
-                prepared = database.prepare_statement(SQL_T)
+                prepared = router.prepare_statement(SQL_T)
                 futures = [
                     await admission.submit(0, prepared, (float(low), low + 10.0))
                     for low in range(0, 40, 5)
@@ -237,6 +271,7 @@ class TestGracefulDrain:
                 return drained, results
             finally:
                 await admission.stop()
+                router.close()
 
         drained, results = run(go)
         assert drained is True
@@ -266,10 +301,11 @@ class TestGracefulDrain:
         assert all(not isinstance(outcome, BaseException) for outcome in outcomes)
 
 
-class TestAdmissionExecutorlessDefaults:
+class TestFleetOfOne:
+    """A single-engine server is a Router of one replica: same failure handling."""
+
     def test_single_engine_admission_still_isolates_members(self):
-        # The non-router path also executes isolate=True: a poison member in
-        # a plain single-engine wave resolves alone.
+        # A poison member in a single-engine wave resolves alone.
         async def go():
             database = build_database()
             database.create_table("u", {"w": "float64"})
@@ -277,9 +313,8 @@ class TestAdmissionExecutorlessDefaults:
             healthy = database.prepare_statement(SQL_T)
             poison = database.prepare_statement(SQL_U)
             database.drop_table("u")
-            admission = AdmissionController(
-                database, executor=None, batch_window_us=5_000.0
-            )
+            router = Router(database, 1)
+            admission = AdmissionController(router, batch_window_us=5_000.0)
             await admission.start()
             try:
                 futures = [
@@ -291,9 +326,63 @@ class TestAdmissionExecutorlessDefaults:
                 return outcomes, admission.stats
             finally:
                 await admission.stop()
+                router.close()
 
         outcomes, stats = run(go)
         assert not isinstance(outcomes[0], BaseException)
         assert isinstance(outcomes[1], BaseException)
         assert not isinstance(outcomes[2], BaseException)
         assert stats.member_failures == 1
+
+    def test_a_fault_injector_fires_on_a_single_engine_server(self):
+        # An armed wave.execute crash fires without --replicas, and the
+        # crashed wave is retried on the only replica.
+        async def go():
+            injector = FaultInjector(seed=7)
+            injector.schedule("wave.execute", at=1, action="crash", replica=0)
+            server = ReproServer(
+                build_database(), port=0, injector=injector, retry_backoff_s=0.001
+            )
+            async with server:
+                connection = await repro.aio.connect(*server.address)
+                statement = await connection.prepare(SQL_T)
+                result = await statement.execute((10.0, 20.0))
+                admission = await connection.admin.admission_stats()
+                router = await connection.admin.router_stats()
+                await connection.close()
+            return injector, result, admission, router
+
+        injector, result, admission, router = run(go)
+        assert injector.log and injector.log[0]["site"] == "wave.execute"
+        health = router["health"]
+        expected = build_database().execute(
+            "SELECT v FROM t WHERE v BETWEEN 10.0 AND 20.0"
+        )
+        assert sorted(result.columns["v"]) == sorted(expected.columns["v"].tolist())
+        assert admission["retries"] == 1 and admission["failed"] == 0
+        assert health["wave_failures"] == 1
+        assert health["states"] == ["healthy"]
+
+    def test_a_blown_deadline_on_the_only_replica_is_vetoed_from_quarantine(self):
+        async def go():
+            injector = FaultInjector(seed=7)
+            injector.schedule("wave.execute", at=1, action="hang", delay_s=0.1)
+            router = Router(build_database(), 1, injector=injector)
+            admission = AdmissionController(
+                router, batch_window_us=0.0, wave_deadline_s=0.05,
+                max_retries=2, retry_backoff_s=0.3,
+            )
+            await admission.start()
+            try:
+                prepared = router.prepare_statement(SQL_T)
+                result = await (await admission.submit(0, prepared, (10.0, 20.0)))
+                return result, admission.stats, router.router_stats()["health"]
+            finally:
+                await admission.stop()
+                router.close()
+
+        result, stats, health = run(go)
+        assert result.row_count > 0
+        assert stats.wave_timeouts == 1 and stats.retries == 1
+        assert health["quarantine_vetoes"] == 1 and health["quarantines"] == 0
+        assert health["states"] == ["healthy"]

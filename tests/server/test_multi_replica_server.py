@@ -175,7 +175,7 @@ class TestAdminSurfaces:
             assert len(costs) == stats["clusters"]["n_clusters"]
             assert all(cost > 0.0 for cost in costs)
 
-    def test_single_engine_server_reports_router_absence(self):
+    def test_single_engine_server_reports_a_fleet_of_one(self):
         async def go():
             async with ReproServer(port=0) as server:
                 connection = await repro.aio.connect(*server.address)
@@ -184,9 +184,12 @@ class TestAdminSurfaces:
                 return stats
 
         stats = run(go)
-        assert stats["replicas"] == 1
-        assert stats["routing"] is None
-        assert "--replicas" in stats["note"]
+        assert "note" not in stats
+        assert [replica["index"] for replica in stats["replicas"]] == [0]
+        assert stats["replicas"][0]["queue_depth"] == 0
+        assert stats["health"]["states"] == ["healthy"]
+        assert stats["health"]["routable"] == [0]
+        assert stats["routing"]["history"] == 0  # nothing to choose, nothing kept
 
     def test_admission_stats_gain_per_replica_breakdown(self):
         async def go():

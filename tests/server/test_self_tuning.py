@@ -10,6 +10,8 @@ import asyncio
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,43 @@ class TestKnobOps:
                 await connection.close()
 
         run(go)
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_engine_knobs_apply_on_each_replica_worker(self, monkeypatch, replicas):
+        # An engine-layer knob mutates a replica's models, so it is applied
+        # on the worker that owns them — for a fleet of one as for two.
+        from repro.tuning import knobs as knob_module
+
+        applied: list[tuple[str, str]] = []
+        database_knobs = knob_module.database_knobs
+
+        def recording_database_knobs(database):
+            registry = database_knobs(database)
+            for spec in registry.specs():
+                def apply(value, spec=spec):
+                    applied.append((spec.name, threading.current_thread().name))
+                    spec.apply(value)
+
+                registry._specs[spec.name] = replace(spec, apply=apply)
+            return registry
+
+        monkeypatch.setattr(knob_module, "database_knobs", recording_database_knobs)
+
+        async def go():
+            async with ReproServer(adaptive_database(), port=0, replicas=replicas) as server:
+                connection = await repro.aio.connect(*server.address)
+                await connection.admin.set_knobs({"apm_m_min": 2 * KB})
+                await connection.close()
+            return server
+
+        server = run(go)
+        assert sorted(applied) == [
+            ("apm_m_min", f"repro-replica-{index}") for index in range(replicas)
+        ]
+        assert [
+            replica.database.bpm.handles()[0].adaptive.model.m_min
+            for replica in server.router.replicas
+        ] == [2 * KB] * replicas
 
     def test_tuning_stats_op_is_gone(self):
         async def go():

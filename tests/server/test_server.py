@@ -417,7 +417,9 @@ class TestAdmin:
                 return stats
 
         stats = run(go)
-        assert set(stats) == {"batch", "total"}
+        # The merged fleet shape; a fleet of one merges to its only replica's.
+        assert set(stats) == {"batch", "total", "replicas"}
+        assert stats["replicas"] == [{"batch": stats["batch"], "total": stats["total"]}]
         assert stats["total"]["size"] == 1 and stats["total"]["misses"] == 1
         assert stats["batch"]["waves"] >= 1
         assert stats["batch"]["wave_size"]["max"] >= 3

@@ -214,8 +214,6 @@ PARTNER_AT = {
 @pytest.fixture
 def server_surface():
     """A full server registry (router + admission) over a default-knob APM column."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.cluster.router import Router
     from repro.server.admission import AdmissionController
 
@@ -223,11 +221,9 @@ def server_surface():
     database.create_table("t", {"v": "float64"})
     database.bulk_load("t", {"v": np.random.default_rng(11).uniform(0.0, 1000.0, 2000)})
     database.enable_adaptive("t", "v", model="apm")
-    executor = ThreadPoolExecutor(max_workers=1)
     with Router(database, n_replicas=2, seed=1) as router:
-        admission = AdmissionController(router, executor=executor)
+        admission = AdmissionController(router)
         yield server_knob_registry(router, admission=admission)
-    executor.shutdown(wait=True)
 
 
 class TestPinnedSurface:
