@@ -545,9 +545,7 @@ class AdmissionController:
 
     def _maybe_rebuild(self, index: int) -> None:
         """Kick off a background rebuild of a quarantined replica, once."""
-        if not self.auto_rebuild:
-            return
-        if self._router.replicas[index].health.value != "quarantined":
+        if not self.auto_rebuild or self._router.replicas[index].health.value != "quarantined":
             return
         loop = asyncio.get_running_loop()
         task = loop.create_task(
