@@ -373,12 +373,6 @@ class Database:
             )
         return prepared
 
-    def refresh(self, prepared: PreparedPlan) -> PreparedPlan:
-        """``prepared`` if this engine may run it, else its re-preparation from text."""
-        if self.plan_cache.is_current(prepared):
-            return prepared
-        return self.prepare_statement(prepared.sql)
-
     # -- the doors: binding/resolution over the one executor ---------------------------
 
     def execute(self, sql: str) -> QueryResult:
@@ -403,7 +397,8 @@ class Database:
         (:meth:`PlanCache.is_current`) is re-prepared transparently instead of
         serving a stale plan.
         """
-        prepared = self.refresh(prepared)
+        if not self.plan_cache.is_current(prepared):
+            prepared = self.prepare_statement(prepared.sql)
         result = self._executor.run(prepared, prepared.binding.bind(parameters))
         self.query_history.append(result)
         return result
@@ -418,7 +413,8 @@ class Database:
         binding by one vectorized pass — overlapping *and* disjoint ranges
         alike (this is ``Cursor.executemany``).
         """
-        prepared = self.refresh(prepared)
+        if not self.plan_cache.is_current(prepared):
+            prepared = self.prepare_statement(prepared.sql)
         bound = prepared.binding.bind_many(seq_of_parameters)
         return self._record(
             self._executor.run_wave([(prepared, values) for values in bound])

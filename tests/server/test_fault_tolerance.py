@@ -366,11 +366,13 @@ class TestFleetOfOne:
     def test_a_blown_deadline_on_the_only_replica_is_vetoed_from_quarantine(self):
         async def go():
             injector = FaultInjector(seed=7)
-            injector.schedule("wave.execute", at=1, action="hang", delay_s=0.1)
+            # The first wave hangs past its deadline; the retry waits out
+            # the hang in its backoff and then runs on the same replica.
+            injector.schedule("wave.execute", at=1, action="hang", delay_s=0.3)
             router = Router(build_database(), 1, injector=injector)
             admission = AdmissionController(
-                router, batch_window_us=0.0, wave_deadline_s=0.05,
-                max_retries=2, retry_backoff_s=0.3,
+                router, batch_window_us=0.0, wave_deadline_s=0.2,
+                max_retries=2, retry_backoff_s=0.5,
             )
             await admission.start()
             try:
@@ -383,6 +385,6 @@ class TestFleetOfOne:
 
         result, stats, health = run(go)
         assert result.row_count > 0
-        assert stats.wave_timeouts == 1 and stats.retries == 1
-        assert health["quarantine_vetoes"] == 1 and health["quarantines"] == 0
-        assert health["states"] == ["healthy"]
+        assert stats.wave_timeouts >= 1 and stats.retries == stats.wave_timeouts
+        assert health["quarantine_vetoes"] == health["timeouts"] == stats.wave_timeouts
+        assert health["quarantines"] == 0 and health["states"] == ["healthy"]
