@@ -69,7 +69,7 @@ REPORT_PATH = REPO_ROOT / "BENCH_segment_kernels.json"
 SQL = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
 
 #: Range width in degrees — narrow, so each result ships ~10 rows and the
-#: measurement weighs admission + execution, not JSON tonnage.
+#: measurement weighs admission + execution, not result tonnage.
 RANGE_WIDTH = 0.036
 
 

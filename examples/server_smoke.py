@@ -24,7 +24,7 @@ from repro.server import ReproServer  # noqa: E402
 async def main() -> None:
     async with ReproServer(port=0, batch_window_us=100.0) as server:
         connection = await repro.aio.connect(*server.address)
-        assert connection.server_info["protocol"] == 1
+        assert connection.server_info["protocol"] == 2
         await connection.admin.create_table("t", {"v": "float64"})
         await connection.admin.bulk_load("t", {"v": [1.0, 2.0, 3.0]})
         cursor = await connection.execute(

@@ -20,6 +20,13 @@ connection and keep queries in flight concurrently::
 Fetching stays synchronous (the rows are already client-side once ``execute``
 returns), matching the blocking cursor's fetch surface exactly.
 
+Columns cross the wire as raw numpy buffers in both directions (protocol 2,
+see :mod:`repro.server.protocol`): a :class:`RemoteResult` holds the arrays
+the reply frame carried — writable, with the server's dtypes — and
+``admin.bulk_load`` / ``insert`` / ``delete`` send their arrays the same way.
+Only 1-D bool, integer and float arrays can cross; anything else raises
+:class:`~repro.api.exceptions.ProgrammingError` before a byte is sent.
+
 Resilience (all opt-in, off by default so failures stay loud):
 
 ``request_timeout``
@@ -55,6 +62,7 @@ from repro.api.exceptions import (
     InterfaceError,
     NotSupportedError,
     OperationalError,
+    ProgrammingError,
     TransientError,
     error_from_name,
 )
@@ -74,7 +82,9 @@ class RemoteResult:
     """One query result materialized from a ``result`` frame.
 
     The wire twin of :class:`~repro.engine.result.QueryResult`: ``columns``
-    maps names to numpy arrays rebuilt with their original dtypes, ``scalars``
+    maps names to the numpy arrays the frame carried (writable, of the
+    server's dtypes — :func:`~repro.server.protocol.decode_frame` copies each
+    buffer out of the frame), ``scalars``
     carries pure-aggregate results, and ``cache_level``/``batched`` report how
     the server answered (``batched=True`` means the query rode a wave).
     """
@@ -84,11 +94,7 @@ class RemoteResult:
         self.cache_level: str | None = payload.get("cache_level")
         self.batched: bool = bool(payload.get("batched", False))
         self.scalars: dict[str, float] = dict(payload.get("scalars") or {})
-        dtypes = payload.get("dtypes") or {}
-        self.columns: dict[str, np.ndarray] = {
-            name: np.asarray(values, dtype=dtypes.get(name))
-            for name, values in (payload.get("columns") or {}).items()
-        }
+        self.columns: dict[str, np.ndarray] = payload.get("columns") or {}
 
     def scalar(self, label: str | None = None) -> float:
         """The single aggregate value (optionally by label)."""
@@ -239,7 +245,7 @@ class AsyncAdmin:
         await self._call("insert", table=table, data=_wire_data(data))
 
     async def delete(self, table: str, oids: Any) -> None:
-        await self._call("delete", table=table, oids=np.asarray(oids).tolist())
+        await self._call("delete", table=table, oids=np.asarray(oids))
 
     async def enable_adaptive(self, table: str, column: str, **options: Any) -> None:
         await self._call(
@@ -569,7 +575,10 @@ class AsyncConnection:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
-            write_frame(self._writer, {**frame, "id": request_id})
+            try:
+                write_frame(self._writer, {**frame, "id": request_id})
+            except (TypeError, ValueError) as exc:
+                raise ProgrammingError(f"the request cannot be encoded: {exc}") from exc
             await self._writer.drain()
             if self.request_timeout is None:
                 return await future
@@ -636,9 +645,9 @@ def _wire_params(parameters: Any) -> Any:
     return list(parameters)
 
 
-def _wire_data(data: dict[str, Any]) -> dict[str, list]:
-    """Column arrays as JSON lists for bulk_load/insert admin frames."""
-    return {name: np.asarray(values).tolist() for name, values in data.items()}
+def _wire_data(data: dict[str, Any]) -> dict[str, np.ndarray]:
+    """Columns as arrays for bulk_load/insert admin frames (they cross as raw buffers)."""
+    return {name: np.asarray(values) for name, values in data.items()}
 
 
 async def connect(

@@ -1,9 +1,10 @@
 """The asyncio server front-end: many connections, one fleet, batched waves.
 
 :class:`ReproServer` listens on a TCP socket speaking the length-prefixed
-JSON protocol of :mod:`repro.server.protocol` and multiplexes every client
-over one :class:`~repro.cluster.Router` — ``replicas=1``, the default, is a
-fleet of one engine.  All work on a replica's engine runs on that replica's
+protocol of :mod:`repro.server.protocol` (JSON envelopes, result columns as
+raw numpy buffers) and multiplexes every client over one
+:class:`~repro.cluster.Router` — ``replicas=1``, the default, is a fleet of
+one engine.  All work on a replica's engine runs on that replica's
 single worker thread, so the paper's piggy-backed adaptation never races
 itself; admin ops are serialized on the server's own admin thread, and
 concurrency lives in the admission layer, where bound selects from different
@@ -32,6 +33,7 @@ import numpy as np
 
 from repro.api.exceptions import (
     Error,
+    InternalError,
     ProgrammingError,
     error_name,
     translate_exception,
@@ -44,13 +46,14 @@ from repro.server.admission import AdmissionController
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    encode_frame,
     read_frame,
     write_frame,
 )
 
 
 def result_payload(result: QueryResult) -> dict[str, Any]:
-    """One query result as a JSON-serialisable response body."""
+    """One query result as a response body; its columns cross the wire as raw buffers."""
     if result.scalars:
         return {
             "rowcount": 1,
@@ -58,14 +61,12 @@ def result_payload(result: QueryResult) -> dict[str, Any]:
             "batched": result.batched,
             "scalars": {label: float(value) for label, value in result.scalars.items()},
             "columns": {},
-            "dtypes": {},
         }
     return {
         "rowcount": result.row_count,
         "cache_level": result.cache_level,
         "batched": result.batched,
-        "columns": {name: array.tolist() for name, array in result.columns.items()},
-        "dtypes": {name: array.dtype.name for name, array in result.columns.items()},
+        "columns": result.columns,
     }
 
 
@@ -266,6 +267,8 @@ class _ClientConnection:
     pump task writes each response as it resolves, so a connection can keep
     many queries in flight (pipelining) while `submit` backpressure — the
     per-connection cap — naturally pauses the reader of a firehose client.
+    A reply that cannot be encoded answers its request with an error frame;
+    the pump keeps serving the connection.
     """
 
     def __init__(
@@ -483,15 +486,9 @@ class _ClientConnection:
             elif op == "drop_table":
                 router.drop_table(args["name"])
             elif op == "bulk_load":
-                router.bulk_load(
-                    args["table"],
-                    {name: np.asarray(values) for name, values in args["data"].items()},
-                )
+                router.bulk_load(args["table"], args["data"])
             elif op == "insert":
-                router.insert(
-                    args["table"],
-                    {name: np.asarray(values) for name, values in args["data"].items()},
-                )
+                router.insert(args["table"], args["data"])
             elif op == "delete":
                 router.delete(args["table"], np.asarray(args["oids"], dtype=np.int64))
             elif op == "enable_adaptive":
@@ -615,7 +612,13 @@ class _ClientConnection:
                         "results": [result_payload(result) for result in outcomes],
                     }
             try:
-                write_frame(self._writer, frame)
+                data = encode_frame(frame)
+            except Exception as exc:  # noqa: BLE001 - this request alone fails
+                data = encode_frame(_error_frame(
+                    frame.get("id"), InternalError(f"the reply cannot be encoded: {exc}")
+                ))
+            try:
+                self._writer.write(data)
                 await self._writer.drain()
             except (ConnectionError, OSError):
                 break

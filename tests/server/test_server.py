@@ -17,10 +17,12 @@ import pytest
 import repro.aio
 from repro.api.exceptions import (
     InterfaceError,
+    InternalError,
     NotSupportedError,
     OperationalError,
     ProgrammingError,
 )
+from repro.engine import Database
 from repro.server import PROTOCOL_VERSION, ReproServer, read_frame, serve, write_frame
 
 SQL = "select objid from p where ra between ? and ?"
@@ -331,6 +333,36 @@ class TestErrors:
         assert reply["error"] == "ProgrammingError"
         assert "teleport" in reply["message"]
 
+    def test_an_unencodable_reply_fails_only_its_own_request(self, monkeypatch):
+        import repro.server.server as server_module
+
+        real_payload = server_module.result_payload
+        poisoned = []
+
+        def poison_once(result):
+            payload = real_payload(result)
+            if not poisoned:
+                poisoned.append(True)
+                payload["poison"] = object()
+            return payload
+
+        monkeypatch.setattr(server_module, "result_payload", poison_once)
+
+        async def go():
+            server = await start_loaded_server()
+            async with server:
+                connection = await repro.aio.connect(*server.address, request_timeout=10)
+                with pytest.raises(InternalError, match="cannot be encoded"):
+                    await connection.execute(SQL, (10.0, 20.0))
+                # The connection's pump survived: a query and an admin op answer.
+                cursor = await connection.execute(SQL, (10.0, 20.0))
+                count = cursor.rowcount
+                names = await connection.admin.table_names()
+                await connection.close()
+                return count, names
+
+        assert run(go) == (len(expected_objids(10.0, 20.0)), ["p"])
+
     def test_rollback_is_not_supported(self):
         async def go():
             async with ReproServer(port=0) as server:
@@ -403,6 +435,60 @@ class TestAdmin:
         )
         assert marker and "algebra.kunion" in figure_1 and "__p0" in figure_1
         assert "algebra.projection" in short and "algebra.kunion" not in short
+
+    @pytest.mark.parametrize("dtype", ["int32", "float32"])
+    def test_bulk_load_insert_delete_over_the_wire_match_in_process(self, dtype):
+        rng = np.random.default_rng(23)
+        loaded = rng.integers(0, 1_000, 600).astype(dtype)
+        inserted = rng.integers(0, 1_000, 80).astype(dtype)
+        deleted = rng.choice(680, 90, replace=False)
+        ranges = [(0, 1_000), (100, 300), (750, 760), (2_000, 3_000)]
+        sql = "select v from t where v between ? and ?"
+
+        local = Database()
+        local.create_table("t", {"v": dtype})
+        local.bulk_load("t", {"v": loaded})
+        local.insert("t", {"v": inserted})
+        local.delete("t", deleted)
+        expected = []
+        for low, high in ranges:
+            column = local.execute_prepared(local.prepare_statement(sql), (low, high)).column("v")
+            expected.append((column.dtype, sorted(column.tolist())))
+        local.close()
+
+        async def go():
+            async with ReproServer(port=0, batch_window_us=100.0) as server:
+                connection = await repro.aio.connect(*server.address)
+                admin = connection.admin
+                await admin.create_table("t", {"v": dtype})
+                await admin.bulk_load("t", {"v": loaded})
+                await admin.insert("t", {"v": inserted})
+                await admin.delete("t", deleted)
+                statement = await connection.prepare(sql)
+                answers = []
+                for low, high in ranges:
+                    column = (await statement.execute((low, high))).columns["v"]
+                    answers.append((column.dtype, sorted(column.tolist())))
+                await connection.close()
+                return answers
+
+        answers = run(go)
+        assert answers == expected
+        assert all(column_dtype == np.dtype(dtype) for column_dtype, _ in answers)
+        assert any(rows for _, rows in answers)
+
+    def test_an_array_the_wire_cannot_carry_fails_before_sending(self):
+        async def go():
+            async with ReproServer(port=0) as server:
+                connection = await repro.aio.connect(*server.address)
+                await connection.admin.create_table("t", {"v": "float64"})
+                with pytest.raises(ProgrammingError, match="cannot cross the wire"):
+                    await connection.admin.bulk_load("t", {"v": ["a", "b"]})
+                names = await connection.admin.table_names()
+                await connection.close()
+                return names
+
+        assert run(go) == ["t"]
 
     def test_cache_stats_sections_cross_the_wire(self):
         async def go():
