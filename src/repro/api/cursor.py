@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Generic, Iterator, Self, Sequence, TypeVar
 
-from repro.api.exceptions import InterfaceError, translating
+from repro.api.exceptions import InterfaceError, translate_exception, translating
 from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
 
@@ -258,12 +258,14 @@ class Cursor(_FetchCursor[QueryResult]):
         """
         self._check_open()
         database = self._connection._database
-        with translating():
+        try:
             if parameters is None:
                 result = database.execute(operation)
             else:
                 prepared = database.prepare_statement(operation)
                 result = database.execute_prepared(prepared, parameters)
+        except Exception as exc:  # the hot door: translating() without its generator
+            raise translate_exception(exc)
         self._install([result])
         return self
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.api.exceptions import InterfaceError, translating
+from repro.api.exceptions import InterfaceError, translate_exception, translating
 from repro.engine.plan_cache import PreparedPlan
 from repro.engine.result import QueryResult
 
@@ -71,8 +71,10 @@ class PreparedStatement:
     def execute(self, parameters: Any = ()) -> QueryResult:
         """Bind ``parameters`` (sequence or mapping) and run the plan."""
         plan = self._refresh()
-        with translating():
+        try:
             return self._connection._database.execute_prepared(plan, parameters)
+        except Exception as exc:  # the hot door: translating() without its generator
+            raise translate_exception(exc)
 
     def executemany(self, seq_of_parameters: Sequence[Any]) -> list[QueryResult]:
         """Run once per parameter set; range selects batch into one vectorized pass."""

@@ -77,7 +77,11 @@ class SplitDecision:
 
     @classmethod
     def no_split(cls) -> "SplitDecision":
-        return cls(SplitAction.NO_SPLIT)
+        return _NO_SPLIT
+
+
+#: The one no-split decision every model returns (decisions are immutable).
+_NO_SPLIT = SplitDecision(SplitAction.NO_SPLIT)
 
 
 def _clip_points(query: ValueRange, segment_range: ValueRange) -> list[float]:
@@ -182,25 +186,6 @@ class AdaptivePageModel(SegmentationModel):
 
     # -- rule helpers ------------------------------------------------------
 
-    def _piece_sizes(self, segment: SegmentLike, points: list[float]) -> list[float]:
-        """Estimated bytes of each piece a split at ``points`` would produce.
-
-        Equivalent to ``[segment.estimate_bytes(sub) for sub in
-        segment.vrange.split_at(points)]`` but computed from the edge list
-        directly — no sub-range objects, and bit-identical arithmetic (the
-        value width is a power of two, so the scale factor commutes exactly).
-        """
-        vrange = segment.vrange
-        width = vrange.high - vrange.low
-        cuts = vrange.interior_points(points)
-        if width <= 0.0:
-            return [0.0] * (len(cuts) + 1)
-        size = segment.size_bytes
-        edges = [vrange.low, *cuts, vrange.high]
-        return [
-            size * ((high - low) / width) for low, high in zip(edges[:-1], edges[1:])
-        ]
-
     def _single_point(self, query: ValueRange, segment: SegmentLike, points: list[float]) -> float:
         """Rule 3: pick one split point among the query bounds or the middle.
 
@@ -234,22 +219,41 @@ class AdaptivePageModel(SegmentationModel):
         *,
         total_bytes: float,
     ) -> SplitDecision:
-        points = _clip_points(query, segment.vrange)
+        # The candidate cuts: the query bounds strictly inside the segment, in
+        # order and without duplicates (what ``interior_points`` returns).
+        vrange = segment.vrange
+        seg_low, seg_high = vrange.low, vrange.high
+        low, high = float(query.low), float(query.high)
+        if low == high:
+            points = [low] if seg_low < low < seg_high else []
+        else:
+            if high < low:
+                low, high = high, low
+            points = [point for point in (low, high) if seg_low < point < seg_high]
         if not points:
-            return SplitDecision.no_split()
+            return _NO_SPLIT
         # Rule 1: small segments are left intact.
-        if segment.size_bytes < self.m_min:
-            return SplitDecision.no_split()
+        size = segment.size_bytes
+        m_min = self.m_min
+        if size < m_min:
+            return _NO_SPLIT
         # Rule 2: split at the query bounds when every piece is large enough.
-        piece_sizes = self._piece_sizes(segment, points)
-        if all(size >= self.m_min for size in piece_sizes):
+        # A cut strictly inside the segment makes its width positive; each
+        # piece's estimate is ``size * (piece width / width)``, uniform spread.
+        width = seg_high - seg_low
+        previous = seg_low
+        for edge in (*points, seg_high):
+            if size * ((edge - previous) / width) < m_min:
+                break
+            previous = edge
+        else:
             return SplitDecision(SplitAction.SPLIT_AT_BOUNDS, tuple(points))
         # Rule 3: pieces would be too small, but the segment itself is large.
-        if segment.size_bytes > self.m_max:
+        if size > self.m_max:
             point = self._single_point(query, segment, points)
-            if segment.vrange.low < point < segment.vrange.high:
+            if seg_low < point < seg_high:
                 return SplitDecision(SplitAction.SPLIT_AT_POINT, (point,))
-        return SplitDecision.no_split()
+        return _NO_SPLIT
 
 
 def model_from_name(

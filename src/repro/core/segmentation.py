@@ -98,23 +98,27 @@ class SegmentedColumn(AdaptiveColumnBase):
     # -- the frame's hooks ----------------------------------------------------
 
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
+        now, decide, record_read = self._now, self.model.decide, self.accountant.record_read
         parts: list[SelectionResult] = []
         for segment in self.index.cover(query):
             # Logical read bytes are accounted whether or not data is touched.
-            self.accountant.record_read(segment.size_bytes)
+            record_read(segment.size_bytes)
 
-            started = self._now()
+            # Three clock reads: selection ends where adaptation starts.
+            started = now()
             parts.append(segment.select(query))
-            stats.selection_seconds += self._now() - started
+            selected = now()
+            stats.selection_seconds += selected - started
 
-            started = self._now()
-            decision = self.model.decide(query, segment, total_bytes=self.total_bytes)
+            decision = decide(query, segment, total_bytes=self.total_bytes)
             if decision.should_split:
                 self._split(segment, list(decision.points), stats)
-            stats.adaptation_seconds += self._now() - started
-        started = self._now()
+            stats.adaptation_seconds += now() - selected
+        if len(parts) == 1:
+            return parts[0]  # one covering segment's slice: nothing to concatenate
+        started = now()
         result = SelectionResult.concatenate(parts, self.dtype)
-        stats.selection_seconds += self._now() - started
+        stats.selection_seconds += now() - started
         return result
 
     def _execute_batch(

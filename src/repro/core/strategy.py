@@ -152,6 +152,11 @@ class AdaptiveColumnStrategy(Protocol):
     def check_invariants(self) -> None: ...
 
 
+def _untimed() -> float:
+    """The phase clock of a column built with ``time_phases=False``."""
+    return 0.0
+
+
 class AdaptiveColumnBase:
     """The template every strategy extends: construction and the query frame.
 
@@ -216,7 +221,9 @@ class AdaptiveColumnBase:
         #: Snapshot readers record what they saw here; :meth:`absorb_reads`
         #: drains it on the owning worker.
         self.read_observations = ReadObservations()
-        self._time_phases = time_phases
+        #: The phase clock: ``perf_counter`` itself, or a zero when phases are
+        #: not timed — an attribute, so reading it costs no Python frame.
+        self._now = time.perf_counter if time_phases else _untimed
         self._queries_executed = 0
 
     @classmethod
@@ -233,9 +240,6 @@ class AdaptiveColumnBase:
 
     # -- the query frame -----------------------------------------------------
 
-    def _now(self) -> float:
-        return time.perf_counter() if self._time_phases else 0.0
-
     def _open_frame(self, low: float, high: float, batch_size: int) -> QueryStats:
         """Start one record and route the accountant's increments into it.
 
@@ -243,9 +247,9 @@ class AdaptiveColumnBase:
         self.accountant.detach()`` and then hands the record to
         :meth:`_close_frame`; a hook that raises leaves no record behind.
         """
-        stats = QueryStats(
-            index=self._queries_executed, low=low, high=high, batch_size=batch_size
-        )
+        # Positional, in QueryStats' field order; batch_size is the last field.
+        stats = QueryStats(self._queries_executed, low, high)
+        stats.batch_size = batch_size
         self.accountant.attach(stats)
         return stats
 
@@ -255,7 +259,7 @@ class AdaptiveColumnBase:
         stats.segment_count = self.segment_count
         stats.storage_bytes = self.storage_bytes
         self._queries_executed += stats.batch_size
-        self.history.append(stats)
+        self.history.records.append(stats)
         self._after_frame(stats)
 
     def _after_frame(self, stats: QueryStats) -> None:

@@ -7,7 +7,8 @@ buckets run (reader pool · vectorized batch · the compiled-plan runner) and
 the results come back in input order.  A single query is a wave of one and is
 answered by a straight call into :meth:`Executor.run`.  Every adaptive
 selection goes through a BPM door (``bpm.select`` in a plan, ``select_many``,
-``pin`` / ``select_pinned`` / ``absorb``); every result is built by :func:`_result`.
+``pin`` / ``select_pinned`` / ``absorb``); a plan's result is built by
+:meth:`Executor.run`, every other member's by :func:`_result`.
 
 Whether a statement is a batchable range select was decided when it was
 prepared (:attr:`PreparedPlan.template`); whether its table has pending
@@ -158,22 +159,20 @@ def _gather(
 
 def _result(
     sql: str, values: tuple[float, ...], level: str, plan_text: str,
-    columns: dict[str, np.ndarray], *, total_seconds: float, selection_seconds: float,
-    adaptation_seconds: float, optimizer_seconds: float = 0.0,
-    scalars: dict[str, float] | None = None, profile: QueryProfile | None = None,
+    columns: dict[str, np.ndarray], total_seconds: float, selection_seconds: float,
+    adaptation_seconds: float,
 ) -> QueryResult:
-    """The one place a :class:`QueryResult` is built.
+    """A batched or snapshot member's :class:`QueryResult`.
 
-    Without a plan's ``profile`` (batched, snapshot) the result gets a warm
-    one whose ``execute`` stage is its whole share of the wave.
+    No plan runs for it, so it gets a warm profile whose ``execute`` stage is
+    its whole share of the wave.
     """
-    if profile is None:
-        profile = QueryProfile(cold=False)
-        profile.execute_seconds = total_seconds
+    profile = QueryProfile(cold=False)
+    profile.execute_seconds = total_seconds
     # Positional, in QueryResult's field order: a keyword call costs twice as much.
     return QueryResult(
-        sql, values, columns, {} if scalars is None else scalars, plan_text, total_seconds,
-        selection_seconds, adaptation_seconds, optimizer_seconds, level, profile,
+        sql, values, columns, {}, plan_text, total_seconds, selection_seconds,
+        adaptation_seconds, 0.0, level, profile,
     )
 
 
@@ -210,32 +209,28 @@ class Executor:
         """
         if origin is None:
             started = time.perf_counter()
-            sql = prepared.sql
-            level = "prepared"
-            profile = QueryProfile(cold=False)
+            sql, level, profile = prepared.sql, "prepared", QueryProfile(cold=False)
         else:
             sql, level, profile = origin
             started = time.perf_counter() - profile.plan_seconds
-        database = self.database
-        compiled = prepared.compiled
         contexts = self._contexts
-        context = contexts.pop() if contexts else ExecutionContext(catalog=database.catalog)
-        bpm = database.bpm
+        context = contexts.pop() if contexts else ExecutionContext(self.database.catalog)
+        bpm = self.database.bpm
         selection_before = bpm.total_selection_seconds
         adaptation_before = bpm.total_adaptation_seconds
-        counters = compiled.new_counters()
+        compiled = profile.plan = prepared.compiled
         execute_started = time.perf_counter()
-        compiled.execute_bound(context, prepared.slots, values, counters)
+        compiled.execute_bound(context, prepared.slots, values)
         profile.execute_seconds = time.perf_counter() - execute_started
-        profile.attach_counters(compiled, counters)
-
-        result = _result(
-            sql, values, level, prepared.text, context.exported_columns(),
-            total_seconds=time.perf_counter() - started,
-            selection_seconds=bpm.total_selection_seconds - selection_before,
-            adaptation_seconds=bpm.total_adaptation_seconds - adaptation_before,
-            optimizer_seconds=execute_started - started,
-            scalars=dict(context.scalars), profile=profile,
+        columns = context.exported_columns()
+        scalars = context.scalars
+        # Positional, in QueryResult's field order: a keyword call costs twice as much.
+        result = QueryResult(
+            sql, values, columns, dict(scalars) if scalars else {}, prepared.text,
+            time.perf_counter() - started,
+            bpm.total_selection_seconds - selection_before,
+            bpm.total_adaptation_seconds - adaptation_before,
+            execute_started - started, level, profile,
         )
         if len(contexts) < 4:
             context.reset()
@@ -399,8 +394,7 @@ class Executor:
                     outcome = _result(
                         sql, values, "snapshot",
                         f"# snapshot read on {template.table}.{template.column}", columns,
-                        total_seconds=total + share, selection_seconds=selected,
-                        adaptation_seconds=share,
+                        total + share, selected, share,
                     )
                 slots[position] = outcome
         for _, (position, _, _, _) in reads:
@@ -467,9 +461,8 @@ class Executor:
         total_share = (time.perf_counter() - started) * share
         return [
             _result(
-                sql, values, "batched", plan_text, member_columns, total_seconds=total_share,
-                selection_seconds=selection_seconds * share,
-                adaptation_seconds=adaptation_seconds * share,
+                sql, values, "batched", plan_text, member_columns, total_share,
+                selection_seconds * share, adaptation_seconds * share,
             )
             for (_, sql, values, _), member_columns in zip(items, columns)
         ]

@@ -27,11 +27,11 @@ STAGES = ("parse", "optimize", "compile", "execute")
 class QueryProfile:
     """Wall-clock seconds per pipeline stage plus per-opcode counters.
 
-    The per-opcode aggregation is lazy: the executor attaches its raw
-    per-instruction counter array via :meth:`attach_counters` and the
-    ``module.function → count`` mapping is materialized on first access of
-    :attr:`opcode_counts` — profiling costs the hot path one list increment
-    per executed instruction, nothing more.
+    Every step of a compiled plan runs exactly once, so the counters are the
+    plan's own :attr:`~repro.mal.compiled.CompiledPlan.opcode_counts`: the
+    executor records which plan ran in :attr:`plan`, and the ``module.function
+    → count`` mapping is copied out of it on first access of
+    :attr:`opcode_counts` — profiling costs the hot path one attribute store.
     """
 
     __slots__ = (
@@ -40,8 +40,7 @@ class QueryProfile:
         "compile_seconds",
         "execute_seconds",
         "cold",
-        "_plan",
-        "_counts",
+        "plan",
         "_opcode_counts",
     )
 
@@ -52,31 +51,22 @@ class QueryProfile:
         compile_seconds: float = 0.0,
         execute_seconds: float = 0.0,
         cold: bool = True,
-        opcode_counts: dict[str, int] | None = None,
     ) -> None:
         self.parse_seconds = parse_seconds
         self.optimize_seconds = optimize_seconds
         self.compile_seconds = compile_seconds
         self.execute_seconds = execute_seconds
         self.cold = cold
-        self._plan = None
-        self._counts: list[int] | None = None
-        self._opcode_counts = opcode_counts
-
-    def attach_counters(self, plan, counts: list[int]) -> None:
-        """Attach a compiled plan's raw per-instruction execution counters."""
-        self._plan = plan
-        self._counts = counts
-        self._opcode_counts = None
+        #: The compiled plan that ran (``None`` where no plan runs: batched,
+        #: snapshot).
+        self.plan = None
+        self._opcode_counts: dict[str, int] | None = None
 
     @property
     def opcode_counts(self) -> dict[str, int]:
         """Executed-instruction counts aggregated by callee (lazy)."""
         if self._opcode_counts is None:
-            if self._plan is not None and self._counts is not None:
-                self._opcode_counts = self._plan.opcode_counts(self._counts)
-            else:
-                self._opcode_counts = {}
+            self._opcode_counts = {} if self.plan is None else dict(self.plan.opcode_counts)
         return self._opcode_counts
 
     @property

@@ -1,23 +1,26 @@
-"""Slot-based compiled MAL plans: the engine's warm execution path.
+"""Slot-based compiled MAL plans: the engine's execution path.
 
-The tree-walking :class:`~repro.mal.interpreter.Interpreter` pays, on every
-instruction of every run, for a registry lookup of the callee, a dict lookup
-per variable argument, a dict store per target, and (once per run) a rescan of
-the program to match barrier/redo/exit blocks.  None of that work depends on
-the query's parameters, so :func:`compile_program` performs it exactly once:
+The engine runs one kind of program: the lowering of an optimized plan
+(:mod:`repro.optimizer.delta_elision`), a straight line of calls in which
+every instruction runs exactly once, in order.  The tree-walking
+:class:`~repro.mal.interpreter.Interpreter` would pay, on every instruction of
+every run, for a registry lookup of the callee, a dict lookup per variable
+argument and a dict store per target.  None of that work depends on the
+query's parameters, so :func:`compile_program` performs it exactly once:
 
 * callees are pre-resolved to their bound Python callables;
 * variable names are interned to integer slots in a flat environment list;
 * constant arguments are baked into per-instruction argument templates, with a
-  patch list saying which positions to fill from which slots;
-* the barrier/redo block structure becomes precomputed jump targets.
+  patch list saying which positions to fill from which slots.
 
-Executing the resulting :class:`CompiledPlan` does one tuple unpack, an
-argument patch and the call per instruction — no name resolution of any kind.
-The semantics are identical to ``Interpreter.run`` (property-tested, including
-the segment optimizer's iterator rewrites): :meth:`CompiledPlan.run` returns
-the same final variable environment, while :meth:`CompiledPlan.execute` is the
-allocation-lean variant the engine's hot path calls.
+Executing the resulting :class:`CompiledPlan` does an argument patch and the
+call per instruction — no name resolution, no program counter, no
+per-instruction counters: since every step runs once, how often each callee
+runs is a property of the plan (:attr:`CompiledPlan.opcode_counts`).  Guarded
+blocks (``barrier`` / ``redo`` / ``exit``) and multi-target assignments occur
+only in the paper's Figure-1 plan, which the interpreter runs;
+:func:`compile_program` rejects them.  The lowering answers exactly what the
+interpreter answers for the Figure-1 plan (property-tested).
 """
 
 from __future__ import annotations
@@ -25,35 +28,22 @@ from __future__ import annotations
 from typing import Any
 
 from repro.mal.modules import ModuleRegistry
-from repro.mal.program import (
-    OPCODE_ASSIGN,
-    OPCODE_BARRIER,
-    OPCODE_EXIT,
-    Const,
-    MALProgram,
-    MALRuntimeError,
-    Var,
-)
+from repro.mal.program import OPCODE_ASSIGN, Const, MALProgram, MALRuntimeError, Var
 
 #: Sentinel marking an environment slot that has not been assigned yet.
 _UNSET = object()
 
-_OP_ASSIGN = 0
-_OP_BARRIER = 1
-_OP_REDO = 2
-_OP_EXIT = 3
-
 
 class CompiledPlan:
-    """An executable lowering of one MAL program (see module docstring).
+    """An executable lowering of one straight-line MAL program.
 
     Instances are immutable once built and hold no per-query state, so one
     compiled plan can be re-run concurrently against different execution
-    contexts — the engine caches them per query *shape* and binds the range
-    parameters at call time through ``arguments``.
+    contexts — the engine caches them per statement and binds the parameters
+    at call time through :meth:`execute_bound`.
     """
 
-    __slots__ = ("name", "parameters", "max_steps", "_steps", "_slots", "_names")
+    __slots__ = ("name", "parameters", "opcode_counts", "_steps", "_slots", "_names")
 
     def __init__(
         self,
@@ -61,14 +51,17 @@ class CompiledPlan:
         parameters: tuple[str, ...],
         steps: list[tuple],
         slots: dict[str, int],
-        max_steps: int,
+        callees: list[str],
     ) -> None:
         self.name = name
         self.parameters = parameters
-        self.max_steps = max_steps
         self._steps = steps
         self._slots = slots
         self._names = [name for name, _ in sorted(slots.items(), key=lambda item: item[1])]
+        #: Executions per callee (``module.function``) of one run.
+        self.opcode_counts: dict[str, int] = {}
+        for callee in callees:
+            self.opcode_counts[callee] = self.opcode_counts.get(callee, 0) + 1
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -82,30 +75,6 @@ class CompiledPlan:
         """The environment slot interned for ``variable`` (KeyError if unused)."""
         return self._slots[variable]
 
-    # -- execution ----------------------------------------------------------
-
-    def execute(
-        self,
-        context: Any,
-        arguments: dict[str, Any] | None = None,
-        counts: list[int] | None = None,
-    ) -> list[Any]:
-        """Run the plan; returns the flat slot environment.
-
-        ``arguments`` seeds parameter slots (names without a slot are ignored
-        — they could not be referenced anyway).  ``counts``, when given, must
-        come from :meth:`new_counters` and receives per-instruction execution
-        counts (aggregate them with :meth:`opcode_counts`).
-        """
-        slots = self._slots
-        env: list[Any] = [_UNSET] * len(slots)
-        if arguments:
-            for name, value in arguments.items():
-                index = slots.get(name)
-                if index is not None:
-                    env[index] = value
-        return self._run(env, context, counts)
-
     def parameter_slots(self, names: tuple[str, ...] | None = None) -> tuple[int, ...]:
         """The environment slots of the given parameter names, in order.
 
@@ -118,129 +87,61 @@ class CompiledPlan:
             names = self.parameters
         return tuple(self._slots[name] for name in names)
 
-    def execute_bound(
-        self,
-        context: Any,
-        slots: tuple[int, ...],
-        values: tuple[Any, ...],
-        counts: list[int] | None = None,
-    ) -> list[Any]:
-        """Run the plan seeding ``env[slots[i]] = values[i]`` directly.
+    # -- execution ----------------------------------------------------------
 
-        The name-free twin of :meth:`execute` used by the prepared-statement
-        path: ``slots`` comes from :meth:`parameter_slots` (resolved at
-        prepare time), so binding a query costs one list write per parameter.
+    def execute_bound(
+        self, context: Any, slots: tuple[int, ...], values: tuple[Any, ...]
+    ) -> list[Any]:
+        """Run the plan seeding ``env[slots[i]] = values[i]``; the final environment.
+
+        ``slots`` comes from :meth:`parameter_slots` (resolved at prepare
+        time), so binding a query costs one list write per parameter.
         """
         env: list[Any] = [_UNSET] * len(self._slots)
         for index, value in zip(slots, values):
             env[index] = value
-        return self._run(env, context, counts)
-
-    def _run(
-        self, env: list[Any], context: Any, counts: list[int] | None = None
-    ) -> list[Any]:
-        steps = self._steps
-        n_steps = len(steps)
-        pc = 0
-        # The step budget is only spent on backward jumps (redo): a program
-        # cannot run unboundedly without taking one, so the straight-line path
-        # pays nothing for runaway protection.
-        remaining = self.max_steps
-        while pc < n_steps:
-            op, func, template, patches, targets, jump, _callee = steps[pc]
-            if counts is not None:
-                counts[pc] += 1
-            if op == _OP_EXIT:
-                pc += 1
-                continue
+        for func, template, patches, target in self._steps:
             if patches:
                 args = list(template)
                 for position, slot in patches:
                     value = env[slot]
                     if value is _UNSET:
                         raise MALRuntimeError(
-                            f"step {pc} of {self.name!r} references undefined "
-                            f"variable {self._names[slot]!r}"
+                            f"{self.name!r} references undefined variable "
+                            f"{self._names[slot]!r}"
                         )
                     args[position] = value
                 value = func(context, *args)
             else:
                 value = func(context, *template)
-            if op == _OP_ASSIGN:
-                if targets:
-                    if len(targets) == 1:
-                        env[targets[0]] = value
-                    else:
-                        self._bind_many(targets, value, env, pc)
-                pc += 1
-            elif op == _OP_BARRIER:
-                if value is None:
-                    pc = jump  # skip past the matching exit
-                else:
-                    env[targets[0]] = value
-                    pc += 1
-            else:  # _OP_REDO
-                if value is None:
-                    pc += 1  # falls through to the exit
-                else:
-                    remaining -= 1
-                    if remaining < 0:
-                        raise MALRuntimeError(
-                            f"program {self.name!r} exceeded {self.max_steps} "
-                            "loop iterations; likely a non-terminating barrier block"
-                        )
-                    env[targets[0]] = value
-                    pc = jump  # back to the top of the block
+            if target is not None:
+                env[target] = value
         return env
 
     def run(self, context: Any, arguments: dict[str, Any] | None = None) -> dict[str, Any]:
-        """Execute and return the final variable environment as a dict.
+        """Execute with named arguments; the final variable environment as a dict.
 
-        Same contract as :meth:`repro.mal.interpreter.Interpreter.run` — used
-        by the parity tests; the engine's hot path calls :meth:`execute`.
+        Same contract as :meth:`repro.mal.interpreter.Interpreter.run` (names
+        without a slot pass through untouched) — used by the parity tests; the
+        engine calls :meth:`execute_bound`.
         """
-        env = self.execute(context, arguments)
         variables: dict[str, Any] = dict(arguments or {})
-        names = self._names
+        names = tuple(name for name in variables if name in self._slots)
+        env = self.execute_bound(
+            context, self.parameter_slots(names), tuple(variables[name] for name in names)
+        )
         for index, value in enumerate(env):
             if value is not _UNSET:
-                variables[names[index]] = value
+                variables[self._names[index]] = value
         return variables
 
-    def _bind_many(self, targets: tuple[int, ...], value: Any, env: list[Any], pc: int) -> None:
-        values = value if isinstance(value, (tuple, list)) else (value,)
-        if len(values) != len(targets):
-            raise MALRuntimeError(
-                f"step {pc} of {self.name!r} returned {len(values)} values "
-                f"for {len(targets)} targets"
-            )
-        for target, item in zip(targets, values):
-            env[target] = item
 
-    # -- per-instruction profiling -------------------------------------------
-
-    def new_counters(self) -> list[int]:
-        """A zeroed per-instruction counter array for :meth:`execute`."""
-        return [0] * len(self._steps)
-
-    def opcode_counts(self, counts: list[int]) -> dict[str, int]:
-        """Aggregate per-instruction counts by callee (``module.function``)."""
-        aggregated: dict[str, int] = {}
-        for step, count in zip(self._steps, counts):
-            if not count:
-                continue
-            callee = step[6]
-            aggregated[callee] = aggregated.get(callee, 0) + count
-        return aggregated
-
-
-def compile_program(
-    program: MALProgram, registry: ModuleRegistry, *, max_steps: int = 10_000_000
-) -> CompiledPlan:
-    """Lower ``program`` into a :class:`CompiledPlan` against ``registry``.
+def compile_program(program: MALProgram, registry: ModuleRegistry) -> CompiledPlan:
+    """Lower the straight-line ``program`` into a :class:`CompiledPlan` against ``registry``.
 
     Unknown callees raise :class:`MALRuntimeError` at compile time (the
-    interpreter would raise the same error at the first execution).
+    interpreter would raise the same error at the first execution), as do
+    guarded blocks and multi-target assignments (the interpreter runs those).
     """
     slots: dict[str, int] = {}
 
@@ -252,13 +153,15 @@ def compile_program(
 
     for parameter in program.parameters:
         intern(parameter)
-    blocks = program.matched_blocks()
 
     steps: list[tuple] = []
-    for index, instruction in enumerate(program.instructions):
-        if instruction.opcode == OPCODE_EXIT:
-            steps.append((_OP_EXIT, None, (), (), (), 0, "exit"))
-            continue
+    callees: list[str] = []
+    for instruction in program.instructions:
+        if instruction.opcode != OPCODE_ASSIGN or len(instruction.targets) > 1:
+            raise MALRuntimeError(
+                f"{program.name!r} is not straight-line: {instruction.opcode} "
+                f"{instruction.callee} (run guarded blocks in the interpreter)"
+            )
         try:
             func = registry.resolve(instruction.callee)
         except KeyError as exc:
@@ -273,14 +176,7 @@ def compile_program(
                 template.append(argument.value)
             else:
                 template.append(argument)
-        targets = tuple(intern(target) for target in instruction.targets)
-        if instruction.opcode == OPCODE_ASSIGN:
-            op, jump = _OP_ASSIGN, 0
-        elif instruction.opcode == OPCODE_BARRIER:
-            op, jump = _OP_BARRIER, blocks[index][1] + 1
-        else:
-            op, jump = _OP_REDO, blocks[index][0] + 1
-        steps.append(
-            (op, func, tuple(template), tuple(patches), targets, jump, instruction.callee)
-        )
-    return CompiledPlan(program.name, program.parameters, steps, slots, max_steps)
+        target = intern(instruction.targets[0]) if instruction.targets else None
+        steps.append((func, tuple(template), tuple(patches), target))
+        callees.append(instruction.callee)
+    return CompiledPlan(program.name, program.parameters, steps, slots, callees)

@@ -241,16 +241,19 @@ def projection(column: BAT, oids: np.ndarray) -> np.ndarray:
     view the storage layer keeps over it and its pending inserts.  An oid the
     column does not hold is dropped — never wrapped around, as a negative
     numpy index would be — and an empty operand yields an empty array of the
-    column's dtype.
+    column's dtype.  The answer is always a fresh array, shared with nothing.
     """
     if column.merged is not None:
         column = column.merged
+    tail = column.tail
     if oids.size == 0:
-        return column.tail[:0]
-    first, end = column.hseqbase, column.hseqbase + column.count
-    if oids.min() < first or oids.max() >= end:
-        oids = oids[(oids >= first) & (oids < end)]
-    return gather(column, oids)
+        return np.empty(0, dtype=tail.dtype)
+    positions = oids - column.hseqbase if column.hseqbase else oids
+    # One reduction checks both ends: viewed unsigned, a negative position is
+    # larger than any column.
+    if positions.astype(np.int64, copy=False).view(np.uint64).max() >= tail.size:
+        positions = positions[(positions >= 0) & (positions < tail.size)]
+    return tail[positions]
 
 
 def live_rows(

@@ -199,13 +199,14 @@ class BatPartitionManager:
         flag off and take the mask path — correct either way.
         """
         adaptive = handle.adaptive
-        records = adaptive.history.records
-        recorded = len(records)
         result = adaptive.select(
             *half_open_in_domain(adaptive.domain, low, high, include_low, include_high)
         )
-        self._charge(records, recorded)
-        return BAT.from_pairs(result.oids, result.values, tail_sorted=result.values_sorted)
+        # A select closes exactly one frame: charge the record it appended.
+        stats = adaptive.history.records[-1]
+        self.total_selection_seconds += stats.selection_seconds
+        self.total_adaptation_seconds += stats.adaptation_seconds
+        return BAT(result.values, result.oids, tail_sorted=result.values_sorted)
 
     def select_many(
         self, table: str, column: str, sql_bounds: Sequence[tuple[float, float, bool, bool]]

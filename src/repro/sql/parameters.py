@@ -166,29 +166,35 @@ class BindingSpec:
         return values
 
     def _bind_positional(self, parameters: Any) -> tuple[float, ...]:
-        if parameters is None:
-            parameters = ()
-        if isinstance(parameters, Mapping):
-            raise BindError(
-                "statement uses positional '?' placeholders; "
-                "got a named parameter mapping"
-            )
-        # Any sized, indexable container works — tuples, lists, numpy arrays
-        # (which are not abc.Sequence) — but not a bare scalar, a string, or
-        # an unordered container (a set would bind in hash order).
-        if (
-            isinstance(parameters, (str, bytes))
-            or not hasattr(parameters, "__len__")
-            or not hasattr(parameters, "__getitem__")
-        ):
-            raise BindError(
-                f"parameters must be an ordered sequence, got {type(parameters).__name__}"
-            )
+        if type(parameters) is not tuple and type(parameters) is not list:
+            if parameters is None:
+                parameters = ()
+            if isinstance(parameters, Mapping):
+                raise BindError(
+                    "statement uses positional '?' placeholders; "
+                    "got a named parameter mapping"
+                )
+            # Any sized, indexable container works — tuples, lists, numpy arrays
+            # (which are not abc.Sequence) — but not a bare scalar, a string, or
+            # an unordered container (a set would bind in hash order).
+            if (
+                isinstance(parameters, (str, bytes))
+                or not hasattr(parameters, "__len__")
+                or not hasattr(parameters, "__getitem__")
+            ):
+                raise BindError(
+                    f"parameters must be an ordered sequence, got {type(parameters).__name__}"
+                )
         if len(parameters) != self.count:
             raise BindError(
                 f"statement takes {self.count} parameter(s), got {len(parameters)}"
             )
-        return tuple(self._coerce(value, key) for key, value in zip(self.keys, parameters))
+        # An exact, non-NaN float is its own coercion.
+        coerce = self._coerce
+        return tuple([
+            value if type(value) is float and value == value else coerce(value, key)
+            for key, value in zip(self.keys, parameters)
+        ])
 
     def _bind_named(self, parameters: Any) -> tuple[float, ...]:
         if not isinstance(parameters, Mapping):

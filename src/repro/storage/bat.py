@@ -24,6 +24,10 @@ import numpy as np
 from repro.util.sorted_search import sorted_probe
 
 
+#: The oid dtype of a materialized head.
+_OID = np.dtype(np.int64)
+
+
 class BAT:
     """A binary association table with an optional void (dense) head.
 
@@ -66,11 +70,15 @@ class BAT:
         name: str = "",
         tail_sorted: bool = False,
     ) -> None:
-        tail = np.asarray(tail)
+        # Exact-type checks first: BATs are built on every query, and
+        # ``np.asarray`` of an array that already fits costs a call for nothing.
+        if type(tail) is not np.ndarray:
+            tail = np.asarray(tail)
         if tail.ndim != 1:
             raise ValueError("a BAT tail must be a one-dimensional array")
         if head is not None:
-            head = np.asarray(head, dtype=np.int64)
+            if type(head) is not np.ndarray or head.dtype is not _OID:
+                head = np.asarray(head, dtype=np.int64)
             if head.ndim != 1:
                 raise ValueError("a BAT head must be a one-dimensional array")
             if head.size != tail.size:

@@ -41,8 +41,10 @@ def sorted_probe(values: np.ndarray, value: float, side: str = "left") -> int:
             return 0
         if target > info.max:
             return int(values.size)
-        return int(np.searchsorted(values, values.dtype.type(target), side="left"))
-    return int(np.searchsorted(values, value, side=side))
+        return int(values.searchsorted(values.dtype.type(target), side="left"))
+    # The method, not ``np.searchsorted``: the same search without the two
+    # Python-level dispatch frames in front of it.
+    return int(values.searchsorted(value, side=side))
 
 
 def sorted_probe_many(values: np.ndarray, probes: np.ndarray, side: str = "left") -> np.ndarray:

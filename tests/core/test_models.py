@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.models import (
     AdaptivePageModel,
     GaussianDice,
     SplitAction,
+    SplitDecision,
     model_from_name,
 )
 from repro.core.ranges import ValueRange
 from repro.core.segment import Segment
 from repro.util.units import KB
+from tests.support.apm_oracle import ReferenceAdaptivePageModel
 
 
 def uniform_segment(low: float, high: float, count: int) -> Segment:
@@ -144,6 +148,79 @@ class TestAdaptivePageModel:
         model = AdaptivePageModel(m_min=3 * KB, m_max=12 * KB)
         decision = model.decide(ValueRange(0, 1000), segment, total_bytes=segment.size_bytes)
         assert not decision.should_split
+
+
+def _bound(draw, low: float, high: float) -> float:
+    """A query bound on, inside or outside the segment ``[low, high)``."""
+    return draw(st.one_of(
+        st.sampled_from([low, high]),
+        st.floats(low, high) if low < high else st.just(low),
+        st.floats(low - 1e4, low),
+        st.floats(high, high + 1e4),
+    ))
+
+
+@st.composite
+def _decisions(draw):
+    """``(segment, query, m_min, m_max)``: what one APM decision sees."""
+    low = draw(st.floats(-1e6, 1e6))
+    high = low + draw(st.one_of(st.just(0.0), st.floats(1e-9, 1e6)))
+    segment = Segment(
+        ValueRange(low, high),
+        value_width=draw(st.sampled_from([1, 2, 4, 8])),
+        estimated_count=draw(st.one_of(st.integers(0, 40_000), st.floats(0.0, 40_000.0))),
+    )
+    first, second = _bound(draw, low, high), _bound(draw, low, high)
+    if draw(st.booleans()):
+        second = first  # a point query
+    query = ValueRange(min(first, second), max(first, second))
+    # Sometimes a piece lands exactly on Mmin: rule 2's comparison is then decisive.
+    points = segment.vrange.interior_points([query.low, query.high])
+    pieces = [
+        size for size in ReferenceAdaptivePageModel(1.0, 2.0)._piece_sizes(segment, points)
+        if size >= 1.0
+    ]
+    m_min = draw(st.floats(1.0, 64 * KB) | st.sampled_from(pieces or [1.0]))
+    return segment, query, m_min, m_min * draw(st.floats(1.001, 64.0))
+
+
+class TestDecisionOracle:
+    """The inlined ``decide`` returns what the helper-based form returned."""
+
+    @given(case=_decisions())
+    @settings(max_examples=600, deadline=None)
+    def test_decide_equals_the_reference(self, case):
+        segment, query, m_min, m_max = case
+        total = max(segment.size_bytes, 1.0)
+        expected = ReferenceAdaptivePageModel(m_min, m_max).decide(
+            query, segment, total_bytes=total
+        )
+        decision = AdaptivePageModel(m_min, m_max).decide(query, segment, total_bytes=total)
+        assert (decision.action, decision.points) == (expected.action, expected.points)
+
+    def test_every_rule_is_reached(self):
+        """The property's ranges reach all three rules and both kinds of no-split."""
+        reached = set()
+        model, reference = AdaptivePageModel(3 * KB, 12 * KB), ReferenceAdaptivePageModel(
+            3 * KB, 12 * KB
+        )
+        for count, (low, high) in [
+            (100, (20, 60)), (4096, (400, 600)), (4096, (500, 505)), (1024, (500, 505)),
+            (4096, (0, 1000)), (4096, (-5, 2000)),
+        ]:
+            segment = uniform_segment(0, 1000, count)
+            decision = model.decide(ValueRange(low, high), segment, total_bytes=32 * KB)
+            expected = reference.decide(ValueRange(low, high), segment, total_bytes=32 * KB)
+            assert decision == expected
+            reached.add(decision.action)
+        assert reached == set(SplitAction)
+
+    def test_no_split_is_one_shared_decision(self):
+        model = AdaptivePageModel(3 * KB, 12 * KB)
+        segment = uniform_segment(0, 1000, 100)
+        first = model.decide(ValueRange(20, 60), segment, total_bytes=KB)
+        second = model.decide(ValueRange(0, 1000), segment, total_bytes=KB)
+        assert first is second is SplitDecision.no_split()
 
 
 class TestModelFactory:

@@ -104,7 +104,7 @@ class TestTheShortPath:
         if strategy is not None:
             database.enable_adaptive("p", "ra", strategy=strategy)
         prepared = database.prepare_statement(self.SQL)
-        counts = prepared.compiled.opcode_counts([1] * len(prepared.compiled))
+        counts = prepared.compiled.opcode_counts
         assert len(prepared.compiled) == 8
         assert not counts.keys() & {
             "algebra.kunion", "algebra.kdifference", "algebra.markT", "algebra.join",

@@ -7,6 +7,7 @@ from repro.mal.compiled import CompiledPlan, compile_program
 from repro.mal.interpreter import Interpreter, MALRuntimeError
 from repro.mal.modules import ModuleRegistry
 from repro.mal.program import Const, Instruction, MALProgram, Var
+from tests.support import block_plan
 
 
 class _Context:
@@ -91,8 +92,9 @@ class TestStraightLine:
                 args=(Const(1), Const(2)),
             )
         )
-        plan = compile_program(program, make_registry())
-        env = plan.run(_Context())
+        with pytest.raises(MALRuntimeError, match="not straight-line"):
+            compile_program(program, make_registry())
+        env = block_plan.compile_program(program, make_registry()).run(_Context())
         assert (env["a"], env["b"]) == (2, 1)
 
     def test_undefined_variable_raises(self):
@@ -110,15 +112,22 @@ class TestStraightLine:
 
 
 class TestBarrierBlocks:
+    """Guarded blocks run in the interpreter and the block-plan oracle, never compiled."""
+
+    def test_the_product_compiler_rejects_guarded_blocks(self):
+        registry, _ = make_loop_registry([1])
+        with pytest.raises(MALRuntimeError, match="not straight-line"):
+            compile_program(loop_program(), registry)
+
     def test_loop_visits_every_item(self):
         registry, _ = make_loop_registry([10, 20, 30])
-        plan = compile_program(loop_program(), registry)
+        plan = block_plan.compile_program(loop_program(), registry)
         env = plan.run(_Context())
         assert env["all"] == [10, 20, 30]
 
     def test_empty_iterator_skips_block(self):
         registry, sink = make_loop_registry([])
-        plan = compile_program(loop_program(), registry)
+        plan = block_plan.compile_program(loop_program(), registry)
         env = plan.run(_Context())
         assert env["all"] == []
         assert sink == []
@@ -131,7 +140,7 @@ class TestBarrierBlocks:
         barrier = builder.barrier("iter", "new", target="item")
         builder.redo(barrier, "iter", "next")
         builder.exit(barrier)
-        plan = compile_program(builder.build(), registry, max_steps=1000)
+        plan = block_plan.compile_program(builder.build(), registry, max_steps=1000)
         with pytest.raises(MALRuntimeError, match="exceeded"):
             plan.run(_Context())
 
@@ -140,7 +149,7 @@ class TestBarrierBlocks:
             registry, _ = make_loop_registry(items)
             interpreted = Interpreter(registry).run(loop_program(), _Context())
             registry, _ = make_loop_registry(items)
-            compiled = compile_program(loop_program(), registry).run(_Context())
+            compiled = block_plan.compile_program(loop_program(), registry).run(_Context())
             assert interpreted == compiled
 
 
@@ -150,13 +159,12 @@ class TestOpcodeCounters:
         first = builder.call("calc", "const", Const(5))
         builder.call("calc", "add", builder.var(first), Const(3))
         plan = compile_program(builder.build(), make_registry())
-        counts = plan.new_counters()
-        plan.execute(_Context(), None, counts)
-        assert plan.opcode_counts(counts) == {"calc.const": 1, "calc.add": 1}
+        plan.run(_Context())
+        assert plan.opcode_counts == {"calc.const": 1, "calc.add": 1}
 
     def test_loop_counts_reflect_iterations(self):
         registry, _ = make_loop_registry([10, 20, 30])
-        plan = compile_program(loop_program(), registry)
+        plan = block_plan.compile_program(loop_program(), registry)
         counts = plan.new_counters()
         plan.execute(_Context(), None, counts)
         aggregated = plan.opcode_counts(counts)
@@ -167,7 +175,7 @@ class TestOpcodeCounters:
 
     def test_skipped_block_counts_nothing_inside(self):
         registry, _ = make_loop_registry([])
-        plan = compile_program(loop_program(), registry)
+        plan = block_plan.compile_program(loop_program(), registry)
         counts = plan.new_counters()
         plan.execute(_Context(), None, counts)
         aggregated = plan.opcode_counts(counts)
@@ -203,16 +211,15 @@ class TestBoundExecution:
     def test_execute_bound_matches_execute(self):
         plan = self._plan()
         slots = plan.parameter_slots()
-        by_name = plan.execute(_Context(), {"__p0": 2.0, "__p1": 3.0})
+        by_name = plan.run(_Context(), {"__p0": 2.0, "__p1": 3.0})
         by_slot = plan.execute_bound(_Context(), slots, (2.0, 3.0))
-        assert by_slot == by_name
+        assert by_slot == [by_name[name] for name in ("__p0", "__p1", "out")]
         assert by_slot[plan.slot_of("out")] == 5.0
 
     def test_execute_bound_counts_instructions(self):
         plan = self._plan()
-        counts = plan.new_counters()
-        plan.execute_bound(_Context(), plan.parameter_slots(), (1.0, 1.0), counts)
-        assert sum(counts) == len(plan)
+        plan.execute_bound(_Context(), plan.parameter_slots(), (1.0, 1.0))
+        assert sum(plan.opcode_counts.values()) == len(plan)
 
     def test_missing_binding_raises_undefined_variable(self):
         plan = self._plan()

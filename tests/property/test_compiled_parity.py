@@ -1,9 +1,11 @@
-"""Property tests: CompiledPlan and Interpreter.run are semantically identical.
+"""Property tests: compiled plans and Interpreter.run are semantically identical.
 
-Satellite of the compiled-fast-path PR: the slot-based executor must produce
-the same final variable environments and the same per-query ``QueryStats`` as
-the tree-walking interpreter — including across the segment optimizer's
-barrier/redo/exit iterator rewrites, where the control flow actually loops.
+The slot-based runners must produce the same final variable environments and
+the same per-query ``QueryStats`` as the tree-walking interpreter.  Across the
+segment optimizer's barrier/redo/exit iterator rewrites, where the control
+flow actually loops, the block-plan oracle (``tests/support/block_plan.py``)
+is held against it; the product's straight-line ``CompiledPlan`` runs only
+lowerings.
 
 A prepared plan carries one compiled plan: the lowering of the Figure-1 plan
 (``repro.optimizer.delta_elision``).  The interpreter runs the full Figure-1
@@ -23,13 +25,13 @@ from repro.engine.database import Database
 from repro.engine.execution import ExecutionContext
 from repro.mal import operators
 from repro.mal.builder import ProgramBuilder
-from repro.mal.compiled import compile_program
 from repro.mal.interpreter import Interpreter
 from repro.mal.modules import ModuleRegistry
 from repro.mal.program import Var
 from repro.sql.parser import parse
 from repro.storage.bat import BAT
 from repro.util.units import KB
+from tests.support.block_plan import compile_program
 
 #: QueryStats fields compared across executors (wall-clock timings excluded).
 _STATS_FIELDS = [
@@ -233,8 +235,7 @@ def test_compiled_plan_is_reusable_across_contexts():
     """One compiled plan, many executions: no state bleeds between runs."""
     db = _build_database()
     sql = "SELECT objid FROM p WHERE ra BETWEEN 100.0 AND 120.0"
-    plan = compile_program(db.optimizer.optimize(db.compiler.compile(parse(sql))),
-                           db.registry)
+    plan = db.prepare_statement(sql).compiled
     first_context = ExecutionContext(catalog=db.catalog)
     plan.run(first_context)
     first = first_context.exported_columns()
