@@ -52,6 +52,8 @@ class _FetchCursor(Generic[_Result]):
         self._result_index = 0
         self._row_index = 0
         self._description: list[tuple] | None = None
+        #: Whether ``_description`` still has to be read off the first result.
+        self._undescribed = False
         self._rowcount = -1
 
     # -- state ----------------------------------------------------------------
@@ -71,6 +73,7 @@ class _FetchCursor(Generic[_Result]):
         self._closed = True
         self._results = []
         self._description = None
+        self._undescribed = False
 
     def _check_open(self) -> None:
         if self.closed:
@@ -82,8 +85,10 @@ class _FetchCursor(Generic[_Result]):
         self._results = results
         self._result_index = 0
         self._row_index = 0
-        self._description = self._describe(results[0]) if results else None
-        self._rowcount = sum(self._result_rows(result) for result in results)
+        # Built on first read: most callers fetch rows and never look at it.
+        self._description = None
+        self._undescribed = bool(results)
+        self._rowcount = sum(map(self._result_rows, results))
 
     @staticmethod
     def _describe(result: _Result) -> list[tuple]:
@@ -110,6 +115,9 @@ class _FetchCursor(Generic[_Result]):
     @property
     def description(self) -> list[tuple] | None:
         """Column metadata of the current result set (PEP 249 7-tuples)."""
+        if self._undescribed:
+            self._description = self._describe(self._results[0])
+            self._undescribed = False
         return self._description
 
     @property

@@ -9,14 +9,16 @@ argument and a dict store per target.  None of that work depends on the
 query's parameters, so :func:`compile_program` performs it exactly once:
 
 * callees are pre-resolved to their bound Python callables;
-* variable names are interned to integer slots in a flat environment list;
-* constant arguments are baked into per-instruction argument templates, with a
-  patch list saying which positions to fill from which slots.
+* variable names are interned to integer slots in a flat environment list,
+  and every constant argument gets a slot of its own, filled once;
+* each instruction's arguments become one ``operator.itemgetter`` over the
+  environment, which gathers them in a single C call.
 
-Executing the resulting :class:`CompiledPlan` does an argument patch and the
-call per instruction — no name resolution, no program counter, no
-per-instruction counters: since every step runs once, how often each callee
-runs is a property of the plan (:attr:`CompiledPlan.opcode_counts`).  Guarded
+Executing the resulting :class:`CompiledPlan` costs per instruction one
+gather and the call — no name resolution, no argument patching, no program
+counter, no per-instruction counters: since every step runs once, how often
+each callee runs is a property of the plan
+(:attr:`CompiledPlan.opcode_counts`).  Guarded
 blocks (``barrier`` / ``redo`` / ``exit``) and multi-target assignments occur
 only in the paper's Figure-1 plan, which the interpreter runs;
 :func:`compile_program` rejects them.  The lowering answers exactly what the
@@ -25,6 +27,7 @@ interpreter answers for the Figure-1 plan (property-tested).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from repro.mal.modules import ModuleRegistry
@@ -43,7 +46,10 @@ class CompiledPlan:
     at call time through :meth:`execute_bound`.
     """
 
-    __slots__ = ("name", "parameters", "opcode_counts", "_steps", "_slots", "_names")
+    __slots__ = (
+        "name", "parameters", "opcode_counts", "_steps", "_slots", "_names", "_inputs",
+        "_environment",
+    )
 
     def __init__(
         self,
@@ -52,11 +58,18 @@ class CompiledPlan:
         steps: list[tuple],
         slots: dict[str, int],
         callees: list[str],
+        inputs: tuple[int, ...],
+        constants: list[Any],
     ) -> None:
         self.name = name
         self.parameters = parameters
         self._steps = steps
         self._slots = slots
+        #: The slots some step reads before any step writes them, in first-read
+        #: order: the only ones a run can find unset.
+        self._inputs = inputs
+        #: A run's starting environment: every variable unset, then the constants.
+        self._environment = [_UNSET] * len(slots) + constants
         self._names = [name for name, _ in sorted(slots.items(), key=lambda item: item[1])]
         #: Executions per callee (``module.function``) of one run.
         self.opcode_counts: dict[str, int] = {}
@@ -97,23 +110,16 @@ class CompiledPlan:
         ``slots`` comes from :meth:`parameter_slots` (resolved at prepare
         time), so binding a query costs one list write per parameter.
         """
-        env: list[Any] = [_UNSET] * len(self._slots)
+        env = self._environment.copy()
         for index, value in zip(slots, values):
             env[index] = value
-        for func, template, patches, target in self._steps:
-            if patches:
-                args = list(template)
-                for position, slot in patches:
-                    value = env[slot]
-                    if value is _UNSET:
-                        raise MALRuntimeError(
-                            f"{self.name!r} references undefined variable "
-                            f"{self._names[slot]!r}"
-                        )
-                    args[position] = value
-                value = func(context, *args)
-            else:
-                value = func(context, *template)
+        for slot in self._inputs:
+            if env[slot] is _UNSET:
+                raise MALRuntimeError(
+                    f"{self.name!r} references undefined variable {self._names[slot]!r}"
+                )
+        for func, arguments, target in self._steps:
+            value = func(context, *arguments(env))
             if target is not None:
                 env[target] = value
         return env
@@ -130,9 +136,9 @@ class CompiledPlan:
         env = self.execute_bound(
             context, self.parameter_slots(names), tuple(variables[name] for name in names)
         )
-        for index, value in enumerate(env):
+        for name, value in zip(self._names, env):
             if value is not _UNSET:
-                variables[self._names[index]] = value
+                variables[name] = value
         return variables
 
 
@@ -143,19 +149,22 @@ def compile_program(program: MALProgram, registry: ModuleRegistry) -> CompiledPl
     interpreter would raise the same error at the first execution), as do
     guarded blocks and multi-target assignments (the interpreter runs those).
     """
+    # Variables take the first slots, in order of appearance; each constant
+    # argument gets one after them.
     slots: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        index = slots.get(name)
-        if index is None:
-            index = slots[name] = len(slots)
-        return index
-
     for parameter in program.parameters:
-        intern(parameter)
-
+        slots.setdefault(parameter, len(slots))
+    for instruction in program.instructions:
+        for argument in instruction.args:
+            if isinstance(argument, Var):
+                slots.setdefault(argument.name, len(slots))
+        for target in instruction.targets:
+            slots.setdefault(target, len(slots))
+    constants: list[Any] = []
     steps: list[tuple] = []
     callees: list[str] = []
+    written: set[int] = set()
+    inputs: dict[int, None] = {}  # ordered set
     for instruction in program.instructions:
         if instruction.opcode != OPCODE_ASSIGN or len(instruction.targets) > 1:
             raise MALRuntimeError(
@@ -166,17 +175,34 @@ def compile_program(program: MALProgram, registry: ModuleRegistry) -> CompiledPl
             func = registry.resolve(instruction.callee)
         except KeyError as exc:
             raise MALRuntimeError(str(exc)) from exc
-        template: list[Any] = []
-        patches: list[tuple[int, int]] = []
-        for position, argument in enumerate(instruction.args):
+        positions: list[int] = []
+        for argument in instruction.args:
             if isinstance(argument, Var):
-                template.append(_UNSET)
-                patches.append((position, intern(argument.name)))
-            elif isinstance(argument, Const):
-                template.append(argument.value)
+                slot = slots[argument.name]
+                if slot not in written:
+                    inputs[slot] = None
             else:
-                template.append(argument)
-        target = intern(instruction.targets[0]) if instruction.targets else None
-        steps.append((func, tuple(template), tuple(patches), target))
+                slot = len(slots) + len(constants)
+                constants.append(argument.value if isinstance(argument, Const) else argument)
+            positions.append(slot)
+        target = slots[instruction.targets[0]] if instruction.targets else None
+        if target is not None:
+            written.add(target)
+        steps.append((func, _gatherer(positions), target))
         callees.append(instruction.callee)
-    return CompiledPlan(program.name, program.parameters, steps, slots, callees)
+    return CompiledPlan(
+        program.name, program.parameters, steps, slots, callees, tuple(inputs), constants
+    )
+
+
+def _gatherer(positions: list[int]) -> Any:
+    """One C call that returns the environment entries at ``positions``, in order.
+
+    ``itemgetter`` of several indices returns a tuple; of fewer, a slice keeps
+    the result a sequence (a lone index would return the bare entry).
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0, 0))

@@ -250,8 +250,8 @@ def projection(column: BAT, oids: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=tail.dtype)
     positions = oids - column.hseqbase if column.hseqbase else oids
     # One reduction checks both ends: viewed unsigned, a negative position is
-    # larger than any column.
-    if positions.astype(np.int64, copy=False).view(np.uint64).max() >= tail.size:
+    # larger than any column (``maximum.reduce``: ``max`` without its wrapper).
+    if np.maximum.reduce(positions.astype(np.int64, copy=False).view(np.uint64)) >= tail.size:
         positions = positions[(positions >= 0) & (positions < tail.size)]
     return tail[positions]
 
