@@ -84,11 +84,6 @@ class SplitDecision:
 _NO_SPLIT = SplitDecision(SplitAction.NO_SPLIT)
 
 
-def _clip_points(query: ValueRange, segment_range: ValueRange) -> list[float]:
-    """Query bounds strictly inside the segment (the candidate cut points)."""
-    return segment_range.interior_points([query.low, query.high])
-
-
 class SegmentationModel(ABC):
     """Base class for segmentation models (GD, APM and extensions)."""
 
@@ -155,7 +150,8 @@ class GaussianDice(SegmentationModel):
         *,
         total_bytes: float,
     ) -> SplitDecision:
-        points = _clip_points(query, segment.vrange)
+        # The candidate cut points: the query bounds strictly inside the segment.
+        points = segment.vrange.interior_points([query.low, query.high])
         if not points or segment.size_bytes <= 0 or total_bytes <= 0:
             return SplitDecision.no_split()
         produced = query.intersect(segment.vrange)

@@ -259,7 +259,7 @@ class AdaptiveColumnBase:
         stats.segment_count = self.segment_count
         stats.storage_bytes = self.storage_bytes
         self._queries_executed += stats.batch_size
-        self.history.records.append(stats)
+        self.history.append(stats)
         self._after_frame(stats)
 
     def _after_frame(self, stats: QueryStats) -> None:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.mal.builder import ProgramBuilder
 from repro.mal.compiled import CompiledPlan, compile_program
-from repro.mal.interpreter import Interpreter, MALRuntimeError
+from tests.support.interpreter import Interpreter, MALRuntimeError
 from repro.mal.modules import ModuleRegistry
 from repro.mal.program import Const, Instruction, MALProgram, Var
 from tests.support import block_plan

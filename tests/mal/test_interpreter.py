@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mal.builder import ProgramBuilder
-from repro.mal.interpreter import Interpreter, MALRuntimeError
+from tests.support.interpreter import Interpreter, MALRuntimeError
 from repro.mal.modules import ModuleRegistry
 from repro.mal.program import Const, Instruction, MALProgram, Var
 

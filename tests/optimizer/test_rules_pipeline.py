@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.execution import ExecutionContext
 from repro.mal.builder import ProgramBuilder
-from repro.mal.interpreter import Interpreter
+from tests.support.interpreter import Interpreter
 from repro.mal.modules import default_registry
 from repro.mal.program import Const
 from repro.optimizer.delta_elision import (

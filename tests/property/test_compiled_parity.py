@@ -25,7 +25,7 @@ from repro.engine.database import Database
 from repro.engine.execution import ExecutionContext
 from repro.mal import operators
 from repro.mal.builder import ProgramBuilder
-from repro.mal.interpreter import Interpreter
+from tests.support.interpreter import Interpreter
 from repro.mal.modules import ModuleRegistry
 from repro.mal.program import Var
 from repro.sql.parser import parse

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.execution import ExecutionContext
-from repro.mal.interpreter import Interpreter
+from tests.support.interpreter import Interpreter
 from repro.mal.modules import default_registry
 from repro.sql.compiler import SQLCompiler
 from repro.sql.parser import parse

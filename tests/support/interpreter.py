@@ -1,10 +1,12 @@
-"""The MAL interpreter.
+"""The MAL interpreter: the oracle the compiled plans are held against.
 
 Executes a :class:`~repro.mal.program.MALProgram` against a module registry
 and an execution context.  Supports the barrier/redo/exit guarded blocks used
 by the segment optimizer's iterator rewrite (§3.1): a ``barrier`` whose call
 returns ``None`` skips its block entirely, a ``redo`` whose call returns a
-value loops back to the top of the block.
+value loops back to the top of the block.  The engine runs only the
+straight-line lowering (:mod:`repro.mal.compiled`); this runs the paper's
+Figure-1 plan in the parity tests.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.mal.program import (
     MALProgram,
     MALRuntimeError,
     Var,
-    match_blocks,
 )
 
 __all__ = ["Interpreter", "MALRuntimeError"]
@@ -120,12 +121,3 @@ class Interpreter:
             )
         for target, item in zip(instruction.targets, values):
             variables[target] = item
-
-    @staticmethod
-    def _match_blocks(program: MALProgram) -> dict[int, tuple[int, int]]:
-        """Map barrier/redo instruction indices to (barrier_index, exit_index).
-
-        Kept as a compatibility shim; the matching itself lives in
-        :func:`repro.mal.program.match_blocks` and is cached per program.
-        """
-        return match_blocks(program.instructions)
