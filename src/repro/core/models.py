@@ -223,8 +223,6 @@ class AdaptivePageModel(SegmentationModel):
         if low == high:
             points = [low] if seg_low < low < seg_high else []
         else:
-            if high < low:
-                low, high = high, low
             points = [point for point in (low, high) if seg_low < point < seg_high]
         if not points:
             return _NO_SPLIT

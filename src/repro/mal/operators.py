@@ -245,15 +245,16 @@ def projection(column: BAT, oids: np.ndarray) -> np.ndarray:
     """
     if column.merged is not None:
         column = column.merged
-    tail = column.tail
     if oids.size == 0:
-        return np.empty(0, dtype=tail.dtype)
+        return np.empty(0, dtype=column.tail.dtype)
+    size = column.count
     positions = oids - column.hseqbase if column.hseqbase else oids
     # One reduction checks both ends: viewed unsigned, a negative position is
     # larger than any column (``maximum.reduce``: ``max`` without its wrapper).
-    if np.maximum.reduce(positions.astype(np.int64, copy=False).view(np.uint64)) >= tail.size:
-        positions = positions[(positions >= 0) & (positions < tail.size)]
-    return tail[positions]
+    unsigned = positions.astype(np.int64, copy=False).view(np.uint64)
+    if np.maximum.reduce(unsigned) >= size:
+        oids = oids[(positions >= 0) & (positions < size)]
+    return gather(column, oids)
 
 
 def live_rows(

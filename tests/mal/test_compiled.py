@@ -7,7 +7,6 @@ from repro.mal.compiled import CompiledPlan, compile_program
 from tests.support.interpreter import Interpreter, MALRuntimeError
 from repro.mal.modules import ModuleRegistry
 from repro.mal.program import Const, Instruction, MALProgram, Var
-from tests.support import block_plan
 
 
 class _Context:
@@ -94,7 +93,7 @@ class TestStraightLine:
         )
         with pytest.raises(MALRuntimeError, match="not straight-line"):
             compile_program(program, make_registry())
-        env = block_plan.compile_program(program, make_registry()).run(_Context())
+        env = Interpreter(make_registry()).run(program, _Context())  # where it runs
         assert (env["a"], env["b"]) == (2, 1)
 
     def test_undefined_variable_raises(self):
@@ -112,45 +111,12 @@ class TestStraightLine:
 
 
 class TestBarrierBlocks:
-    """Guarded blocks run in the interpreter and the block-plan oracle, never compiled."""
+    """Guarded blocks run in the interpreter (``tests/mal/test_interpreter.py``)."""
 
     def test_the_product_compiler_rejects_guarded_blocks(self):
         registry, _ = make_loop_registry([1])
         with pytest.raises(MALRuntimeError, match="not straight-line"):
             compile_program(loop_program(), registry)
-
-    def test_loop_visits_every_item(self):
-        registry, _ = make_loop_registry([10, 20, 30])
-        plan = block_plan.compile_program(loop_program(), registry)
-        env = plan.run(_Context())
-        assert env["all"] == [10, 20, 30]
-
-    def test_empty_iterator_skips_block(self):
-        registry, sink = make_loop_registry([])
-        plan = block_plan.compile_program(loop_program(), registry)
-        env = plan.run(_Context())
-        assert env["all"] == []
-        assert sink == []
-
-    def test_runaway_loop_is_stopped(self):
-        registry = make_registry()
-        registry.register("iter", "new", lambda ctx: 1)
-        registry.register("iter", "next", lambda ctx: 1)  # never returns None
-        builder = ProgramBuilder("forever")
-        barrier = builder.barrier("iter", "new", target="item")
-        builder.redo(barrier, "iter", "next")
-        builder.exit(barrier)
-        plan = block_plan.compile_program(builder.build(), registry, max_steps=1000)
-        with pytest.raises(MALRuntimeError, match="exceeded"):
-            plan.run(_Context())
-
-    def test_matches_interpreter_environment(self):
-        for items in ([], [1], [5, 6, 7]):
-            registry, _ = make_loop_registry(items)
-            interpreted = Interpreter(registry).run(loop_program(), _Context())
-            registry, _ = make_loop_registry(items)
-            compiled = block_plan.compile_program(loop_program(), registry).run(_Context())
-            assert interpreted == compiled
 
 
 class TestOpcodeCounters:
@@ -161,26 +127,6 @@ class TestOpcodeCounters:
         plan = compile_program(builder.build(), make_registry())
         plan.run(_Context())
         assert plan.opcode_counts == {"calc.const": 1, "calc.add": 1}
-
-    def test_loop_counts_reflect_iterations(self):
-        registry, _ = make_loop_registry([10, 20, 30])
-        plan = block_plan.compile_program(loop_program(), registry)
-        counts = plan.new_counters()
-        plan.execute(_Context(), None, counts)
-        aggregated = plan.opcode_counts(counts)
-        assert aggregated["iter.collect"] == 3
-        assert aggregated["iter.next"] == 3  # two redo loops + the final None
-        assert aggregated["iter.new"] == 1
-        assert aggregated["exit"] == 1
-
-    def test_skipped_block_counts_nothing_inside(self):
-        registry, _ = make_loop_registry([])
-        plan = block_plan.compile_program(loop_program(), registry)
-        counts = plan.new_counters()
-        plan.execute(_Context(), None, counts)
-        aggregated = plan.opcode_counts(counts)
-        assert "iter.collect" not in aggregated
-        assert aggregated["iter.new"] == 1
 
 
 class TestSlots:

@@ -1,11 +1,8 @@
-"""Property tests: compiled plans and Interpreter.run are semantically identical.
+"""Property tests: the compiled lowering and Interpreter.run answer alike.
 
-The slot-based runners must produce the same final variable environments and
-the same per-query ``QueryStats`` as the tree-walking interpreter.  Across the
-segment optimizer's barrier/redo/exit iterator rewrites, where the control
-flow actually loops, the block-plan oracle (``tests/support/block_plan.py``)
-is held against it; the product's straight-line ``CompiledPlan`` runs only
-lowerings.
+The slot-based ``CompiledPlan`` runs straight-line lowerings only; the
+tree-walking interpreter runs the paper's Figure-1 plan, the segment
+optimizer's barrier/redo/exit iterator rewrite included, and is the oracle.
 
 A prepared plan carries one compiled plan: the lowering of the Figure-1 plan
 (``repro.optimizer.delta_elision``).  The interpreter runs the full Figure-1
@@ -24,14 +21,10 @@ from repro.core.accounting import QueryStats
 from repro.engine.database import Database
 from repro.engine.execution import ExecutionContext
 from repro.mal import operators
-from repro.mal.builder import ProgramBuilder
-from tests.support.interpreter import Interpreter
-from repro.mal.modules import ModuleRegistry
-from repro.mal.program import Var
 from repro.sql.parser import parse
 from repro.storage.bat import BAT
 from repro.util.units import KB
-from tests.support.block_plan import compile_program
+from tests.support.interpreter import Interpreter
 
 #: QueryStats fields compared across executors (wall-clock timings excluded).
 _STATS_FIELDS = [
@@ -40,69 +33,7 @@ _STATS_FIELDS = [
 
 
 # ---------------------------------------------------------------------------
-# Synthetic barrier programs: arbitrary item streams through a redo loop
-# ---------------------------------------------------------------------------
-
-
-def _loop_registry(items: list[int]) -> ModuleRegistry:
-    registry = ModuleRegistry()
-    state = {"position": 0}
-    collected: list[int] = []
-
-    def new_iterator(ctx, *args):
-        state["position"] = 0
-        return advance(ctx)
-
-    def advance(ctx, *args):
-        if state["position"] >= len(items):
-            return None
-        item = items[state["position"]]
-        state["position"] += 1
-        return item
-
-    registry.register("iter", "new", new_iterator)
-    registry.register("iter", "next", advance)
-    registry.register("calc", "add", lambda ctx, a, b: a + b)
-    registry.register("iter", "collect", lambda ctx, value: collected.append(value))
-    registry.register("iter", "sink", lambda ctx: list(collected))
-    return registry
-
-
-def _loop_program(offset: int):
-    builder = ProgramBuilder("loop", parameters=("A0",))
-    barrier = builder.barrier("iter", "new", target="item")
-    builder.call("calc", "add", Var("item"), Var("A0"), target="shifted")
-    builder.effect("iter", "collect", Var("shifted"))
-    builder.redo(barrier, "iter", "next")
-    builder.exit(barrier)
-    builder.call("iter", "sink", target="all")
-    builder.call("calc", "add", Var("A0"), builder.const(offset), target="tail_value")
-    return builder.build()
-
-
-class _PlainContext:
-    variables: dict = {}
-
-
-@given(
-    items=st.lists(st.integers(-1000, 1000), max_size=12),
-    offset=st.integers(-5, 5),
-    argument=st.integers(-100, 100),
-)
-@settings(max_examples=60, deadline=None)
-def test_barrier_loop_environments_match(items, offset, argument):
-    program = _loop_program(offset)
-    interpreted = Interpreter(_loop_registry(items)).run(
-        program, _PlainContext(), {"A0": argument}
-    )
-    compiled = compile_program(program, _loop_registry(items)).run(
-        _PlainContext(), {"A0": argument}
-    )
-    assert interpreted == compiled
-
-
-# ---------------------------------------------------------------------------
-# Engine plans: the segment optimizer's iterator rewrite, end to end
+# Engine plans: the lowering against the Figure-1 plan, end to end
 # ---------------------------------------------------------------------------
 
 _N_ROWS = 4_000
@@ -144,64 +75,8 @@ def _build_database(organisation: str | None = "segmentation", pending: bool = F
     return db
 
 
-def _normalize(value):
-    """A comparable representation of a MAL environment value."""
-    if isinstance(value, BAT):
-        return ("BAT", value.head.tolist(), value.tail.tolist())
-    if isinstance(value, (list, tuple)):
-        return tuple(_normalize(item) for item in value)
-    if hasattr(value, "qualified_name"):  # AdaptiveColumnHandle
-        return ("handle", value.qualified_name)
-    return value
-
-
 def _stats_tuple(stats: QueryStats) -> tuple:
     return tuple(getattr(stats, field) for field in _STATS_FIELDS)
-
-
-# Lows start below the data domain: a range entirely under it answers empty.
-queries = st.lists(
-    st.tuples(
-        st.floats(-60.0, 350.0, allow_nan=False, allow_infinity=False),
-        st.floats(0.01, 30.0, allow_nan=False, allow_infinity=False),
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-@given(queries=queries)
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_engine_iterator_rewrites_match_interpreter(queries):
-    """Same env and same QueryStats, query by query, on two identical databases."""
-    interpreted_db = _build_database()
-    compiled_db = _build_database()
-    for low, width in queries:
-        sql = f"SELECT objid FROM p WHERE ra BETWEEN {low!r} AND {low + width!r}"
-
-        plan_a = interpreted_db.optimizer.optimize(
-            interpreted_db.compiler.compile(parse(sql))
-        )
-        context_a = ExecutionContext(catalog=interpreted_db.catalog)
-        env_a = Interpreter(interpreted_db.registry).run(plan_a, context_a)
-
-        plan_b = compiled_db.optimizer.optimize(compiled_db.compiler.compile(parse(sql)))
-        context_b = ExecutionContext(catalog=compiled_db.catalog)
-        env_b = compile_program(plan_b, compiled_db.registry).run(context_b)
-
-        assert set(env_a) == set(env_b)
-        for name in env_a:
-            assert _normalize(env_a[name]) == _normalize(env_b[name]), name
-        assert context_a.exported_columns().keys() == context_b.exported_columns().keys()
-        for name, column in context_a.exported_columns().items():
-            assert np.array_equal(column, context_b.exported_columns()[name])
-
-    history_a = interpreted_db.adaptive_handle("p", "ra").adaptive.history
-    history_b = compiled_db.adaptive_handle("p", "ra").adaptive.history
-    assert len(history_a) == len(history_b) == len(queries)
-    for stats_a, stats_b in zip(history_a, history_b):
-        assert _stats_tuple(stats_a) == _stats_tuple(stats_b)
 
 
 def test_database_execute_matches_interpreter_results():
