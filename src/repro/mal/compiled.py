@@ -108,7 +108,8 @@ class CompiledPlan:
         """Run the plan seeding ``env[slots[i]] = values[i]``; the final environment.
 
         ``slots`` comes from :meth:`parameter_slots` (resolved at prepare
-        time), so binding a query costs one list write per parameter.
+        time), so binding a query costs one list write per parameter.  The
+        environment lists the variables' slots, then the plan's constants.
         """
         env = self._environment.copy()
         for index, value in zip(slots, values):

@@ -44,14 +44,14 @@ def connection():
     statement = connection.prepare(SQL)
     for low in rng.uniform(0.0, 359.0, 400):  # warm: the column has adapted
         statement.execute((low, low + 1.0))
-    connection.ra = ra
     yield connection
     connection.close()
 
 
 def expected(connection, low: float, high: float) -> list[int]:
-    """The brute-force answer: every objid whose ra lies in ``[low, high]``."""
-    return np.flatnonzero((connection.ra >= low) & (connection.ra <= high)).tolist()
+    """The brute-force answer over the stored column: objids with ra in ``[low, high]``."""
+    ra = connection.database.catalog.column("p", "ra").bind(0).tail
+    return np.flatnonzero((ra >= low) & (ra <= high)).tolist()
 
 
 def prepared(connection, low, high):

@@ -96,6 +96,16 @@ class TestStraightLine:
         env = Interpreter(make_registry()).run(program, _Context())  # where it runs
         assert (env["a"], env["b"]) == (2, 1)
 
+    def test_calls_with_no_one_or_many_arguments(self):
+        registry = make_registry()
+        registry.register("calc", "zero", lambda ctx: 0)
+        builder = ProgramBuilder("arity", parameters=("A0",))
+        zero = builder.call("calc", "zero")
+        one = builder.call("calc", "const", Var("A0"))
+        builder.call("calc", "add", builder.var(zero), builder.var(one), target="out")
+        env = compile_program(builder.build(), registry).run(_Context(), {"A0": 7})
+        assert env["out"] == 7
+
     def test_undefined_variable_raises(self):
         builder = ProgramBuilder("demo")
         builder.call("calc", "const", Var("missing"))
