@@ -55,7 +55,7 @@ class ReplicaHealth(enum.Enum):
 
 
 def clone_database(source: Database) -> Database:
-    """A fresh :class:`Database` with the same tables, data, adaptive setup and reader fan-out.
+    """A fresh :class:`Database` with the same tables, data, adaptive setup and knobs.
 
     Data arrays are **copied** (replicas must not share base arrays: each
     replica's adaptive strategy reorganizes its own copy) and adaptive
@@ -64,7 +64,9 @@ def clone_database(source: Database) -> Database:
     free to diverge from the source as it serves its own workload slice.
     Pending deltas are carried, not flushed: level 0 is bulk-loaded and the
     source's insert tail and deleted oids are replayed onto the clone, so a
-    fleet that has taken writes can still rebuild a replica.
+    fleet that has taken writes can still rebuild a replica.  The source's
+    live knobs are applied through :meth:`Database.set_knobs`, so a rebuilt
+    replica keeps what an operator set on the fleet.
     """
     configs = source.adaptive_configs()
     for handle in source.bpm.handles():
@@ -74,7 +76,6 @@ def clone_database(source: Database) -> Database:
                 "a model instance; only string-named models can be cloned"
             )
     clone = Database(plan_cache_size=source.plan_cache.capacity)
-    clone.read_workers = source.read_workers
     for table in source.table_names():
         schema = source.catalog.schema(table)
         clone.create_table(
@@ -96,6 +97,9 @@ def clone_database(source: Database) -> Database:
             {name: column.bind(1).tail.copy() for name, column in store.columns.items()}
         )
         target.delete(store.deletion_bat.tail)
+    # The donor's live knobs, where they differ from the enable-time ones.
+    live, fresh = source.knobs(), clone.knobs()
+    clone.set_knobs({name: value for name, value in live.items() if fresh[name] != value})
     return clone
 
 

@@ -90,6 +90,8 @@ class ReplicatedColumn(AdaptiveColumnBase):
                 f"({self.total_bytes:g} bytes), got {storage_budget:g}"
             )
         self.storage_budget = storage_budget
+        #: The budget the column was enabled with (the knob row's default).
+        self.enabled_budget = storage_budget
         self.peak_storage_bytes = self.total_bytes
 
     # -- public API --------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.sql.parameters import (
 )
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
+from repro.tuning import knobs as tuning
 from repro.util.units import KB
 
 
@@ -203,21 +204,14 @@ class Database:
 
     # -- knobs -----------------------------------------------------------------
 
-    def knob_registry(self):
-        """The engine's live knob surface (see :mod:`repro.tuning.knobs`).
-
-        Built fresh on every call so knobs appear and disappear with the
-        adaptive registrations that carry them (an APM column brings the
-        split-threshold pair, a budgeted replication column brings the
-        storage budget).
-        """
-        from repro.tuning.knobs import database_knobs
-
-        return database_knobs(self)
-
     def knobs(self) -> dict[str, float]:
-        """Current value of every storage-model knob on this engine."""
-        return self.knob_registry().knobs()
+        """Current value of every knob on this engine (see :mod:`repro.tuning.knobs`).
+
+        ``read_workers`` is always there; the APM bound pair appears once an
+        APM column is registered, the storage budget once a replication
+        column was given one.
+        """
+        return {row["name"]: row["value"] for row in tuning.knob_table(self)}
 
     def set_knobs(self, values: dict[str, Any]) -> dict[str, float]:
         """Validate and apply knob changes; returns the new knob vector.
@@ -229,7 +223,7 @@ class Database:
         ``tests/tuning``).  Must run on the thread that owns the engine,
         like any other engine call.
         """
-        return self.knob_registry().set_knobs(values)
+        return tuning.set_knobs(self, values)
 
     def cache_stats(self) -> dict[str, Any]:
         """Plan-cache observability: the cache's counters and the batch executor's.

@@ -50,6 +50,7 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
+from repro.tuning.knobs import knob_table, set_knobs
 
 
 def result_payload(result: QueryResult) -> dict[str, Any]:
@@ -119,11 +120,8 @@ class ReproServer:
         # Each replica worker stays its engine's only adaptation owner;
         # read_workers only sizes the snapshot-reader fan-out inside
         # execute_wave (the router's clones copy it from the seed database).
-        # It obeys the same bounds as the ``read_workers`` knob.
-        from repro.tuning.knobs import read_workers_spec
-
-        spec = read_workers_spec(self.database)
-        spec.apply(spec.coerce(read_workers))
+        # It is the ``read_workers`` knob, set through the one knob path.
+        self.database.set_knobs({"read_workers": read_workers})
         knobs = dict(router_knobs or {})
         if injector is not None:
             knobs.setdefault("injector", injector)
@@ -233,18 +231,6 @@ class ReproServer:
     def admin_call(self, fn: Any, *args: Any) -> asyncio.Future:
         """Run ``fn(*args)`` on the admin thread, serialized with every other admin op."""
         return asyncio.get_running_loop().run_in_executor(self._admin, partial(fn, *args))
-
-    # -- knobs ----------------------------------------------------------------
-
-    def knob_registry(self):
-        """This server's full knob surface: the fleet's engines + router + admission.
-
-        Built fresh per call so columns made adaptive after server start are
-        covered.  It backs the ADMIN ``knobs`` / ``set_knobs`` ops.
-        """
-        from repro.tuning.knobs import server_knob_registry
-
-        return server_knob_registry(self.router, admission=self.admission)
 
 
 async def serve(
@@ -504,9 +490,9 @@ class _ClientConnection:
             elif op == "explain":
                 return router.explain(args["sql"])
             elif op == "knobs":
-                return self._server.knob_registry().table()
+                return knob_table(router, admission=self._server.admission)
             elif op == "set_knobs":
-                return self._server.knob_registry().set_knobs(args["values"])
+                return set_knobs(router, args["values"], admission=self._server.admission)
             elif op == "router_stats":
                 stats = router.router_stats()
                 for replica, depth in zip(

@@ -27,6 +27,7 @@ from repro.cluster import ReplicaHealth, ReplicaWorker, Router
 from repro.engine.database import Database
 from repro.fault import FaultInjector
 from repro.server import ReproServer
+from repro.util.units import KB
 
 SQL = "SELECT v FROM t WHERE v BETWEEN ? AND ?"
 N_ROWS = 2_000
@@ -246,11 +247,14 @@ class TestRebuild:
         finally:
             router.close()
 
-    def test_a_rebuilt_replica_keeps_the_read_workers_knob(self):
-        # Database.read_workers is the one switch: the clone copies its
-        # donor's, so a rebuild cannot fall back to a constructor value.
+    @pytest.mark.parametrize(
+        "name, value", [("read_workers", 3), ("apm_m_min", 2 * KB), ("apm_m_max", 16 * KB)]
+    )
+    def test_a_rebuilt_replica_keeps_the_fleet_knob(self, name, value):
+        # The clone applies its donor's live knobs, so a rebuild cannot fall
+        # back to a constructor or enable-time value.
         from repro.cluster.replica import clone_database
-        from repro.tuning.knobs import server_knob_registry
+        from repro.tuning.knobs import knob_table, set_knobs
 
         database = build_database(200)
         database.read_workers = 2
@@ -258,11 +262,17 @@ class TestRebuild:
         router = Router(database, 2)
         try:
             assert [r.database.read_workers for r in router.replicas] == [2, 2]
-            server_knob_registry(router).set_knobs({"read_workers": 3})
+            set_knobs(router, {name: value})
             router.quarantine_replica(1)
             assert router.rebuild_replica(1)["rebuilt"] is True
-            assert [r.database.read_workers for r in router.replicas] == [3, 3]
-            assert [r["read_workers"] for r in router.router_stats()["replicas"]] == [3, 3]
+            assert [r.database.knobs()[name] for r in router.replicas] == [value, value]
+            row = next(row for row in knob_table(router) if row["name"] == name)
+            assert row["value"] == value
+            workers = value if name == "read_workers" else 2
+            assert [r.database.read_workers for r in router.replicas] == [workers] * 2
+            assert [
+                r["read_workers"] for r in router.router_stats()["replicas"]
+            ] == [workers] * 2
         finally:
             router.close()
 

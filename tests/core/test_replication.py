@@ -9,7 +9,7 @@ from repro.core.interval_index import IndexSnapshot
 from repro.core.replica_tree import ReplicaNode, ReplicaTree
 from repro.core.replication import ReplicatedColumn
 from repro.engine.database import Database
-from repro.tuning.knobs import database_knobs
+from repro.tuning.knobs import knob_table
 from repro.util.units import KB
 from repro.workloads.generators import multimodal_workload
 from tests.conftest import TEST_DOMAIN, brute_force_count
@@ -291,10 +291,10 @@ class TestStorageBudget:
         column = database.adaptive_handle("t", "v").adaptive
         for query in multimodal_workload(200, (0.0, 1000.0), 0.02, n_modes=4, seed=29):
             column.select(query.low, query.high)
-        registry = database_knobs(database)
-        lowered = registry.spec("replication_storage_budget").low  # the column bytes
+        row = next(row for row in knob_table(database) if row["name"] == "replication_storage_budget")
+        lowered = row["low"]  # the column bytes
         assert column.storage_bytes > lowered
-        registry.set_knobs({"replication_storage_budget": lowered})
+        database.set_knobs({"replication_storage_budget": lowered})
         assert column.storage_budget == lowered
 
         got = column.select(100.0, 120.0)

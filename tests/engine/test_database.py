@@ -169,8 +169,9 @@ class TestOneExecutionCore:
     def test_the_fleet_keeps_no_option_nothing_sets(self, database):
         import inspect
 
+        import repro.tuning
         from repro.cluster import EngineReplica, Router
-        from repro.tuning.knobs import server_knob_registry
+        from repro.server import ReproServer
 
         def keywords(fn):
             return {
@@ -189,7 +190,14 @@ class TestOneExecutionCore:
         assert list(inspect.signature(EngineReplica.__init__).parameters) == [
             "self", "index", "database",
         ]
-        assert list(inspect.signature(server_knob_registry).parameters) == ["router", "admission"]
+        # One knob table and one set_knobs: the registry and its factories are gone.
+        for name in (
+            "KnobRegistry", "KnobSpec", "database_knobs", "router_knobs",
+            "admission_knobs", "server_knob_registry", "read_workers_spec", "_chain_apply",
+        ):
+            assert not hasattr(repro.tuning.knobs, name), name
+        assert not hasattr(Database, "knob_registry")
+        assert not hasattr(ReproServer, "knob_registry")
         from repro.server import AdmissionController
 
         # Every server is a fleet: admission takes the router, never an executor.

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
+from repro.tuning.knobs import knob_table
 from repro.util.units import KB
 
 ROWS = 20_000
@@ -88,10 +89,11 @@ def test_concurrent_readers_are_permutation_equal_to_serial(strategy):
         if strategy == "segmentation":
             database.set_knobs({"apm_m_max": (8 if wave_index % 2 else 6) * KB})
         else:
-            knobs = database.knob_registry()
-            spec = knobs.spec("replication_storage_budget")
+            spec = next(
+                row for row in knob_table(database) if row["name"] == "replication_storage_budget"
+            )
             database.set_knobs({
-                "replication_storage_budget": spec.low if wave_index % 2 else spec.high,
+                "replication_storage_budget": spec["low"] if wave_index % 2 else spec["high"],
                 "read_workers": 2 + wave_index % 3,
             })
 

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,22 +96,17 @@ class TestKnobOps:
         from repro.tuning import knobs as knob_module
 
         applied: list[tuple[str, str]] = []
-        database_knobs = knob_module.database_knobs
+        write = knob_module._write
 
-        def recording_database_knobs(database):
-            registry = database_knobs(database)
-            for spec in registry.specs():
-                def apply(value, spec=spec):
-                    applied.append((spec.name, threading.current_thread().name))
-                    spec.apply(value)
-
-                registry._specs[spec.name] = replace(spec, apply=apply)
-            return registry
-
-        monkeypatch.setattr(knob_module, "database_knobs", recording_database_knobs)
+        def recording_write(knob, carriers, value):
+            applied.append((knob.name, threading.current_thread().name))
+            write(knob, carriers, value)
 
         async def go():
-            async with ReproServer(adaptive_database(), port=0, replicas=replicas) as server:
+            server = ReproServer(adaptive_database(), port=0, replicas=replicas)
+            # Hooked after the constructor's own read_workers write.
+            monkeypatch.setattr(knob_module, "_write", recording_write)
+            async with server:
                 connection = await repro.aio.connect(*server.address)
                 await connection.admin.set_knobs({"apm_m_min": 2 * KB})
                 await connection.close()

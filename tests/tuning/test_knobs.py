@@ -1,9 +1,9 @@
-"""The typed knob registry: specs, validation, all-or-nothing application.
+"""The knob table: rows, validation, all-or-nothing application.
 
 Knobs steer *where* the adaptive layer splits and materializes, never *what*
 a range query returns: a stream of ``set_knobs`` calls landing mid-stream
 leaves every answer permutation-equal to a serial run under fixed default
-knobs.  The default-knob pins tie the registry's defaults to the Figure 5–7
+knobs.  The default-knob pins tie the table's defaults to the Figure 5–7
 accounting fixture: the pinned SHA-256 series *is* the default-knob
 accounting, and a no-op ``set_knobs`` reproduces it bit for bit.
 """
@@ -18,79 +18,12 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.tuning.knobs import (
-    KnobRegistry,
-    KnobSpec,
-    admission_knobs,
-    database_knobs,
-    server_knob_registry,
-)
+from repro.tuning.knobs import knob_table, set_knobs
 from repro.util.units import KB
 
 
-def _spec(name="k", low=0.0, high=10.0, integer=False, store=None):
-    store = store if store is not None else {"value": 5.0}
-
-    def _apply(value: float) -> None:
-        store["value"] = value
-
-    return KnobSpec(
-        name=name, layer="server", default=5.0, low=low, high=high,
-        read=lambda: store["value"], apply=_apply, integer=integer,
-    )
-
-
-class TestKnobSpec:
-    def test_coerce_bounds(self):
-        spec = _spec()
-        assert spec.coerce(3) == 3.0
-        with pytest.raises(ValueError, match="outside"):
-            spec.coerce(11.0)
-        with pytest.raises(ValueError, match="not a number"):
-            spec.coerce("nope")
-
-    def test_coerce_integer_rounds(self):
-        spec = _spec(integer=True)
-        assert spec.coerce(3.4) == 3.0
-
-    def test_describe_reads_live_value(self):
-        store = {"value": 7.0}
-        row = _spec(store=store).describe()
-        assert row["value"] == 7.0
-        assert {"name", "layer", "default", "low", "high"} <= set(row)
-
-
-class TestKnobRegistry:
-    def test_duplicate_registration_rejected(self):
-        registry = KnobRegistry()
-        registry.register(_spec())
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(_spec())
-
-    def test_set_knobs_is_all_or_nothing(self):
-        a_store, b_store = {"value": 2.0}, {"value": 8.0}
-        registry = KnobRegistry()
-        registry.register(_spec(name="a", store=a_store))
-        registry.register(_spec(name="b", store=b_store))
-
-        def _ordered(values):
-            if values["a"] >= values["b"]:
-                raise ValueError("a must stay below b")
-
-        registry.register_constraint(_ordered)
-        # Valid batch applies both.
-        registry.set_knobs({"a": 1.0, "b": 9.0})
-        assert (a_store["value"], b_store["value"]) == (1.0, 9.0)
-        # A constraint-violating batch applies *neither* knob, even though
-        # each value alone is in bounds.
-        with pytest.raises(ValueError, match="below b"):
-            registry.set_knobs({"a": 7.5, "b": 7.0})
-        assert (a_store["value"], b_store["value"]) == (1.0, 9.0)
-
-    def test_unknown_knob(self):
-        registry = KnobRegistry()
-        with pytest.raises(KeyError, match="unknown knob"):
-            registry.set_knobs({"ghost": 1.0})
+def _rows(fleet, **kwargs) -> dict[str, dict]:
+    return {row["name"]: row for row in knob_table(fleet, **kwargs)}
 
 
 @pytest.fixture
@@ -103,23 +36,68 @@ def adaptive_database() -> Database:
     return database
 
 
+def _replication_database(budget_of) -> tuple[Database, object]:
+    """A 4 000-row replication column whose budget is ``budget_of(column bytes)``."""
+    database = Database()
+    database.create_table("t", {"v": "float64"})
+    values = np.random.default_rng(3).uniform(0.0, 1000.0, 4000)
+    database.bulk_load("t", {"v": values})
+    database.enable_adaptive(
+        "t", "v", strategy="replication", storage_budget=budget_of(values.nbytes),
+    )
+    return database, database.adaptive_handle("t", "v").adaptive
+
+
+class TestValidation:
+    def test_bounds(self, adaptive_database):
+        assert adaptive_database.set_knobs({"read_workers": 3})["read_workers"] == 3.0
+        with pytest.raises(ValueError, match="outside"):
+            adaptive_database.set_knobs({"read_workers": 11.0})
+        with pytest.raises(ValueError, match="not a number"):
+            adaptive_database.set_knobs({"read_workers": "nope"})
+
+    def test_integer_rounds(self, adaptive_database):
+        assert adaptive_database.set_knobs({"read_workers": 3.4})["read_workers"] == 3.0
+
+    def test_table_reads_live_value(self, adaptive_database):
+        adaptive_database.read_workers = 7
+        row = _rows(adaptive_database)["read_workers"]
+        assert row["value"] == 7.0
+        assert {"name", "layer", "default", "low", "high"} <= set(row)
+
+
+class TestSetKnobs:
+    def test_set_knobs_is_all_or_nothing(self, adaptive_database):
+        model = adaptive_database.bpm.handles()[0].adaptive.model
+        # Valid batch applies both.
+        adaptive_database.set_knobs({"apm_m_min": 2 * KB, "apm_m_max": 9 * KB})
+        assert (model.m_min, model.m_max) == (2 * KB, 9 * KB)
+        # A constraint-violating batch applies *neither* knob, even though
+        # each value alone is in bounds.
+        with pytest.raises(ValueError, match="below apm_m_max"):
+            adaptive_database.set_knobs({"apm_m_min": 7.5 * KB, "apm_m_max": 7 * KB})
+        assert (model.m_min, model.m_max) == (2 * KB, 9 * KB)
+
+    def test_unknown_knob(self):
+        with pytest.raises(KeyError, match="unknown knob"):
+            Database().set_knobs({"ghost": 1.0})
+
+
 class TestDatabaseKnobs:
-    def test_empty_without_adaptive_columns(self):
-        assert len(database_knobs(Database())) == 0
+    def test_a_plain_engine_carries_only_read_workers(self):
+        assert Database().knobs() == {"read_workers": 1.0}
 
     def test_apm_knobs_read_and_apply(self, adaptive_database):
-        registry = database_knobs(adaptive_database)
-        knobs = registry.knobs()
+        knobs = adaptive_database.knobs()
         assert knobs["apm_m_min"] == 1 * KB
         assert knobs["apm_m_max"] == 4 * KB
-        registry.set_knobs({"apm_m_min": 2 * KB, "apm_m_max": 8 * KB})
+        adaptive_database.set_knobs({"apm_m_min": 2 * KB, "apm_m_max": 8 * KB})
         model = adaptive_database.bpm.handles()[0].adaptive.model
         assert (model.m_min, model.m_max) == (2 * KB, 8 * KB)
 
     def test_apm_order_constraint(self, adaptive_database):
-        registry = database_knobs(adaptive_database)
         with pytest.raises(ValueError, match="below apm_m_max"):
-            registry.set_knobs({"apm_m_min": 8 * KB})  # >= current m_max
+            adaptive_database.set_knobs({"apm_m_min": 8 * KB})  # >= current m_max
         model = adaptive_database.bpm.handles()[0].adaptive.model
         assert (model.m_min, model.m_max) == (1 * KB, 4 * KB)  # untouched
 
@@ -136,29 +114,40 @@ class TestDatabaseKnobs:
         database.enable_adaptive(
             "t", "v", strategy="replication", storage_budget=2000 * 8 + 64 * KB,
         )
-        registry = database_knobs(database)
-        assert "replication_storage_budget" in registry
-        spec = registry.spec("replication_storage_budget")
+        row = _rows(database)["replication_storage_budget"]
         column = database.bpm.handles()[0].adaptive
-        assert spec.low == column.total_bytes  # the floor is the column itself
-        registry.set_knobs({"replication_storage_budget": spec.high})
-        assert column.storage_budget == spec.high
+        assert row["low"] == column.total_bytes  # the floor is the column itself
+        database.set_knobs({"replication_storage_budget": row["high"]})
+        assert column.storage_budget == row["high"]
 
-    def test_read_workers_knob_appears_with_snapshot_capable_column(
-        self, adaptive_database
-    ):
-        registry = database_knobs(adaptive_database)
-        assert "read_workers" in registry
-        spec = registry.spec("read_workers")
-        assert spec.layer == "engine"
-        assert (spec.low, spec.high) == (1, 8)
+    def test_the_budget_default_is_the_enabled_budget(self):
+        database, column = _replication_database(lambda nbytes: 2 * nbytes)
+        database.set_knobs({"replication_storage_budget": 3 * column.total_bytes})
+        row = _rows(database)["replication_storage_budget"]
+        assert row["default"] == 2 * column.total_bytes
+        assert row["value"] == column.storage_budget == 3 * column.total_bytes
+
+    def test_a_budget_above_four_columns_stays_in_bounds(self):
+        database, column = _replication_database(lambda nbytes: 10 * nbytes)
+        row = _rows(database)["replication_storage_budget"]
+        assert (row["low"], row["high"]) == (column.total_bytes, 10 * column.total_bytes)
+        assert row["default"] == row["value"] == 10 * column.total_bytes
+        before = database.knobs()
+        assert database.set_knobs(before) == before  # a no-op, not "outside"
+        assert database.knobs() == before
+        assert column.storage_budget == 10 * column.total_bytes
+
+    def test_read_workers_knob_is_the_engine_attribute(self, adaptive_database):
+        row = _rows(adaptive_database)["read_workers"]
+        assert row["layer"] == "engine"
+        assert (row["low"], row["high"]) == (1, 8)
         assert adaptive_database.read_workers == 1
-        registry.set_knobs({"read_workers": 4.6})
+        adaptive_database.set_knobs({"read_workers": 4.6})
         assert adaptive_database.read_workers == 5  # integer knob rounds
-        assert registry.knobs()["read_workers"] == 5.0
+        assert adaptive_database.knobs()["read_workers"] == 5.0
 
 
-class TestServerRegistry:
+class TestServerSurface:
     def test_admission_knobs_mutate_live(self):
         class FakeAdmission:
             batch_window_us = 250.0
@@ -166,8 +155,7 @@ class TestServerRegistry:
             max_wave = 256
 
         admission = FakeAdmission()
-        registry = admission_knobs(admission)
-        registry.set_knobs({"batch_window_us": 0.0, "max_wave": 31.7})
+        set_knobs(Database(), {"batch_window_us": 0.0, "max_wave": 31.7}, admission=admission)
         assert admission.batch_window_us == 0.0
         assert admission.max_wave == 32  # integer knob rounds
 
@@ -175,19 +163,18 @@ class TestServerRegistry:
         from repro.cluster.router import Router
 
         with Router(adaptive_database, n_replicas=2, seed=1) as router:
-            registry = server_knob_registry(router)
-            assert "hot_query_threshold" in registry
-            registry.set_knobs({"apm_m_min": 2 * KB})
+            assert "hot_query_threshold" in _rows(router)
+            set_knobs(router, {"apm_m_min": 2 * KB})
             for replica in router.replicas:
                 model = replica.database.bpm.handles()[0].adaptive.model
                 assert model.m_min == 2 * KB
             # The fleet constraint still holds across replicas.
             with pytest.raises(ValueError, match="below apm_m_max"):
-                registry.set_knobs({"apm_m_min": 4 * KB})
-            # The router's own knobs ride in the same registry.
-            registry.set_knobs({"hot_query_threshold": 0.75})
+                set_knobs(router, {"apm_m_min": 4 * KB})
+            # The router's own knobs ride in the same table.
+            set_knobs(router, {"hot_query_threshold": 0.75})
             assert router.hot_query_threshold == 0.75
-            assert server_knob_registry(router).knobs()["hot_query_threshold"] == 0.75
+            assert _rows(router)["hot_query_threshold"]["value"] == 0.75
 
 
 #: The knob surface of a routed server with an APM column: layer, default,
@@ -211,9 +198,28 @@ PARTNER_AT = {
 }
 
 
+class _Surface:
+    """A server's knob surface: its router and admission, through the one path."""
+
+    def __init__(self, router, admission) -> None:
+        self._router, self._admission = router, admission
+
+    def table(self) -> list[dict]:
+        return knob_table(self._router, admission=self._admission)
+
+    def row(self, name: str) -> dict:
+        return next(row for row in self.table() if row["name"] == name)
+
+    def knobs(self) -> dict[str, float]:
+        return {row["name"]: row["value"] for row in self.table()}
+
+    def set_knobs(self, values) -> dict[str, float]:
+        return set_knobs(self._router, values, admission=self._admission)
+
+
 @pytest.fixture
 def server_surface():
-    """A full server registry (router + admission) over a default-knob APM column."""
+    """A full server surface (router + admission) over a default-knob APM column."""
     from repro.cluster.router import Router
     from repro.server.admission import AdmissionController
 
@@ -223,7 +229,7 @@ def server_surface():
     database.enable_adaptive("t", "v", model="apm")
     with Router(database, n_replicas=2, seed=1) as router:
         admission = AdmissionController(router)
-        yield server_knob_registry(router, admission=admission)
+        yield _Surface(router, admission)
 
 
 class TestPinnedSurface:
@@ -232,9 +238,9 @@ class TestPinnedSurface:
 
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_spec_is_pinned(self, server_surface, name):
-        spec = server_surface.spec(name)
-        assert (spec.layer, spec.default, spec.low, spec.high, spec.integer) == SURFACE[name]
-        assert server_surface.knobs()[name] == spec.default  # nothing moved it
+        spec = server_surface.row(name)
+        assert (spec["layer"], spec["default"], spec["low"], spec["high"], spec["integer"]) == SURFACE[name]
+        assert server_surface.knobs()[name] == spec["default"]  # nothing moved it
         row = next(row for row in server_surface.table() if row["name"] == name)
         assert set(row) == {
             "name", "layer", "default", "low", "high", "integer", "value", "description",
@@ -243,21 +249,26 @@ class TestPinnedSurface:
     @pytest.mark.parametrize("side", ["low", "high"])
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_each_bound_is_accepted(self, server_surface, name, side):
-        bound = getattr(server_surface.spec(name), side)
+        bound = server_surface.row(name)[side]
         batch = {name: bound, **PARTNER_AT.get((name, side), {})}
         assert server_surface.set_knobs(batch)[name] == bound
 
     @pytest.mark.parametrize("side", ["low", "high"])
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_past_a_bound_rejects_the_whole_batch(self, server_surface, name, side):
-        spec = server_surface.spec(name)
-        outside = spec.low - 1.0 if side == "low" else spec.high + 1.0
+        spec = server_surface.row(name)
+        outside = spec["low"] - 1.0 if side == "low" else spec["high"] + 1.0
         # A valid change to another knob rides in the same batch.
         other = "max_wave" if name != "max_wave" else "max_inflight"
         before = server_surface.knobs()
         with pytest.raises(ValueError, match=f"knob {name}: .* outside"):
             server_surface.set_knobs({other: 2.0, name: outside})
         assert server_surface.knobs() == before
+
+    def test_setting_the_live_vector_is_a_no_op(self, server_surface):
+        before = server_surface.table()
+        assert server_surface.set_knobs(server_surface.knobs()) == server_surface.knobs()
+        assert server_surface.table() == before
 
 
 DOMAIN = (0.0, 1000.0)
@@ -323,9 +334,9 @@ class TestDefaultKnobPins:
     def test_registry_defaults_match_fig5_7_fixture(self):
         """The pinned accounting fixture *is* the default-knob accounting."""
         fixture = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
-        registry = _make_database().knob_registry()
-        assert registry.spec("apm_m_min").default == fixture["m_min"] == 3 * KB
-        assert registry.spec("apm_m_max").default == fixture["m_max"] == 12 * KB
+        rows = _rows(_make_database())
+        assert rows["apm_m_min"]["default"] == fixture["m_min"] == 3 * KB
+        assert rows["apm_m_max"]["default"] == fixture["m_max"] == 12 * KB
 
     def test_noop_set_knobs_keeps_accounting_bit_identical(self):
         def digest(database: Database, touch) -> str:
