@@ -239,7 +239,9 @@ class TestPinnedSurface:
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_spec_is_pinned(self, server_surface, name):
         spec = server_surface.row(name)
-        assert (spec["layer"], spec["default"], spec["low"], spec["high"], spec["integer"]) == SURFACE[name]
+        assert (
+            spec["layer"], spec["default"], spec["low"], spec["high"], spec["integer"]
+        ) == SURFACE[name]
         assert server_surface.knobs()[name] == spec["default"]  # nothing moved it
         row = next(row for row in server_surface.table() if row["name"] == name)
         assert set(row) == {
