@@ -285,11 +285,11 @@ class AsyncAdmin:
         return await self._call("router_stats")
 
     async def knobs(self) -> list[dict[str, Any]]:
-        """The server's live knob table: one row per registered knob.
+        """The server's live knob table: one row per knob the server carries.
 
         Each row carries ``name``, ``layer``, ``value``, ``default``,
-        ``low``/``high`` bounds and a description — the typed registry of
-        :mod:`repro.tuning.knobs`.
+        ``low``/``high`` bounds and a description — the rows of
+        :data:`repro.tuning.knobs.KNOBS`.
         """
         return await self._call("knobs")
 

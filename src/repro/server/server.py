@@ -119,7 +119,7 @@ class ReproServer:
         self.database = database if database is not None else Database()
         # Each replica worker stays its engine's only adaptation owner;
         # read_workers only sizes the snapshot-reader fan-out inside
-        # execute_wave (the router's clones copy it from the seed database).
+        # execute_wave (the router's clones take it from the seed database).
         # It is the ``read_workers`` knob, set through the one knob path.
         self.database.set_knobs({"read_workers": read_workers})
         knobs = dict(router_knobs or {})
