@@ -4,10 +4,11 @@ Starts a :class:`~repro.server.ReproServer` on an ephemeral loopback port,
 creates and loads a three-row table through the wire protocol's admin
 frames, checks one bound range select and the handshake's protocol version,
 makes the column adaptive and drives the knob surface: it reads the knob
-table, sets one knob per layer in one batch, reads the values back, and
-checks that a batch breaking ``apm_m_min < apm_m_max`` changes nothing.
-Then it leaves the ``async with`` block, which stops the server.  CI runs it
-under a hard timeout, so a wedged shutdown fails the job::
+table, sets one knob per layer (storage-model, cluster, server) in one
+batch, reads the values back, and checks that a batch breaking
+``apm_m_min < apm_m_max`` changes nothing.  Then it leaves the
+``async with`` block, which stops the server.  CI runs it under a hard
+timeout, so a wedged shutdown fails the job::
 
     PYTHONPATH=src timeout 60 python examples/server_smoke.py
 """
@@ -27,7 +28,6 @@ from repro.server import ReproServer  # noqa: E402
 #: One knob per layer, each moved off its default.
 ONE_PER_LAYER = {
     "apm_m_min": 2048.0,  # storage-model
-    "read_workers": 2.0,  # engine
     "hot_query_threshold": 0.75,  # cluster
     "batch_window_us": 50.0,  # server
 }
@@ -47,7 +47,7 @@ async def main() -> None:
         await admin.enable_adaptive("t", "v", strategy="segmentation", model="apm")
         rows = {row["name"]: row for row in await admin.knobs()}
         layers = {rows[name]["layer"] for name in ONE_PER_LAYER}
-        assert layers == {"storage-model", "engine", "cluster", "server"}, layers
+        assert layers == {"storage-model", "cluster", "server"}, layers
         applied = await admin.set_knobs(ONE_PER_LAYER)
         assert {name: applied[name] for name in ONE_PER_LAYER} == ONE_PER_LAYER
         values = {row["name"]: row["value"] for row in await admin.knobs()}
@@ -55,8 +55,8 @@ async def main() -> None:
 
         # Every value is in bounds, but apm_m_min would pass apm_m_max: the
         # whole batch is refused and no knob moves.
-        crossing = {"apm_m_min": 16_384.0, "read_workers": 3.0,
-                    "hot_query_threshold": 0.5, "batch_window_us": 10.0}
+        crossing = {"apm_m_min": 16_384.0, "hot_query_threshold": 0.5,
+                    "batch_window_us": 10.0}
         try:
             await admin.set_knobs(crossing)
         except ProgrammingError as exc:

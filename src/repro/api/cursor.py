@@ -250,7 +250,7 @@ class Cursor(_FetchCursor[QueryResult]):
     Attributes beyond the PEP: ``result`` (the :class:`QueryResult` of the
     last statement), ``results`` (all results of the last ``executemany``),
     ``cache_level`` (how the last statement's result came about:
-    ``masked``/``prepared``/``batched``/``snapshot``/``cold``) and
+    ``masked``/``prepared``/``batched``/``cold``) and
     ``profile`` (its per-stage :class:`QueryProfile`).
     """
 

@@ -97,9 +97,7 @@ def clone_database(source: Database) -> Database:
             {name: column.bind(1).tail.copy() for name, column in store.columns.items()}
         )
         target.delete(store.deletion_bat.tail)
-    # The donor's live knobs, where they differ from the enable-time ones.
-    live, fresh = source.knobs(), clone.knobs()
-    clone.set_knobs({name: value for name, value in live.items() if fresh[name] != value})
+    clone.set_knobs(source.knobs())  # writes only where they differ from the enable-time ones
     return clone
 
 
@@ -223,11 +221,9 @@ class EngineReplica:
         it gets a token-timeout close and is otherwise abandoned; the new
         worker starts with an empty queue, and the replica's failure
         bookkeeping resets.  The caller (the router) owns the health
-        transition back to ``HEALTHY``.  The old engine's reader threads
-        are released without a join, since its worker may still hold them.
+        transition back to ``HEALTHY``.
         """
         self.worker.close(timeout=close_timeout)
-        self.database.close(wait=False)
         self.database = database
         self.worker = ReplicaWorker(self.index)
         self.consecutive_failures = 0
@@ -241,15 +237,13 @@ class EngineReplica:
         replica again, so its engine's ``query_history`` — every
         :class:`QueryResult` it delivered, result columns included — is
         released here rather than whenever the cyclic collector next reaches
-        the engine's reference cycles, and so are its reader threads.  Read
-        the history before closing.  A wedged worker may still be appending:
-        its engine is left alone.
+        the engine's reference cycles.  Read the history before closing.  A
+        wedged worker may still be appending: its engine is left alone.
         """
         if not self._closed:
             self._closed = True
             if self.worker.close(timeout=timeout):
                 self.database.query_history.clear()
-                self.database.close()
         return not self.worker.wedged
 
     @property
@@ -276,7 +270,6 @@ class EngineReplica:
             "busy_seconds": self.busy_seconds,
             "qps": qps,
             "health": self.health.value,
-            "read_workers": self.database.read_workers,
             "failures": self.failures,
             "consecutive_failures": self.consecutive_failures,
             "rebuilds": self.rebuilds,

@@ -5,8 +5,7 @@ Public surface:
 * :class:`~repro.core.ranges.ValueRange` — half-open ranges over the domain.
 * :class:`~repro.core.segment.Segment` / :class:`~repro.core.segment.SelectionResult`.
 * :class:`~repro.core.interval_index.IntervalIndex` — which stored pieces
-  cover a range, kept by both segmentation and the replica tree, and its one
-  :class:`~repro.core.interval_index.IndexSnapshot` for lock-free readers.
+  cover a range, kept by both segmentation and the replica tree.
 * Segmentation models: :class:`~repro.core.models.GaussianDice` and
   :class:`~repro.core.models.AdaptivePageModel`.
 * Strategies: :class:`~repro.core.segmentation.SegmentedColumn` (adaptive
@@ -20,7 +19,7 @@ Public surface:
 
 from repro.core.accounting import IOAccountant, QueryLog, QueryStats
 from repro.core.baseline import UnsegmentedColumn
-from repro.core.interval_index import IndexSnapshot, IntervalIndex
+from repro.core.interval_index import IntervalIndex
 from repro.core.models import (
     AdaptivePageModel,
     GaussianDice,
@@ -50,7 +49,6 @@ __all__ = [
     "QueryLog",
     "QueryStats",
     "UnsegmentedColumn",
-    "IndexSnapshot",
     "IntervalIndex",
     "AdaptivePageModel",
     "GaussianDice",

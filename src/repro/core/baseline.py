@@ -30,9 +30,6 @@ class UnsegmentedColumn(AdaptiveColumnBase):
     strategy_name = "unsegmented"
     requires_model = False
     display_short = "NoSegm"
-    #: The baseline never reorganizes, so its payload arrays are inherently
-    #: immutable — snapshot reads need no snapshot object at all.
-    supports_snapshot_reads = True
 
     def __init__(
         self,
@@ -57,22 +54,6 @@ class UnsegmentedColumn(AdaptiveColumnBase):
                 )
         self._segment_view: Segment | None = None
 
-    def select_readonly(
-        self, low: float, high: float, snapshot: object | None = None
-    ) -> SelectionResult:
-        """Answer ``low <= value < high`` without touching any shared state.
-
-        The positional payload is never mutated, so the full scan is
-        trivially thread-safe; the observation goes into
-        :attr:`read_observations` instead of the accountant/history.
-        ``snapshot`` is accepted (and ignored) for interface uniformity —
-        :meth:`pin_snapshot` returns ``None`` for this strategy.
-        """
-        query = ValueRange(float(low), float(high))
-        result = self._scan(query)
-        self.read_observations.record(query.low, query.high, result.count * self.value_width)
-        return result
-
     @property
     def segment_count(self) -> int:
         """Always one: the whole column."""
@@ -96,15 +77,12 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         """Bytes used for the column payload."""
         return self.total_bytes
 
-    def _scan(self, query: ValueRange) -> SelectionResult:
-        mask = (self._values >= query.low) & (self._values < query.high)
-        return SelectionResult(self._values[mask], self._oids[mask])
-
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
         """Answer ``low <= value < high`` with a full column scan."""
         self.accountant.record_read(self.total_bytes)
         started = self._now()
-        result = self._scan(query)
+        mask = (self._values >= query.low) & (self._values < query.high)
+        result = SelectionResult(self._values[mask], self._oids[mask])
         stats.selection_seconds = self._now() - started
         return result
 

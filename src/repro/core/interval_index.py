@@ -18,15 +18,9 @@ The answers form a laminar family (any two ranges are nested or disjoint),
 so :meth:`IntervalIndex.cover` is two binary searches and one pass: walk the
 answers of the overlapped leaves in value order, fold consecutive
 duplicates, keep the maximal ones.  For segmentation the pass is the
-identity; for replication it is exactly Algorithm 3's minimal cover.
-
-Publication: the two doors that change the index — :meth:`~IntervalIndex.splice`
-and :meth:`~IntervalIndex.repoint` — only mark it dirty.  :meth:`~IntervalIndex.pin`,
-called on the owning thread, captures an :class:`IndexSnapshot` (bound
-tuples plus answer segments, with a monotone generation) when the index
-changed since the last pin and otherwise hands out the one it has, so a
-query nobody reads behind captures nothing.  Segments are never mutated once
-built, so a snapshot keeps answering its layout however the live one moves.
+identity; for replication it is exactly Algorithm 3's minimal cover.  Two
+doors change the index: :meth:`~IntervalIndex.splice` and
+:meth:`~IntervalIndex.repoint`.
 """
 
 from __future__ import annotations
@@ -37,56 +31,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.ranges import ValueRange
-from repro.core.segment import Segment
-
-
-def _cover(lows: Sequence[float], highs: Sequence[float], answers: Sequence, query: ValueRange) -> list:
-    """The maximal answers of the leaves overlapping ``query``, in value order."""
-    if query.is_empty:
-        return []
-    start = bisect_right(highs, query.low)
-    stop = bisect_left(lows, query.high, start)
-    cover: list = []
-    for answer in answers[start:stop]:
-        vrange = answer.vrange
-        if cover:
-            top = cover[-1].vrange
-            if top.low <= vrange.low and vrange.high <= top.high:
-                continue  # a consecutive duplicate, or nested in the piece before it
-            while vrange.low <= top.low and top.high <= vrange.high:
-                cover.pop()  # the pieces before were nested in this one
-                if not cover:
-                    break
-                top = cover[-1].vrange
-        cover.append(answer)
-    return cover
-
-
-class IndexSnapshot:
-    """An immutable point-in-time view of an :class:`IntervalIndex`.
-
-    Holds the leaf bounds and each leaf's answer *segment*; captured only by
-    :meth:`IntervalIndex.pin`.  Readers on any thread call :meth:`cover` and
-    ``Segment.select`` on what it returns.
-    """
-
-    __slots__ = ("lows", "highs", "answers", "generation", "__weakref__")
-
-    def __init__(
-        self,
-        lows: tuple[float, ...],
-        highs: tuple[float, ...],
-        answers: tuple[Segment, ...],
-        generation: int,
-    ) -> None:
-        self.lows = lows
-        self.highs = highs
-        self.answers = answers
-        self.generation = generation
-
-    def cover(self, query: ValueRange) -> list[Segment]:
-        """The segments covering ``query``, in value order."""
-        return _cover(self.lows, self.highs, self.answers, query)
 
 
 class IntervalIndex:
@@ -101,8 +45,6 @@ class IntervalIndex:
         self.highs: list[float] = []
         self.answers: list = []
         self._bound_arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._generation = 0
-        self._snapshot: IndexSnapshot | None = None
         self.splice(0, 0, leaves, answers)
 
     def __len__(self) -> int:
@@ -117,7 +59,24 @@ class IntervalIndex:
 
     def cover(self, query: ValueRange) -> list:
         """The answers covering ``query`` (Algorithm 3's minimal cover), in value order."""
-        return _cover(self.lows, self.highs, self.answers, query)
+        if query.is_empty:
+            return []
+        start = bisect_right(self.highs, query.low)
+        stop = bisect_left(self.lows, query.high, start)
+        cover: list = []
+        for answer in self.answers[start:stop]:
+            vrange = answer.vrange
+            if cover:
+                top = cover[-1].vrange
+                if top.low <= vrange.low and vrange.high <= top.high:
+                    continue  # a consecutive duplicate, or nested in the piece before it
+                while vrange.low <= top.low and top.high <= vrange.high:
+                    cover.pop()  # the pieces before were nested in this one
+                    if not cover:
+                        break
+                    top = cover[-1].vrange
+            cover.append(answer)
+        return cover
 
     def footprint(self, query: ValueRange) -> float:
         """Bytes a query over ``query`` reads: the sum of its cover's sizes."""
@@ -150,7 +109,6 @@ class IntervalIndex:
         self.highs[start:stop] = [leaf.vrange.high for leaf in leaves]
         self.answers[start:stop] = answers
         self._bound_arrays = None
-        self._snapshot = None
 
     def repoint(self, vrange: ValueRange, answer: Any) -> None:
         """Leaves inside ``vrange`` whose answer spans all of it get ``answer``.
@@ -166,31 +124,11 @@ class IntervalIndex:
             spanned = answers[position].vrange
             if spanned.low <= low and high <= spanned.high:
                 answers[position] = answer
-        self._snapshot = None
-
-    # -- publication ----------------------------------------------------------------
-
-    def pin(self) -> IndexSnapshot:
-        """The snapshot of the index as it is now; captured only if it changed.
-
-        Owning thread only: the capture reads the owner-side lists.
-        """
-        snapshot = self._snapshot
-        if snapshot is None:
-            self._generation += 1
-            snapshot = self._snapshot = IndexSnapshot(
-                tuple(self.lows),
-                tuple(self.highs),
-                tuple(answer.segment for answer in self.answers),
-                self._generation,
-            )
-        return snapshot
 
     # -- integrity --------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Leaves ordered, non-empty and gap-free; every answer covers its leaf;
-        a snapshot still held as current equals the index."""
+        """Leaves ordered, non-empty and gap-free; every answer covers its leaf."""
         lows, highs, answers = self.lows, self.highs, self.answers
         if not len(lows) == len(highs) == len(answers):
             raise AssertionError("interval index bound lists disagree on length")
@@ -202,11 +140,3 @@ class IntervalIndex:
                 raise AssertionError(f"gap or overlap before leaf {position} at {low:g}")
             if not (answer.vrange.low <= low and high <= answer.vrange.high):
                 raise AssertionError(f"answer {answer.vrange} does not cover leaf [{low:g}, {high:g})")
-        snapshot = self._snapshot
-        if snapshot is not None and (
-            snapshot.generation != self._generation
-            or snapshot.lows != tuple(lows)
-            or snapshot.highs != tuple(highs)
-            or any(got is not answer.segment for got, answer in zip(snapshot.answers, answers))
-        ):
-            raise AssertionError("the current snapshot is stale: the index changed without a new pin")

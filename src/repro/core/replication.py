@@ -60,12 +60,7 @@ class ReplicatedColumn(AdaptiveColumnBase):
     #: cover computation, replica analysis and materialization per query, and
     #: each query's minimal cover depends on the replicas the previous one
     #: materialized — a batch kernel would have to re-derive the tree per
-    #: member anyway, so batches take the sequential fallback.  For the same
-    #: reason it defines no ``_absorb``: replaying stale covers would
-    #: materialize replicas nobody scanned for, so absorbed snapshot reads
-    #: only feed the model's result-size average and the query ledger, and
-    #: the next mutating ``select`` adapts from fresh state.
-    supports_snapshot_reads = True
+    #: member anyway, so batches take the sequential fallback.
 
     def __init__(
         self,

@@ -129,7 +129,7 @@ class Segment:
     """A contiguous value-range piece of a column.
 
     A segment is never mutated once built: a split, a replica materialization
-    or a release builds a new one, so a snapshot may hold plain references.
+    or a release builds a new one, so a reference to one never goes stale.
 
     Parameters
     ----------

@@ -55,7 +55,6 @@ class SegmentedColumn(AdaptiveColumnBase):
     strategy_name = "segmentation"
     requires_model = True
     display_short = "Segm"
-    supports_snapshot_reads = True
 
     def __init__(
         self,
@@ -190,13 +189,6 @@ class SegmentedColumn(AdaptiveColumnBase):
         stats.selection_seconds += self._now() - started
         return results
 
-    def _absorb(self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats) -> None:
-        """Replay drained snapshot reads against the *current* segment list."""
-        started = self._now()
-        routed = self._route(lows, highs)
-        stats.adaptation_seconds += self._now() - started
-        self._adapt_envelopes(routed, stats)
-
     def _route(
         self, lows: np.ndarray, highs: np.ndarray
     ) -> list[tuple[Segment, list[int], ValueRange]]:
@@ -228,7 +220,7 @@ class SegmentedColumn(AdaptiveColumnBase):
     def _adapt_envelopes(
         self, routed: list[tuple[Segment, list[int], ValueRange]], stats: QueryStats
     ) -> None:
-        """The one deferred-adaptation pass of a batch or of absorbed reads.
+        """The one deferred-adaptation pass of a batch.
 
         Each touched segment sees a single split decision against the
         envelope of the member ranges that overlap it.

@@ -14,14 +14,12 @@ Public surface:
 
 * :class:`AdaptiveColumnStrategy` — the runtime-checkable protocol.
 * :class:`AdaptiveColumnBase` — the template every strategy extends: it owns
-  construction (validation, domain, accountant, ``history``) and the three
-  doors ``select`` / ``select_many`` / ``absorb_reads``, each of which opens
-  the one *query frame* (one :class:`QueryStats` record, accountant attached
-  for exactly the hook's duration, one ``history`` append, one model
-  observation) around a per-strategy hook — ``_execute``, optionally
-  ``_execute_batch`` and ``_absorb``.  A strategy that keeps an
-  :class:`~repro.core.interval_index.IntervalIndex` in ``index`` gets the
-  snapshot reader (``pin_snapshot`` / ``select_readonly``) from it.
+  construction (validation, domain, accountant, ``history``) and the two
+  doors ``select`` / ``select_many``, each of which opens the one *query
+  frame* (one :class:`QueryStats` record, accountant attached for exactly
+  the hook's duration, one ``history`` append, one model observation)
+  around a per-strategy hook — ``_execute`` and optionally
+  ``_execute_batch``.
 * :func:`batch_bounds_arrays` — shared validation for the batched
   ``select_many`` hook (mirrors :class:`~repro.core.ranges.ValueRange`).
 * :func:`register_strategy` / :func:`unregister_strategy` — registry admin.
@@ -32,52 +30,15 @@ Public surface:
 from __future__ import annotations
 
 import inspect
-import threading
 import time
 from typing import Any, ClassVar, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.core.accounting import IOAccountant, QueryLog, QueryStats
-from repro.core.interval_index import IndexSnapshot, IntervalIndex
+from repro.core.interval_index import IntervalIndex
 from repro.core.ranges import ValueRange, domain_of
 from repro.core.segment import SelectionResult
-
-
-class ReadObservations:
-    """Thread-safe accumulator for snapshot-read observations.
-
-    Snapshot readers never mutate the column, its IO accountant or its query
-    history — they only record *what they saw* here (query bounds and result
-    sizes) under one small lock.  The owning worker later drains the
-    accumulator on the serialized adaptation path (:meth:`absorb_reads`), so
-    the single-writer invariant holds for every adaptive structure while
-    reads run concurrently.
-    """
-
-    __slots__ = ("_lock", "_bounds", "_result_bytes")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._bounds: list[tuple[float, float]] = []
-        self._result_bytes: list[float] = []
-
-    def record(self, low: float, high: float, result_bytes: float) -> None:
-        """Record one snapshot read (called from reader threads)."""
-        with self._lock:
-            self._bounds.append((low, high))
-            self._result_bytes.append(float(result_bytes))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._bounds)
-
-    def drain(self) -> tuple[list[tuple[float, float]], list[float]]:
-        """Take every pending observation (called from the owning worker)."""
-        with self._lock:
-            bounds, self._bounds = self._bounds, []
-            result_bytes, self._result_bytes = self._result_bytes, []
-        return bounds, result_bytes
 
 
 def batch_bounds_arrays(
@@ -120,8 +81,7 @@ class AdaptiveColumnStrategy(Protocol):
     so must any plugged-in strategy — extending :class:`AdaptiveColumnBase`
     provides everything here but ``storage_bytes``, ``segment_count`` and
     ``check_invariants``.  ``history`` is always a :class:`QueryLog`: one
-    record per ``select``, per batch-kernel ``select_many`` and per
-    ``absorb_reads``.
+    record per ``select`` and per batch-kernel ``select_many``.
     """
 
     strategy_name: ClassVar[str]
@@ -164,8 +124,8 @@ class AdaptiveColumnBase:
     :attr:`requires_model` (whether construction needs a segmentation model)
     and :attr:`display_short` (the label fragment used in the paper's plots),
     start their ``__init__`` with ``super().__init__(...)`` and implement
-    :meth:`_execute`.  The public doors — :meth:`select`, :meth:`select_many`,
-    :meth:`absorb_reads` — live here and must not be overridden: each opens
+    :meth:`_execute`.  The public doors — :meth:`select` and
+    :meth:`select_many` — live here and must not be overridden: each opens
     the one query frame and runs a hook inside it, so every strategy's
     ``history`` holds the same kind of record, written the same way.
     """
@@ -176,11 +136,6 @@ class AdaptiveColumnBase:
     requires_model: ClassVar[bool] = True
     #: Label fragment in the paper's style ("Segm", "Repl", "NoSegm").
     display_short: ClassVar[str] = ""
-    #: Whether :meth:`select_readonly` answers from a pinned immutable
-    #: snapshot without mutating any shared state, so reader threads can
-    #: call it concurrently with adaptation on the owning worker.  ``False``
-    #: keeps the strategy on the serialized single-worker path.
-    supports_snapshot_reads: ClassVar[bool] = False
     #: The vectorized batch hook ``(lows, highs, stats) -> list[SelectionResult]``
     #: a strategy defines when it can amortize a batch: one frame, one record
     #: with ``batch_size == N``.  Left ``None``, :meth:`select_many` answers
@@ -188,7 +143,7 @@ class AdaptiveColumnBase:
     _execute_batch: ClassVar[Any] = None
 
     #: The interval index over the stored pieces, for a strategy that keeps
-    #: one: it answers :meth:`select_readonly` and the router's cost probe.
+    #: one: it answers the router's cost probe.
     index: IntervalIndex | None = None
     #: The segmentation model that decides splits (strategies with
     #: ``requires_model = False`` carry none).
@@ -218,9 +173,6 @@ class AdaptiveColumnBase:
         self.total_bytes = float(values.size * self.value_width)
         self.accountant = accountant if accountant is not None else IOAccountant()
         self.history = QueryLog()
-        #: Snapshot readers record what they saw here; :meth:`absorb_reads`
-        #: drains it on the owning worker.
-        self.read_observations = ReadObservations()
         #: The phase clock: ``perf_counter`` itself, or a zero when phases are
         #: not timed — an attribute, so reading it costs no Python frame.
         self._now = time.perf_counter if time_phases else _untimed
@@ -265,7 +217,7 @@ class AdaptiveColumnBase:
     def _after_frame(self, stats: QueryStats) -> None:
         """Hook run once per closed record (default: nothing)."""
 
-    # -- the three doors -----------------------------------------------------
+    # -- the two doors -------------------------------------------------------
 
     def select(self, low: float, high: float) -> SelectionResult:
         """Answer ``low <= value < high``; adaptation is piggy-backed on it.
@@ -308,78 +260,11 @@ class AdaptiveColumnBase:
         self._close_frame(stats, sum(result.count for result in results))
         return results
 
-    def absorb_reads(self) -> int:
-        """Drain pending snapshot-read observations on the owning worker.
-
-        The drained reads become one record with ``batch_size == absorbed
-        count`` (the reads themselves were not accounted, so only what
-        :meth:`_absorb` writes touches the accountant) and the model observes
-        their mean result size.  Returns the number of observations absorbed.
-        """
-        bounds, result_bytes = self.read_observations.drain()
-        if not bounds:
-            return 0
-        lows = np.asarray([low for low, _ in bounds], dtype=np.float64)
-        highs = np.asarray([high for _, high in bounds], dtype=np.float64)
-        stats = self._open_frame(float(lows.min()), float(highs.max()), len(bounds))
-        try:
-            self._absorb(lows, highs, stats)
-        finally:
-            self.accountant.detach()
-        self._close_frame(stats, int(round(sum(result_bytes) / self.value_width)))
-        return len(bounds)
-
     # -- per-strategy hooks --------------------------------------------------
 
     def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
         """Answer ``query`` (and adapt), timing the phases into ``stats``."""
         raise NotImplementedError
-
-    def _absorb(self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats) -> None:
-        """Replay drained snapshot reads into the adaptation machinery.
-
-        The default adapts nothing: the reads only feed the ledger and the
-        model's result-size average.
-        """
-
-    # -- snapshot reads ----------------------------------------------------
-
-    def pin_snapshot(self) -> IndexSnapshot | None:
-        """Pin an immutable snapshot of :attr:`index` (``None`` without one).
-
-        Owning thread only: :meth:`IntervalIndex.pin` captures a snapshot
-        when the index changed since the last pin.  ``None`` means the
-        strategy keeps no index — its read structure is inherently immutable
-        (the unsegmented baseline) or it does not support snapshot reads.
-        """
-        return None if self.index is None else self.index.pin()
-
-    def select_readonly(
-        self, low: float, high: float, snapshot: IndexSnapshot | None = None
-    ) -> SelectionResult:
-        """Answer one range selection against a pinned snapshot.
-
-        The snapshot's cover, then ``Segment.select`` per piece (a piece the
-        range contains answers from its range alone), concatenated in value
-        order.  Unlike :meth:`select`, this never adapts, never touches the
-        IO accountant or the query history, and records its observation into
-        :attr:`read_observations` instead — safe to call from reader threads
-        concurrently with adaptation, when ``supports_snapshot_reads`` is
-        ``True``.  A reader off the owning thread passes a snapshot pinned
-        there; without one the call pins for itself.
-        """
-        if self.index is None:
-            raise NotImplementedError(
-                f"strategy {self.strategy_name!r} does not support snapshot reads"
-            )
-        query = ValueRange(float(low), float(high))
-        if snapshot is None:
-            snapshot = self.index.pin()
-        result = SelectionResult.concatenate(
-            [piece.select(query) for piece in snapshot.cover(query)], self.dtype
-        )
-        self.read_observations.record(query.low, query.high, result.count * self.value_width)
-        return result
 
     def adapt(self, low: float, high: float) -> QueryStats | None:
         """Run one selection purely for its adaptation side effect.

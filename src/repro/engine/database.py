@@ -82,11 +82,6 @@ class Database:
         self.query_history: list[QueryResult] = []
         self._executor = Executor(self)
         self._adaptive_configs: dict[tuple[str, str], dict[str, Any]] = {}
-        #: How many reader threads a wave may fan its snapshot-readable
-        #: members across (1 = fully serialized).  The one switch for the
-        #: reader fan-out: the server, the replicas and the ``read_workers``
-        #: knob all write this attribute.
-        self.read_workers = 1
 
     # -- schema and data -----------------------------------------------------
 
@@ -207,9 +202,9 @@ class Database:
     def knobs(self) -> dict[str, float]:
         """Current value of every knob on this engine (see :mod:`repro.tuning.knobs`).
 
-        ``read_workers`` is always there; the APM bound pair appears once an
-        APM column is registered, the storage budget once a replication
-        column was given one.
+        The APM bound pair appears once an APM column is registered, the
+        storage budget once a replication column was given one; an engine
+        with neither has no knobs.
         """
         return {row["name"]: row["value"] for row in tuning.knob_table(self)}
 
@@ -423,21 +418,11 @@ class Database:
         prepared plan with its already-validated bound values — the members
         may come from *different* prepared statements (and different client
         connections).  See :class:`~repro.engine.executor.Executor` for how a
-        wave is bucketed (snapshot readers when :attr:`read_workers` > 1,
-        vectorized batches, single runs) and for the ``isolate=True``
-        contract: a poison member's exception comes back **in its slot**
-        while the rest of the wave completes.
+        wave is bucketed (vectorized batches, single runs) and for the
+        ``isolate=True`` contract: a poison member's exception comes back
+        **in its slot** while the rest of the wave completes.
         """
         return self._record(self._executor.run_wave(list(requests), isolate=isolate))
-
-    def close(self, *, wait: bool = True) -> None:
-        """Release the snapshot-reader threads (``wait=False``: do not join them).
-
-        The database stays usable: a later wave that fans out starts a new
-        reader pool.  Call it when the engine is retired; ``wait=False`` is
-        for an engine whose owning worker may be wedged mid-wave.
-        """
-        self._executor.close(wait=wait)
 
     def _record(self, results: list) -> list:
         """Append a wave's delivered results to ``query_history``, in input order."""

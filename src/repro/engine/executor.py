@@ -2,13 +2,12 @@
 
 Every door of :class:`~repro.engine.database.Database` reduces its input to
 members ``(PreparedPlan, values)`` and hands them here.  A wave is bucketed in
-one pass — each member is *snapshot-readable*, *batchable* or *single* — the
-buckets run (reader pool · vectorized batch · the compiled-plan runner) and
-the results come back in input order.  A single query is a wave of one and is
-answered by a straight call into :meth:`Executor.run`.  Every adaptive
-selection goes through a BPM door (``bpm.select`` in a plan, ``select_many``,
-``pin`` / ``select_pinned`` / ``absorb``); a plan's result is built by
-:meth:`Executor.run`, every other member's by :func:`_result`.
+one pass — each member is *batchable* or *single* — the buckets run
+(vectorized batch · the compiled-plan runner) and the results come back in
+input order.  A single query is a wave of one and is answered by a straight
+call into :meth:`Executor.run`.  Every adaptive selection goes through a BPM
+door (``bpm.select`` in a plan, ``select_many``); a plan's result is built by
+:meth:`Executor.run`, a batched member's by :func:`_result`.
 
 Whether a statement is a batchable range select was decided when it was
 prepared (:attr:`PreparedPlan.template`); whether its table has pending
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -43,7 +41,7 @@ Member = tuple[PreparedPlan, tuple[float, ...]]
 #: answered, profile carrying the plan-acquisition timings)``.
 Origin = tuple[str, str, QueryProfile]
 
-#: A range-select member as the batch and reader passes see it:
+#: A range-select member as the batch pass sees it:
 #: ``(position in the wave, sql text, bound values, its range template)``.
 Item = tuple[int, str, tuple[float, ...], RangeTemplate]
 
@@ -152,7 +150,7 @@ def _scan_clusters(
 def _gather(
     template: RangeTemplate, oids: np.ndarray, bats: dict[tuple[str, str], BAT]
 ) -> dict[str, np.ndarray]:
-    """The projected columns of ``oids`` from pre-resolved ``bats`` (thread safe)."""
+    """The projected columns of ``oids`` from pre-resolved ``bats``."""
     table = template.table
     return {name: gather(bats[(table, name)], oids) for name in template.projected}
 
@@ -162,7 +160,7 @@ def _result(
     columns: dict[str, np.ndarray], total_seconds: float, selection_seconds: float,
     adaptation_seconds: float,
 ) -> QueryResult:
-    """A batched or snapshot member's :class:`QueryResult`.
+    """A batched member's :class:`QueryResult`.
 
     No plan runs for it, so it gets a warm profile whose ``execute`` stage is
     its whole share of the wave.
@@ -179,19 +177,17 @@ def _result(
 class Executor:
     """Runs prepared plans for one :class:`Database`: singly, or as a wave.
 
-    Everything except the snapshot readers runs on the calling thread, so a
-    server that funnels all waves through one worker thread preserves the
-    engine's single-threaded adaptation invariant.  The executor owns the
-    execution-context pool, the batch counters and the reader pool; recording
-    results in ``query_history`` stays with the database's doors.
+    Everything runs on the calling thread, so a server that funnels all
+    waves through one worker thread preserves the engine's single-threaded
+    adaptation invariant.  The executor owns the execution-context pool and
+    the batch counters; recording results in ``query_history`` stays with
+    the database's doors.
     """
 
     def __init__(self, database: "Database") -> None:
         self.database = database
         self.batch_stats = BatchStats()
         self._contexts: list[ExecutionContext] = []
-        self._reader_pool: ThreadPoolExecutor | None = None
-        self._reader_pool_size = 0
 
     # -- the one compiled-plan runner -------------------------------------------
 
@@ -272,10 +268,8 @@ class Executor:
         it (:meth:`PlanCache.is_current`); any other plan — an older
         generation, another replica's cache — is re-prepared from its text
         here, once per wave, so under ``isolate=True`` a member that cannot
-        be re-prepared fails alone.  A member with a range template on a delta-free table joins its
-        ``(table, column)`` group.  With ``read_workers > 1`` and more than
-        one member, each group whose column the BPM can pin a snapshot of is
-        answered concurrently against that snapshot; any other group of two
+        be re-prepared fails alone.  A member with a range template on a
+        delta-free table joins its ``(table, column)`` group.  A group of two
         or more is one vectorized batch pass, run where its first member
         stands; everything else — aggregates, groups of one, tables with
         pending deltas — goes through :meth:`run` in input order.
@@ -306,20 +300,12 @@ class Executor:
         def item(position: int) -> Item:
             return position, plans[position].sql, members[position][1], plans[position].template
 
-        workers = database.read_workers
-        fan_out = workers > 1 and len(members) > 1
-        readable: list[tuple[Any, list[Item]]] = []  # (BPM pin, its column's members)
         batch_at: dict[int, tuple[str, str]] = {}  # first member's position -> its group
         grouped: set[int] = set()
         for key, positions in groups.items():
-            pinned = database.bpm.pin(*key) if fan_out else None
-            if pinned is not None:
-                readable.append((pinned, [item(position) for position in positions]))
-            elif len(positions) >= 2:
+            if len(positions) >= 2:
                 batch_at[positions[0]] = key
-            else:
-                continue
-            grouped.update(positions)
+                grouped.update(positions)
 
         slots: list[QueryResult | BaseException | None] = [None] * len(members)
         for position, (_, values) in enumerate(members):
@@ -331,8 +317,6 @@ class Executor:
             elif position not in grouped:
                 self.batch_stats.fallback_queries += 1
                 slots[position] = self.run(plans[position], values)
-        if readable:
-            self._read_snapshots(readable, workers, slots)
         return slots  # type: ignore[return-value]
 
     def _bats(self, items: list[Item]) -> dict[tuple[str, str], BAT]:
@@ -344,79 +328,6 @@ class Executor:
                 if (template.table, name) not in bats:
                     bats[(template.table, name)] = column(template.table, name).bind(0)
         return bats
-
-    # -- snapshot reads -----------------------------------------------------------
-
-    def _read_snapshots(self, readable: list, workers: int, slots: list) -> None:
-        """Fan the pinned columns' members across the reader pool; fill their ``slots``.
-
-        Every projected column's BAT is resolved on this thread, so readers
-        touch no shared mutable state (numpy probe/gather kernels release the
-        GIL).  After the readers join, each pinned column absorbs its reads
-        through the BPM — adaptation stays on this thread, once per column per
-        wave — and each member carries an equal share of that absorb's
-        seconds.  A member's exception is raised only after every reader has
-        joined.
-        """
-        bpm = self.database.bpm
-        reads = [(pinned, item) for pinned, items in readable for item in items]
-        bats = self._bats([item for _, item in reads])
-
-        def run_chunk(chunk: list) -> list[tuple[int, Any]]:
-            out: list[tuple[int, Any]] = []
-            for pinned, (position, _, values, template) in chunk:
-                started = time.perf_counter()
-                try:
-                    oids = bpm.select_pinned(pinned, *template.bind(values))
-                    selected = time.perf_counter() - started
-                    columns = _gather(template, oids, bats)
-                    out.append((position, (columns, selected, time.perf_counter() - started)))
-                except Exception as exc:  # noqa: BLE001 - raised after the join
-                    out.append((position, exc))
-            return out
-
-        chunk_count = min(workers, len(reads))
-        pool = self._reader_executor(workers)
-        futures = [
-            pool.submit(run_chunk, reads[offset::chunk_count]) for offset in range(chunk_count)
-        ]
-        outcomes: dict[int, Any] = {}
-        for future in futures:
-            outcomes.update(future.result())
-        for pinned, items in readable:
-            before = bpm.total_adaptation_seconds
-            bpm.absorb(pinned)
-            share = (bpm.total_adaptation_seconds - before) / len(items)
-            for position, sql, values, template in items:
-                outcome = outcomes[position]
-                if not isinstance(outcome, BaseException):
-                    columns, selected, total = outcome
-                    outcome = _result(
-                        sql, values, "snapshot",
-                        f"# snapshot read on {template.table}.{template.column}", columns,
-                        total + share, selected, share,
-                    )
-                slots[position] = outcome
-        for _, (position, _, _, _) in reads:
-            if isinstance(slots[position], BaseException):
-                raise slots[position]
-
-    def close(self, *, wait: bool = True) -> None:
-        """Shut the snapshot-reader pool down; a later fan-out starts a new one."""
-        pool, self._reader_pool, self._reader_pool_size = self._reader_pool, None, 0
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
-    def _reader_executor(self, workers: int) -> ThreadPoolExecutor:
-        """The lazily built (and grown on demand) snapshot-reader pool."""
-        if self._reader_pool is None or self._reader_pool_size < workers:
-            if self._reader_pool is not None:
-                self._reader_pool.shutdown(wait=False)
-            self._reader_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-reader"
-            )
-            self._reader_pool_size = workers
-        return self._reader_pool
 
     # -- the vectorized batch pass ------------------------------------------------
 

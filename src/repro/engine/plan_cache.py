@@ -61,8 +61,8 @@ class RangeTemplate:
 
     A statement carries a template when it is a plain projection under exactly
     one range or comparison predicate over known columns — the shape the
-    vectorized batch executor, the snapshot readers and the router's workload
-    model all understand.  Shape only: whether the table has pending deltas is
+    vectorized batch executor and the router's workload model both
+    understand.  Shape only: whether the table has pending deltas is
     a fact of the moment, read per wave, never stored here.
 
     ``bounds`` is the predicate's ``(low, high, include_low, include_high)``
@@ -173,7 +173,7 @@ class PlanCache:
         self.evictions = 0
         self.invalidations = 0
         self.generation = 0
-        # One lock covers store and counters: reader threads resolving plans
+        # One lock covers store and counters: other threads resolving plans
         # concurrently with an owner-thread clear() must never observe a
         # half-updated LRU (OrderedDict.move_to_end is not atomic under
         # free-threaded builds, and counter increments race regardless).

@@ -57,8 +57,7 @@ class QueryProfile:
         self.compile_seconds = compile_seconds
         self.execute_seconds = execute_seconds
         self.cold = cold
-        #: The compiled plan that ran (``None`` where no plan runs: batched,
-        #: snapshot).
+        #: The compiled plan that ran (``None`` where no plan runs: batched).
         self.plan = None
         self._opcode_counts: dict[str, int] | None = None
 

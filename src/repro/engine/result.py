@@ -27,15 +27,13 @@ class QueryResult:
     ``cache_level`` names how the result came about — ``"masked"`` (arrived
     as literal text and found its plan under the literal-masked text),
     ``"prepared"`` (a bound prepared handle, the client API's prepared path),
-    ``"batched"`` (one member of a wave's vectorized batch pass),
-    ``"snapshot"`` (a bound range select answered against a pinned index
-    snapshot by a wave's reader pool) or ``"cold"`` (literal text whose plan
-    was compiled for this query); :attr:`plan_cache_hit` and :attr:`batched`
-    are read off it.  ``profile`` carries the per-stage wall-clock split and
-    per-opcode execution counters; on the batched and snapshot paths it is a
-    warm profile whose ``execute`` stage holds this member's share of the
-    wave's cost (no plan runs there, so the other stages and the opcode
-    counters are zero).
+    ``"batched"`` (one member of a wave's vectorized batch pass) or
+    ``"cold"`` (literal text whose plan was compiled for this query);
+    :attr:`plan_cache_hit` and :attr:`batched` are read off it.  ``profile``
+    carries the per-stage wall-clock split and per-opcode execution
+    counters; on the batched path it is a warm profile whose ``execute``
+    stage holds this member's share of the wave's cost (no plan runs there,
+    so the other stages and the opcode counters are zero).
     """
 
     sql: str

@@ -228,7 +228,7 @@ def gather(column: BAT, oids: np.ndarray) -> np.ndarray:
     """The tail values of the void-headed ``column`` at head oids ``oids``.
 
     The one positional gather, unchecked: for oids the column is known to hold
-    (the executor's batch and snapshot paths, whose oids come from a select on
+    (the executor's batch path, whose oids come from a select on
     the same table) — one numpy call per member per column.
     """
     return column.tail[oids - column.hseqbase if column.hseqbase else oids]

@@ -33,14 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-inflight", type=int, default=1024)
     parser.add_argument("--max-wave", type=int, default=256)
     parser.add_argument(
-        "--read-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="reader threads per engine for snapshot-isolated bound selects "
-        "(1 = fully serialized waves)",
-    )
-    parser.add_argument(
         "--overflow",
         choices=("error", "wait"),
         default="error",
@@ -131,7 +123,6 @@ def _build_server(args: argparse.Namespace) -> ReproServer:
         wave_deadline_s=args.wave_deadline_s,
         max_retries=args.max_retries,
         injector=injector,
-        read_workers=args.read_workers,
     )
 
 

@@ -114,14 +114,8 @@ class ReproServer:
         auto_rebuild: bool = True,
         drain_timeout_s: float = 5.0,
         injector: Any | None = None,
-        read_workers: int = 1,
     ) -> None:
         self.database = database if database is not None else Database()
-        # Each replica worker stays its engine's only adaptation owner;
-        # read_workers only sizes the snapshot-reader fan-out inside
-        # execute_wave (the router's clones take it from the seed database).
-        # It is the ``read_workers`` knob, set through the one knob path.
-        self.database.set_knobs({"read_workers": read_workers})
         knobs = dict(router_knobs or {})
         if injector is not None:
             knobs.setdefault("injector", injector)

@@ -1,14 +1,14 @@
 """The knob table: one row per tunable, one validate-then-apply path.
 
 The adaptive layers' constants — the APM split thresholds, the replication
-storage budget, the engine's snapshot-reader fan-out, the router's hot-query
-threshold, the admission window and queue caps — are the rows of
-:data:`KNOBS`: a name, a layer, bounds and the attribute each writes on its
-owner.  :func:`knob_table` reads them and :func:`set_knobs` moves them; both
-back ``Database.knobs`` / ``set_knobs`` and the ADMIN ``knobs`` /
-``set_knobs`` wire ops.  Nothing moves a knob on its own: an operator sets it.
+storage budget, the router's hot-query threshold, the admission window and
+queue caps — are the rows of :data:`KNOBS`: a name, a layer, bounds and the
+attribute each writes on its owner.  :func:`knob_table` reads them and
+:func:`set_knobs` moves them; both back ``Database.knobs`` / ``set_knobs``
+and the ADMIN ``knobs`` / ``set_knobs`` wire ops.  Nothing moves a knob on
+its own: an operator sets it.
 
-Thread-safety: an engine-layer knob mutates live adaptive state, so it is
+Thread-safety: a storage-model knob mutates live adaptive state, so it is
 written on the engine's owner thread — the caller's for a ``Database``, each
 routable replica's worker for a ``Router``.  Router and admission knobs are
 attributes read afresh per route / flush, written on the calling thread.
@@ -30,11 +30,11 @@ class Knob:
     """One row: identity, bounds, and the ``attribute`` it writes on each carrier.
 
     ``owner`` names the carriers: ``"apm"`` every APM model, ``"budget"`` every budgeted
-    replication column, ``"database"`` the engine, ``"router"`` / ``"admission"``.
+    replication column, ``"router"`` / ``"admission"``.
     """
 
     name: str
-    layer: str  # "storage-model" | "engine" | "cluster" | "server"
+    layer: str  # "storage-model" | "cluster" | "server"
     owner: str
     attribute: str
     default: float
@@ -55,10 +55,6 @@ KNOBS: tuple[Knob, ...] = (
          "replication storage budget (this repo's rule; the paper leaves it as future "
          "work): a query's replicas are built only if they fit, otherwise it partitions "
          "the covering piece (larger = more replicas beside their sources, more memory)"),
-    Knob("read_workers", "engine", "database", "read_workers", 1, 1, 8, True,
-         "snapshot-reader pool size: how many threads execute_wave fans read-only "
-         "members across against pinned index snapshots (1 = fully serialized; the "
-         "adaptation path always stays single-threaded)"),
     Knob("hot_query_threshold", "cluster", "router", "hot_query_threshold",
          0.5, 0.05, 1.0, False,
          "traffic share above which a query cluster spreads round-robin over every "
@@ -82,13 +78,13 @@ def _here(fn: Callable[..., Any], *args: Any) -> Any:
 
 
 def _carriers(knob: Knob, database: Any) -> list[Any]:
-    if knob.owner == "database":
-        return [database]
+    """The knob's carriers on one engine; the largest budgeted column first, so it is read."""
     columns = [handle.adaptive for handle in database.bpm.handles()]
     if knob.owner == "apm":
         return [column.model for column in columns
                 if isinstance(getattr(column, "model", None), AdaptivePageModel)]
-    return [column for column in columns if getattr(column, "storage_budget", None) is not None]
+    budgeted = [column for column in columns if getattr(column, "storage_budget", None) is not None]
+    return sorted(budgeted, key=lambda column: column.total_bytes, reverse=True)
 
 
 def _targets(knob: Knob, fleet: Any, admission: Any) -> list[_Target]:
@@ -107,11 +103,11 @@ def _targets(knob: Knob, fleet: Any, admission: Any) -> list[_Target]:
 
 
 def _bounded(knob: Knob, targets: list[_Target]) -> Knob:
-    """The budget row: default the enabled budget, from the column up to 4x it or that."""
+    """The budget row off the largest column: default its enabled budget, from its size up."""
     if knob.owner != "budget":
         return knob
     columns = [column for _, carriers in targets for column in carriers]
-    low = float(max(column.total_bytes for column in columns))
+    low = float(columns[0].total_bytes)
     enabled = [float(column.enabled_budget) for column in columns]
     return replace(knob, default=enabled[0], low=low, high=max(4.0 * low, *enabled))
 
@@ -153,7 +149,8 @@ def set_knobs(
     """Validate ``values`` as one batch, then apply it; returns the new knob vector.
 
     All-or-nothing: bounds, integrality and ``apm_m_min < apm_m_max`` are checked
-    against the prospective vector before anything is written.
+    against the prospective vector before anything is written.  A knob already at
+    its value is not written, so ``set_knobs(knobs())`` moves nothing.
     """
     rows = _rows(fleet, admission)
     coerced = {}
@@ -168,11 +165,14 @@ def set_knobs(
         if not knob.low <= value <= knob.high:
             raise ValueError(f"knob {name}: {value:g} outside [{knob.low:g}, {knob.high:g}]")
         coerced[name] = float(int(round(value))) if knob.integer else value
-    vector = {name: _value(*row) for name, row in rows.items()} | coerced
+    live = {name: _value(*row) for name, row in rows.items()}
+    vector = live | coerced
     if "apm_m_min" in vector and vector["apm_m_min"] >= vector["apm_m_max"]:
         raise ValueError(f"apm_m_min must stay below apm_m_max "
                          f"({vector['apm_m_min']:g} >= {vector['apm_m_max']:g})")
     for name, value in coerced.items():
+        if value == live[name]:
+            continue
         knob, targets = rows[name]
         for run, carriers in targets:
             run(_write, knob, carriers, value)

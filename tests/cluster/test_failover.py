@@ -247,9 +247,7 @@ class TestRebuild:
         finally:
             router.close()
 
-    @pytest.mark.parametrize(
-        "name, value", [("read_workers", 3), ("apm_m_min", 2 * KB), ("apm_m_max", 16 * KB)]
-    )
+    @pytest.mark.parametrize("name, value", [("apm_m_min", 2 * KB), ("apm_m_max", 16 * KB)])
     def test_a_rebuilt_replica_keeps_the_fleet_knob(self, name, value):
         # The clone applies its donor's live knobs, so a rebuild cannot fall
         # back to a constructor or enable-time value.
@@ -257,22 +255,17 @@ class TestRebuild:
         from repro.tuning.knobs import knob_table, set_knobs
 
         database = build_database(200)
-        database.read_workers = 2
-        assert clone_database(database).read_workers == 2
+        database.set_knobs({"apm_m_max": 24 * KB})
+        assert clone_database(database).knobs()["apm_m_max"] == 24 * KB
         router = Router(database, 2)
         try:
-            assert [r.database.read_workers for r in router.replicas] == [2, 2]
+            assert [r.database.knobs()["apm_m_max"] for r in router.replicas] == [24 * KB] * 2
             set_knobs(router, {name: value})
             router.quarantine_replica(1)
             assert router.rebuild_replica(1)["rebuilt"] is True
             assert [r.database.knobs()[name] for r in router.replicas] == [value, value]
             row = next(row for row in knob_table(router) if row["name"] == name)
             assert row["value"] == value
-            workers = value if name == "read_workers" else 2
-            assert [r.database.read_workers for r in router.replicas] == [workers] * 2
-            assert [
-                r["read_workers"] for r in router.router_stats()["replicas"]
-            ] == [workers] * 2
         finally:
             router.close()
 

@@ -1,9 +1,9 @@
-"""Unit tests for the interval index: leaves, answers, cover, publication."""
+"""Unit tests for the interval index: leaves, answers, cover."""
 
 import numpy as np
 import pytest
 
-from repro.core.interval_index import IndexSnapshot, IntervalIndex
+from repro.core.interval_index import IntervalIndex
 from repro.core.ranges import ValueRange
 from repro.core.segment import Segment
 
@@ -96,41 +96,8 @@ class TestCover:
         assert nested.footprint(ValueRange(30, 55)) == outer.size_bytes
 
 
-class TestPublication:
-    def test_pin_captures_only_after_a_door_ran(self, index, laminar):
-        first = index.pin()
-        assert isinstance(first, IndexSnapshot)
-        assert index.pin() is first
-        target = index.answers[0]
-        pieces = target.partition([10])
-        index.splice(0, 1, pieces, pieces)
-        assert index.pin() is not first
-        assert index.pin().generation == first.generation + 1
-        nested, outer, _ = laminar
-        before = nested.pin()
-        nested.repoint(ValueRange(0, 25), make_segment(0, 25))
-        assert nested.pin().generation == before.generation + 1
-
-    def test_snapshot_keeps_its_layout(self, index):
-        pinned = index.pin()
-        target = index.answers[1]
-        pieces = target.partition([40])
-        index.splice(1, 2, pieces, pieces)
-        assert [s.vrange for s in pinned.cover(ValueRange(30, 50))] == [ValueRange(25, 60)]
-        assert [s.vrange for s in index.pin().cover(ValueRange(30, 50))] == [
-            ValueRange(25, 40),
-            ValueRange(40, 60),
-        ]
-
-    def test_snapshot_holds_the_answer_segments(self, laminar):
-        index, outer, inner = laminar
-        assert index.pin().answers == (outer, inner, outer, outer)
-        assert index.pin().cover(ValueRange(30, 55)) == [outer]
-
-
 class TestInvariants:
     def test_check_invariants_passes_for_valid_index(self, index):
-        index.pin()
         index.check_invariants()
 
     def test_check_invariants_detects_a_corrupt_leaf(self, index):
@@ -141,10 +108,4 @@ class TestInvariants:
     def test_check_invariants_detects_an_answer_not_covering_its_leaf(self, index):
         index.answers[0] = index.answers[1]
         with pytest.raises(AssertionError, match="does not cover"):
-            index.check_invariants()
-
-    def test_check_invariants_detects_a_stale_snapshot(self, index):
-        index.pin()
-        index.answers[1] = make_segment(25, 60)  # behind the doors' back
-        with pytest.raises(AssertionError, match="stale"):
             index.check_invariants()

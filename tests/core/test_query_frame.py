@@ -1,8 +1,8 @@
 """The one query frame: what every door of every strategy promises.
 
-``AdaptiveColumnBase`` owns ``select`` / ``select_many`` / ``absorb_reads``;
-each opens one frame around a per-strategy hook.  These tests pin the frame's
-contract once, for every registered strategy, instead of once per copy.
+``AdaptiveColumnBase`` owns ``select`` / ``select_many``; each opens one frame
+around a per-strategy hook.  These tests pin the frame's contract once, for
+every registered strategy, instead of once per copy.
 """
 
 import inspect
@@ -39,29 +39,20 @@ def build(name: str, values: np.ndarray):
 
 def doors(column) -> dict:
     """Door name -> ``(call, member ranges)``."""
-
-    def absorb(ranges):
-        for low, high in ranges:
-            column.select_readonly(low, high)
-        assert column.absorb_reads() == len(ranges)
-
     return {
         "select": (lambda: column.select(*FIVE[0]), FIVE[:1]),
         "select_many_1": (lambda: column.select_many(FIVE[:1]), FIVE[:1]),
         "select_many_5": (lambda: column.select_many(FIVE), FIVE),
-        "absorb_reads": (lambda: absorb(FIVE), FIVE),
     }
 
 
-@pytest.mark.parametrize("door", ["select", "select_many_1", "select_many_5", "absorb_reads"])
+@pytest.mark.parametrize("door", ["select", "select_many_1", "select_many_5"])
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_every_door_writes_the_same_record(name, door, values):
     column = build(name, values)
     call, members = doors(column)[door]
-    # Only a batch-kernel select_many and absorb_reads share one record.
-    shared = door == "absorb_reads" or (
-        door != "select" and type(column)._execute_batch is not None
-    )
+    # Only a batch-kernel select_many shares one record.
+    shared = door != "select" and type(column)._execute_batch is not None
     accountant = column.accountant
     executed = column._queries_executed
     recorded = len(column.history)
@@ -83,10 +74,7 @@ def test_every_door_writes_the_same_record(name, door, values):
     assert [record.result_count for record in records] == ([sum(counts)] if shared else counts)
     assert sum(record.reads_bytes for record in records) == accountant.total_reads_bytes - reads
     assert sum(record.writes_bytes for record in records) == accountant.total_writes_bytes - writes
-    if door == "absorb_reads":  # snapshot reads are not accounted
-        assert accountant.total_reads_bytes == reads
-    else:
-        assert accountant.total_reads_bytes > reads
+    assert accountant.total_reads_bytes > reads
     assert accountant.current is None
     assert column.stats() is records[-1]
     assert records[-1].segment_count == column.segment_count
@@ -102,15 +90,13 @@ def test_a_raising_hook_detaches_the_accountant_and_leaves_no_record(name, value
         column.accountant.record_read(8.0)
         raise RuntimeError("hook failed")
 
-    column._execute = column._absorb = boom
+    column._execute = boom
     if type(column)._execute_batch is not None:
         column._execute_batch = boom
-    column.select_readonly(*FIVE[0])
     executed, recorded = column._queries_executed, len(column.history)
     for call in (
         lambda: column.select(*FIVE[0]),
         lambda: column.select_many(FIVE),
-        column.absorb_reads,
     ):
         with pytest.raises(RuntimeError, match="hook failed"):
             call()
@@ -123,7 +109,6 @@ def test_an_empty_batch_opens_no_frame(values):
         column = build(name, values)
         recorded = len(column.history)
         assert column.select_many([]) == []
-        assert column.absorb_reads() == 0
         assert len(column.history) == recorded
 
 
@@ -132,7 +117,7 @@ def test_removed_names_stay_removed(values):
         cls = strategy_class(name)
         assert "keep_history" not in inspect.signature(cls.__init__).parameters
         assert not hasattr(cls, "supports_batch")
-        for door in ("select", "select_many", "absorb_reads"):  # the doors are the base's
+        for door in ("select", "select_many"):  # the doors are the base's
             assert door not in vars(cls), (name, door)
         with pytest.raises(TypeError):
             create_strategy(name, values, model=apm(), keep_history=False)

@@ -72,11 +72,9 @@ class TestTree:
             ValueRange(40, 60): [root],  # backtracks
             ValueRange(200, 300): [],  # no root overlaps
         }
-        pinned = tree.index.pin()
         for query, expected in cases.items():
             assert minimal_cover(tree.roots, query) == expected
             assert tree.index.cover(query) == expected
-            assert pinned.cover(query) == [node.segment for node in expected]
 
     def test_splice_out_internal_node(self, tree):
         root = tree.roots[0]

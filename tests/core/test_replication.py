@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.models import AdaptivePageModel, GaussianDice
 from repro.core.ranges import ValueRange
-from repro.core.interval_index import IndexSnapshot
 from repro.core.replica_tree import ReplicaNode, ReplicaTree
 from repro.core.replication import ReplicatedColumn
 from repro.engine.database import Database
@@ -338,7 +337,7 @@ class TestCounters:
 
 
 class TestNoTraversalOnTheQueryPath:
-    def test_select_walks_nothing_and_the_next_pin_captures_once(self, monkeypatch):
+    def test_select_walks_nothing(self, monkeypatch):
         shape = replica_budget_shape()
         values = shape["values"]
         column = ReplicatedColumn(
@@ -350,9 +349,8 @@ class TestNoTraversalOnTheQueryPath:
         queries = list(shape["workload"])
         for query in queries[:80]:  # warm: every mode has its replicas
             column.select(query.low, query.high)
-        generation = column.pin_snapshot().generation
 
-        calls = {"tree.walk": 0, "node.walk": 0, "capture": 0}
+        calls = {"tree.walk": 0, "node.walk": 0}
 
         def spy(name, function):
             def counted(*args, **kwargs):
@@ -363,22 +361,9 @@ class TestNoTraversalOnTheQueryPath:
 
         monkeypatch.setattr(ReplicaTree, "walk", spy("tree.walk", ReplicaTree.walk))
         monkeypatch.setattr(ReplicaNode, "walk", spy("node.walk", ReplicaNode.walk))
-        monkeypatch.setattr(IndexSnapshot, "__init__", spy("capture", IndexSnapshot.__init__))
 
         partitions = record_partitions(monkeypatch)
         for query in queries[80:]:
             column.select(query.low, query.high)
         assert len(queries) - 80 >= 300 and partitions  # budgeted, and it partitioned
-        assert calls == {"tree.walk": 0, "node.walk": 0, "capture": 0}
-
-        pinned = column.pin_snapshot()
-        assert calls["capture"] == 1
-        assert pinned.generation > generation
-        assert column.pin_snapshot() is pinned  # nothing changed: nothing captured
-        assert calls["capture"] == 1
-
-        low, high = queries[0].low, queries[-1].high
-        got = column.select_readonly(low, high, pinned)
-        expected = np.sort(values[(values >= low) & (values < high)])
-        np.testing.assert_array_equal(np.sort(got.values), expected)
-        np.testing.assert_array_equal(np.sort(values[got.oids]), expected)
+        assert calls == {"tree.walk": 0, "node.walk": 0}

@@ -207,11 +207,37 @@ class TestOneExecutionCore:
         assert "executor" not in inspect.signature(AdmissionController.__init__).parameters
         for name in ("knobs", "set_knobs", "knob_registry", "read_workers"):
             assert not hasattr(Router, name), name
-        database.read_workers = 3
+        # No snapshot-reader pool: no read_workers knob, option, flag or stat,
+        # and no snapshot door on any layer.
+        from repro import core
+        from repro.core import interval_index, strategy
+        from repro.engine.executor import Executor
+        from repro.optimizer.bpm import BatPartitionManager
+        from repro.server.__main__ import _build_parser
+
+        assert "read_workers" not in {knob.name for knob in repro.tuning.KNOBS}
+        assert "read_workers" not in keywords(ReproServer.__init__)
+        assert "--read-workers" not in _build_parser().format_help()
+        assert not hasattr(database, "read_workers")
+        for owner, names in (
+            (Database, ("close",)),
+            (Executor, ("close", "_read_snapshots", "_reader_executor")),
+            (BatPartitionManager, ("pin", "select_pinned", "absorb")),
+            (core.AdaptiveColumnBase, ("absorb_reads", "_absorb", "pin_snapshot",
+                                       "select_readonly", "supports_snapshot_reads")),
+            (core.SegmentedColumn, ("_absorb", "supports_snapshot_reads")),
+            (core.UnsegmentedColumn, ("select_readonly", "supports_snapshot_reads")),
+            (core.ReplicatedColumn, ("supports_snapshot_reads",)),
+            (core.IntervalIndex, ("pin", "_snapshot", "_generation")),
+            (core, ("IndexSnapshot",)),
+            (interval_index, ("IndexSnapshot",)),
+            (strategy, ("ReadObservations",)),
+        ):
+            for name in names:
+                assert not hasattr(owner, name), (owner, name)
         replica = EngineReplica(0, database)
         try:
-            assert not hasattr(replica, "read_workers")
-            assert replica.stats()["read_workers"] == 3  # the database's, not a copy
+            assert "read_workers" not in replica.stats()
         finally:
             replica.close()
 
@@ -354,28 +380,6 @@ class TestAdaptiveExecution:
               {"ra": 1, "dec": 1})
         check(lambda: database.execute_prepared_many(on_ra, pairs), {"ra": 1, "dec": 0})
         check(lambda: database.execute_prepared_many(on_dec, pairs), {"ra": 0, "dec": len(pairs)})
-
-        # Snapshot readers: the wave's one absorb record is its adaptation, in
-        # equal shares; the selection side is each reader's own time.
-        database.read_workers = 2
-        wave = [(on_ra, on_ra.binding.bind((low, low + 3.0))) for low in range(0, 300, 20)]
-        bpm = database.bpm
-        ledger = (bpm.total_selection_seconds, bpm.total_adaptation_seconds)
-        seen = len(histories["ra"])
-        results = database.execute_wave(wave)
-        database.close()
-        (absorbed,) = histories["ra"].records[seen:]
-        assert (absorbed.batch_size, absorbed.selection_seconds) == (len(wave), 0.0)
-        assert absorbed.adaptation_seconds > 0.0
-        assert bpm.total_selection_seconds == ledger[0]
-        assert bpm.total_adaptation_seconds - ledger[1] == pytest.approx(
-            absorbed.adaptation_seconds, rel=1e-6, abs=1e-12
-        )
-        for result in results:
-            assert result.cache_level == "snapshot" and result.selection_seconds > 0.0
-            assert result.adaptation_seconds == pytest.approx(
-                absorbed.adaptation_seconds / len(wave), rel=1e-6, abs=1e-12
-            )
 
     def test_replication_through_engine_is_correct(self, database):
         expected = database.execute("SELECT objid FROM p WHERE ra BETWEEN 250 AND 255")

@@ -2,10 +2,10 @@
 
 Random interleavings of ``insert`` / ``delete`` and range selects, over a
 plain column and every registered adaptive strategy, through the read doors
-(text ``execute``, ``execute_prepared``, ``execute_wave``)
-with ``read_workers`` 1 or 2.  Every answer must be permutation-equal to a
-numpy mask scan of a shadow table replayed in op order, and the adaptive
-structure must pass ``check_invariants()`` after every step.  Deletes
+(text ``execute``, ``execute_prepared``, ``execute_wave``).  Every answer
+must be permutation-equal to a numpy mask scan of a shadow table replayed in
+op order, and the adaptive structure must pass ``check_invariants()`` after
+every step.  Deletes
 deliberately repeat oids and hit rows still in the insert delta.  Half the
 tables take an insert *before* the column is made adaptive, so the adaptive
 column and the insert delta both hold those rows: the live-rows step scans
@@ -19,7 +19,8 @@ so they must agree on answers, slot order and batch counters.  The
 one-lowering check follows one prepared handle through delta-free → insert →
 delete → reload: every member that runs a plan runs the lowering, and every
 answer along the way matches the shadow.  The clone check rebuilds a table
-with pending inserts and deletes on a fresh engine.
+with pending inserts and deletes on a fresh engine.  The knob check moves
+layout knobs between waves and expects the answers of a run that moves none.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import repro
 from repro.cluster.replica import clone_database
 from repro.core.strategy import available_strategies
 from repro.engine.database import Database
+from repro.tuning.knobs import knob_table
 from repro.util.units import KB
 from tests.conftest import literal_wave
 
@@ -128,13 +130,11 @@ def _step(database: Database, shadow: Shadow, prepared, kind: str, draw: int) ->
 @given(
     organisation=organisations,
     early_insert=st.booleans(),
-    read_workers=st.sampled_from([1, 2]),
     stream=ops,
 )
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, read_workers, stream):
+def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, stream):
     database, shadow = _build(organisation, early_insert)
-    database.read_workers = read_workers
     prepared = database.prepare_statement(SQL)
     adaptive = (
         database.adaptive_handle("p", "v").adaptive if organisation is not None else None
@@ -145,7 +145,6 @@ def test_reads_beside_writes_match_a_mask_scan(organisation, early_insert, read_
             adaptive.check_invariants()
     # Whatever the stream left pending, a full scan sees exactly the live rows.
     result = database.execute_prepared(prepared, (0.0, DOMAIN))
-    database.close()
     assert _pairs(result) == shadow.answer(0.0, DOMAIN)
 
 
@@ -183,13 +182,11 @@ def _through(database: Database, door: str, prepared, bounds, **options) -> list
     )
 
 
-@pytest.mark.parametrize("read_workers", [1, 2])
 @pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "pending-deltas"])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 @pytest.mark.parametrize("door", DOORS)
-def test_every_door_answers_alike(door, organisation, pending, read_workers):
+def test_every_door_answers_alike(door, organisation, pending):
     database, shadow = _build(organisation, early_insert=False)
-    database.read_workers = read_workers
     adaptive = (
         database.adaptive_handle("p", "v").adaptive if organisation is not None else None
     )
@@ -199,7 +196,6 @@ def test_every_door_answers_alike(door, organisation, pending, read_workers):
         _step(database, shadow, prepared, "delete", 12)
 
     results = _through(database, door, prepared, RANGES)
-    database.close()
 
     assert [_pairs(result) for result in results] == [
         shadow.answer(low, high) for low, high in RANGES
@@ -208,7 +204,6 @@ def test_every_door_answers_alike(door, organisation, pending, read_workers):
     if adaptive is not None:
         adaptive.check_invariants()
     # Whichever wave door delivered them, the members were bucketed alike.
-    snapshot_read = read_workers > 1 and getattr(adaptive, "supports_snapshot_reads", False)
     levels = {result.cache_level for result in results}
     batch = database.cache_stats()["batch"]
     counted = (batch["waves"], batch["batched_queries"], batch["fallback_queries"])
@@ -216,20 +211,14 @@ def test_every_door_answers_alike(door, organisation, pending, read_workers):
         assert counted == (0, 0, 0) and levels <= RAN_SINGLY
     elif pending:
         assert counted == (0, 0, len(RANGES)) and levels <= RAN_SINGLY
-    elif snapshot_read:
-        assert counted == (0, 0, 0) and levels == {"snapshot"}
     else:
         assert counted == (1, len(RANGES), 0) and levels == {"batched"}
 
 
-@pytest.mark.parametrize("read_workers", [1, 2])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 @pytest.mark.parametrize("door", DOORS)
-def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(
-    door, organisation, read_workers
-):
+def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(door, organisation):
     database, shadow = _build(organisation, early_insert=False)
-    database.read_workers = read_workers
     prepared = database.prepare_statement(SQL)
 
     def read(pending: bool) -> None:
@@ -262,7 +251,6 @@ def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(
         assert prepared.generation != database.plan_cache.generation
     shadow = Shadow(values)
     read(pending=False)
-    database.close()
     if organisation is not None:
         database.adaptive_handle("p", "v").adaptive.check_invariants()
 
@@ -291,6 +279,52 @@ def test_a_clone_of_a_table_with_pending_writes_answers_like_its_source(
     assert clone.catalog.table("p").row_count == int(shadow.live.sum())
 
 
+# -- layout knobs moved between waves ------------------------------------------------
+
+KNOB_ROWS = 20_000
+
+
+def _knob_build(organisation: str) -> Database:
+    values = np.random.default_rng(17).uniform(0.0, DOMAIN, KNOB_ROWS)
+    database = Database()
+    database.create_table("p", {"objid": "int64", "v": "float64"})
+    database.bulk_load("p", {"objid": np.arange(KNOB_ROWS, dtype=np.int64), "v": values})
+    budget = {"storage_budget": 1.5 * values.nbytes} if organisation == "replication" else {}
+    database.enable_adaptive(
+        "p", "v", strategy=organisation, model="apm", m_min=2 * KB, m_max=8 * KB, seed=5,
+        **budget,
+    )
+    return database
+
+
+@pytest.mark.parametrize("organisation", ["segmentation", "replication"])
+def test_waves_answer_alike_when_layout_knobs_move_between_them(organisation):
+    """Splits, replicas and budget moves between waves change the layout, never an answer."""
+    bounds = _ranges(np.random.default_rng(23), 192)
+
+    def waves(database: Database, move=None) -> list:
+        prepared = database.prepare_statement(SQL)
+        answers = []
+        for index, start in enumerate(range(0, len(bounds), 16)):
+            members = [(prepared, prepared.binding.bind(pair)) for pair in bounds[start:start + 16]]
+            answers.extend(_pairs(result) for result in database.execute_wave(members))
+            if move is not None:
+                move(database, index)
+        return answers
+
+    def move(database: Database, index: int) -> None:
+        if organisation == "segmentation":
+            database.set_knobs({"apm_m_max": (8 if index % 2 else 6) * KB})
+        else:
+            name = "replication_storage_budget"
+            row = next(row for row in knob_table(database) if row["name"] == name)
+            database.set_knobs({name: row["low"] if index % 2 else row["high"]})
+
+    moved = _knob_build(organisation)
+    assert waves(moved, move) == waves(_knob_build(organisation))
+    moved.adaptive_handle("p", "v").adaptive.check_invariants()
+
+
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 @pytest.mark.parametrize("door", DOORS)
 def test_an_update_as_delete_then_insert_answers_with_the_latest_value(door, organisation):
@@ -315,12 +349,10 @@ def test_an_update_as_delete_then_insert_answers_with_the_latest_value(door, org
         database.adaptive_handle("p", "v").adaptive.check_invariants()
 
 
-@pytest.mark.parametrize("read_workers", [1, 2])
 @pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "pending-deltas"])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
-def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pending, read_workers):
+def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pending):
     database, shadow = _build(organisation, early_insert=False)
-    database.read_workers = read_workers
     database.create_table("gone", {"w": "float64"})
     database.bulk_load("gone", {"w": np.arange(5.0)})
     poison = database.prepare_statement("select w from gone where w between ? and ?")
@@ -335,7 +367,6 @@ def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pendin
     with pytest.raises(KeyError):
         database.execute_wave(members)
     results = database.execute_wave(members, isolate=True)
-    database.close()
 
     assert isinstance(results[2], KeyError)
     healthy = results[:2] + results[3:]

@@ -104,7 +104,6 @@ class TestKnobOps:
 
         async def go():
             server = ReproServer(adaptive_database(), port=0, replicas=replicas)
-            # Hooked after the constructor's own read_workers write.
             monkeypatch.setattr(knob_module, "_write", recording_write)
             async with server:
                 connection = await repro.aio.connect(*server.address)
@@ -132,41 +131,13 @@ class TestKnobOps:
         run(go)
 
 
-class TestReadWorkersRule:
-    """``read_workers`` has one rule, the knob's bounds, at every door that sets it."""
-
-    def test_constructor_cli_and_set_knobs_all_reject_zero(self):
-        database = adaptive_database()
-        with pytest.raises(ValueError) as knob:
-            database.set_knobs({"read_workers": 0})
-        with pytest.raises(ValueError) as constructor:
-            ReproServer(database, read_workers=0)
-        assert str(constructor.value) == str(knob.value) == "knob read_workers: 0 outside [1, 8]"
-        assert database.read_workers == 1
+class TestCommandLine:
+    def test_a_rejected_setting_is_a_usage_error(self):
         src = str(Path(repro.aio.__file__).resolve().parents[1])
         cli = subprocess.run(
-            [sys.executable, "-m", "repro.server", "--port", "0", "--read-workers", "0"],
+            [sys.executable, "-m", "repro.server", "--port", "0", "--max-wave", "0"],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert cli.returncode == 2  # argparse's usage error
-        assert str(knob.value) in cli.stderr
-
-    @pytest.mark.parametrize("value", [-1, 9, "two"])
-    def test_constructor_rejects_what_the_knob_rejects(self, value):
-        database = adaptive_database()
-        with pytest.raises(ValueError) as knob:
-            database.set_knobs({"read_workers": value})
-        with pytest.raises(ValueError) as constructor:
-            ReproServer(database, read_workers=value)
-        assert str(constructor.value) == str(knob.value)
-        assert database.read_workers == 1
-
-    @pytest.mark.parametrize("value", [1, 8])
-    def test_constructor_accepts_the_knob_bounds(self, value):
-        async def go():
-            database = adaptive_database()
-            async with ReproServer(database, port=0, read_workers=value):
-                assert database.read_workers == value == database.knobs()["read_workers"]
-
-        run(go)
+        assert "max_inflight and max_wave must be >= 1" in cli.stderr

@@ -9,7 +9,6 @@ is about the protocol edge itself.
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import numpy as np
 import pytest
@@ -454,7 +453,6 @@ class TestAdmin:
         for low, high in ranges:
             column = local.execute_prepared(local.prepare_statement(sql), (low, high)).column("v")
             expected.append((column.dtype, sorted(column.tolist())))
-        local.close()
 
         async def go():
             async with ReproServer(port=0, batch_window_us=100.0) as server:
@@ -571,24 +569,6 @@ class TestLifecycle:
                 return count
 
         assert run(go) == len(expected_objids(10.0, 20.0))
-
-    def test_stopping_the_server_joins_its_snapshot_readers(self):
-        def readers() -> list[str]:
-            return [t.name for t in threading.enumerate() if t.name.startswith("repro-reader")]
-
-        async def go():
-            server = await start_loaded_server(read_workers=2)
-            async with server:
-                connection = await repro.aio.connect(*server.address)
-                await connection.admin.enable_adaptive("p", "ra", strategy="segmentation")
-                statement = await connection.prepare(SQL)
-                results = await statement.executemany([(10.0, 12.0), (100.0, 103.0)])
-                await connection.close()
-                return [result.cache_level for result in results], readers()
-
-        levels, serving = run(go)
-        assert levels == ["snapshot", "snapshot"] and serving  # the wave fanned out
-        assert readers() == []
 
     def test_server_stop_with_a_live_connection_does_not_hang(self):
         async def go():

@@ -50,19 +50,16 @@ def _replication_database(budget_of) -> tuple[Database, object]:
 
 class TestValidation:
     def test_bounds(self, adaptive_database):
-        assert adaptive_database.set_knobs({"read_workers": 3})["read_workers"] == 3.0
+        assert adaptive_database.set_knobs({"apm_m_min": 3 * KB})["apm_m_min"] == 3 * KB
         with pytest.raises(ValueError, match="outside"):
-            adaptive_database.set_knobs({"read_workers": 11.0})
+            adaptive_database.set_knobs({"apm_m_min": 65 * KB})
         with pytest.raises(ValueError, match="not a number"):
-            adaptive_database.set_knobs({"read_workers": "nope"})
-
-    def test_integer_rounds(self, adaptive_database):
-        assert adaptive_database.set_knobs({"read_workers": 3.4})["read_workers"] == 3.0
+            adaptive_database.set_knobs({"apm_m_min": "nope"})
 
     def test_table_reads_live_value(self, adaptive_database):
-        adaptive_database.read_workers = 7
-        row = _rows(adaptive_database)["read_workers"]
-        assert row["value"] == 7.0
+        adaptive_database.bpm.handles()[0].adaptive.model.m_min = 2 * KB
+        row = _rows(adaptive_database)["apm_m_min"]
+        assert row["value"] == 2 * KB
         assert {"name", "layer", "default", "low", "high"} <= set(row)
 
 
@@ -84,8 +81,8 @@ class TestSetKnobs:
 
 
 class TestDatabaseKnobs:
-    def test_a_plain_engine_carries_only_read_workers(self):
-        assert Database().knobs() == {"read_workers": 1.0}
+    def test_a_plain_engine_carries_no_knob(self):
+        assert Database().knobs() == {}
 
     def test_apm_knobs_read_and_apply(self, adaptive_database):
         knobs = adaptive_database.knobs()
@@ -137,15 +134,31 @@ class TestDatabaseKnobs:
         assert database.knobs() == before
         assert column.storage_budget == 10 * column.total_bytes
 
-    def test_read_workers_knob_is_the_engine_attribute(self, adaptive_database):
-        row = _rows(adaptive_database)["read_workers"]
-        assert row["layer"] == "engine"
-        assert (row["low"], row["high"]) == (1, 8)
-        assert adaptive_database.read_workers == 1
-        adaptive_database.set_knobs({"read_workers": 4.6})
-        assert adaptive_database.read_workers == 5  # integer knob rounds
-        assert adaptive_database.knobs()["read_workers"] == 5.0
-
+    def test_two_budgeted_columns_keep_the_row_in_its_bounds(self):
+        # The row is read off the larger column, which sets its floor; the
+        # no-op set_knobs(knobs()) then writes nothing, so the smaller
+        # column keeps its own budget.
+        database = Database()
+        rng = np.random.default_rng(3)
+        columns = {}
+        for name, rows, extra in (("small", 10_000, 20 * KB), ("large", 50_000, 100 * KB)):
+            database.create_table(name, {"v": "float64"})
+            values = rng.uniform(0.0, 1000.0, rows)
+            database.bulk_load(name, {"v": values})
+            database.enable_adaptive(
+                name, "v", strategy="replication", storage_budget=values.nbytes + extra,
+            )
+            columns[name] = database.adaptive_handle(name, "v").adaptive
+        assert [c.total_bytes for c in columns.values()] == [80_000, 400_000]
+        row = _rows(database)["replication_storage_budget"]
+        assert (row["low"], row["high"]) == (400_000, 1_600_000)
+        assert row["low"] <= row["value"] <= row["high"]
+        assert row["low"] <= row["default"] <= row["high"]
+        assert row["value"] == row["default"] == 400_000 + 100 * KB
+        before = database.knobs()
+        assert database.set_knobs(before) == before
+        assert columns["small"].storage_budget == 80_000 + 20 * KB
+        assert columns["large"].storage_budget == 400_000 + 100 * KB
 
 class TestServerSurface:
     def test_admission_knobs_mutate_live(self):
@@ -184,7 +197,6 @@ class TestServerSurface:
 SURFACE = {
     "apm_m_min": ("storage-model", 3 * KB, 0.25 * KB, 64 * KB, False),
     "apm_m_max": ("storage-model", 12 * KB, 1 * KB, 256 * KB, False),
-    "read_workers": ("engine", 1.0, 1.0, 8.0, True),
     "hot_query_threshold": ("cluster", 0.5, 0.05, 1.0, False),
     "batch_window_us": ("server", 250.0, 0.0, 10_000.0, False),
     "max_inflight": ("server", 1024.0, 1.0, 65_536.0, True),
