@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.strategy import available_strategies
 from repro.engine.database import Database
 from repro.engine.executor import overlap_clusters
 from repro.util.half_open import half_open_in_domain, half_open_in_domain_many
@@ -259,6 +260,70 @@ class TestExecuteWave:
     def test_empty_wave_is_a_no_op(self, database):
         assert database.execute_wave([]) == []
         assert database.cache_stats()["batch"]["waves"] == 0
+
+
+#: One prepared range select per member column; ``w`` lives on a table that
+#: holds a pending insert, the others on one delta-free table.
+GROUP_SQL = {
+    "ra": "SELECT objid FROM p WHERE ra BETWEEN ? AND ?",
+    "dec": "SELECT objid FROM p WHERE dec BETWEEN ? AND ?",
+    "w": "SELECT objid FROM q WHERE w BETWEEN ? AND ?",
+}
+#: Member columns in wave order, and which members the wave batches.
+SHAPES = {
+    "one-group": (["ra", "ra", "ra"], [True, True, True]),
+    "two-groups": (["ra", "dec", "ra", "dec", "dec"], [True] * 5),
+    "singletons": (["ra", "dec"], [False, False]),
+    "group-and-singleton": (["dec", "ra", "ra", "ra"], [False, True, True, True]),
+    "beside-pending-deltas": (["w", "ra", "w", "ra"], [False, True, False, True]),
+}
+
+
+class TestWaveGroups:
+    """A wave groups its members per column: two or more batch, the rest run alone."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("organisation", [None, *available_strategies()])
+    def test_members_group_per_column(self, organisation, shape):
+        rng = np.random.default_rng(29)
+        data = {name: rng.uniform(0.0, 360.0, 4_000) for name in ("ra", "dec", "w")}
+        database = Database()
+        database.create_table("p", {"objid": "int64", "ra": "float64", "dec": "float64"})
+        database.bulk_load(
+            "p", {"objid": np.arange(4_000, dtype=np.int64), "ra": data["ra"], "dec": data["dec"]}
+        )
+        database.create_table("q", {"objid": "int64", "w": "float64"})
+        database.bulk_load("q", {"objid": np.arange(4_000, dtype=np.int64), "w": data["w"]})
+        late = np.array([15.0, 55.0, 95.0])
+        database.insert("q", {"objid": np.arange(4_000, 4_003, dtype=np.int64), "w": late})
+        data["w"] = np.concatenate((data["w"], late))
+        adaptive = None
+        if organisation is not None:
+            handle = database.enable_adaptive(
+                "p", "ra", strategy=organisation, model="apm", m_min=2 * KB, m_max=8 * KB
+            )
+            adaptive = handle.adaptive
+            executed = adaptive._queries_executed
+
+        columns, batched = SHAPES[shape]
+        prepared = {name: database.prepare_statement(sql) for name, sql in GROUP_SQL.items()}
+        bounds = [(10.0 + 41.0 * at, 30.0 + 41.0 * at) for at in range(len(columns))]
+        results = database.execute_wave(
+            [(prepared[name], pair) for name, pair in zip(columns, bounds)]
+        )
+
+        for name, (low, high), result in zip(columns, bounds, results):
+            hits = np.flatnonzero((data[name] >= low) & (data[name] <= high))
+            assert sorted(result.columns["objid"].tolist()) == hits.tolist()
+        assert [result.batched for result in results] == batched
+        batch = database.cache_stats()["batch"]
+        groups = {name for name, flag in zip(columns, batched) if flag}
+        assert (batch["waves"], batch["batched_queries"], batch["fallback_queries"]) == (
+            len(groups), sum(batched), len(batched) - sum(batched),
+        )
+        if adaptive is not None:  # every ra member adapted the column, batched or not
+            assert adaptive._queries_executed - executed == columns.count("ra")
+            adaptive.check_invariants()
 
 
 class TestBatchedProfiles:

@@ -11,16 +11,21 @@ tables take an insert *before* the column is made adaptive, so the adaptive
 column and the insert delta both hold those rows: the live-rows step scans
 the delta only past the adaptive column's rows.
 
-The door-equivalence check below it drives one fixed set of ranges through
-each of the four ``Database.execute*`` doors, a wave of literal statements
-(one prepared handle per member), and the client API's ``Cursor.executemany``
-and ``PreparedStatement.executemany`` — they are adapters over one executor,
+The door-equivalence check below it drives two fixed sets of ranges — an
+ordinary spread, and the edges: bounds on stored values, a range of one
+value, the empty gap between two neighbours, the whole domain and ranges
+past either end of it — through each of the four ``Database.execute*``
+doors, a wave of literal statements (one prepared handle per member), and
+the client API's ``Cursor.executemany`` and
+``PreparedStatement.executemany`` — they are adapters over one executor,
 so they must agree on answers, slot order and batch counters.  The
 one-lowering check follows one prepared handle through delta-free → insert →
 delete → reload: every member that runs a plan runs the lowering, and every
 answer along the way matches the shadow.  The clone check rebuilds a table
 with pending inserts and deletes on a fresh engine.  The knob check moves
-layout knobs between waves and expects the answers of a run that moves none.
+layout knobs between waves and expects the answers of a run that moves none,
+and every wave door must leave an adaptive column exactly as ``select_many``
+over the same ranges leaves it.
 """
 
 from __future__ import annotations
@@ -68,8 +73,13 @@ class Shadow:
         return sorted(zip(hits.tolist(), self.values[hits].tolist()))
 
 
+def _loaded() -> np.ndarray:
+    """The values every table here is bulk-loaded with."""
+    return np.random.default_rng(3).uniform(0.0, DOMAIN, ROWS)
+
+
 def _build(organisation: str | None, early_insert: bool) -> tuple[Database, Shadow]:
-    values = np.random.default_rng(3).uniform(0.0, DOMAIN, ROWS)
+    values = _loaded()
     database = Database()
     database.create_table("p", {"objid": "int64", "v": "float64"})
     database.bulk_load("p", {"objid": np.arange(ROWS, dtype=np.int64), "v": values})
@@ -160,6 +170,17 @@ DOORS = (
     "statement_executemany",
 )
 RANGES = [(40.0, 90.0), (60.0, 120.0), (500.0, 510.0), (880.0, 1000.0), (0.0, 15.5)]
+_SORTED = np.sort(_loaded())
+EDGES = [
+    (float(_SORTED[7]), float(_SORTED[7])),  # one stored value: both bounds are inclusive
+    (float(_SORTED[100]), float(_SORTED[140])),  # both bounds on stored values
+    # strictly between two neighbouring stored values: nothing
+    (float(np.nextafter(_SORTED[200], DOMAIN)), float(np.nextafter(_SORTED[201], 0.0))),
+    (-5.0, float(_SORTED[0])),  # from below the domain up to its least value
+    (0.0, DOMAIN),  # everything
+    (DOMAIN + 1.0, DOMAIN + 50.0),  # above the domain
+]
+BOUNDS = pytest.mark.parametrize("bounds", [RANGES, EDGES], ids=["spread", "edges"])
 RAN_SINGLY = {"cold", "shape", "masked", "prepared"}  # the compiled plan ran for this member
 
 
@@ -182,10 +203,11 @@ def _through(database: Database, door: str, prepared, bounds, **options) -> list
     )
 
 
+@BOUNDS
 @pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "pending-deltas"])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 @pytest.mark.parametrize("door", DOORS)
-def test_every_door_answers_alike(door, organisation, pending):
+def test_every_door_answers_alike(door, organisation, pending, bounds):
     database, shadow = _build(organisation, early_insert=False)
     adaptive = (
         database.adaptive_handle("p", "v").adaptive if organisation is not None else None
@@ -195,12 +217,12 @@ def test_every_door_answers_alike(door, organisation, pending):
         _step(database, shadow, prepared, "insert", 11)
         _step(database, shadow, prepared, "delete", 12)
 
-    results = _through(database, door, prepared, RANGES)
+    results = _through(database, door, prepared, bounds)
 
     assert [_pairs(result) for result in results] == [
-        shadow.answer(low, high) for low, high in RANGES
+        shadow.answer(low, high) for low, high in bounds
     ]  # slot order is input order
-    assert database.query_history[-len(RANGES):] == results
+    assert database.query_history[-len(bounds):] == results
     if adaptive is not None:
         adaptive.check_invariants()
     # Whichever wave door delivered them, the members were bucketed alike.
@@ -210,27 +232,28 @@ def test_every_door_answers_alike(door, organisation, pending):
     if door in ("execute", "execute_prepared"):
         assert counted == (0, 0, 0) and levels <= RAN_SINGLY
     elif pending:
-        assert counted == (0, 0, len(RANGES)) and levels <= RAN_SINGLY
+        assert counted == (0, 0, len(bounds)) and levels <= RAN_SINGLY
     else:
-        assert counted == (1, len(RANGES), 0) and levels == {"batched"}
+        assert counted == (1, len(bounds), 0) and levels == {"batched"}
 
 
+@BOUNDS
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
 @pytest.mark.parametrize("door", DOORS)
-def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(door, organisation):
+def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(door, organisation, bounds):
     database, shadow = _build(organisation, early_insert=False)
     prepared = database.prepare_statement(SQL)
 
     def read(pending: bool) -> None:
-        results = _through(database, door, prepared, RANGES)
+        results = _through(database, door, prepared, bounds)
         assert [_pairs(result) for result in results] == [
-            shadow.answer(low, high) for low, high in RANGES
+            shadow.answer(low, high) for low, high in bounds
         ]
         ran = [r.profile.opcode_counts for r in results if r.cache_level in RAN_SINGLY]
         if pending:  # every member ran a plan on its own
-            assert len(ran) == len(RANGES)
+            assert len(ran) == len(bounds)
         else:  # the lowering, or a wave that ran no plan at all
-            assert len(ran) == (len(RANGES) if door in ("execute", "execute_prepared") else 0)
+            assert len(ran) == (len(bounds) if door in ("execute", "execute_prepared") else 0)
         assert all(counts["sql.live"] == 1 and "algebra.kunion" not in counts for counts in ran)
 
     read(pending=False)
@@ -306,7 +329,9 @@ def test_waves_answer_alike_when_layout_knobs_move_between_them(organisation):
         prepared = database.prepare_statement(SQL)
         answers = []
         for index, start in enumerate(range(0, len(bounds), 16)):
-            members = [(prepared, prepared.binding.bind(pair)) for pair in bounds[start:start + 16]]
+            members = [
+                (prepared, prepared.binding.bind(pair)) for pair in bounds[start:start + 16]
+            ]
             answers.extend(_pairs(result) for result in database.execute_wave(members))
             if move is not None:
                 move(database, index)
@@ -323,6 +348,38 @@ def test_waves_answer_alike_when_layout_knobs_move_between_them(organisation):
     moved = _knob_build(organisation)
     assert waves(moved, move) == waves(_knob_build(organisation))
     moved.adaptive_handle("p", "v").adaptive.check_invariants()
+
+
+WAVE_DOORS = [door for door in DOORS if door not in ("execute", "execute_prepared")]
+
+
+@pytest.mark.parametrize("door", WAVE_DOORS)
+@pytest.mark.parametrize("organisation", available_strategies())
+def test_every_wave_door_adapts_the_column_like_select_many(organisation, door):
+    """A wave reads through the column, so it adapts it: the layout, history and
+    charged bytes are those of ``select_many`` over the same ranges."""
+    bounds = _ranges(np.random.default_rng(29), 16)
+
+    def state(database: Database) -> tuple:
+        column = database.adaptive_handle("p", "v").adaptive
+        column.check_invariants()
+        accountant = column.accountant
+        return (
+            column.segment_count,
+            len(column.history),
+            column._queries_executed,
+            accountant.total_reads_bytes,
+            accountant.total_writes_bytes,
+        )
+
+    waved = _knob_build(organisation)
+    results = _through(waved, door, waved.prepare_statement(SQL), bounds)
+    assert {result.cache_level for result in results} == {"batched"}
+    reference = _knob_build(organisation)
+    reference.adaptive_handle("p", "v").adaptive.select_many(bounds)
+    assert state(waved) == state(reference)
+    _, _, executed, reads, _ = state(waved)
+    assert executed == len(bounds) and reads > 0
 
 
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
@@ -349,9 +406,10 @@ def test_an_update_as_delete_then_insert_answers_with_the_latest_value(door, org
         database.adaptive_handle("p", "v").adaptive.check_invariants()
 
 
+@BOUNDS
 @pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "pending-deltas"])
 @pytest.mark.parametrize("organisation", [None, *available_strategies()])
-def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pending):
+def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pending, bounds):
     database, shadow = _build(organisation, early_insert=False)
     database.create_table("gone", {"w": "float64"})
     database.bulk_load("gone", {"w": np.arange(5.0)})
@@ -361,7 +419,7 @@ def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pendin
     if pending:
         _step(database, shadow, prepared, "insert", 11)
         _step(database, shadow, prepared, "delete", 12)
-    members = [(prepared, prepared.binding.bind(pair)) for pair in RANGES]
+    members = [(prepared, prepared.binding.bind(pair)) for pair in bounds]
     members.insert(2, (poison, (0.0, 1.0)))
 
     with pytest.raises(KeyError):
@@ -371,11 +429,11 @@ def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pendin
     assert isinstance(results[2], KeyError)
     healthy = results[:2] + results[3:]
     assert [_pairs(result) for result in healthy] == [
-        shadow.answer(low, high) for low, high in RANGES
+        shadow.answer(low, high) for low, high in bounds
     ]
-    assert database.query_history[-len(RANGES):] == healthy
+    assert database.query_history[-len(bounds):] == healthy
     if organisation is not None:
         database.adaptive_handle("p", "v").adaptive.check_invariants()
     # The failed whole-wave attempts ran nothing; the replay ran each member alone.
     batch = database.cache_stats()["batch"]
-    assert (batch["waves"], batch["fallback_queries"]) == (0, len(RANGES))
+    assert (batch["waves"], batch["fallback_queries"]) == (0, len(bounds))

@@ -134,22 +134,27 @@ class TestDatabaseKnobs:
         assert database.knobs() == before
         assert column.storage_budget == 10 * column.total_bytes
 
-    def test_two_budgeted_columns_keep_the_row_in_its_bounds(self):
-        # The row is read off the larger column, which sets its floor; the
-        # no-op set_knobs(knobs()) then writes nothing, so the smaller
-        # column keeps its own budget.
+    @pytest.mark.parametrize("order", ["small-first", "large-first"])
+    def test_two_budgeted_columns_keep_the_row_in_its_bounds(self, order):
+        # The row is read off the larger column, which sets its floor,
+        # whichever was enabled first; the no-op set_knobs(knobs()) then
+        # writes nothing, so the smaller column keeps its own budget.
         database = Database()
-        rng = np.random.default_rng(3)
         columns = {}
-        for name, rows, extra in (("small", 10_000, 20 * KB), ("large", 50_000, 100 * KB)):
+        shapes = [("small", 10_000, 20 * KB), ("large", 50_000, 100 * KB)]
+        if order == "large-first":
+            shapes.reverse()
+        for name, rows, extra in shapes:
             database.create_table(name, {"v": "float64"})
-            values = rng.uniform(0.0, 1000.0, rows)
+            values = np.random.default_rng(rows).uniform(0.0, 1000.0, rows)
             database.bulk_load(name, {"v": values})
             database.enable_adaptive(
                 name, "v", strategy="replication", storage_budget=values.nbytes + extra,
             )
             columns[name] = database.adaptive_handle(name, "v").adaptive
-        assert [c.total_bytes for c in columns.values()] == [80_000, 400_000]
+        assert {name: c.total_bytes for name, c in columns.items()} == {
+            "small": 80_000, "large": 400_000,
+        }
         row = _rows(database)["replication_storage_budget"]
         assert (row["low"], row["high"]) == (400_000, 1_600_000)
         assert row["low"] <= row["value"] <= row["high"]
@@ -159,6 +164,7 @@ class TestDatabaseKnobs:
         assert database.set_knobs(before) == before
         assert columns["small"].storage_budget == 80_000 + 20 * KB
         assert columns["large"].storage_budget == 400_000 + 100 * KB
+
 
 class TestServerSurface:
     def test_admission_knobs_mutate_live(self):
