@@ -1,20 +1,24 @@
 """Chaos smoke: a client stream against a fault-injected replica fleet.
 
 Boots a 3-replica server on a free loopback port with the deterministic
-fault injector armed (:data:`FAULT_SPEC` crashes two replicas mid-stream),
-points a resilient async client at it, and stops it with SIGINT afterwards;
+fault injector armed (:data:`FAULT_SPEC` wedges one replica past the wave
+deadline and crashes another mid-stream), points a resilient async client at
+it, and stops it with SIGINT afterwards, the client's connection still open;
 the fleet must exit cleanly::
 
     PYTHONPATH=src timeout 120 python examples/chaos_workload.py
 
-The workload fires bound range selects through the crash window, verifies
-every completed answer against a client-side recomputation of the demo
-table, then polls ``router_stats`` until the fleet converges back to full
-health, and sends a second, checked batch to the healed fleet.  Exit 0
-requires: zero wrong answers, health counters that show the injected
-crashes actually exercised quarantine + rebuild, every replica healthy
-again, and every replica serving part of the second batch (re-admission).
-CI runs this as the ``chaos-smoke`` job.
+The client first drops its own socket on one text ``execute`` (a
+client-side ``client.send`` fault): it must redial once and still get the
+checked answer.  The workload then fires bound range selects through the
+fault window, verifies every completed answer against a client-side
+recomputation of the demo table, polls ``router_stats`` until the fleet
+converges back to full health, and sends a second, checked batch to the
+healed fleet.  Exit 0 requires: zero wrong answers, one reconnect, health
+counters that show the injected faults actually exercised the deadline,
+quarantine + rebuild, every replica healthy again, every replica serving
+part of the second batch (re-admission), and a clean exit of a server
+stopped with a connection open.  CI runs this as the ``chaos-smoke`` job.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ sys.path.insert(0, SRC)
 
 import repro.aio  # noqa: E402
 from repro.api.exceptions import OperationalError  # noqa: E402
+from repro.fault import FaultInjector  # noqa: E402
 
 HOST = "127.0.0.1"
 SQL = "SELECT v FROM demo WHERE v BETWEEN ? AND ?"
@@ -43,9 +48,13 @@ SQL = "SELECT v FROM demo WHERE v BETWEEN ? AND ?"
 DEMO_SEED = 7
 #: Queries in the checked batch sent once the fleet has healed.
 HEALED_QUERIES = 48
-#: The faults the fleet is booted with: replicas 1 and 2 crash on their first waves.
+#: Seconds a wave may run before the admission layer presumes its replica wedged.
+WAVE_DEADLINE_S = 1.0
+#: The faults the fleet is booted with: replica 1's first wave hangs past the
+#: wave deadline, replica 2 crashes on its second.
 FAULT_SPEC = {"seed": 7, "faults": [
-    {"site": "wave.execute", "at": 1, "action": "crash", "match": {"replica": 1}},
+    {"site": "wave.execute", "at": 1, "action": "hang", "delay_s": 1.5 * WAVE_DEADLINE_S,
+     "match": {"replica": 1}},
     {"site": "wave.execute", "at": 2, "action": "crash", "match": {"replica": 2}},
 ]}
 
@@ -58,14 +67,15 @@ def boot_fleet(port: int, demo_rows: int) -> subprocess.Popen:
         [sys.executable, "-m", "repro.server", "--host", HOST, "--port", str(port),
          "--replicas", "3", "--demo-rows", str(demo_rows), "--batch-window-us", "400",
          "--max-wave", "16", "--quarantine-after", "1", "--max-retries", "3",
-         "--fault-spec", json.dumps(FAULT_SPEC)],
+         "--wave-deadline-s", str(WAVE_DEADLINE_S), "--fault-spec", json.dumps(FAULT_SPEC)],
         env=env,
     )
 
 
 def stop_fleet(server: subprocess.Popen) -> int:
     """SIGINT, the server's own shutdown path; returns its exit code."""
-    server.send_signal(signal.SIGINT)
+    if server.poll() is None:
+        server.send_signal(signal.SIGINT)
     try:
         return server.wait(timeout=30)
     except subprocess.TimeoutExpired:
@@ -89,14 +99,16 @@ async def wait_for_server(host: str, port: int, deadline_s: float) -> None:
             return
 
 
-async def run_workload(port: int, args: argparse.Namespace) -> int:
+async def run_workload(port: int, args: argparse.Namespace, server: subprocess.Popen) -> int:
     await wait_for_server(HOST, port, args.boot_timeout)
+    client_faults = FaultInjector()
     connection = await repro.aio.connect(
         HOST,
         port,
         request_timeout=10.0,
         reconnect=True,
         retry_reads=True,
+        injector=client_faults,
     )
     demo_rows = (await connection.admin.router_stats())["replicas"]
     del demo_rows  # the call doubles as a handshake sanity check
@@ -139,6 +151,17 @@ async def run_workload(port: int, args: argparse.Namespace) -> int:
                       f"expected {expected}")
         return completed, failed, wrong
 
+    # The client drops its own socket on one text execute: it redials once
+    # and re-sends, and the answer is checked like any other.
+    client_faults.schedule("client.send", at=1, action="drop", op="execute")
+    dropped = await batch(1)
+    if dropped is None:
+        return 1
+    if dropped != (1, 0, 0) or connection.reconnects != 1:
+        print(f"FATAL: the dropped execute came back {dropped} "
+              f"after {connection.reconnects} reconnects (want (1, 0, 0) after 1)")
+        return 1
+
     first = await batch(args.queries)
     if first is None:
         return 1
@@ -165,6 +188,9 @@ async def run_workload(port: int, args: argparse.Namespace) -> int:
         replica["queries_served"]
         for replica in (await connection.admin.router_stats())["replicas"]
     ]
+    # Stop the fleet with this connection still open: the server's graceful
+    # stop drains the connection's responses and shuts its handler down too.
+    stopped = await asyncio.to_thread(stop_fleet, server)
     await connection.close()
 
     print(
@@ -178,10 +204,10 @@ async def run_workload(port: int, args: argparse.Namespace) -> int:
     if completed < args.queries * 0.9:
         print(f"FATAL: only {completed}/{args.queries} answers completed")
         return 1
-    if health["quarantines"] < 1 or health["rebuilds"] < 1:
-        print("FATAL: the injected crashes never exercised failover "
+    if health["quarantines"] < 2 or health["rebuilds"] < 2 or health["timeouts"] < 1:
+        print("FATAL: the injected faults never exercised failover "
               f"(quarantines={health.get('quarantines')}, "
-              f"rebuilds={health.get('rebuilds')})")
+              f"rebuilds={health.get('rebuilds')}, timeouts={health.get('timeouts')})")
         return 1
     if not all(state == "healthy" for state in health["states"]):
         print(f"FATAL: fleet did not converge back to health: "
@@ -199,7 +225,11 @@ async def run_workload(port: int, args: argparse.Namespace) -> int:
     if idle:
         print(f"FATAL: replicas {idle} served nothing after healing (not re-admitted)")
         return 1
-    print("chaos smoke ok: crashed, failed over, rebuilt, healed, re-admitted")
+    if stopped != 0:
+        print(f"FATAL: the fleet exited {stopped} on SIGINT with a connection open")
+        return 1
+    print("chaos smoke ok: reconnected, timed out, crashed, failed over, rebuilt, "
+          "healed, re-admitted, stopped")
     return 0
 
 
@@ -218,7 +248,7 @@ def main() -> int:
         port = probe.getsockname()[1]
     server = boot_fleet(port, args.demo_rows)
     try:
-        status = asyncio.run(run_workload(port, args))
+        status = asyncio.run(run_workload(port, args, server))
     finally:
         exit_code = stop_fleet(server)
     if exit_code != 0:

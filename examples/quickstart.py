@@ -8,6 +8,11 @@ The SQL front-end never changes between strategies: self-organization is
 enabled per column with one ``admin.enable_adaptive`` call, exactly as the
 paper integrates it "completely transparently for the SQL front-end".
 
+It then walks the rest of the DB-API surface on one range select —
+``description``, ``fetchone`` / ``fetchmany`` / ``fetchall``, iteration and
+the ``with cursor`` form — and one ``COUNT`` / ``MIN`` / ``MAX`` aggregate,
+checking every answer against the engine's result and numpy.
+
 Run with:  python examples/quickstart.py
 (QUICKSTART_QUERIES=200 scales the workload down, e.g. for CI smoke runs.)
 """
@@ -76,6 +81,48 @@ def main() -> None:
     print("Adaptive strategies read only the query-relevant pieces of the column;")
     print("replication trades a little extra storage for a smaller write overhead.")
     print("Every strategy ran behind the same SQL and the same prepared statement.")
+    print()
+    walk_the_cursor(values)
+
+
+def walk_the_cursor(values: np.ndarray, low: int = 250_000, high: int = 260_000) -> None:
+    """Fetch one range select every DB-API way, and one aggregate; check each."""
+    with repro.connect() as connection:
+        connection.admin.create_table("readings", {"oid": "int64", "value": "int32"})
+        connection.admin.bulk_load(
+            "readings", {"oid": np.arange(values.size, dtype=np.int64), "value": values}
+        )
+        connection.admin.enable_adaptive("readings", "value", **STRATEGIES["APM segmentation"])
+        sql = "SELECT oid, value FROM readings WHERE value BETWEEN ? AND ?"
+
+        with connection.cursor() as cursor:
+            cursor.execute(sql, (low, high))
+            result = cursor.result
+            expected = list(zip(result.column("oid"), result.column("value")))
+            assert [entry[:2] for entry in cursor.description] == [
+                ("oid", "int64"), ("value", "int32"),
+            ]
+            assert cursor.rowcount == len(expected) > 0
+            first, some, rest = cursor.fetchone(), cursor.fetchmany(5), cursor.fetchall()
+            assert [first, *some, *rest] == expected
+            assert cursor.fetchone() is None
+            cursor.execute(sql, (low, high))
+            assert list(cursor) == expected  # iteration
+        assert cursor.closed
+
+        cursor = connection.execute(
+            "SELECT COUNT(*), MIN(value), MAX(value) FROM readings "
+            f"WHERE value BETWEEN {low} AND {high}"
+        )
+        hits = values[(values >= low) & (values <= high)]
+        truth = (float(hits.size), float(hits.min()), float(hits.max()))
+        assert cursor.fetchone() == truth
+        assert tuple(
+            cursor.result.scalar(label) for label in ("count(*)", "min(value)", "max(value)")
+        ) == truth
+    print(f"cursor: {len(expected)} rows of [{low}, {high}] read alike through description, "
+          f"fetchone/fetchmany/fetchall and iteration; COUNT/MIN/MAX = "
+          f"{int(truth[0])}/{int(truth[1])}/{int(truth[2])}, as numpy finds them.")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ params)`` takes the prepared path — the statement's placeholder text is
 looked up (or lowered once) in the plan cache and the bindings are validated
 and written straight into the compiled plan's slot environment, skipping both
 the parse and the literal masking.  ``executemany`` binds every parameter set
-against one prepared statement and routes same-column range selections —
-overlapping and disjoint alike — through the engine's vectorized batch executor.
+against one prepared statement and routes range selections on one adaptive
+column — overlapping and disjoint alike — through the engine's vectorized
+batch executor.
 
 Everything after ``execute*`` — the fetch state machine, ``description``,
 ``rowcount`` — is :class:`_FetchCursor`, which the wire client's
@@ -283,8 +284,8 @@ class Cursor(_FetchCursor[QueryResult]):
         """Run one parameterized statement once per parameter set.
 
         The statement is prepared exactly once; every binding is validated
-        against that one shape up front.  Same-column range selections —
-        overlapping and disjoint alike — are answered by the engine's
+        against that one shape up front.  Range selections on one adaptive
+        column — overlapping and disjoint alike — are answered by the engine's
         vectorized batch executor (one kernel pass for the whole batch);
         everything else executes individually.  The fetchable rows are the
         concatenation of every execution's rows, in input order.

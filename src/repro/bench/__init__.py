@@ -3,8 +3,7 @@
 Every table and figure of the paper's evaluation section has a corresponding
 experiment function here and a benchmark in ``benchmarks/``.  The functions
 return plain data structures (series and rows); :mod:`repro.bench.reporting`
-renders them in the paper's shape, and ``repro-experiments`` (the console
-script) runs any subset from the command line.
+renders them in the paper's shape.
 """
 
 from repro.bench.harness import (

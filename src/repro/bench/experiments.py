@@ -1,21 +1,12 @@
-"""One function per paper figure/table, plus the ``repro-experiments`` CLI.
+"""One function per paper figure/table.
 
 Each ``figure_*`` / ``table_*`` function runs the corresponding experiment and
 returns a formatted text block in the paper's shape (series sampled over the
 query axis, or a table of rows).  The benchmarks in ``benchmarks/`` call these
-functions through ``pytest-benchmark``; the console script runs any subset:
-
-.. code-block:: console
-
-    $ repro-experiments --list
-    $ repro-experiments fig5 table1
-    $ repro-experiments all
+functions through ``pytest-benchmark``.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
 
 import numpy as np
 
@@ -229,58 +220,3 @@ def table_2() -> str:
                 }
             )
     return format_table("Table 2: segment statistics", rows, floatfmt=".1f")
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-EXPERIMENTS = {
-    "fig2": figure_2,
-    "fig5": figure_5,
-    "fig6": figure_6,
-    "fig7": figure_7,
-    "table1": table_1,
-    "fig8": figure_8,
-    "fig9": figure_9,
-    "fig10": figure_10,
-    "fig11-12": figure_11_12,
-    "fig13-14": figure_13_14,
-    "fig15-16": figure_15_16,
-    "table2": table_2,
-}
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point of the ``repro-experiments`` console script."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the tables and figures of the paper's evaluation section.",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help="experiment ids (e.g. fig5 table1) or 'all'",
-    )
-    parser.add_argument("--list", action="store_true", help="list available experiments")
-    args = parser.parse_args(argv)
-
-    if args.list or not args.experiments:
-        print("Available experiments:")
-        for name, function in EXPERIMENTS.items():
-            print(f"  {name:<10s} {function.__doc__.splitlines()[0] if function.__doc__ else ''}")
-        return 0
-
-    selected = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    unknown = [name for name in selected if name not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    for name in selected:
-        print(EXPERIMENTS[name]())
-        print()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -220,12 +220,15 @@ class EngineReplica:
         The old worker may be wedged — that is usually why we are here — so
         it gets a token-timeout close and is otherwise abandoned; the new
         worker starts with an empty queue, and the replica's failure
-        bookkeeping resets.  The caller (the router) owns the health
-        transition back to ``HEALTHY``.
+        bookkeeping resets.  The new worker is in place before the old one
+        closes, so a wave submitted meanwhile never meets a closed worker.
+        The caller (the router) owns the health transition back to
+        ``HEALTHY``.
         """
-        self.worker.close(timeout=close_timeout)
+        old = self.worker
         self.database = database
         self.worker = ReplicaWorker(self.index)
+        old.close(timeout=close_timeout)
         self.consecutive_failures = 0
         self.last_error = None
         self.rebuilds += 1

@@ -11,7 +11,11 @@ Public surface:
 * Strategies: :class:`~repro.core.segmentation.SegmentedColumn` (adaptive
   segmentation), :class:`~repro.core.replication.ReplicatedColumn` (adaptive
   replication) and :class:`~repro.core.baseline.UnsegmentedColumn` (the
-  non-segmented baseline).
+  non-segmented baseline: one full scan per query, in a batch too).
+* :class:`~repro.core.strategy.AdaptiveColumnBase` — the one contract every
+  strategy extends — and the registry every layer builds columns through
+  (:func:`~repro.core.strategy.register_strategy`,
+  :func:`~repro.core.strategy.create_strategy`, ...).
 * Accounting: :class:`~repro.core.accounting.IOAccountant`,
   :class:`~repro.core.accounting.QueryStats`, :class:`~repro.core.accounting.QueryLog`.
 * :func:`~repro.core.statistics.segment_statistics` — Table 2 style summaries.
@@ -28,7 +32,7 @@ from repro.core.models import (
     SplitDecision,
     model_from_name,
 )
-from repro.core.ranges import ValueRange, coalesce_ranges, domain_of, ranges_cover
+from repro.core.ranges import ValueRange, domain_of
 from repro.core.replica_tree import ReplicaNode, ReplicaTree
 from repro.core.replication import ReplicatedColumn
 from repro.core.segment import Segment, SelectionResult
@@ -36,12 +40,10 @@ from repro.core.segmentation import SegmentedColumn
 from repro.core.statistics import SegmentStatistics, segment_statistics
 from repro.core.strategy import (
     AdaptiveColumnBase,
-    AdaptiveColumnStrategy,
     available_strategies,
     create_strategy,
     register_strategy,
     strategy_class,
-    unregister_strategy,
 )
 
 __all__ = [
@@ -57,9 +59,7 @@ __all__ = [
     "SplitDecision",
     "model_from_name",
     "ValueRange",
-    "coalesce_ranges",
     "domain_of",
-    "ranges_cover",
     "ReplicaNode",
     "ReplicaTree",
     "ReplicatedColumn",
@@ -69,10 +69,8 @@ __all__ = [
     "SegmentStatistics",
     "segment_statistics",
     "AdaptiveColumnBase",
-    "AdaptiveColumnStrategy",
     "available_strategies",
     "create_strategy",
     "register_strategy",
     "strategy_class",
-    "unregister_strategy",
 ]

@@ -86,24 +86,6 @@ class UnsegmentedColumn(AdaptiveColumnBase):
         stats.selection_seconds = self._now() - started
         return result
 
-    def _execute_batch(
-        self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats
-    ) -> list[SelectionResult]:
-        """Answer N range selections from **one** scan of the column.
-
-        The batch kernel probes the cached one-segment sorted view
-        (:attr:`segments`) with arrays of bounds — two ``np.searchsorted``
-        calls for the whole batch — so member results come back in value
-        order rather than the per-query path's load order (the two are
-        permutations of each other).  The batch's access statistics reflect
-        the amortization: one full-column read serves every member.
-        """
-        self.accountant.record_read(self.total_bytes)
-        started = self._now()
-        results = self.segments[0].select_many(lows, highs)
-        stats.selection_seconds = self._now() - started
-        return results
-
     def check_invariants(self) -> None:
         """The baseline has a single invariant: its payload matches its domain."""
         if self._values.size and not bool(

@@ -12,7 +12,7 @@ right-ascension column; a split point ``p`` always produces ``[low, p)`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,33 +125,3 @@ def domain_of(values: np.ndarray) -> ValueRange:
     if np.issubdtype(arr.dtype, np.integer):
         return ValueRange(low, high + 1.0)
     return ValueRange(low, float(np.nextafter(high, np.inf)))
-
-
-def coalesce_ranges(ranges: Sequence[ValueRange]) -> list[ValueRange]:
-    """Merge adjacent/overlapping ranges into a minimal sorted cover."""
-    if not ranges:
-        return []
-    ordered = sorted(ranges, key=lambda r: (r.low, r.high))
-    merged = [ordered[0]]
-    for current in ordered[1:]:
-        last = merged[-1]
-        if current.low <= last.high:
-            merged[-1] = ValueRange(last.low, max(last.high, current.high))
-        else:
-            merged.append(current)
-    return merged
-
-
-def ranges_cover(ranges: Sequence[ValueRange], target: ValueRange) -> bool:
-    """True when the union of ``ranges`` covers ``target`` entirely."""
-    if target.is_empty:
-        return True
-    merged = coalesce_ranges([r for r in ranges if r.overlaps(target)])
-    position = target.low
-    for candidate in merged:
-        if candidate.low > position:
-            return False
-        position = max(position, candidate.high)
-        if position >= target.high:
-            return True
-    return position >= target.high

@@ -268,20 +268,6 @@ class Segment:
             sorted_probe_many(self.values, highs, side="left"),
         )
 
-    def select_many(self, lows: np.ndarray, highs: np.ndarray) -> list[SelectionResult]:
-        """Extract the values (and oids) of N half-open ranges in one batch.
-
-        Every result is a zero-copy view slice of the segment payload (no
-        envelope over-scan: each range gets exactly its own ``[lo, hi)``
-        slice).  An empty or reversed range yields an empty result.
-        """
-        los, his = self.bounds_many(lows, highs)
-        values, oids = self.values, self.oids
-        return [
-            SelectionResult(values[lo:hi], oids[lo:hi], values_sorted=True)
-            for lo, hi in zip(los.tolist(), his.tolist())
-        ]
-
     def extract(self, vrange: ValueRange) -> "Segment":
         """A new materialized segment holding this segment's data in ``vrange``.
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.units import MB, format_bytes
-
 
 @dataclass(frozen=True)
 class SegmentStatistics:
@@ -24,34 +22,6 @@ class SegmentStatistics:
     deviation_bytes: float
     total_bytes: float
     materialized_count: int
-
-    @property
-    def average_mb(self) -> float:
-        """Average segment size in MB (the unit used by Table 2)."""
-        return self.average_bytes / MB
-
-    @property
-    def deviation_mb(self) -> float:
-        """Standard deviation of segment sizes in MB."""
-        return self.deviation_bytes / MB
-
-    def as_row(self) -> dict[str, float]:
-        """A flat dictionary used by the reporting helpers."""
-        return {
-            "segments": self.segment_count,
-            "avg_bytes": self.average_bytes,
-            "dev_bytes": self.deviation_bytes,
-            "avg_mb": self.average_mb,
-            "dev_mb": self.deviation_mb,
-            "total_bytes": self.total_bytes,
-            "materialized": self.materialized_count,
-        }
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.segment_count} segments, avg {format_bytes(self.average_bytes)}, "
-            f"dev {format_bytes(self.deviation_bytes)}"
-        )
 
 
 def segment_statistics(column) -> SegmentStatistics:

@@ -3,8 +3,8 @@
 The paper's central claim is that *multiple* self-organizing strategies —
 the non-segmented baseline, adaptive segmentation (§4) and adaptive
 replication (§5) — can coexist behind a single column-store interface.  This
-module makes that claim structural: every strategy is a class implementing the
-:class:`AdaptiveColumnStrategy` surface and registering itself under its
+module makes that claim structural: every strategy is a class extending
+:class:`AdaptiveColumnBase` and registering itself under its
 ``strategy_name``.  The BPM, the simulator, the grid runner and the SQL engine
 all resolve strategies through the registry, so adding a new strategy (hybrid
 segmentation+replication, sharded columns, ...) is one file that calls
@@ -12,8 +12,7 @@ segmentation+replication, sharded columns, ...) is one file that calls
 
 Public surface:
 
-* :class:`AdaptiveColumnStrategy` — the runtime-checkable protocol.
-* :class:`AdaptiveColumnBase` — the template every strategy extends: it owns
+* :class:`AdaptiveColumnBase` — the one contract every strategy extends: it owns
   construction (validation, domain, accountant, ``history``) and the two
   doors ``select`` / ``select_many``, each of which opens the one *query
   frame* (one :class:`QueryStats` record, accountant attached for exactly
@@ -22,7 +21,7 @@ Public surface:
   ``_execute_batch``.
 * :func:`batch_bounds_arrays` — shared validation for the batched
   ``select_many`` hook (mirrors :class:`~repro.core.ranges.ValueRange`).
-* :func:`register_strategy` / :func:`unregister_strategy` — registry admin.
+* :func:`register_strategy` — the class decorator that registers a strategy.
 * :func:`strategy_class` / :func:`available_strategies` — lookup.
 * :func:`create_strategy` — the factory every layer builds columns through.
 """
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import inspect
 import time
-from typing import Any, ClassVar, Protocol, Sequence, runtime_checkable
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -71,47 +70,6 @@ def batch_bounds_arrays(
     return lows, highs
 
 
-@runtime_checkable
-class AdaptiveColumnStrategy(Protocol):
-    """What every self-organizing column strategy exposes.
-
-    The three built-ins (:class:`~repro.core.baseline.UnsegmentedColumn`,
-    :class:`~repro.core.segmentation.SegmentedColumn`,
-    :class:`~repro.core.replication.ReplicatedColumn`) implement this surface;
-    so must any plugged-in strategy — extending :class:`AdaptiveColumnBase`
-    provides everything here but ``storage_bytes``, ``segment_count`` and
-    ``check_invariants``.  ``history`` is always a :class:`QueryLog`: one
-    record per ``select`` and per batch-kernel ``select_many``.
-    """
-
-    strategy_name: ClassVar[str]
-    requires_model: ClassVar[bool]
-    domain: ValueRange
-    history: QueryLog
-    total_bytes: float
-    index: IntervalIndex | None
-
-    @property
-    def storage_bytes(self) -> float: ...
-
-    @property
-    def segment_count(self) -> int: ...
-
-    def select(self, low: float, high: float) -> SelectionResult: ...
-
-    def select_many(
-        self, bounds: Sequence[tuple[float, float]]
-    ) -> list[SelectionResult]: ...
-
-    def stats(self) -> QueryStats | None: ...
-
-    def adapt(self, low: float, high: float) -> QueryStats | None: ...
-
-    def describe(self) -> dict[str, Any]: ...
-
-    def check_invariants(self) -> None: ...
-
-
 def _untimed() -> float:
     """The phase clock of a column built with ``time_phases=False``."""
     return 0.0
@@ -120,11 +78,14 @@ def _untimed() -> float:
 class AdaptiveColumnBase:
     """The template every strategy extends: construction and the query frame.
 
+    It is the one strategy contract the BPM and every other layer hold.
     Subclasses set :attr:`strategy_name` (the registry key),
     :attr:`requires_model` (whether construction needs a segmentation model)
     and :attr:`display_short` (the label fragment used in the paper's plots),
-    start their ``__init__`` with ``super().__init__(...)`` and implement
-    :meth:`_execute`.  The public doors — :meth:`select` and
+    start their ``__init__`` with ``super().__init__(...)``, implement
+    :meth:`_execute` and provide ``storage_bytes``, ``segment_count`` and
+    ``check_invariants``.  ``history`` is always a :class:`QueryLog`: one
+    record per ``select`` and per batch-kernel ``select_many``.  The public doors — :meth:`select` and
     :meth:`select_many` — live here and must not be overridden: each opens
     the one query frame and runs a hook inside it, so every strategy's
     ``history`` holds the same kind of record, written the same way.
@@ -184,11 +145,6 @@ class AdaptiveColumnBase:
         if not cls.requires_model or not model_name:
             return cls.display_short
         return f"{model_name.upper()} {cls.display_short}"
-
-    def stats(self) -> QueryStats | None:
-        """Per-query stats of the most recent selection (``None`` if nothing ran)."""
-        records = self.history.records
-        return records[-1] if records else None
 
     # -- the query frame -----------------------------------------------------
 
@@ -266,16 +222,6 @@ class AdaptiveColumnBase:
         """Answer ``query`` (and adapt), timing the phases into ``stats``."""
         raise NotImplementedError
 
-    def adapt(self, low: float, high: float) -> QueryStats | None:
-        """Run one selection purely for its adaptation side effect.
-
-        Adaptation is piggy-backed on selections in every strategy, so an
-        explicit adaptation pass is a selection whose payload is discarded.
-        Returns the stats of that selection.
-        """
-        self.select(low, high)
-        return self.stats()
-
     def describe(self) -> dict[str, Any]:
         """A structured snapshot of the strategy's current state."""
         return {
@@ -316,11 +262,6 @@ def register_strategy(cls: type) -> type:
     return cls
 
 
-def unregister_strategy(name: str) -> None:
-    """Remove a strategy from the registry (used by tests and plugins)."""
-    _REGISTRY.pop(name.strip().lower(), None)
-
-
 def _ensure_builtins() -> None:
     """Import the built-in strategy modules so they self-register."""
     global _BUILTINS_LOADED
@@ -355,7 +296,7 @@ def create_strategy(
     model: Any | None = None,
     strict: bool = True,
     **options: Any,
-) -> AdaptiveColumnStrategy:
+) -> AdaptiveColumnBase:
     """Instantiate the strategy ``name`` over ``values``.
 
     ``model`` is forwarded only to strategies that declare

@@ -12,7 +12,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.accounting import QueryStats
 from repro.core.models import SegmentationModel, model_from_name
 from repro.engine.executor import Executor, Member, Origin
 from repro.engine.plan_cache import (
@@ -62,9 +61,9 @@ class Database:
     plan cache keys on the statement's ``?`` text, and each text is lowered once
     into a slot-based :class:`~repro.mal.compiled.CompiledPlan` — on a warm query
     only the literal masking (text) or the bind validation (prepared) and the
-    plan execution itself remain.  Waves route same-column range selections —
-    overlapping and disjoint alike — through the vectorized batch executor
-    (the strategy layer's ``select_many`` kernels), and every
+    plan execution itself remain.  Waves route range selections on one
+    adaptive column — overlapping and disjoint alike — through the vectorized
+    batch executor (the strategy layer's ``select_many`` kernels), and every
     :class:`QueryResult` carries a per-stage :class:`QueryProfile`.
     """
 
@@ -398,9 +397,9 @@ class Database:
         """Run one prepared statement once per parameter binding, as one wave.
 
         All bindings are validated up front against the one prepared shape;
-        a range select on a delta-free table is then answered for every
-        binding by one vectorized pass — overlapping *and* disjoint ranges
-        alike (this is ``Cursor.executemany``).
+        a range select on an adaptive column of a delta-free table is then
+        answered for every binding by one vectorized pass — overlapping *and*
+        disjoint ranges alike (this is ``Cursor.executemany``).
         """
         if not self.plan_cache.is_current(prepared):
             prepared = self.prepare_statement(prepared.sql)
@@ -430,7 +429,3 @@ class Database:
             result for result in results if not isinstance(result, BaseException)
         )
         return results
-
-    def last_adaptive_stats(self, table: str, column: str) -> QueryStats | None:
-        """Per-query stats of the most recent adaptive selection on a column."""
-        return self.adaptive_handle(table, column).adaptive.stats()

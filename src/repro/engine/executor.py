@@ -11,7 +11,9 @@ door (``bpm.select`` in a plan, ``select_many``); a plan's result is built by
 
 Whether a statement is a batchable range select was decided when it was
 prepared (:attr:`PreparedPlan.template`); whether its table has pending
-deltas is read here, once per table per wave, to bucket it.
+deltas is read here, once per table per wave, and whether its column is
+BPM-managed once per group, to bucket it.  A plain column has no batch pass:
+its members run singly through the compiled-plan runner.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from repro.engine.execution import ExecutionContext
 from repro.engine.plan_cache import PreparedPlan, RangeTemplate
 from repro.engine.profile import QueryProfile
 from repro.engine.result import QueryResult
-from repro.mal.operators import gather, select
+from repro.mal.operators import gather
 from repro.storage.bat import BAT
-from repro.util.half_open import half_open
 
 if TYPE_CHECKING:
     from repro.engine.database import Database
@@ -61,9 +62,10 @@ class BatchStats:
 
     One *wave* is one vectorized pass answering every member of a same-column
     group.  A *fallback* is a wave member that ran through the compiled-plan
-    runner on its own: not a range select, a group of one, or deltas pending
-    on its table.  Surfaced through :meth:`Database.cache_stats` so the server
-    front-end's admission efficiency is observable without a profiler.
+    runner on its own: not a range select, a group of one, a plain column,
+    or deltas pending on its table.  Surfaced through
+    :meth:`Database.cache_stats` so the server front-end's admission
+    efficiency is observable without a profiler.
     """
 
     waves: int = 0
@@ -98,53 +100,6 @@ class BatchStats:
             },
             "wave_size_histogram": dict(self.histogram),
         }
-
-
-def overlap_clusters(ranges: list[tuple[float, float]]) -> list[list[int]]:
-    """Split half-open ``[low, high)`` ranges into strictly-overlapping clusters.
-
-    The plain-column batch pass scans each cluster's envelope once: the
-    envelope of a cluster equals its union, so the scan reads nothing no
-    member asked for.  Only ranges that genuinely *share values* are merged:
-    ranges that merely touch — ``low == envelope_high``, including bounds one
-    ``math.nextafter`` apart, as an inclusive bound and the adjacent exclusive
-    bound produce — stay in separate clusters.  Returns clusters of positions
-    into ``ranges``.
-    """
-    order = sorted(range(len(ranges)), key=lambda i: ranges[i])
-    clusters: list[list[int]] = []
-    envelope_high = -np.inf
-    for index in order:
-        low, high = ranges[index]
-        if clusters and low < envelope_high:
-            clusters[-1].append(index)
-            envelope_high = max(envelope_high, high)
-        else:
-            clusters.append([index])
-            envelope_high = high
-    return clusters
-
-
-def _scan_clusters(
-    persistent: BAT, bounds: list[tuple[float, float, bool, bool]]
-) -> tuple[list[np.ndarray], int]:
-    """Each member's oids in oid order, and the count of overlap clusters scanned once."""
-    clusters = overlap_clusters([half_open(*bound) for bound in bounds])
-    extracted: list[Any] = [None] * len(bounds)  # every member is in one cluster
-    for cluster in clusters:
-        # One pass over the column; the members then select from the envelope only.
-        envelope = select(
-            persistent,
-            min(bounds[i][0] for i in cluster),
-            max(bounds[i][1] for i in cluster),
-            include_high=True,
-        )
-        for index in cluster:
-            low, high, include_low, include_high = bounds[index]
-            extracted[index] = select(
-                envelope, low, high, include_low=include_low, include_high=include_high
-            ).head
-    return extracted, len(clusters)
 
 
 def _gather(
@@ -270,9 +225,10 @@ class Executor:
         here, once per wave, so under ``isolate=True`` a member that cannot
         be re-prepared fails alone.  A member with a range template on a
         delta-free table joins its ``(table, column)`` group.  A group of two
-        or more is one vectorized batch pass, run where its first member
-        stands; everything else — aggregates, groups of one, tables with
-        pending deltas — goes through :meth:`run` in input order.
+        or more on a BPM-managed column is one vectorized batch pass, run
+        where its first member stands; everything else — aggregates, groups
+        of one, a plain column, tables with pending deltas — goes through
+        :meth:`run` in input order.
         """
         database = self.database
         is_current = database.plan_cache.is_current
@@ -300,10 +256,11 @@ class Executor:
         def item(position: int) -> Item:
             return position, plans[position].sql, members[position][1], plans[position].template
 
+        is_managed = database.bpm.is_managed
         batch_at: dict[int, tuple[str, str]] = {}  # first member's position -> its group
         grouped: set[int] = set()
         for key, positions in groups.items():
-            if len(positions) >= 2:
+            if len(positions) >= 2 and is_managed(*key):
                 batch_at[positions[0]] = key
                 grouped.update(positions)
 
@@ -332,37 +289,23 @@ class Executor:
     # -- the vectorized batch pass ------------------------------------------------
 
     def _batch(self, table: str, column: str, items: list[Item]) -> list[QueryResult]:
-        """One vectorized pass over ``table.column`` answering every member.
+        """One vectorized pass over the managed column ``table.column``.
 
-        An adaptive (BPM-managed) column answers the batch through
-        ``bpm.select_many`` — vectorized segment routing and probe kernels for
-        the strategies that support batching, the sequential fallback
-        otherwise — with adaptation piggy-backed on the batch.  A plain column
-        is scanned once per overlap cluster of the members' ranges; each
-        member's rows come back in oid order, as from :meth:`run`.
+        The batch is answered through ``bpm.select_many`` — vectorized
+        segment routing and probe kernels for the strategies that support
+        batching, the sequential fallback otherwise — with adaptation
+        piggy-backed on the batch.
         """
         started = time.perf_counter()
-        database = self.database
         self.batch_stats.observe_wave(len(items))
         bounds = [template.bind(values) for _, _, values, template in items]
-
-        bpm = database.bpm
-        if bpm.is_managed(table, column):
-            selection_before = bpm.total_selection_seconds
-            adaptation_before = bpm.total_adaptation_seconds
-            extracted = [selection.oids for selection in bpm.select_many(table, column, bounds)]
-            selection_seconds = bpm.total_selection_seconds - selection_before
-            adaptation_seconds = bpm.total_adaptation_seconds - adaptation_before
-            plan_text = f"# batched select_many on {table}.{column} ({len(items)} queries)"
-        else:
-            scan_started = time.perf_counter()
-            persistent = database.catalog.column(table, column).bind(0)
-            extracted, clusters = _scan_clusters(persistent, bounds)
-            selection_seconds, adaptation_seconds = time.perf_counter() - scan_started, 0.0
-            plan_text = (
-                f"# batched shared scan of {table}.{column} "
-                f"({len(items)} queries, one scan per overlap cluster: {clusters})"
-            )
+        bpm = self.database.bpm
+        selection_before = bpm.total_selection_seconds
+        adaptation_before = bpm.total_adaptation_seconds
+        extracted = [selection.oids for selection in bpm.select_many(table, column, bounds)]
+        selection_seconds = bpm.total_selection_seconds - selection_before
+        adaptation_seconds = bpm.total_adaptation_seconds - adaptation_before
+        plan_text = f"# batched select_many on {table}.{column} ({len(items)} queries)"
 
         bats = self._bats(items)
         columns = [

@@ -8,7 +8,7 @@ with a schedule of :class:`FaultSpec` entries keyed on *operation counts* —
 "crash replica 1's 5th wave", "drop the client socket on the 3rd send" — so
 a test (or the CI chaos-smoke job) replays the exact same failure sequence
 every run.  The only randomness is a seeded RNG used to *generate* schedules
-(:meth:`FaultInjector.schedule_random`); firing is pure counting.
+(a ``--fault-spec`` entry's ``window``); firing is pure counting.
 
 Injected failures derive from :class:`~repro.api.exceptions.TransientError`,
 so the production retry/failover machinery treats them exactly like a real

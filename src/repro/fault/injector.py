@@ -31,9 +31,9 @@ Sites wired up in this repository:
 =====================  ====================================================
 
 Determinism: firing decisions depend only on per-spec match counters — no
-wall clock, no unseeded randomness.  ``schedule_random`` derives ``at``
-ordinals from the injector's seeded RNG, so a chaos schedule is reproducible
-from its seed alone.
+wall clock, no unseeded randomness.  A ``--fault-spec`` entry that gives a
+``window`` instead of ``at`` draws its ordinal from the injector's seeded
+RNG, so a chaos schedule is reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -97,34 +97,16 @@ class FaultSpec:
     def matches_context(self, context: dict[str, Any]) -> bool:
         return all(context.get(key) == value for key, value in self.match.items())
 
-    @property
-    def exhausted(self) -> bool:
-        """No future operation can fire this spec anymore."""
-        return self.seen >= self.at + self.count - 1
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "site": self.site,
-            "at": self.at,
-            "action": self.action,
-            "count": self.count,
-            "delay_s": self.delay_s,
-            "match": dict(self.match),
-            "seen": self.seen,
-            "fired": self.fired,
-        }
-
 
 class FaultInjector:
     """A thread-safe schedule of deterministic faults.
 
     Build one explicitly (``injector.schedule("wave.execute", at=5,
     action="crash", match={"replica": 1})``), from a JSON-ready dict
-    (:meth:`from_spec`, the ``--fault-spec`` CLI path), or generatively from
-    the seeded RNG (:meth:`schedule_random`).  Hand it to the components
-    under test — :class:`~repro.cluster.Router` (``injector=``),
-    :func:`repro.aio.connect` (``injector=``) — and read :attr:`log`
-    afterwards to assert what fired.
+    (:meth:`from_spec`, the ``--fault-spec`` CLI path; an entry may draw its
+    ordinal from the seeded RNG).  Hand it to the components under test —
+    :class:`~repro.cluster.Router` (``injector=``), :func:`repro.aio.connect`
+    (``injector=``) — and read :attr:`log` afterwards to assert what fired.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -158,29 +140,6 @@ class FaultInjector:
         with self._lock:
             self._specs.append(spec)
         return spec
-
-    def schedule_random(
-        self,
-        site: str,
-        *,
-        n_faults: int,
-        window: int,
-        action: str = "crash",
-        count: int = 1,
-        delay_s: float = 0.1,
-        **match: Any,
-    ) -> list[FaultSpec]:
-        """Arm ``n_faults`` faults at distinct seeded-random ordinals in [1, window]."""
-        if n_faults > window:
-            raise ValueError(f"cannot place {n_faults} faults in a window of {window}")
-        ordinals = self._rng.sample(range(1, window + 1), n_faults)
-        return [
-            self.schedule(
-                site, at=ordinal, action=action, count=count, delay_s=delay_s,
-                **match,
-            )
-            for ordinal in sorted(ordinals)
-        ]
 
     @classmethod
     def from_spec(cls, spec: dict[str, Any]) -> "FaultInjector":
@@ -243,17 +202,6 @@ class FaultInjector:
             return "hang"
         return action
 
-    def check(self, site: str, **context: Any) -> str | None:
-        """Like :meth:`fire` but never raises or sleeps — returns the action name.
-
-        For call sites that must stage the failure themselves (e.g. aborting
-        a socket) without an exception unwinding through foreign code.
-        """
-        try:
-            return self.fire(site, **context)
-        except InjectedFault:
-            return "error"
-
     # -- observability --------------------------------------------------------
 
     @property
@@ -272,20 +220,6 @@ class FaultInjector:
             return sum(
                 1 for entry in self.log if site is None or entry["site"] == site
             )
-
-    def pending(self) -> list[FaultSpec]:
-        """Specs that can still fire."""
-        with self._lock:
-            return [spec for spec in self._specs if not spec.exhausted]
-
-    def describe(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "seed": self.seed,
-                "operations": dict(self._ops),
-                "specs": [spec.as_dict() for spec in self._specs],
-                "fired": len(self.log),
-            }
 
 
 def specs_from_json(text: str) -> FaultInjector:

@@ -76,18 +76,6 @@ class CompiledPlan:
         for callee in callees:
             self.opcode_counts[callee] = self.opcode_counts.get(callee, 0) + 1
 
-    def __len__(self) -> int:
-        return len(self._steps)
-
-    @property
-    def slot_count(self) -> int:
-        """Size of the flat environment array."""
-        return len(self._slots)
-
-    def slot_of(self, variable: str) -> int:
-        """The environment slot interned for ``variable`` (KeyError if unused)."""
-        return self._slots[variable]
-
     def parameter_slots(self, names: tuple[str, ...] | None = None) -> tuple[int, ...]:
         """The environment slots of the given parameter names, in order.
 

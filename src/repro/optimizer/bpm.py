@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.models import SegmentationModel
 from repro.core.segment import SelectionResult
-from repro.core.strategy import AdaptiveColumnStrategy, create_strategy
+from repro.core.strategy import AdaptiveColumnBase, create_strategy
 from repro.storage.bat import BAT
 from repro.storage.catalog import Catalog
 from repro.util.half_open import half_open_in_domain, half_open_in_domain_many
@@ -52,7 +52,7 @@ class AdaptiveColumnHandle:
     table: str
     column: str
     strategy: str
-    adaptive: AdaptiveColumnStrategy
+    adaptive: AdaptiveColumnBase
     #: The adaptive column holds the oids ``[0, rows)`` of its table.
     rows: int
 

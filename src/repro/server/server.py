@@ -219,6 +219,11 @@ class ReproServer:
         self._connections.add(connection)
         try:
             await connection.run()
+        except asyncio.CancelledError:
+            # A graceful stop cancels the handlers of connections still open:
+            # that ends the handler normally (asyncio's stream callback would
+            # otherwise report the cancelled task as an error).
+            pass
         finally:
             self._connections.discard(connection)
 

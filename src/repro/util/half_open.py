@@ -1,12 +1,11 @@
 """SQL bound semantics translated into half-open ``[low, high)`` float ranges.
 
 SQL's ``BETWEEN`` is inclusive on both sides and comparison predicates can be
-open on either side, while the adaptive columns, the plain-column overlap
-clustering and the router's workload clustering all work on half-open
-ranges.  An exclusive low and an inclusive high each move one float up
-(``nextafter``); infinite bounds are left alone.  Getting these edges wrong
-silently loses boundary tuples, so the policy lives here, once, for every
-layer that needs it.
+open on either side, while the adaptive columns and the router's workload
+clustering work on half-open ranges.  An exclusive low and an inclusive high
+each move one float up (``nextafter``); infinite bounds are left alone.
+Getting these edges wrong silently loses boundary tuples, so the policy
+lives here, once, for every layer that needs it.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ def half_open(
 ) -> tuple[float, float]:
     """The domain-free translation (``±inf`` bounds stay infinite).
 
-    Used where no column domain applies: the plain-column batch pass's
-    overlap clustering and the router's workload history.
+    Used where no column domain applies: the router's workload history.
     """
     low = float(low)
     high = float(high)

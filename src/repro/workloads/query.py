@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.core.ranges import ValueRange
@@ -54,35 +54,3 @@ class Workload:
 
     def __getitem__(self, item):
         return self.queries[item]
-
-    def head(self, n: int) -> "Workload":
-        """A shortened copy containing only the first ``n`` queries."""
-        return Workload(
-            name=self.name,
-            queries=list(self.queries[:n]),
-            domain=self.domain,
-            selectivity=self.selectivity,
-            description=self.description,
-            metadata=dict(self.metadata),
-        )
-
-    def coverage_fraction(self) -> float:
-        """Fraction of the domain touched by at least one query.
-
-        Useful to characterise skew: the paper's skewed SkyServer workload
-        accesses "two very limited areas of the domain".
-        """
-        domain_low, domain_high = self.domain
-        width = domain_high - domain_low
-        if width <= 0 or not self.queries:
-            return 0.0
-        from repro.core.ranges import coalesce_ranges
-
-        merged = coalesce_ranges([q.vrange for q in self.queries])
-        covered = sum(r.width for r in merged)
-        return min(1.0, covered / width)
-
-
-def queries_from_pairs(pairs: Sequence[tuple[float, float]]) -> list[RangeQuery]:
-    """Build a query list from ``(low, high)`` pairs (convenience for tests)."""
-    return [RangeQuery(float(low), float(high)) for low, high in pairs]

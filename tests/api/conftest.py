@@ -27,6 +27,13 @@ def connection(ra_values: np.ndarray) -> repro.Connection:
     conn.close()
 
 
+@pytest.fixture
+def managed(connection: repro.Connection) -> repro.Connection:
+    """``connection`` with ``p.ra`` under adaptive segmentation: its waves batch."""
+    connection.admin.enable_adaptive("p", "ra", strategy="segmentation", model="apm")
+    return connection
+
+
 def brute_oids(ra_values: np.ndarray, low: float, high: float) -> list[int]:
     """Reference result of ``SELECT objid ... WHERE ra BETWEEN low AND high``."""
     return sorted(np.flatnonzero((ra_values >= low) & (ra_values <= high)).tolist())

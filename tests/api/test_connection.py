@@ -165,10 +165,10 @@ class TestAdminCacheStats:
         assert (stats["total"]["hits"], stats["total"]["misses"]) == (2, 1)
         assert stats["total"]["size"] == 1
 
-    def test_cache_stats_batch_section(self, connection):
-        before = connection.admin.cache_stats()["batch"]
+    def test_cache_stats_batch_section(self, managed):
+        before = managed.admin.cache_stats()["batch"]
         assert before["waves"] == 0 and before["batched_queries"] == 0
-        cursor = connection.cursor()
+        cursor = managed.cursor()
         cursor.executemany(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?",
             [(1.0, 2.0), (5.0, 6.0), (9.0, 10.0)],
@@ -177,7 +177,7 @@ class TestAdminCacheStats:
             "SELECT count(*) FROM p WHERE ra BETWEEN ? AND ?",  # aggregates don't batch
             [(1.0, 2.0), (5.0, 6.0)],
         )
-        stats = connection.admin.cache_stats()["batch"]
+        stats = managed.admin.cache_stats()["batch"]
         assert stats["waves"] == 1
         assert stats["batched_queries"] == 3
         assert stats["fallback_queries"] == 2  # the aggregate members

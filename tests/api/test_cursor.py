@@ -211,15 +211,15 @@ class TestExecuteAndFetch:
 
 
 class TestExecutemany:
-    def test_concatenated_rows_in_input_order(self, connection, ra_values):
+    def test_concatenated_rows_in_input_order(self, managed, ra_values):
         bindings = [(10.0, 20.0), (15.0, 25.0), (300.0, 301.0)]
-        cursor = connection.cursor()
+        cursor = managed.cursor()
         cursor.executemany("SELECT objid FROM p WHERE ra BETWEEN ? AND ?", bindings)
         expected = []
         for low, high in bindings:
             expected.extend(brute_oids(ra_values, low, high))
-        # The vectorized batch executor answers overlapping and disjoint
-        # same-column ranges alike.
+        # The vectorized batch pass over an adaptive column answers
+        # overlapping and disjoint same-column ranges alike.
         assert [result.batched for result in cursor.results] == [True, True, True]
         assert cursor.rowcount == len(expected)
         fetched = [int(row[0]) for row in cursor.fetchall()]
@@ -259,8 +259,8 @@ class TestExecutemany:
             )
         assert len(connection.database.query_history) == history
 
-    def test_batched_results_report_batched_cache_level(self, connection):
-        cursor = connection.cursor()
+    def test_batched_results_report_batched_cache_level(self, managed):
+        cursor = managed.cursor()
         cursor.executemany(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?",
             [(10.0, 20.0), (15.0, 25.0)],

@@ -206,8 +206,8 @@ class TestResultMetadata:
         assert result.parameters == (33.0, 34.5)
         assert connection.database.query_history[-1].parameters == (33.0, 34.5)
 
-    def test_bound_values_recorded_on_batched_results(self, connection):
-        results = connection.prepare(
+    def test_bound_values_recorded_on_batched_results(self, managed):
+        results = managed.prepare(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         ).executemany([(10.0, 20.0), (15.0, 25.0)])
         assert [r.batched for r in results] == [True, True]

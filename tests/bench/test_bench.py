@@ -113,13 +113,3 @@ class TestExperimentFunctions:
         text = figure_10()
         assert "random workload" in text and "NoSegm" in text
         assert "Scheme" in table_2()
-
-    def test_cli_lists_and_runs(self, capsys):
-        from repro.bench.experiments import main
-
-        assert main(["--list"]) == 0
-        captured = capsys.readouterr()
-        assert "fig5" in captured.out
-        assert main(["fig2"]) == 0
-        assert "Figure 2" in capsys.readouterr().out
-        assert main(["unknown-experiment"]) == 2

@@ -23,7 +23,7 @@ import pytest
 
 import repro.aio
 from repro.api.exceptions import OperationalError
-from repro.cluster import ReplicaHealth, ReplicaWorker, Router
+from repro.cluster import EngineReplica, ReplicaHealth, ReplicaWorker, Router
 from repro.engine.database import Database
 from repro.fault import FaultInjector
 from repro.server import ReproServer
@@ -82,6 +82,24 @@ class TestReplicaWorker:
         assert worker.wedged
         assert worker.close(timeout=0.1) is False  # still wedged, still fast
         release.set()  # let the daemon thread exit cleanly
+
+    def test_a_rebuild_never_leaves_a_closed_worker_in_place(self):
+        # While the wedged worker's close waits out its timeout, a wave
+        # submitted to the replica must reach the fresh worker.
+        replica = EngineReplica(0, Database())
+        release = threading.Event()
+        old = replica.worker
+        old.submit(release.wait)
+        swap = threading.Thread(
+            target=replica.replace_database, args=(Database(),), kwargs={"close_timeout": 0.5}
+        )
+        swap.start()
+        while not old.closed:
+            time.sleep(0.001)
+        assert replica.submit(lambda: 7).result(timeout=2) == 7
+        swap.join()
+        release.set()
+        assert replica.close()
 
 
 class TestHealthStateMachine:

@@ -100,8 +100,6 @@ class TestSegmentStatistics:
         assert stats.materialized_count == column.segment_count
         assert stats.total_bytes == pytest.approx(column.storage_bytes)
         assert stats.average_bytes > 0
-        row = stats.as_row()
-        assert row["segments"] == stats.segment_count
 
     def test_statistics_of_baseline(self, values):
         column = UnsegmentedColumn(values, domain=TEST_DOMAIN)

@@ -57,27 +57,6 @@ class TestSortedProbeMany:
             sorted_probe_many(np.array([1, 2, 3]), np.array([1.0]), side="middle")
 
 
-class TestSegmentSelectMany:
-    def test_matches_per_query_select(self, values):
-        segment = Segment(ValueRange(0.0, 100_000.0), values)
-        bounds = [(0.0, 100_000.0), (10.5, 2_000.0), (50_000.0, 50_000.0), (99_000.0, 200_000.0)]
-        lows = np.array([b[0] for b in bounds])
-        highs = np.array([b[1] for b in bounds])
-        batch = segment.select_many(lows, highs)
-        for (low, high), got in zip(bounds, batch):
-            expected = segment.select(ValueRange(low, high)) if low < high else None
-            if expected is None:
-                assert got.count == 0
-            else:
-                assert _pairs(got) == _pairs(expected)
-            assert got.values_sorted
-
-    def test_results_are_views(self, values):
-        segment = Segment(ValueRange(0.0, 100_000.0), values)
-        [result] = segment.select_many(np.array([100.0]), np.array([5_000.0]))
-        assert result.values.base is not None  # zero-copy slice, no envelope copy
-
-
 class TestRouteMany:
     def _index(self):
         segs = [
@@ -194,13 +173,13 @@ class TestUnsegmentedSelectMany:
             expected = column.select(low, high)
             assert _pairs(got) == _pairs(expected)
 
-    def test_single_scan_accounted_per_batch(self, values):
+    def test_each_member_scans_the_column(self, values):
+        # No batch kernel: the sequential fallback, one full-scan record per member.
         column = UnsegmentedColumn(values)
         column.select_many(_batch_bounds(np.random.default_rng(11), 8))
-        assert len(column.history) == 1
-        record = column.history[-1]
-        assert record.batch_size == 8
-        assert record.reads_bytes == column.total_bytes
+        assert len(column.history) == 8
+        assert all(record.batch_size == 1 for record in column.history)
+        assert all(record.reads_bytes == column.total_bytes for record in column.history)
 
 
 class TestReplicatedSelectManyFallback:

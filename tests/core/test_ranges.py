@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ranges import ValueRange, coalesce_ranges, domain_of, ranges_cover
+from repro.core.ranges import ValueRange, domain_of
 
 
 class TestValueRangeBasics:
@@ -106,22 +106,3 @@ class TestDomainOf:
         with pytest.raises(ValueError):
             domain_of(np.array([]))
 
-
-class TestCoalesceAndCover:
-    def test_coalesce_merges_overlaps(self):
-        merged = coalesce_ranges([ValueRange(0, 5), ValueRange(3, 8), ValueRange(10, 12)])
-        assert merged == [ValueRange(0, 8), ValueRange(10, 12)]
-
-    def test_coalesce_empty_input(self):
-        assert coalesce_ranges([]) == []
-
-    def test_ranges_cover_true(self):
-        pieces = [ValueRange(0, 4), ValueRange(4, 8), ValueRange(8, 12)]
-        assert ranges_cover(pieces, ValueRange(1, 11))
-
-    def test_ranges_cover_detects_gap(self):
-        pieces = [ValueRange(0, 4), ValueRange(6, 12)]
-        assert not ranges_cover(pieces, ValueRange(1, 11))
-
-    def test_empty_target_always_covered(self):
-        assert ranges_cover([], ValueRange(5, 5))

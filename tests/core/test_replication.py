@@ -162,10 +162,8 @@ class TestCoveringSet:
         assert all(node.materialized for node in cover)
         ranges = sorted((node.vrange for node in cover), key=lambda r: r.low)
         for first, second in zip(ranges, ranges[1:]):
-            assert first.high <= second.low  # disjoint
-        from repro.core.ranges import ranges_cover
-
-        assert ranges_cover(ranges, query)
+            assert first.high == second.low  # disjoint, and no gap between them
+        assert ranges[0].low <= query.low and ranges[-1].high >= query.high
 
 
 class TestReplicaTreeEvolution:

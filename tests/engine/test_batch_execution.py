@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.core.strategy import available_strategies
 from repro.engine.database import Database
-from repro.engine.executor import overlap_clusters
 from repro.util.half_open import half_open_in_domain, half_open_in_domain_many
 from repro.util.units import KB
 from tests.conftest import literal_wave
@@ -28,6 +25,15 @@ def database() -> Database:
         },
     )
     return db
+
+
+@pytest.fixture
+def managed(database) -> Database:
+    """The same table with ``p.ra`` under adaptive segmentation."""
+    database.enable_adaptive(
+        "p", "ra", strategy="segmentation", model="apm", m_min=2 * KB, m_max=8 * KB
+    )
+    return database
 
 
 def _rows(result):
@@ -53,6 +59,11 @@ DISJOINT = [
     "SELECT objid FROM p WHERE ra BETWEEN 100.0 AND 103.0",
     "SELECT objid FROM p WHERE ra BETWEEN 350.0 AND 351.0",
 ]
+#: What one range select on a plain column runs: its 8-opcode lowering.
+PLAIN_LOWERING = {
+    "sql.bind": 2, "algebra.uselect": 1, "sql.live": 1, "algebra.projection": 1,
+    "sql.resultSet": 1, "sql.rsColumn": 1, "sql.exportResult": 1,
+}
 MIXED = [
     "SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 40.0",
     "SELECT objid, ra FROM p WHERE ra BETWEEN 30.0 AND 60.0",
@@ -63,46 +74,24 @@ MIXED = [
 
 
 class TestBatchExecutor:
-    def test_disjoint_ranges_batch_on_plain_column(self, database):
-        results = literal_wave(database, DISJOINT)
-        assert all(result.batched for result in results)
-        assert all(result.cache_level == "batched" for result in results)
-        for got, expected in zip(results, _reference(DISJOINT)):
-            assert _rows(got) == _rows(expected)
-        assert results[0].plan_text == (
-            "# batched shared scan of p.ra (3 queries, one scan per overlap cluster: 3)"
-        )
-
-    def test_overlapping_ranges_share_one_envelope_scan(self, database):
-        statements = MIXED[:2]
-        results = literal_wave(database, statements)
-        assert all(result.batched for result in results)
-        assert "shared scan" in results[0].plan_text
-        for got, expected in zip(results, _reference(statements)):
-            assert _rows(got) == _rows(expected)
-
-    @pytest.mark.parametrize(
-        "bindings",
-        [
-            [(10.0, 12.0), (100.0, 103.0), (350.0, 351.0)],  # disjoint
-            [(10.0, 40.0), (30.0, 60.0), (35.0, 36.0), (55.0, 90.0)],  # one overlap cluster
-        ],
-        ids=["disjoint", "overlapping"],
-    )
-    def test_batched_plain_rows_come_in_single_run_order(self, database, bindings):
+    def test_plain_column_members_run_singly(self, database):
+        """A plain column has no batch pass: each member runs the plan's lowering."""
         prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        bindings = [
+            (10.0, 12.0), (100.0, 103.0), (350.0, 351.0),  # disjoint
+            (10.0, 40.0), (30.0, 60.0), (35.0, 36.0), (55.0, 90.0),  # overlapping
+        ]
+        before = database.cache_stats()["batch"]
         results = database.execute_wave([(prepared, values) for values in bindings])
-        assert all(result.batched for result in results)
-        for got, values in zip(results, bindings):
+        after = database.cache_stats()["batch"]
+        assert after["fallback_queries"] == before["fallback_queries"] + len(bindings)
+        assert (after["waves"], after["batched_queries"]) == (0, 0)
+        for result, values in zip(results, bindings):
+            assert not result.batched
+            assert result.cache_level == "prepared"
+            assert result.profile.opcode_counts == PLAIN_LOWERING
             alone = database.execute_prepared(prepared, values)
-            assert alone.cache_level == "prepared"
-            np.testing.assert_array_equal(got.column("objid"), alone.column("objid"))
-
-    def test_mixed_shapes_batch_on_plain_column(self, database):
-        results = literal_wave(database, MIXED)
-        assert all(result.batched for result in results)
-        for got, expected in zip(results, _reference(MIXED)):
-            assert _rows(got) == _rows(expected)
+            np.testing.assert_array_equal(result.column("objid"), alone.column("objid"))
 
     @pytest.mark.parametrize("strategy", ["segmentation", "replication", "unsegmented"])
     def test_batches_match_on_every_registered_strategy(self, database, strategy):
@@ -125,7 +114,8 @@ class TestBatchExecutor:
         assert history[-1].batch_size == len(DISJOINT)
         assert handle.adaptive.segment_count > 1  # piggy-backed splits fired
 
-    def test_prepared_many_batches_disjoint_bindings(self, database):
+    def test_prepared_many_batches_disjoint_bindings(self, managed):
+        database = managed
         prepared = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         )
@@ -143,7 +133,8 @@ class TestBatchExecutor:
 class TestExecuteWave:
     """The server front-end's engine hook: one wave, many plans, many clients."""
 
-    def test_wave_of_mixed_prepared_statements(self, database):
+    def test_wave_of_mixed_prepared_statements(self, managed):
+        database = managed
         select = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         )
@@ -173,7 +164,7 @@ class TestExecuteWave:
         assert results[1].scalars["count(*)"] == len(_rows(reference[0]))
 
     def test_plan_cache_hit_says_where_the_plan_came_from(self, database):
-        """Batched members found their plan, plain or adaptive column; a cold literal did not."""
+        """Wave members found their plan, plain or adaptive column; a cold literal did not."""
         prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
         wave = [(prepared, (10.0, 12.0)), (prepared, (100.0, 103.0))]
         plain = database.execute_wave(wave)[0]
@@ -182,10 +173,11 @@ class TestExecuteWave:
         )
         adaptive = database.execute_wave(wave)[0]
         cold = database.execute("SELECT ra FROM p WHERE ra BETWEEN 1.0 AND 2.0")
-        assert [r.cache_level for r in (plain, adaptive, cold)] == ["batched", "batched", "cold"]
+        assert [r.cache_level for r in (plain, adaptive, cold)] == ["prepared", "batched", "cold"]
         assert [r.plan_cache_hit for r in (plain, adaptive, cold)] == [True, True, False]
 
-    def test_batched_members_record_their_bound_parameters(self, database):
+    def test_batched_members_record_their_bound_parameters(self, managed):
+        database = managed
         prepared = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         )
@@ -217,8 +209,9 @@ class TestExecuteWave:
         for got, expected in zip(results, reference):
             assert _rows(got) == _rows(expected)
 
-    def test_a_write_changes_the_wave_not_the_handle(self, database):
+    def test_a_write_changes_the_wave_not_the_handle(self, managed):
         """Classification is a prepare-time fact; pending deltas are a wave-time fact."""
+        database = managed
         prepared = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         )
@@ -235,7 +228,8 @@ class TestExecuteWave:
         for old, new in zip(before, after):
             assert sorted(new.column("objid")) == sorted([*old.column("objid"), 77_777])
 
-    def test_wave_updates_batch_stats(self, database):
+    def test_wave_updates_batch_stats(self, managed):
+        database = managed
         prepared = database.prepare_statement(
             "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         )
@@ -262,8 +256,9 @@ class TestExecuteWave:
         assert database.cache_stats()["batch"]["waves"] == 0
 
 
-#: One prepared range select per member column; ``w`` lives on a table that
-#: holds a pending insert, the others on one delta-free table.
+#: One prepared range select per member column, each column adaptive; ``w``
+#: lives on a table that holds a pending insert, the others on one delta-free
+#: table.
 GROUP_SQL = {
     "ra": "SELECT objid FROM p WHERE ra BETWEEN ? AND ?",
     "dec": "SELECT objid FROM p WHERE dec BETWEEN ? AND ?",
@@ -283,7 +278,7 @@ class TestWaveGroups:
     """A wave groups its members per column: two or more batch, the rest run alone."""
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("organisation", [None, *available_strategies()])
+    @pytest.mark.parametrize("organisation", available_strategies())
     def test_members_group_per_column(self, organisation, shape):
         rng = np.random.default_rng(29)
         data = {name: rng.uniform(0.0, 360.0, 4_000) for name in ("ra", "dec", "w")}
@@ -294,16 +289,16 @@ class TestWaveGroups:
         )
         database.create_table("q", {"objid": "int64", "w": "float64"})
         database.bulk_load("q", {"objid": np.arange(4_000, dtype=np.int64), "w": data["w"]})
+        adaptive = {
+            name: database.enable_adaptive(
+                table, name, strategy=organisation, model="apm", m_min=2 * KB, m_max=8 * KB
+            ).adaptive
+            for table, name in (("p", "ra"), ("p", "dec"), ("q", "w"))
+        }
+        executed = {name: column._queries_executed for name, column in adaptive.items()}
         late = np.array([15.0, 55.0, 95.0])
         database.insert("q", {"objid": np.arange(4_000, 4_003, dtype=np.int64), "w": late})
         data["w"] = np.concatenate((data["w"], late))
-        adaptive = None
-        if organisation is not None:
-            handle = database.enable_adaptive(
-                "p", "ra", strategy=organisation, model="apm", m_min=2 * KB, m_max=8 * KB
-            )
-            adaptive = handle.adaptive
-            executed = adaptive._queries_executed
 
         columns, batched = SHAPES[shape]
         prepared = {name: database.prepare_statement(sql) for name, sql in GROUP_SQL.items()}
@@ -321,53 +316,33 @@ class TestWaveGroups:
         assert (batch["waves"], batch["batched_queries"], batch["fallback_queries"]) == (
             len(groups), sum(batched), len(batched) - sum(batched),
         )
-        if adaptive is not None:  # every ra member adapted the column, batched or not
-            assert adaptive._queries_executed - executed == columns.count("ra")
-            adaptive.check_invariants()
+        for name, column in adaptive.items():  # every member adapted its column, batched or not
+            assert column._queries_executed - executed[name] == columns.count(name)
+            column.check_invariants()
 
 
 class TestBatchedProfiles:
-    def test_batched_results_carry_a_real_profile(self, database):
-        results = literal_wave(database, DISJOINT)
+    def test_batched_results_carry_a_real_profile(self, managed):
+        results = literal_wave(managed, DISJOINT)
         for result in results:
             assert result.profile is not None
             assert not result.profile.cold
             assert result.profile.execute_seconds == result.total_seconds
             assert result.profile.execute_seconds > 0.0
 
-    def test_batch_cost_apportioned_across_members(self, database):
-        results = literal_wave(database, DISJOINT)
+    def test_batch_cost_apportioned_across_members(self, managed):
+        results = literal_wave(managed, DISJOINT)
         shares = {result.profile.execute_seconds for result in results}
         assert len(shares) == 1  # equal shares of one batch
         total = sum(result.total_seconds for result in results)
         assert total == pytest.approx(results[0].total_seconds * len(results))
 
-    def test_profile_format_on_a_batched_result(self, database):
-        result = literal_wave(database, DISJOINT)[0]
+    def test_profile_format_on_a_batched_result(self, managed):
+        result = literal_wave(managed, DISJOINT)[0]
         rendered = result.profile.format()
         assert "query profile (warm)" in rendered
         assert "execute" in rendered
         assert "total" in rendered
-
-
-class TestOverlapClusters:
-    def test_strictly_overlapping_ranges_merge(self):
-        clusters = overlap_clusters([(10.0, 20.0), (19.0, 30.0)])
-        assert clusters == [[0, 1]]
-
-    def test_touching_at_nextafter_boundary_stays_separate(self):
-        """Half-open ranges meeting at one nextafter boundary share no value."""
-        boundary = math.nextafter(20.0, math.inf)
-        clusters = overlap_clusters([(10.0, boundary), (boundary, 30.0)])
-        assert clusters == [[0], [1]]
-
-    def test_exactly_touching_half_open_ranges_stay_separate(self):
-        clusters = overlap_clusters([(10.0, 20.0), (20.0, 30.0)])
-        assert clusters == [[0], [1]]
-
-    def test_cluster_positions_index_the_input(self):
-        clusters = overlap_clusters([(50.0, 60.0), (0.0, 10.0), (5.0, 7.0)])
-        assert clusters == [[1, 2], [0]]
 
 
 class TestCacheStats:

@@ -105,7 +105,7 @@ class TestTheShortPath:
             database.enable_adaptive("p", "ra", strategy=strategy)
         prepared = database.prepare_statement(self.SQL)
         counts = prepared.compiled.opcode_counts
-        assert len(prepared.compiled) == 8
+        assert sum(counts.values()) == 8
         assert not counts.keys() & {
             "algebra.kunion", "algebra.kdifference", "algebra.markT", "algebra.join",
             "bat.reverse", "bpm.newIterator", "bpm.hasMoreElements",
@@ -337,7 +337,7 @@ class TestAdaptiveExecution:
         database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 100 AND 200")
         assert result.adaptation_seconds >= 0.0
-        stats = database.last_adaptive_stats("p", "ra")
+        stats = database.adaptive_handle("p", "ra").adaptive.history[-1]
         assert stats is not None and stats.result_count == result.row_count
 
     def test_result_seconds_are_the_seconds_of_the_records_the_query_caused(self, database):

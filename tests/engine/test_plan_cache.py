@@ -24,6 +24,13 @@ def database() -> Database:
     return db
 
 
+@pytest.fixture
+def managed(database) -> Database:
+    """The same table with ``p.ra`` under adaptive segmentation: its waves batch."""
+    database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
+    return database
+
+
 def _rows(result):
     return sorted(map(tuple, zip(*(result.columns[name] for name in result.column_names))))
 
@@ -105,7 +112,7 @@ class TestExecuteWithCache:
 
 
 class TestExecuteMany:
-    # Overlapping/touching ranges on p.ra: one cluster, one shared scan.
+    # Overlapping ranges and mixed shapes on p.ra: one same-column group.
     STATEMENTS = [
         "SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 40.0",
         "SELECT objid, ra FROM p WHERE ra BETWEEN 30.0 AND 60.0",
@@ -126,34 +133,28 @@ class TestExecuteMany:
         )
         return [db.execute(sql) for sql in statements]
 
-    def test_batched_results_match_individual_execution(self, database):
-        batched = literal_wave(database, self.STATEMENTS)
+    def test_batched_results_match_on_an_adaptive_column(self, managed):
+        batched = literal_wave(managed, self.STATEMENTS)
         reference = self._reference(self.STATEMENTS)
         assert all(result.batched for result in batched)
         for got, expected in zip(batched, reference):
             assert got.column_names == expected.column_names
             assert _rows(got) == _rows(expected)
 
-    def test_batched_results_match_on_an_adaptive_column(self, database):
-        database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)
-        batched = literal_wave(database, self.STATEMENTS)
-        reference = self._reference(self.STATEMENTS)
-        for got, expected in zip(batched, reference):
-            assert _rows(got) == _rows(expected)
-
-    def test_disjoint_ranges_batch_without_over_scan(self, database):
+    def test_disjoint_ranges_batch_without_over_scan(self, managed):
         """Disjoint ranges batch through the vectorized path, answered exactly."""
         statements = [
             "SELECT objid FROM p WHERE ra BETWEEN 0.0 AND 1.0",
             "SELECT objid FROM p WHERE ra BETWEEN 350.0 AND 351.0",
         ]
-        results = literal_wave(database, statements)
+        results = literal_wave(managed, statements)
         assert all(result.batched for result in results)
         reference = self._reference(statements)
         for got, expected in zip(results, reference):
             assert _rows(got) == _rows(expected)
 
-    def test_results_come_back_in_input_order(self, database):
+    def test_results_come_back_in_input_order(self, managed):
+        database = managed
         statements = [
             "SELECT COUNT(*) FROM p",  # not batchable (aggregate)
             "SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 40.0",
@@ -166,18 +167,20 @@ class TestExecuteMany:
         assert results[1].batched and results[2].batched
         assert [r.sql for r in database.query_history] == normalized
 
-    def test_single_member_groups_take_the_conventional_path(self, database):
-        results = literal_wave(database, ["SELECT objid FROM p WHERE ra < 10.0"])
+    def test_single_member_groups_take_the_conventional_path(self, managed):
+        results = literal_wave(managed, ["SELECT objid FROM p WHERE ra < 10.0"])
         assert not results[0].batched
 
-    def test_tables_with_deltas_fall_back(self, database):
+    def test_tables_with_deltas_fall_back(self, managed):
+        database = managed
         database.insert("p", {"objid": np.array([99_999]), "ra": np.array([10.5])})
         results = literal_wave(database, self.STATEMENTS[:2])
         assert not any(result.batched for result in results)
         direct = database.execute(self.STATEMENTS[0])
         assert _rows(results[0]) == _rows(direct)
 
-    def test_one_statement_at_a_time_answers_like_the_batch(self, database):
+    def test_one_statement_at_a_time_answers_like_the_batch(self, managed):
+        database = managed
         singly = [database.execute(sql) for sql in self.STATEMENTS[:2]]
         assert not any(result.batched for result in singly)
         for got, expected in zip(literal_wave(database, self.STATEMENTS[:2]), singly):

@@ -27,14 +27,6 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="delay_s"):
             FaultSpec(site="s", delay_s=-1.0)
 
-    def test_exhaustion_window(self):
-        spec = FaultSpec(site="s", at=3, count=2)
-        assert not spec.exhausted
-        spec.seen = 3
-        assert not spec.exhausted  # op 4 can still fire
-        spec.seen = 4
-        assert spec.exhausted
-
 
 class TestFiring:
     def test_fires_exactly_at_the_scheduled_ordinal(self):
@@ -86,12 +78,6 @@ class TestFiring:
         injector.schedule("client.send", at=1, action="drop")
         assert injector.fire("client.send") == "drop"
 
-    def test_check_never_raises(self):
-        injector = FaultInjector()
-        injector.schedule("site", at=1, action="crash")
-        assert injector.check("site") == "error"
-        assert injector.check("site") is None
-
     def test_unarmed_sites_cost_nothing_but_a_counter(self):
         injector = FaultInjector()
         for _ in range(10):
@@ -110,20 +96,6 @@ class TestFiring:
 
 
 class TestDeterminism:
-    def test_schedule_random_is_reproducible_from_the_seed(self):
-        first = FaultInjector(seed=42)
-        second = FaultInjector(seed=42)
-        other = FaultInjector(seed=43)
-        ordinals = lambda inj: [  # noqa: E731
-            s.at for s in inj.schedule_random("s", n_faults=5, window=1000)
-        ]
-        assert ordinals(first) == ordinals(second)
-        assert ordinals(first) != ordinals(other)
-
-    def test_schedule_random_rejects_an_overfull_window(self):
-        with pytest.raises(ValueError, match="window"):
-            FaultInjector().schedule_random("s", n_faults=3, window=2)
-
     def test_from_spec_window_draws_the_ordinal_from_the_seed(self):
         spec = {
             "seed": 7,
@@ -143,5 +115,4 @@ class TestDeterminism:
         spec = injector.specs[0]
         assert (spec.site, spec.at, spec.action) == ("wave.execute", 2, "crash")
         assert spec.match == {"replica": 1}
-        description = injector.describe()
-        assert description["seed"] == 3 and description["fired"] == 0
+        assert injector.fired() == 0

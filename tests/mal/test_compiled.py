@@ -144,11 +144,9 @@ class TestSlots:
         builder = ProgramBuilder("demo", parameters=("p0",))
         builder.call("calc", "add", Var("p0"), Const(1), target="out")
         plan = compile_program(builder.build(), make_registry())
-        assert plan.slot_count == 2
-        assert plan.slot_of("p0") == 0
-        assert plan.slot_of("out") == 1
+        assert plan.parameter_slots(("p0", "out")) == (0, 1)
         with pytest.raises(KeyError):
-            plan.slot_of("nope")
+            plan.parameter_slots(("nope",))
 
 
 class TestBoundExecution:
@@ -159,8 +157,8 @@ class TestBoundExecution:
 
     def test_parameter_slots_default_to_declared_parameters(self):
         plan = self._plan()
-        assert plan.parameter_slots() == (plan.slot_of("__p0"), plan.slot_of("__p1"))
-        assert plan.parameter_slots(("__p1",)) == (plan.slot_of("__p1"),)
+        assert plan.parameter_slots() == plan.parameter_slots(("__p0", "__p1")) == (0, 1)
+        assert plan.parameter_slots(("__p1",)) == (1,)
         with pytest.raises(KeyError):
             plan.parameter_slots(("missing",))
 
@@ -170,12 +168,12 @@ class TestBoundExecution:
         by_name = plan.run(_Context(), {"__p0": 2.0, "__p1": 3.0})
         by_slot = plan.execute_bound(_Context(), slots, (2.0, 3.0))
         assert by_slot == [by_name[name] for name in ("__p0", "__p1", "out")]
-        assert by_slot[plan.slot_of("out")] == 5.0
+        assert by_slot[plan.parameter_slots(("out",))[0]] == 5.0
 
     def test_execute_bound_counts_instructions(self):
         plan = self._plan()
         plan.execute_bound(_Context(), plan.parameter_slots(), (1.0, 1.0))
-        assert sum(plan.opcode_counts.values()) == len(plan)
+        assert plan.opcode_counts == {"calc.add": 1}
 
     def test_missing_binding_raises_undefined_variable(self):
         plan = self._plan()

@@ -180,7 +180,7 @@ def test_the_lowering_matches_the_interpreter(organisation, pending, queries):
         )
         arguments = {f"__p{index}": value for index, value in enumerate(values)}
         prepared = compiled_db.prepare_statement(sql)
-        assert len(prepared.compiled) < len(program)
+        assert sum(prepared.compiled.opcode_counts.values()) < len(program)
 
         expected = _exported(
             lambda ctx: Interpreter(interpreted_db.registry).run(program, ctx, arguments),

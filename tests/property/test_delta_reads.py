@@ -231,7 +231,7 @@ def test_every_door_answers_alike(door, organisation, pending, bounds):
     counted = (batch["waves"], batch["batched_queries"], batch["fallback_queries"])
     if door in ("execute", "execute_prepared"):
         assert counted == (0, 0, 0) and levels <= RAN_SINGLY
-    elif pending:
+    elif pending or adaptive is None:  # pending deltas or a plain column: no batch pass
         assert counted == (0, 0, len(bounds)) and levels <= RAN_SINGLY
     else:
         assert counted == (1, len(bounds), 0) and levels == {"batched"}
@@ -250,7 +250,7 @@ def test_one_lowering_runs_beside_inserts_deletes_and_after_a_reload(door, organ
             shadow.answer(low, high) for low, high in bounds
         ]
         ran = [r.profile.opcode_counts for r in results if r.cache_level in RAN_SINGLY]
-        if pending:  # every member ran a plan on its own
+        if pending or organisation is None:  # every member ran a plan on its own
             assert len(ran) == len(bounds)
         else:  # the lowering, or a wave that ran no plan at all
             assert len(ran) == (len(bounds) if door in ("execute", "execute_prepared") else 0)

@@ -9,6 +9,7 @@ is about the protocol edge itself.
 from __future__ import annotations
 
 import asyncio
+import logging
 
 import numpy as np
 import pytest
@@ -31,8 +32,11 @@ def run(main):
     return asyncio.run(main())
 
 
-async def start_loaded_server(**knobs) -> ReproServer:
-    """A started server preloaded (over the wire) with a 2 000-row table."""
+async def start_loaded_server(strategy: str | None = None, **knobs) -> ReproServer:
+    """A started server preloaded (over the wire) with a 2 000-row table.
+
+    With ``strategy``, ``p.ra`` is made adaptive: only then do its waves batch.
+    """
     knobs.setdefault("batch_window_us", 2_000.0)
     server = await serve(port=0, **knobs)
     rng = np.random.default_rng(17)
@@ -45,6 +49,8 @@ async def start_loaded_server(**knobs) -> ReproServer:
             "ra": rng.uniform(0.0, 360.0, size=2_000),
         },
     )
+    if strategy is not None:
+        await connection.admin.enable_adaptive("p", "ra", strategy=strategy)
     await connection.close()
     return server
 
@@ -156,7 +162,7 @@ class TestQueries:
         bindings = [(10.0, 12.0), (100.0, 103.0), (350.0, 351.0)]
 
         async def go():
-            server = await start_loaded_server()
+            server = await start_loaded_server(strategy="segmentation")
             async with server:
                 connection = await repro.aio.connect(*server.address)
                 cursor = await connection.executemany(SQL, bindings)
@@ -176,7 +182,9 @@ class TestQueries:
 
     def test_concurrent_clients_share_a_wave(self):
         async def go():
-            server = await start_loaded_server(batch_window_us=20_000.0)
+            server = await start_loaded_server(
+                strategy="segmentation", batch_window_us=20_000.0
+            )
             async with server:
                 connections = [
                     await repro.aio.connect(*server.address) for _ in range(4)
@@ -490,7 +498,7 @@ class TestAdmin:
 
     def test_cache_stats_sections_cross_the_wire(self):
         async def go():
-            server = await start_loaded_server()
+            server = await start_loaded_server(strategy="segmentation")
             async with server:
                 connection = await repro.aio.connect(*server.address)
                 await connection.executemany(
@@ -570,7 +578,7 @@ class TestLifecycle:
 
         assert run(go) == len(expected_objids(10.0, 20.0))
 
-    def test_server_stop_with_a_live_connection_does_not_hang(self):
+    def test_server_stop_with_a_live_connection_does_not_hang(self, caplog):
         async def go():
             server = await start_loaded_server()
             connection = await repro.aio.connect(*server.address)
@@ -580,7 +588,9 @@ class TestLifecycle:
                 await connection.execute(SQL, (10.0, 20.0))
             await connection.close()
 
-        run(go)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run(go)
+        assert not caplog.records  # the cancelled handler ended without an error
 
     def test_abrupt_client_disconnect_leaves_the_server_serving(self):
         async def go():

@@ -70,8 +70,9 @@ class TestSimulator:
 
 
 class TestRunners:
-    def test_run_single_respects_strategy(self, workload):
-        result = run_single(workload.head(100), strategy="replication", model_name="apm",
+    def test_run_single_respects_strategy(self):
+        workload = uniform_workload(100, DOMAIN, 0.1, seed=21)
+        result = run_single(workload, strategy="replication", model_name="apm",
                             column_size=20_000, seed=3)
         assert result.strategy == "replication"
         assert result.summary().queries == 100
