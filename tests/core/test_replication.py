@@ -276,7 +276,9 @@ class TestStorageBudget:
         assert not partitions
         assert columns[0].history.records == columns[1].history.records
 
-    def test_a_lowered_budget_is_met_by_the_next_query(self):
+    @staticmethod
+    def _replicated_under_a_roomy_budget():
+        """A database whose replication column grew to ~1.9× its bytes under a 4× budget."""
         values = np.random.default_rng(3).uniform(0.0, 1000.0, 20_000)
         database = Database()
         database.create_table("t", {"v": "float64"})
@@ -288,8 +290,13 @@ class TestStorageBudget:
         column = database.adaptive_handle("t", "v").adaptive
         for query in multimodal_workload(200, (0.0, 1000.0), 0.02, n_modes=4, seed=29):
             column.select(query.low, query.high)
+        return database, column, values
+
+    @pytest.mark.parametrize("lowered_factor", [1.0, 1.5])
+    def test_a_lowered_budget_is_met_by_the_next_query(self, lowered_factor):
+        database, column, values = self._replicated_under_a_roomy_budget()
         row = next(row for row in knob_table(database) if row["name"] == "replication_storage_budget")
-        lowered = row["low"]  # the column bytes
+        lowered = row["low"] * lowered_factor  # the knob's floor is the column bytes
         assert column.storage_bytes > lowered
         database.set_knobs({"replication_storage_budget": lowered})
         assert column.storage_budget == lowered
@@ -297,6 +304,21 @@ class TestStorageBudget:
         got = column.select(100.0, 120.0)
         assert column.storage_bytes <= lowered
         assert column.history[-1].segments_dropped > 0
+        expected = np.sort(values[(values >= 100.0) & (values < 120.0)])
+        np.testing.assert_array_equal(np.sort(got.values), expected)
+        column.check_invariants()
+
+    def test_a_lowered_budget_already_met_releases_nothing(self, monkeypatch):
+        database, column, values = self._replicated_under_a_roomy_budget()
+        lowered = column.storage_bytes
+        database.set_knobs({"replication_storage_budget": lowered})
+
+        def release(*_):
+            raise AssertionError("a met budget entered the release pass")
+
+        monkeypatch.setattr(column, "_meet_lowered_budget", release)
+        got = column.select(100.0, 120.0)
+        assert column.storage_bytes <= lowered
         expected = np.sort(values[(values >= 100.0) & (values < 120.0)])
         np.testing.assert_array_equal(np.sort(got.values), expected)
         column.check_invariants()

@@ -120,6 +120,16 @@ class TestCreateStrategy:
 
 
 class TestStrategySurface:
+    def test_history_reflects_the_last_selection(self, values, apm_model):
+        column = create_strategy("segmentation", values, model=apm_model)
+        assert len(column.history) == 0
+        column.select(0, 10_000)
+        column.select(20_000, 30_000)
+        assert len(column.history) == 2
+        last = column.history[-1]
+        assert (last.low, last.high) == (20_000.0, 30_000.0)
+        assert last.result_count == column.select(20_000, 30_000).count
+
     def test_describe_reports_the_current_state(self, values, apm_model):
         column = create_strategy("replication", values, model=apm_model)
         column.select(0, 10_000)

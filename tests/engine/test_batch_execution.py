@@ -12,18 +12,15 @@ from repro.util.units import KB
 from tests.conftest import literal_wave
 
 
+#: The values the ``database`` fixture loads into ``p.ra`` (``objid`` is the row).
+RA = np.random.default_rng(23).uniform(0.0, 360.0, size=10_000)
+
+
 @pytest.fixture
 def database() -> Database:
-    rng = np.random.default_rng(23)
     db = Database()
     db.create_table("p", {"objid": "int64", "ra": "float64"})
-    db.bulk_load(
-        "p",
-        {
-            "objid": np.arange(10_000, dtype=np.int64),
-            "ra": rng.uniform(0.0, 360.0, size=10_000),
-        },
-    )
+    db.bulk_load("p", {"objid": np.arange(10_000, dtype=np.int64), "ra": RA.copy()})
     return db
 
 
@@ -41,16 +38,9 @@ def _rows(result):
 
 
 def _reference(statements):
-    rng = np.random.default_rng(23)
     db = Database()
     db.create_table("p", {"objid": "int64", "ra": "float64"})
-    db.bulk_load(
-        "p",
-        {
-            "objid": np.arange(10_000, dtype=np.int64),
-            "ra": rng.uniform(0.0, 360.0, size=10_000),
-        },
-    )
+    db.bulk_load("p", {"objid": np.arange(10_000, dtype=np.int64), "ra": RA.copy()})
     return [db.execute(sql) for sql in statements]
 
 
@@ -71,16 +61,31 @@ MIXED = [
     "SELECT objid FROM p WHERE ra > 355.0",
     "SELECT objid FROM p WHERE ra = 42.0",
 ]
+#: Four stored ``ra`` values in ascending order.
+EDGES = np.sort(RA)[[2_000, 4_000, 6_000, 8_000]].tolist()
+#: Bindings of one prepared ``ra BETWEEN ? AND ?`` wave, by how the ranges
+#: relate; ``touching`` and ``point`` bounds are stored values, so a member
+#: that drops its edge row shows.
+BINDINGS = {
+    "disjoint": [(10.0, 12.0), (100.0, 103.0), (350.0, 351.0)],
+    "overlapping": [(10.0, 40.0), (30.0, 60.0), (35.0, 36.0), (55.0, 90.0)],
+    "touching": [(EDGES[0] - 5.0, EDGES[0]), (EDGES[0], EDGES[1]), (EDGES[1], EDGES[1] + 5.0)],
+    "nested": [(0.0, 360.0), (90.0, 270.0), (180.0, 181.0)],
+    "point": [(EDGES[2], EDGES[2]), (EDGES[2], EDGES[3]), (EDGES[3], EDGES[3])],
+}
+
+
+def _hits(low: float, high: float) -> list[int]:
+    """The objids ``ra BETWEEN low AND high`` selects, by brute force."""
+    return np.flatnonzero((RA >= low) & (RA <= high)).tolist()
 
 
 class TestBatchExecutor:
-    def test_plain_column_members_run_singly(self, database):
+    @pytest.mark.parametrize("shape", sorted(BINDINGS))
+    def test_plain_column_members_run_singly(self, database, shape):
         """A plain column has no batch pass: each member runs the plan's lowering."""
         prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
-        bindings = [
-            (10.0, 12.0), (100.0, 103.0), (350.0, 351.0),  # disjoint
-            (10.0, 40.0), (30.0, 60.0), (35.0, 36.0), (55.0, 90.0),  # overlapping
-        ]
+        bindings = BINDINGS[shape]
         before = database.cache_stats()["batch"]
         results = database.execute_wave([(prepared, values) for values in bindings])
         after = database.cache_stats()["batch"]
@@ -90,8 +95,35 @@ class TestBatchExecutor:
             assert not result.batched
             assert result.cache_level == "prepared"
             assert result.profile.opcode_counts == PLAIN_LOWERING
+            assert sorted(result.column("objid").tolist()) == _hits(*values)
             alone = database.execute_prepared(prepared, values)
             np.testing.assert_array_equal(result.column("objid"), alone.column("objid"))
+
+    @pytest.mark.parametrize(
+        "statements", [DISJOINT, MIXED[:2], MIXED], ids=["disjoint", "overlapping", "mixed"]
+    )
+    def test_plain_column_literal_waves_answer_like_the_reference(self, database, statements):
+        results = literal_wave(database, statements)
+        assert not any(result.batched for result in results)
+        assert database.cache_stats()["batch"]["fallback_queries"] == len(statements)
+        for got, expected in zip(results, _reference(statements)):
+            assert got.column_names == expected.column_names
+            assert _rows(got) == _rows(expected)
+
+    @pytest.mark.parametrize("shape", sorted(BINDINGS))
+    @pytest.mark.parametrize("strategy", ["segmentation", "replication", "unsegmented"])
+    def test_batched_bindings_answer_every_shape(self, database, strategy, shape):
+        """Each strategy's batch kernel keeps both closed bounds of every member."""
+        database.enable_adaptive(
+            "p", "ra", strategy=strategy, model="apm", m_min=2 * KB, m_max=8 * KB
+        )
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        bindings = BINDINGS[shape]
+        results = database.execute_wave([(prepared, values) for values in bindings])
+        assert all(result.batched for result in results)
+        for result, values in zip(results, bindings):
+            assert sorted(result.column("objid").tolist()) == _hits(*values)
+        database.adaptive_handle("p", "ra").adaptive.check_invariants()
 
     @pytest.mark.parametrize("strategy", ["segmentation", "replication", "unsegmented"])
     def test_batches_match_on_every_registered_strategy(self, database, strategy):
@@ -275,10 +307,10 @@ SHAPES = {
 
 
 class TestWaveGroups:
-    """A wave groups its members per column: two or more batch, the rest run alone."""
+    """A wave groups its members per adaptive column: two or more batch, the rest run alone."""
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("organisation", available_strategies())
+    @pytest.mark.parametrize("organisation", [None, *available_strategies()])
     def test_members_group_per_column(self, organisation, shape):
         rng = np.random.default_rng(29)
         data = {name: rng.uniform(0.0, 360.0, 4_000) for name in ("ra", "dec", "w")}
@@ -294,6 +326,7 @@ class TestWaveGroups:
                 table, name, strategy=organisation, model="apm", m_min=2 * KB, m_max=8 * KB
             ).adaptive
             for table, name in (("p", "ra"), ("p", "dec"), ("q", "w"))
+            if organisation is not None
         }
         executed = {name: column._queries_executed for name, column in adaptive.items()}
         late = np.array([15.0, 55.0, 95.0])
@@ -301,6 +334,8 @@ class TestWaveGroups:
         data["w"] = np.concatenate((data["w"], late))
 
         columns, batched = SHAPES[shape]
+        if organisation is None:  # plain columns form no group: every member runs alone
+            batched = [False] * len(columns)
         prepared = {name: database.prepare_statement(sql) for name, sql in GROUP_SQL.items()}
         bounds = [(10.0 + 41.0 * at, 30.0 + 41.0 * at) for at in range(len(columns))]
         results = database.execute_wave(

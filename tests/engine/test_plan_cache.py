@@ -133,6 +133,14 @@ class TestExecuteMany:
         )
         return [db.execute(sql) for sql in statements]
 
+    def test_plain_column_results_match_individual_execution(self, database):
+        results = literal_wave(database, self.STATEMENTS)
+        reference = self._reference(self.STATEMENTS)
+        assert not any(result.batched for result in results)  # a plain column forms no group
+        for got, expected in zip(results, reference):
+            assert got.column_names == expected.column_names
+            assert _rows(got) == _rows(expected)
+
     def test_batched_results_match_on_an_adaptive_column(self, managed):
         batched = literal_wave(managed, self.STATEMENTS)
         reference = self._reference(self.STATEMENTS)

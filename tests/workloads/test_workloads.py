@@ -39,6 +39,13 @@ class TestRangeQueryAndWorkload:
         assert query.width == 5
         assert query.vrange.low == 5
 
+    def test_workload_len_iteration_and_indexing(self):
+        workload = uniform_workload(50, DOMAIN, 0.1, seed=1)
+        assert len(workload) == 50
+        assert list(workload) == workload.queries
+        assert workload[3] == workload.queries[3]
+        assert workload[:10] == workload.queries[:10]
+
 
 class TestColumnGeneration:
     def test_make_column_properties(self):
