@@ -10,7 +10,9 @@ paper integrates it "completely transparently for the SQL front-end".
 
 It then walks the rest of the DB-API surface on one range select —
 ``description``, ``fetchone`` / ``fetchmany`` / ``fetchall``, iteration and
-the ``with cursor`` form — and one ``COUNT`` / ``MIN`` / ``MAX`` aggregate,
+the ``with cursor`` form — and the other statement shapes the engine lowers:
+a ``COUNT`` / ``MIN`` / ``MAX`` / ``SUM`` / ``AVG`` aggregate, a ``LIMIT``, two
+predicates, and a select with no ``WHERE`` after an insert and a delete,
 checking every answer against the engine's result and numpy.
 
 Run with:  python examples/quickstart.py
@@ -19,6 +21,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -111,18 +114,44 @@ def walk_the_cursor(values: np.ndarray, low: int = 250_000, high: int = 260_000)
         assert cursor.closed
 
         cursor = connection.execute(
-            "SELECT COUNT(*), MIN(value), MAX(value) FROM readings "
+            "SELECT COUNT(*), MIN(value), MAX(value), SUM(value), AVG(value) FROM readings "
             f"WHERE value BETWEEN {low} AND {high}"
         )
         hits = values[(values >= low) & (values <= high)]
-        truth = (float(hits.size), float(hits.min()), float(hits.max()))
-        assert cursor.fetchone() == truth
-        assert tuple(
-            cursor.result.scalar(label) for label in ("count(*)", "min(value)", "max(value)")
-        ) == truth
+        truth = (float(hits.size), float(hits.min()), float(hits.max()), float(hits.sum()))
+        *exact, average = cursor.fetchone()
+        assert tuple(exact) == truth and math.isclose(average, hits.mean(), rel_tol=1e-12)
+        labels = ("count(*)", "min(value)", "max(value)", "sum(value)")
+        assert tuple(cursor.result.scalar(label) for label in labels) == truth
+        check_plan_shapes(connection, values, low, high)
     print(f"cursor: {len(expected)} rows of [{low}, {high}] read alike through description, "
-          f"fetchone/fetchmany/fetchall and iteration; COUNT/MIN/MAX = "
-          f"{int(truth[0])}/{int(truth[1])}/{int(truth[2])}, as numpy finds them.")
+          f"fetchone/fetchmany/fetchall and iteration; COUNT/MIN/MAX/SUM/AVG = "
+          f"{int(truth[0])}/{int(truth[1])}/{int(truth[2])}/{int(truth[3])}/{average:.1f}, "
+          f"as numpy finds them.")
+
+
+def check_plan_shapes(connection, values: np.ndarray, low: int, high: int) -> None:
+    """A ``LIMIT``, two predicates, and no ``WHERE`` beside pending writes; check each."""
+    in_range = (values >= low) & (values <= high)
+    rows = connection.execute(
+        f"SELECT oid, value FROM readings WHERE value BETWEEN {low} AND {high} LIMIT 5"
+    ).fetchall()
+    assert len(rows) == 5 and all(in_range[oid] and values[oid] == value for oid, value in rows)
+
+    both = connection.execute(
+        f"SELECT oid FROM readings WHERE value BETWEEN {low} AND {high} AND oid < 50000"
+    ).result.column("oid")
+    assert sorted(both) == np.flatnonzero(in_range[:50_000]).tolist()
+
+    connection.admin.insert("readings", {
+        "oid": np.array([values.size, values.size + 1]), "value": np.array([7, 8], np.int32),
+    })
+    connection.admin.delete("readings", np.array([0, values.size]))
+    result = connection.execute("SELECT oid, value FROM readings").result
+    assert result.column("oid").tolist() == [*range(1, values.size), values.size + 1]
+    assert result.column("value").tolist() == [*values[1:].tolist(), 8]
+    print(f"shapes: LIMIT 5 and a two-predicate select ({len(both)} rows) answer as numpy; "
+          f"with no WHERE, {result.row_count} live rows after one insert and one delete.")
 
 
 if __name__ == "__main__":

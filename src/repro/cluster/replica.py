@@ -35,6 +35,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.api.exceptions import TransientError
 from repro.engine.database import Database
 
 __all__ = ["EngineReplica", "ReplicaHealth", "ReplicaWorker", "clone_database"]
@@ -96,7 +97,8 @@ def clone_database(source: Database) -> Database:
         target.insert(
             {name: column.bind(1).tail.copy() for name, column in store.columns.items()}
         )
-        target.delete(store.deletion_bat.tail)
+        if store.live_mask is not None:
+            target.delete(np.flatnonzero(~store.live_mask))
     clone.set_knobs(source.knobs())  # writes only where they differ from the enable-time ones
     return clone
 
@@ -175,6 +177,11 @@ class ReplicaWorker:
         return self._closed
 
     @property
+    def owns_current_thread(self) -> bool:
+        """Is the caller running on this worker's thread?"""
+        return threading.current_thread() is self._thread
+
+    @property
     def alive(self) -> bool:
         return self._thread.is_alive()
 
@@ -214,6 +221,22 @@ class EngineReplica:
         """Run ``fn(*args)`` on the replica's worker thread and wait."""
         return self.submit(fn, *args).result()
 
+    def engine(self) -> Database:
+        """The engine, for a task running on the replica's current worker.
+
+        A task the worker of a replaced engine dequeues — one queued behind a
+        wedge before :meth:`replace_database` — raises a retryable
+        :class:`TransientError` instead: its thread must never share the
+        rebuilt engine with the fresh worker.  The engine is read before the
+        worker is checked, and :meth:`replace_database` swaps the worker
+        first, so a task that passes the check holds the engine of its own
+        worker.
+        """
+        database = self.database
+        if not self.worker.owns_current_thread:
+            raise TransientError(f"replica {self.index} was rebuilt after this task was queued")
+        return database
+
     def replace_database(self, database: Database, *, close_timeout: float = 0.2) -> None:
         """Swap in a rebuilt engine on a **fresh** worker (the rebuild path).
 
@@ -221,13 +244,14 @@ class EngineReplica:
         it gets a token-timeout close and is otherwise abandoned; the new
         worker starts with an empty queue, and the replica's failure
         bookkeeping resets.  The new worker is in place before the old one
-        closes, so a wave submitted meanwhile never meets a closed worker.
-        The caller (the router) owns the health transition back to
-        ``HEALTHY``.
+        closes, so a wave submitted meanwhile never meets a closed worker,
+        and before the new engine, so a task still queued on the old worker
+        never reaches it (:meth:`engine`).  The caller (the router) owns the
+        health transition back to ``HEALTHY``.
         """
         old = self.worker
-        self.database = database
         self.worker = ReplicaWorker(self.index)
+        self.database = database
         old.close(timeout=close_timeout)
         self.consecutive_failures = 0
         self.last_error = None

@@ -482,10 +482,13 @@ class Router:
         wave as a whole — an injected crash, a worker exception, anything
         thrown before member execution — are recorded with the failure
         detector and re-raised as :class:`TransientError` so the admission
-        layer retries the wave on a failover replica.
+        layer retries the wave on a failover replica.  A wave the worker of a
+        rebuilt replica's old engine dequeues raises :class:`TransientError`
+        before it touches any engine (:meth:`EngineReplica.engine`), with no
+        failure recorded: admission retries it the same way.
         """
         replica = self.replicas[index]
-        database = replica.database
+        database = replica.engine()
         try:
             if self.injector is not None:
                 self.injector.fire("wave.execute", replica=index)

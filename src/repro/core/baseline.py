@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.accounting import IOAccountant, QueryStats
 from repro.core.ranges import ValueRange
-from repro.core.segment import SelectionResult, Segment
+from repro.core.segment import SelectionResult
 from repro.core.strategy import AdaptiveColumnBase, register_strategy
 
 
@@ -52,25 +52,11 @@ class UnsegmentedColumn(AdaptiveColumnBase):
                     f"values and oids must have equal length, "
                     f"got {values.size} and {self._oids.size}"
                 )
-        self._segment_view: Segment | None = None
 
     @property
     def segment_count(self) -> int:
         """Always one: the whole column."""
         return 1
-
-    @property
-    def segments(self) -> list[Segment]:
-        """A one-segment view of the column (built once, cached).
-
-        The returned :class:`Segment` follows the sorted layout and owns a
-        private copy of the payload — mutating it cannot reach the live
-        positional arrays.  The baseline never reorganizes, so the cached
-        view never needs invalidating.
-        """
-        if self._segment_view is None:
-            self._segment_view = Segment(self.domain, self._values.copy(), self._oids.copy())
-        return [self._segment_view]
 
     @property
     def storage_bytes(self) -> float:

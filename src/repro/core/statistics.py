@@ -3,7 +3,8 @@
 Table 2 of the paper summarises, per workload and segmentation scheme, the
 number of segments created, their average size and the size deviation.  This
 module computes the same summary for any strategy exposing a ``segments``
-list (adaptive segmentation, adaptive replication and the baseline).
+list (adaptive segmentation and adaptive replication) and for the baseline,
+whose one segment is the whole column.
 """
 
 from __future__ import annotations
@@ -28,8 +29,18 @@ def segment_statistics(column) -> SegmentStatistics:
     """Summarise the segments of any strategy exposing a ``segments`` list.
 
     Virtual segments (replication) are excluded from the size statistics but
-    reflected in the materialized count vs. segment count difference.
+    reflected in the materialized count vs. segment count difference.  A
+    column without the list (NoSegm) is one segment of ``total_bytes``.
     """
+    if not hasattr(column, "segments"):
+        total = float(column.total_bytes)
+        return SegmentStatistics(
+            segment_count=1,
+            average_bytes=total,
+            deviation_bytes=0.0,
+            total_bytes=total,
+            materialized_count=1,
+        )
     segments = list(column.segments)
     materialized = [s for s in segments if getattr(s, "materialized", True)]
     sizes = np.array([s.size_bytes for s in materialized], dtype=float)

@@ -10,16 +10,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.mal.program import (
-    OPCODE_ASSIGN,
-    OPCODE_BARRIER,
-    OPCODE_EXIT,
-    OPCODE_REDO,
-    Const,
-    Instruction,
-    MALProgram,
-    Var,
-)
+from repro.mal.program import OPCODE_ASSIGN, Const, Instruction, MALProgram, Var
 
 
 class ProgramBuilder:
@@ -40,11 +31,6 @@ class ProgramBuilder:
     def var(name: str) -> Var:
         """Reference an existing variable."""
         return Var(name)
-
-    @staticmethod
-    def const(value: Any) -> Const:
-        """Embed a literal constant."""
-        return Const(value)
 
     # -- instruction emission -------------------------------------------------
 
@@ -80,36 +66,6 @@ class ProgramBuilder:
     def effect(self, module: str, function: str, *args: Any, comment: str = "") -> None:
         """Emit an effect-only call with no result variable."""
         self.call(module, function, *args, targets=(), comment=comment)
-
-    def barrier(self, module: str, function: str, *args: Any, target: str | None = None) -> str:
-        """Emit a ``barrier`` instruction opening a guarded block."""
-        name = target if target is not None else self.fresh("rseg")
-        self.program.append(
-            Instruction(
-                opcode=OPCODE_BARRIER,
-                targets=(name,),
-                module=module,
-                function=function,
-                args=tuple(self._wrap(arg) for arg in args),
-            )
-        )
-        return name
-
-    def redo(self, barrier_var: str, module: str, function: str, *args: Any) -> None:
-        """Emit a ``redo`` instruction re-testing the barrier condition."""
-        self.program.append(
-            Instruction(
-                opcode=OPCODE_REDO,
-                targets=(barrier_var,),
-                module=module,
-                function=function,
-                args=tuple(self._wrap(arg) for arg in args),
-            )
-        )
-
-    def exit(self, barrier_var: str) -> None:
-        """Emit the ``exit`` closing a barrier block."""
-        self.program.append(Instruction(opcode=OPCODE_EXIT, targets=(barrier_var,)))
 
     # -- helpers -------------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 The engine runs one kind of program: the lowering of an optimized plan
 (:mod:`repro.optimizer.delta_elision`), a straight line of calls in which
-every instruction runs exactly once, in order.  The tree-walking
-:class:`~repro.mal.interpreter.Interpreter` would pay, on every instruction of
+every instruction runs exactly once, in order.  A tree-walking interpreter
+(the test suite keeps one as its oracle) would pay, on every instruction of
 every run, for a registry lookup of the callee, a dict lookup per variable
 argument and a dict store per target.  None of that work depends on the
 query's parameters, so :func:`compile_program` performs it exactly once:
@@ -112,23 +112,6 @@ class CompiledPlan:
             if target is not None:
                 env[target] = value
         return env
-
-    def run(self, context: Any, arguments: dict[str, Any] | None = None) -> dict[str, Any]:
-        """Execute with named arguments; the final variable environment as a dict.
-
-        Same contract as :meth:`repro.mal.interpreter.Interpreter.run` (names
-        without a slot pass through untouched) — used by the parity tests; the
-        engine calls :meth:`execute_bound`.
-        """
-        variables: dict[str, Any] = dict(arguments or {})
-        names = tuple(name for name in variables if name in self._slots)
-        env = self.execute_bound(
-            context, self.parameter_slots(names), tuple(variables[name] for name in names)
-        )
-        for name, value in zip(self._names, env):
-            if value is not _UNSET:
-                variables[name] = value
-        return variables
 
 
 def compile_program(program: MALProgram, registry: ModuleRegistry) -> CompiledPlan:

@@ -1,11 +1,14 @@
 """MAL runtime modules: the functions instructions can call.
 
-A :class:`ModuleRegistry` maps qualified names such as ``algebra.select`` to
+A :class:`ModuleRegistry` maps qualified names such as ``algebra.uselect`` to
 Python callables ``fn(ctx, *args)`` where ``ctx`` is the execution context
-(variables, catalog, result sets, BPM).  :func:`default_registry` registers
-the built-in modules — ``algebra``, ``bat``, ``calc``, ``aggr`` and ``sql`` —
-while the Bat Partition Manager registers its own ``bpm`` module when adaptive
-columns are enabled.
+(variables, catalog, result sets).  :func:`default_registry` registers the
+built-in ``algebra``, ``aggr`` and ``sql`` functions and the Bat Partition
+Manager registers its ``bpm.take`` / ``bpm.select``: together exactly the
+callees the lowering (:mod:`repro.optimizer.delta_elision`) emits.  The rest
+of the Figure-1 plan — the deletion BAT, ``kunion`` / ``kdifference``,
+``markT`` / ``reverse`` / ``join`` and the BPM's iterator block — runs only in
+the test suite's interpreter oracle, which brings its own functions.
 """
 
 from __future__ import annotations
@@ -40,44 +43,16 @@ class ModuleRegistry:
         except KeyError as exc:
             raise KeyError(f"no MAL implementation registered for {callee!r}") from exc
 
-    def knows(self, callee: str) -> bool:
-        """True when the qualified name is registered."""
-        return callee in self._functions
-
-    def copy(self) -> "ModuleRegistry":
-        """An independent copy (used per-database so BPM registrations stay local)."""
-        fresh = ModuleRegistry()
-        fresh._functions.update(self._functions)
-        return fresh
-
 
 # ---------------------------------------------------------------------------
 # Built-in module implementations
 # ---------------------------------------------------------------------------
 
 
-def _algebra_select(ctx, bat: BAT, low, high, *flags) -> BAT:
-    include_low = bool(flags[0]) if len(flags) > 0 else True
-    include_high = bool(flags[1]) if len(flags) > 1 else False
-    return operators.select(bat, low, high, include_low=include_low, include_high=include_high)
-
-
 def _algebra_uselect(ctx, bat: BAT, low, high, *flags) -> BAT:
     include_low = bool(flags[0]) if len(flags) > 0 else True
     include_high = bool(flags[1]) if len(flags) > 1 else False
     return operators.uselect(bat, low, high, include_low=include_low, include_high=include_high)
-
-
-def _algebra_thetaselect(ctx, bat: BAT, value, operator: str) -> BAT:
-    return operators.thetaselect(bat, value, operator)
-
-
-def _algebra_kunion(ctx, left: BAT, right: BAT) -> BAT:
-    return operators.kunion(left, right)
-
-
-def _algebra_kdifference(ctx, left: BAT, right: BAT) -> BAT:
-    return operators.kdifference(left, right)
 
 
 def _algebra_kintersect(ctx, left: BAT, right: BAT) -> BAT:
@@ -88,32 +63,8 @@ def _algebra_slice(ctx, bat: BAT, start, stop) -> BAT:
     return bat.slice(int(start), int(stop))
 
 
-def _algebra_markt(ctx, bat: BAT, base=0) -> BAT:
-    return operators.mark_tail(bat, int(base))
-
-
-def _algebra_join(ctx, left: BAT, right: BAT) -> BAT:
-    return operators.join(left, right)
-
-
 def _algebra_projection(ctx, candidates: BAT, column: BAT) -> BAT:
     return BAT(operators.projection(column, candidates.head), name=column.name)
-
-
-def _bat_reverse(ctx, bat: BAT) -> BAT:
-    return bat.reverse()
-
-
-def _bat_mirror(ctx, bat: BAT) -> BAT:
-    return BAT.from_pairs(bat.head, bat.head, name=bat.name)
-
-
-def _calc_oid(ctx, value) -> int:
-    return int(value)
-
-
-def _calc_dbl(ctx, value) -> float:
-    return float(value)
 
 
 def _aggr_sum(ctx, bat: BAT) -> float:
@@ -140,8 +91,15 @@ def _sql_bind(ctx, schema: str, table: str, column: str, level) -> BAT:
     return ctx.catalog.column(table, column).bind(int(level))
 
 
-def _sql_bind_dbat(ctx, schema: str, table: str, level) -> BAT:
-    return ctx.catalog.table(table).deletion_bat
+def _sql_tid(ctx, schema: str, table: str) -> BAT:
+    """The live oids of ``table`` as a candidate list (MonetDB's ``sql.tid``).
+
+    Loaded and pending-insert rows alike, tombstoned ones dropped, in oid
+    order; no value is read, so a NaN row is as live as any other.  The
+    lowering of a select without a ``WHERE`` clause starts from it.
+    """
+    oids = ctx.catalog.table(table).live_oids()
+    return BAT.from_pairs(oids, oids, name=f"sys_{table}_tid")
 
 
 def _sql_live(
@@ -185,26 +143,17 @@ def _sql_export_value(ctx, name: str, value):
 
 
 def default_registry() -> ModuleRegistry:
-    """A registry with every built-in module registered."""
+    """A registry with every built-in function the lowering calls, ``bpm`` aside."""
     registry = ModuleRegistry()
     registry.register_module(
         "algebra",
         {
-            "select": _algebra_select,
             "uselect": _algebra_uselect,
-            "thetaselect": _algebra_thetaselect,
-            "kunion": _algebra_kunion,
-            "kdifference": _algebra_kdifference,
             "kintersect": _algebra_kintersect,
             "slice": _algebra_slice,
-            "markT": _algebra_markt,
-            "join": _algebra_join,
-            "leftfetchjoin": _algebra_join,
             "projection": _algebra_projection,
         },
     )
-    registry.register_module("bat", {"reverse": _bat_reverse, "mirror": _bat_mirror})
-    registry.register_module("calc", {"oid": _calc_oid, "dbl": _calc_dbl})
     registry.register_module(
         "aggr",
         {
@@ -219,7 +168,7 @@ def default_registry() -> ModuleRegistry:
         "sql",
         {
             "bind": _sql_bind,
-            "bind_dbat": _sql_bind_dbat,
+            "tid": _sql_tid,
             "live": _sql_live,
             "resultSet": _sql_result_set,
             "rsColumn": _sql_rs_column,

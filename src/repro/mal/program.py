@@ -13,12 +13,15 @@ iterator snippet of §3.1:
     bpm.addSegment(Y2, T1);
     redo rseg := bpm.hasMoreElements(Y1, A0, A1);
     exit rseg;
+
+Only the Figure-1 plan carries such blocks: the lowering the engine runs is a
+straight line, and the blocks run in the test suite's interpreter oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 
 @dataclass(frozen=True)
@@ -54,38 +57,6 @@ _OPCODES = {OPCODE_ASSIGN, OPCODE_BARRIER, OPCODE_REDO, OPCODE_EXIT}
 
 class MALRuntimeError(RuntimeError):
     """Raised for malformed programs and for runtime name-resolution failures."""
-
-
-def match_blocks(instructions: "list[Instruction]") -> dict[int, tuple[int, int]]:
-    """Map barrier/redo instruction indices to (barrier_index, exit_index).
-
-    Raises :class:`MALRuntimeError` for unbalanced or nested blocks — the same
-    validation the interpreter applies before executing a program.
-    """
-    blocks: dict[int, tuple[int, int]] = {}
-    open_barriers: dict[str, int] = {}
-    pending: dict[str, list[int]] = {}
-    for index, instruction in enumerate(instructions):
-        name = instruction.target
-        if instruction.opcode == OPCODE_BARRIER:
-            if name in open_barriers:
-                raise MALRuntimeError(f"nested barrier on the same variable {name!r}")
-            open_barriers[name] = index
-            pending[name] = [index]
-        elif instruction.opcode == OPCODE_REDO:
-            if name not in open_barriers:
-                raise MALRuntimeError(f"redo outside of a barrier block: {name!r}")
-            pending[name].append(index)
-        elif instruction.opcode == OPCODE_EXIT:
-            if name not in open_barriers:
-                raise MALRuntimeError(f"exit without a matching barrier: {name!r}")
-            barrier_index = open_barriers.pop(name)
-            for member in pending.pop(name):
-                blocks[member] = (barrier_index, index)
-    if open_barriers:
-        unmatched = ", ".join(sorted(open_barriers))
-        raise MALRuntimeError(f"barrier blocks without exit: {unmatched}")
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -146,65 +117,15 @@ class MALProgram:
     name: str
     parameters: tuple[str, ...] = ()
     instructions: list[Instruction] = field(default_factory=list)
-    _blocks: dict[int, tuple[int, int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _blocks_length: int = field(default=-1, init=False, repr=False, compare=False)
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
 
     def __len__(self) -> int:
         return len(self.instructions)
 
     def append(self, instruction: Instruction) -> None:
         self.instructions.append(instruction)
-        self._blocks = None
 
     def extend(self, instructions: Iterable[Instruction]) -> None:
         self.instructions.extend(instructions)
-        self._blocks = None
-
-    def matched_blocks(self) -> dict[int, tuple[int, int]]:
-        """The barrier/redo → (barrier_index, exit_index) map, cached.
-
-        The cache is invalidated by :meth:`append`/:meth:`extend` and by any
-        change in instruction count; code mutating ``instructions`` in place
-        without changing its length must call :meth:`invalidate_blocks`.
-        """
-        blocks = self._blocks
-        if blocks is None or self._blocks_length != len(self.instructions):
-            blocks = match_blocks(self.instructions)
-            self._blocks = blocks
-            self._blocks_length = len(self.instructions)
-        return blocks
-
-    def invalidate_blocks(self) -> None:
-        """Drop the cached block structure after in-place instruction edits."""
-        self._blocks = None
-
-    def defined_variables(self) -> set[str]:
-        """Every variable assigned anywhere in the program."""
-        return {target for instruction in self.instructions for target in instruction.targets}
-
-    def used_variables(self) -> set[str]:
-        """Every variable referenced as an argument anywhere in the program."""
-        return {
-            name
-            for instruction in self.instructions
-            for name in instruction.argument_names()
-        }
-
-    def find_calls(self, module: str, function: str | None = None) -> list[int]:
-        """Indices of instructions calling ``module`` (optionally a function)."""
-        matches = []
-        for index, instruction in enumerate(self.instructions):
-            if instruction.module != module:
-                continue
-            if function is not None and instruction.function != function:
-                continue
-            matches.append(index)
-        return matches
 
     def render(self) -> str:
         """Pretty-print the program in MAL-like concrete syntax (cf. Figure 1)."""
@@ -212,7 +133,3 @@ class MALProgram:
         body = "\n".join(f"    {instruction.render()}" for instruction in self.instructions)
         footer = f"end {self.name};"
         return "\n".join([header, body, footer]) if body else "\n".join([header, footer])
-
-    def copy(self) -> "MALProgram":
-        """A shallow copy with an independent instruction list."""
-        return MALProgram(self.name, self.parameters, list(self.instructions))

@@ -1,8 +1,8 @@
 """The Bat Partition Manager (BPM).
 
 The BPM owns the adaptive columns (segmented or replicated) that have been
-registered for self-organization, and exposes the ``bpm.*`` MAL module the
-segment optimizer's rewritten plans call at run time:
+registered for self-organization.  The segment optimizer's rewritten plan —
+the text ``explain`` shows — reads such a column through an iterator block:
 
 .. code-block:: text
 
@@ -21,7 +21,10 @@ hands the plan the qualifying piece, so the downstream plan shape matches the
 paper's §3.1 snippet.  The selection answers the block's bounds exactly, so
 there is never a second piece; the plan's lowering
 (:mod:`repro.optimizer.delta_elision`) calls the same selection as
-``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it.
+``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it, and
+``bpm.take`` / ``bpm.select`` are the whole ``bpm`` module the engine
+registers.  The block itself runs only in the test suite's interpreter
+oracle, which builds it over this ``bpm.select``.
 
 The BPM is the engine's one door to an adapting selection — ``bpm.select`` for
 one query, :meth:`BatPartitionManager.select_many` for a batch — and its one
@@ -137,48 +140,10 @@ class BatPartitionManager:
 
     def mal_module(self) -> dict[str, Any]:
         """The ``bpm`` module functions to register with the MAL registry."""
-        return {
-            "take": self._mal_take,
-            "select": self._mal_select,
-            "new": self._mal_new,
-            "newIterator": self._mal_new_iterator,
-            "hasMoreElements": self._mal_has_more_elements,
-            "addSegment": self._mal_add_segment,
-            "result": self._mal_result,
-        }
+        return {"take": self._mal_take, "select": self._mal_select}
 
     def _mal_take(self, ctx, schema: str, table: str, column: str) -> AdaptiveColumnHandle:
         return self.handle(table, column)
-
-    @staticmethod
-    def _mal_new(ctx) -> list[BAT]:
-        return []
-
-    def _mal_new_iterator(
-        self, ctx, handle: AdaptiveColumnHandle, low, high, include_low=True, include_high=False
-    ) -> BAT | None:
-        piece = self._mal_select(ctx, handle, low, high, include_low, include_high)
-        return piece if piece.count else None
-
-    @staticmethod
-    def _mal_has_more_elements(ctx, handle: AdaptiveColumnHandle, *bounds) -> None:
-        return None  # the first piece was the whole answer
-
-    @staticmethod
-    def _mal_add_segment(ctx, accumulator: list[BAT], piece: BAT) -> list[BAT]:
-        accumulator.append(piece)
-        return accumulator
-
-    @staticmethod
-    def _mal_result(ctx, accumulator: list[BAT]) -> BAT:
-        if not accumulator:
-            return BAT.from_pairs(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if len(accumulator) == 1:
-            # The common converged case: one qualifying piece, no copy.
-            return accumulator[0]
-        heads = np.concatenate([piece.head for piece in accumulator])
-        tails = np.concatenate([piece.tail for piece in accumulator])
-        return BAT.from_pairs(heads, tails)
 
     # -- the piggy-backed selection ------------------------------------------------
 
@@ -187,12 +152,9 @@ class BatPartitionManager:
     ) -> BAT:
         """Run the adaptive selection; the qualifying ``(oid, value)`` pairs.
 
-        The one select-and-account implementation behind ``bpm.select`` and
-        ``bpm.newIterator``; the result is a candidate list (oids in the
-        head).  Segment-backed strategies promise sorted values
-        (SelectionResult.values_sorted), so the iterator block's inner
-        algebra.select binary-searches the piece; unsorted results leave the
-        flag off and take the mask path — correct either way.
+        ``bpm.select``: the one select-and-account implementation; the result
+        is a candidate list (oids in the head), flagged ``tail_sorted`` when
+        the strategy promises sorted values (``SelectionResult.values_sorted``).
         """
         adaptive = handle.adaptive
         result = adaptive.select(

@@ -4,9 +4,12 @@ The Figure-1 plan merges three delta BATs into every column it touches.  No
 write fills the update delta (level 2 is always empty), so the MAL→MAL rules
 here drop it unconditionally; each predicate's merge of its insert hits, and
 the final difference against the deletion BAT, become one ``sql.live`` step
-after the select, which costs one check on a table without deltas.  Every
-rule is exact: same candidates, same adaptive selection, same exported
-columns as the Figure-1 plan, which stays the plan's text.
+after the select, which costs one check on a table without deltas.  A select
+without a predicate starts from every row instead: its merge of the
+persistent and insert BATs and that difference become one ``sql.tid`` step,
+the table's live oids.  Every rule is exact: same candidates, same adaptive
+selection, same exported columns as the Figure-1 plan, which stays the
+plan's text.
 """
 
 from __future__ import annotations
@@ -118,13 +121,24 @@ def _live_step(instruction: Instruction, definitions: dict[str, Instruction]) ->
     )
 
 
+def _every_row(definitions: dict[str, Instruction], argument) -> tuple | None:
+    """``(schema, table, column)`` if ``argument`` is ``mirror(kunion(bind 0, bind 1))``."""
+    mirror = _defined_by(definitions, argument, "bat.mirror")
+    merge = mirror and _defined_by(definitions, mirror.args[0], "algebra.kunion")
+    column = merge and _bound(_defined_by(definitions, merge.args[0], "sql.bind"), 0)
+    inserts = merge and _bound(_defined_by(definitions, merge.args[1], "sql.bind"), 1)
+    return column if column and column == inserts else None
+
+
 def insert_live_rows(program: MALProgram) -> MALProgram:
     """Each predicate's insert merge as one ``sql.live`` step; no deletion difference.
 
     ``kunion(select(level 0), uselect(level 1))`` becomes the live-rows step
     over the select, which drops the tombstoned oids and appends the insert
     delta's hits.  A ``kintersect`` with a live operand is live, and
-    ``kdifference(x, reverse(bind_dbat))`` of a live ``x`` *is* ``x``.
+    ``kdifference(x, reverse(bind_dbat))`` of a live ``x`` *is* ``x``.  With
+    no predicate, ``x`` is every row of the table — ``mirror`` of its merged
+    persistent and insert BATs — and the difference becomes ``sql.tid``.
     """
     definitions = _definitions(program)
     live: set[str] = set()
@@ -149,6 +163,12 @@ def insert_live_rows(program: MALProgram) -> MALProgram:
                 if deletions and args[0].name in live:
                     renames[instruction.target] = args[0].name
                     continue
+                rows = deletions and _every_row(definitions, args[0])
+                if rows and deletions.args[:2] == tuple(Const(part) for part in rows[:2]):
+                    instruction = Instruction(
+                        OPCODE_ASSIGN, instruction.targets, "sql", "tid", deletions.args[:2],
+                        f"live rows of {rows[1]}",
+                    )
         kept.append(instruction)
     return MALProgram(program.name, program.parameters, kept)
 

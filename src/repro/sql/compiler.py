@@ -164,8 +164,8 @@ class SQLCompiler:
             return value, np.inf, predicate.operator == ">=", False
         if predicate.operator == "=":
             return value, value, True, True
-        # '<>' is compiled as the full domain; the engine filters afterwards via
-        # a theta-select on the reconstructed column.  Rare enough to keep simple.
+        # '<>' selects two ranges, and every predicate compiles to one range
+        # select (the one a BPM-managed column adapts on): it is rejected.
         raise ValueError("'<>' predicates are not supported by the MAL compiler")
 
     # -- projections ---------------------------------------------------------------

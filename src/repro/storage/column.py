@@ -2,12 +2,12 @@
 
 MonetDB's SQL layer represents every column of a relational table as a small
 family of BATs: the persistent payload (bind level 0), the pending inserts
-(level 1) and the pending updates (level 2); deletions are tracked per table
-in a separate deletion BAT (``bind_dbat``).  The Fig-1 query plan unions and
-differences these pieces before evaluating predicates — the reproduction
-follows the same structure so that the generated plans look like the paper's.
-No write fills level 2 (an update is a delete plus an insert): it stays an
-always-empty BAT, there so that the plan is the paper's figure.
+(level 1) and the pending updates (level 2); deletions are tracked per table.
+The Fig-1 query plan unions and differences these pieces before evaluating
+predicates — the reproduction follows the same structure so that the
+generated plans look like the paper's.  No write fills level 2 (an update is
+a delete plus an insert): it stays an always-empty BAT, there so that the
+plan is the paper's figure.
 
 Inserted rows always receive the next free oids, so the insert delta is the
 dense continuation of the persistent BAT.  Both therefore live in one tail
@@ -66,11 +66,6 @@ class StoredColumn:
     def value_width(self) -> int:
         """Bytes per value."""
         return int(self.dtype.itemsize)
-
-    @property
-    def size_bytes(self) -> int:
-        """Total bytes across persistent and delta BATs."""
-        return self._persistent.size_bytes + self._inserts.size_bytes
 
     @property
     def has_deltas(self) -> bool:
@@ -162,16 +157,13 @@ class StoredColumn:
 
 
 class ColumnStore:
-    """All columns of one table plus the table-level deletion BAT.
+    """All columns of one table plus the table-level deletions.
 
     Deletions live in two forms kept in step by :meth:`delete`: the sorted,
-    duplicate-free deletion list (``row_count``, the ``sql.bind_dbat`` BAT)
-    and a tombstone bitmap over the allocated oids (``alive[oid]`` is false
-    once ``oid`` is deleted).  The bitmap grows with :meth:`insert` by the
-    tail buffer's headroom rule (the headroom is alive) and is reset by
-    :meth:`bulk_load`.  A deletion BAT, once handed out, keeps the bitmap it
-    was cut with: the next :meth:`delete` copies the bitmap before setting
-    bits, and only then.
+    duplicate-free deletion list (``row_count``) and a tombstone bitmap over
+    the allocated oids (``alive[oid]`` is false once ``oid`` is deleted).
+    The bitmap grows with :meth:`insert` by the tail buffer's headroom rule
+    (the headroom is alive) and is reset by :meth:`bulk_load`.
     """
 
     def __init__(self, table: str) -> None:
@@ -208,28 +200,20 @@ class ColumnStore:
         return self._next_oid - self._deleted.size
 
     @property
-    def deletion_bat(self) -> BAT:
-        """The table's deletion BAT (``sql.bind_dbat``), with its tombstone bitmap.
-
-        The BAT never observes a later write: handing it out makes the next
-        :meth:`delete` set its bits in a copy of the bitmap.
-        """
-        self._alive_shared = True
-        deletions = BAT.from_pairs(
-            self._deleted, self._deleted, name=f"sys_{self.table}_dbat", tail_sorted=True
-        )
-        deletions.alive = self._alive
-        return deletions
-
-    @property
     def live_mask(self) -> np.ndarray | None:
         """The tombstone bitmap itself, or ``None`` while no row is deleted.
 
         Covers at least every allocated oid.  It is the store's own array,
         changed in place by the next :meth:`delete`: a plan step reads it
-        and lets go; whatever keeps it longer binds :attr:`deletion_bat`.
+        and lets go.
         """
         return self._alive if self._deleted.size else None
+
+    def live_oids(self) -> np.ndarray:
+        """Every live oid, ascending: loaded and inserted rows, deleted ones dropped."""
+        if not self._deleted.size:
+            return np.arange(self._next_oid, dtype=np.int64)
+        return np.flatnonzero(self._alive[: self._next_oid])
 
     def bulk_load(self, data: dict[str, np.ndarray]) -> None:
         """Load aligned arrays into all columns at once (a fresh table)."""
@@ -261,7 +245,7 @@ class ColumnStore:
         if total > self._alive.size:
             grown = np.ones(_capacity(total, self._loaded), dtype=bool)
             grown[: self._next_oid] = self._alive[: self._next_oid]
-            self._alive, self._alive_shared = grown, False
+            self._alive = grown
         self._next_oid = total
         if count:
             self.has_deltas = True
@@ -283,8 +267,6 @@ class ColumnStore:
         fresh = oids[self._alive[oids]]
         if not fresh.size:
             return
-        if self._alive_shared:
-            self._alive, self._alive_shared = self._alive.copy(), False
         self._alive[fresh] = False
         deleted = np.concatenate((self._deleted, fresh))
         deleted.sort(kind="stable")  # Timsort: two sorted runs merge in linear time
@@ -296,7 +278,6 @@ class ColumnStore:
         self._next_oid = self._loaded = rows
         self._deleted = np.empty(0, dtype=np.int64)
         self._alive = np.ones(rows, dtype=bool)
-        self._alive_shared = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnStore(table={self.table!r}, columns={sorted(self.columns)}, rows={self.row_count})"

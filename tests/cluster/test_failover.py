@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 import repro.aio
-from repro.api.exceptions import OperationalError
-from repro.cluster import EngineReplica, ReplicaHealth, ReplicaWorker, Router
+from repro.api.exceptions import OperationalError, TransientError
+from repro.cluster import EngineReplica, ReplicaHealth, ReplicaWorker, Router, clone_database
 from repro.engine.database import Database
 from repro.fault import FaultInjector
 from repro.server import ReproServer
@@ -100,6 +100,56 @@ class TestReplicaWorker:
         swap.join()
         release.set()
         assert replica.close()
+
+
+class TestWavesQueuedBehindAWedge:
+    """A wave queued on a worker never runs on the engine that replaced it."""
+
+    BOUNDS = (100.0, 200.0)
+
+    def test_a_rebuild_fails_the_queued_wave_retryably_and_untouched(self):
+        router = Router(build_database(200), 2)
+        try:
+            prepared = router.prepare_statement(SQL)
+            replica = router.replicas[0]
+            release = threading.Event()
+            replica.submit(release.wait)
+            queued = router.executor(0).submit(
+                router.execute_wave_on, 0, [(prepared, self.BOUNDS)]
+            )
+            clone = clone_database(replica.database)
+            replica.replace_database(clone, close_timeout=0.05)
+            release.set()
+            with pytest.raises(TransientError, match="rebuilt"):
+                queued.result(timeout=5)
+            assert clone.query_history == []  # the rebuilt engine ran nothing
+            assert replica.failures == 0 and replica.health is ReplicaHealth.HEALTHY
+            # The retry admission makes lands on the fresh worker and answers.
+            retried = replica.run(router.execute_wave_on, 0, [(prepared, self.BOUNDS)])[0]
+            assert len(clone.query_history) == 1 and retried.row_count > 0
+        finally:
+            router.close()
+
+    def test_only_the_current_worker_reaches_the_engine(self):
+        replica = EngineReplica(0, Database())
+        with pytest.raises(TransientError):
+            replica.engine()  # the calling thread is no worker of the replica
+        assert replica.run(replica.engine) is replica.database
+        assert replica.close()
+
+    def test_close_still_finishes_the_waves_queued_before_it(self):
+        router = Router(build_database(200), 1)
+        prepared = router.prepare_statement(SQL)
+        release = threading.Event()
+        router.replicas[0].submit(release.wait)
+        queued = router.executor(0).submit(
+            router.execute_wave_on, 0, [(prepared, self.BOUNDS)]
+        )
+        closer = threading.Thread(target=router.close)
+        closer.start()
+        release.set()
+        closer.join()
+        assert queued.result(timeout=5)[0].row_count > 0
 
 
 class TestHealthStateMachine:

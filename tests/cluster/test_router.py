@@ -88,7 +88,7 @@ class TestCloneDatabase:
             assert theirs.tail.tolist() == ours.tail.tolist()
             assert theirs.hseqbase == ours.hseqbase == N_ROWS
             assert not np.shares_memory(theirs.tail, ours.tail)
-        assert clone.catalog.table("p").deletion_bat.tail.tolist() == [0, N_ROWS]
+        assert np.flatnonzero(~clone.catalog.table("p").live_mask).tolist() == [0, N_ROWS]
         assert clone.catalog.table("p").row_count == N_ROWS - 1
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the baseline column, accounting and segment statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.core.accounting import IOAccountant, QueryLog, QueryStats
 from repro.core.baseline import UnsegmentedColumn
 from repro.core.models import AdaptivePageModel
 from repro.core.segmentation import SegmentedColumn
-from repro.core.statistics import segment_statistics
+from repro.core.statistics import SegmentStatistics, segment_statistics
 from repro.util.units import KB
 from tests.conftest import TEST_DOMAIN, brute_force_count
 
@@ -106,3 +108,17 @@ class TestSegmentStatistics:
         stats = segment_statistics(column)
         assert stats.segment_count == 1
         assert stats.deviation_bytes == 0.0
+
+    def test_baseline_statistics_are_its_one_segment_without_a_payload_copy(self, values):
+        column = UnsegmentedColumn(values, domain=TEST_DOMAIN)
+        column.select(10_000, 30_000)
+        tracemalloc.start()
+        try:
+            stats = segment_statistics(column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The values a one-segment view of the whole column gave.
+        total = float(values.nbytes)
+        assert stats == SegmentStatistics(1, total, 0.0, total, 1)
+        assert peak < 4_096  # no copy of the 80 KB payload (or of its oids)

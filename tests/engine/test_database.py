@@ -112,6 +112,42 @@ class TestTheShortPath:
         }
 
 
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT * FROM p", "SELECT ra, objid FROM p LIMIT 7",
+         "SELECT count(*), max(objid), min(dec) FROM p"],
+        ids=["star", "limit", "aggregate"],
+    )
+    @pytest.mark.parametrize("strategy", [None, "segmentation", "replication", "unsegmented"])
+    def test_a_select_without_where_starts_from_the_live_rows(self, database, strategy, sql):
+        if strategy is not None:
+            database.enable_adaptive("p", "ra", strategy=strategy)
+        # A NaN in a live pending insert, another in a deleted one.
+        database.insert("p", {"objid": [-1, -2], "ra": [np.nan, 5.0], "dec": [1.0, np.nan]})
+        database.delete("p", [3, 30_001])
+        counts = database.prepare_statement(sql).compiled.opcode_counts
+        assert counts["sql.tid"] == 1
+        assert not counts.keys() & {
+            "sql.bind_dbat", "bat.mirror", "algebra.kunion", "algebra.kdifference",
+        }
+        live = np.ones(30_002, dtype=bool)
+        live[[3, 30_001]] = False
+        rows = {
+            name: database.catalog.column("p", name).merge_deltas()[live]
+            for name in ("objid", "ra", "dec")
+        }
+        result = database.execute(sql)
+        if "count" in sql:
+            assert result.scalars == {
+                "count(*)": 30_000.0, "max(objid)": 29_999.0, "min(dec)": rows["dec"].min(),
+            }
+            return
+        limit = 7 if "LIMIT" in sql else None
+        assert result.column_names == (["ra", "objid"] if limit else ["objid", "ra", "dec"])
+        for name in result.column_names:
+            np.testing.assert_array_equal(result.column(name), rows[name][:limit])
+
+
 class TestOneExecutionCore:
     """The four ``execute*`` doors are adapters over one executor."""
 

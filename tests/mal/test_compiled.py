@@ -4,6 +4,7 @@ import pytest
 
 from repro.mal.builder import ProgramBuilder
 from repro.mal.compiled import CompiledPlan, compile_program
+from tests.support.figure1 import BlockBuilder
 from tests.support.interpreter import Interpreter, MALRuntimeError
 from repro.mal.modules import ModuleRegistry
 from repro.mal.program import Const, Instruction, MALProgram, Var
@@ -44,8 +45,13 @@ def make_loop_registry(items: list) -> tuple[ModuleRegistry, list]:
     return registry, sink
 
 
+def value(plan: CompiledPlan, env: list, name: str):
+    """The final value of variable ``name`` in an ``execute_bound`` environment."""
+    return env[plan.parameter_slots((name,))[0]]
+
+
 def loop_program() -> MALProgram:
-    builder = ProgramBuilder("loop")
+    builder = BlockBuilder("loop")
     barrier = builder.barrier("iter", "new", target="item")
     builder.effect("iter", "collect", Var("item"))
     builder.redo(barrier, "iter", "next")
@@ -61,24 +67,16 @@ class TestStraightLine:
         builder.call("calc", "add", builder.var(first), Const(3), target="result")
         plan = compile_program(builder.build(), make_registry())
         assert isinstance(plan, CompiledPlan)
-        env = plan.run(_Context())
-        assert env["result"] == 8
+        env = plan.execute_bound(_Context(), (), ())
+        assert value(plan, env, "result") == 8
 
     def test_arguments_seed_parameter_slots(self):
         builder = ProgramBuilder("demo", parameters=("A0", "A1"))
         builder.call("calc", "add", Var("A0"), Var("A1"), target="out")
         plan = compile_program(builder.build(), make_registry())
-        env = plan.run(_Context(), {"A0": 2, "A1": 40})
-        assert env["out"] == 42
-        assert env["A0"] == 2  # arguments appear in the environment, like the interpreter
-
-    def test_unknown_argument_names_are_ignored(self):
-        builder = ProgramBuilder("demo")
-        builder.call("calc", "const", Const(1), target="out")
-        plan = compile_program(builder.build(), make_registry())
-        env = plan.run(_Context(), {"unused": 99})
-        assert env["out"] == 1
-        assert env["unused"] == 99  # interpreter parity: arguments pass through
+        env = plan.execute_bound(_Context(), plan.parameter_slots(), (2, 40))
+        assert value(plan, env, "out") == 42
+        assert value(plan, env, "A0") == 2  # arguments stay in the environment
 
     def test_multi_target_binding(self):
         program = MALProgram("multi")
@@ -103,15 +101,16 @@ class TestStraightLine:
         zero = builder.call("calc", "zero")
         one = builder.call("calc", "const", Var("A0"))
         builder.call("calc", "add", builder.var(zero), builder.var(one), target="out")
-        env = compile_program(builder.build(), registry).run(_Context(), {"A0": 7})
-        assert env["out"] == 7
+        plan = compile_program(builder.build(), registry)
+        env = plan.execute_bound(_Context(), plan.parameter_slots(), (7,))
+        assert value(plan, env, "out") == 7
 
     def test_undefined_variable_raises(self):
         builder = ProgramBuilder("demo")
         builder.call("calc", "const", Var("missing"))
         plan = compile_program(builder.build(), make_registry())
         with pytest.raises(MALRuntimeError, match="undefined"):
-            plan.run(_Context())
+            plan.execute_bound(_Context(), (), ())
 
     def test_unknown_function_raises_at_compile_time(self):
         builder = ProgramBuilder("demo")
@@ -135,7 +134,7 @@ class TestOpcodeCounters:
         first = builder.call("calc", "const", Const(5))
         builder.call("calc", "add", builder.var(first), Const(3))
         plan = compile_program(builder.build(), make_registry())
-        plan.run(_Context())
+        plan.execute_bound(_Context(), (), ())
         assert plan.opcode_counts == {"calc.const": 1, "calc.add": 1}
 
 
@@ -162,13 +161,11 @@ class TestBoundExecution:
         with pytest.raises(KeyError):
             plan.parameter_slots(("missing",))
 
-    def test_execute_bound_matches_execute(self):
+    def test_execute_bound_returns_the_environment_by_slot(self):
         plan = self._plan()
-        slots = plan.parameter_slots()
-        by_name = plan.run(_Context(), {"__p0": 2.0, "__p1": 3.0})
-        by_slot = plan.execute_bound(_Context(), slots, (2.0, 3.0))
-        assert by_slot == [by_name[name] for name in ("__p0", "__p1", "out")]
-        assert by_slot[plan.parameter_slots(("out",))[0]] == 5.0
+        env = plan.execute_bound(_Context(), plan.parameter_slots(), (2.0, 3.0))
+        assert env == [2.0, 3.0, 5.0]  # __p0, __p1, out: no constants
+        assert value(plan, env, "out") == 5.0
 
     def test_execute_bound_counts_instructions(self):
         plan = self._plan()

@@ -1,19 +1,13 @@
-"""Tests for the cached barrier/redo/exit block structure on MALProgram."""
+"""Tests for the barrier/redo/exit block structure the interpreter oracle runs."""
 
 import pytest
 
-from repro.mal.builder import ProgramBuilder
-from repro.mal.program import (
-    Const,
-    Instruction,
-    MALProgram,
-    MALRuntimeError,
-    match_blocks,
-)
+from repro.mal.program import Const, Instruction, MALProgram, MALRuntimeError
+from tests.support.figure1 import BlockBuilder, match_blocks
 
 
 def loop_program() -> MALProgram:
-    builder = ProgramBuilder("loop")
+    builder = BlockBuilder("loop")
     barrier = builder.barrier("iter", "new", target="item")
     builder.effect("iter", "collect", builder.var("item"))
     builder.redo(barrier, "iter", "next")
@@ -24,59 +18,12 @@ def loop_program() -> MALProgram:
 class TestMatchBlocks:
     def test_blocks_map_barrier_and_redo_to_bounds(self):
         program = loop_program()
-        blocks = program.matched_blocks()
-        assert blocks == {0: (0, 3), 2: (0, 3)}
-
-    def test_result_is_cached_between_calls(self):
-        program = loop_program()
-        assert program.matched_blocks() is program.matched_blocks()
-
-    def test_append_invalidates_the_cache(self):
-        program = loop_program()
-        first = program.matched_blocks()
-        program.append(
-            Instruction(opcode="assign", targets=("y",), module="calc",
-                        function="const", args=(Const(1),))
-        )
-        second = program.matched_blocks()
-        assert second is not first
-        assert second == first  # appending a plain assignment adds no block
-
-    def test_extend_invalidates_the_cache(self):
-        program = loop_program()
-        first = program.matched_blocks()
-        barrier = Instruction(opcode="barrier", targets=("b",), module="iter",
-                              function="new", args=())
-        exit_instruction = Instruction(opcode="exit", targets=("b",))
-        program.extend([barrier, exit_instruction])
-        second = program.matched_blocks()
-        assert second is not first
-        assert second[4] == (4, 5)
-
-    def test_direct_list_mutation_is_caught_by_length_check(self):
-        program = loop_program()
-        program.matched_blocks()
-        program.instructions.append(Instruction(opcode="exit", targets=("other",)))
-        with pytest.raises(MALRuntimeError, match="without a matching barrier"):
-            program.matched_blocks()
-
-    def test_invalidate_blocks_forces_recomputation(self):
-        program = loop_program()
-        first = program.matched_blocks()
-        program.invalidate_blocks()
-        second = program.matched_blocks()
-        assert second is not first and second == first
-
-    def test_copy_does_not_share_the_cache(self):
-        program = loop_program()
-        original = program.matched_blocks()
-        clone = program.copy()
-        assert clone.matched_blocks() == original
-        clone.append(Instruction(opcode="barrier", targets=("z",), module="iter",
-                                 function="new", args=()))
-        with pytest.raises(MALRuntimeError, match="without exit"):
-            clone.matched_blocks()
-        assert program.matched_blocks() == original  # the original is untouched
+        assert match_blocks(program.instructions) == {0: (0, 3), 2: (0, 3)}
+        program.extend([
+            Instruction(opcode="barrier", targets=("b",), module="iter", function="new", args=()),
+            Instruction(opcode="exit", targets=("b",)),
+        ])
+        assert match_blocks(program.instructions)[4] == (4, 5)
 
 
 class TestMatchBlocksValidation:
@@ -87,7 +34,11 @@ class TestMatchBlocksValidation:
                         function="const", args=(Const(1),))
         )
         with pytest.raises(MALRuntimeError, match="without exit"):
-            program.matched_blocks()
+            match_blocks(program.instructions)
+
+    def test_exit_without_barrier_rejected(self):
+        with pytest.raises(MALRuntimeError, match="without a matching barrier"):
+            match_blocks([*loop_program().instructions, Instruction(opcode="exit", targets=("z",))])
 
     def test_redo_outside_block_rejected(self):
         with pytest.raises(MALRuntimeError, match="outside"):

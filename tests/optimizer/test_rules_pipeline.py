@@ -20,6 +20,7 @@ from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.sql.compiler import SQLCompiler
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
+from tests.support.figure1 import BlockBuilder
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ class TestRemoveDeadCode:
         builder.effect("sql", "exportValue", Const("x"), builder.var(used))
         optimized = remove_dead_code(builder.build())
         assert len(optimized) == 2
-        assert "dead" not in optimized.defined_variables()
+        assert "dead" not in [instruction.target for instruction in optimized.instructions]
 
     def test_dead_chains_removed_transitively(self):
         builder = ProgramBuilder("demo")
@@ -61,9 +62,12 @@ class TestMergeDuplicateBinds:
     def test_duplicate_binds_collapse(self, catalog):
         compiler = SQLCompiler(catalog)
         program = compiler.compile(parse("SELECT ra FROM p WHERE ra BETWEEN 2 AND 4"))
-        before = len(program.find_calls("sql", "bind"))
+        def binds(plan):
+            return [i for i in plan.instructions if i.callee == "sql.bind"]
+
+        before = len(binds(program))
         merged = merge_duplicate_binds(program)
-        after = len(merged.find_calls("sql", "bind"))
+        after = len(binds(merged))
         assert after < before
         # Exactly one bind per (column, level) should survive: ra has 3 levels.
         assert after == 3
@@ -137,6 +141,24 @@ class TestDeltaElision:
         program = builder.build()
         assert self.callees(insert_live_rows(program)) == self.callees(program)
 
+    def test_a_select_without_a_predicate_starts_from_the_tables_live_rows(self, catalog):
+        catalog.create_table("q", {"v": np.float64})
+        program = elide_empty_updates(self.plan(catalog, "SELECT ra, objid FROM p"))
+        callees = self.callees(remove_dead_code(insert_live_rows(program)))
+        assert callees.count("sql.tid") == 1
+        assert not {"sql.bind_dbat", "bat.mirror", "algebra.kdifference"} & set(callees)
+        assert callees.count("bat.reverse") == 1  # markT's: the projection rule's to fuse
+        step = next(i for i in insert_live_rows(program).instructions if i.callee == "sql.tid")
+        assert step.args == (Const("sys"), Const("p"))
+        # Every row of another table against p's deletions: the cascade stays.
+        other = program.instructions
+        foreign = [
+            i.with_args((Const("sys"), Const("q"), Const(1))) if i.callee == "sql.bind_dbat" else i
+            for i in other
+        ]
+        kept = insert_live_rows(type(program)(program.name, program.parameters, foreign))
+        assert "sql.tid" not in self.callees(kept)
+
     def test_projection_fuses_only_over_the_persistent_and_insert_merge(self, catalog):
         program = self.plan(catalog)
         assert self.callees(fuse_projection(program)) == self.callees(program)  # col has updates
@@ -147,7 +169,7 @@ class TestDeltaElision:
 
     def test_only_the_exact_iterator_block_collapses(self):
         def block(inner_high):
-            builder = ProgramBuilder("demo")
+            builder = BlockBuilder("demo")
             handle = builder.call("bpm", "take", Const("sys"), Const("p"), Const("ra"))
             accumulator = builder.call("bpm", "new")
             bounds = (Const(1.0), Const(2.0), Const(True), Const(True))

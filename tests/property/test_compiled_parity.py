@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from repro.core.accounting import QueryStats
 from repro.engine.database import Database
 from repro.engine.execution import ExecutionContext
-from repro.mal import operators
 from repro.sql.parser import parse
 from repro.storage.bat import BAT
 from repro.util.units import KB
+from tests.support import operators
+from tests.support.figure1 import deletion_bat
 from tests.support.interpreter import Interpreter
 
 #: QueryStats fields compared across executors (wall-clock timings excluded).
@@ -112,10 +113,10 @@ def test_compiled_plan_is_reusable_across_contexts():
     sql = "SELECT objid FROM p WHERE ra BETWEEN 100.0 AND 120.0"
     plan = db.prepare_statement(sql).compiled
     first_context = ExecutionContext(catalog=db.catalog)
-    plan.run(first_context)
+    plan.execute_bound(first_context, (), ())
     first = first_context.exported_columns()
     second_context = ExecutionContext(catalog=db.catalog)
-    plan.run(second_context)
+    plan.execute_bound(second_context, (), ())
     second = second_context.exported_columns()
     for name in first:
         assert np.array_equal(first[name], second[name])
@@ -204,6 +205,39 @@ def test_the_lowering_matches_the_interpreter(organisation, pending, queries):
         compiled_db.adaptive_handle("p", "ra").adaptive.check_invariants()
 
 
+@pytest.mark.parametrize("organisation", _ORGANISATIONS)
+def test_beside_pending_writes_a_select_without_where_keeps_nan_rows(organisation):
+    """The lowering's ``sql.tid`` step against the oracle's merge and difference.
+
+    A pending insert whose float values are NaN is a live row like any other,
+    and a deleted row is gone, however the predicate column is organised.
+    """
+    interpreted_db, compiled_db = (_build_database(organisation, pending=True) for _ in range(2))
+    first = _N_ROWS + 2 * _PENDING
+    for database in (interpreted_db, compiled_db):
+        rows = _rows(np.random.default_rng(7), first, 3)
+        rows["ra"][1] = rows["dec"][1] = np.nan
+        database.insert("p", rows)
+        database.delete("p", [first + 2])
+    sql = "SELECT objid, ra, dec FROM p"
+    program = interpreted_db.optimizer.optimize(interpreted_db.compiler.compile(parse(sql)))
+    prepared = compiled_db.prepare_statement(sql)
+    assert "sql.tid" in prepared.compiled.opcode_counts
+    expected, _ = _exported(
+        lambda ctx: Interpreter(interpreted_db.registry).run(program, ctx), interpreted_db
+    )
+    got, _ = _exported(
+        lambda ctx: prepared.compiled.execute_bound(ctx, prepared.slots, ()), compiled_db
+    )
+    assert [column[:2] for column in got] == [column[:2] for column in expected]
+    assert [column[0] for column in got] == ["objid", "ra", "dec"]
+    for (_, _, values), (_, _, oracle) in zip(got, expected):
+        np.testing.assert_array_equal(values, oracle)  # NaN equals NaN here
+    objids, ras = got[0][2], got[1][2]
+    assert first + 1 in objids and first + 2 not in objids
+    assert np.isnan(ras[objids.index(first + 1)])
+
+
 @pytest.mark.parametrize("organisation", _ORGANISATIONS[1:])
 def test_beside_pending_writes_the_oracle_merges_overlapping_oids(organisation, monkeypatch):
     """The pending-writes case above reaches ``kunion``'s hashing fall-through."""
@@ -224,7 +258,7 @@ def test_beside_pending_writes_the_oracle_merges_overlapping_oids(organisation, 
     Interpreter(database.registry).run(program, context)
     assert max(overlaps) == _PENDING  # the early inserts: adaptive hits and delta hits
     expected = sorted(set(range(_N_ROWS + 2 * _PENDING)) - set(
-        database.catalog.table("p").deletion_bat.tail.tolist()
+        deletion_bat(database.catalog.table("p")).tail.tolist()
     ))
     assert sorted(context.exported_columns()["objid"].tolist()) == expected
 

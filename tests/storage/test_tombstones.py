@@ -1,11 +1,11 @@
 """The tombstone bitmap beside the sorted deletion list.
 
-``ColumnStore`` keeps deletions twice: the sorted, duplicate-free list the
-``sql.bind_dbat`` BAT carries, and a boolean bitmap over the allocated oids
-that ``kdifference`` and the live-rows step gather from.  After any sequence
-of inserts (past the headroom, too), deletes (repeated, of pending-insert
-rows), bulk loads and binds, the two must say the same thing — and a
-deletion BAT a running plan has bound must not see a later delete.
+``ColumnStore`` keeps deletions twice: the sorted, duplicate-free list and a
+boolean bitmap over the allocated oids that the live-rows steps gather from.
+After any sequence of inserts (past the headroom, too), deletes (repeated, of
+pending-insert rows), bulk loads and binds, the two must say the same thing
+— and a deletion BAT the oracle's Figure-1 plan has bound must not see a
+later delete.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from repro.engine.execution import ExecutionContext
 from repro.mal.builder import ProgramBuilder
-from repro.mal.compiled import compile_program
 from repro.mal.modules import default_registry
-from repro.mal.operators import kdifference
 from repro.mal.program import Const
 from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnStore
+from tests.support.figure1 import deletion_bat
+from tests.support.interpreter import Interpreter
+from tests.support.operators import kdifference, reverse
 
 writes = st.lists(
     st.tuples(st.sampled_from(["insert", "delete", "bulk_load", "bind"]), st.integers(0, 2**16)),
@@ -37,7 +38,6 @@ def _store(rows: int) -> ColumnStore:
 
 
 def _check(store: ColumnStore, deleted: set[int], allocated: int) -> None:
-    # Read without binding, so later deletes may keep setting bits in place.
     bitmap = store._alive
     assert bitmap.size == store.column("v")._buffer.size >= allocated  # one headroom rule
     assert np.flatnonzero(~bitmap).tolist() == sorted(deleted)  # headroom is alive
@@ -45,6 +45,7 @@ def _check(store: ColumnStore, deleted: set[int], allocated: int) -> None:
     assert store.row_count == allocated - len(deleted)
     mask = store.live_mask
     assert (mask is None) == (not deleted) and (mask is None or mask is bitmap)
+    assert store.live_oids().tolist() == sorted(set(range(allocated)) - deleted)
 
 
 @seed(20261015)
@@ -68,27 +69,24 @@ def test_the_bitmap_always_equals_the_deletion_list(rows, stream):
         elif kind == "bulk_load":
             allocated, deleted = int(rng.integers(0, 300)), set()
             store.bulk_load({"v": np.arange(allocated)})
-        elif kind == "bind":  # a handed-out BAT pins the bitmap it was cut with
-            bound = (store.deletion_bat, sorted(deleted))
+        elif kind == "bind":  # a bound deletion BAT keeps the list it was cut with
+            bound = (deletion_bat(store), sorted(deleted))
         _check(store, deleted, allocated)
         if bound is not None:
             bat, then = bound
             assert bat.tail.tolist() == then
-            assert np.flatnonzero(~bat.alive[: store._next_oid]).tolist() == [
-                oid for oid in then if oid < store._next_oid
-            ]
 
 
-def test_an_unbound_bitmap_is_set_in_place_and_a_bound_one_is_copied():
+def test_the_bitmap_is_set_in_place_and_a_bound_deletion_bat_is_a_snapshot():
     store = _store(10)
     store.delete([1])
     mask = store.live_mask
     store.delete([2])
-    assert store.live_mask is mask  # O(rows deleted): nobody holds it
-    bound = store.deletion_bat
+    bound = deletion_bat(store)
     store.delete([3])
-    assert store.live_mask is not mask and bound.alive is mask
-    assert np.flatnonzero(~bound.alive).tolist() == [1, 2]
+    assert store.live_mask is mask  # O(rows deleted): a plan step reads it and lets go
+    assert np.flatnonzero(~mask).tolist() == [1, 2, 3]
+    assert bound.tail.tolist() == [1, 2]
 
 
 def test_a_deletion_bat_bound_by_a_running_plan_never_sees_a_later_delete():
@@ -109,8 +107,8 @@ def test_a_deletion_bat_bound_by_a_running_plan_never_sees_a_later_delete():
         "algebra", "kdifference", builder.var(candidates), builder.var(reversed_deletions),
         target="live",
     )
-    environment = compile_program(builder.build(), registry).run(ExecutionContext(catalog=catalog))
+    environment = Interpreter(registry).run(builder.build(), ExecutionContext(catalog=catalog))
     assert environment["live"].head.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9]
     assert store.row_count == 7
-    after = kdifference(environment[candidates], store.deletion_bat.reverse())
+    after = kdifference(environment[candidates], reverse(deletion_bat(store)))
     assert after.head.tolist() == [0, 1, 4, 6, 7, 8, 9]

