@@ -60,10 +60,10 @@ def measure_plan_cache(database: Database | None = None) -> dict[str, float]:
 
     def plan_cold():
         database.plan_cache.clear()
-        database._resolve(SQL)
+        database.resolve(SQL)
 
     def plan_warm():
-        database._resolve(SQL)
+        database.resolve(SQL)
 
     def execute_cold():
         database.plan_cache.clear()
@@ -74,10 +74,10 @@ def measure_plan_cache(database: Database | None = None) -> dict[str, float]:
 
     database.execute(SQL)  # prime interpreter/module state
     plan_cold_s = _best_of(3, plan_cold)
-    database._resolve(SQL)  # prime the cache
+    database.resolve(SQL)  # prime the cache
     plan_warm_s = _best_of(3, plan_warm)
     execute_cold_s = _best_of(3, execute_cold)
-    database._resolve(SQL)
+    database.resolve(SQL)
     execute_warm_s = _best_of(3, execute_warm)
     return {
         "plan_cold_s": plan_cold_s,

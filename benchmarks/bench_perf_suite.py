@@ -12,7 +12,7 @@ fast path's cold/warm split:
 * ``engine_per_query_cold`` — the first query (parse + compile + optimize +
   plan lowering + first adaptation burst);
 * ``engine_per_query_warm`` — the median of all subsequent queries, which hit
-  the parameterized plan cache by masked text (no recompilation, no parse);
+  the plan cache by masked text (no recompilation, no parse);
 * ``engine_per_query_nocache`` — the compiled fast path with the plan cache
   cleared before every statement (isolates the cache's contribution);
 * ``prepared_per_query`` — the client API's prepared-statement binding path

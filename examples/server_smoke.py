@@ -12,7 +12,11 @@ drives the rest of the admin surface over the wire — ``table_names``,
 budget, ``disable_adaptive`` and ``drop_table`` — and lowers the
 ``replication_storage_budget`` knob below the bytes the column holds: the
 next query must bring the column within the new budget.  Then it leaves the
-``async with`` block, which stops the server.  CI runs it under a hard
+``async with`` block, which stops the server.  On the way it drives every
+read door of the wire: a literal ``execute`` (admitted like a bound read,
+so ``admission_stats()["admitted"]`` rises by one) and both
+``executemany`` doors, the cursor's and the prepared statement's, each
+answer equal to a lone bound execute.  CI runs it under a hard
 timeout, so a wedged shutdown fails the job::
 
     PYTHONPATH=src timeout 60 python examples/server_smoke.py
@@ -107,6 +111,7 @@ async def scratch_table(connection) -> tuple[float, float]:
 
     await check(500.0, 501.0)
     await check(0.0, 1_000.0)
+    await read_doors(connection, sql)
     plan = await admin.explain(sql)
     assert "# lowering — what the executor runs" in plan, plan
 
@@ -126,6 +131,27 @@ async def scratch_table(connection) -> tuple[float, float]:
     await admin.drop_table("scratch")
     assert await admin.table_names() == ["t"]
     return held, budget
+
+
+async def read_doors(connection, sql: str) -> None:
+    """A literal execute and both executemany doors answer like lone bound executes."""
+    async def lone(low: float, high: float) -> list[int]:
+        cursor = await connection.execute(sql, (low, high))
+        return sorted(cursor.result.columns["objid"].tolist())
+
+    admission_stats = connection.admin.admission_stats
+    admitted = (await admission_stats())["admitted"]
+    cursor = await connection.execute(
+        "select objid from scratch where w between 500.0 and 501.0")
+    assert (await admission_stats())["admitted"] == admitted + 1
+    assert sorted(cursor.result.columns["objid"].tolist()) == await lone(500.0, 501.0)
+
+    bounds = [(100.0, 110.0), (400.0, 420.0), (900.0, 905.0)]
+    expected = [await lone(low, high) for low, high in bounds]
+    cursor = await connection.cursor().executemany(sql, bounds)
+    statement = await connection.prepare(sql)
+    for results in (cursor.results, await statement.executemany(bounds)):
+        assert [sorted(result.columns["objid"].tolist()) for result in results] == expected
 
 
 async def storage_bytes(connection) -> float:

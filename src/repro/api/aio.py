@@ -2,9 +2,9 @@
 
 ``await repro.aio.connect(host, port)`` opens an :class:`AsyncConnection`
 mirroring the in-process facade — cursors, ``prepare``, an ``admin`` handle —
-except that execution awaits a server round-trip and *parameterized* selects
-ride the server's batch admission: concurrent clients issuing bound range
-selects are answered as one vectorized wave (see
+except that execution awaits a server round-trip and every select rides the
+server's batch admission: concurrent clients issuing range selects — bound or
+literal — are answered as one vectorized wave (see
 :mod:`repro.server.admission`).
 
 The connection pipelines: every request carries an id and responses are
@@ -144,7 +144,7 @@ class AsyncCursor(_FetchCursor[RemoteResult]):
     async def executemany(
         self, operation: str, seq_of_parameters: Sequence[Any]
     ) -> "AsyncCursor":
-        """Run one parameterized statement once per parameter set.
+        """Run one placeholder statement once per parameter set.
 
         Every binding is admitted separately, so they batch both with each
         other and with queries of *other* connections arriving in the same

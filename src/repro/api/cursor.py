@@ -281,7 +281,7 @@ class Cursor(_FetchCursor[QueryResult]):
     def executemany(
         self, operation: str, seq_of_parameters: Sequence[Any]
     ) -> "Cursor":
-        """Run one parameterized statement once per parameter set.
+        """Run one placeholder statement once per parameter set.
 
         The statement is prepared exactly once; every binding is validated
         against that one shape up front.  Range selections on one adaptive

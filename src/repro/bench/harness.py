@@ -182,12 +182,42 @@ def skyserver_schemes(column_bytes: int) -> dict[str, dict]:
 
 _ENGINE_CACHE: dict[tuple, EngineRunResult] = {}
 _DATASET_CACHE: dict[int, object] = {}
+_ANSWER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _engine_dataset(n_rows: int):
     if n_rows not in _DATASET_CACHE:
         _DATASET_CACHE[n_rows] = skyserver_dataset(n_rows, seed=DEFAULT_SEED)
     return _DATASET_CACHE[n_rows]
+
+
+def _check_answers(
+    dataset, workload: Workload, counts: np.ndarray, sums: np.ndarray, scheme: str
+) -> None:
+    """Raise unless every answer's row count and objid sum match a value-sorted ``ra``.
+
+    ``objid`` is the row position, so ``ra BETWEEN low AND high`` is one slice
+    of ``ra``'s sort order: two ``searchsorted`` calls bound it and a prefix
+    sum over the sorted objids totals it.
+    """
+    rows = dataset.ra.size
+    if rows not in _ANSWER_CACHE:
+        order = np.argsort(dataset.ra, kind="stable")
+        _ANSWER_CACHE[rows] = (dataset.ra[order], np.concatenate(([0], np.cumsum(order))))
+    sorted_ra, prefix = _ANSWER_CACHE[rows]
+    lows = np.array([float(query.low) for query in workload])
+    highs = np.array([float(query.high) for query in workload])
+    start = np.searchsorted(sorted_ra, lows, side="left")
+    stop = np.searchsorted(sorted_ra, highs, side="right")
+    expected_counts, expected_sums = stop - start, prefix[stop] - prefix[start]
+    wrong = np.flatnonzero((counts != expected_counts) | (sums != expected_sums))
+    if wrong.size:
+        i = int(wrong[0])
+        raise RuntimeError(
+            f"{scheme} on {workload.name}: query {i} (ra BETWEEN {lows[i]!r} AND "
+            f"{highs[i]!r}) answered {counts[i]} rows with objid sum {sums[i]}, "
+            f"expected {expected_counts[i]} rows with objid sum {expected_sums[i]}"
+        )
 
 
 def _build_database(dataset) -> Database:
@@ -237,6 +267,8 @@ def skyserver_engine_run(
 
     workload = skyserver_workload(workload_kind, queries, seed=DEFAULT_SEED)
     run = EngineRunResult(scheme=scheme, workload=workload.name, column_bytes=column_bytes)
+    counts: list[int] = []
+    sums: list[int] = []
     for query in workload:
         result = database.execute(
             f"SELECT objid FROM p WHERE ra BETWEEN {float(query.low)!r} AND {float(query.high)!r}"
@@ -245,6 +277,9 @@ def skyserver_engine_run(
         selection = max(result.total_seconds - adaptation, 0.0)
         run.adaptation_seconds.append(adaptation)
         run.selection_seconds.append(selection)
+        counts.append(result.row_count)
+        sums.append(int(result.columns["objid"].sum()))
+    _check_answers(dataset, workload, np.array(counts), np.array(sums), scheme)
 
     if configuration["strategy"] is not None:
         handle = database.adaptive_handle("p", "ra")

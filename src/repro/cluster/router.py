@@ -763,11 +763,15 @@ class Router:
         lead = self._lead_replica()
         return lead.run(lead.database.prepare_statement, sql)
 
-    def execute(self, sql: str):
-        """Route a literal statement round-robin onto a routable replica worker."""
-        eligible = self._routable()
-        replica = eligible[next(self._rr) % len(eligible)]
-        return replica.run(replica.database.execute, sql)
+    def resolve(self, sql: str) -> tuple[PreparedPlan, tuple[float, ...]]:
+        """Literal text as *(prepared plan, bound values)*, resolved on the lead.
+
+        The plan is the lead's, as from :meth:`prepare_statement`; the pair is
+        routed and run like any bound statement.
+        """
+        lead = self._lead_replica()
+        prepared, values, _ = lead.run(lead.database.resolve, sql)
+        return prepared, values
 
     def explain(self, sql: str) -> str:
         lead = self._lead_replica()

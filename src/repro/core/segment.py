@@ -61,19 +61,10 @@ class SelectionResult:
     payload order); the positional baseline returns load order.  Both
     arrays may be zero-copy views into live column storage — treat them as
     read-only.
-
-    ``values_sorted`` is a constructor-set promise (not an O(n) check):
-    producers that build results from sorted payloads — :meth:`Segment.select`,
-    :meth:`concatenate` over value-ordered disjoint parts — set it so
-    downstream consumers (the BPM's sorted-BAT pieces) can binary-search
-    without re-verifying.  It defaults to ``False``: an unsorted result that
-    is merely treated as unordered costs a scan; one falsely promised sorted
-    would return wrong answers.
     """
 
     values: np.ndarray
     oids: np.ndarray
-    values_sorted: bool = False
 
     @property
     def count(self) -> int:
@@ -83,30 +74,23 @@ class SelectionResult:
     @classmethod
     def empty(cls, dtype: np.dtype) -> "SelectionResult":
         """An empty result of the given value dtype."""
-        return cls(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64), values_sorted=True)
+        return cls(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))
 
     @classmethod
     def concatenate(cls, parts: list["SelectionResult"], dtype: np.dtype) -> "SelectionResult":
         """Concatenate partial results (order follows the parts).
 
         A single non-empty part is returned unwrapped — the common
-        fully-contained-segment case stays zero-copy end to end.  The
-        result is flagged sorted when every part is sorted and the parts
-        are in ascending, non-overlapping value order (an O(#parts) check
-        on the boundary elements only).
+        fully-contained-segment case stays zero-copy end to end.
         """
         parts = [p for p in parts if p.count > 0]
         if not parts:
             return cls.empty(dtype)
         if len(parts) == 1:
             return parts[0]
-        ascending = all(p.values_sorted for p in parts) and all(
-            parts[i].values[-1] <= parts[i + 1].values[0] for i in range(len(parts) - 1)
-        )
         return cls(
             np.concatenate([p.values for p in parts]),
             np.concatenate([p.oids for p in parts]),
-            values_sorted=ascending,
         )
 
 
@@ -252,8 +236,8 @@ class Segment:
         values, oids = self.values, self.oids
         lo, hi = slice_bounds(values, self.vrange, vrange)
         if lo == 0 and hi == values.size:
-            return SelectionResult(values, oids, values_sorted=True)
-        return SelectionResult(values[lo:hi], oids[lo:hi], values_sorted=True)
+            return SelectionResult(values, oids)
+        return SelectionResult(values[lo:hi], oids[lo:hi])
 
     def bounds_many(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positional slices ``[lo_i, hi_i)`` for N half-open ranges at once.

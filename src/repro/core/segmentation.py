@@ -168,8 +168,8 @@ class SegmentedColumn(AdaptiveColumnBase):
 
         started = self._now()
         # Per-query parts were appended in ascending segment order over
-        # disjoint sorted payloads, so a multi-part result is already in
-        # ascending value order (what concatenate() would verify).
+        # disjoint sorted payloads, so a multi-part result is in ascending
+        # value order.
         results: list[SelectionResult] = []
         for q in range(n):
             q_parts = parts[q]
@@ -177,13 +177,12 @@ class SegmentedColumn(AdaptiveColumnBase):
                 results.append(SelectionResult.empty(self.dtype))
             elif len(q_parts) == 1:
                 values, oids = q_parts[0]
-                results.append(SelectionResult(values, oids, values_sorted=True))
+                results.append(SelectionResult(values, oids))
             else:
                 results.append(
                     SelectionResult(
                         np.concatenate([values for values, _ in q_parts]),
                         np.concatenate([oids for _, oids in q_parts]),
-                        values_sorted=True,
                     )
                 )
         stats.selection_seconds += self._now() - started

@@ -31,12 +31,7 @@ from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.optimizer.segment_optimizer import SegmentOptimizer
 from repro.sql.ast import SelectStatement
 from repro.sql.compiler import SQLCompiler
-from repro.sql.parameters import (
-    BindError,
-    mask_literals,
-    parameterize,
-    prepared_binding,
-)
+from repro.sql.parameters import BindError, mask_literals, prepared_binding
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
 from repro.tuning import knobs as tuning
@@ -151,6 +146,11 @@ class Database:
         if values.size == 0:
             raise ValueError(
                 f"cannot enable adaptive organisation on empty column {table}.{column}"
+            )
+        if values.dtype.kind == "f" and np.isnan(values).any():
+            raise ValueError(
+                f"cannot enable adaptive organisation on {table}.{column}: "
+                "the column holds NaN"
             )
         config: dict[str, Any] | None = None
         if isinstance(model, str) or model is None:
@@ -299,22 +299,25 @@ class Database:
         self.plan_cache.put(text, prepared)
         return prepared
 
-    def _resolve(self, sql: str) -> tuple[PreparedPlan, tuple[float, ...], Origin]:
+    def resolve(self, sql: str) -> tuple[PreparedPlan, tuple[float, ...], Origin]:
         """Literal SQL text as *(prepared plan, bound values, origin)*.
 
-        The literal-masked text is the cache key — the ``?`` text of the same
-        statement, so a plan prepared through the client API answers here
-        too.  A hit skips the parse (the warm case for workloads that vary
-        only their range constants): the masked literals are the binding,
-        validated by the plan's own :class:`BindingSpec`.  ``origin`` says
-        how the result came about (``"masked"``: the text found its plan;
+        The one step from text to a plan.  The literal-masked text is the
+        cache key — the ``?`` text of the same statement, so a plan prepared
+        through the client API answers here too.  A hit skips the parse (the
+        warm case for workloads that vary only their range constants): the
+        masked literals are the binding, validated by the plan's own
+        :class:`BindingSpec`.  A miss parses the masked text in prepared mode,
+        binds the masked literals and lowers it exactly as
+        :meth:`prepare_statement` would; if that parse or bind fails, the
+        literal text's own parse raises its usual error.  ``origin`` says how
+        the result came about (``"masked"``: the text found its plan;
         ``"cold"``: the plan had to be compiled) and carries the profile of
         whatever work actually ran.
         """
         started = time.perf_counter()
         profile = QueryProfile(cold=False)
-        normalized = normalize_sql(sql)
-        masked, literals = mask_literals(normalized)
+        masked, literals = mask_literals(normalize_sql(sql))
         prepared = self.plan_cache.get(masked)
         if prepared is not None:
             try:
@@ -325,22 +328,15 @@ class Database:
                 profile.parse_seconds = time.perf_counter() - started
                 return prepared, values, (sql, "masked", profile)
 
-        statement = parse(sql)
-        shaped = parameterize(statement)
-        key, values, prepared = masked, tuple(shaped.arguments.values()), None
-        if len(literals) == len(values):
-            statement = shaped.statement
-        else:
-            # The masker saw a literal the grammar does not lift (``and-5``):
-            # the text is known by its full form and binds nothing — what
-            # prepare_statement makes of the same text.
-            key, values = normalized, ()
-            prepared = self.plan_cache.get(key)
+        try:
+            statement = parse(masked, placeholders=True)
+            values = prepared_binding(statement).bind(literals)
+        except ValueError:
+            parse(sql)  # the literal text's own error: syntax, range order, LIMIT
+            raise
         profile.parse_seconds = time.perf_counter() - started
-        profile.cold = prepared is None
-        if prepared is None:
-            prepared = self._lower(key, statement, profile)
-        return prepared, values, (sql, "cold" if profile.cold else "masked", profile)
+        profile.cold = True
+        return self._lower(masked, statement, profile), values, (sql, "cold", profile)
 
     def prepare_statement(self, sql: str) -> PreparedPlan:
         """Lower ``sql`` (with ``?``/``:name`` placeholders) into a bound-ready plan.
@@ -370,7 +366,7 @@ class Database:
         cached under the masked text.  Warm: mask the literals, fetch the
         plan, bind — no parse, no recompilation, pooled execution context.
         """
-        prepared, values, origin = self._resolve(sql)
+        prepared, values, origin = self.resolve(sql)
         result = self._executor.run(prepared, values, origin)
         self.query_history.append(result)
         return result

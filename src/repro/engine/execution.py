@@ -27,9 +27,9 @@ class _ResultSet:
 class ExecutionContext:
     """Mutable per-query state visible to MAL module implementations.
 
-    The interpreter stores the variable environment here; the ``sql`` module
-    functions accumulate result sets and exported scalars; the BPM is reached
-    through its own registered module and needs no direct slot.
+    The ``sql`` module functions accumulate result sets and exported scalars;
+    the BPM is reached through its own registered module and needs no direct
+    slot.
 
     Contexts are reusable: the database keeps a small pool and calls
     :meth:`reset` between queries, so the warm execution path allocates no
@@ -38,7 +38,6 @@ class ExecutionContext:
     """
 
     catalog: Catalog
-    variables: dict[str, Any] = field(default_factory=dict)
     result_sets: dict[int, _ResultSet] = field(default_factory=dict)
     scalars: dict[str, float] = field(default_factory=dict)
     _next_result_set: int = 1
@@ -109,5 +108,4 @@ class ExecutionContext:
                 self._scratch.extend(list(self.result_sets.values())[:free])
             self.result_sets.clear()
         self.scalars.clear()
-        self.variables = {}
         self._next_result_set = 1

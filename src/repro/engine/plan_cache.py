@@ -203,6 +203,16 @@ class PlanCache:
             self.hits += 1
             return plan
 
+    def peek(self, text: str) -> PreparedPlan | None:
+        """The plan cached under ``text``, counting nothing and refreshing nothing.
+
+        For a lookup from another thread whose miss goes on to
+        :meth:`~repro.engine.database.Database.prepare_statement`, which
+        counts it.
+        """
+        with self._lock:
+            return self._plans.get(text)
+
     def put(self, text: str, plan: PreparedPlan) -> None:
         """Store a plan, evicting the least recently used one when full."""
         with self._lock:

@@ -64,9 +64,7 @@ def uselect(
 #: The empty candidate list every empty-range ``uselect`` shares (operators
 #: materialize fresh BATs but never mutate existing ones, so one immutable
 #: empty instance is safe to hand out repeatedly).
-_EMPTY_CANDIDATES = BAT.from_pairs(
-    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), tail_sorted=True
-)
+_EMPTY_CANDIDATES = BAT.from_pairs(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

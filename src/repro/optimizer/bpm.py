@@ -153,8 +153,7 @@ class BatPartitionManager:
         """Run the adaptive selection; the qualifying ``(oid, value)`` pairs.
 
         ``bpm.select``: the one select-and-account implementation; the result
-        is a candidate list (oids in the head), flagged ``tail_sorted`` when
-        the strategy promises sorted values (``SelectionResult.values_sorted``).
+        is a candidate list (oids in the head).
         """
         adaptive = handle.adaptive
         result = adaptive.select(
@@ -164,7 +163,7 @@ class BatPartitionManager:
         stats = adaptive.history.records[-1]
         self.total_selection_seconds += stats.selection_seconds
         self.total_adaptation_seconds += stats.adaptation_seconds
-        return BAT(result.values, result.oids, tail_sorted=result.values_sorted)
+        return BAT(result.values, result.oids)
 
     def select_many(
         self, table: str, column: str, sql_bounds: Sequence[tuple[float, float, bool, bool]]

@@ -20,12 +20,6 @@ becomes::
 Only selections against bind level 0 (the persistent BAT) are rewritten; the
 delta BATs stay on the conventional path, exactly as in the paper where the
 technique targets bulk-loaded, read-mostly warehouses.
-
-The pieces ``bpm.newIterator`` yields come from value-sorted segments and are
-flagged ``tail_sorted``, so the iterator block's inner ``algebra.select``
-resolves to the binary-search slice kernel (two probes, zero copies) instead
-of a full comparison scan — the rewritten plan never re-scans what the
-adaptive layer already ordered.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ raw numpy buffers) and multiplexes every client over one
 one engine.  All work on a replica's engine runs on that replica's
 single worker thread, so the paper's piggy-backed adaptation never races
 itself; admin ops are serialized on the server's own admin thread, and
-concurrency lives in the admission layer, where bound selects from different
-connections are grouped into vectorized waves (see
+concurrency lives in the admission layer, where selects from different
+connections — bound, or literal text the lead resolved to its ``?`` plan and
+literals — are grouped into vectorized waves (see
 :mod:`repro.server.admission`).
 
 Typical embedding::
@@ -41,6 +42,7 @@ from repro.api.exceptions import (
 )
 from repro.cluster import Router
 from repro.engine.database import Database
+from repro.engine.plan_cache import normalize_sql
 from repro.engine.result import QueryResult
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
@@ -268,7 +270,6 @@ class _ClientConnection:
         self._writer = writer
         self._id = connection_id
         self._statements: dict[int, Any] = {}
-        self._by_sql: dict[str, Any] = {}
         self._statement_ids = itertools.count(1)
         self._responses: asyncio.Queue = asyncio.Queue()
         self._pump_task: asyncio.Task | None = None
@@ -416,14 +417,13 @@ class _ClientConnection:
     async def _handle_execute(self, request_id: Any, frame: dict[str, Any]) -> None:
         params = frame.get("params")
         if params is None and frame.get("statement") is None:
-            # Literal SQL: the conventional compiled fast path, forwarded by
-            # the router onto one replica's worker (serialized with its waves).
-            sql = self._sql_of(frame)
-            future = self._server.admin_call(self._server.router.execute, sql)
-            self._push(("one", request_id, future))
-            return
-        prepared = await self._prepared_for(frame)
-        values = self._bind(prepared, params if params is not None else [])
+            # Literal SQL: the lead resolves it to its `?` plan and literals.
+            prepared, values = await self._server.admin_call(
+                self._server.router.resolve, self._sql_of(frame)
+            )
+        else:
+            prepared = await self._prepared_for(frame)
+            values = self._bind(prepared, params if params is not None else [])
         future = await self._server.admission.submit(self._id, prepared, values)
         self._push(("one", request_id, future))
 
@@ -522,10 +522,9 @@ class _ClientConnection:
             return prepared
         sql = self._sql_of(frame)
         router = self._server.router
-        prepared = self._by_sql.get(sql)
-        if prepared is None or not router.plan_cache.is_current(prepared):
+        prepared = router.plan_cache.peek(normalize_sql(sql))
+        if prepared is None:
             prepared = await self._server.admin_call(router.prepare_statement, sql)
-            self._by_sql[sql] = prepared
         return prepared
 
     @staticmethod

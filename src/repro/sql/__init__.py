@@ -13,19 +13,15 @@ from repro.sql.ast import (
     RangePredicate,
     SelectStatement,
 )
-from repro.sql.parameters import Parameter, ParameterizedQuery, parameterize
 from repro.sql.parser import SQLSyntaxError, parse
 from repro.sql.compiler import SQLCompiler
 
 __all__ = [
     "Aggregate",
     "ComparisonPredicate",
-    "Parameter",
-    "ParameterizedQuery",
     "RangePredicate",
     "SelectStatement",
     "SQLSyntaxError",
-    "parameterize",
     "parse",
     "SQLCompiler",
 ]

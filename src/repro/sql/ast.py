@@ -5,39 +5,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class Parameter(float):
-    """A numeric literal lifted into a named plan parameter.
-
-    AST validation (``high >= low``) and bound arithmetic keep working on the
-    actual value, while the SQL compiler recognises the subclass and emits a
-    MAL variable reference instead of baking the literal into the plan.
-    """
-
-    __slots__ = ("name",)
-
-    def __new__(cls, name: str, value: float) -> "Parameter":
-        parameter = super().__new__(cls, value)
-        parameter.name = name
-        return parameter
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name}={float(self)!r})"
-
-
-class Placeholder(Parameter):
+class Placeholder(float):
     """A ``?`` or ``:name`` placeholder awaiting a client-supplied binding.
 
     Carries no value (the float payload is NaN, which defeats every parse-time
-    range comparison — validation happens at bind time instead).  ``index`` is
-    the 0-based binding position in textual order; ``key`` is the client-facing
-    handle: the same ``index`` for positional ``?`` style, the bare name for
-    ``:name`` style (one name may appear at several positions).
+    range comparison — validation happens at bind time instead), and the SQL
+    compiler emits a reference to the MAL variable ``name`` (``__p<index>``)
+    for it instead of a constant.  ``index`` is the 0-based binding position
+    in textual order; ``key`` is the client-facing handle: the same ``index``
+    for positional ``?`` style, the bare name for ``:name`` style (one name
+    may appear at several positions).
     """
 
-    __slots__ = ("index", "key")
+    __slots__ = ("name", "index", "key")
 
     def __new__(cls, index: int, key: "int | str") -> "Placeholder":
-        placeholder = super().__new__(cls, f"__p{index}", float("nan"))
+        placeholder = super().__new__(cls, float("nan"))
+        placeholder.name = f"__p{index}"
         placeholder.index = index
         placeholder.key = key
         return placeholder

@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.mal.builder import ProgramBuilder
 from repro.mal.program import Const, MALProgram, Var
-from repro.sql.ast import ComparisonPredicate, RangePredicate, SelectStatement
-from repro.sql.parameters import Parameter, parameter_names
+from repro.sql.ast import ComparisonPredicate, Placeholder, RangePredicate, SelectStatement
+from repro.sql.parameters import parameter_names
 from repro.storage.catalog import Catalog
 
 #: Schema name used in generated ``sql.bind`` calls (MonetDB's default).
@@ -42,10 +42,10 @@ class SQLCompiler:
     def compile(self, statement: SelectStatement) -> MALProgram:
         """Compile one statement into a MAL program.
 
-        Statements whose literals were lifted by
-        :func:`repro.sql.parameters.parameterize` compile into parameterized
-        programs: the bounds become MAL variable references and the parameter
-        names are recorded on the program, to be supplied at run time.
+        Placeholder bounds (a prepared statement, or literal text lifted by
+        :func:`repro.sql.parameters.mask_literals`) compile into MAL variable
+        references, and their names are recorded on the program as its
+        parameters, to be supplied at run time.
         """
         schema = self.catalog.schema(statement.table)  # validates the table
         self._statement_counter += 1
@@ -147,8 +147,8 @@ class SQLCompiler:
 
     @staticmethod
     def _operand(value: float) -> Var | Const:
-        """A bound as a plan operand: parameters by reference, literals baked in."""
-        if isinstance(value, Parameter):
+        """A bound as a plan operand: placeholders by reference, literals baked in."""
+        if isinstance(value, Placeholder):
             return Var(value.name)
         return Const(value)
 

@@ -1,19 +1,18 @@
-"""Query parameterization: lifting range literals into plan parameters.
+"""Literal lifting and parameter binding: literal SQL is its ``?`` statement plus its literals.
 
 The paper's evaluation workloads (Figures 5–7, the SkyServer traces) issue
 thousands of range selections that differ *only* in their bound constants, so
-a plan cache keyed on literal SQL text is cold on almost every query.  This
-module extracts the numeric literals of a parsed statement into named
-parameters (``__p0``, ``__p1``, ...) and masks them out of the text — the
-cache key — so all queries that differ only in their constants share a single
-compiled plan and only the parameter values change per execution.
-
-Literals are lifted into positional :class:`Placeholder` parameters — the
-lifted statement is exactly what parsing the literal-masked text in prepared
-mode yields, so the text path and the client API's ``?`` statements share one
-binding template, one cached plan and one runner.  The SQL compiler recognises
-the :class:`Parameter` base class and emits a MAL variable reference instead
-of baking the literal into the plan.
+a plan cache keyed on literal SQL text is cold on almost every query.  There
+is one lift: :func:`mask_literals` replaces each bound literal of the
+normalized text with ``?`` and returns the literals in textual order.  The
+masked text is the plan-cache key and is, character for character, the
+normalized text of the same statement written with ``?`` placeholders; on a
+cache miss the engine parses it in prepared mode, exactly as it parses a
+client's prepared statement (:meth:`repro.engine.database.Database.resolve`).
+So literal text and ``?`` statements share one :class:`BindingSpec`, one
+cached plan and one runner, and the masked literals bind like client
+parameters.  Every :class:`~repro.sql.ast.Placeholder` compiles into a
+reference to the MAL variable ``__p<index>`` instead of a baked constant.
 """
 
 from __future__ import annotations
@@ -21,31 +20,22 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from numbers import Real
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.sql.ast import (
-    ComparisonPredicate,
-    Parameter,
-    Placeholder,
-    RangePredicate,
-    SelectStatement,
-)
+from repro.sql.ast import Placeholder, RangePredicate, SelectStatement
 from repro.sql.parser import NUMBER_PATTERN
 
 __all__ = [
     "BindError",
     "BindingSpec",
-    "Parameter",
-    "ParameterizedQuery",
     "Placeholder",
     "mask_literals",
     "parameter_names",
-    "parameterize",
     "prepared_binding",
 ]
 
@@ -54,59 +44,25 @@ __all__ = [
 #: directly attached to an identifier or another number never starts a fresh
 #: literal, and neither does the digit after such a sign (``and-5`` lexes as
 #: ``and``, ``-5``; masking only the ``5`` would bind the wrong value).  The
-#: third leaves a ``LIMIT`` count in the text: it is part of the plan, not a
-#: bound (normalized text has exactly one space after the keyword).
-_LITERAL_PATTERN = re.compile(rf"(?<![\w.])(?<![\w.][-+])(?<!limit ){NUMBER_PATTERN}")
-
-
-@dataclass(frozen=True)
-class ParameterizedQuery:
-    """One statement split into its lifted form and its parameter values.
-
-    ``statement`` is the parsed statement with every range literal replaced by
-    a positional :class:`Placeholder`; ``arguments`` maps parameter names to
-    this query's literals in placeholder order, so
-    ``tuple(arguments.values())`` is the binding of ``statement``.
-    """
-
-    statement: SelectStatement
-    arguments: dict[str, float]
-
-
-def parameterize(statement: SelectStatement) -> ParameterizedQuery:
-    """Split ``statement`` into its lifted form and its literal parameter values."""
-    arguments: dict[str, float] = {}
-
-    def lift(value: float) -> Placeholder:
-        index = len(arguments)
-        arguments[f"__p{index}"] = float(value)
-        return Placeholder(index, index)
-
-    predicates: list[RangePredicate | ComparisonPredicate] = []
-    for predicate in statement.predicates:
-        if isinstance(predicate, RangePredicate):
-            predicates.append(
-                replace(predicate, low=lift(predicate.low), high=lift(predicate.high))
-            )
-        else:
-            predicates.append(replace(predicate, value=lift(predicate.value)))
-    return ParameterizedQuery(
-        statement=replace(statement, predicates=tuple(predicates)),
-        arguments=arguments,
-    )
+#: last two leave a ``LIMIT`` count, signed or not, in the text: it is part of
+#: the plan, not a bound (normalized text has exactly one space after the
+#: keyword).
+_LITERAL_PATTERN = re.compile(
+    rf"(?<![\w.])(?<![\w.][-+])(?<!limit )(?<!limit [-+]){NUMBER_PATTERN}"
+)
 
 
 def mask_literals(normalized_sql: str) -> tuple[str, tuple[float, ...]]:
     """Replace the bound literals in normalized SQL with ``?``; return the values.
 
     This is the parse-free route to a cached plan: two statements whose
-    masked texts are equal differ only in their bound values, which map onto
-    parameters ``__p0``, ``__p1``, ... in textual order — the exact order
-    :func:`parameterize` assigns them — and the masked text is the normalized
-    ``?`` text of the same statement.  Texts whose lexing would diverge from
-    the tokenizer (adjacent number lexemes) never parse successfully in this
-    grammar, so their masked keys are never installed and they fall through to
-    the full parse path with its usual errors.
+    masked texts are equal differ only in their bound values, which bind the
+    placeholders ``__p0``, ``__p1``, ... of the masked text in textual order.
+    A literal the masker leaves in place (``and-5``) stays part of the text,
+    as it would in a ``?`` statement.  Texts whose lexing would diverge from
+    the tokenizer (adjacent number lexemes) never parse in this grammar, so
+    their masked keys are never installed and the literal text's own parse
+    reports the error.
     """
     values: list[float] = []
 
@@ -315,7 +271,7 @@ def prepared_binding(statement: SelectStatement) -> BindingSpec:
 
 
 def parameter_names(statement: SelectStatement) -> tuple[str, ...]:
-    """The parameter names referenced by a parameterized statement, in order."""
+    """The parameter names of a statement's placeholders, in order."""
     names: list[str] = []
     for predicate in statement.predicates:
         if isinstance(predicate, RangePredicate):
@@ -323,6 +279,6 @@ def parameter_names(statement: SelectStatement) -> tuple[str, ...]:
         else:
             values = (predicate.value,)
         for value in values:
-            if isinstance(value, Parameter) and value.name not in names:
+            if isinstance(value, Placeholder) and value.name not in names:
                 names.append(value.name)
     return tuple(names)

@@ -7,9 +7,6 @@ contiguous array with "no holes, deleted elements, or auxiliary data", which
 is what makes a BAT "conveniently split at any point" (§2).  This module
 provides the numpy-backed equivalent used by the MAL operators and, through
 the BPM, by the adaptive strategies.
-
-BATs whose tail is known to be value-sorted (the pieces the BPM hands to
-rewritten plans come from sorted segments) carry a ``tail_sorted`` flag.
 """
 
 from __future__ import annotations
@@ -35,9 +32,6 @@ class BAT:
         First oid of a void head.
     name:
         Optional diagnostic name (e.g. ``"sys_P_ra"``).
-    tail_sorted:
-        The caller guarantees the tail is non-decreasing (a promise, not
-        verified here).
 
     One slot is set by the storage layer only: ``merged``, on a column's
     persistent and insert-delta BATs, is the pre-built void-headed view over
@@ -45,7 +39,7 @@ class BAT:
     persistent BAT gathers from.
     """
 
-    __slots__ = ("_head", "tail", "hseqbase", "name", "tail_sorted", "merged")
+    __slots__ = ("_head", "tail", "hseqbase", "name", "merged")
 
     def __init__(
         self,
@@ -54,7 +48,6 @@ class BAT:
         *,
         hseqbase: int = 0,
         name: str = "",
-        tail_sorted: bool = False,
     ) -> None:
         # Exact-type checks first: BATs are built on every query, and
         # ``np.asarray`` of an array that already fits costs a call for nothing.
@@ -75,19 +68,14 @@ class BAT:
         self.tail = tail
         self.hseqbase = int(hseqbase)
         self.name = name
-        self.tail_sorted = bool(tail_sorted)
         self.merged: BAT | None = None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_pairs(
-        cls, head: np.ndarray, tail: np.ndarray, *, name: str = "", tail_sorted: bool = False
-    ) -> "BAT":
+    def from_pairs(cls, head: np.ndarray, tail: np.ndarray, *, name: str = "") -> "BAT":
         """A BAT with explicit head oids."""
-        return cls(
-            np.asarray(tail), np.asarray(head, dtype=np.int64), name=name, tail_sorted=tail_sorted
-        )
+        return cls(np.asarray(tail), np.asarray(head, dtype=np.int64), name=name)
 
     # -- properties --------------------------------------------------------
 
@@ -125,14 +113,8 @@ class BAT:
         if start == 0 and stop == self.count:
             return self
         if self._head is None:
-            return BAT(
-                self.tail[start:stop], hseqbase=self.hseqbase + start, name=self.name,
-                tail_sorted=self.tail_sorted,
-            )
-        return BAT(
-            self.tail[start:stop], self._head[start:stop], name=self.name,
-            tail_sorted=self.tail_sorted,
-        )
+            return BAT(self.tail[start:stop], hseqbase=self.hseqbase + start, name=self.name)
+        return BAT(self.tail[start:stop], self._head[start:stop], name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         head_kind = "void" if self.is_void_head else "oid"

@@ -82,6 +82,18 @@ class TestHarness:
         assert set(averages) == {"selection_ms", "adaptation_ms", "total_ms"}
         assert run.segment_stats is not None
 
+    def test_engine_run_raises_on_a_wrong_answer(self, monkeypatch):
+        check = harness._check_answers
+
+        def off_by_one(dataset, workload, counts, sums, scheme):
+            sums = sums.copy()
+            sums[3] += 1
+            check(dataset, workload, counts, sums, scheme)
+
+        monkeypatch.setattr(harness, "_check_answers", off_by_one)
+        with pytest.raises(RuntimeError, match="GD on .*: query 3 "):
+            harness.skyserver_engine_run("random", "GD")
+
     def test_engine_baseline_has_no_adaptation(self):
         run = harness.skyserver_engine_run("random", "NoSegm")
         assert sum(run.adaptation_seconds) == 0.0

@@ -359,6 +359,15 @@ class TestQueryExecution:
 
 
 class TestAdaptiveExecution:
+    @pytest.mark.parametrize("strategy", ["segmentation", "replication", "unsegmented"])
+    def test_a_column_holding_nan_is_refused_by_name(self, database, strategy):
+        database.insert("p", {"objid": [-1], "ra": [np.nan], "dec": [0.0]})
+        with pytest.raises(ValueError, match=r"p\.ra: the column holds NaN"):
+            database.enable_adaptive("p", "ra", strategy=strategy)
+        with pytest.raises(KeyError):
+            database.adaptive_handle("p", "ra")
+        assert database.execute("SELECT objid FROM p WHERE ra BETWEEN 33 AND 37").row_count
+
     def test_results_identical_across_strategies(self, database):
         plain = database.execute("SELECT objid FROM p WHERE ra BETWEEN 33 AND 37")
         database.enable_adaptive("p", "ra", strategy="segmentation", m_min=2 * KB, m_max=8 * KB)

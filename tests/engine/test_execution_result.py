@@ -74,10 +74,8 @@ class TestExecutionContext:
         context.add_result_column(result_set, "x", BAT(np.array([1.0])))
         context.export_result(result_set)
         context.export_scalar("count(*)", 3)
-        context.variables = {"X_1": 1}
         context.reset()
         assert context.result_sets == {} and context.scalars == {}
-        assert context.variables == {}
         assert context.exported_columns() == {}
         recycled = context.new_result_set()
         assert context.result_sets[recycled] is container  # scratch reuse

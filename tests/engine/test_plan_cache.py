@@ -293,17 +293,30 @@ class TestOneEntryPerStatement:
         result = database.execute_prepared(named, {"lo": 1.5, "hi": 2.5})
         assert _rows(result) == _rows(database.execute(self.LITERAL))
 
-    def test_text_the_masker_cannot_key_is_known_by_its_full_form(self, database):
-        # "AND-5" lexes as AND, -5 but is not maskable: the text binds nothing,
-        # is one entry under its full form, and keeps answering correctly.
-        glued = "SELECT objid FROM p WHERE ra BETWEEN -9 AND-5"
-        spaced = database.execute("SELECT objid FROM p WHERE ra BETWEEN -9 AND -5")
+    def test_a_literal_the_masker_leaves_stays_in_the_key(self):
+        # "and-5" lexes as AND, -5; the masker leaves the glued literal in the
+        # text, as a `?` statement would spell it.  The text is one entry
+        # under its masked form and binds only the literal it lifted.
+        database = Database()
+        database.create_table("t", {"x": "float64"})
+        database.bulk_load("t", {"x": np.arange(-12.0, 3.0, 0.5)})
+        glued = "select x from t where x between -9 and-5"
         first, second = database.execute(glued), database.execute(glued)
+        assert len(database.plan_cache) == 1
+        assert database.plan_cache.peek("select x from t where x between ? and-5")
+        assert database.plan_cache.peek(glued) is None
         assert (first.cache_level, second.cache_level) == ("cold", "masked")
-        assert first.parameters == second.parameters == ()
+        assert first.parameters == second.parameters == (-9.0,)
+        spaced = database.execute("select x from t where x between -9 and -5")
         assert _rows(first) == _rows(second) == _rows(spaced)
-        assert database.prepare_statement(glued).binding.count == 0
-        assert len(database.plan_cache) == 2
+        assert _rows(first) == [(value,) for value in np.arange(-9.0, -4.5, 0.5)]
+
+    def test_a_signed_limit_count_stays_in_the_key(self, database):
+        result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 LIMIT +5")
+        assert result.row_count == 5 and result.parameters == (10.0, 40.0)
+        assert database.plan_cache.peek(
+            "select objid from p where ra between ? and ? limit +5"
+        )
 
     def test_generation_bump_re_prepares_a_stale_handle(self, database):
         prepared = database.prepare_statement(self.QMARK)

@@ -105,7 +105,7 @@ class TestShapeWarmPath:
             assert result.plan_cache_hit, (low, high)
             assert sorted(result.column("objid")) == brute(database, low, high)
 
-    def test_comparison_shapes_are_parameterized_too(self, database):
+    def test_comparison_shapes_are_lifted_too(self, database):
         cold = database.execute("SELECT objid FROM p WHERE ra < 10")
         warm = database.execute("SELECT objid FROM p WHERE ra < 250")
         assert not cold.plan_cache_hit and warm.plan_cache_hit

@@ -97,13 +97,6 @@ class TestTupleReconstruction:
         assert reversed_bat.head.tolist() == [10, 20, 30]
         assert reversed_bat.tail.tolist() == [1, 2, 3]
 
-    def test_reverse_carries_order_with_the_column(self):
-        void = BAT(np.array([5, 3, 4]))
-        assert not void.tail_sorted
-        assert oracle.reverse(void).tail_sorted  # a void head is sorted
-        deleted = BAT.from_pairs(np.array([2, 7]), np.array([2, 7]), tail_sorted=True)
-        assert not oracle.reverse(deleted).tail_sorted  # an explicit head's order is never promised
-
     def test_join_against_void_head(self):
         positions = BAT.from_pairs(np.array([0, 1]), np.array([3, 1]))  # tail = oids to fetch
         column = BAT(np.array([100, 101, 102, 103]), hseqbase=0)

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core.ranges import ValueRange
 from repro.core.segment import Segment, is_value_sorted
-from repro.storage.bat import BAT
-from tests.support import operators
 
 # -- reference (legacy) kernels ---------------------------------------------
 
@@ -101,24 +99,3 @@ def test_sorted_partition_is_permutation_equal_to_bucket_partition(
         pair for piece in pieces for pair in zip(piece.oids.tolist(), piece.values.tolist())
     )
     assert all_pairs == _pairs(values, oids)
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(n=columns, domain_high=domain_highs, dtype=dtypes, seed=seeds,
-       q_lo=st.floats(min_value=-0.2, max_value=1.2, allow_nan=False),
-       q_width=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-       include_low=st.booleans(), include_high=st.booleans())
-def test_sorted_bat_select_matches_mask_select(
-    n, domain_high, dtype, seed, q_lo, q_width, include_low, include_high
-):
-    values = _make(n, domain_high, dtype, seed)
-    order = np.argsort(values, kind="stable")
-    sorted_bat = BAT.from_pairs(order.astype(np.int64), values[order], tail_sorted=True)
-    plain_bat = BAT.from_pairs(order.astype(np.int64), values[order])
-    low = q_lo * domain_high
-    high = low + q_width * domain_high
-    fast = operators.select(sorted_bat, low, high,
-                            include_low=include_low, include_high=include_high)
-    slow = operators.select(plain_bat, low, high,
-                            include_low=include_low, include_high=include_high)
-    assert _pairs(fast.tail, fast.head) == _pairs(slow.tail, slow.head)

@@ -204,6 +204,36 @@ class TestRetryOnFailover:
         assert stats.retries >= 1
 
 
+class TestLiteralReadFailover:
+    def test_a_literal_read_is_retried_on_the_surviving_replica(self):
+        # Literal text reaches the wave path: the armed crash fires on its
+        # wave, and admission answers it from the sibling replica.
+        async def go():
+            injector = FaultInjector(seed=7)
+            injector.schedule("wave.execute", at=1, action="crash")
+            server = ReproServer(
+                build_database(), port=0, replicas=2, injector=injector,
+                retry_backoff_s=0.001, auto_rebuild=False,
+            )
+            async with server:
+                connection = await repro.aio.connect(*server.address)
+                cursor = await connection.execute(
+                    "SELECT v FROM t WHERE v BETWEEN 10.0 AND 20.0"
+                )
+                health = (await connection.admin.router_stats())["health"]
+                admission = await connection.admin.admission_stats()
+                await connection.close()
+            return cursor.result, health, admission, injector
+
+        result, health, admission, injector = run(go)
+        values = np.random.default_rng(3).uniform(0.0, 100.0, size=1_000)
+        expected = values[(values >= 10.0) & (values <= 20.0)]
+        assert np.array_equal(np.sort(result.columns["v"]), np.sort(expected))
+        assert injector.fired("wave.execute") == 1
+        assert health["wave_failures"] == 1
+        assert admission["retries"] == 1
+
+
 class TestWaveDeadline:
     def test_a_blown_deadline_quarantines_and_fails_over(self):
         async def go():

@@ -128,6 +128,42 @@ class TestQueries:
         assert description[0][0] == "objid"
         assert description[0][1] == "int64"
 
+    def test_a_literal_read_is_admitted_and_batches_with_bound_reads(self):
+        # Literal text is its `?` plan plus its literals: it is admitted like a
+        # bound read and rides one wave with bound reads of its column.
+        async def go():
+            server = await start_loaded_server(
+                strategy="segmentation", batch_window_us=20_000.0
+            )
+            async with server:
+                connections = [
+                    await repro.aio.connect(*server.address) for _ in range(3)
+                ]
+                admin = connections[0].admin
+                before = (await admin.admission_stats())["admitted"]
+                alone = await connections[0].execute(
+                    "select objid from p where ra between 10.0 and 20.0"
+                )
+                admitted = (await admin.admission_stats())["admitted"] - before
+                cursors = await asyncio.gather(
+                    connections[0].execute(
+                        "select objid from p where ra between 30.0 and 35.0"
+                    ),
+                    connections[1].execute(SQL, (80.0, 85.0)),
+                    connections[2].execute(SQL, (150.0, 155.0)),
+                )
+                for connection in connections:
+                    await connection.close()
+                return alone.result, admitted, [cursor.result for cursor in cursors]
+
+        alone, admitted, results = run(go)
+        assert admitted == 1
+        assert alone.cache_level == "prepared"
+        assert sorted(alone.columns["objid"].tolist()) == expected_objids(10.0, 20.0)
+        assert [result.cache_level for result in results] == ["batched"] * 3
+        for (low, high), result in zip(((30.0, 35.0), (80.0, 85.0), (150.0, 155.0)), results):
+            assert sorted(result.columns["objid"].tolist()) == expected_objids(low, high)
+
     def test_bound_execute_goes_through_admission(self):
         async def go():
             server = await start_loaded_server()

@@ -1,4 +1,4 @@
-"""Tests for query parameterization, literal masking and parameter binding."""
+"""Tests for literal lifting (masking), placeholders and parameter binding."""
 
 from decimal import Decimal
 
@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from repro.engine.plan_cache import normalize_sql
-from repro.sql.ast import ComparisonPredicate, RangePredicate
+from repro.sql.ast import ComparisonPredicate, Placeholder, RangePredicate
 from repro.sql.parameters import (
     BindError,
     BindingSpec,
-    Parameter,
     mask_literals,
     parameter_names,
-    parameterize,
     prepared_binding,
 )
 from repro.sql.parser import parse
 
 
-def shaped(sql: str):
-    return parameterize(parse(sql))
+def lifted(sql: str):
+    """Literal ``sql`` as the engine lifts it: the prepared parse of its masked text."""
+    masked, values = mask_literals(normalize_sql(sql))
+    return parse(masked, placeholders=True), values
 
 
 def masked_text(sql: str) -> str:
@@ -28,40 +28,40 @@ def masked_text(sql: str) -> str:
     return mask_literals(normalize_sql(sql))[0]
 
 
-class TestParameter:
-    def test_behaves_like_its_float_value(self):
-        parameter = Parameter("__p0", 10.5)
-        assert parameter == 10.5
-        assert parameter + 1 == 11.5
-        assert parameter.name == "__p0"
-        assert "10.5" in repr(parameter)
+class TestPlaceholder:
+    def test_is_a_nan_float_named_by_its_position(self):
+        placeholder = Placeholder(1, "hi")
+        assert placeholder != placeholder  # NaN: no parse-time range comparison holds
+        assert (placeholder.name, placeholder.index, placeholder.key) == ("__p1", 1, "hi")
 
 
-class TestParameterize:
-    def test_range_literals_become_parameters(self):
-        result = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40")
-        assert result.arguments == {"__p0": 10.0, "__p1": 40.0}
-        predicate = result.statement.predicates[0]
+class TestLift:
+    def test_range_literals_become_placeholders(self):
+        statement, values = lifted("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40")
+        assert values == (10.0, 40.0)
+        predicate = statement.predicates[0]
         assert isinstance(predicate, RangePredicate)
-        assert isinstance(predicate.low, Parameter) and predicate.low.name == "__p0"
-        assert isinstance(predicate.high, Parameter) and predicate.high.name == "__p1"
+        assert isinstance(predicate.low, Placeholder) and predicate.low.name == "__p0"
+        assert isinstance(predicate.high, Placeholder) and predicate.high.name == "__p1"
 
-    def test_comparison_literal_becomes_a_parameter(self):
-        result = shaped("SELECT objid FROM p WHERE ra < 7")
-        assert result.arguments == {"__p0": 7.0}
-        predicate = result.statement.predicates[0]
+    def test_comparison_literal_becomes_a_placeholder(self):
+        statement, values = lifted("SELECT objid FROM p WHERE ra < 7")
+        assert values == (7.0,)
+        predicate = statement.predicates[0]
         assert isinstance(predicate, ComparisonPredicate)
-        assert isinstance(predicate.value, Parameter)
+        assert isinstance(predicate.value, Placeholder)
 
     def test_multiple_predicates_number_parameters_in_textual_order(self):
-        result = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5")
-        assert result.arguments == {"__p0": 10.0, "__p1": 40.0, "__p2": 5.0}
-        assert parameter_names(result.statement) == ("__p0", "__p1", "__p2")
+        statement, values = lifted(
+            "SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5"
+        )
+        assert values == (10.0, 40.0, 5.0)
+        assert parameter_names(statement) == ("__p0", "__p1", "__p2")
 
     def test_no_predicates_no_parameters(self):
-        result = shaped("SELECT objid FROM p")
-        assert result.arguments == {}
-        assert parameter_names(result.statement) == ()
+        statement, values = lifted("SELECT objid FROM p")
+        assert values == ()
+        assert parameter_names(statement) == ()
 
 
 class TestMaskLiterals:
@@ -95,15 +95,16 @@ class TestMaskLiterals:
         assert masked == "select objid from p where ra between ? and ? limit 5"
         assert values == (10.0, 40.0)
         assert masked_text("SELECT objid FROM p WHERE ra BETWEEN 1 AND 2 LIMIT 6") != masked
+        assert masked_text("SELECT objid FROM p LIMIT +5") == "select objid from p limit +5"
 
     def test_a_sign_glued_to_a_keyword_is_not_half_masked(self):
         # "and-5" lexes as AND, -5.  Masking only the "5" would bind +5 on the
-        # next execution; leaving the literal in makes the text unkeyable by
-        # its masked form (fewer values than the parse lifts) and still correct.
+        # next execution; leaving the literal in keeps it part of the plan.
         masked, values = mask_literals("select x from t where x between -9 and-5")
         assert masked == "select x from t where x between ? and-5"
         assert values == (-9.0,)
-        assert len(shaped("select x from t where x between -9 and-5").arguments) == 2
+        statement, _ = lifted("select x from t where x between -9 and-5")
+        assert statement.predicates[0].high == -5.0  # baked, as a `?` text spells it
 
     def test_digits_inside_identifiers_are_not_masked(self):
         masked, values = mask_literals("select m1 from t2 where col3 < 5")
@@ -134,17 +135,9 @@ class TestMaskLiterals:
 class TestLiftedBinding:
     """A lifted statement binds like the ``?`` statement its masked text spells."""
 
-    def test_lifted_statement_equals_the_prepared_parse_of_its_masked_text(self):
-        lifted = shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5")
-        prepared = parse(
-            "SELECT objid FROM p WHERE ra BETWEEN ? AND ? AND dec > ?", placeholders=True
-        )
-        assert prepared_binding(lifted.statement) == prepared_binding(prepared)
-
     def test_range_order_is_revalidated_on_the_lifted_literals(self):
-        binding = prepared_binding(
-            shaped("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5").statement
-        )
+        statement, _ = lifted("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 AND dec > 5")
+        binding = prepared_binding(statement)
         assert binding.bind((10.0, 40.0, 5.0)) == (10.0, 40.0, 5.0)
         with pytest.raises(BindError, match="high >= low"):
             binding.bind((40.0, 10.0, 5.0))

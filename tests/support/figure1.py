@@ -37,7 +37,7 @@ def deletion_bat(store: ColumnStore) -> BAT:
     """
     mask = store.live_mask
     deleted = np.empty(0, dtype=np.int64) if mask is None else np.flatnonzero(~mask)
-    return BAT.from_pairs(deleted, deleted, name=f"sys_{store.table}_dbat", tail_sorted=True)
+    return BAT.from_pairs(deleted, deleted, name=f"sys_{store.table}_dbat")
 
 
 def _bounds(flags: tuple) -> dict[str, bool]:

@@ -50,7 +50,6 @@ class Interpreter:
     ) -> dict[str, Any]:
         """Execute the program; returns the final variable environment."""
         variables: dict[str, Any] = dict(arguments or {})
-        context.variables = variables
         blocks = match_blocks(program.instructions)
         pc = 0
         steps = 0

@@ -14,15 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.storage.bat import BAT
-from repro.util.sorted_search import sorted_probe
 
 
 def reverse(bat: BAT) -> BAT:
-    """Swap head and tail (MAL ``bat.reverse``); a void head becomes a sorted tail."""
-    return BAT(
-        bat.head, np.asarray(bat.tail, dtype=np.int64), name=bat.name,
-        tail_sorted=bat.is_void_head,
-    )
+    """Swap head and tail (MAL ``bat.reverse``)."""
+    return BAT(bat.head, np.asarray(bat.tail, dtype=np.int64), name=bat.name)
 
 
 def select(
@@ -30,17 +26,11 @@ def select(
 ) -> BAT:
     """Pairs whose tail value falls into the range (default ``[low, high)``).
 
-    A sorted tail (``tail_sorted`` — the pieces the BPM hands the iterator
-    block) is answered by two binary searches and a slice view, without
-    comparing a value; an empty operand is passed through unchanged.
+    A comparison scan; an empty operand is passed through unchanged.
     """
     tail = bat.tail
     if tail.size == 0:
         return bat
-    if bat.tail_sorted:
-        lo = sorted_probe(tail, low, side="left" if include_low else "right")
-        hi = sorted_probe(tail, high, side="right" if include_high else "left")
-        return bat.slice(lo, max(lo, hi))
     mask = (tail >= low) if include_low else (tail > low)
     mask &= (tail <= high) if include_high else (tail < high)
     positions = np.flatnonzero(mask)
