@@ -261,10 +261,9 @@ class EngineReplica:
         """Shut down the worker thread (idempotent, hard-timeout join).
 
         Once the worker has joined cleanly nothing can execute on this
-        replica again, so its engine's ``query_history`` — every
-        :class:`QueryResult` it delivered, result columns included — is
-        released here rather than whenever the cyclic collector next reaches
-        the engine's reference cycles.  Read the history before closing.  A
+        replica again, so its engine's ``query_history`` — a record of every
+        query it delivered — is released here rather than whenever the
+        cyclic collector next reaches the engine's reference cycles.  Read the history before closing.  A
         wedged worker may still be appending: its engine is left alone.
         """
         if not self._closed:

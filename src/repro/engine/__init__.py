@@ -18,7 +18,7 @@ from repro.engine.plan_cache import (
     normalize_sql,
 )
 from repro.engine.profile import QueryProfile
-from repro.engine.result import QueryResult
+from repro.engine.result import QueryRecord, QueryResult
 
 __all__ = [
     "Database",
@@ -27,6 +27,7 @@ __all__ = [
     "PlanCacheStats",
     "PreparedPlan",
     "QueryProfile",
+    "QueryRecord",
     "QueryResult",
     "RangeTemplate",
     "normalize_sql",

@@ -21,7 +21,7 @@ from repro.engine.plan_cache import (
     range_template,
 )
 from repro.engine.profile import QueryProfile
-from repro.engine.result import QueryResult
+from repro.engine.result import QueryRecord, QueryResult
 from repro.mal.compiled import compile_program
 from repro.mal.modules import default_registry
 from repro.optimizer.bpm import AdaptiveColumnHandle, BatPartitionManager
@@ -73,7 +73,7 @@ class Database:
             [merge_duplicate_binds, self.segment_optimizer, remove_dead_code]
         )
         self.plan_cache = PlanCache(plan_cache_size)
-        self.query_history: list[QueryResult] = []
+        self.query_history: list[QueryRecord] = []
         self._executor = Executor(self)
         self._adaptive_configs: dict[tuple[str, str], dict[str, Any]] = {}
 
@@ -368,7 +368,7 @@ class Database:
         """
         prepared, values, origin = self.resolve(sql)
         result = self._executor.run(prepared, values, origin)
-        self.query_history.append(result)
+        self.query_history.append(result.record())
         return result
 
     def execute_prepared(self, prepared: PreparedPlan, parameters: Any = ()) -> QueryResult:
@@ -384,7 +384,7 @@ class Database:
         if not self.plan_cache.is_current(prepared):
             prepared = self.prepare_statement(prepared.sql)
         result = self._executor.run(prepared, prepared.binding.bind(parameters))
-        self.query_history.append(result)
+        self.query_history.append(result.record())
         return result
 
     def execute_prepared_many(
@@ -420,8 +420,8 @@ class Database:
         return self._record(self._executor.run_wave(list(requests), isolate=isolate))
 
     def _record(self, results: list) -> list:
-        """Append a wave's delivered results to ``query_history``, in input order."""
+        """Append a wave's delivered results' records to ``query_history``, in input order."""
         self.query_history.extend(
-            result for result in results if not isinstance(result, BaseException)
+            result.record() for result in results if not isinstance(result, BaseException)
         )
         return results

@@ -1,10 +1,12 @@
 """Integration-style unit tests for the database façade."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.result import QueryResult
+from repro.engine.result import QueryRecord, QueryResult
 from repro.storage.bat import BAT
 from repro.util.units import KB
 
@@ -307,6 +309,25 @@ class TestQueryExecution:
         database.execute("SELECT count(*) FROM p WHERE ra BETWEEN 0 AND 1")
         assert len(database.query_history) == 2
         assert database.query_history[0].total_seconds > 0
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_query_history_keeps_no_rows(self, database, adaptive):
+        """The history records each query; the answer's arrays die with the caller's result."""
+        if adaptive:
+            database.enable_adaptive("p", "ra", strategy="segmentation")
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        result = database.execute_prepared(prepared, (10.0, 20.0))
+        expected = np.sort(brute(database, 10.0, 20.0))
+        assert np.array_equal(np.sort(result.column("objid")), expected)
+        rows = weakref.ref(result.column("objid"))
+
+        record = database.query_history[-1]
+        assert isinstance(record, QueryRecord) and record == result.record()
+        assert (record.sql, record.parameters, record.row_count) == (
+            prepared.sql, (10.0, 20.0), expected.size
+        )
+        del result
+        assert rows() is None
 
     def test_explain_returns_plan_text(self, database):
         plan = database.explain("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")

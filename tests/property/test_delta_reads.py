@@ -222,7 +222,7 @@ def test_every_door_answers_alike(door, organisation, pending, bounds):
     assert [_pairs(result) for result in results] == [
         shadow.answer(low, high) for low, high in bounds
     ]  # slot order is input order
-    assert database.query_history[-len(bounds):] == results
+    assert database.query_history[-len(bounds):] == [result.record() for result in results]
     if adaptive is not None:
         adaptive.check_invariants()
     # Whichever wave door delivered them, the members were bucketed alike.
@@ -431,7 +431,7 @@ def test_an_isolated_wave_keeps_a_poison_member_in_its_slot(organisation, pendin
     assert [_pairs(result) for result in healthy] == [
         shadow.answer(low, high) for low, high in bounds
     ]
-    assert database.query_history[-len(bounds):] == healthy
+    assert database.query_history[-len(bounds):] == [result.record() for result in healthy]
     if organisation is not None:
         database.adaptive_handle("p", "v").adaptive.check_invariants()
     # The failed whole-wave attempts ran nothing; the replay ran each member alone.
