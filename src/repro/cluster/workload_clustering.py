@@ -127,14 +127,6 @@ class WorkloadClustering:
         """Training-set member count per cluster."""
         return np.bincount(self.labels, minlength=self.n_clusters)
 
-    def assign(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Nearest-centroid labels for a batch of half-open bounds."""
-        features = query_features(
-            lows, highs, domain_low=self.domain_low, domain_high=self.domain_high
-        )
-        distances = ((features[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return distances.argmin(axis=1)
-
     def assign_one(self, low: float, high: float) -> int:
         """Nearest-centroid label for one query (router hot path)."""
         span = max(self.domain_high - self.domain_low, _MIN_SPAN)

@@ -17,6 +17,7 @@ from repro.engine.executor import Executor, Member, Origin
 from repro.engine.plan_cache import (
     PlanCache,
     PreparedPlan,
+    bind_literals,
     normalize_sql,
     range_template,
 )
@@ -25,13 +26,10 @@ from repro.engine.result import QueryRecord, QueryResult
 from repro.mal.compiled import compile_program
 from repro.mal.modules import default_registry
 from repro.optimizer.bpm import AdaptiveColumnHandle, BatPartitionManager
-from repro.optimizer.delta_elision import lower_short
-from repro.optimizer.pipeline import OptimizerPipeline
-from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.optimizer.segment_optimizer import SegmentOptimizer
 from repro.sql.ast import SelectStatement
 from repro.sql.compiler import SQLCompiler
-from repro.sql.parameters import BindError, mask_literals, prepared_binding
+from repro.sql.parameters import prepared_binding
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
 from repro.tuning import knobs as tuning
@@ -68,10 +66,7 @@ class Database:
         self.registry = default_registry()
         self.registry.register_module("bpm", self.bpm.mal_module())
         self.compiler = SQLCompiler(self.catalog)
-        self.segment_optimizer = SegmentOptimizer(self.catalog, self.bpm)
-        self.optimizer = OptimizerPipeline(
-            [merge_duplicate_binds, self.segment_optimizer, remove_dead_code]
-        )
+        self.optimizer = SegmentOptimizer(self.catalog, self.bpm)
         self.plan_cache = PlanCache(plan_cache_size)
         self.query_history: list[QueryRecord] = []
         self._executor = Executor(self)
@@ -254,18 +249,15 @@ class Database:
         Figure-1 plan comes first; under one comment line, the lowering the
         executor runs.
         """
-        optimized = self.optimizer.optimize(
-            self.compiler.compile(parse(sql, placeholders=True))
-        )
-        return (
-            f"{optimized.render()}\n# lowering — what the executor runs\n"
-            f"{lower_short(optimized).render()}"
-        )
+        statement = parse(sql, placeholders=True)
+        optimized = self.optimizer.optimize(self.compiler.compile(statement))
+        lowered = self.compiler.lower(statement, self.bpm.is_managed, name=optimized.name)
+        return f"{optimized.render()}\n# lowering — what the executor runs\n{lowered.render()}"
 
     def _lower(
         self, text: str, statement: SelectStatement, profile: QueryProfile
     ) -> PreparedPlan:
-        """Compile, optimize and lower ``statement``; cache the plan under ``text``.
+        """Lower ``statement`` and render its Figure-1 plan; cache the pair under ``text``.
 
         The one place a statement becomes a :class:`PreparedPlan`: the
         compiled lowering, the Figure-1 text, the binding template,
@@ -276,10 +268,10 @@ class Database:
         """
         started = time.perf_counter()
         program = self.compiler.compile(statement)
+        lowered = self.compiler.lower(statement, self.bpm.is_managed, name=program.name)
         codegen_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        optimized = self.optimizer.optimize(program)
-        lowered = lower_short(optimized)
+        figure1 = self.optimizer.optimize(program).render()
         profile.optimize_seconds = time.perf_counter() - started
         started = time.perf_counter()
         compiled = compile_program(lowered, self.registry)
@@ -289,7 +281,7 @@ class Database:
         prepared = PreparedPlan(
             sql=text,
             compiled=compiled,
-            text=optimized.render(),
+            text=figure1,
             binding=binding,
             slots=compiled.parameter_slots(names),
             generation=self.plan_cache.generation,
@@ -317,16 +309,10 @@ class Database:
         """
         started = time.perf_counter()
         profile = QueryProfile(cold=False)
-        masked, literals = mask_literals(normalize_sql(sql))
-        prepared = self.plan_cache.get(masked)
-        if prepared is not None:
-            try:
-                values = prepared.binding.bind(literals)
-            except BindError:
-                pass  # wrong arity or high < low: the parse below raises the usual error
-            else:
-                profile.parse_seconds = time.perf_counter() - started
-                return prepared, values, (sql, "masked", profile)
+        masked, literals, hit = bind_literals(sql, self.plan_cache.get)
+        if hit is not None:
+            profile.parse_seconds = time.perf_counter() - started
+            return *hit, (sql, "masked", profile)
 
         try:
             statement = parse(masked, placeholders=True)

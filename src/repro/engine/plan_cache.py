@@ -20,8 +20,8 @@ pre-resolved binding template (environment slots, arity, range checks).
   of ``... BETWEEN ? AND ?``, so a statement that arrives both ways is one
   entry and one compiled plan.
 
-Plans depend on the catalog schema and on which columns the BPM manages (the
-segment optimizer rewrites selections on managed columns), so the database
+Plans depend on the catalog schema and on which columns the BPM manages (a
+managed column's predicate selects through the BPM), so the database
 clears the cache whenever either changes.  Externally-held prepared handles
 survive a clear by one rule, :meth:`PlanCache.is_current`: a plan runs only
 under the cache, and the generation, that lowered it — anything else (an
@@ -36,12 +36,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.mal.compiled import CompiledPlan
 from repro.sql.ast import ComparisonPredicate, Placeholder, SelectStatement
 from repro.sql.compiler import SQLCompiler
-from repro.sql.parameters import BindingSpec
+from repro.sql.parameters import BindError, BindingSpec, mask_literals
 from repro.storage.catalog import Catalog
 
 
@@ -53,6 +53,28 @@ def normalize_sql(sql: str) -> str:
     share one plan.
     """
     return " ".join(sql.split()).lower()
+
+
+def bind_literals(
+    sql: str, lookup: Callable[[str], "PreparedPlan | None"]
+) -> tuple[str, tuple[float, ...], "tuple[PreparedPlan, tuple[float, ...]] | None"]:
+    """Literal SQL through a plan cache: mask, look up, bind.
+
+    Returns the literal-masked text, its literals, and *(plan, bound values)*
+    when ``lookup(masked)`` finds a plan the literals bind to — ``None`` on a
+    miss, or when they do not bind (wrong arity, ``high < low``): the caller
+    then parses the text, which raises the statement's usual error.
+    ``lookup`` is :meth:`PlanCache.get` on the engine's thread, or
+    :meth:`PlanCache.find` from another thread.
+    """
+    masked, literals = mask_literals(normalize_sql(sql))
+    prepared = lookup(masked)
+    if prepared is not None:
+        try:
+            return masked, literals, (prepared, prepared.binding.bind(literals))
+        except BindError:
+            pass
+    return masked, literals, None
 
 
 @dataclass(frozen=True)
@@ -122,12 +144,12 @@ class PreparedPlan:
 
     ``sql`` is the normalized statement text *including placeholders* (the
     cache key, and what a stale handle re-prepares from); ``compiled`` is the
-    executable plan (the lowering of the Figure-1 plan, see
-    :mod:`repro.optimizer.delta_elision`) and ``text`` the pre-rendered
-    Figure-1 MAL; ``binding`` validates client parameters; ``slots`` maps
-    placeholder position → environment slot of the compiled plan (resolved
-    once, at prepare time); ``cache`` and ``generation`` are the plan cache
-    that lowered the plan and its generation at the time — see
+    executable plan (the statement's lowering, see
+    :meth:`repro.sql.compiler.SQLCompiler.lower`) and ``text`` the
+    pre-rendered Figure-1 MAL; ``binding`` validates client parameters;
+    ``slots`` maps placeholder position → environment slot of the compiled
+    plan (resolved once, at prepare time); ``cache`` and ``generation`` are
+    the plan cache that lowered the plan and its generation at the time — see
     :meth:`PlanCache.is_current`; ``template`` is the statement's range-select
     classification (``None``: not batchable).
     """
@@ -194,24 +216,27 @@ class PlanCache:
 
     def get(self, text: str) -> PreparedPlan | None:
         """The plan cached under ``text``, refreshing its recency; counts hit/miss."""
-        with self._lock:
-            plan = self._plans.get(text)
-            if plan is None:
+        plan = self.find(text)
+        if plan is None:
+            with self._lock:
                 self.misses += 1
-                return None
-            self._plans.move_to_end(text)
-            self.hits += 1
-            return plan
+        return plan
 
-    def peek(self, text: str) -> PreparedPlan | None:
-        """The plan cached under ``text``, counting nothing and refreshing nothing.
+    def find(self, text: str) -> PreparedPlan | None:
+        """Like :meth:`get`, but a miss counts nothing.
 
-        For a lookup from another thread whose miss goes on to
-        :meth:`~repro.engine.database.Database.prepare_statement`, which
-        counts it.
+        For a lookup from another thread whose miss goes on to the engine —
+        :meth:`~repro.engine.database.Database.prepare_statement` or
+        :meth:`~repro.engine.database.Database.resolve` — which counts it.
+        A hit counts and refreshes its recency, so a text served this way
+        ages in the LRU like one served on the engine's thread.
         """
         with self._lock:
-            return self._plans.get(text)
+            plan = self._plans.get(text)
+            if plan is not None:
+                self._plans.move_to_end(text)
+                self.hits += 1
+            return plan
 
     def put(self, text: str, plan: PreparedPlan) -> None:
         """Store a plan, evicting the least recently used one when full."""

@@ -4,9 +4,11 @@ Every :class:`~repro.engine.result.QueryResult` carries a :class:`QueryProfile`
 splitting the query's wall-clock time into the pipeline stages —
 
 * ``parse``    — SQL text → AST, plus parameter extraction;
-* ``optimize`` — the tactical MAL→MAL optimizer pipeline;
-* ``compile``  — SQL→MAL code generation *and* the one-time lowering of the
-  optimized program into a slot-based :class:`~repro.mal.compiled.CompiledPlan`;
+* ``optimize`` — the tactical MAL→MAL optimizer over the Figure-1 plan, whose
+  rendering is the plan's text;
+* ``compile``  — SQL→MAL code generation (the Figure-1 plan and the lowering)
+  *and* the one-time compilation of the lowering into a slot-based
+  :class:`~repro.mal.compiled.CompiledPlan`;
 * ``execute``  — running the (compiled) plan, including any piggy-backed
   adaptation work;
 

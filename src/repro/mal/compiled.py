@@ -1,8 +1,8 @@
 """Slot-based compiled MAL plans: the engine's execution path.
 
-The engine runs one kind of program: the lowering of an optimized plan
-(:mod:`repro.optimizer.delta_elision`), a straight line of calls in which
-every instruction runs exactly once, in order.  A tree-walking interpreter
+The engine runs one kind of program: a statement's lowering
+(:meth:`repro.sql.compiler.SQLCompiler.lower`), a straight line of calls in
+which every instruction runs exactly once, in order.  A tree-walking interpreter
 (the test suite keeps one as its oracle) would pay, on every instruction of
 every run, for a registry lookup of the callee, a dict lookup per variable
 argument and a dict store per target.  None of that work depends on the

@@ -5,7 +5,7 @@ Python callables ``fn(ctx, *args)`` where ``ctx`` is the execution context
 (variables, catalog, result sets).  :func:`default_registry` registers the
 built-in ``algebra``, ``aggr`` and ``sql`` functions and the Bat Partition
 Manager registers its ``bpm.take`` / ``bpm.select``: together exactly the
-callees the lowering (:mod:`repro.optimizer.delta_elision`) emits.  The rest
+callees the lowering (:meth:`repro.sql.compiler.SQLCompiler.lower`) emits.  The rest
 of the Figure-1 plan — the deletion BAT, ``kunion`` / ``kdifference``,
 ``markT`` / ``reverse`` / ``join`` and the BPM's iterator block — runs only in
 the test suite's interpreter oracle, which brings its own functions.

@@ -19,8 +19,8 @@ the text ``explain`` shows — reads such a column through an iterator block:
 where adaptation (splitting / replica materialization) is piggy-backed — and
 hands the plan the qualifying piece, so the downstream plan shape matches the
 paper's §3.1 snippet.  The selection answers the block's bounds exactly, so
-there is never a second piece; the plan's lowering
-(:mod:`repro.optimizer.delta_elision`) calls the same selection as
+there is never a second piece; the statement's lowering
+(:meth:`repro.sql.compiler.SQLCompiler.lower`) calls the same selection as
 ``X14 := bpm.select(Y1, A0, A1, true, true)`` with no block around it, and
 ``bpm.take`` / ``bpm.select`` are the whole ``bpm`` module the engine
 registers.  The block itself runs only in the test suite's interpreter
@@ -95,6 +95,7 @@ class BatPartitionManager:
         (:mod:`repro.core.strategy`); extra keyword options are forwarded to
         the strategy constructor when it accepts them.
         """
+        self.catalog.column(table, column)  # validates table and column
         key = (table, column)
         if key in self._handles:
             raise ValueError(f"column {table}.{column} is already adaptive")
@@ -111,15 +112,12 @@ class BatPartitionManager:
             table=table, column=column, strategy=strategy_name, adaptive=adaptive,
             rows=int(np.asarray(values).size),
         )
-        # Register with the catalog first so a rejection leaves no half state.
-        self.catalog.register_adaptive(table, column, strategy_name)
         self._handles[key] = handle
         return handle
 
     def disable(self, table: str, column: str) -> None:
         """Return a column to its plain positional organisation."""
         self._handles.pop((table, column), None)
-        self.catalog.unregister_adaptive(table, column)
 
     def handle(self, table: str, column: str) -> AdaptiveColumnHandle:
         """Look up the handle of an adaptive column."""

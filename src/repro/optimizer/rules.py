@@ -13,7 +13,7 @@ from repro.mal.program import Const, Instruction, MALProgram, Var
 
 #: Callees considered pure (no observable side effect), eligible for removal.
 _PURE_MODULES = {"algebra", "bat", "calc", "aggr"}
-_PURE_SQL_FUNCTIONS = {"bind", "bind_dbat", "tid", "live"}
+_PURE_SQL_FUNCTIONS = {"bind", "bind_dbat"}
 
 
 def _is_pure(instruction: Instruction) -> bool:

@@ -20,6 +20,12 @@ becomes::
 Only selections against bind level 0 (the persistent BAT) are rewritten; the
 delta BATs stay on the conventional path, exactly as in the paper where the
 technique targets bulk-loaded, read-mostly warehouses.
+
+:meth:`SegmentOptimizer.optimize` is the whole tactical pass over a Figure-1
+plan, in the paper's order: plan hygiene (duplicate-bind merging), the
+segment-aware rewrite, then dead-code elimination of the binds the rewrite
+obsoleted.  Its result is the plan's text (``explain``,
+``PreparedPlan.text``); the engine runs the compiler's lowering instead.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.mal.program import Const, Instruction, MALProgram, Var
 from repro.optimizer.bpm import BatPartitionManager
+from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.storage.catalog import Catalog
 
 
@@ -54,6 +61,10 @@ class SegmentOptimizer:
         self._fresh_counter = 0
 
     # -- rule protocol --------------------------------------------------------
+
+    def optimize(self, program: MALProgram) -> MALProgram:
+        """The optimized Figure-1 plan: merge binds, segment rewrite, dead code."""
+        return remove_dead_code(self(merge_duplicate_binds(program)))
 
     def __call__(self, program: MALProgram) -> MALProgram:
         """Apply the rewrite; returns a new program (the input is not mutated)."""

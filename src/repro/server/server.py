@@ -42,7 +42,7 @@ from repro.api.exceptions import (
 )
 from repro.cluster import Router
 from repro.engine.database import Database
-from repro.engine.plan_cache import normalize_sql
+from repro.engine.plan_cache import bind_literals, normalize_sql
 from repro.engine.result import QueryResult
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
@@ -417,10 +417,14 @@ class _ClientConnection:
     async def _handle_execute(self, request_id: Any, frame: dict[str, Any]) -> None:
         params = frame.get("params")
         if params is None and frame.get("statement") is None:
-            # Literal SQL: the lead resolves it to its `?` plan and literals.
-            prepared, values = await self._server.admin_call(
-                self._server.router.resolve, self._sql_of(frame)
-            )
+            # Literal SQL: bound here against the lead's `?` plan when it has
+            # one; otherwise the lead resolves it (and raises its errors).
+            sql = self._sql_of(frame)
+            router = self._server.router
+            _, _, hit = bind_literals(sql, router.plan_cache.find)
+            if hit is None:
+                hit = await self._server.admin_call(router.resolve, sql)
+            prepared, values = hit
         else:
             prepared = await self._prepared_for(frame)
             values = self._bind(prepared, params if params is not None else [])
@@ -522,7 +526,7 @@ class _ClientConnection:
             return prepared
         sql = self._sql_of(frame)
         router = self._server.router
-        prepared = router.plan_cache.peek(normalize_sql(sql))
+        prepared = router.plan_cache.find(normalize_sql(sql))
         if prepared is None:
             prepared = await self._server.admin_call(router.prepare_statement, sql)
         return prepared

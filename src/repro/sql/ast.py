@@ -106,12 +106,3 @@ class SelectStatement:
     def is_aggregate(self) -> bool:
         """True for aggregate queries (``SUM``/``COUNT``/...)."""
         return bool(self.aggregates)
-
-    @property
-    def predicate_columns(self) -> tuple[str, ...]:
-        """The distinct columns referenced in the WHERE clause, in order."""
-        seen: list[str] = []
-        for predicate in self.predicates:
-            if predicate.column not in seen:
-                seen.append(predicate.column)
-        return tuple(seen)

@@ -12,10 +12,22 @@ Aggregates are applied to the reconstructed column and exported as scalars
 
 The compiler is *naive on purpose* — exactly like the SQL compiler in the
 paper — and leaves all physical decisions (segment awareness in particular)
-to the tactical optimizer pipeline that runs afterwards.
+to the tactical optimizer that runs afterwards.  That Figure-1 plan is the
+text a statement is shown as (``explain``, ``PreparedPlan.text``).
+
+What the engine runs is :meth:`SQLCompiler.lower`, emitted straight from the
+statement: per predicate one select — ``bpm.take`` + ``bpm.select`` on a
+BPM-managed column, ``sql.bind`` + ``algebra.uselect`` otherwise — and one
+``sql.live`` step that drops tombstoned oids and appends the pending-insert
+hits; ``algebra.kintersect`` between predicates, ``sql.tid`` (the table's live
+oids) without one; ``algebra.slice`` for a ``LIMIT``; one
+``algebra.projection`` per projected column.  Both programs share the
+aggregate and result export.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -40,29 +52,97 @@ class SQLCompiler:
     # -- public API ---------------------------------------------------------
 
     def compile(self, statement: SelectStatement) -> MALProgram:
-        """Compile one statement into a MAL program.
+        """Compile one statement into its Figure-1 MAL program.
 
         Placeholder bounds (a prepared statement, or literal text lifted by
         :func:`repro.sql.parameters.mask_literals`) compile into MAL variable
         references, and their names are recorded on the program as its
         parameters, to be supplied at run time.
         """
-        schema = self.catalog.schema(statement.table)  # validates the table
+        self.catalog.schema(statement.table)  # validates the table
         self._statement_counter += 1
         builder = ProgramBuilder(
             name=f"s{self._statement_counter}_0", parameters=parameter_names(statement)
         )
-
         candidate = self._compile_predicates(builder, statement)
-        columns = self._projected_columns(statement)
-        for column in columns:
-            schema.dtype_of(column)  # validates projected columns
+        self._validate(statement)
+        positions: list[str] = []
 
-        if statement.is_aggregate:
-            self._compile_aggregates(builder, statement, candidate)
-        else:
-            self._compile_projection(builder, statement, columns, candidate)
+        def reconstruct(candidates: str, column: str) -> str:
+            if not positions:
+                positions.append(self._result_positions(builder, candidates))
+            return self._reconstruct_column(builder, statement.table, column, positions[0])
+
+        self._export(builder, statement, candidate, reconstruct)
         return builder.build()
+
+    def lower(
+        self,
+        statement: SelectStatement,
+        is_managed: Callable[[str, str], bool],
+        *,
+        name: str,
+    ) -> MALProgram:
+        """The straight-line program the executor runs for ``statement``.
+
+        ``is_managed(table, column)`` says whether the BPM organises a
+        column; its predicates select through ``bpm.take`` / ``bpm.select``,
+        where adaptation piggy-backs.  Every column is bound once, at its
+        persistent level: ``sql.live`` and ``algebra.projection`` read the
+        column's pending inserts and tombstones themselves.  ``name`` names
+        the program (the engine passes its Figure-1 program's name).
+        """
+        self._validate(statement)
+        table = statement.table
+        builder = ProgramBuilder(name=name, parameters=parameter_names(statement))
+        binds: dict[str, str] = {}
+
+        def bind(column: str) -> str:
+            if column not in binds:
+                binds[column] = builder.call(
+                    "sql", "bind", Const(self.schema), Const(table), Const(column), Const(0)
+                )
+            return binds[column]
+
+        candidate: str | None = None
+        for predicate in statement.predicates:
+            column = predicate.column
+            bounds = self._bound_operands(predicate)
+            if is_managed(table, column):
+                source = builder.call(
+                    "bpm", "take", Const(self.schema), Const(table), Const(column),
+                    comment=f"segment-aware sorted scan of {table}.{column}",
+                )
+                hits = builder.call("bpm", "select", builder.var(source), *bounds)
+            else:
+                source = bind(column)
+                hits = builder.call("algebra", "uselect", builder.var(source), *bounds)
+            live = builder.call(
+                "sql", "live", builder.var(hits), builder.var(source), Const(self.schema),
+                Const(table), Const(column), *bounds, comment=f"live rows of {table}.{column}",
+            )
+            candidate = live if candidate is None else builder.call(
+                "algebra", "kintersect", builder.var(candidate), builder.var(live)
+            )
+        if candidate is None:
+            candidate = builder.call(
+                "sql", "tid", Const(self.schema), Const(table), comment=f"live rows of {table}"
+            )
+
+        def project(candidates: str, column: str) -> str:
+            return builder.call(
+                "algebra", "projection", builder.var(candidates), builder.var(bind(column)),
+                comment=f"reconstruct {table}.{column}",
+            )
+
+        self._export(builder, statement, candidate, project)
+        return builder.build()
+
+    def _validate(self, statement: SelectStatement) -> None:
+        """Raise ``KeyError`` for an unknown table or projected column."""
+        schema = self.catalog.schema(statement.table)
+        for column in self._projected_columns(statement):
+            schema.dtype_of(column)
 
     # -- predicate cascade ------------------------------------------------------
 
@@ -119,18 +199,10 @@ class SQLCompiler:
         updates = builder.call(
             "sql", "bind", Const(self.schema), Const(table), Const(column), Const(2)
         )
-        low, high, include_low, include_high = self.bounds(predicate)
+        bounds = self._bound_operands(predicate)
 
         def uselect(source: str) -> str:
-            return builder.call(
-                "algebra",
-                "uselect",
-                builder.var(source),
-                self._operand(low),
-                self._operand(high),
-                Const(include_low),
-                Const(include_high),
-            )
+            return builder.call("algebra", "uselect", builder.var(source), *bounds)
 
         persistent_hits = uselect(persistent)
         insert_hits = uselect(inserts)
@@ -145,12 +217,18 @@ class SQLCompiler:
             "algebra", "kunion", builder.var(without_updates), builder.var(update_hits)
         )
 
-    @staticmethod
-    def _operand(value: float) -> Var | Const:
-        """A bound as a plan operand: placeholders by reference, literals baked in."""
-        if isinstance(value, Placeholder):
-            return Var(value.name)
-        return Const(value)
+    @classmethod
+    def _bound_operands(
+        cls, predicate: RangePredicate | ComparisonPredicate
+    ) -> tuple[Var | Const, ...]:
+        """A predicate's bounds as select operands: placeholders by reference."""
+        low, high, include_low, include_high = cls.bounds(predicate)
+        return (
+            *(Var(value.name) if isinstance(value, Placeholder) else Const(value)
+              for value in (low, high)),
+            Const(include_low),
+            Const(include_high),
+        )
 
     @staticmethod
     def bounds(predicate: RangePredicate | ComparisonPredicate) -> tuple[float, float, bool, bool]:
@@ -213,31 +291,42 @@ class SQLCompiler:
         marked = builder.call("algebra", "markT", builder.var(candidate), builder.var(base))
         return builder.call("bat", "reverse", builder.var(marked))
 
-    def _compile_projection(
+    def _export(
         self,
         builder: ProgramBuilder,
         statement: SelectStatement,
-        columns: tuple[str, ...],
         candidate: str,
+        gather: Callable[[str, str], str],
     ) -> None:
+        """The result export both programs share.
+
+        ``gather(candidates, column)`` emits one column's values at the
+        candidate oids and returns its variable.  Aggregates export scalars
+        (a ``LIMIT`` bounds result rows, so it never changes an aggregate's
+        one row); a projection cuts the candidate list to its ``LIMIT``
+        *before* gathering — MonetDB's shape — and exports a result set.
+        """
+        if statement.is_aggregate:
+            for aggregate in statement.aggregates:
+                if aggregate.column is None:
+                    value = builder.call("aggr", "count", builder.var(candidate))
+                else:
+                    values = gather(candidate, aggregate.column)
+                    value = builder.call("aggr", aggregate.function, builder.var(values))
+                builder.effect("sql", "exportValue", Const(aggregate.label), builder.var(value))
+            return
         if statement.limit is not None:
-            # MonetDB's shape: cut the candidate list positionally *before*
-            # the projection joins, so no column reconstructs more rows than
-            # the statement returns.
             candidate = builder.call(
                 "algebra", "slice", builder.var(candidate), Const(0), Const(statement.limit),
                 comment=f"LIMIT {statement.limit}",
             )
-        positions = self._result_positions(builder, candidate)
-        reconstructed = [
-            self._reconstruct_column(builder, statement.table, column, positions)
-            for column in columns
-        ]
+        columns = self._projected_columns(statement)
+        gathered = [gather(candidate, column) for column in columns]
         result_set = builder.call(
-            "sql", "resultSet", Const(len(columns)), Const(1), builder.var(reconstructed[0])
+            "sql", "resultSet", Const(len(columns)), Const(1), builder.var(gathered[0])
         )
         schema = self.catalog.schema(statement.table)
-        for column, variable in zip(columns, reconstructed):
+        for column, variable in zip(columns, gathered):
             builder.effect(
                 "sql",
                 "rsColumn",
@@ -250,19 +339,3 @@ class SQLCompiler:
                 builder.var(variable),
             )
         builder.effect("sql", "exportResult", builder.var(result_set), Const(""))
-
-    def _compile_aggregates(
-        self, builder: ProgramBuilder, statement: SelectStatement, candidate: str
-    ) -> None:
-        positions: str | None = None
-        for aggregate in statement.aggregates:
-            if aggregate.column is None:
-                value = builder.call("aggr", "count", builder.var(candidate))
-            else:
-                if positions is None:
-                    positions = self._result_positions(builder, candidate)
-                reconstructed = self._reconstruct_column(
-                    builder, statement.table, aggregate.column, positions
-                )
-                value = builder.call("aggr", aggregate.function, builder.var(reconstructed))
-            builder.effect("sql", "exportValue", Const(aggregate.label), builder.var(value))

@@ -1,9 +1,8 @@
 """The relational catalog: table schemas and their BAT families.
 
 The SQL compiler maps relational tables onto collections of BATs (§2); the
-catalog is the authority for that mapping.  It also records which columns have
-been handed over to the Bat Partition Manager for adaptive segmentation or
-replication, so the segment optimizer can detect them in query plans.
+catalog is the authority for that mapping.  Which columns are adaptive is the
+Bat Partition Manager's to know (``BatPartitionManager.is_managed``).
 """
 
 from __future__ import annotations
@@ -42,11 +41,10 @@ class TableSchema:
 
 @dataclass
 class Catalog:
-    """All tables of the database plus adaptive-column registrations."""
+    """All tables of the database."""
 
     schemas: dict[str, TableSchema] = field(default_factory=dict)
     stores: dict[str, ColumnStore] = field(default_factory=dict)
-    adaptive_columns: dict[tuple[str, str], str] = field(default_factory=dict)
 
     # -- tables ---------------------------------------------------------------
 
@@ -65,11 +63,9 @@ class Catalog:
         return schema
 
     def drop_table(self, name: str) -> None:
-        """Remove a table, its BATs and any adaptive registrations."""
+        """Remove a table and its BATs."""
         self.schemas.pop(name, None)
         self.stores.pop(name, None)
-        for key in [key for key in self.adaptive_columns if key[0] == name]:
-            del self.adaptive_columns[key]
 
     def table(self, name: str) -> ColumnStore:
         """The BAT family of a table."""
@@ -93,31 +89,3 @@ class Catalog:
     def table_names(self) -> list[str]:
         """All known tables, sorted."""
         return sorted(self.schemas)
-
-    # -- adaptive registrations ---------------------------------------------------
-
-    def register_adaptive(self, table: str, column: str, strategy: str) -> None:
-        """Mark a column as managed by the BPM with the given strategy."""
-        self.schema(table).dtype_of(column)  # validates table and column
-        # The strategy registry (not a hard-coded set) is the authority on
-        # which strategies exist; imported lazily to keep storage below core.
-        from repro.core.strategy import available_strategies
-
-        if strategy not in available_strategies():
-            raise ValueError(
-                f"unknown adaptive strategy {strategy!r}; "
-                f"expected one of {sorted(available_strategies())}"
-            )
-        self.adaptive_columns[(table, column)] = strategy
-
-    def unregister_adaptive(self, table: str, column: str) -> None:
-        """Remove an adaptive registration (back to positional organisation)."""
-        self.adaptive_columns.pop((table, column), None)
-
-    def adaptive_strategy(self, table: str, column: str) -> str | None:
-        """The registered strategy for a column, or ``None``."""
-        return self.adaptive_columns.get((table, column))
-
-    def is_adaptive(self, table: str, column: str) -> bool:
-        """True when the column is managed by the BPM."""
-        return (table, column) in self.adaptive_columns

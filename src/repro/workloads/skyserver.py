@@ -64,10 +64,6 @@ class SkyServerDataset:
         """Size of the ra column payload in bytes."""
         return int(self.ra.size * self.ra.dtype.itemsize)
 
-    def scaled_bound(self, paper_bytes: float) -> float:
-        """Scale one of the paper's byte bounds to this column's size."""
-        return paper_bytes * self.column_bytes / PAPER_COLUMN_BYTES
-
 
 def skyserver_column(
     n_values: int = 2_000_000,

@@ -95,21 +95,13 @@ class TestKmeans:
 
 
 class TestWorkloadClustering:
-    def test_assign_matches_assign_one(self):
-        _, lows, highs = modes_workload(seed=9)
-        clustering = cluster_workload(
-            lows, highs, 4, domain_low=0.0, domain_high=360.0, seed=0
-        )
-        batch = clustering.assign(lows, highs)
-        singles = [clustering.assign_one(low, high) for low, high in zip(lows, highs)]
-        assert batch.tolist() == singles
-
     def test_assign_is_stable_on_training_data(self):
         _, lows, highs = modes_workload(seed=13)
         clustering = cluster_workload(
             lows, highs, 4, domain_low=0.0, domain_high=360.0, seed=0
         )
-        assert clustering.assign(lows, highs).tolist() == clustering.labels.tolist()
+        assigned = [clustering.assign_one(low, high) for low, high in zip(lows, highs)]
+        assert assigned == clustering.labels.tolist()
 
     def test_sizes_cover_all_queries(self):
         _, lows, highs = modes_workload(n=120, seed=2)

@@ -170,12 +170,19 @@ class TestDatabaseEnableAdaptive:
             "p", "ra", strategy=strategy, m_min=2 * KB, m_max=8 * KB
         )
         assert handle.strategy == strategy
-        assert database.catalog.adaptive_strategy("p", "ra") == strategy
+        assert database.bpm.is_managed("p", "ra")
+        assert database.adaptive_handle("p", "ra").strategy == strategy
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 50.0")
         expected = database.adaptive_handle("p", "ra").adaptive.history[-1].result_count
         assert result.row_count == expected
         database.disable_adaptive("p", "ra")
-        assert database.catalog.adaptive_strategy("p", "ra") is None
+        assert not database.bpm.is_managed("p", "ra")
+
+    def test_an_unknown_column_is_rejected_before_a_strategy_is_built(self):
+        database = self._database()
+        with pytest.raises(KeyError, match="dec"):
+            database.bpm.enable("p", "dec", strategy="segmentation", values=np.arange(3.0))
+        assert not database.bpm.is_managed("p", "dec")
 
     def test_unknown_strategy_is_rejected_with_the_available_list(self):
         database = self._database()
@@ -198,6 +205,6 @@ class TestDatabaseEnableAdaptive:
         database = self._database()
         handle = database.enable_adaptive("p", "ra", strategy="mixedcase")
         assert handle.strategy == "mixedcase"
-        assert database.catalog.adaptive_strategy("p", "ra") == "mixedcase"
+        assert database.adaptive_handle("p", "ra").strategy == "mixedcase"
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10.0 AND 50.0")
         assert result.row_count > 0

@@ -350,7 +350,9 @@ class TestQueryExecution:
             "sql.resultSet", "sql.rsColumn", "sql.exportResult",
         ]
         named = database.explain("SELECT objid FROM p WHERE ra BETWEEN :lo AND :hi")
-        assert named.count("uselect(X_3, __p0, __p1") == 2  # in Figure 1 and the lowering
+        for block in named.partition("\n# lowering — what the executor runs\n")[::2]:
+            assert block.startswith("function user.s3_0(__p0, __p1):void;")
+            assert "algebra.uselect(X_" in block and ", __p0, __p1, True, True);" in block
 
     def test_a_statement_is_compiled_once_and_runs_its_lowering(self, database, monkeypatch):
         import repro.engine.database as module

@@ -46,11 +46,12 @@ class TestNormalizeSql:
 
 
 class TestPlanCacheUnit:
-    def test_lru_eviction(self):
+    @pytest.mark.parametrize("lookup", ["get", "find"])
+    def test_lru_eviction(self, lookup):
         cache = PlanCache(capacity=2)
         cache.put("a", "plan-a")
         cache.put("b", "plan-b")
-        assert cache.get("a") == "plan-a"  # refreshes a
+        assert getattr(cache, lookup)("a") == "plan-a"  # refreshes a
         cache.put("c", "plan-c")  # evicts b
         assert cache.get("b") is None
         assert cache.get("a") == "plan-a"
@@ -65,9 +66,12 @@ class TestPlanCacheUnit:
         cache.put("a", "plan")
         cache.get("a")
         cache.get("missing")
+        assert cache.find("missing") is None  # its caller's fallback counts the miss
         stats = cache.stats
         assert stats.hits == 1 and stats.misses == 1 and stats.size == 1
         assert stats.hit_ratio == 0.5
+        cache.find("a")
+        assert cache.stats.hits == 2
 
 
 class TestExecuteWithCache:
@@ -303,8 +307,8 @@ class TestOneEntryPerStatement:
         glued = "select x from t where x between -9 and-5"
         first, second = database.execute(glued), database.execute(glued)
         assert len(database.plan_cache) == 1
-        assert database.plan_cache.peek("select x from t where x between ? and-5")
-        assert database.plan_cache.peek(glued) is None
+        assert database.plan_cache.find("select x from t where x between ? and-5")
+        assert database.plan_cache.find(glued) is None
         assert (first.cache_level, second.cache_level) == ("cold", "masked")
         assert first.parameters == second.parameters == (-9.0,)
         spaced = database.execute("select x from t where x between -9 and -5")
@@ -314,7 +318,7 @@ class TestOneEntryPerStatement:
     def test_a_signed_limit_count_stays_in_the_key(self, database):
         result = database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 40 LIMIT +5")
         assert result.row_count == 5 and result.parameters == (10.0, 40.0)
-        assert database.plan_cache.peek(
+        assert database.plan_cache.find(
             "select objid from p where ra between ? and ? limit +5"
         )
 

@@ -1,4 +1,4 @@
-"""Unit tests for the generic optimizer rules and the pipeline."""
+"""Unit tests for the generic optimizer rules and the compiler's lowering."""
 
 import numpy as np
 import pytest
@@ -7,20 +7,11 @@ from repro.engine.execution import ExecutionContext
 from repro.mal.builder import ProgramBuilder
 from tests.support.interpreter import Interpreter
 from repro.mal.modules import default_registry
-from repro.mal.program import Const
-from repro.optimizer.delta_elision import (
-    collapse_iterator_block,
-    elide_empty_updates,
-    fuse_projection,
-    insert_live_rows,
-    lower_short,
-)
-from repro.optimizer.pipeline import OptimizerPipeline
+from repro.mal.program import Const, Var
 from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
 from repro.sql.compiler import SQLCompiler
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
-from tests.support.figure1 import BlockBuilder
 
 
 @pytest.fixture
@@ -85,130 +76,93 @@ class TestMergeDuplicateBinds:
         assert run(program) == run(merged)
 
 
-class TestDeltaElision:
-    """Each rule alone on the Figure-1 plan; the composition is property-tested."""
+_EXPORT_OBJID = ["sql.bind", "algebra.projection", "sql.resultSet", "sql.rsColumn",
+                 "sql.exportResult"]
 
-    SQL = "SELECT objid FROM p WHERE ra BETWEEN 2 AND 4"
+
+def _expected_callees(shape: str, organisation: str) -> list[str]:
+    """The lowering's callee sequence for one statement shape (see ``_LOWERING_SHAPES``)."""
+    if organisation == "adaptive":
+        bind_ra, select, project_ra = [], ["bpm.take", "bpm.select", "sql.live"], ["sql.bind"]
+    else:  # ra is bound once, before its first select; its projection reuses the bind
+        bind_ra, select, project_ra = ["sql.bind"], ["algebra.uselect", "sql.live"], []
+    return {
+        "bound_range": bind_ra + select + _EXPORT_OBJID,
+        "two_predicates_one_column": bind_ra + select * 2 + ["algebra.kintersect"]
+        + _EXPORT_OBJID,
+        "limit": bind_ra + select + ["algebra.slice"] + _EXPORT_OBJID,
+        "aggregates": bind_ra + select + ["aggr.count", "sql.exportValue"] + project_ra
+        + ["algebra.projection", "aggr.avg", "sql.exportValue"],
+        "where_less": ["sql.tid", "aggr.count", "sql.exportValue"],
+        "star": ["sql.tid"] + ["sql.bind", "algebra.projection"] * 2
+        + ["sql.resultSet", "sql.rsColumn", "sql.rsColumn", "sql.exportResult"],
+    }[shape]
+
+
+_LOWERING_SHAPES = {
+    "bound_range": "SELECT objid FROM p WHERE ra BETWEEN ? AND ?",
+    "two_predicates_one_column": "SELECT objid FROM p WHERE ra >= ? AND ra < ?",
+    "limit": "SELECT objid FROM p WHERE ra BETWEEN ? AND ? LIMIT 2",
+    "aggregates": "SELECT count(*), avg(ra) FROM p WHERE ra < ?",
+    "where_less": "SELECT count(*) FROM p",
+    "star": "SELECT * FROM p",
+}
+
+
+class TestLowering:
+    """``SQLCompiler.lower``: the program the executor runs, emitted from the statement."""
 
     @staticmethod
-    def callees(program) -> list[str]:
-        return [instruction.callee for instruction in program.instructions]
-
-    def plan(self, catalog, sql=SQL):
-        return merge_duplicate_binds(SQLCompiler(catalog).compile(parse(sql)))
-
-    def test_empty_updates_alias_their_other_operand(self, catalog):
-        pruned = remove_dead_code(elide_empty_updates(self.plan(catalog)))
-        assert all(
-            instruction.args[-1] != Const(2)
-            for instruction in pruned.instructions
-            if instruction.callee == "sql.bind"
+    def lower(catalog, sql: str, organisation: str = "plain"):
+        compiler = SQLCompiler(catalog)
+        return compiler, compiler.lower(
+            parse(sql, placeholders=True),
+            lambda table, column: organisation == "adaptive" and column == "ra",
+            name="q",
         )
-        callees = self.callees(pruned)
-        # Inserts and deletions are not this rule's: their merges stay.
-        assert callees.count("algebra.kunion") == 2 and callees.count("algebra.kdifference") == 1
-        assert callees.count("algebra.uselect") == 2 and callees.count("sql.bind") == 4
 
-    def test_an_empty_operand_something_else_reads_keeps_its_definition(self):
-        builder = ProgramBuilder("demo")
-        updates = builder.call("sql", "bind", Const("sys"), Const("p"), Const("ra"), Const(2))
-        count = builder.call("aggr", "count", builder.var(updates))
-        builder.effect("sql", "exportValue", Const("n"), builder.var(count))
-        elided = lower_short(builder.build())
-        assert self.callees(elided) == ["sql.bind", "aggr.count", "sql.exportValue"]
+    @pytest.mark.parametrize("organisation", ["adaptive", "plain"])
+    @pytest.mark.parametrize("shape", sorted(_LOWERING_SHAPES))
+    def test_callee_sequence_per_shape(self, catalog, shape, organisation):
+        _, lowered = self.lower(catalog, _LOWERING_SHAPES[shape], organisation)
+        callees = [instruction.callee for instruction in lowered.instructions]
+        assert callees == _expected_callees(shape, organisation)
 
-    def test_the_insert_merge_and_the_deletion_difference_become_one_live_step(self, catalog):
-        program = elide_empty_updates(self.plan(catalog))
-        callees = self.callees(remove_dead_code(insert_live_rows(program)))
-        assert callees.count("sql.live") == 1
-        assert "algebra.kdifference" not in callees and "sql.bind_dbat" not in callees
-        assert callees.count("algebra.kunion") == 1  # the projected column's merge
-        step = next(i for i in insert_live_rows(program).instructions if i.callee == "sql.live")
-        assert step.args[2:5] == (Const("sys"), Const("p"), Const("ra"))
-        assert step.args[5:] == (Const(2.0), Const(4.0), Const(True), Const(True))
-
-    def test_a_merge_over_other_bounds_keeps_the_cascade(self):
-        builder = ProgramBuilder("demo")
-        bind = [
-            builder.call("sql", "bind", Const("sys"), Const("p"), Const("ra"), Const(level))
-            for level in (0, 1)
-        ]
-        hits = [
-            builder.call("algebra", "uselect", builder.var(source), Const(1.0), Const(high))
-            for source, high in zip(bind, (2.0, 3.0))
-        ]
-        builder.call("algebra", "kunion", *(builder.var(hit) for hit in hits), target="out")
-        program = builder.build()
-        assert self.callees(insert_live_rows(program)) == self.callees(program)
-
-    def test_a_select_without_a_predicate_starts_from_the_tables_live_rows(self, catalog):
-        catalog.create_table("q", {"v": np.float64})
-        program = elide_empty_updates(self.plan(catalog, "SELECT ra, objid FROM p"))
-        callees = self.callees(remove_dead_code(insert_live_rows(program)))
-        assert callees.count("sql.tid") == 1
-        assert not {"sql.bind_dbat", "bat.mirror", "algebra.kdifference"} & set(callees)
-        assert callees.count("bat.reverse") == 1  # markT's: the projection rule's to fuse
-        step = next(i for i in insert_live_rows(program).instructions if i.callee == "sql.tid")
-        assert step.args == (Const("sys"), Const("p"))
-        # Every row of another table against p's deletions: the cascade stays.
-        other = program.instructions
-        foreign = [
-            i.with_args((Const("sys"), Const("q"), Const(1))) if i.callee == "sql.bind_dbat" else i
-            for i in other
-        ]
-        kept = insert_live_rows(type(program)(program.name, program.parameters, foreign))
-        assert "sql.tid" not in self.callees(kept)
-
-    def test_projection_fuses_only_over_the_persistent_and_insert_merge(self, catalog):
-        program = self.plan(catalog)
-        assert self.callees(fuse_projection(program)) == self.callees(program)  # col has updates
-        fused = remove_dead_code(fuse_projection(elide_empty_updates(program)))
-        callees = self.callees(fused)
-        assert "algebra.projection" in callees
-        assert not {"calc.oid", "algebra.markT", "algebra.join"} & set(callees)
-
-    def test_only_the_exact_iterator_block_collapses(self):
-        def block(inner_high):
-            builder = BlockBuilder("demo")
-            handle = builder.call("bpm", "take", Const("sys"), Const("p"), Const("ra"))
-            accumulator = builder.call("bpm", "new")
-            bounds = (Const(1.0), Const(2.0), Const(True), Const(True))
-            piece = builder.barrier("bpm", "newIterator", builder.var(handle), *bounds)
-            hits = builder.call(
-                "algebra", "select", builder.var(piece), Const(1.0), Const(inner_high),
-                Const(True), Const(True),
+    def test_the_live_step_reads_what_its_select_read(self, catalog):
+        for organisation, source in (("adaptive", "bpm.take"), ("plain", "sql.bind")):
+            _, lowered = self.lower(catalog, _LOWERING_SHAPES["bound_range"], organisation)
+            definitions = {i.target: i for i in lowered.instructions if i.target}
+            live = next(i for i in lowered.instructions if i.callee == "sql.live")
+            hits, read = (definitions[arg.name] for arg in live.args[:2])
+            assert hits.args[0] == live.args[1] and read.callee == source
+            assert live.args[2:5] == (Const("sys"), Const("p"), Const("ra"))
+            assert live.args[5:] == hits.args[1:] == (
+                Var("__p0"), Var("__p1"), Const(True), Const(True)
             )
-            builder.effect("bpm", "addSegment", builder.var(accumulator), builder.var(hits))
-            builder.redo(piece, "bpm", "hasMoreElements", builder.var(handle), *bounds)
-            builder.exit(piece)
-            builder.call("bpm", "result", builder.var(accumulator), target="out")
-            return builder.build()
+            assert lowered.parameters == ("__p0", "__p1") and lowered.name == "q"
 
-        collapsed = collapse_iterator_block(block(2.0))
-        assert self.callees(collapsed) == ["bpm.take", "bpm.select"]
-        assert collapsed.instructions[1].targets == ("out",)
-        assert collapsed.instructions[1].args == block(2.0).instructions[2].args
-        # An inner select over other bounds is not the identity: left alone.
-        assert self.callees(collapse_iterator_block(block(1.5))) == self.callees(block(1.5))
+    def test_every_column_is_bound_once(self, catalog):
+        _, lowered = self.lower(
+            catalog, "SELECT ra, objid, ra FROM p WHERE ra > 1 AND objid < 4 AND ra < 5"
+        )
+        binds = [i.args[2] for i in lowered.instructions if i.callee == "sql.bind"]
+        assert binds == [Const("ra"), Const("objid")]
+
+    def test_lowering_leaves_the_statement_counter_alone(self, catalog):
+        compiler, _ = self.lower(catalog, _LOWERING_SHAPES["bound_range"])
+        assert compiler.compile(parse("SELECT ra FROM p")).name == "s1_0"
 
     @pytest.mark.parametrize("pending", [False, True], ids=["delta-free", "inserts-deletes"])
-    def test_the_short_lowering_answers_like_the_full_plan(self, catalog, pending):
+    def test_the_lowering_answers_like_the_figure1_plan(self, catalog, pending):
         if pending:
             store = catalog.table("p")
             store.insert({"objid": np.array([5, 6, 7]), "ra": np.array([2.5, 9.0, 3.5])})
             store.delete(np.array([1, 6, 7, 1]))
-        for sql in (self.SQL, "SELECT count(*), sum(ra) FROM p WHERE objid >= 1",
+        for sql in ("SELECT objid FROM p WHERE ra BETWEEN 2 AND 4",
+                    "SELECT count(*), sum(ra) FROM p WHERE objid >= 1",
                     "SELECT * FROM p WHERE ra < 4 AND objid > 0 LIMIT 2", "SELECT ra FROM p"):
-            program = self.plan(catalog, sql)
-            lowered = lower_short(program)
-            assert len(lowered) < len(program)
-            # Only the Figure-1 plan unions hits: kunion's hashing fall-through is the oracle's.
-            definitions = {i.target: i for i in lowered.instructions if i.target is not None}
-            assert all(
-                [definitions[arg.name].callee for arg in instruction.args] == ["sql.bind"] * 2
-                for instruction in lowered.instructions
-                if instruction.callee == "algebra.kunion"
-            ), sql
+            compiler, lowered = self.lower(catalog, sql)
+            program = compiler.compile(parse(sql))
             outcomes = []
             for candidate in (program, lowered):
                 context = ExecutionContext(catalog=catalog)
@@ -216,20 +170,3 @@ class TestDeltaElision:
                 columns = context.exported_columns()
                 outcomes.append(({k: v.tolist() for k, v in columns.items()}, context.scalars))
             assert outcomes[0] == outcomes[1], sql
-
-
-class TestPipeline:
-    def test_rules_applied_in_order(self):
-        calls = []
-
-        def rule_a(program):
-            calls.append("a")
-            return program
-
-        def rule_b(program):
-            calls.append("b")
-            return program
-
-        pipeline = OptimizerPipeline([rule_a, rule_b])
-        pipeline.optimize(ProgramBuilder("x").build())
-        assert calls == ["a", "b"]

@@ -78,7 +78,7 @@ class TestSegmentOptimizerRewrite:
         # The delta-BAT selections (levels 1 and 2) keep the conventional path.
         assert plan.count("algebra.uselect") == 2
 
-    def test_non_adaptive_columns_untouched(self, database):
+    def test_plain_columns_untouched(self, database):
         plan = database.explain("SELECT objid FROM p WHERE ra BETWEEN 100 AND 120")
         assert "bpm." not in plan
 

@@ -4,9 +4,9 @@ The slot-based ``CompiledPlan`` runs straight-line lowerings only; the
 tree-walking interpreter runs the paper's Figure-1 plan, the segment
 optimizer's barrier/redo/exit iterator rewrite included, and is the oracle.
 
-A prepared plan carries one compiled plan: the lowering of the Figure-1 plan
-(``repro.optimizer.delta_elision``).  The interpreter runs the full Figure-1
-plan as the oracle: on a delta-free table and beside pending inserts (made
+A prepared plan carries one compiled plan: the statement's lowering
+(``SQLCompiler.lower``).  The interpreter runs the full, optimized Figure-1
+plan of the same statement as the oracle: on a delta-free table and beside pending inserts (made
 before and after the column turns adaptive) and deletes, the lowering must
 export what ``Interpreter.run`` exports, with equal ``QueryStats`` histories,
 for every built-in organisation and every statement shape.

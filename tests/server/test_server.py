@@ -164,6 +164,62 @@ class TestQueries:
         for (low, high), result in zip(((30.0, 35.0), (80.0, 85.0), (150.0, 155.0)), results):
             assert sorted(result.columns["objid"].tolist()) == expected_objids(low, high)
 
+    def test_pipelined_literal_reads_of_a_warm_text_ride_few_waves(self):
+        # A literal read whose `?` plan the lead already holds is bound on the
+        # loop: the reader takes the next frame at once, so one connection's
+        # reads pile up into shared waves — not one wave each, as when every
+        # read first queued for the lead's thread behind the wave before it.
+        rows = 100_000
+        ranges = [(float(low), float(low) + 3.0) for low in range(0, 320, 5)]
+
+        async def go():
+            server = await serve(port=0)  # the default batch window
+            async with server:
+                connection = await repro.aio.connect(*server.address)
+                await connection.admin.create_table("p", {"objid": "int64", "ra": "float64"})
+                await connection.admin.bulk_load("p", {
+                    "objid": np.arange(rows, dtype=np.int64),
+                    "ra": np.random.default_rng(3).uniform(0.0, 360.0, size=rows),
+                })
+                await connection.admin.enable_adaptive("p", "ra", strategy="segmentation")
+                await connection.execute("select objid from p where ra between 1.0 and 2.0")
+                waves = server.admission.stats.waves
+                literal = await asyncio.gather(*(
+                    connection.execute(f"select objid from p where ra between {low} and {high}")
+                    for low, high in ranges
+                ))
+                waves = server.admission.stats.waves - waves
+                bound = [await connection.execute(SQL, pair) for pair in ranges]
+                await connection.close()
+                return waves, [c.result for c in literal], [c.result for c in bound]
+
+        waves, literal, bound = run(go)
+        assert len(ranges) == 64
+        assert waves <= 8
+        for ours, theirs in zip(literal, bound):
+            assert np.array_equal(
+                np.sort(ours.columns["objid"]), np.sort(theirs.columns["objid"])
+            )
+
+    def test_reads_found_on_the_loop_count_as_plan_cache_hits(self):
+        # The loop-side lookup of a literal or `sql` + `params` frame counts
+        # its hit; a miss is counted once, by the lead that compiles the text.
+        async def go():
+            server = await start_loaded_server()
+            async with server:
+                connection = await repro.aio.connect(*server.address)
+                before = (await connection.admin.cache_stats())["total"]
+                await connection.execute("select objid from p where ra between 1.0 and 2.0")
+                await connection.execute("select objid from p where ra between 3.0 and 4.0")
+                await connection.execute(SQL, (5.0, 6.0))  # the masked text of both
+                after = (await connection.admin.cache_stats())["total"]
+                await connection.close()
+                return before, after
+
+        before, after = run(go)
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 2
+
     def test_bound_execute_goes_through_admission(self):
         async def go():
             server = await start_loaded_server()

@@ -51,7 +51,6 @@ class TestPredicateParsing:
         assert len(statement.predicates) == 3
         assert statement.predicates[1] == ComparisonPredicate("dec", ">=", 1.5)
         assert statement.predicates[2] == ComparisonPredicate("dec", "<", 2.0)
-        assert statement.predicate_columns == ("ra", "dec")
 
     def test_scientific_notation_and_negative_numbers(self):
         statement = parse("SELECT objid FROM p WHERE ra BETWEEN -1.5e2 AND 2E2")

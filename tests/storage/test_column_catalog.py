@@ -228,26 +228,13 @@ class TestCatalog:
         with pytest.raises(KeyError):
             catalog.schema("missing")
 
-    def test_drop_table_clears_adaptive_registrations(self):
+    def test_drop_table_forgets_the_table(self):
         catalog = Catalog()
         catalog.create_table("p", {"ra": np.float64})
-        catalog.register_adaptive("p", "ra", "segmentation")
-        assert catalog.is_adaptive("p", "ra")
         catalog.drop_table("p")
-        assert not catalog.is_adaptive("p", "ra")
         assert catalog.table_names == []
-
-    def test_adaptive_registration_validation(self):
-        catalog = Catalog()
-        catalog.create_table("p", {"ra": np.float64})
         with pytest.raises(KeyError):
-            catalog.register_adaptive("p", "dec", "segmentation")
-        with pytest.raises(ValueError):
-            catalog.register_adaptive("p", "ra", "btree")
-        catalog.register_adaptive("p", "ra", "replication")
-        assert catalog.adaptive_strategy("p", "ra") == "replication"
-        catalog.unregister_adaptive("p", "ra")
-        assert catalog.adaptive_strategy("p", "ra") is None
+            catalog.column("p", "ra")
 
     def test_table_schema_of_helper(self):
         schema = TableSchema.of("t", {"a": "int32", "b": np.float64})
