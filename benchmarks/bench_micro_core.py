@@ -180,3 +180,7 @@ def test_micro_plain_wave_disjoint(benchmark):
 
 def test_micro_managed_wave(benchmark):
     _bench_wave(benchmark, DISJOINT_WAVE, strategy="segmentation")
+
+
+def test_micro_replicated_wave(benchmark):
+    _bench_wave(benchmark, DISJOINT_WAVE, strategy="replication")

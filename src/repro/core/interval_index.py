@@ -20,7 +20,9 @@ answers of the overlapped leaves in value order, fold consecutive
 duplicates, keep the maximal ones.  For segmentation the pass is the
 identity; for replication it is exactly Algorithm 3's minimal cover.  Two
 doors change the index: :meth:`~IntervalIndex.splice` and
-:meth:`~IntervalIndex.repoint`.
+:meth:`~IntervalIndex.repoint`.  Each bumps :attr:`IntervalIndex.generation`,
+so a cover computed earlier is still the cover while the generation is
+unchanged.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ class IntervalIndex:
 
     ``lows`` / ``highs`` / ``answers`` are the owner-side lists (value order;
     read them, never mutate them).  Single writer: the owning thread.
+    ``generation`` counts the calls to the two doors.
     """
 
     def __init__(self, leaves: Sequence[Any], answers: Sequence[Any]) -> None:
+        self.generation = 0
         self.lows: list[float] = []
         self.highs: list[float] = []
         self.answers: list = []
@@ -109,6 +113,7 @@ class IntervalIndex:
         self.highs[start:stop] = [leaf.vrange.high for leaf in leaves]
         self.answers[start:stop] = answers
         self._bound_arrays = None
+        self.generation += 1
 
     def repoint(self, vrange: ValueRange, answer: Any) -> None:
         """Leaves inside ``vrange`` whose answer spans all of it get ``answer``.
@@ -117,6 +122,7 @@ class IntervalIndex:
         of ``vrange`` itself or by one enclosing it; a leaf answered by a
         piece nested inside ``vrange`` keeps its answer.
         """
+        self.generation += 1
         answers = self.answers
         low, high = vrange.low, vrange.high
         start = bisect_right(self.highs, low)

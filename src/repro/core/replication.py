@@ -17,6 +17,13 @@ Compared with adaptive segmentation the reorganization overhead is smaller —
 only pieces queries expressed interest in are ever copied — at the price of
 extra storage for the replicas.
 
+A batch of N ranges (``select_many``) runs in one frame and leaves exactly
+the tree N sequential selects leave.  One read pass answers every member from
+the pre-batch cover, reading each covering segment once for the batch.  The
+adaptation pass then runs steps 2-4 per member, in member order, on that
+member's current cover; it skips a covering leaf the member fully contains,
+where Algorithm 4 has nothing to split or materialize.
+
 The paper leaves a cap on replica storage as future work; the optional
 ``storage_budget`` is this repo's rule, not the paper's: *admit or
 partition*.  Before step 3 the chosen replicas' exact bytes are probed on
@@ -56,11 +63,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
     strategy_name = "replication"
     requires_model = True
     display_short = "Repl"
-    #: Replication defines no ``_execute_batch``: Algorithm 2 interleaves
-    #: cover computation, replica analysis and materialization per query, and
-    #: each query's minimal cover depends on the replicas the previous one
-    #: materialized — a batch kernel would have to re-derive the tree per
-    #: member anyway, so batches take the sequential fallback.
 
     def __init__(
         self,
@@ -135,16 +137,104 @@ class ReplicatedColumn(AdaptiveColumnBase):
             stats.selection_seconds += self._now() - started
 
             started = self._now()
-            to_materialize = self.analyze_replicas(query, node)
-            if budget is not None and not self._fits(node, to_materialize, budget):
-                to_materialize = self._answered_leaves(node)
-            self._materialize(node, to_materialize, stats)
+            self._adapt(query, node, budget, stats)
             stats.adaptation_seconds += self._now() - started
 
         started = self._now()
         result = SelectionResult.concatenate(parts, self.dtype)
         stats.selection_seconds += self._now() - started
         return result
+
+    def _execute_batch(
+        self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats
+    ) -> list[SelectionResult]:
+        """Answer a batch in one frame, adapting the tree as N selects would.
+
+        The read pass takes every member's cover first and reads each
+        distinct covering node once for the batch: a member that fully
+        contains the node takes its whole payload, the others share one
+        :meth:`Segment.bounds_many`.  Segments are never mutated, so these
+        slices stay valid while the adaptation pass runs :meth:`_adapt` per
+        member, in member order, over the member's cover as it stands then —
+        the read pass's cover while the index generation is unchanged.
+        """
+        budget = self.storage_budget
+        if budget is not None and self.tree.storage_bytes > budget:
+            # Only the first of N selects would find storage above the
+            # budget: adaptation never raises it past the budget again.
+            started = self._now()
+            self._meet_lowered_budget(budget, stats)
+            stats.adaptation_seconds += self._now() - started
+
+        started = self._now()
+        domain = self.domain
+        lows = np.maximum(lows, domain.low)
+        highs = np.minimum(highs, domain.high)
+        low_list, high_list = lows.tolist(), highs.tolist()
+        # Each member clipped to the domain, as select clips it; None when empty.
+        queries = [
+            ValueRange(low, high) if low < high else None
+            for low, high in zip(low_list, high_list)
+        ]
+        index = self.index
+        generation = index.generation
+        covers = [index.cover(query) if query is not None else [] for query in queries]
+        members: dict[ReplicaNode, list[int]] = {}
+        for q, cover in enumerate(covers):
+            for node in cover:
+                members.setdefault(node, []).append(q)
+        parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in queries]
+        # Value order, so each member's parts follow its own disjoint cover.
+        for node, positions in sorted(members.items(), key=lambda item: item[0].vrange.low):
+            self.accountant.record_read(node.size_bytes)
+            segment = node.segment
+            node_low, node_high = node.vrange.low, node.vrange.high
+            values, oids = segment.values, segment.oids
+            partial: list[int] = []
+            for q in positions:
+                if low_list[q] <= node_low and high_list[q] >= node_high:
+                    parts[q].append((values, oids))
+                else:
+                    partial.append(q)
+            if len(partial) == 1:  # two scalar probes beat a probe batch of one
+                lo, hi = segment.bounds(queries[partial[0]])
+                parts[partial[0]].append((values[lo:hi], oids[lo:hi]))
+            elif partial:
+                los, his = segment.bounds_many(lows[partial], highs[partial])
+                for q, lo, hi in zip(partial, los.tolist(), his.tolist()):
+                    parts[q].append((values[lo:hi], oids[lo:hi]))
+        stats.selection_seconds += self._now() - started
+
+        started = self._now()
+        tree = self.tree
+        for q, query in enumerate(queries):
+            if query is None:
+                continue
+            low, high = low_list[q], high_list[q]
+            cover = covers[q] if index.generation == generation else index.cover(query)
+            for node in cover:
+                # A covering leaf inside the range is held and unsplittable:
+                # the model sees no cut point and consumes no randomness.
+                vrange = node.vrange
+                if node.children or not (low <= vrange.low and vrange.high <= high):
+                    self._adapt(query, node, budget, stats)
+            # The peak N selects would record, one closed frame per member.
+            self.peak_storage_bytes = max(self.peak_storage_bytes, tree.storage_bytes)
+        stats.adaptation_seconds += self._now() - started
+
+        started = self._now()
+        results = [SelectionResult.from_slices(q_parts, self.dtype) for q_parts in parts]
+        stats.selection_seconds += self._now() - started
+        return results
+
+    def _adapt(
+        self, query: ValueRange, node: ReplicaNode, budget: float | None, stats: QueryStats
+    ) -> None:
+        """Steps 2-4 on one covering node: Algorithm 4, admit or partition, Algorithm 5."""
+        to_materialize = self.analyze_replicas(query, node)
+        if budget is not None and not self._fits(node, to_materialize, budget):
+            to_materialize = self._answered_leaves(node)
+        self._materialize(node, to_materialize, stats)
 
     # -- Algorithm 4: replica analysis ------------------------------------------
 

@@ -93,6 +93,25 @@ class SelectionResult:
             np.concatenate([p.oids for p in parts]),
         )
 
+    @classmethod
+    def from_slices(
+        cls, parts: list[tuple[np.ndarray, np.ndarray]], dtype: np.dtype
+    ) -> "SelectionResult":
+        """One batch member's ``(values, oids)`` slices, in value order, as a result.
+
+        A single slice is returned unwrapped (zero-copy), as in
+        :meth:`concatenate`.
+        """
+        if not parts:
+            return cls.empty(dtype)
+        if len(parts) == 1:
+            values, oids = parts[0]
+            return cls(values, oids)
+        return cls(
+            np.concatenate([values for values, _ in parts]),
+            np.concatenate([oids for _, oids in parts]),
+        )
+
 
 def slice_bounds(values: np.ndarray, vrange: ValueRange, query: ValueRange) -> tuple[int, int]:
     """Positional slice ``[lo, hi)`` of the sorted ``values`` falling into ``query``.

@@ -170,21 +170,7 @@ class SegmentedColumn(AdaptiveColumnBase):
         # Per-query parts were appended in ascending segment order over
         # disjoint sorted payloads, so a multi-part result is in ascending
         # value order.
-        results: list[SelectionResult] = []
-        for q in range(n):
-            q_parts = parts[q]
-            if not q_parts:
-                results.append(SelectionResult.empty(self.dtype))
-            elif len(q_parts) == 1:
-                values, oids = q_parts[0]
-                results.append(SelectionResult(values, oids))
-            else:
-                results.append(
-                    SelectionResult(
-                        np.concatenate([values for values, _ in q_parts]),
-                        np.concatenate([oids for _, oids in q_parts]),
-                    )
-                )
+        results = [SelectionResult.from_slices(q_parts, self.dtype) for q_parts in parts]
         stats.selection_seconds += self._now() - started
         return results
 

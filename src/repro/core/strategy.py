@@ -18,7 +18,9 @@ Public surface:
   frame* (one :class:`QueryStats` record, accountant attached for exactly
   the hook's duration, one ``history`` append, one model observation)
   around a per-strategy hook — ``_execute`` and optionally
-  ``_execute_batch``.
+  ``_execute_batch``.  Segmentation and replication define the batch hook;
+  only the NoSegm baseline takes the sequential fallback (one ``select``
+  per member).
 * :func:`batch_bounds_arrays` — shared validation for the batched
   ``select_many`` hook (mirrors :class:`~repro.core.ranges.ValueRange`).
 * :func:`register_strategy` — the class decorator that registers a strategy.
@@ -195,13 +197,13 @@ class AdaptiveColumnBase:
         """Answer N half-open range selections ``[low_i, high_i)`` at once.
 
         A strategy with an :attr:`_execute_batch` hook answers the whole batch
-        inside one frame: access statistics are genuinely shared, adaptation
-        fires once per batch, the model observes the batch's mean result size
-        and one record with ``batch_size == len(bounds)`` lands in
-        :attr:`history`.  Without the hook this is the sequential fallback —
-        one :meth:`select` per pair, with the usual per-query adaptation and
-        record — so every registered strategy is batch-correct by
-        construction.
+        inside one frame: access statistics are genuinely shared, the hook
+        adapts the column inside the frame (segmentation once per batch,
+        replication per member) and one record with
+        ``batch_size == len(bounds)`` lands in :attr:`history`.  Without the
+        hook this is the sequential fallback — one :meth:`select` per pair,
+        with the usual per-query adaptation and record — so every registered
+        strategy is batch-correct by construction.
         """
         if self._execute_batch is None:
             return [self.select(low, high) for low, high in bounds]

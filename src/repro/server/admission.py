@@ -5,7 +5,7 @@ are not executed as they arrive: each is queued for at most ``batch_window_us``
 microseconds so that requests from *other* connections can pile on, then the
 whole wave is handed to :meth:`~repro.engine.database.Database.execute_wave`
 on its replica's single worker thread — selects on one adaptive column
-collapse into one ``select_many`` kernel pass (piggy-backed adaptation runs once per batch,
+collapse into one ``select_many`` kernel pass (piggy-backed adaptation runs inside it,
 preserving the engine's single-threaded adaptation invariant), everything
 else falls back to per-query prepared execution inside the same wave.
 

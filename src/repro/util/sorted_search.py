@@ -17,6 +17,17 @@ import numpy as np
 
 __all__ = ["sorted_probe", "sorted_probe_many"]
 
+#: ``(min, max)`` of each integer payload dtype seen, so a probe looks its
+#: bounds up instead of building an ``np.iinfo`` per call.
+_INT_BOUNDS: dict[np.dtype, tuple[int, int]] = {}
+
+
+def _int_bounds(dtype: np.dtype) -> tuple[int, int]:
+    """``(min, max)`` of the integer ``dtype``, cached in :data:`_INT_BOUNDS`."""
+    info = np.iinfo(dtype)
+    bounds = _INT_BOUNDS[dtype] = (int(info.min), int(info.max))
+    return bounds
+
 
 def sorted_probe(values: np.ndarray, value: float, side: str = "left") -> int:
     """``np.searchsorted`` for one scalar probe, avoiding integer→float casts.
@@ -36,12 +47,13 @@ def sorted_probe(values: np.ndarray, value: float, side: str = "left") -> int:
             target = math.ceil(value)
         else:
             target = math.floor(value) + 1
-        info = np.iinfo(values.dtype)
-        if target <= info.min:
+        dtype = values.dtype
+        low, high = _INT_BOUNDS.get(dtype) or _int_bounds(dtype)
+        if target <= low:
             return 0
-        if target > info.max:
+        if target > high:
             return int(values.size)
-        return int(values.searchsorted(values.dtype.type(target), side="left"))
+        return int(values.searchsorted(dtype.type(target), side="left"))
     # The method, not ``np.searchsorted``: the same search without the two
     # Python-level dispatch frames in front of it.
     return int(values.searchsorted(value, side=side))
@@ -69,13 +81,13 @@ def sorted_probe_many(values: np.ndarray, probes: np.ndarray, side: str = "left"
             targets = np.ceil(probes)
         else:
             targets = np.floor(probes) + 1.0
-        info = np.iinfo(values.dtype)
-        # ``float(info.max)`` rounds *up* to 2**63 for int64, so a target equal
+        low, high = _INT_BOUNDS.get(values.dtype) or _int_bounds(values.dtype)
+        # ``float(high)`` rounds *up* to 2**63 for int64, so a target equal
         # to it would overflow the cast below; treat it as past-the-end then.
-        limit = float(info.max)
-        overflow = targets >= limit if int(limit) > info.max else targets > limit
-        safe = np.clip(targets, float(info.min), None)
-        safe = np.where(overflow, float(info.min), safe)
+        limit = float(high)
+        overflow = targets >= limit if int(limit) > high else targets > limit
+        safe = np.clip(targets, float(low), None)
+        safe = np.where(overflow, float(low), safe)
         positions = np.searchsorted(values, safe.astype(values.dtype), side="left")
         positions[overflow] = values.size
         return positions

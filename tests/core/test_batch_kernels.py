@@ -182,16 +182,28 @@ class TestUnsegmentedSelectMany:
         assert all(record.reads_bytes == column.total_bytes for record in column.history)
 
 
-class TestReplicatedSelectManyFallback:
-    def test_sequential_fallback_matches_per_query(self, values, apm_model):
-        rng = np.random.default_rng(12)
-        bounds = _batch_bounds(rng, 6)
-        batch_col = ReplicatedColumn(values.copy(), model=AdaptivePageModel(m_min=3 * KB, m_max=12 * KB))
-        serial_col = ReplicatedColumn(values.copy(), model=AdaptivePageModel(m_min=3 * KB, m_max=12 * KB))
+class TestReplicatedSelectMany:
+    def _column(self, values):
+        column = ReplicatedColumn(values, model=AdaptivePageModel(m_min=3 * KB, m_max=12 * KB))
+        for low in (20_000.0, 50_000.0, 80_000.0):  # a tree with nested replicas
+            column.select(low, low + 4_000.0)
+        return column
+
+    def test_one_record_reads_each_pre_batch_cover_node_once(self, values):
+        bounds = _batch_bounds(np.random.default_rng(12), 6)
+        bounds += [bounds[0], (19_000.0, 26_000.0), (5.0, 5.0), (-10.0, 1_000.0)]
+        batch_col = self._column(values.copy())
+        serial_col = self._column(values.copy())
+        covers = [batch_col.index.cover(ValueRange(low, high)) for low, high in bounds]
+        distinct = {id(node): node.size_bytes for cover in covers for node in cover}
+        assert sum(distinct.values()) < sum(node.size_bytes for cover in covers for node in cover)
+        recorded = len(batch_col.history)
         batch = batch_col.select_many(bounds)
         for (low, high), got in zip(bounds, batch):
-            expected = serial_col.select(low, high)
-            assert _pairs(got) == _pairs(expected)
-        # The fallback keeps the per-query contract: one record per member.
-        assert len(batch_col.history) == len(bounds)
-        assert all(record.batch_size == 1 for record in batch_col.history)
+            assert _pairs(got) == _pairs(serial_col.select(low, high))
+        assert len(batch_col.history) == recorded + 1
+        record = batch_col.history[-1]
+        assert record.batch_size == len(bounds)
+        assert record.reads_bytes == sum(distinct.values())
+        assert record.result_count == sum(got.count for got in batch)
+        batch_col.check_invariants()

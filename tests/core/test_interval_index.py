@@ -62,6 +62,19 @@ class TestMaintenance:
         assert index.answers == [outer, inner, outer, outer]
         index.check_invariants()
 
+    def test_generation_counts_the_doors_and_not_the_lookups(self, laminar):
+        index, outer, _ = laminar
+        generation = index.generation
+        index.cover(ValueRange(10, 70))
+        index.route_many(np.array([10.0, 55.0]), np.array([30.0, 90.0]))
+        index.span(ValueRange(10, 70))
+        assert index.generation == generation
+        index.repoint(outer.vrange, outer)
+        assert index.generation == generation + 1
+        pieces = index.answers[1].partition([40])
+        index.splice(1, 2, pieces, pieces)
+        assert index.generation == generation + 2
+
 
 class TestCover:
     def test_middle_query(self, index):
