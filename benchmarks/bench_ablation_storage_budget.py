@@ -21,11 +21,9 @@ from repro.workloads.generators import make_column, uniform_workload
 def _row(label: str, column) -> dict[str, object]:
     for query in uniform_workload(1500, (0, 1_000_000), 0.1, seed=5):
         column.select(query.low, query.high)
-    # NoSegm never stores more than the column, so it keeps no peak.
-    peak = getattr(column, "peak_storage_bytes", column.storage_bytes)
     return {
         "budget": label,
-        "peak storage (KB)": peak / KB,
+        "peak storage (KB)": column.peak_storage_bytes / KB,
         "final storage (KB)": column.storage_bytes / KB,
         "avg read (KB)": column.history.average("reads_bytes") / KB,
     }

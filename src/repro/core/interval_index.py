@@ -30,8 +30,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.core.ranges import ValueRange
 
 
@@ -48,7 +46,6 @@ class IntervalIndex:
         self.lows: list[float] = []
         self.highs: list[float] = []
         self.answers: list = []
-        self._bound_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self.splice(0, 0, leaves, answers)
 
     def __len__(self) -> int:
@@ -61,12 +58,12 @@ class IntervalIndex:
         start = bisect_right(self.highs, vrange.low)
         return start, bisect_left(self.lows, vrange.high, start)
 
-    def cover(self, query: ValueRange) -> list:
-        """The answers covering ``query`` (Algorithm 3's minimal cover), in value order."""
-        if query.is_empty:
+    def cover(self, low: float, high: float) -> list:
+        """The answers covering ``[low, high)`` (Algorithm 3's minimal cover), in value order."""
+        if high <= low:
             return []
-        start = bisect_right(self.highs, query.low)
-        stop = bisect_left(self.lows, query.high, start)
+        start = bisect_right(self.highs, low)
+        stop = bisect_left(self.lows, high, start)
         cover: list = []
         for answer in self.answers[start:stop]:
             vrange = answer.vrange
@@ -84,26 +81,7 @@ class IntervalIndex:
 
     def footprint(self, query: ValueRange) -> float:
         """Bytes a query over ``query`` reads: the sum of its cover's sizes."""
-        return sum(answer.size_bytes for answer in self.cover(query))
-
-    def route_many(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf spans ``[start_i, stop_i)`` for N half-open ranges at once.
-
-        Two ``np.searchsorted`` passes over the leaf bounds classify the whole
-        batch; empty ranges (``low >= high``) yield empty spans.
-        """
-        if self._bound_arrays is None:
-            self._bound_arrays = (
-                np.asarray(self.lows, dtype=np.float64),
-                np.asarray(self.highs, dtype=np.float64),
-            )
-        leaf_lows, leaf_highs = self._bound_arrays
-        # Leaves are ordered and gap-free, so their highs are sorted too: the
-        # overlap span is [first high > low, first low >= high).
-        starts = np.searchsorted(leaf_highs, lows, side="right")
-        stops = np.searchsorted(leaf_lows, highs, side="left")
-        stops = np.where((np.asarray(lows) >= np.asarray(highs)) | (stops < starts), starts, stops)
-        return starts, stops
+        return sum(answer.size_bytes for answer in self.cover(query.low, query.high))
 
     # -- the two doors ------------------------------------------------------------
 
@@ -112,7 +90,6 @@ class IntervalIndex:
         self.lows[start:stop] = [leaf.vrange.low for leaf in leaves]
         self.highs[start:stop] = [leaf.vrange.high for leaf in leaves]
         self.answers[start:stop] = answers
-        self._bound_arrays = None
         self.generation += 1
 
     def repoint(self, vrange: ValueRange, answer: Any) -> None:

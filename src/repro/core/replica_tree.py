@@ -10,7 +10,7 @@ its replicas cover the whole domain.
 
 The tree keeps an :class:`~repro.core.interval_index.IntervalIndex` over its
 leaves, each answered by its deepest materialized ancestor-or-self, so
-Algorithm 3's minimal cover is ``tree.index.cover(query)``.
+Algorithm 3's minimal cover is ``tree.index.cover(low, high)``.
 """
 
 from __future__ import annotations

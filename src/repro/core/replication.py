@@ -17,12 +17,14 @@ Compared with adaptive segmentation the reorganization overhead is smaller —
 only pieces queries expressed interest in are ever copied — at the price of
 extra storage for the replicas.
 
-A batch of N ranges (``select_many``) runs in one frame and leaves exactly
-the tree N sequential selects leave.  One read pass answers every member from
-the pre-batch cover, reading each covering segment once for the batch.  The
-adaptation pass then runs steps 2-4 per member, in member order, on that
-member's current cover; it skips a covering leaf the member fully contains,
-where Algorithm 4 has nothing to split or materialize.
+Step 1 and the query's own read are the read path of
+:class:`~repro.core.strategy.AdaptiveColumnBase` over the tree's leaf index;
+this module is the adaptation rule, :meth:`ReplicatedColumn._adapt` (steps
+2-4 on one covering segment).  A batch (``select_many``) leaves exactly the
+tree N sequential selects leave: one read pass answers every member, and the
+base's wave rule adapts member by member on each member's current cover.
+A covering leaf the query contains is skipped, on either door: Algorithm 4
+has nothing to split or materialize there.
 
 The paper leaves a cap on replica storage as future work; the optional
 ``storage_budget`` is this repo's rule, not the paper's: *admit or
@@ -44,7 +46,7 @@ from repro.core.accounting import IOAccountant, QueryStats
 from repro.core.models import SegmentationModel, SplitAction
 from repro.core.ranges import ValueRange
 from repro.core.replica_tree import ReplicaNode, ReplicaTree
-from repro.core.segment import SelectionResult, Segment
+from repro.core.segment import Segment
 from repro.core.strategy import AdaptiveColumnBase, register_strategy
 
 
@@ -89,7 +91,6 @@ class ReplicatedColumn(AdaptiveColumnBase):
         self.storage_budget = storage_budget
         #: The budget the column was enabled with (the knob row's default).
         self.enabled_budget = storage_budget
-        self.peak_storage_bytes = self.total_bytes
 
     # -- public API --------------------------------------------------------
 
@@ -113,142 +114,35 @@ class ReplicatedColumn(AdaptiveColumnBase):
         """Depth of the replica tree (a §6.1.3 quantity)."""
         return self.tree.depth
 
-    def _after_frame(self, stats: QueryStats) -> None:
-        self.peak_storage_bytes = max(self.peak_storage_bytes, stats.storage_bytes)
+    # -- the adaptation rule --------------------------------------------------
 
-    # -- Algorithm 2: the per-query driver -----------------------------------
-
-    def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
+    def _before_read(self, stats: QueryStats) -> None:
+        """Meet a budget lowered since the last read (adaptation never exceeds
+        one again, so of N selects only the first could find it exceeded)."""
         budget = self.storage_budget
         if budget is not None and self.tree.storage_bytes > budget:
             started = self._now()
             self._meet_lowered_budget(budget, stats)
             stats.adaptation_seconds += self._now() - started
-        query = query.intersect(self.domain)
-        if query.is_empty:
-            return SelectionResult.empty(self.dtype)
-        cover = self.index.cover(query)
-        parts: list[SelectionResult] = []
-        for node in cover:
-            self.accountant.record_read(node.size_bytes)
 
-            started = self._now()
-            parts.append(node.segment.select(query))
-            stats.selection_seconds += self._now() - started
+    def _adapt(self, query: ValueRange, node: ReplicaNode, stats: QueryStats) -> None:
+        """Steps 2-4 on one covering node: Algorithm 4, admit or partition, Algorithm 5.
 
-            started = self._now()
-            self._adapt(query, node, budget, stats)
-            stats.adaptation_seconds += self._now() - started
-
-        started = self._now()
-        result = SelectionResult.concatenate(parts, self.dtype)
-        stats.selection_seconds += self._now() - started
-        return result
-
-    def _execute_batch(
-        self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats
-    ) -> list[SelectionResult]:
-        """Answer a batch in one frame, adapting the tree as N selects would.
-
-        The read pass takes every member's cover first and reads each
-        distinct covering node once for the batch: a member that fully
-        contains the node takes its whole payload, the others share one
-        :meth:`Segment.bounds_many`.  Segments are never mutated, so these
-        slices stay valid while the adaptation pass runs :meth:`_adapt` per
-        member, in member order, over the member's cover as it stands then —
-        the read pass's cover while the index generation is unchanged.
+        Algorithm 4 chooses the replicas to build from ``node``'s scan: virtual
+        leaves kept whole (case 0) and new query-side children (cases 1-4).
         """
+        if not node.children and query.contains_range(node.vrange):
+            # A held leaf inside the range: the model sees no cut point (and
+            # consumes no randomness), and there is nothing to materialize.
+            return
+        to_materialize: list[ReplicaNode] = []
+        self._analyze_node(node, query, to_materialize)
         budget = self.storage_budget
-        if budget is not None and self.tree.storage_bytes > budget:
-            # Only the first of N selects would find storage above the
-            # budget: adaptation never raises it past the budget again.
-            started = self._now()
-            self._meet_lowered_budget(budget, stats)
-            stats.adaptation_seconds += self._now() - started
-
-        started = self._now()
-        domain = self.domain
-        lows = np.maximum(lows, domain.low)
-        highs = np.minimum(highs, domain.high)
-        low_list, high_list = lows.tolist(), highs.tolist()
-        # Each member clipped to the domain, as select clips it; None when empty.
-        queries = [
-            ValueRange(low, high) if low < high else None
-            for low, high in zip(low_list, high_list)
-        ]
-        index = self.index
-        generation = index.generation
-        covers = [index.cover(query) if query is not None else [] for query in queries]
-        members: dict[ReplicaNode, list[int]] = {}
-        for q, cover in enumerate(covers):
-            for node in cover:
-                members.setdefault(node, []).append(q)
-        parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in queries]
-        # Value order, so each member's parts follow its own disjoint cover.
-        for node, positions in sorted(members.items(), key=lambda item: item[0].vrange.low):
-            self.accountant.record_read(node.size_bytes)
-            segment = node.segment
-            node_low, node_high = node.vrange.low, node.vrange.high
-            values, oids = segment.values, segment.oids
-            partial: list[int] = []
-            for q in positions:
-                if low_list[q] <= node_low and high_list[q] >= node_high:
-                    parts[q].append((values, oids))
-                else:
-                    partial.append(q)
-            if len(partial) == 1:  # two scalar probes beat a probe batch of one
-                lo, hi = segment.bounds(queries[partial[0]])
-                parts[partial[0]].append((values[lo:hi], oids[lo:hi]))
-            elif partial:
-                los, his = segment.bounds_many(lows[partial], highs[partial])
-                for q, lo, hi in zip(partial, los.tolist(), his.tolist()):
-                    parts[q].append((values[lo:hi], oids[lo:hi]))
-        stats.selection_seconds += self._now() - started
-
-        started = self._now()
-        tree = self.tree
-        for q, query in enumerate(queries):
-            if query is None:
-                continue
-            low, high = low_list[q], high_list[q]
-            cover = covers[q] if index.generation == generation else index.cover(query)
-            for node in cover:
-                # A covering leaf inside the range is held and unsplittable:
-                # the model sees no cut point and consumes no randomness.
-                vrange = node.vrange
-                if node.children or not (low <= vrange.low and vrange.high <= high):
-                    self._adapt(query, node, budget, stats)
-            # The peak N selects would record, one closed frame per member.
-            self.peak_storage_bytes = max(self.peak_storage_bytes, tree.storage_bytes)
-        stats.adaptation_seconds += self._now() - started
-
-        started = self._now()
-        results = [SelectionResult.from_slices(q_parts, self.dtype) for q_parts in parts]
-        stats.selection_seconds += self._now() - started
-        return results
-
-    def _adapt(
-        self, query: ValueRange, node: ReplicaNode, budget: float | None, stats: QueryStats
-    ) -> None:
-        """Steps 2-4 on one covering node: Algorithm 4, admit or partition, Algorithm 5."""
-        to_materialize = self.analyze_replicas(query, node)
         if budget is not None and not self._fits(node, to_materialize, budget):
             to_materialize = self._answered_leaves(node)
         self._materialize(node, to_materialize, stats)
 
     # -- Algorithm 4: replica analysis ------------------------------------------
-
-    def analyze_replicas(self, query: ValueRange, cover_node: ReplicaNode) -> list[ReplicaNode]:
-        """Decide which replicas to create below ``cover_node`` for this query.
-
-        Returns the nodes whose payload should be materialized from the
-        covering segment's scan: existing virtual leaves that are materialized
-        without splitting (case 0) and newly created query-side children
-        (cases 1-4).
-        """
-        to_materialize: list[ReplicaNode] = []
-        self._analyze_node(cover_node, query, to_materialize)
-        return to_materialize
 
     def _analyze_node(
         self, node: ReplicaNode, query: ValueRange, to_materialize: list[ReplicaNode]

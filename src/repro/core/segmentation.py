@@ -9,6 +9,13 @@ its two or three sub-segments — the query result is piggy-backed on this
 reorganization, and the pieces outside the selection constitute the
 reorganization overhead the paper measures as memory writes.
 
+The selection itself is :class:`~repro.core.strategy.AdaptiveColumnBase`'s
+read path over the segment list (an :class:`IntervalIndex` whose every leaf
+is its own answer); this module is the adaptation rule, :meth:`_adapt`.  A
+batch (``select_many``) is read in one pass and then adapted once: each
+touched segment sees a single split decision against the envelope of the
+members that read it (:meth:`_adapt_wave`).
+
 With the sorted zero-copy segment layout (:mod:`repro.core.segment`), a
 split produces slice views over the shared payload and a selection over a
 fully-contained segment returns its payload directly; the accountants keep
@@ -24,7 +31,7 @@ from repro.core.accounting import IOAccountant, QueryStats
 from repro.core.interval_index import IntervalIndex
 from repro.core.models import SegmentationModel
 from repro.core.ranges import ValueRange
-from repro.core.segment import SelectionResult, Segment
+from repro.core.segment import Segment
 from repro.core.strategy import AdaptiveColumnBase, register_strategy
 
 
@@ -86,139 +93,17 @@ class SegmentedColumn(AdaptiveColumnBase):
 
     @property
     def storage_bytes(self) -> float:
-        """Bytes used for the column payload (constant for segmentation).
-
-        Splits conserve the payload exactly (verified by
-        :meth:`check_invariants`), so this is ``total_bytes`` — computed in
-        O(1) instead of summing over every segment on the query hot path.
-        """
+        """The column's bytes: splits conserve the payload (see :meth:`check_invariants`)."""
         return self.total_bytes
 
-    # -- the frame's hooks ----------------------------------------------------
+    # -- the adaptation rules -------------------------------------------------
 
-    def _execute(self, query: ValueRange, stats: QueryStats) -> SelectionResult:
-        now, decide, record_read = self._now, self.model.decide, self.accountant.record_read
-        parts: list[SelectionResult] = []
-        for segment in self.index.cover(query):
-            # Logical read bytes are accounted whether or not data is touched.
-            record_read(segment.size_bytes)
-
-            # Three clock reads: selection ends where adaptation starts.
-            started = now()
-            parts.append(segment.select(query))
-            selected = now()
-            stats.selection_seconds += selected - started
-
-            decision = decide(query, segment, total_bytes=self.total_bytes)
-            if decision.should_split:
-                self._split(segment, list(decision.points), stats)
-            stats.adaptation_seconds += now() - selected
-        if len(parts) == 1:
-            return parts[0]  # one covering segment's slice: nothing to concatenate
-        started = now()
-        result = SelectionResult.concatenate(parts, self.dtype)
-        stats.selection_seconds += now() - started
-        return result
-
-    def _execute_batch(
-        self, lows: np.ndarray, highs: np.ndarray, stats: QueryStats
-    ) -> list[SelectionResult]:
-        """The vectorized batch kernel.
-
-        The whole batch is routed against the segment bounds in one
-        ``np.searchsorted`` pass (:meth:`IntervalIndex.route_many`) and
-        every touched segment answers all of its member queries with one
-        probe batch (:meth:`Segment.bounds_many`) — O(touched segments) numpy
-        calls for the entire batch, never O(N).  Each touched segment is read
-        once for the whole batch and sees a single split decision
-        (:meth:`_adapt_envelopes`).
-        """
-        started = self._now()
-        routed = self._route(lows, highs)
-        n = int(lows.size)
-        low_list = lows.tolist()
-        high_list = highs.tolist()
-        # Per-query (values, oids) slice pairs; raw tuples until assembly so
-        # the hot loop builds no intermediate SelectionResults.
-        parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
-        for segment, queries, _ in routed:
-            # One read answers every member query that overlaps this segment
-            # — this is the batch's amortization of the shared scan.
-            self.accountant.record_read(segment.size_bytes)
-            seg_low, seg_high = segment.vrange.low, segment.vrange.high
-            seg_values, seg_oids = segment.values, segment.oids
-            partial: list[int] = []
-            for q in queries:
-                if low_list[q] <= seg_low and high_list[q] >= seg_high:
-                    # The whole (sorted) payload answers a fully-contained
-                    # member, as in Segment.select.
-                    parts[q].append((seg_values, seg_oids))
-                else:
-                    partial.append(q)
-            if partial:
-                los, his = segment.bounds_many(lows[partial], highs[partial])
-                for q, lo, hi in zip(partial, los.tolist(), his.tolist()):
-                    parts[q].append((seg_values[lo:hi], seg_oids[lo:hi]))
-        stats.selection_seconds += self._now() - started
-
-        # Adaptation is deferred so every member reads pre-split payloads
-        # (the returned views stay valid across splits regardless — splits
-        # are slices over the same base array).
-        self._adapt_envelopes(routed, stats)
-
-        started = self._now()
-        # Per-query parts were appended in ascending segment order over
-        # disjoint sorted payloads, so a multi-part result is in ascending
-        # value order.
-        results = [SelectionResult.from_slices(q_parts, self.dtype) for q_parts in parts]
-        stats.selection_seconds += self._now() - started
-        return results
-
-    def _route(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> list[tuple[Segment, list[int], ValueRange]]:
-        """Each touched segment, in value order, with its members and their envelope.
-
-        ``(segment, positions of the member ranges overlapping it, the
-        smallest range containing those members)``.  The list is complete
-        before anything splits, because splitting shifts index positions.
-        """
-        starts, stops = self.index.route_many(lows, highs)
-        touched: dict[int, list[int]] = {}
-        for q, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-            for s in range(start, stop):
-                touched.setdefault(s, []).append(q)
-        low_list = lows.tolist()
-        high_list = highs.tolist()
-        return [
-            (
-                self.index.answers[s],
-                queries,
-                ValueRange(
-                    min(low_list[q] for q in queries),
-                    max(high_list[q] for q in queries),
-                ),
-            )
-            for s, queries in sorted(touched.items())
-        ]
-
-    def _adapt_envelopes(
-        self, routed: list[tuple[Segment, list[int], ValueRange]], stats: QueryStats
-    ) -> None:
-        """The one deferred-adaptation pass of a batch.
-
-        Each touched segment sees a single split decision against the
-        envelope of the member ranges that overlap it.
-        """
-        started = self._now()
-        for segment, _, envelope in routed:
-            decision = self.model.decide(envelope, segment, total_bytes=self.total_bytes)
-            if decision.should_split:
-                self._split(segment, list(decision.points), stats)
-        stats.adaptation_seconds += self._now() - started
-
-    def _split(self, segment: Segment, points: list[float], stats: QueryStats) -> None:
-        pieces = segment.partition(points)
+    def _adapt(self, query: ValueRange, segment: Segment, stats: QueryStats) -> None:
+        """Algorithm 1: replace ``segment`` by its pieces where the model cuts it."""
+        decision = self.model.decide(query, segment, total_bytes=self.total_bytes)
+        if not decision.should_split:
+            return
+        pieces = segment.partition(list(decision.points))
         if len(pieces) <= 1:
             return
         for piece in pieces:
@@ -226,6 +111,20 @@ class SegmentedColumn(AdaptiveColumnBase):
         start, stop = self.index.span(segment.vrange)
         self.index.splice(start, stop, pieces, pieces)
         stats.splits_performed += 1
+
+    def _adapt_wave(self, lows: list[float], highs: list[float], covers: list[list[Segment]],
+                    touched: list[tuple[Segment, list[int]]], stats: QueryStats) -> None:
+        """One split decision per touched segment, against its members' envelope.
+
+        The envelope is the smallest range containing the members that read
+        the segment.  Adapting member by member instead (the base rule) cut
+        ``server_pipelined`` write bytes 970 -> 553 per query but raised its
+        read bytes 11 779 -> 15 234 (+29 %): the wave's small pieces are read
+        again by the members that follow.
+        """
+        for segment, members in touched:
+            envelope = ValueRange(min(lows[q] for q in members), max(highs[q] for q in members))
+            self._adapt(envelope, segment, stats)
 
     def check_invariants(self) -> None:
         """Verify that the segments partition the domain and conserve the data."""

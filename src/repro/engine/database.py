@@ -8,6 +8,7 @@ values)* members and hand them to the one wave executor.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Any, Sequence
 
 import numpy as np
@@ -286,7 +287,7 @@ class Database:
             slots=compiled.parameter_slots(names),
             generation=self.plan_cache.generation,
             template=range_template(statement, self.catalog),
-            cache=self.plan_cache,
+            cache=weakref.ref(self.plan_cache),
         )
         self.plan_cache.put(text, prepared)
         return prepared

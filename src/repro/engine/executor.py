@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -136,11 +137,13 @@ class Executor:
     waves through one worker thread preserves the engine's single-threaded
     adaptation invariant.  The executor owns the execution-context pool and
     the batch counters; recording results in ``query_history`` stays with
-    the database's doors.
+    the database's doors.  The database owns its executor, which holds it
+    back only weakly, so a dropped database is freed without waiting for
+    the cycle collector.
     """
 
     def __init__(self, database: "Database") -> None:
-        self.database = database
+        self.database = weakref.proxy(database)
         self.batch_stats = BatchStats()
         self._contexts: list[ExecutionContext] = []
 

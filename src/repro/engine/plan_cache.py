@@ -34,6 +34,7 @@ callables, not data.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -148,8 +149,9 @@ class PreparedPlan:
     :meth:`repro.sql.compiler.SQLCompiler.lower`) and ``text`` the
     pre-rendered Figure-1 MAL; ``binding`` validates client parameters;
     ``slots`` maps placeholder position → environment slot of the compiled
-    plan (resolved once, at prepare time); ``cache`` and ``generation`` are
-    the plan cache that lowered the plan and its generation at the time — see
+    plan (resolved once, at prepare time); ``cache`` (a weak reference, so a
+    cache and the plans it stores form no cycle) and ``generation`` are the
+    plan cache that lowered the plan and its generation at the time — see
     :meth:`PlanCache.is_current`; ``template`` is the statement's range-select
     classification (``None``: not batchable).
     """
@@ -161,7 +163,7 @@ class PreparedPlan:
     slots: tuple[int, ...]
     generation: int
     template: RangeTemplate | None
-    cache: "PlanCache" = field(compare=False, repr=False)
+    cache: "weakref.ref[PlanCache]" = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ class PlanCache:
         changed since) or from another engine's cache (a routed wave carries
         the lead replica's plans) must be re-prepared from its text.
         """
-        return plan.cache is self and plan.generation == self.generation
+        return plan.cache() is self and plan.generation == self.generation
 
     def get(self, text: str) -> PreparedPlan | None:
         """The plan cached under ``text``, refreshing its recency; counts hit/miss."""

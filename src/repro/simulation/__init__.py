@@ -7,7 +7,7 @@ paper's Figures 5-9 and Table 1 report.
 """
 
 from repro.simulation.metrics import ExperimentResult, MetricsSummary
-from repro.simulation.simulator import SimulationConfig, Simulator, build_strategy
+from repro.simulation.simulator import SimulationConfig, Simulator
 from repro.simulation.runner import STRATEGY_MODEL_GRID, run_grid, run_single
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "MetricsSummary",
     "SimulationConfig",
     "Simulator",
-    "build_strategy",
     "STRATEGY_MODEL_GRID",
     "run_grid",
     "run_single",

@@ -26,35 +26,6 @@ from repro.workloads.generators import make_column
 from repro.workloads.query import Workload
 
 
-def build_strategy(
-    strategy: str,
-    values: np.ndarray,
-    model: SegmentationModel | None,
-    *,
-    domain: tuple[float, float] | None = None,
-    accountant: IOAccountant | None = None,
-    time_phases: bool = True,
-    storage_budget: float | None = None,
-):
-    """Instantiate the adaptive column for ``strategy`` over ``values``.
-
-    A thin wrapper over :func:`repro.core.strategy.create_strategy`, kept for
-    backward compatibility with the original simulator API: one option set is
-    passed for every strategy, so options a strategy does not take (e.g.
-    ``storage_budget`` outside replication) are dropped, not rejected.
-    """
-    return create_strategy(
-        strategy,
-        values,
-        model=model,
-        strict=False,
-        domain=domain,
-        accountant=accountant,
-        time_phases=time_phases,
-        storage_budget=storage_budget,
-    )
-
-
 @dataclass
 class SimulationConfig:
     """Configuration of one simulated run.
@@ -97,10 +68,10 @@ class Simulator:
             values = make_column(config.column_size, config.domain_size, seed=config.seed)
         self.values = np.asarray(values)
         ensure_positive("column size", self.values.size)
-        self.column = build_strategy(
+        self.column = create_strategy(
             config.strategy,
             self.values,
-            config.make_model(),
+            model=config.make_model(),
             accountant=IOAccountant(),
             time_phases=config.time_phases,
             storage_budget=config.storage_budget,

@@ -1,4 +1,4 @@
-"""The vectorized batch kernel layer: probes, routing, strategy select_many."""
+"""The vectorized batch kernel layer: probes, leaf bounds, strategy select_many."""
 
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ class TestSortedProbeMany:
             sorted_probe_many(np.array([1, 2, 3]), np.array([1.0]), side="middle")
 
 
-class TestRouteMany:
+class TestLeafBounds:
     def _index(self):
         segs = [
             Segment(ValueRange(0.0, 10.0), np.arange(10)),
@@ -65,35 +65,6 @@ class TestRouteMany:
             Segment(ValueRange(25.0, 100.0), np.arange(25, 100)),
         ]
         return IntervalIndex(segs, segs)
-
-    def test_spans_match_cover(self):
-        index = self._index()
-        queries = [
-            (0.0, 100.0),
-            (5.0, 10.0),
-            (10.0, 10.0),  # empty
-            (9.0, 26.0),
-            (-5.0, 0.0),  # before the domain: empty
-            (100.0, 200.0),  # past the domain: empty
-        ]
-        lows = np.array([q[0] for q in queries])
-        highs = np.array([q[1] for q in queries])
-        starts, stops = index.route_many(lows, highs)
-        for (low, high), start, stop in zip(queries, starts.tolist(), stops.tolist()):
-            expected = index.cover(ValueRange(low, high))
-            got = [index.answers[i] for i in range(start, stop)]
-            assert [id(s) for s in got] == [id(s) for s in expected]
-
-    def test_contained_tags_recoverable(self):
-        index = self._index()
-        lows = np.array([5.0])
-        highs = np.array([30.0])
-        starts, stops = index.route_many(lows, highs)
-        tags = [
-            lows[0] <= seg.vrange.low and seg.vrange.high <= highs[0]
-            for seg in (index.answers[i] for i in range(starts[0], stops[0]))
-        ]
-        assert tags == [False, True, False]
 
     def test_leaf_bounds_checked_by_invariants(self):
         index = self._index()
@@ -194,7 +165,7 @@ class TestReplicatedSelectMany:
         bounds += [bounds[0], (19_000.0, 26_000.0), (5.0, 5.0), (-10.0, 1_000.0)]
         batch_col = self._column(values.copy())
         serial_col = self._column(values.copy())
-        covers = [batch_col.index.cover(ValueRange(low, high)) for low, high in bounds]
+        covers = [batch_col.index.cover(low, high) for low, high in bounds]
         distinct = {id(node): node.size_bytes for cover in covers for node in cover}
         assert sum(distinct.values()) < sum(node.size_bytes for cover in covers for node in cover)
         recorded = len(batch_col.history)

@@ -61,7 +61,7 @@ def test_index_cover_is_the_recursive_cover_after_every_select(values, model, bu
         for probe in (query, upcoming):
             probe = ValueRange(probe.low, probe.high).intersect(column.domain)
             oracle = minimal_cover(column.tree.roots, probe)
-            live = column.index.cover(probe)
+            live = column.index.cover(probe.low, probe.high)
             assert len(live) == len(oracle) and all(a is b for a, b in zip(live, oracle))
         column.check_invariants()
     assert materialized > 10  # the tree really grew

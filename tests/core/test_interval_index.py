@@ -65,8 +65,7 @@ class TestMaintenance:
     def test_generation_counts_the_doors_and_not_the_lookups(self, laminar):
         index, outer, _ = laminar
         generation = index.generation
-        index.cover(ValueRange(10, 70))
-        index.route_many(np.array([10.0, 55.0]), np.array([30.0, 90.0]))
+        index.cover(10, 70)
         index.span(ValueRange(10, 70))
         assert index.generation == generation
         index.repoint(outer.vrange, outer)
@@ -78,32 +77,32 @@ class TestMaintenance:
 
 class TestCover:
     def test_middle_query(self, index):
-        hits = index.cover(ValueRange(30, 70))
+        hits = index.cover(30, 70)
         assert [s.vrange for s in hits] == [ValueRange(25, 60), ValueRange(60, 100)]
 
     def test_half_open_bounds(self, index):
-        hits = index.cover(ValueRange(25, 26))
+        hits = index.cover(25, 26)
         assert [s.vrange for s in hits] == [ValueRange(25, 60)]
 
     def test_empty_query(self, index):
-        assert index.cover(ValueRange(50, 50)) == []
+        assert index.cover(50, 50) == []
 
     def test_outside_domain(self, index):
-        assert index.cover(ValueRange(500, 600)) == []
-        assert index.cover(ValueRange(-50, -10)) == []
+        assert index.cover(500, 600) == []
+        assert index.cover(-50, -10) == []
 
     def test_segmentation_cover_is_the_overlapped_leaves(self, index):
-        assert index.cover(ValueRange(10, 80)) == index.answers
+        assert index.cover(10, 80) == index.answers
 
     def test_laminar_answers_fold_to_the_maximal_ones(self, laminar):
         index, outer, inner = laminar
-        assert index.cover(ValueRange(30, 40)) == [inner]
-        assert index.cover(ValueRange(30, 55)) == [outer]  # inner is inside outer
-        assert index.cover(ValueRange(0, 100)) == [outer]
-        assert index.cover(ValueRange(55, 70)) == [outer]  # consecutive duplicates fold
+        assert index.cover(30, 40) == [inner]
+        assert index.cover(30, 55) == [outer]  # inner is inside outer
+        assert index.cover(0, 100) == [outer]
+        assert index.cover(55, 70) == [outer]  # consecutive duplicates fold
 
     def test_footprint_is_the_cover_bytes(self, index, laminar):
-        expected = sum(s.size_bytes for s in index.cover(ValueRange(30, 70)))
+        expected = sum(s.size_bytes for s in index.cover(30, 70))
         assert index.footprint(ValueRange(30, 70)) == expected
         nested, outer, _ = laminar
         assert nested.footprint(ValueRange(30, 55)) == outer.size_bytes

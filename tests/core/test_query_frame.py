@@ -1,7 +1,7 @@
 """The one query frame: what every door of every strategy promises.
 
 ``AdaptiveColumnBase`` owns ``select`` / ``select_many``; each opens one frame
-around a per-strategy hook.  These tests pin the frame's contract once, for
+around the read path.  These tests pin the frame's contract once, for
 every registered strategy, instead of once per copy.
 """
 
@@ -51,8 +51,8 @@ def doors(column) -> dict:
 def test_every_door_writes_the_same_record(name, door, values):
     column = build(name, values)
     call, members = doors(column)[door]
-    # Only a batch-kernel select_many shares one record.
-    shared = door != "select" and type(column)._execute_batch is not None
+    # Only an indexed strategy's select_many shares one record.
+    shared = door != "select" and column.index is not None
     accountant = column.accountant
     executed = column._queries_executed
     recorded = len(column.history)
@@ -90,8 +90,7 @@ def test_a_raising_hook_detaches_the_accountant_and_leaves_no_record(name, value
         raise RuntimeError("hook failed")
 
     column._execute = boom
-    if type(column)._execute_batch is not None:
-        column._execute_batch = boom
+    column._execute_batch = boom
     executed, recorded = column._queries_executed, len(column.history)
     for call in (
         lambda: column.select(*FIVE[0]),

@@ -74,7 +74,7 @@ class TestTree:
         }
         for query, expected in cases.items():
             assert minimal_cover(tree.roots, query) == expected
-            assert tree.index.cover(query) == expected
+            assert tree.index.cover(query.low, query.high) == expected
 
     def test_splice_out_internal_node(self, tree):
         root = tree.roots[0]

@@ -138,18 +138,18 @@ class TestSelectionCorrectness:
 
 class TestCoveringSet:
     def test_initial_cover_is_the_root(self, column):
-        cover = column.index.cover(ValueRange(10_000, 20_000))
+        cover = column.index.cover(10_000, 20_000)
         assert cover == [column.tree.roots[0]]
 
     def test_cover_prefers_materialized_children(self, column):
         column.select(10_000, 20_000)  # creates a materialized replica of the range
-        cover = column.index.cover(ValueRange(12_000, 18_000))
+        cover = column.index.cover(12_000, 18_000)
         assert len(cover) == 1
         assert cover[0].vrange == ValueRange(10_000, 20_000)
 
     def test_cover_backtracks_to_ancestor_for_virtual_areas(self, column):
         column.select(10_000, 20_000)
-        cover = column.index.cover(ValueRange(50_000, 60_000))  # untouched, still virtual below
+        cover = column.index.cover(50_000, 60_000)  # untouched, still virtual below
         assert cover[0].vrange == ValueRange(*TEST_DOMAIN)
 
     def test_cover_segments_are_disjoint_and_cover_query(self, column):
@@ -158,7 +158,7 @@ class TestCoveringSet:
             low = float(rng.uniform(0, 90_000))
             column.select(low, low + 8_000)
         query = ValueRange(20_000, 70_000)
-        cover = column.index.cover(query)
+        cover = column.index.cover(query.low, query.high)
         assert all(node.materialized for node in cover)
         ranges = sorted((node.vrange for node in cover), key=lambda r: r.low)
         for first, second in zip(ranges, ranges[1:]):

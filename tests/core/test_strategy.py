@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import UnsegmentedColumn
+from repro.core.interval_index import IntervalIndex
 from repro.core.replication import ReplicatedColumn
+from repro.core.segment import Segment
 from repro.core.segmentation import SegmentedColumn
 from repro.core import strategy as strategy_module
 from repro.core.strategy import (
@@ -56,15 +58,42 @@ class TestRegistryLookup:
 
 class TestRegistration:
     def test_register_and_create_a_dummy_strategy(self, values, registry):
-        class DummyColumn(UnsegmentedColumn):
+        class DummyColumn(AdaptiveColumnBase):
+            """Four fixed segments: an index plus an adaptation rule, nothing else."""
+
             strategy_name = "dummy"
+            requires_model = False
             display_short = "Dummy"
+
+            def __init__(self, values, *, domain=None):
+                super().__init__(values, domain=domain)
+                cuts = np.linspace(self.domain.low, self.domain.high, 5)[1:-1].tolist()
+                pieces = Segment(self.domain, values).partition(cuts)
+                self.index = IntervalIndex(pieces, pieces)
+                self.storage_bytes, self.segment_count = self.total_bytes, len(pieces)
+                self.adapted: list[tuple[float, float]] = []
+
+            def _adapt(self, query, piece, stats):
+                self.adapted.append((query.low, query.high))
 
         register_strategy(DummyColumn)
         assert "dummy" in available_strategies()
-        column = create_strategy("dummy", values)
+        assert not {"_execute", "_execute_batch", "_adapt_wave"} & set(vars(DummyColumn))
+        column = create_strategy("dummy", values, domain=(0.0, 100_000.0))
         assert isinstance(column, DummyColumn)
-        assert column.select(0, 50_000).count > 0
+
+        def mask_scan(low, high):
+            return np.sort(values[(values >= low) & (values < high)])
+
+        bounds = [(10_000.0, 60_000.0), (-5.0, 30.0), (7.0, 7.0), (80_000.0, 120_000.0)]
+        for low, high in bounds:
+            np.testing.assert_array_equal(np.sort(column.select(low, high).values), mask_scan(low, high))
+        selected = list(column.adapted)
+        column.adapted.clear()
+        for (low, high), got in zip(bounds, column.select_many(bounds)):
+            np.testing.assert_array_equal(np.sort(got.values), mask_scan(low, high))
+        assert column.adapted == selected  # the wave adapts as its members would, one by one
+        assert [record.batch_size for record in column.history] == [1, 1, 1, 1, len(bounds)]
         assert column.describe()["strategy"] == "dummy"
 
     def test_registration_normalizes_the_name(self, values, registry):

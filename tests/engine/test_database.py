@@ -1,5 +1,6 @@
 """Integration-style unit tests for the database façade."""
 
+import gc
 import weakref
 
 import numpy as np
@@ -328,6 +329,31 @@ class TestQueryExecution:
         )
         del result
         assert rows() is None
+
+    @pytest.mark.parametrize("strategy", ["segmentation", "replication"])
+    def test_a_dropped_database_is_freed_without_the_cycle_collector(self, strategy):
+        """No reference cycle holds an engine: dropping it frees it and its columns."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            database = Database()
+            database.create_table("p", {"objid": "int64", "ra": "float64"})
+            database.bulk_load(
+                "p", {"objid": np.arange(2_000, dtype=np.int64), "ra": np.linspace(0, 360, 2_000)}
+            )
+            database.enable_adaptive("p", "ra", strategy=strategy)
+            prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+            wave = [(prepared, prepared.binding.bind(pair)) for pair in [(10, 20), (15, 40)]]
+            results = database.execute_wave(wave)
+            assert [result.cache_level for result in results] == ["batched", "batched"]
+            engine, column = weakref.ref(database), weakref.ref(database.adaptive_handle("p", "ra"))
+            del database
+            assert engine() is None  # a plan held outside does not keep its engine
+            del prepared, wave, results
+            assert column() is None
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_explain_returns_plan_text(self, database):
         plan = database.explain("SELECT objid FROM p WHERE ra BETWEEN 10 AND 20")

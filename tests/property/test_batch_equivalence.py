@@ -11,7 +11,9 @@ must never change answers.
 
 Replication's batch kernel promises more: after every batch its replica tree
 is exactly the tree the same members leave when they run one ``select`` at a
-time, with and without a storage budget, under either model.
+time, with and without a storage budget, under either model.  And for every
+strategy with an index, a batch of one is one ``select``: the same pieces,
+read bytes and write bytes.
 """
 
 from __future__ import annotations
@@ -154,3 +156,42 @@ def test_replication_batches_leave_the_tree_of_sequential_selects(
             assert _pairs(got) == _pairs(serial.select(low, high))
         assert _tree(batched) == _tree(serial)
         assert batched.history[-1].batch_size == size
+
+
+def _pieces(column) -> tuple:
+    index = column.index
+    return (
+        list(index.lows),
+        list(index.highs),
+        [(answer.vrange, answer.segment.count) for answer in index.answers],
+        column.segment_count,
+        column.storage_bytes,
+    )
+
+
+#: The strategies that keep an interval index (the others answer a batch as N selects).
+INDEXED = [
+    name
+    for name in available_strategies()
+    if create_strategy(name, np.arange(4.0), model=AdaptivePageModel()).index is not None
+]
+
+
+@given(seed=seeds, distribution=distributions, size=column_sizes)
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("model", list(MODELS))
+@pytest.mark.parametrize("strategy", INDEXED)
+def test_a_batch_of_one_is_one_select(strategy, model, seed, distribution, size):
+    """Every strategy with an index: one read path, so a batch of one is a select."""
+    values = _make_column_values(size, distribution, seed)
+    batched, single = (
+        create_strategy(strategy, values.copy(), model=MODELS[model](seed)) for _ in range(2)
+    )
+    assert batched.index is not None
+    for low, high in _make_bounds(12, seed + 1, wide=DOMAIN_HIGH / 8) + [(-10.0, 60_000.0)]:
+        (got,) = batched.select_many([(low, high)])
+        expected = single.select(low, high)
+        assert _pairs(got) == _pairs(expected)
+        assert _pieces(batched) == _pieces(single)
+        one, other = batched.history[-1], single.history[-1]
+        assert (one.reads_bytes, one.writes_bytes) == (other.reads_bytes, other.writes_bytes)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.strategy import create_strategy
 from repro.simulation.metrics import ExperimentResult, MetricsSummary
 from repro.simulation.runner import STRATEGY_MODEL_GRID, run_grid, run_single
-from repro.simulation.simulator import SimulationConfig, Simulator, build_strategy
+from repro.simulation.simulator import SimulationConfig, Simulator
 from repro.util.units import KB
 from repro.workloads.generators import make_column, uniform_workload, zipf_workload
 
@@ -17,34 +18,29 @@ def workload():
     return uniform_workload(300, DOMAIN, 0.1, seed=21)
 
 
-class TestBuildStrategy:
+class TestSimulatorStrategies:
+    """The simulator builds its column through ``create_strategy``."""
+
     def test_known_strategies(self):
         values = make_column(5_000, 100_000, seed=1)
-        from repro.core.models import AdaptivePageModel
-
-        model = AdaptivePageModel(1 * KB, 4 * KB)
         for name in ("segmentation", "replication", "unsegmented"):
-            column = build_strategy(name, values, model if name != "unsegmented" else None)
+            config = SimulationConfig(strategy=name, m_min=1 * KB, m_max=4 * KB)
+            column = Simulator(config, values).column
+            assert column.strategy_name == name
             assert column.select(0, 50_000).count > 0
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            build_strategy("btree", make_column(100), None)
+            Simulator(SimulationConfig(strategy="btree"), make_column(100))
 
     def test_adaptive_strategy_requires_model(self):
         with pytest.raises(ValueError):
-            build_strategy("segmentation", make_column(100), None)
+            create_strategy("segmentation", make_column(100), model=None)
 
-    def test_options_unknown_to_a_strategy_are_dropped(self):
-        """One option set serves every strategy (legacy simulator contract)."""
-        from repro.core.models import AdaptivePageModel
-
-        model = AdaptivePageModel(1 * KB, 4 * KB)
-        column = build_strategy(
-            "segmentation", make_column(5_000, 100_000, seed=1), model,
-            storage_budget=1e6,  # only replication takes this; must not raise
-        )
-        assert column.select(0, 50_000).count > 0
+    def test_a_budget_on_a_strategy_without_one_is_rejected(self):
+        config = SimulationConfig(strategy="segmentation", storage_budget=1e6)
+        with pytest.raises(TypeError, match="storage_budget"):
+            Simulator(config, make_column(5_000, 100_000, seed=1))
 
 
 class TestSimulationConfig:
