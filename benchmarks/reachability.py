@@ -52,10 +52,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 #: The unreached-line total this check fails above: the last measured total
-#: (736 lines, 109 of 747 defs) plus the difference between runs of the
+#: (731 lines, 108 of 748 defs) plus the difference between runs of the
 #: same tree (0 lines over two).  The drivers are time-boxed, so it holds
 #: for this tracer on the Python it was measured on (3.11, as CI runs it).
-MAX_UNREACHED_LINES = 736
+MAX_UNREACHED_LINES = 731
 
 #: Environment of a traced process: where it writes its hits, and which tree
 #: counts as ``src/``.

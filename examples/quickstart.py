@@ -10,7 +10,8 @@ paper integrates it "completely transparently for the SQL front-end".
 
 It then walks the rest of the DB-API surface on one range select —
 ``description``, ``fetchone`` / ``fetchmany`` / ``fetchall``, iteration and
-the ``with cursor`` form — and the other statement shapes the engine lowers:
+the ``with cursor`` form, the statement's Figure-1 plan text — and the other
+statement shapes the engine lowers:
 a ``COUNT`` / ``MIN`` / ``MAX`` / ``SUM`` / ``AVG`` aggregate, a ``LIMIT``, two
 predicates, and a select with no ``WHERE`` after an insert and a delete,
 checking every answer against the engine's result and numpy.
@@ -112,6 +113,13 @@ def walk_the_cursor(values: np.ndarray, low: int = 250_000, high: int = 260_000)
             cursor.execute(sql, (low, high))
             assert list(cursor) == expected  # iteration
         assert cursor.closed
+
+        # The statement as the paper shows it: its Figure-1 plan after the
+        # segment optimizer, rendered on first read, alike on the prepared
+        # handle and on the result it answered.
+        select = connection.prepare(sql)
+        assert select.execute((low, high)).plan_text == select.plan_text
+        assert "bpm.newIterator" in select.plan_text
 
         cursor = connection.execute(
             "SELECT COUNT(*), MIN(value), MAX(value), SUM(value), AVG(value) FROM readings "

@@ -36,15 +36,16 @@ Resilience (all opt-in, off by default so failures stay loud):
     the wrong caller.
 ``reconnect=True``
     A dropped socket no longer bricks the connection: the next request
-    redials with exponential backoff (``reconnect_attempts`` ×
-    ``reconnect_backoff_s``) and re-runs the HELLO handshake.  Server-side
+    redials — :data:`RECONNECT_ATTEMPTS` dials, the backoff doubling from
+    ``reconnect_backoff_s`` — and re-runs the HELLO handshake.  Server-side
     prepared-statement ids die with the old connection, so
     :class:`AsyncPreparedStatement` handles raise ``ProgrammingError`` after
     a reconnect — re-``prepare`` them.
 ``retry_reads=True``
     Text-bearing ``execute``/``executemany`` frames that failed with a
     :class:`~repro.api.exceptions.TransientError` (drop, timeout, failover
-    in progress) are retried after reconnecting.  Bound range selects are
+    in progress) are retried after reconnecting, up to
+    :data:`RETRY_ATTEMPTS` times.  Bound range selects are
     idempotent above adaptation, which is what makes this safe; statement-id
     frames are **never** retried (the id does not survive the reconnect).
 """
@@ -67,6 +68,11 @@ from repro.api.exceptions import (
     error_from_name,
 )
 from repro.server.protocol import PROTOCOL_VERSION, read_frame, write_frame
+
+#: Dials a dropped connection makes before its request fails (``reconnect=True``).
+RECONNECT_ATTEMPTS = 3
+#: Re-sends of one text read after a transient failure (``retry_reads=True``).
+RETRY_ATTEMPTS = 2
 
 __all__ = [
     "AsyncAdmin",
@@ -315,10 +321,8 @@ class AsyncConnection:
         port: int | None = None,
         request_timeout: float | None = None,
         reconnect: bool = False,
-        reconnect_attempts: int = 3,
         reconnect_backoff_s: float = 0.05,
         retry_reads: bool = False,
-        retry_attempts: int = 2,
         injector: Any | None = None,
     ) -> None:
         self._reader = reader
@@ -327,10 +331,8 @@ class AsyncConnection:
         self._port = port
         self.request_timeout = request_timeout
         self._reconnect_enabled = bool(reconnect)
-        self.reconnect_attempts = int(reconnect_attempts)
         self.reconnect_backoff_s = float(reconnect_backoff_s)
         self._retry_reads = bool(retry_reads)
-        self.retry_attempts = int(retry_attempts)
         self._injector = injector
         self._ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
@@ -509,7 +511,7 @@ class AsyncConnection:
         """
         return (
             self._retry_reads
-            and attempt < self.retry_attempts
+            and attempt < RETRY_ATTEMPTS
             and frame.get("type") in ("execute", "executemany")
             and isinstance(frame.get("sql"), str)
         )
@@ -525,7 +527,7 @@ class AsyncConnection:
                 )
             backoff = self.reconnect_backoff_s
             last: BaseException | None = None
-            for _ in range(max(self.reconnect_attempts, 1)):
+            for _ in range(RECONNECT_ATTEMPTS):
                 try:
                     reader, writer = await asyncio.open_connection(
                         self._host, self._port
@@ -556,7 +558,7 @@ class AsyncConnection:
                 return
             raise TransientError(
                 f"reconnect to {self._host}:{self._port} failed after "
-                f"{self.reconnect_attempts} attempts: {last}"
+                f"{RECONNECT_ATTEMPTS} attempts: {last}"
             )
 
     async def _request_once(
@@ -657,10 +659,8 @@ async def connect(
     connect_timeout: float | None = None,
     request_timeout: float | None = None,
     reconnect: bool = False,
-    reconnect_attempts: int = 3,
     reconnect_backoff_s: float = 0.05,
     retry_reads: bool = False,
-    retry_attempts: int = 2,
     injector: Any | None = None,
 ) -> AsyncConnection:
     """Open an async connection to a running repro server.
@@ -677,10 +677,8 @@ async def connect(
         port,
         request_timeout=request_timeout,
         reconnect=reconnect,
-        reconnect_attempts=reconnect_attempts,
         reconnect_backoff_s=reconnect_backoff_s,
         retry_reads=retry_reads,
-        retry_attempts=retry_attempts,
         injector=injector,
     )
     if connect_timeout is not None:

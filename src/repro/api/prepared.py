@@ -53,7 +53,7 @@ class PreparedStatement:
 
     @property
     def plan_text(self) -> str:
-        """The lowered MAL plan in concrete syntax (like ``EXPLAIN``)."""
+        """The statement's Figure-1 MAL plan in concrete syntax (``EXPLAIN``'s first block)."""
         return self._refresh().text
 
     # -- execution ------------------------------------------------------------

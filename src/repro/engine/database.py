@@ -19,6 +19,7 @@ from repro.engine.plan_cache import (
     PlanCache,
     PreparedPlan,
     bind_literals,
+    figure1_text,
     normalize_sql,
     range_template,
 )
@@ -67,7 +68,10 @@ class Database:
         self.registry = default_registry()
         self.registry.register_module("bpm", self.bpm.mal_module())
         self.compiler = SQLCompiler(self.catalog)
-        self.optimizer = SegmentOptimizer(self.catalog, self.bpm)
+        # The live-BPM optimizer over ``compiler.compile``'s Figure-1 program;
+        # nothing on a query path calls either (a plan's text is rendered on
+        # read, from what prepare captured).
+        self.optimizer = SegmentOptimizer(self.bpm.is_managed)
         self.plan_cache = PlanCache(plan_cache_size)
         self.query_history: list[QueryRecord] = []
         self._executor = Executor(self)
@@ -247,46 +251,57 @@ class Database:
         """The optimized MAL plan in concrete syntax (like ``EXPLAIN``).
 
         ``sql`` may carry placeholders — the text a client prepares.  The
-        Figure-1 plan comes first; under one comment line, the lowering the
-        executor runs.
+        Figure-1 plan comes first, rendered as a prepared plan's
+        :attr:`~PreparedPlan.text` is; under one comment line, the lowering
+        the executor runs.
         """
         statement = parse(sql, placeholders=True)
-        optimized = self.optimizer.optimize(self.compiler.compile(statement))
-        lowered = self.compiler.lower(statement, self.bpm.is_managed, name=optimized.name)
-        return f"{optimized.render()}\n# lowering — what the executor runs\n{lowered.render()}"
+        name = self.compiler.name(statement)
+        text = figure1_text(
+            statement, name, self.catalog.schema(statement.table), self._managed(statement)
+        )
+        lowered = self.compiler.lower(statement, self.bpm.is_managed, name=name)
+        return f"{text}\n# lowering — what the executor runs\n{lowered.render()}"
+
+    def _managed(self, statement: SelectStatement) -> frozenset[str]:
+        """The predicate columns of ``statement`` the BPM manages now."""
+        is_managed, table = self.bpm.is_managed, statement.table
+        return frozenset(
+            predicate.column for predicate in statement.predicates
+            if is_managed(table, predicate.column)
+        )
 
     def _lower(
         self, text: str, statement: SelectStatement, profile: QueryProfile
     ) -> PreparedPlan:
-        """Lower ``statement`` and render its Figure-1 plan; cache the pair under ``text``.
+        """Lower ``statement`` into a :class:`PreparedPlan` and cache it under ``text``.
 
-        The one place a statement becomes a :class:`PreparedPlan`: the
-        compiled lowering, the Figure-1 text, the binding template,
-        environment slots and the range-select classification are derived
-        here, once, so no later stage looks at the statement again.
-        ``text`` is what the plan is known by — its cache key, and what a
-        stale handle re-prepares from.
+        The one place a statement becomes a :class:`PreparedPlan`: its
+        program name (statements are numbered in prepare order), the compiled
+        lowering, the binding template, environment slots and the
+        range-select classification are derived here, once, so no later stage
+        looks at the statement again.  No Figure-1 program is built: the plan
+        keeps what its :attr:`~PreparedPlan.text` is rendered from.  ``text``
+        is what the plan is known by — its cache key, and what a stale handle
+        re-prepares from.
         """
         started = time.perf_counter()
-        program = self.compiler.compile(statement)
-        lowered = self.compiler.lower(statement, self.bpm.is_managed, name=program.name)
-        codegen_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        figure1 = self.optimizer.optimize(program).render()
-        profile.optimize_seconds = time.perf_counter() - started
-        started = time.perf_counter()
+        name = self.compiler.name(statement)
+        lowered = self.compiler.lower(statement, self.bpm.is_managed, name=name)
         compiled = compile_program(lowered, self.registry)
-        profile.compile_seconds = codegen_seconds + time.perf_counter() - started
+        profile.compile_seconds = time.perf_counter() - started
         binding = prepared_binding(statement)
         names = tuple(f"__p{index}" for index in range(binding.count))
         prepared = PreparedPlan(
             sql=text,
             compiled=compiled,
-            text=figure1,
             binding=binding,
             slots=compiled.parameter_slots(names),
             generation=self.plan_cache.generation,
             template=range_template(statement, self.catalog),
+            statement=statement,
+            schema=self.catalog.schema(statement.table),
+            managed=self._managed(statement),
             cache=weakref.ref(self.plan_cache),
         )
         self.plan_cache.put(text, prepared)
@@ -349,8 +364,8 @@ class Database:
     def execute(self, sql: str) -> QueryResult:
         """Run literal SQL: resolve the text to a plan and values, a wave of one.
 
-        Cold: parse → compile → optimize → lower to a :class:`CompiledPlan`,
-        cached under the masked text.  Warm: mask the literals, fetch the
+        Cold: parse → lower → compile to a :class:`CompiledPlan`, cached
+        under the masked text.  Warm: mask the literals, fetch the
         plan, bind — no parse, no recompilation, pooled execution context.
         """
         prepared, values, origin = self.resolve(sql)

@@ -44,8 +44,8 @@ Member = tuple[PreparedPlan, tuple[float, ...]]
 Origin = tuple[str, str, QueryProfile]
 
 #: A range-select member as the batch pass sees it:
-#: ``(position in the wave, sql text, bound values, its range template)``.
-Item = tuple[int, str, tuple[float, ...], RangeTemplate]
+#: ``(position in the wave, its current plan, bound values)``.
+Item = tuple[int, PreparedPlan, tuple[float, ...]]
 
 #: Wave-size histogram buckets: label -> inclusive (low, high) member count.
 _WAVE_BUCKETS: tuple[tuple[str, int, float], ...] = (
@@ -112,11 +112,10 @@ def _gather(
 
 
 def _result(
-    sql: str, values: tuple[float, ...], level: str, plan_text: str,
-    columns: dict[str, np.ndarray], total_seconds: float, selection_seconds: float,
-    adaptation_seconds: float,
+    plan: PreparedPlan, values: tuple[float, ...], columns: dict[str, np.ndarray],
+    total_seconds: float, selection_seconds: float, adaptation_seconds: float,
 ) -> QueryResult:
-    """A batched member's :class:`QueryResult`.
+    """A batched member's :class:`QueryResult`, carrying the member's plan.
 
     No plan runs for it, so it gets a warm profile whose ``execute`` stage is
     its whole share of the wave.
@@ -125,8 +124,8 @@ def _result(
     profile.execute_seconds = total_seconds
     # Positional, in QueryResult's field order: a keyword call costs twice as much.
     return QueryResult(
-        sql, values, columns, {}, plan_text, total_seconds, selection_seconds,
-        adaptation_seconds, 0.0, level, profile,
+        plan.sql, values, columns, {}, plan, total_seconds, selection_seconds,
+        adaptation_seconds, "batched", profile,
     )
 
 
@@ -158,8 +157,8 @@ class Executor:
         result then carries that text, the cache level that answered it and
         the profile that timed its plan acquisition.  Contexts are pooled, so
         the warm path allocates no per-query containers of its own.
-        ``plan_text`` is the paper's plan; ``opcode_counts`` say what ran,
-        the plan's lowering.
+        The result keeps ``prepared``, whose text is the paper's plan;
+        ``opcode_counts`` say what ran, the plan's lowering.
         """
         if origin is None:
             started = time.perf_counter()
@@ -180,11 +179,10 @@ class Executor:
         scalars = context.scalars
         # Positional, in QueryResult's field order: a keyword call costs twice as much.
         result = QueryResult(
-            sql, values, columns, dict(scalars) if scalars else {}, prepared.text,
+            sql, values, columns, dict(scalars) if scalars else {}, prepared,
             time.perf_counter() - started,
             bpm.total_selection_seconds - selection_before,
-            bpm.total_adaptation_seconds - adaptation_before,
-            execute_started - started, level, profile,
+            bpm.total_adaptation_seconds - adaptation_before, level, profile,
         )
         if len(contexts) < 4:
             context.reset()
@@ -257,7 +255,7 @@ class Executor:
                     groups.setdefault((template.table, template.column), []).append(position)
 
         def item(position: int) -> Item:
-            return position, plans[position].sql, members[position][1], plans[position].template
+            return position, plans[position], members[position][1]
 
         is_managed = database.bpm.is_managed
         batch_at: dict[int, tuple[str, str]] = {}  # first member's position -> its group
@@ -283,7 +281,8 @@ class Executor:
         """Every projected column's persistent BAT, resolved on this thread."""
         column = self.database.catalog.column
         bats: dict[tuple[str, str], BAT] = {}
-        for _, _, _, template in items:
+        for _, plan, _ in items:
+            template = plan.template
             for name in template.projected:
                 if (template.table, name) not in bats:
                     bats[(template.table, name)] = column(template.table, name).bind(0)
@@ -301,25 +300,24 @@ class Executor:
         """
         started = time.perf_counter()
         self.batch_stats.observe_wave(len(items))
-        bounds = [template.bind(values) for _, _, values, template in items]
+        bounds = [plan.template.bind(values) for _, plan, values in items]
         bpm = self.database.bpm
         selection_before = bpm.total_selection_seconds
         adaptation_before = bpm.total_adaptation_seconds
         extracted = [selection.oids for selection in bpm.select_many(table, column, bounds)]
         selection_seconds = bpm.total_selection_seconds - selection_before
         adaptation_seconds = bpm.total_adaptation_seconds - adaptation_before
-        plan_text = f"# batched select_many on {table}.{column} ({len(items)} queries)"
 
         bats = self._bats(items)
         columns = [
-            _gather(template, oids, bats) for (_, _, _, template), oids in zip(items, extracted)
+            _gather(plan.template, oids, bats) for (_, plan, _), oids in zip(items, extracted)
         ]
         share = 1.0 / len(items)
         total_share = (time.perf_counter() - started) * share
         return [
             _result(
-                sql, values, "batched", plan_text, member_columns, total_share,
+                plan, values, member_columns, total_share,
                 selection_seconds * share, adaptation_seconds * share,
             )
-            for (_, sql, values, _), member_columns in zip(items, columns)
+            for (_, plan, values), member_columns in zip(items, columns)
         ]

@@ -1,7 +1,7 @@
 """A bounded LRU from the text a statement is known by to its prepared plan.
 
-Parsing, compiling, optimizing and lowering a statement is pure per-statement
-work that the hot query path would otherwise repeat on every execution.  The
+Parsing, lowering and compiling a statement is pure per-statement work that
+the hot query path would otherwise repeat on every execution.  The
 database short-circuits it with one cache level: the statement's normalized
 ``?`` / ``:name`` text maps to one :class:`PreparedPlan` — the specialized
 :class:`~repro.mal.compiled.CompiledPlan` of the plan's one lowering plus the
@@ -37,13 +37,15 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from repro.mal.compiled import CompiledPlan
+from repro.optimizer.segment_optimizer import SegmentOptimizer
 from repro.sql.ast import ComparisonPredicate, Placeholder, SelectStatement
-from repro.sql.compiler import SQLCompiler
+from repro.sql.compiler import SQLCompiler, figure1
 from repro.sql.parameters import BindError, BindingSpec, mask_literals
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TableSchema
 
 
 def normalize_sql(sql: str) -> str:
@@ -139,6 +141,21 @@ def range_template(statement: SelectStatement, catalog: Catalog) -> RangeTemplat
     )
 
 
+def figure1_text(
+    statement: SelectStatement, name: str, schema: TableSchema, managed: frozenset[str]
+) -> str:
+    """``statement``'s optimized Figure-1 MAL plan in concrete syntax.
+
+    The one renderer of a plan's text, behind ``explain`` and
+    :attr:`PreparedPlan.text`.  It reads only its arguments — the statement,
+    its program name, its table's schema and the predicate columns the BPM
+    managed — so a plan renders what it would have rendered when it was
+    prepared, whatever the catalog and the BPM did since.
+    """
+    optimizer = SegmentOptimizer(lambda table, column: column in managed)
+    return optimizer.optimize(figure1(statement, schema, name)).render()
+
+
 @dataclass(frozen=True)
 class PreparedPlan:
     """A lowered plan plus its binding template — what every statement becomes.
@@ -146,24 +163,34 @@ class PreparedPlan:
     ``sql`` is the normalized statement text *including placeholders* (the
     cache key, and what a stale handle re-prepares from); ``compiled`` is the
     executable plan (the statement's lowering, see
-    :meth:`repro.sql.compiler.SQLCompiler.lower`) and ``text`` the
-    pre-rendered Figure-1 MAL; ``binding`` validates client parameters;
-    ``slots`` maps placeholder position → environment slot of the compiled
-    plan (resolved once, at prepare time); ``cache`` (a weak reference, so a
-    cache and the plans it stores form no cycle) and ``generation`` are the
-    plan cache that lowered the plan and its generation at the time — see
-    :meth:`PlanCache.is_current`; ``template`` is the statement's range-select
-    classification (``None``: not batchable).
+    :meth:`repro.sql.compiler.SQLCompiler.lower`); ``binding`` validates
+    client parameters; ``slots`` maps placeholder position → environment slot
+    of the compiled plan (resolved once, at prepare time); ``cache`` (a weak
+    reference, so a cache and the plans it stores form no cycle) and
+    ``generation`` are the plan cache that lowered the plan and its generation
+    at the time — see :meth:`PlanCache.is_current`; ``template`` is the
+    statement's range-select classification (``None``: not batchable).
+
+    ``statement``, ``schema`` (its table's, as it was) and ``managed`` (its
+    predicate columns the BPM managed) are what prepare captured for
+    :attr:`text`: nothing builds the Figure-1 program until it is read.
     """
 
     sql: str
     compiled: CompiledPlan
-    text: str
     binding: BindingSpec
     slots: tuple[int, ...]
     generation: int
     template: RangeTemplate | None
+    statement: SelectStatement
+    schema: TableSchema
+    managed: frozenset[str]
     cache: "weakref.ref[PlanCache]" = field(compare=False, repr=False)
+
+    @cached_property
+    def text(self) -> str:
+        """The Figure-1 MAL plan in concrete syntax, built on first read."""
+        return figure1_text(self.statement, self.compiled.name, self.schema, self.managed)
 
 
 @dataclass(frozen=True)

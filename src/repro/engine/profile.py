@@ -3,17 +3,16 @@
 Every :class:`~repro.engine.result.QueryResult` carries a :class:`QueryProfile`
 splitting the query's wall-clock time into the pipeline stages —
 
-* ``parse``    — SQL text → AST, plus parameter extraction;
-* ``optimize`` — the tactical MAL→MAL optimizer over the Figure-1 plan, whose
-  rendering is the plan's text;
-* ``compile``  — SQL→MAL code generation (the Figure-1 plan and the lowering)
-  *and* the one-time compilation of the lowering into a slot-based
+* ``parse``   — SQL text → AST, plus parameter extraction;
+* ``compile`` — the statement's lowering (SQL→MAL code generation) *and* its
+  one-time compilation into a slot-based
   :class:`~repro.mal.compiled.CompiledPlan`;
-* ``execute``  — running the (compiled) plan, including any piggy-backed
+* ``execute`` — running the compiled plan, including any piggy-backed
   adaptation work;
 
-— plus per-opcode execution counters from the compiled plan.  On a warm query
-(``cold`` is False) the optimize and compile stages are zero because the
+— plus per-opcode execution counters from the compiled plan.  No stage builds
+the paper's Figure-1 plan: a plan's text is rendered when it is first read.
+On a warm query (``cold`` is False) the compile stage is zero because the
 cached plan was reused; parse is then the literal masking alone, and zero on
 the prepared path.  The profiler exists so every perf change can be attributed
 to a stage instead of argued about (cf. KnobCF/IWEK: you cannot tune what you
@@ -23,7 +22,7 @@ cannot attribute).
 from __future__ import annotations
 
 #: Stage names in pipeline order (the keys of :meth:`QueryProfile.stage_seconds`).
-STAGES = ("parse", "optimize", "compile", "execute")
+STAGES = ("parse", "compile", "execute")
 
 
 class QueryProfile:
@@ -38,7 +37,6 @@ class QueryProfile:
 
     __slots__ = (
         "parse_seconds",
-        "optimize_seconds",
         "compile_seconds",
         "execute_seconds",
         "cold",
@@ -49,13 +47,11 @@ class QueryProfile:
     def __init__(
         self,
         parse_seconds: float = 0.0,
-        optimize_seconds: float = 0.0,
         compile_seconds: float = 0.0,
         execute_seconds: float = 0.0,
         cold: bool = True,
     ) -> None:
         self.parse_seconds = parse_seconds
-        self.optimize_seconds = optimize_seconds
         self.compile_seconds = compile_seconds
         self.execute_seconds = execute_seconds
         self.cold = cold
@@ -72,8 +68,8 @@ class QueryProfile:
 
     @property
     def plan_seconds(self) -> float:
-        """Everything before execution: parse + optimize + compile."""
-        return self.parse_seconds + self.optimize_seconds + self.compile_seconds
+        """Everything before execution: parse + compile."""
+        return self.parse_seconds + self.compile_seconds
 
     @property
     def total_seconds(self) -> float:
@@ -84,7 +80,6 @@ class QueryProfile:
         """The per-stage split as a mapping, in pipeline order."""
         return {
             "parse": self.parse_seconds,
-            "optimize": self.optimize_seconds,
             "compile": self.compile_seconds,
             "execute": self.execute_seconds,
         }

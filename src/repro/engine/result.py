@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.plan_cache import PreparedPlan
 from repro.engine.profile import QueryProfile
 
 
@@ -34,20 +35,26 @@ class QueryResult:
     carries the per-stage wall-clock split and per-opcode execution
     counters; on the batched path it is a warm profile whose ``execute``
     stage holds this member's share of the wave's cost (no plan runs there,
-    so the other stages and the opcode counters are zero).
+    so the other stages and the opcode counters are zero).  ``plan`` is the
+    prepared plan that answered — a batched member's too — and
+    :attr:`plan_text` its Figure-1 text.
     """
 
     sql: str
     parameters: tuple[float, ...] = ()
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     scalars: dict[str, float] = field(default_factory=dict)
-    plan_text: str = ""
+    plan: PreparedPlan | None = None
     total_seconds: float = 0.0
     selection_seconds: float = 0.0
     adaptation_seconds: float = 0.0
-    optimizer_seconds: float = 0.0
     cache_level: str = "cold"
     profile: QueryProfile | None = None
+
+    @property
+    def plan_text(self) -> str:
+        """The Figure-1 text of the plan that answered (rendered on first read)."""
+        return "" if self.plan is None else self.plan.text
 
     @property
     def plan_cache_hit(self) -> bool:

@@ -20,7 +20,7 @@ straight line, and the blocks run in the test suite's interpreter oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 
@@ -94,10 +94,6 @@ class Instruction:
     def argument_names(self) -> list[str]:
         """Names of all variable references among the arguments."""
         return [arg.name for arg in self.args if isinstance(arg, Var)]
-
-    def with_args(self, args: Iterable[Any]) -> "Instruction":
-        """A copy of the instruction with different arguments."""
-        return replace(self, args=tuple(args))
 
     def render(self) -> str:
         """Render the instruction in MAL-like concrete syntax."""

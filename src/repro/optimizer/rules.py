@@ -9,6 +9,8 @@ code elimination for pure operators whose results are never used.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.mal.program import Const, Instruction, MALProgram, Var
 
 #: Callees considered pure (no observable side effect), eligible for removal.
@@ -93,4 +95,4 @@ def apply_renames(instruction: Instruction, renames: dict[str, str]) -> Instruct
     )
     if new_args == instruction.args:
         return instruction
-    return instruction.with_args(new_args)
+    return replace(instruction, args=new_args)

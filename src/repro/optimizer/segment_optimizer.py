@@ -21,161 +21,77 @@ Only selections against bind level 0 (the persistent BAT) are rewritten; the
 delta BATs stay on the conventional path, exactly as in the paper where the
 technique targets bulk-loaded, read-mostly warehouses.
 
+The rewrite asks one question of the BPM — is ``table.column`` managed? —
+through the ``is_managed`` callable it is built with: the live BPM's
+(``Database.optimizer``), or the answer a prepared plan captured when it was
+prepared (its text, :attr:`repro.engine.plan_cache.PreparedPlan.text`).
 :meth:`SegmentOptimizer.optimize` is the whole tactical pass over a Figure-1
 plan, in the paper's order: plan hygiene (duplicate-bind merging), the
 segment-aware rewrite, then dead-code elimination of the binds the rewrite
-obsoleted.  Its result is the plan's text (``explain``,
-``PreparedPlan.text``); the engine runs the compiler's lowering instead.
+obsoleted.  Iterator-block names (``Y_1``, ``rseg_3``, ...) are numbered per
+program, so a plan's text depends only on its statement and layout.  The
+result is the plan's text; the engine runs the compiler's lowering instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
+from typing import Callable, Iterator
 
 from repro.mal.program import Const, Instruction, MALProgram, Var
-from repro.optimizer.bpm import BatPartitionManager
 from repro.optimizer.rules import merge_duplicate_binds, remove_dead_code
-from repro.storage.catalog import Catalog
-
-
-@dataclass(frozen=True)
-class _BindInfo:
-    """What a ``sql.bind`` instruction binds: table, column and level."""
-
-    table: str
-    column: str
-    level: int
 
 
 class SegmentOptimizer:
     """Rewrites selections on BPM-managed columns into iterator blocks."""
 
-    name = "segment_optimizer"
-
-    #: The selection operators eligible for the rewrite.
-    _SELECT_FUNCTIONS = {"select", "uselect"}
-
-    def __init__(self, catalog: Catalog, bpm: BatPartitionManager) -> None:
-        self.catalog = catalog
-        self.bpm = bpm
-        self._fresh_counter = 0
-
-    # -- rule protocol --------------------------------------------------------
+    def __init__(self, is_managed: Callable[[str, str], bool]) -> None:
+        self.is_managed = is_managed
 
     def optimize(self, program: MALProgram) -> MALProgram:
         """The optimized Figure-1 plan: merge binds, segment rewrite, dead code."""
-        return remove_dead_code(self(merge_duplicate_binds(program)))
+        return remove_dead_code(self._rewrite(merge_duplicate_binds(program)))
 
-    def __call__(self, program: MALProgram) -> MALProgram:
-        """Apply the rewrite; returns a new program (the input is not mutated)."""
-        binds = self._collect_binds(program)
+    def _rewrite(self, program: MALProgram) -> MALProgram:
+        """A copy of ``program`` with every selection over a managed level-0 bind rewritten."""
+        managed: dict[str, tuple[str, str]] = {}  # bind target -> (table, column)
+        for instruction in program.instructions:
+            if instruction.callee == "sql.bind" and instruction.args[3] == Const(0):
+                table, column = instruction.args[1].value, instruction.args[2].value
+                if self.is_managed(table, column):
+                    managed[instruction.target] = (table, column)
+        fresh = count(1)
         rewritten = MALProgram(name=program.name, parameters=program.parameters)
         for instruction in program.instructions:
-            replacement = self._rewrite_instruction(instruction, binds)
-            if replacement is None:
-                rewritten.append(instruction)
+            source = instruction.args[0] if instruction.args else None
+            if instruction.callee in ("algebra.select", "algebra.uselect") and (
+                isinstance(source, Var) and source.name in managed
+            ):
+                rewritten.extend(_iterator_block(
+                    instruction.target, *managed[source.name], instruction.args[1:], fresh
+                ))
             else:
-                rewritten.extend(replacement)
+                rewritten.append(instruction)
         return rewritten
 
-    # -- helpers ------------------------------------------------------------------
 
-    def _collect_binds(self, program: MALProgram) -> dict[str, _BindInfo]:
-        """Map variable names to the column they were bound from."""
-        binds: dict[str, _BindInfo] = {}
-        for instruction in program.instructions:
-            if instruction.module != "sql" or instruction.function != "bind":
-                continue
-            if instruction.target is None or len(instruction.args) < 4:
-                continue
-            args = [arg.value if isinstance(arg, Const) else None for arg in instruction.args]
-            if any(arg is None for arg in args[:4]):
-                continue
-            binds[instruction.target] = _BindInfo(
-                table=str(args[1]), column=str(args[2]), level=int(args[3])
-            )
-        return binds
-
-    def _rewrite_instruction(
-        self, instruction: Instruction, binds: dict[str, _BindInfo]
-    ) -> list[Instruction] | None:
-        """The iterator block replacing one selection, or ``None`` to keep it."""
-        if instruction.module != "algebra" or instruction.function not in self._SELECT_FUNCTIONS:
-            return None
-        if not instruction.args or not isinstance(instruction.args[0], Var):
-            return None
-        bind = binds.get(instruction.args[0].name)
-        if bind is None or bind.level != 0:
-            return None
-        if not self.bpm.is_managed(bind.table, bind.column):
-            return None
-        if instruction.target is None:
-            return None
-        bounds = list(instruction.args[1:])
-        return self._emit_iterator_block(instruction.target, bind, bounds)
-
-    def _fresh(self, prefix: str) -> str:
-        self._fresh_counter += 1
-        return f"{prefix}_{self._fresh_counter}"
-
-    def _emit_iterator_block(
-        self, target: str, bind: _BindInfo, bounds: list
-    ) -> list[Instruction]:
-        handle_var = self._fresh("Y")
-        accumulator_var = self._fresh("Y")
-        barrier_var = self._fresh("rseg")
-        piece_var = self._fresh("T")
-        comment = f"segment-aware sorted scan of {bind.table}.{bind.column}"
-        return [
-            Instruction(
-                opcode="assign",
-                targets=(handle_var,),
-                module="bpm",
-                function="take",
-                args=(Const("sys"), Const(bind.table), Const(bind.column)),
-                comment=comment,
-            ),
-            Instruction(
-                opcode="assign",
-                targets=(accumulator_var,),
-                module="bpm",
-                function="new",
-                args=(),
-            ),
-            Instruction(
-                opcode="barrier",
-                targets=(barrier_var,),
-                module="bpm",
-                function="newIterator",
-                args=(Var(handle_var), *bounds),
-            ),
-            Instruction(
-                opcode="assign",
-                targets=(piece_var,),
-                module="algebra",
-                function="select",
-                args=(Var(barrier_var), *bounds),
-            ),
-            Instruction(
-                opcode="assign",
-                targets=(),
-                module="bpm",
-                function="addSegment",
-                args=(Var(accumulator_var), Var(piece_var)),
-            ),
-            Instruction(
-                opcode="redo",
-                targets=(barrier_var,),
-                module="bpm",
-                function="hasMoreElements",
-                args=(Var(handle_var), *bounds),
-            ),
-            Instruction(opcode="exit", targets=(barrier_var,)),
-            Instruction(
-                opcode="assign",
-                targets=(target,),
-                module="bpm",
-                function="result",
-                args=(Var(accumulator_var),),
-            ),
-        ]
+def _iterator_block(
+    target: str, table: str, column: str, bounds: tuple, fresh: Iterator[int]
+) -> list[Instruction]:
+    """The iterator block that computes ``target`` (see the module docstring)."""
+    take, accumulator, barrier, piece = (
+        f"{prefix}_{next(fresh)}" for prefix in ("Y", "Y", "rseg", "T")
+    )
+    comment = f"segment-aware sorted scan of {table}.{column}"
+    return [
+        Instruction(
+            "assign", (take,), "bpm", "take", (Const("sys"), Const(table), Const(column)), comment
+        ),
+        Instruction("assign", (accumulator,), "bpm", "new"),
+        Instruction("barrier", (barrier,), "bpm", "newIterator", (Var(take), *bounds)),
+        Instruction("assign", (piece,), "algebra", "select", (Var(barrier), *bounds)),
+        Instruction("assign", (), "bpm", "addSegment", (Var(accumulator), Var(piece))),
+        Instruction("redo", (barrier,), "bpm", "hasMoreElements", (Var(take), *bounds)),
+        Instruction("exit", (barrier,)),
+        Instruction("assign", (target,), "bpm", "result", (Var(accumulator),)),
+    ]

@@ -54,6 +54,10 @@ from repro.server.protocol import (
 )
 from repro.tuning.knobs import knob_table, set_knobs
 
+#: Graceful-stop budget, seconds: how long :meth:`ReproServer.stop` waits for
+#: in-flight waves, and then for each connection's pending responses.
+DRAIN_TIMEOUT_S = 5.0
+
 
 def result_payload(result: QueryResult) -> dict[str, Any]:
     """One query result as a response body; its columns cross the wire as raw buffers."""
@@ -114,7 +118,6 @@ class ReproServer:
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         auto_rebuild: bool = True,
-        drain_timeout_s: float = 5.0,
         injector: Any | None = None,
     ) -> None:
         self.database = database if database is not None else Database()
@@ -141,7 +144,6 @@ class ReproServer:
             self.router.close()  # a rejected setting must not leave its workers running
             raise
         self._admin = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-admin")
-        self.drain_timeout_s = float(drain_timeout_s)
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
@@ -195,9 +197,9 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.admission.drain(timeout=self.drain_timeout_s)
+        await self.admission.drain(timeout=DRAIN_TIMEOUT_S)
         for connection in list(self._connections):
-            await connection.drain_responses(timeout=self.drain_timeout_s)
+            await connection.drain_responses(timeout=DRAIN_TIMEOUT_S)
         for connection in list(self._connections):
             await connection.shutdown()
         await self.admission.stop()

@@ -39,7 +39,6 @@ class TestPreparedExecution:
         # Parse covers both parsing and literal masking in the profiler; the
         # prepared path must skip them entirely.
         assert result.profile.parse_seconds == 0.0
-        assert result.profile.optimize_seconds == 0.0
         assert result.profile.compile_seconds == 0.0
         assert not result.profile.cold
         assert result.profile.execute_seconds > 0.0

@@ -372,6 +372,14 @@ class TestBatchedProfiles:
         total = sum(result.total_seconds for result in results)
         assert total == pytest.approx(results[0].total_seconds * len(results))
 
+    def test_a_batched_member_shows_its_statements_figure1_text(self, managed):
+        prepared = managed.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        members = managed.execute_prepared_many(prepared, BINDINGS["disjoint"])
+        lone = managed.execute_prepared(prepared, BINDINGS["disjoint"][0])
+        assert [member.cache_level for member in members] == ["batched"] * 3
+        assert lone.cache_level == "prepared" and "bpm.newIterator" in lone.plan_text
+        assert [member.plan_text for member in members] == [lone.plan_text] * 3
+
     def test_profile_format_on_a_batched_result(self, managed):
         result = literal_wave(managed, DISJOINT)[0]
         rendered = result.profile.format()

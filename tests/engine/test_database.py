@@ -360,25 +360,99 @@ class TestQueryExecution:
         assert plan.startswith("function user.")
         assert "algebra.uselect" in plan
 
-    def test_explain_takes_the_text_a_client_prepares(self, database):
+    @pytest.mark.parametrize("organisation", ["plain", "managed"])
+    def test_explain_takes_the_text_a_client_prepares(self, database, organisation):
         """``?`` text explains (it raised SQLSyntaxError); Figure 1, then the lowering."""
+        if organisation == "managed":
+            database.enable_adaptive("p", "ra", strategy="segmentation")
+        select = ["bpm.take", "bpm.select"] if organisation == "managed" else [
+            "sql.bind", "algebra.uselect"
+        ]
         sql = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
         figure_1, marker, short = database.explain(sql).partition(
             "\n# lowering — what the executor runs\n"
         )
         assert marker and figure_1.count("algebra.kunion") == 4
-        # Statement counters differ between two compilations; the bodies do not.
+        assert ("bpm.newIterator" in figure_1) == (organisation == "managed")
+        # Statement numbers differ between two statements; the bodies do not,
+        # iterator-block names included.
         prepared = database.prepare_statement(sql)
         assert figure_1.splitlines()[1:-1] == prepared.text.splitlines()[1:-1]
         callees = [line.split("(")[0].split()[-1] for line in short.splitlines()[1:-1]]
         assert callees == [
-            "sql.bind", "algebra.uselect", "sql.live", "sql.bind", "algebra.projection",
+            *select, "sql.live", "sql.bind", "algebra.projection",
             "sql.resultSet", "sql.rsColumn", "sql.exportResult",
         ]
         named = database.explain("SELECT objid FROM p WHERE ra BETWEEN :lo AND :hi")
-        for block in named.partition("\n# lowering — what the executor runs\n")[::2]:
+        blocks = named.partition("\n# lowering — what the executor runs\n")[::2]
+        for block, callee in zip(blocks, ["algebra.uselect", select[1]]):
             assert block.startswith("function user.s3_0(__p0, __p1):void;")
-            assert "algebra.uselect(X_" in block and ", __p0, __p1, True, True);" in block
+            assert f"{callee}(X_" in block and ", __p0, __p1, True, True);" in block
+
+    def test_no_door_builds_figure1_and_a_plan_renders_its_text_once(
+        self, database, monkeypatch
+    ):
+        """A cold prepare builds only the plan that runs; its text waits for a read."""
+        import repro.engine.plan_cache as plan_cache
+        from repro.cluster import Router
+        from repro.mal.program import MALProgram
+        from repro.optimizer.segment_optimizer import SegmentOptimizer
+        from repro.sql.compiler import SQLCompiler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a query door built Figure-1 text")
+
+        database.enable_adaptive("p", "ra", strategy="segmentation")
+        sql = "SELECT objid FROM p WHERE ra BETWEEN ? AND ?"
+        pairs = [(float(low), low + 1.5) for low in range(10, 100, 10)]
+        with Router(database, 2) as router:
+            with monkeypatch.context() as patch:
+                for owner, name in (
+                    (SQLCompiler, "compile"), (SegmentOptimizer, "optimize"), (MALProgram, "render")
+                ):
+                    patch.setattr(owner, name, refuse)
+                results = [database.execute("SELECT objid FROM p WHERE ra BETWEEN 10 AND 11.5")]
+                prepared = database.prepare_statement(sql)
+                results.append(database.execute_prepared(prepared, pairs[1]))
+                results += database.execute_prepared_many(prepared, pairs[2:4])
+                results += database.execute_wave([(prepared, pairs[4]), (prepared, pairs[5])])
+                wave = [(prepared, pairs[6]), (prepared, pairs[7])]  # re-prepared on replica 1
+                results += router.replicas[1].run(router.execute_wave_on, 1, wave)
+            assert [result.cache_level for result in results] == [
+                "cold", "prepared", *["batched"] * 6
+            ]
+            for result, (low, high) in zip(results, pairs):
+                assert sorted(result.columns["objid"]) == sorted(brute(database, low, high))
+        built = []
+        original = plan_cache.figure1_text
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(plan_cache, "figure1_text", counting)
+        assert prepared.text == prepared.text and len(built) == 1
+        assert results[1].plan_text is prepared.text and len(built) == 1
+        assert "bpm.newIterator" in prepared.text
+
+    def test_a_plan_renders_the_layout_it_was_prepared_under(self, database):
+        """A plan's text is built from what prepare captured, whenever it is read."""
+        database.enable_adaptive("p", "ra", strategy="segmentation")
+        plans = [
+            database.prepare_statement(f"SELECT {column} FROM p WHERE ra BETWEEN ? AND ?")
+            for column in ("objid", "dec")
+        ]
+        at_prepare = [
+            database.explain(plan.sql).partition("\n# lowering")[0].splitlines()[1:-1]
+            for plan in plans
+        ]
+        database.disable_adaptive("p", "ra")
+        assert plans[0].text.splitlines()[1:-1] == at_prepare[0]  # first read
+        database.drop_table("p")
+        database.create_table("p", {"objid": "int64", "ra": "float64"})
+        assert plans[1].text.splitlines()[1:-1] == at_prepare[1]  # first read
+        for plan in plans:
+            assert "barrier rseg_3 := bpm.newIterator(Y_1, __p0, __p1, True, True);" in plan.text
 
     def test_a_statement_is_compiled_once_and_runs_its_lowering(self, database, monkeypatch):
         import repro.engine.database as module

@@ -119,10 +119,10 @@ class TestEngineScenario:
         # must not decide a wall-clock comparison.
         tail = len(baseline_results) // 2
         baseline_tail = statistics.median(
-            r.total_seconds - r.optimizer_seconds for r in baseline_results[tail:]
+            r.total_seconds - r.profile.plan_seconds for r in baseline_results[tail:]
         )
         adaptive_tail_selection = statistics.median(
-            r.total_seconds - r.adaptation_seconds - r.optimizer_seconds
+            r.total_seconds - r.adaptation_seconds - r.profile.plan_seconds
             for r in adaptive_results[tail:]
         )
         assert adaptive_tail_selection < baseline_tail
