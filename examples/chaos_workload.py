@@ -14,7 +14,11 @@ checked answer.  The workload then fires bound range selects through the
 fault window, verifies every completed answer against a client-side
 recomputation of the demo table, polls ``router_stats`` until the fleet
 converges back to full health, and sends a second, checked batch to the
-healed fleet.  Exit 0 requires: zero wrong answers, one reconnect, health
+healed fleet.  Last it freezes the fleet (SIGSTOP) under a second
+connection with a short ``request_timeout``: that connection's request must
+fail with the client's own deadline (``TransientError``), and once the
+fleet is thawed (SIGCONT) its late answer must be dropped and the next
+request answered correctly.  Exit 0 requires: zero wrong answers, one reconnect, health
 counters that show the injected faults actually exercised the deadline,
 quarantine + rebuild, every replica healthy again, every replica serving
 part of the second batch (re-admission), and a clean exit of a server
@@ -39,7 +43,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
 import repro.aio  # noqa: E402
-from repro.api.exceptions import OperationalError  # noqa: E402
+from repro.api.exceptions import OperationalError, TransientError  # noqa: E402
 from repro.fault import FaultInjector  # noqa: E402
 
 HOST = "127.0.0.1"
@@ -48,6 +52,8 @@ SQL = "SELECT v FROM demo WHERE v BETWEEN ? AND ?"
 DEMO_SEED = 7
 #: Queries in the checked batch sent once the fleet has healed.
 HEALED_QUERIES = 48
+#: The deadline of the connection that asks a frozen fleet.
+FROZEN_TIMEOUT_S = 0.2
 #: Seconds a wave may run before the admission layer presumes its replica wedged.
 WAVE_DEADLINE_S = 1.0
 #: The faults the fleet is booted with: replica 1's first wave hangs past the
@@ -188,6 +194,8 @@ async def run_workload(port: int, args: argparse.Namespace, server: subprocess.P
         replica["queries_served"]
         for replica in (await connection.admin.router_stats())["replicas"]
     ]
+    if not await frozen_fleet_times_out(port, server, values):
+        return 1
     # Stop the fleet with this connection still open: the server's graceful
     # stop drains the connection's responses and shuts its handler down too.
     stopped = await asyncio.to_thread(stop_fleet, server)
@@ -229,8 +237,44 @@ async def run_workload(port: int, args: argparse.Namespace, server: subprocess.P
         print(f"FATAL: the fleet exited {stopped} on SIGINT with a connection open")
         return 1
     print("chaos smoke ok: reconnected, timed out, crashed, failed over, rebuilt, "
-          "healed, re-admitted, stopped")
+          "healed, re-admitted, outwaited a frozen fleet, stopped")
     return 0
+
+
+async def frozen_fleet_times_out(
+    port: int, server: subprocess.Popen, values: np.ndarray
+) -> bool:
+    """A request to a frozen fleet fails on the client's deadline; the thawed
+    fleet's late answer is dropped and the next request is answered right."""
+    connection = await repro.aio.connect(HOST, port, request_timeout=FROZEN_TIMEOUT_S)
+    low, high = 0.25, 0.3
+    expected = int(np.count_nonzero((values >= low) & (values <= high)))
+    server.send_signal(signal.SIGSTOP)
+    begin = time.perf_counter()
+    try:
+        await connection.execute(SQL, (low, high))
+    except TransientError as exc:
+        message = str(exc)
+    else:
+        message = "answered"
+    finally:
+        waited = time.perf_counter() - begin
+        server.send_signal(signal.SIGCONT)
+    try:
+        if message != f"request 'execute' timed out after {FROZEN_TIMEOUT_S}s":
+            print(f"FATAL: a request to the frozen fleet came back {message!r}")
+            return False
+        if not FROZEN_TIMEOUT_S <= waited < FROZEN_TIMEOUT_S + 1.0:
+            print(f"FATAL: the frozen request failed after {waited:.3f}s, "
+                  f"not near its {FROZEN_TIMEOUT_S}s deadline")
+            return False
+        after = (await connection.execute(SQL, (low, high))).rowcount
+        if after != expected:
+            print(f"FATAL: after the thaw [{low}, {high}] -> {after}, expected {expected}")
+            return False
+        return True
+    finally:
+        await connection.close()
 
 
 def main() -> int:

@@ -2,8 +2,8 @@
 
 Starts a :class:`~repro.server.ReproServer` on an ephemeral loopback port,
 creates and loads a three-row table through the wire protocol's admin
-frames, checks one bound range select and the handshake's protocol version,
-makes the column adaptive and drives the knob surface: it reads the knob
+frames, checks one bound range select and the handshake's protocol version
+(a raw protocol-2 HELLO is refused and its connection closed), makes the column adaptive and drives the knob surface: it reads the knob
 table, sets one knob per layer (storage-model, cluster, server) in one
 batch, reads the values back, and checks that a batch breaking
 ``apm_m_min < apm_m_max`` changes nothing.  On a scratch table it then
@@ -34,7 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import repro.aio  # noqa: E402
 from repro.api.exceptions import ProgrammingError  # noqa: E402
-from repro.server import ReproServer  # noqa: E402
+from repro.server import ReproServer, read_frame, write_frame  # noqa: E402
 
 #: One knob per layer, each moved off its default.
 ONE_PER_LAYER = {
@@ -47,7 +47,8 @@ ONE_PER_LAYER = {
 async def main() -> None:
     async with ReproServer(port=0, batch_window_us=100.0) as server:
         connection = await repro.aio.connect(*server.address)
-        assert connection.server_info["protocol"] == 2
+        assert connection.server_info["protocol"] == 3
+        await refuses_protocol_2(server.address)
         admin = connection.admin
         await admin.create_table("t", {"v": "float64"})
         await admin.bulk_load("t", {"v": [1.0, 2.0, 3.0]})
@@ -84,6 +85,20 @@ async def main() -> None:
         await connection.close()
     print(f"server smoke ok (replication storage {held:.0f} B met a lowered budget "
           f"of {budget:.0f} B)")
+
+
+async def refuses_protocol_2(address) -> None:
+    """A protocol-2 client's HELLO gets the version-mismatch error, then EOF."""
+    reader, writer = await asyncio.open_connection(*address)
+    try:
+        write_frame(writer, {"type": "hello", "id": 1, "protocol": 2, "client": "old"})
+        await writer.drain()
+        reply = await asyncio.wait_for(read_frame(reader), 10)
+        assert reply["type"] == "error" and reply["error"] == "ProgrammingError", reply
+        assert reply["message"] == "protocol 2 not supported (server speaks 3)", reply
+        assert await asyncio.wait_for(read_frame(reader), 10) is None
+    finally:
+        writer.close()
 
 
 async def scratch_table(connection) -> tuple[float, float]:

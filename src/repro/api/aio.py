@@ -20,7 +20,7 @@ connection and keep queries in flight concurrently::
 Fetching stays synchronous (the rows are already client-side once ``execute``
 returns), matching the blocking cursor's fetch surface exactly.
 
-Columns cross the wire as raw numpy buffers in both directions (protocol 2,
+Columns cross the wire as raw numpy buffers in both directions (protocol 3,
 see :mod:`repro.server.protocol`): a :class:`RemoteResult` holds the arrays
 the reply frame carried — writable, with the server's dtypes — and
 ``admin.bulk_load`` / ``insert`` / ``delete`` send their arrays the same way.
@@ -30,10 +30,14 @@ Only 1-D bool, integer and float arrays can cross; anything else raises
 Resilience (all opt-in, off by default so failures stay loud):
 
 ``request_timeout``
-    Per-request deadline.  A timed-out request raises
+    Per-request deadline, ``request_timeout`` seconds after the request is
+    sent.  A timed-out request raises
     :class:`~repro.api.exceptions.TransientError`; its late response, if one
     ever arrives, is discarded by the correlation map — never delivered to
-    the wrong caller.
+    the wrong caller.  The connection keeps one timer, not one per request:
+    requests are pending in send order, which is deadline order, so the
+    timer is armed for the oldest one; when it fires it fails every request
+    past its deadline and re-arms for the next.
 ``reconnect=True``
     A dropped socket no longer bricks the connection: the next request
     redials — :data:`RECONNECT_ATTEMPTS` dials, the backoff doubling from
@@ -335,7 +339,10 @@ class AsyncConnection:
         self._retry_reads = bool(retry_reads)
         self._injector = injector
         self._ids = itertools.count(1)
-        self._pending: dict[int, asyncio.Future] = {}
+        #: In send order: request id -> (future, deadline or None, frame type).
+        self._pending: dict[int, tuple[asyncio.Future, float | None, Any]] = {}
+        #: The one deadline timer, armed while a request may be pending.
+        self._timer: asyncio.TimerHandle | None = None
         self._receive_task: asyncio.Task | None = None
         self._closed = False
         self._user_closed = False
@@ -396,6 +403,9 @@ class AsyncConnection:
 
     async def _teardown(self) -> None:
         self._closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         if self._receive_task is not None:
             self._receive_task.cancel()
             try:
@@ -564,7 +574,7 @@ class AsyncConnection:
     async def _request_once(
         self, frame: dict[str, Any], *, during_close: bool = False
     ) -> dict[str, Any]:
-        """One send/await round-trip, under the per-request timeout."""
+        """One send/await round-trip, under the request deadline."""
         if self._closed and not during_close:
             raise InterfaceError("connection is closed")
         if self._injector is not None:
@@ -574,29 +584,46 @@ class AsyncConnection:
                 self._abort_transport()
                 raise TransientError("injected connection drop at client.send")
         request_id = next(self._ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        deadline = None
+        if self.request_timeout is not None:
+            deadline = loop.time() + self.request_timeout
+            if self._timer is None:
+                self._timer = loop.call_at(deadline, self._expire)
+        self._pending[request_id] = (future, deadline, frame.get("type"))
         try:
             try:
                 write_frame(self._writer, {**frame, "id": request_id})
             except (TypeError, ValueError) as exc:
                 raise ProgrammingError(f"the request cannot be encoded: {exc}") from exc
             await self._writer.drain()
-            if self.request_timeout is None:
-                return await future
-            try:
-                return await asyncio.wait_for(future, self.request_timeout)
-            except asyncio.TimeoutError:
-                # The pending entry is popped below, so a late response is
-                # dropped by the correlation map — never delivered stale.
-                raise TransientError(
-                    f"request {frame.get('type')!r} timed out after "
-                    f"{self.request_timeout}s"
-                ) from None
+            return await future
         except (ConnectionError, OSError) as exc:
             raise TransientError(f"connection lost: {exc}") from exc
         finally:
             self._pending.pop(request_id, None)
+
+    def _expire(self) -> None:
+        """The deadline timer: fail every expired request, re-arm for the oldest left.
+
+        An expired request leaves the correlation map here, so its late
+        response is dropped — never delivered stale.
+        """
+        self._timer = None
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        for request_id, (future, deadline, kind) in list(self._pending.items()):
+            if deadline is None:
+                continue
+            if deadline > now:
+                self._timer = loop.call_at(deadline, self._expire)
+                return
+            del self._pending[request_id]
+            if not future.done():
+                future.set_exception(TransientError(
+                    f"request {kind!r} timed out after {self.request_timeout}s"
+                ))
 
     def _abort_transport(self) -> None:
         transport = self._writer.transport
@@ -609,9 +636,10 @@ class AsyncConnection:
                 frame = await read_frame(self._reader)
                 if frame is None:
                     break
-                future = self._pending.get(frame.get("id"))
-                if future is None or future.done():
+                entry = self._pending.get(frame.get("id"))
+                if entry is None or entry[0].done():
                     continue
+                future = entry[0]
                 if frame.get("type") == "error":
                     future.set_exception(
                         error_from_name(
@@ -630,7 +658,7 @@ class AsyncConnection:
         self._fail_pending(TransientError("connection closed by server"))
 
     def _fail_pending(self, exc: Exception) -> None:
-        for future in list(self._pending.values()):
+        for future, _, _ in list(self._pending.values()):
             if not future.done():
                 future.set_exception(exc)
         self._pending.clear()

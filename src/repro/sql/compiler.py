@@ -288,7 +288,9 @@ def _projected_columns(statement: SelectStatement, schema: TableSchema) -> tuple
 
 
 def _validate(statement: SelectStatement, schema: TableSchema) -> None:
-    """Raise ``KeyError`` for an unknown projected column."""
+    """Raise ``KeyError`` for an unknown column: predicates first, then projected ones."""
+    for predicate in statement.predicates:
+        schema.dtype_of(predicate.column)
     for column in _projected_columns(statement, schema):
         schema.dtype_of(column)
 

@@ -1,7 +1,8 @@
 """Client-side resilience: request timeouts, reconnect, idempotent retry.
 
 Satellite gates: a request against a stalled server times out cleanly
-(``TransientError``), a dropped socket redials with backoff when
+(``TransientError``) — alone, near its deadline, under the connection's one
+deadline timer — a dropped socket redials with backoff when
 ``reconnect=True``, a mid-``executemany`` disconnect surfaces a clean
 ``OperationalError`` (no hang, no orphaned task), and only text-bearing
 idempotent reads are ever retried — statement-id frames never are.
@@ -132,6 +133,48 @@ class _VanishingServer(_StalledServer):
             pass
 
 
+class _AnsweringServer(_StalledServer):
+    """Answers every ``execute`` at once with an empty one-column result — except
+    ``sql == "stall"``, which it answers ``late_s`` seconds later (never if ``None``)."""
+
+    def __init__(self, late_s: float | None = None) -> None:
+        super().__init__()
+        self.late_s = late_s
+
+    async def _handle(self, reader, writer) -> None:
+        late: list[asyncio.Task] = []
+
+        async def answer_late(request_id) -> None:
+            await asyncio.sleep(self.late_s)
+            write_frame(writer, self._result(request_id, "late"))
+
+        try:
+            while (frame := await read_frame(reader)) is not None:
+                kind = frame.get("type")
+                if kind == "hello":
+                    write_frame(writer, {
+                        "type": "hello", "id": frame["id"], "server": "answering",
+                        "version": "0", "protocol": PROTOCOL_VERSION, "knobs": {},
+                    })
+                elif kind == "close":
+                    write_frame(writer, {"type": "closed", "id": frame["id"]})
+                elif frame.get("sql") != "stall":
+                    write_frame(writer, self._result(frame["id"], frame.get("sql", "bound")))
+                elif self.late_s is not None:
+                    late.append(asyncio.get_running_loop().create_task(answer_late(frame["id"])))
+                await writer.drain()
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            for task in late:
+                task.cancel()
+
+    @staticmethod
+    def _result(request_id, level: str) -> dict:
+        return {"type": "result", "id": request_id, "rowcount": 0, "cache_level": level,
+                "batched": False, "columns": {"v": np.empty(0)}}
+
+
 class TestRequestTimeout:
     def test_a_stalled_server_times_out_as_transient(self):
         async def go():
@@ -164,6 +207,87 @@ class TestRequestTimeout:
                 await connection.close()
 
         run(go)
+
+
+    def test_one_stalled_request_times_out_alone_near_its_deadline(self):
+        timeout = 0.3
+
+        async def go():
+            async with _AnsweringServer(late_s=2 * timeout) as server:
+                connection = await repro.aio.connect(
+                    *server.address, request_timeout=timeout
+                )
+                loop = asyncio.get_running_loop()
+
+                async def stalled():
+                    begin = loop.time()
+                    with pytest.raises(TransientError) as raised:
+                        await connection.execute("stall")
+                    return loop.time() - begin, str(raised.value)
+
+                async def answered(k):
+                    await asyncio.sleep(k * timeout / 20)  # some before, some after it stalls
+                    return (await connection.execute(f"q{k}")).cache_level
+
+                outcome, *levels = await asyncio.gather(
+                    stalled(), *(answered(k) for k in range(30))
+                )
+                await asyncio.sleep(2 * timeout)  # the stalled request's late answer arrives
+                after = (await connection.execute("after")).cache_level
+                pending = dict(connection._pending)
+                await connection.close()
+                return outcome, levels, after, pending
+
+        (elapsed, message), levels, after, pending = run(go)
+        assert message == f"request 'execute' timed out after {timeout}s"
+        assert timeout - 0.01 <= elapsed < timeout + 0.25
+        assert levels == [f"q{k}" for k in range(30)]
+        assert after == "after"  # the late answer went nowhere
+        assert pending == {}
+
+    def test_answered_requests_leave_one_timer_at_most(self):
+        async def go():
+            async with _AnsweringServer() as server:
+                connection = await repro.aio.connect(*server.address, request_timeout=30.0)
+                loop = asyncio.get_running_loop()
+                timers: list[asyncio.TimerHandle] = []
+                call_at = loop.call_at
+
+                def spying_call_at(when, callback, *args, **kwargs):
+                    handle = call_at(when, callback, *args, **kwargs)
+                    timers.append(handle)
+                    return handle
+
+                loop.call_at = spying_call_at
+                try:
+                    for start in range(0, 1_000, 50):
+                        await asyncio.gather(
+                            *(connection.execute(f"q{k}") for k in range(start, start + 50))
+                        )
+                finally:
+                    del loop.call_at
+                armed = [t for t in timers if not t.cancelled() and t.when() > loop.time()]
+                pending = len(connection._pending)
+                await connection.close()
+                return timers, armed, pending
+
+        timers, armed, pending = run(go)
+        assert pending == 0
+        assert len(armed) <= 1
+        assert len(timers) <= 1  # no timer per request
+
+    def test_close_cancels_the_timer(self):
+        async def go():
+            async with _AnsweringServer() as server:
+                connection = await repro.aio.connect(*server.address, request_timeout=30.0)
+                await connection.execute("q")
+                timer = connection._timer
+                await connection.close()
+                return timer, connection._timer
+
+        timer, after = run(go)
+        assert timer is not None and timer.cancelled()
+        assert after is None
 
 
 class TestReconnect:

@@ -151,6 +151,14 @@ class TestAdmin:
         with pytest.raises(api.ProgrammingError):
             connection.admin.explain("SELEKT objid FROM p")
 
+    def test_an_unknown_predicate_column_is_refused_at_prepare(self, connection):
+        sql = "SELECT objid FROM p WHERE zz BETWEEN ? AND ?"
+        with pytest.raises(api.ProgrammingError, match="table 'p' has no column 'zz'"):
+            connection.prepare(sql)
+        with pytest.raises(api.ProgrammingError, match="table 'p' has no column 'zz'"):
+            connection.admin.explain(sql)
+        assert connection.admin.cache_stats()["total"]["size"] == 0
+
 
 class TestAdminCacheStats:
     def test_cache_stats_surface(self, connection):

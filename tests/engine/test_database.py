@@ -305,6 +305,15 @@ class TestQueryExecution:
         with pytest.raises(ProgrammingError):
             result.scalar("count(*)")
 
+    def test_an_unknown_predicate_column_is_refused_at_prepare(self, database):
+        # Like an unknown projected column: at prepare, not on every execute.
+        sql = "SELECT objid FROM p WHERE zz BETWEEN ? AND ?"
+        with pytest.raises(KeyError, match="table 'p' has no column 'zz'"):
+            database.prepare_statement(sql)
+        with pytest.raises(KeyError, match="table 'p' has no column 'zz'"):
+            database.explain(sql)
+        assert len(database.plan_cache) == 0
+
     def test_query_history_is_recorded(self, database):
         database.execute("SELECT objid FROM p WHERE ra BETWEEN 0 AND 1")
         database.execute("SELECT count(*) FROM p WHERE ra BETWEEN 0 AND 1")

@@ -1,4 +1,4 @@
-"""The length-prefixed JSON wire protocol: framing, limits, EOF semantics."""
+"""The length-prefixed wire protocol: framing, limits, EOF semantics, the four body layouts."""
 
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ class TestEncodeDecode:
     def test_protocol_version_is_pinned(self):
         # Bumping the version is an intentional wire break; this test makes
         # the bump show up in a diff somewhere other than the module itself.
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
 
 
 class TestReadFrame:
@@ -234,3 +234,175 @@ class TestColumnarCodec:
         decoded = _roundtrip(payload)
         assert decoded["sql"] == "$buf" and decoded["a$buf"] == '"$buf":'
         assert decoded["v"].tolist() == [0, 1]
+
+
+def _assert_same(decoded, sent):
+    """Equal, and of the same type all the way down (arrays: same dtype and values)."""
+    assert type(decoded) is type(sent), (decoded, sent)
+    if isinstance(sent, dict):
+        assert set(decoded) == set(sent)
+        for key, value in sent.items():
+            _assert_same(decoded[key], value)
+    elif isinstance(sent, list):
+        assert len(decoded) == len(sent)
+        for got, value in zip(decoded, sent):
+            _assert_same(got, value)
+    elif isinstance(sent, np.ndarray):
+        _assert_wire_array(decoded, sent)
+    else:
+        assert decoded == sent
+
+
+def _bound_execute(**changes):
+    return {"type": "execute", "statement": 4, "params": [10.25, -3.5], "id": 17, **changes}
+
+
+def _one_result(**changes):
+    columns = {"objid": np.arange(5, dtype=np.int64) * 7919, "ra": np.linspace(0.0, 1.0, 5)}
+    return {"type": "result", "id": 17, "rowcount": 5, "cache_level": "batched",
+            "batched": True, "columns": columns, **changes}
+
+
+class TestBinaryLayouts:
+    """A bound EXECUTE takes ``0x02``, a one-query RESULT ``0x03``; every other shape
+    keeps JSON or columnar, and every payload round-trips with its types."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _bound_execute(),
+            _bound_execute(params=[]),
+            _bound_execute(params=[float("inf"), -0.0, 1e-300]),
+            _bound_execute(id=2**63 - 1, statement=-(2**63)),
+            _bound_execute(params=[0.5] * 0xFFFF),
+        ],
+        ids=["two", "none", "specials", "int64-edges", "u16-most"],
+    )
+    def test_a_bound_execute_takes_the_0x02_layout(self, payload):
+        frame = encode_frame(payload)
+        assert frame[4:5] == b"\x02"
+        _assert_same(decode_frame(frame[4:]), payload)
+
+    def test_the_bound_execute_byte_map(self):
+        frame = encode_frame(_bound_execute())
+        (length,) = struct.unpack(">I", frame[:4])
+        assert length == len(frame) - 4 == 1 + 8 + 8 + 2 + 2 * 8
+        assert struct.unpack(">BqqH2d", frame[4:]) == (2, 17, 4, 2, 10.25, -3.5)
+
+    def test_a_nan_binding_crosses_the_binary_layout(self):
+        decoded = decode_frame(encode_frame(_bound_execute(params=[float("nan")]))[4:])
+        assert np.isnan(decoded["params"][0])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _one_result(),
+            _one_result(batched=False, cache_level="prepared", rowcount=0,
+                        columns={"objid": np.empty(0, dtype=np.int64)}),
+            _one_result(columns={dtype.str + str(k): (np.arange(3) % 2).astype(dtype)
+                                 for k, dtype in enumerate(WIRE_DTYPES)}),
+            _one_result(id=-(2**63), rowcount=2**63 - 1, cache_level="é" * 127),
+            _one_result(columns={"ünï": np.arange(3, dtype=">u2")[::-1]}),
+        ],
+        ids=["two-columns", "empty", "every-dtype", "edges", "utf8-strided"],
+    )
+    def test_a_one_query_result_takes_the_0x03_layout(self, payload):
+        frame = encode_frame(payload)
+        assert frame[4:5] == b"\x03"
+        _assert_same(decode_frame(frame[4:]), payload)
+
+    def test_the_result_byte_map(self):
+        objid = np.arange(3, dtype="<i8")
+        frame = encode_frame(_one_result(rowcount=3, columns={"objid": objid}))
+        body = frame[4:]
+        assert struct.unpack(">I", frame[:4])[0] == len(body)
+        assert struct.unpack_from(">BqqBB", body) == (3, 17, 3, 1, len("batched"))
+        at = 19
+        assert body[at:at + 7] == b"batched" and body[at + 7] == 1
+        at += 8
+        assert struct.unpack_from(">B3sq", body, at) == (5, b"<i8", 3)
+        at += 12
+        assert body[at:at + 5] == b"objid"
+        assert body[at + 5:] == objid.tobytes()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _bound_execute(params=[1, 2]),
+            _bound_execute(params=[1.0, 2]),
+            _bound_execute(params=[True, 2.0]),
+            _bound_execute(params={"low": 1.0, "high": 2.0}),
+            _bound_execute(params=[None]),
+            _bound_execute(statement=True),
+            _bound_execute(statement=1.0),
+            _bound_execute(id=2**63),
+            _bound_execute(id=-(2**63) - 1),
+            _bound_execute(id=None),
+            _bound_execute(id="a"),
+            _bound_execute(params=[0.5] * 0x10000),
+            _bound_execute(extra=1),
+            {"type": "execute", "sql": "select 1", "params": [1.0, 2.0], "id": 3},
+            {"type": "execute", "sql": "select v from t where v between 1 and 2", "id": 3},
+            {"type": "execute", "statement": 4, "params": [1.0], "sql": "x", "id": 3},
+            {"type": "executemany", "statement": 4, "params": [[1.0, 2.0]], "id": 3},
+        ],
+        ids=["int-params", "mixed-params", "bool-param", "named-params", "null-param",
+             "bool-statement", "float-statement", "id-past-int64", "id-below-int64",
+             "id-null", "id-string", "too-many-params", "extra-key", "sql-bound",
+             "literal", "sql-and-statement", "executemany"],
+    )
+    def test_other_requests_keep_json(self, payload):
+        frame = encode_frame(payload)
+        assert frame[4:5] == b"{"
+        _assert_same(decode_frame(frame[4:]), payload)
+
+    @pytest.mark.parametrize(
+        "payload, tag",
+        [
+            ({"type": "result", "id": 3, "rowcount": 1, "cache_level": "batched",
+              "batched": False, "scalars": {"count(*)": 4.0}, "columns": {}}, b"{"),
+            ({"type": "result", "id": 3, "results": [_one_result()]}, b"\x01"),
+            ({"type": "error", "id": 3, "error": "ProgrammingError", "message": "m"}, b"{"),
+            ({"type": "result", "id": 3, "value": {"a": [1, 2]}}, b"{"),
+            (_one_result(columns={}), b"{"),
+            (_one_result(id=2**63), b"\x01"),
+            (_one_result(id=None), b"\x01"),
+            (_one_result(rowcount=5.0), b"\x01"),
+            (_one_result(batched=1), b"\x01"),
+            (_one_result(cache_level=None), b"\x01"),
+            (_one_result(cache_level="x" * 256), b"\x01"),
+            (_one_result(cache_level="\ud800"), b"\x01"),
+            (_one_result(columns={"x" * 256: np.arange(2)}), b"\x01"),
+            (_one_result(columns={f"c{k}": np.arange(2) for k in range(256)}), b"\x01"),
+            (_one_result(columns={"objid": [1, 2]}), b"{"),
+            (_one_result(columns={"objid": np.arange(2), "n": 3}), b"\x01"),
+            (_one_result(extra=1), b"\x01"),
+            ({k: v for k, v in _one_result().items() if k != "batched"}, b"\x01"),
+        ],
+        ids=["scalars", "executemany", "error", "admin-value", "no-columns",
+             "id-past-int64", "id-null", "float-rowcount", "int-batched", "null-level",
+             "long-level", "surrogate-level", "long-name", "256-columns", "list-column",
+             "scalar-column", "extra-key", "missing-key"],
+    )
+    def test_other_replies_keep_json_or_columnar(self, payload, tag):
+        frame = encode_frame(payload)
+        assert frame[4:5] == tag
+        _assert_same(decode_frame(frame[4:]), payload)
+
+    def test_a_protocol_2_hello_is_refused(self):
+        from repro.server import ReproServer
+
+        async def go():
+            async with ReproServer(port=0) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write(encode_frame({"type": "hello", "id": 1, "protocol": 2}))
+                await writer.drain()
+                reply = await read_frame(reader)
+                trailer = await read_frame(reader)
+                writer.close()
+                return reply, trailer
+
+        reply, trailer = asyncio.run(go())
+        assert reply["type"] == "error" and reply["error"] == "ProgrammingError"
+        assert reply["message"] == "protocol 2 not supported (server speaks 3)"
+        assert trailer is None

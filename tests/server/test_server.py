@@ -535,6 +535,24 @@ class TestAdmin:
         assert marker and "algebra.kunion" in figure_1 and "__p0" in figure_1
         assert "algebra.projection" in short and "algebra.kunion" not in short
 
+    def test_an_unknown_predicate_column_is_refused_at_prepare(self):
+        async def go():
+            server = await start_loaded_server()
+            try:
+                connection = await repro.aio.connect(*server.address)
+                sql = "select objid from p where zz between ? and ?"
+                with pytest.raises(ProgrammingError, match="table 'p' has no column 'zz'"):
+                    await connection.prepare(sql)
+                with pytest.raises(ProgrammingError, match="table 'p' has no column 'zz'"):
+                    await connection.admin.explain(sql)
+                size = (await connection.admin.cache_stats())["total"]["size"]
+                await connection.close()
+                return size
+            finally:
+                await server.stop()
+
+        assert run(go) == 0
+
     @pytest.mark.parametrize("dtype", ["int32", "float32"])
     def test_bulk_load_insert_delete_over_the_wire_match_in_process(self, dtype):
         rng = np.random.default_rng(23)

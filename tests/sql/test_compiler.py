@@ -55,6 +55,18 @@ class TestPlanShape:
         with pytest.raises(KeyError):
             compiler.compile(parse("SELECT nonexistent FROM p"))
 
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT objid FROM p WHERE zz BETWEEN 1 AND 2",
+         "SELECT objid FROM p WHERE ra < 5 AND zz >= 1",
+         "SELECT count(*) FROM p WHERE zz = 3"],
+    )
+    def test_an_unknown_predicate_column_is_rejected_by_both_programs(self, compiler, sql):
+        with pytest.raises(KeyError, match="table 'p' has no column 'zz'"):
+            compiler.compile(parse(sql))
+        with pytest.raises(KeyError, match="table 'p' has no column 'zz'"):
+            compiler.lower(parse(sql), lambda table, column: False, name="s0_0")
+
     def test_statement_names_are_unique(self, compiler):
         first = compiler.compile(parse("SELECT objid FROM p"))
         second = compiler.compile(parse("SELECT objid FROM p"))
