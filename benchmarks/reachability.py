@@ -1,6 +1,6 @@
 """Which functions of ``src/`` do the product's own drivers run?
 
-    python benchmarks/reachability.py [--legacy] [--out FILE]
+    python benchmarks/reachability.py [--out FILE]
 
 Runs every driver of the product under a call tracer and lists each ``def``
 in ``src/`` that none of them entered, per file with its line count, then a
@@ -13,10 +13,6 @@ totals line.  The drivers are:
   standalone-server smoke, and ``chaos_workload.py`` boots the
   fault-injected 3-replica fleet of CI's ``chaos-smoke`` job and stops it
   with SIGINT, so the server's shutdown path counts too.
-
-``--legacy`` adds a pass over the four legacy ``bench_*.py`` scripts at CI
-scale (run in a temporary copy, because they rewrite
-``BENCH_segment_kernels.json``); the report labels what only they reach.
 
 The tracer is the standard library's ``sys.settrace`` /
 ``threading.settrace`` on every Python version (``coverage`` is not a
@@ -39,7 +35,6 @@ import ast
 import atexit
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -52,10 +47,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 #: The unreached-line total this check fails above: the last measured total
-#: (731 lines, 108 of 748 defs) plus the difference between runs of the
+#: (573 lines, 94 of 744 defs) plus the difference between runs of the
 #: same tree (0 lines over two).  The drivers are time-boxed, so it holds
 #: for this tracer on the Python it was measured on (3.11, as CI runs it).
-MAX_UNREACHED_LINES = 731
+MAX_UNREACHED_LINES = 573
 
 #: Environment of a traced process: where it writes its hits, and which tree
 #: counts as ``src/``.
@@ -73,17 +68,6 @@ spec.loader.exec_module(module)
 module.install()
 """
 
-#: The legacy perf scripts at the scale CI's ``bench-smoke`` job runs them.
-LEGACY_SCALE = {
-    "PERF_ROWS": "20000", "PERF_QUERIES": "40", "PERF_REPEAT": "2",
-    "PERF_SERVER_ROWS": "20000", "PERF_SERVER_CLIENTS": "8", "PERF_SERVER_DEPTH": "4",
-    "PERF_SERVER_QUERIES": "1024",
-    "PERF_ROUTER_ROWS": "20000", "PERF_ROUTER_QUERIES": "512", "PERF_ROUTER_SLACK_KB": "12",
-}
-LEGACY_SCRIPTS = (
-    "bench_perf_suite.py", "bench_server_throughput.py", "bench_router_scaling.py",
-    "bench_micro_plan_cache.py",
-)
 E2E_WORKLOADS = (
     "engine_narrow", "adapt_scan", "replica_budget",
     "mixed_read_write", "server_pipelined", "routed_fleet",
@@ -138,7 +122,6 @@ def install() -> None:
 class Driver:
     name: str
     argv: list[str]
-    env: dict[str, str] | None = None
 
 
 def product_drivers() -> list[Driver]:
@@ -164,13 +147,6 @@ def product_drivers() -> list[Driver]:
     return drivers
 
 
-def legacy_drivers() -> list[Driver]:
-    return [
-        Driver(f"legacy {script}", [sys.executable, f"benchmarks/{script}"], LEGACY_SCALE)
-        for script in LEGACY_SCRIPTS
-    ]
-
-
 def traced_env(hits_dir: Path, site_dir: Path, src: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -187,7 +163,7 @@ def run_driver(driver: Driver, cwd: Path, env: dict[str, str]) -> bool:
     before = set(hits_dir.glob("*.json"))
     started = time.perf_counter()
     completed = subprocess.run(
-        driver.argv, cwd=cwd, env={**env, **(driver.env or {})},
+        driver.argv, cwd=cwd, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=DRIVER_TIMEOUT_S,
     )
     elapsed = time.perf_counter() - started
@@ -210,17 +186,6 @@ def collect_hits(hits_dir: Path) -> set[tuple[str, str, int]]:
 def trace_product(hits_dir: Path, site_dir: Path) -> bool:
     env = traced_env(hits_dir, site_dir, SRC)
     return all([run_driver(driver, ROOT, env) for driver in product_drivers()])
-
-
-def trace_legacy(hits_dir: Path, site_dir: Path) -> bool:
-    with tempfile.TemporaryDirectory(prefix="reach-legacy-") as copy:
-        tree = Path(copy)
-        ignore = shutil.ignore_patterns("__pycache__", "results", ".benchmarks")
-        for part in ("src", "benchmarks"):
-            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
-        shutil.copy(ROOT / "BENCH_segment_kernels.json", tree)
-        env = traced_env(hits_dir, site_dir, tree / "src")
-        return all([run_driver(driver, tree, env) for driver in legacy_drivers()])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +236,7 @@ def defs_in(src: Path) -> list[Def]:
     return found
 
 
-def report(defs: list[Def], product: set, legacy: set | None) -> tuple[str, int]:
+def report(defs: list[Def], product: set) -> tuple[str, int]:
     """The per-file listing and the totals line; returns it with the line total."""
     unreached = [d for d in defs if d.key not in product]
     total_lines = span(unreached)
@@ -280,15 +245,8 @@ def report(defs: list[Def], product: set, legacy: set | None) -> tuple[str, int]
         in_file = [d for d in unreached if d.file == file]
         out.append(f"src/{file}: {len(in_file)} defs, {span(in_file)} lines")
         for d in in_file:
-            label = "  [legacy]" if legacy is not None and d.key in legacy else ""
-            out.append(f"    {d.first:5d}  {d.lines:4d}  {d.qualname}{label}")
+            out.append(f"    {d.first:5d}  {d.lines:4d}  {d.qualname}")
     out.append("")
-    if legacy is not None:
-        only_legacy = [d for d in unreached if d.key in legacy]
-        out.append(
-            f"reached only by the legacy benches: {len(only_legacy)} defs, "
-            f"{span(only_legacy)} lines"
-        )
     out.append(
         f"unreached by the product drivers: {len(unreached)} of {len(defs)} defs, "
         f"{total_lines} lines (limit {MAX_UNREACHED_LINES})"
@@ -298,8 +256,6 @@ def report(defs: list[Def], product: set, legacy: set | None) -> tuple[str, int]
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--legacy", action="store_true",
-                        help="also trace the five legacy bench_*.py scripts at CI scale")
     parser.add_argument("--out", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
 
@@ -311,14 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         product_dir.mkdir()
         print("product drivers:", file=sys.stderr)
         ok = trace_product(product_dir, site_dir)
-        legacy = None
-        if args.legacy:
-            legacy_dir = Path(scratch) / "legacy"
-            legacy_dir.mkdir()
-            print("legacy benches:", file=sys.stderr)
-            ok = trace_legacy(legacy_dir, site_dir) and ok
-            legacy = collect_hits(legacy_dir)
-        text, total = report(defs_in(SRC), collect_hits(product_dir), legacy)
+        text, total = report(defs_in(SRC), collect_hits(product_dir))
 
     print(text)
     if args.out:

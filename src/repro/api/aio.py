@@ -24,7 +24,8 @@ Columns cross the wire as raw numpy buffers in both directions (protocol 3,
 see :mod:`repro.server.protocol`): a :class:`RemoteResult` holds the arrays
 the reply frame carried — writable, with the server's dtypes — and
 ``admin.bulk_load`` / ``insert`` / ``delete`` send their arrays the same way.
-Only 1-D bool, integer and float arrays can cross; anything else raises
+Only 1-D bool, integer and float arrays can cross; anything else — or a
+request over the frame limit — raises
 :class:`~repro.api.exceptions.ProgrammingError` before a byte is sent.
 
 Resilience (all opt-in, off by default so failures stay loud):
@@ -71,7 +72,7 @@ from repro.api.exceptions import (
     TransientError,
     error_from_name,
 )
-from repro.server.protocol import PROTOCOL_VERSION, read_frame, write_frame
+from repro.server.protocol import PROTOCOL_VERSION, ProtocolError, read_frame, write_frame
 
 #: Dials a dropped connection makes before its request fails (``reconnect=True``).
 RECONNECT_ATTEMPTS = 3
@@ -595,7 +596,7 @@ class AsyncConnection:
         try:
             try:
                 write_frame(self._writer, {**frame, "id": request_id})
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ProtocolError) as exc:
                 raise ProgrammingError(f"the request cannot be encoded: {exc}") from exc
             await self._writer.drain()
             return await future

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.aio
+import repro.server.protocol
 from repro.api.exceptions import (
     InterfaceError,
     OperationalError,
@@ -57,6 +58,49 @@ class TestAdminErrors:
                 return cursor.rowcount
 
         assert run(go) == 49
+
+    def test_a_request_over_the_frame_limit_is_a_programming_error(self, monkeypatch):
+        monkeypatch.setattr(repro.server.protocol, "MAX_FRAME_BYTES", 1_000)
+
+        async def go():
+            async with ReproServer(build_database(50), port=0) as server:
+                connection = await repro.aio.connect(*server.address)
+                with pytest.raises(ProgrammingError, match="limit"):
+                    await connection.admin.bulk_load("t", {"v": np.ones(1_000)})
+                cursor = await connection.execute(SQL, (0.0, 100.0))  # it survives
+                await connection.close()
+                return cursor.rowcount
+
+        assert run(go) == 50
+
+    #: Every other request that carries caller data past the 1 000-byte limit.
+    OVERSIZE = {
+        "execute": lambda c: c.execute(SQL + " " * 1_000, (0.0, 100.0)),
+        "executemany": lambda c: c.executemany(SQL, [(0.0, 1.0)] * 200),
+        "prepare": lambda c: c.prepare(SQL + " " * 1_000),
+        "prepared-executemany": lambda c: _prepared_executemany(c, [(0.0, 1.0)] * 200),
+        "insert": lambda c: c.admin.insert("t", {"v": np.ones(1_000)}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(OVERSIZE))
+    def test_every_oversize_request_kind_is_a_programming_error(self, monkeypatch, kind):
+        monkeypatch.setattr(repro.server.protocol, "MAX_FRAME_BYTES", 1_000)
+
+        async def go():
+            async with ReproServer(build_database(50), port=0) as server:
+                connection = await repro.aio.connect(*server.address)
+                with pytest.raises(ProgrammingError, match="limit"):
+                    await self.OVERSIZE[kind](connection)
+                cursor = await connection.execute(SQL, (0.0, 100.0))  # it survives
+                await connection.close()
+                return cursor.rowcount
+
+        assert run(go) == 50
+
+
+async def _prepared_executemany(connection, bindings):
+    prepared = await connection.prepare(SQL)
+    return await prepared.executemany(bindings)
 
 
 class _StalledServer:

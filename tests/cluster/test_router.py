@@ -239,6 +239,58 @@ class TestRouting:
         assert first_stats == second_stats
 
 
+class TestConcurrentWaves:
+    """Waves submitted to every replica's worker at once, as admission sends them."""
+
+    RA = np.random.default_rng(7).uniform(*DOMAIN, size=N_ROWS)
+
+    def routed(self, router, prepared, pairs, chunk=16):
+        """Route each pair, queue waves of ``chunk`` per replica, then wait for all."""
+        buckets = [[] for _ in range(router.n_replicas)]
+        waves = []
+
+        def flush(index):
+            wave, buckets[index] = buckets[index], []
+            future = router.replicas[index].submit(
+                router.execute_wave_on, index, [(prepared, pair) for pair in wave]
+            )
+            waves.append((wave, future))
+
+        for pair in pairs:
+            index = router.route(prepared, pair)
+            buckets[index].append(pair)
+            if len(buckets[index]) == chunk:
+                flush(index)
+        for index in range(router.n_replicas):
+            if buckets[index]:
+                flush(index)
+        for wave, future in waves:
+            for (low, high), result in zip(wave, future.result(timeout=60), strict=True):
+                want = np.flatnonzero((self.RA >= low) & (self.RA <= high)).tolist()
+                assert sorted(result.columns["objid"].tolist()) == want
+
+    @pytest.mark.parametrize("n_replicas", [2, 3, 4])
+    def test_a_budgeted_fleet_answers_through_retune_and_quarantine(self, n_replicas):
+        # A replication column whose budget holds about one mode's replicas,
+        # four interleaved modes: replicas are built and evicted mid-stream.
+        database = build_database(strategy="replication", storage_budget=N_ROWS * 8 + 12 * KB)
+        with Router(database, n_replicas, n_clusters=4, seed=0) as router:
+            prepared = router.prepare_statement(SQL)
+
+            def phase(count, seed):
+                workload = multimodal_workload(
+                    count, DOMAIN, 0.002, n_modes=4, interleave=True, seed=seed
+                )
+                self.routed(router, prepared, bounds_of(workload))
+
+            phase(128, 7)
+            assert router.retune()["retuned"]
+            phase(64, 8)
+            assert router.quarantine_replica(n_replicas - 1)
+            phase(64, 9)
+            assert router.router_stats()["health"]["quarantines"] == 1
+
+
 class TestRetune:
     def test_retune_without_history_is_a_noop(self):
         with Router(build_database(), 2) as router:

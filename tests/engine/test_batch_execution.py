@@ -162,6 +162,27 @@ class TestBatchExecutor:
             assert _rows(got) == _rows(expected)
 
 
+    @pytest.mark.parametrize("strategy", ["segmentation", "replication", "unsegmented"])
+    def test_a_wave_of_256_disjoint_bindings_batches_every_member(self, database, strategy):
+        """One range per 1/256 of the domain: a wave wider than the column has pieces."""
+        database.enable_adaptive(
+            "p", "ra", strategy=strategy, model="apm", m_min=2 * KB, m_max=8 * KB
+        )
+        prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+        rng = np.random.default_rng(51)
+        spacing = 360.0 / 256
+        bindings = [
+            (start, start + spacing / 2)
+            for start in (i * spacing + float(rng.uniform(0.0, spacing / 4)) for i in range(256))
+        ]
+        for _ in range(2):  # the first wave adapts the column, the second reads the result
+            results = database.execute_prepared_many(prepared, bindings)
+            assert len(results) == 256 and all(result.batched for result in results)
+            for result, values in zip(results, bindings):
+                assert sorted(result.column("objid").tolist()) == _hits(*values)
+        database.adaptive_handle("p", "ra").adaptive.check_invariants()
+
+
 class TestExecuteWave:
     """The server front-end's engine hook: one wave, many plans, many clients."""
 

@@ -9,18 +9,15 @@ from repro.util.units import KB
 from tests.conftest import literal_wave
 
 
+#: The values the ``database`` fixture loads into ``p.ra`` (``objid`` is the row).
+RA = np.random.default_rng(17).uniform(0.0, 360.0, size=20_000)
+
+
 @pytest.fixture
 def database() -> Database:
-    rng = np.random.default_rng(17)
     db = Database()
     db.create_table("p", {"objid": "int64", "ra": "float64"})
-    db.bulk_load(
-        "p",
-        {
-            "objid": np.arange(20_000, dtype=np.int64),
-            "ra": rng.uniform(0.0, 360.0, size=20_000),
-        },
-    )
+    db.bulk_load("p", {"objid": np.arange(20_000, dtype=np.int64), "ra": RA.copy()})
     return db
 
 
@@ -113,6 +110,59 @@ class TestExecuteWithCache:
         second = database.execute("SELECT COUNT(*) FROM p WHERE ra < 100.0")
         assert second.plan_cache_hit
         assert first.scalar("count(*)") == second.scalar("count(*)")
+
+
+#: A walk of 1 %-wide ranges over the domain: each query can split or replicate.
+WALK = [(low, low + 3.6) for low in np.random.default_rng(43).uniform(0.0, 356.0, 60).tolist()]
+WALK_SQL = "SELECT objid FROM p WHERE ra BETWEEN {} AND {}"
+
+
+def _adapting(strategy: str) -> Database:
+    db = Database()
+    db.create_table("p", {"objid": "int64", "ra": "float64"})
+    db.bulk_load("p", {"objid": np.arange(20_000, dtype=np.int64), "ra": RA.copy()})
+    db.enable_adaptive("p", "ra", strategy=strategy, model="apm", m_min=2 * KB, m_max=8 * KB)
+    return db
+
+
+def _learned(db: Database):
+    """What the column's adaptation did: its layout and every query's bytes."""
+    adaptive = db.adaptive_handle("p", "ra").adaptive
+    return adaptive.describe(), [
+        (stats.reads_bytes, stats.writes_bytes, stats.segment_count, stats.storage_bytes)
+        for stats in adaptive.history
+    ]
+
+
+def _hits(low: float, high: float) -> list[int]:
+    """The objids ``ra BETWEEN low AND high`` selects, by brute force."""
+    return np.flatnonzero((RA >= low) & (RA <= high)).tolist()
+
+
+@pytest.mark.parametrize("strategy", ["segmentation", "replication", "unsegmented"])
+class TestTheCacheChangesNothingAColumnLearns:
+    def test_a_plan_prepared_for_every_query_answers_and_adapts_like_a_cached_one(
+        self, strategy
+    ):
+        cold, warm = _adapting(strategy), _adapting(strategy)
+        for low, high in WALK:
+            cold.plan_cache.clear()
+            got = cold.execute(WALK_SQL.format(low, high))
+            expected = warm.execute(WALK_SQL.format(low, high))
+            assert not got.plan_cache_hit
+            assert sorted(got.column("objid").tolist()) == _hits(low, high)
+            assert sorted(expected.column("objid").tolist()) == _hits(low, high)
+        assert warm.cache_stats()["total"]["hits"] == len(WALK) - 1
+        assert _learned(cold) == _learned(warm)
+
+    def test_a_prepared_handle_answers_and_adapts_like_literal_text(self, strategy):
+        bound, literal = _adapting(strategy), _adapting(strategy)
+        prepared = bound.prepare_statement(WALK_SQL.format("?", "?"))
+        for low, high in WALK:
+            got = bound.execute_prepared(prepared, (low, high))
+            literal.execute(WALK_SQL.format(low, high))
+            assert sorted(got.column("objid").tolist()) == _hits(low, high)
+        assert _learned(bound) == _learned(literal)
 
 
 class TestExecuteMany:
