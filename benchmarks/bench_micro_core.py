@@ -147,8 +147,8 @@ WAVE_ROWS = 100_000
 DISJOINT_WAVE = [(low, low + 0.036) for low in np.linspace(5.0, 355.0, 16).tolist()]
 
 
-def _bench_wave(benchmark, ranges, strategy=None):
-    """Time one ``execute_wave`` of ``ranges``; each member must answer like a lone run."""
+def _wave_database(strategy=None):
+    """A 100 K-row ``p(objid, ra)`` table, ``ra`` adaptive under ``strategy`` (APM 8 / 32 KB)."""
     rng = np.random.default_rng(29)
     database = Database()
     database.create_table("p", {"objid": "int64", "ra": "float64"})
@@ -161,6 +161,12 @@ def _bench_wave(benchmark, ranges, strategy=None):
             "p", "ra", strategy=strategy, model="apm", m_min=8 * KB, m_max=32 * KB
         )
     prepared = database.prepare_statement("SELECT objid FROM p WHERE ra BETWEEN ? AND ?")
+    return database, prepared
+
+
+def _bench_wave(benchmark, ranges, strategy=None):
+    """Time one ``execute_wave`` of ``ranges``; each member must answer like a lone run."""
+    database, prepared = _wave_database(strategy)
     wave = [(prepared, prepared.binding.bind(pair)) for pair in ranges]
     results = benchmark(database.execute_wave, wave)
     level = "prepared" if strategy is None else "batched"  # a plain column has no batch pass
@@ -179,6 +185,14 @@ def test_micro_plain_wave_disjoint(benchmark):
 
 
 def test_micro_managed_wave(benchmark):
+    """The segmented wave; untimed, one wave must already cut the column past 3 segments.
+
+    Each touched segment takes the cuts of its members as well as their
+    envelope's, so the timed layout converges instead of stalling at 3.
+    """
+    database, prepared = _wave_database("segmentation")
+    database.execute_wave([(prepared, prepared.binding.bind(pair)) for pair in DISJOINT_WAVE])
+    assert database.adaptive_handle("p", "ra").adaptive.segment_count > 3
     _bench_wave(benchmark, DISJOINT_WAVE, strategy="segmentation")
 
 

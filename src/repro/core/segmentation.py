@@ -12,9 +12,10 @@ reorganization overhead the paper measures as memory writes.
 The selection itself is :class:`~repro.core.strategy.AdaptiveColumnBase`'s
 read path over the segment list (an :class:`IntervalIndex` whose every leaf
 is its own answer); this module is the adaptation rule, :meth:`_adapt`.  A
-batch (``select_many``) is read in one pass and then adapted once: each
-touched segment sees a single split decision against the envelope of the
-members that read it (:meth:`_adapt_wave`).
+batch (``select_many``) is read in one pass and then adapted once per touched
+segment: it is partitioned, in one split, wherever the model cuts it for the
+envelope of the members that read it and for each of those members
+(:meth:`_adapt_wave`).
 
 With the sorted zero-copy segment layout (:mod:`repro.core.segment`), a
 split produces slice views over the shared payload and a selection over a
@@ -101,9 +102,12 @@ class SegmentedColumn(AdaptiveColumnBase):
     def _adapt(self, query: ValueRange, segment: Segment, stats: QueryStats) -> None:
         """Algorithm 1: replace ``segment`` by its pieces where the model cuts it."""
         decision = self.model.decide(query, segment, total_bytes=self.total_bytes)
-        if not decision.should_split:
-            return
-        pieces = segment.partition(list(decision.points))
+        if decision.should_split:
+            self._split(segment, list(decision.points), stats)
+
+    def _split(self, segment: Segment, points: list[float], stats: QueryStats) -> None:
+        """Replace ``segment`` by its pieces at ``points``: one write per piece, one splice."""
+        pieces = segment.partition(points)
         if len(pieces) <= 1:
             return
         for piece in pieces:
@@ -114,17 +118,38 @@ class SegmentedColumn(AdaptiveColumnBase):
 
     def _adapt_wave(self, lows: list[float], highs: list[float], covers: list[list[Segment]],
                     touched: list[tuple[Segment, list[int]]], stats: QueryStats) -> None:
-        """One split decision per touched segment, against its members' envelope.
+        """Cut each touched segment where the model cuts it for the wave, in one split.
 
-        The envelope is the smallest range containing the members that read
-        the segment.  Adapting member by member instead (the base rule) cut
-        ``server_pipelined`` write bytes 970 -> 553 per query but raised its
-        read bytes 11 779 -> 15 234 (+29 %): the wave's small pieces are read
-        again by the members that follow.
+        A segment read by several members asks the model about their
+        envelope (the smallest range containing them) and then about each
+        distinct member with a bound strictly inside it, in ``(low, high)``
+        order, every decision against the segment as the read pass saw it.
+        The union of the accepted cut points partitions the segment once.
+        A segment with no member bound strictly inside takes no decision,
+        and one read by a single member takes exactly its ``select``'s.
+        Both kinds of cut stay: without the members' a wave spread over a
+        segment stops reorganizing it, and without the envelope's the wave
+        reads more.
         """
+        decide, total_bytes = self.model.decide, self.total_bytes
         for segment, members in touched:
-            envelope = ValueRange(min(lows[q] for q in members), max(highs[q] for q in members))
-            self._adapt(envelope, segment, stats)
+            seg_low, seg_high = segment.vrange.low, segment.vrange.high
+            ranges = sorted({
+                (lows[q], highs[q]) for q in members
+                if seg_low < lows[q] < seg_high or seg_low < highs[q] < seg_high
+            })
+            if not ranges:
+                continue
+            if len(members) > 1:
+                envelope = (min(lows[q] for q in members), max(highs[q] for q in members))
+                ranges = [envelope, *(pair for pair in ranges if pair != envelope)]
+            points: list[float] = []
+            for low, high in ranges:
+                decision = decide(ValueRange(low, high), segment, total_bytes=total_bytes)
+                if decision.should_split:
+                    points.extend(decision.points)
+            if points:
+                self._split(segment, points, stats)
 
     def check_invariants(self) -> None:
         """Verify that the segments partition the domain and conserve the data."""

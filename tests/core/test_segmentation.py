@@ -105,3 +105,73 @@ class TestGaussianDiceIntegration:
             assert column.select(low, high).count == brute_force_count(values, low, high)
         column.check_invariants()
         assert column.segment_count > 1
+
+
+def _spy_decisions(column: SegmentedColumn, monkeypatch) -> list[tuple[float, float]]:
+    """Record, in order, each query ``column.model.decide`` is asked about."""
+    decide, queries = column.model.decide, []
+
+    def spy(query, segment, *, total_bytes):
+        queries.append((query.low, query.high))
+        return decide(query, segment, total_bytes=total_bytes)
+
+    monkeypatch.setattr(column.model, "decide", spy)
+    return queries
+
+
+class TestWaveAdaptation:
+    """``select_many``: each touched segment takes its members' cuts in one split."""
+
+    WAVE = [(1_000.0, 1_500.0), (12_000.0, 30_000.0), (50_000.0, 50_000.0), (61_000.0, 64_000.0),
+            (20_000.0, 21_000.0), (81_000.0, 99_000.0), (12_000.0, 30_000.0), (4_000.0, 70_000.0)]
+
+    def test_a_permuted_wave_leaves_the_same_column(self, values):
+        columns = [
+            SegmentedColumn(values.copy(), model=GaussianDice(seed=7), domain=TEST_DOMAIN)
+            for _ in range(2)
+        ]
+        order = np.random.default_rng(2).permutation(len(self.WAVE))
+        for wave in range(6):
+            shift = 1_000.0 * wave
+            bounds = [(low + shift, high + shift) for low, high in self.WAVE]
+            columns[0].select_many(bounds)
+            columns[1].select_many([bounds[i] for i in order])
+        one, other = columns
+        assert one.segment_count > 4
+        assert (one.index.lows, one.index.highs) == (other.index.lows, other.index.highs)
+        assert one.accountant.total_reads_bytes == other.accountant.total_reads_bytes
+        assert one.accountant.total_writes_bytes == other.accountant.total_writes_bytes
+
+    def test_the_envelope_is_decided_first_then_the_members_in_order(self, column, monkeypatch):
+        queries = _spy_decisions(column, monkeypatch)
+        column.select_many([(60_000.0, 70_000.0), (10_000.0, 20_000.0), (10_000.0, 15_000.0),
+                            (60_000.0, 70_000.0)])
+        assert queries == [(10_000.0, 70_000.0), (10_000.0, 15_000.0),
+                               (10_000.0, 20_000.0), (60_000.0, 70_000.0)]
+        assert column.history[-1].splits_performed == 1  # one partition at the union of cuts
+        assert column.segment_count == 6
+        column.check_invariants()
+
+    def test_a_segment_read_by_one_member_takes_one_decision(self, column, monkeypatch):
+        for low in range(0, 100_000, 20_000):
+            column.select(float(low), float(low + 20_000))
+        segments = column.segments
+        queries = _spy_decisions(column, monkeypatch)
+        wave = [(s.vrange.low + s.vrange.width / 4, s.vrange.low + s.vrange.width / 2)
+                for s in segments]
+        column.select_many(wave)
+        assert queries == sorted(wave)
+
+    def test_bounds_on_segment_edges_take_no_decision(self, column, monkeypatch):
+        for low in range(0, 100_000, 10_000):
+            column.select(float(low), float(low + 10_000))
+        lows, highs = list(column.index.lows), list(column.index.highs)
+        assert len(lows) > 4
+        queries = _spy_decisions(column, monkeypatch)
+        wave = [(low, high) for low, high in zip(lows, highs)]
+        wave += [(low, high) for low, high in zip(lows, highs[2:])] + [(-5.0, 200_000.0)]
+        reads = column.accountant.total_reads_bytes
+        column.select_many(wave)
+        assert queries == []
+        assert column.history[-1].splits_performed == 0
+        assert column.accountant.total_reads_bytes - reads == column.total_bytes
